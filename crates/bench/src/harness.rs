@@ -36,6 +36,14 @@ impl Criterion {
         self.filters.is_empty() || self.filters.iter().any(|f| id.contains(f.as_str()))
     }
 
+    /// Do the CLI filters select work reported under `group` that runs
+    /// outside `bench_function` (paired A/B verdicts, side-by-side
+    /// prints)? True with no filters, or when one is a substring of the
+    /// group name.
+    pub fn selects_group(&self, group: &str) -> bool {
+        self.filters.is_empty() || self.filters.iter().any(|f| group.contains(f.as_str()))
+    }
+
     /// Start a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {

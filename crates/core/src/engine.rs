@@ -22,30 +22,48 @@
 //! engines ([`OffloadEngine::sharded`]) scale a worker's offload path
 //! past one ring pair.
 //!
-//! Mode behaviour, exactly as in the paper: async mode pauses the
-//! current offload job after submission ("crypto pause") and hands the
-//! result over at resume; straight-offload mode (`QAT+S`) blocks the
-//! caller until the response arrives — reproducing the offload-I/O
-//! blocking pathology of §2.4. The per-class inflight counters
-//! `R_asym`, `R_cipher`, `R_prf` are maintained "with a new engine
-//! command" for the heuristic polling scheme; sharded engines keep the
-//! engine-wide aggregate *and* a per-shard total so routing and
-//! shard-aware polling see each ring's own load.
+//! Every offload — a single op is a batch of one — is ONE poll-style
+//! step ([`Offload`]): the first call routes the batch to a shard and
+//! stages or publishes it, later calls take the parked result or stay
+//! pending, and a full ring raises the wait context's retry flag. Three
+//! drivers turn the step's `Pending` into a wait, chosen from what the
+//! caller can do:
+//!
+//! - a polled **task** ([`crate::task`], the production path of the
+//!   async profiles) returns `Pending` to the event loop — the paper's
+//!   "crypto pause" as a plain return, the resume a plain call;
+//! - a legacy **fiber** job ([`crate::fiber`], ablation only) calls
+//!   `pause_job()`;
+//! - a **blocking** caller (straight offload `QAT+S`, or async mode
+//!   with no task to return to) waits in place — reproducing the
+//!   offload-I/O blocking pathology of §2.4 — polling the shard itself,
+//!   or parking until an attached external poller delivers.
+//!
+//! The per-class inflight counters `R_asym`, `R_cipher`, `R_prf` are
+//! maintained "with a new engine command" for the heuristic polling
+//! scheme; sharded engines keep the engine-wide aggregate *and* a
+//! per-shard total so routing and shard-aware polling see each ring's
+//! own load.
 
 use crate::fiber;
+use crate::notify::Notifier;
 use crate::obs::{self, EngineObs, EventKind, Phase, ShardObs};
-use crate::pipeline::{
-    Backpressure, DrainReport, FlushReport, FullAction, SubmitContext, SubmitQueue,
-};
+use crate::pipeline::{Backpressure, DrainReport, FlushReport, SubmitContext, SubmitQueue};
 use crate::shard::{ShardPolicy, ShardRouter};
+use crate::task;
+use crate::wait_ctx::WaitCtx;
 use qtls_crypto::CryptoError;
 use qtls_qat::{
     make_request, CryptoInstance, CryptoOp, CryptoOutput, CryptoRequest, CryptoResult, OpClass,
-    ResponseCallback, SubmitFull,
+    ResponseCallback,
 };
 use qtls_sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 /// Inflight request counters (paper §4.3: collected in the QAT Engine
@@ -122,8 +140,9 @@ pub enum EngineMode {
     /// (QAT+S). Responses are retrieved by whatever poller is attached;
     /// absent one, the caller polls the instance itself.
     Blocking,
-    /// Asynchronous offload: pause the current fiber job; resume
-    /// delivers the result (QAT+A / QAT+AH / QTLS).
+    /// Asynchronous offload: the step answers `Pending` to the task (or
+    /// pauses the fiber job) that reached it; the next poll delivers
+    /// the result (QAT+A / QAT+AH / QTLS).
     Async,
 }
 
@@ -174,26 +193,8 @@ impl SubmitStage {
         self.shard.inc(class);
     }
 
-    /// Undo [`Self::begin`] for a request handed back by a full ring.
-    fn abort(&self, class: OpClass) {
-        self.counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-        self.shard.dec(class);
-    }
-
     fn attached_queue(&self) -> Option<Arc<SubmitQueue>> {
         self.queue.lock().clone()
-    }
-
-    /// Submit immediately (one doorbell); on a full ring count the
-    /// retry and hand the request back to the caller's policy.
-    fn submit_now(&self, request: CryptoRequest) -> Result<(), SubmitFull> {
-        match self.instance.submit(request) {
-            Ok(()) => Ok(()),
-            Err(full) => {
-                self.ring_full_retries.fetch_add(1, Ordering::Relaxed);
-                Err(full)
-            }
-        }
     }
 
     /// Sweep-boundary flush of the attached queue: the queue's flush
@@ -239,85 +240,39 @@ struct NotifyStage {
 }
 
 impl NotifyStage {
-    /// Response callback for a fiber job: complete its wait context.
-    /// With metrics on, the notification phase (callback entry → result
-    /// parked + notifier fired) is recorded here and the fire time is
-    /// stamped on the wait context for the post-processing phase.
-    fn job_completion(&self, ctx: fiber::CurrentWaitCtx, class: OpClass) -> ResponseCallback {
+    /// Response callback for member `index` of an offload step: undo
+    /// the inflight accounting and fill the member's slot; the LAST
+    /// completion (submitted, deferred or cancelled) parks the batch
+    /// marker on the step's wait context, which fires its notifier — so
+    /// a whole batch costs one crypto pause. With metrics on, the
+    /// notification phase (marker parked + notifier fired) is recorded
+    /// here and the fire time is stamped on the wait context for the
+    /// post-processing phase.
+    fn completion(
+        &self,
+        collector: Arc<BatchCollector>,
+        index: usize,
+        ctx: Arc<WaitCtx>,
+        class: OpClass,
+    ) -> ResponseCallback {
         let counters = Arc::clone(&self.counters);
         let shard = Arc::clone(&self.shard);
         let obs = Arc::clone(&self.obs);
         Box::new(move |result| {
             counters.counter(class).fetch_sub(1, Ordering::Relaxed);
             shard.dec(class);
+            if !collector.fill(index, result) {
+                return;
+            }
+            let done = Ok(CryptoOutput::Bytes(Vec::new()));
             if obs.enabled() {
                 let t0 = obs::now_ns();
-                ctx.complete(result);
+                ctx.complete(done);
                 let t1 = obs::now_ns();
                 obs.record(Phase::Notify, class, t1 - t0);
-                ctx.get().set_notified_ns(t1);
+                ctx.set_notified_ns(t1);
             } else {
-                ctx.complete(result);
-            }
-        })
-    }
-
-    /// Response callback for one member of a batched fiber-job offload:
-    /// fill the member's slot; the LAST completion (submitted, deferred
-    /// or cancelled) completes the wait context with a sentinel so the
-    /// whole batch costs one crypto pause.
-    fn batch_job_completion(
-        &self,
-        collector: Arc<BatchCollector>,
-        index: usize,
-        ctx: fiber::CurrentWaitCtx,
-        class: OpClass,
-    ) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if collector.fill(index, result) {
-                ctx.complete(Ok(CryptoOutput::Bytes(Vec::new())));
-            }
-        })
-    }
-
-    /// Batched counterpart of [`Self::slot_completion`]: the last
-    /// completion signals the blocking waiter once.
-    fn batch_slot_completion(
-        &self,
-        collector: Arc<BatchCollector>,
-        index: usize,
-        slot: Arc<BlockSlot>,
-        class: OpClass,
-    ) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if collector.fill(index, result) {
-                slot.fill(Ok(CryptoOutput::Bytes(Vec::new())));
-            }
-        })
-    }
-
-    /// Response callback for a blocking caller: fill its one-shot slot.
-    fn slot_completion(&self, slot: Arc<BlockSlot>, class: OpClass) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        let obs = Arc::clone(&self.obs);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if obs.enabled() {
-                let t0 = obs::now_ns();
-                slot.fill(result);
-                obs.record(Phase::Notify, class, obs::now_ns().saturating_sub(t0));
-            } else {
-                slot.fill(result);
+                ctx.complete(done);
             }
         })
     }
@@ -618,368 +573,357 @@ impl OffloadEngine {
         self.shards[i].retrieve.poll_all()
     }
 
-    /// Offload one crypto operation according to the engine mode. The
-    /// router places the request on one shard first; the mode then
-    /// decides how the caller waits.
-    ///
-    /// - `Async` + inside a fiber job: submit, pause, return the result
-    ///   after resume (possibly pausing multiple times on ring-full).
-    /// - `Blocking`: submit and wait (straight offload).
-    /// - `Async` outside a job: falls back to blocking with self-polling
-    ///   (mirrors OpenSSL running synchronously when no `ASYNC_JOB` is
-    ///   active).
+    /// Offload one crypto operation and wait for its result in place —
+    /// the synchronous facade over [`Self::offload_async`]. Any task
+    /// context is masked, so the caller blocks (mirroring OpenSSL
+    /// running synchronously when no `ASYNC_JOB` is active) or, inside a
+    /// legacy fiber job, pauses that job.
     pub fn offload(&self, op: CryptoOp) -> CryptoResult {
-        let shard = self.route(op.class());
-        match self.mode {
-            EngineMode::Async if fiber::in_job() => self.offload_async(shard, op),
-            EngineMode::Async => self.offload_blocking(shard, op, true),
-            EngineMode::Blocking => {
-                let self_poll = self.has_external_poller.load(Ordering::Relaxed) == 0;
-                self.offload_blocking(shard, op, self_poll)
-            }
-        }
+        task::run_sync(self.offload_async(op))
     }
 
-    /// The async path: non-blocking submit + crypto pause (§3.2).
+    /// Offload one crypto operation: a batch of one through
+    /// [`Self::offload_batch_async`].
+    pub async fn offload_async(&self, op: CryptoOp) -> CryptoResult {
+        let mut results = self.offload_batch_async(vec![op]).await;
+        results.pop().expect("one result per op")
+    }
+
+    /// Synchronous facade over [`Self::offload_batch_async`] (see
+    /// [`Self::offload`]).
+    pub fn offload_batch(&self, ops: Vec<CryptoOp>) -> Vec<CryptoResult> {
+        task::run_sync(self.offload_batch_async(ops))
+    }
+
+    /// Offload a batch of same-class operations through ONE shard; the
+    /// results return in op order. The router places the batch first;
+    /// the mode and the caller's context then decide how the pending
+    /// step is waited on (see the module docs).
     ///
-    /// With a submit queue attached the request is staged and the job
-    /// pauses at once; the batch is published at the sweep boundary by
-    /// [`Self::flush_submissions`], and ring-full shows up as deferral
-    /// inside the queue rather than as a submission failure here.
-    /// Without a queue the request is submitted immediately and a full
-    /// ring follows the event-loop backpressure policy: mark retry,
-    /// pause, let the application reschedule. Retries stay on the shard
-    /// the router picked — re-routing a bounced request would reorder
-    /// it behind later submissions on another ring.
-    fn offload_async(&self, shard: &Shard, mut op: CryptoOp) -> CryptoResult {
-        let ctx_handle = fiber::current_wait_ctx().expect("offload_async requires a job");
-        let class = op.class();
-        if let Some(queue) = shard.submit.attached_queue() {
-            // Light-load fast path: the policy may skip staging and ring
-            // the doorbell in place, trading one unamortized doorbell
-            // for a sweep less of staging latency.
-            let bypass = queue.should_bypass(shard.inflight.total());
-            if shard.obs.enabled() {
-                // Connection tracing: link the coming fiber pause to the
-                // shard + flush decision (read back by the worker when
-                // it annotates the offload-wait span).
-                ctx_handle
-                    .get()
-                    .set_submit_info(shard.index, u64::from(bypass));
-            }
-            shard.submit.begin(class);
-            let request = make_request(
-                shard.submit.next_cookie(),
-                op,
-                shard.notify.job_completion(ctx_handle.clone(), class),
-            );
-            if bypass {
-                match shard.submit.instance.submit(request) {
-                    Ok(()) => queue.note_bypass(),
-                    // Full ring despite "light" load: fall back to
-                    // staging; the sweep flush retries as deferral.
-                    Err(SubmitFull(back)) => queue.enqueue(back),
-                }
-            } else {
-                queue.enqueue(request);
-            }
-            return self.consume_parked_result(shard, class, &ctx_handle);
-        }
-        let mut attempt = 0u32;
-        if shard.obs.enabled() {
-            ctx_handle.get().set_submit_info(shard.index, 0);
-        }
-        loop {
-            shard.submit.begin(class);
-            let request = make_request(
-                shard.submit.next_cookie(),
-                op,
-                shard.notify.job_completion(ctx_handle.clone(), class),
-            );
-            match shard.submit.submit_now(request) {
-                Ok(()) => return self.consume_parked_result(shard, class, &ctx_handle),
-                Err(SubmitFull(back)) => {
-                    // Submission failure (§3.2): undo the counter, then
-                    // do what the policy says (always pause/reschedule
-                    // on the event loop).
-                    shard.submit.abort(class);
-                    op = back.op;
-                    self.obs.recorder().record(
-                        EventKind::BackpressureRetry,
-                        shard.index,
-                        attempt as u64 + 1,
-                        0,
-                    );
-                    if shard.obs.enabled() {
-                        ctx_handle.get().set_submit_info(shard.index, 2);
-                    }
-                    match shard
-                        .submit
-                        .backpressure
-                        .action(attempt, SubmitContext::EventLoop)
-                    {
-                        FullAction::Reschedule => {
-                            ctx_handle.get().set_retry();
-                            fiber::pause_job();
-                        }
-                        other => unreachable!("event-loop policy yielded {other:?}"),
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// Crypto pause + post-processing: return control to the
-    /// application, then consume the parked result after resume. A
-    /// spurious resume (event disorder, §4.2) just pauses again. With
-    /// metrics on, the post-processing phase (notification fired →
-    /// result consumed here) is recorded against the owning shard.
-    fn consume_parked_result(
-        &self,
-        shard: &Shard,
-        class: OpClass,
-        ctx_handle: &fiber::CurrentWaitCtx,
-    ) -> CryptoResult {
-        fiber::pause_job();
-        loop {
-            if let Some(result) = ctx_handle.get().take_result() {
-                if shard.obs.enabled() {
-                    if let Some(t) = ctx_handle.get().take_notified_ns() {
-                        shard
-                            .obs
-                            .record(Phase::Post, class, obs::now_ns().saturating_sub(t));
-                    }
-                }
-                return result;
-            }
-            fiber::pause_job();
-        }
-    }
-
-    /// The blocking path (straight offload / no-job fallback). Always
-    /// submits immediately — a blocked caller cannot be the flusher of
-    /// a submit queue — and rides the shared backpressure policy on a
-    /// full ring: self-polling callers yield (each retry drains the
-    /// shard's responses), externally-polled callers spin briefly then
-    /// park so the poller thread gets cycles.
-    fn offload_blocking(&self, shard: &Shard, op: CryptoOp, self_poll: bool) -> CryptoResult {
-        let class = op.class();
-        let slot = Arc::new(BlockSlot::default());
-        shard.submit.begin(class);
-        let mut request = make_request(
-            shard.submit.next_cookie(),
-            op,
-            shard.notify.slot_completion(Arc::clone(&slot), class),
-        );
-        let ctx = if self_poll {
-            SubmitContext::BlockingSelfPoll
-        } else {
-            SubmitContext::BlockingWait
-        };
-        // Straight offload blocks even on submission: retry until queued.
-        let mut attempt = 0u32;
-        loop {
-            match shard.submit.submit_now(request) {
-                Ok(()) => break,
-                Err(SubmitFull(back)) => {
-                    request = back;
-                    if self_poll {
-                        shard.retrieve.poll_all();
-                    }
-                    shard.submit.backpressure.wait(attempt, ctx);
-                    attempt += 1;
-                }
-            }
-        }
-        // Wait for the response ("the QAT Engine cannot return control to
-        // upper layers after it submits a crypto request" — §2.4).
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            if self_poll {
-                shard.retrieve.poll_all();
-            }
-            if let Some(result) = slot.try_take(Duration::from_micros(50)) {
-                return result;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "blocking offload timed out: no poller retrieving responses?"
-            );
-        }
-    }
-
-    /// Offload a whole batch of same-class operations through ONE shard
-    /// under a single ring publish and a single doorbell — the data
-    /// plane's multi-record submission. Results return in op order.
+    /// A multi-op batch — the data plane's multi-record submission — is
+    /// published at once under a single ring publish and a single
+    /// doorbell. A lone op has no batch of its own: on the event loop
+    /// with a submit queue attached it is staged, and
+    /// [`Self::flush_submissions`] publishes it with the rest of the
+    /// sweep (unless the flush policy says load is light enough to ring
+    /// the doorbell in place). Either way the caller pauses ONCE: the
+    /// last member's completion fires the notifier.
     ///
-    /// - `Async` + inside a fiber job: submit the batch, then pause
-    ///   ONCE; the last member's completion fires the notifier.
-    ///   Ring-full leftovers are staged on the shard's submit queue
-    ///   (published by the next sweep flush, failed with
-    ///   [`CryptoError::Cancelled`] by a shutdown drain — so a
-    ///   mid-batch shutdown fails only the unsent tail); without a
-    ///   queue the job pauses with the retry flag and republishes the
-    ///   tail on resume.
-    /// - otherwise: submit and (self-)poll until every member lands.
+    /// Whatever a full ring would not take is staged on the shard's
+    /// submit queue when the caller is on the event loop (published by
+    /// the next sweep flush, failed with [`CryptoError::Cancelled`] by
+    /// a shutdown drain — so a mid-batch shutdown fails only the unsent
+    /// tail). Without a queue the step raises the retry flag and
+    /// republishes the tail when polled again; retries stay on the
+    /// shard the router picked — re-routing a bounced request would
+    /// reorder it behind later submissions on another ring.
     ///
     /// # Panics
     ///
     /// Debug-asserts that every op shares one [`OpClass`].
-    pub fn offload_batch(&self, ops: Vec<CryptoOp>) -> Vec<CryptoResult> {
-        if ops.is_empty() {
-            return Vec::new();
+    pub fn offload_batch_async(&self, ops: Vec<CryptoOp>) -> Offload<'_> {
+        Offload {
+            engine: self,
+            state: OffloadState::Fresh(ops),
         }
+    }
+
+    /// Who is calling, and therefore how a pending step is waited on
+    /// and which wait context its completions rendezvous at.
+    fn waiter(&self) -> (Waiter, Arc<WaitCtx>) {
+        let current = match self.mode {
+            EngineMode::Async => task::current_wait_ctx(),
+            EngineMode::Blocking => None,
+        };
+        match current {
+            Some(ctx) if fiber::in_job() => (Waiter::Fiber, ctx),
+            Some(ctx) => (Waiter::Task, ctx),
+            None => {
+                let ctx = Arc::new(WaitCtx::new());
+                let self_poll = self.mode == EngineMode::Async
+                    || self.has_external_poller.load(Ordering::Relaxed) == 0;
+                if self_poll {
+                    return (Waiter::SelfPoll, ctx);
+                }
+                let parker = Arc::new(Parker::default());
+                ctx.set_notifier(Arc::clone(&parker) as Arc<dyn Notifier>, 0);
+                (Waiter::Parked(parker), ctx)
+            }
+        }
+    }
+
+    /// The step's first call: route, account, then stage or publish.
+    fn submit_step(&self, ops: Vec<CryptoOp>) -> OffloadStep {
         let class = ops[0].class();
         debug_assert!(
             ops.iter().all(|op| op.class() == class),
-            "offload_batch requires a single-class batch"
+            "an offload batch is single-class"
         );
         let shard = self.route(class);
-        match self.mode {
-            EngineMode::Async if fiber::in_job() => self.offload_batch_async(shard, class, ops),
-            EngineMode::Async => self.offload_batch_blocking(shard, class, ops, true),
-            EngineMode::Blocking => {
-                let self_poll = self.has_external_poller.load(Ordering::Relaxed) == 0;
-                self.offload_batch_blocking(shard, class, ops, self_poll)
-            }
+        let (waiter, ctx) = self.waiter();
+        // Only an event-loop caller may leave requests on the sweep
+        // queue: a blocked caller cannot also be its flusher.
+        let queue = match waiter {
+            Waiter::Task | Waiter::Fiber => shard.submit.attached_queue(),
+            Waiter::SelfPoll | Waiter::Parked(_) => None,
+        };
+        let lone = ops.len() == 1;
+        // Light-load fast path for a lone op: the policy may skip
+        // staging and ring the doorbell in place, trading one
+        // unamortized doorbell for a sweep less of staging latency.
+        let bypass = lone
+            && queue
+                .as_ref()
+                .is_some_and(|q| q.should_bypass(shard.inflight.total()));
+        if shard.obs.enabled() {
+            // Connection tracing: link the coming pause to the shard +
+            // flush decision (read back by the worker when it annotates
+            // the offload-wait span).
+            ctx.set_submit_info(shard.index, u64::from(bypass));
         }
-    }
-
-    /// Batched async path: one crypto pause for the whole batch.
-    fn offload_batch_async(
-        &self,
-        shard: &Shard,
-        class: OpClass,
-        ops: Vec<CryptoOp>,
-    ) -> Vec<CryptoResult> {
-        let ctx_handle = fiber::current_wait_ctx().expect("offload_batch_async requires a job");
         let collector = Arc::new(BatchCollector::new(ops.len()));
-        let mut batch: std::collections::VecDeque<CryptoRequest> = ops
+        let mut unsent: VecDeque<CryptoRequest> = ops
             .into_iter()
             .enumerate()
             .map(|(i, op)| {
                 shard.submit.begin(class);
-                make_request(
-                    shard.submit.next_cookie(),
-                    op,
-                    shard.notify.batch_job_completion(
-                        Arc::clone(&collector),
-                        i,
-                        ctx_handle.clone(),
-                        class,
-                    ),
-                )
+                let done =
+                    shard
+                        .notify
+                        .completion(Arc::clone(&collector), i, Arc::clone(&ctx), class);
+                make_request(shard.submit.next_cookie(), op, done)
             })
             .collect();
-        shard.submit.instance.submit_batch(&mut batch);
-        if !batch.is_empty() {
-            if let Some(queue) = shard.submit.attached_queue() {
-                // The unsent tail rides the sweep machinery: the next
-                // flush publishes it; a shutdown drain fails it with
-                // Cancelled while the already-published head completes.
-                for request in batch.drain(..) {
-                    queue.enqueue(request);
+        let mut step = OffloadStep {
+            shard: shard.index as usize,
+            class,
+            waiter,
+            ctx,
+            collector,
+            unsent: VecDeque::new(),
+            attempt: 0,
+            deadline: None,
+        };
+        // A staged lone op skips the ring here: ring-full then shows up
+        // as deferral inside the queue, not as a submission failure.
+        let stage_lone = lone && queue.is_some() && !bypass;
+        if !stage_lone {
+            let sent = shard.submit.instance.submit_batch(&mut unsent);
+            if let (true, Some(queue)) = (bypass && sent == 1, &queue) {
+                queue.note_bypass();
+            }
+        }
+        match queue {
+            // The unsent tail rides the sweep machinery: the next flush
+            // publishes it; a shutdown drain fails it with Cancelled
+            // while the already-published head completes.
+            Some(queue) => unsent.drain(..).for_each(|request| queue.enqueue(request)),
+            None => {
+                step.unsent = unsent;
+                if !step.unsent.is_empty() {
+                    self.note_ring_full(shard, &mut step);
                 }
             }
         }
-        let mut attempt = 0u32;
-        while !batch.is_empty() {
-            // No queue to stage on: pause with the retry flag and
-            // republish the tail when the event loop resumes us.
-            shard
-                .submit
-                .ring_full_retries
-                .fetch_add(1, Ordering::Relaxed);
-            self.obs.recorder().record(
-                EventKind::BackpressureRetry,
-                shard.index,
-                attempt as u64 + 1,
-                0,
-            );
-            ctx_handle.get().set_retry();
-            fiber::pause_job();
-            shard.submit.instance.submit_batch(&mut batch);
-            attempt += 1;
+        step
+    }
+
+    /// Submission failure (§3.2): count it and raise the retry flag so
+    /// the application reschedules the pass.
+    fn note_ring_full(&self, shard: &Shard, step: &mut OffloadStep) {
+        step.attempt += 1;
+        shard
+            .submit
+            .ring_full_retries
+            .fetch_add(1, Ordering::Relaxed);
+        self.obs.recorder().record(
+            EventKind::BackpressureRetry,
+            shard.index,
+            u64::from(step.attempt),
+            0,
+        );
+        if shard.obs.enabled() {
+            step.ctx.set_submit_info(shard.index, 2);
         }
-        // One crypto pause for the batch; spurious resumes re-pause.
-        loop {
-            if ctx_handle.get().take_result().is_some() {
-                return collector.take();
+        step.ctx.set_retry();
+    }
+
+    /// One poll-style step of an offload. First call: submit. Later
+    /// calls: republish a ring-full tail, then take the parked result —
+    /// a call with nothing parked (spurious wake, event disorder §4.2)
+    /// stays pending. With metrics on, the post-processing phase
+    /// (notification fired → result consumed here) is recorded against
+    /// the owning shard.
+    fn step(&self, state: &mut OffloadState) -> Poll<Vec<CryptoResult>> {
+        let step = match state {
+            OffloadState::Fresh(ops) if ops.is_empty() => {
+                *state = OffloadState::Done;
+                return Poll::Ready(Vec::new());
             }
-            fiber::pause_job();
+            OffloadState::Fresh(ops) => {
+                *state = OffloadState::InFlight(self.submit_step(std::mem::take(ops)));
+                return Poll::Pending;
+            }
+            OffloadState::InFlight(step) => step,
+            OffloadState::Done => panic!("offload polled after completion"),
+        };
+        let shard = &self.shards[step.shard];
+        if !step.unsent.is_empty() {
+            shard.submit.instance.submit_batch(&mut step.unsent);
+            if !step.unsent.is_empty() {
+                self.note_ring_full(shard, step);
+                return Poll::Pending;
+            }
+        }
+        if step.ctx.take_result().is_none() {
+            return Poll::Pending;
+        }
+        if shard.obs.enabled() {
+            if let Some(t) = step.ctx.take_notified_ns() {
+                shard
+                    .obs
+                    .record(Phase::Post, step.class, obs::now_ns().saturating_sub(t));
+            }
+        }
+        let results = step.collector.take();
+        *state = OffloadState::Done;
+        Poll::Ready(results)
+    }
+
+    /// Drive the step until it must return: a task hands `Pending` back
+    /// to its poller, a fiber job pauses, a blocking caller waits in
+    /// place (a device that never answers fails the op with
+    /// [`CryptoError::DeviceTimeout`], not the thread).
+    fn drive(&self, state: &mut OffloadState) -> Poll<Vec<CryptoResult>> {
+        loop {
+            if let Poll::Ready(results) = self.step(state) {
+                return Poll::Ready(results);
+            }
+            let OffloadState::InFlight(step) = state else {
+                unreachable!("a pending step is in flight");
+            };
+            match step.waiter {
+                Waiter::Task => return Poll::Pending,
+                Waiter::Fiber => fiber::pause_job(),
+                Waiter::SelfPoll | Waiter::Parked(_) => {
+                    if let Err(timeout) = self.wait_in_place(step) {
+                        let n = step.collector.len();
+                        *state = OffloadState::Done;
+                        return Poll::Ready((0..n).map(|_| Err(timeout)).collect());
+                    }
+                }
+            }
         }
     }
 
-    /// Batched blocking path (straight offload / no-job fallback, also
-    /// what benches use): publish under one doorbell, then (self-)poll
-    /// until the last member completes.
-    fn offload_batch_blocking(
-        &self,
-        shard: &Shard,
-        class: OpClass,
-        ops: Vec<CryptoOp>,
-        self_poll: bool,
-    ) -> Vec<CryptoResult> {
-        let collector = Arc::new(BatchCollector::new(ops.len()));
-        let slot = Arc::new(BlockSlot::default());
-        let mut batch: std::collections::VecDeque<CryptoRequest> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| {
-                shard.submit.begin(class);
-                make_request(
-                    shard.submit.next_cookie(),
-                    op,
-                    shard.notify.batch_slot_completion(
-                        Arc::clone(&collector),
-                        i,
-                        Arc::clone(&slot),
-                        class,
-                    ),
-                )
-            })
-            .collect();
-        let ctx = if self_poll {
-            SubmitContext::BlockingSelfPoll
-        } else {
-            SubmitContext::BlockingWait
-        };
-        let mut attempt = 0u32;
-        loop {
-            shard.submit.instance.submit_batch(&mut batch);
-            if batch.is_empty() {
-                break;
-            }
-            shard
-                .submit
-                .ring_full_retries
-                .fetch_add(1, Ordering::Relaxed);
-            if self_poll {
-                shard.retrieve.poll_all();
-            }
-            shard.submit.backpressure.wait(attempt, ctx);
-            attempt += 1;
+    /// The blocking driver's wait ("the QAT Engine cannot return
+    /// control to upper layers after it submits a crypto request" —
+    /// §2.4), for a result or for ring space.
+    fn wait_in_place(&self, step: &mut OffloadStep) -> Result<(), CryptoError> {
+        let now = Instant::now();
+        if now >= *step.deadline.get_or_insert(now + OFFLOAD_TIMEOUT) {
+            return Err(CryptoError::DeviceTimeout);
         }
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            if self_poll {
-                shard.retrieve.poll_all();
+        let shard = &self.shards[step.shard];
+        match &step.waiter {
+            // Only this caller's own poll can deliver its result (or
+            // free ring space), so there is nothing to sleep on: yield
+            // only when the poll came back empty.
+            Waiter::SelfPoll => {
+                if shard.retrieve.poll_all() == 0 {
+                    std::thread::yield_now();
+                }
             }
-            if slot.try_take(Duration::from_micros(50)).is_some() {
-                return collector.take();
-            }
-            assert!(
-                Instant::now() < deadline,
-                "batched offload timed out: no poller retrieving responses?"
-            );
+            // The external poller frees ring space: spin briefly, then
+            // park so its thread gets cycles.
+            Waiter::Parked(_) if !step.unsent.is_empty() => shard
+                .submit
+                .backpressure
+                .wait(step.attempt - 1, SubmitContext::BlockingWait),
+            Waiter::Parked(parker) => parker.park(PARK_SLICE),
+            Waiter::Task | Waiter::Fiber => unreachable!("event-loop waiters return or pause"),
+        }
+        Ok(())
+    }
+}
+
+/// How long a blocking caller waits for the device before failing the
+/// op.
+const OFFLOAD_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Longest a parked blocking caller sleeps between deadline checks (the
+/// external poller's notification ends the sleep early).
+const PARK_SLICE: Duration = Duration::from_millis(10);
+
+/// How the caller of an offload waits while its step is pending — the
+/// three drivers of the one step.
+enum Waiter {
+    /// A polled task: `Pending` goes back to whoever polled.
+    Task,
+    /// A legacy fiber job: `Pending` becomes `pause_job()`.
+    Fiber,
+    /// A blocking caller (nowhere to return to) that polls the shard
+    /// itself.
+    SelfPoll,
+    /// A blocking caller behind an external poller: sleeps on the
+    /// notifier of its private wait context until the poller delivers.
+    Parked(Arc<Parker>),
+}
+
+/// One submitted offload: where it went, who waits for it and how, and
+/// whatever the ring has not taken yet.
+struct OffloadStep {
+    shard: usize,
+    class: OpClass,
+    waiter: Waiter,
+    /// The rendezvous: the caller's per-pass context, or a private one
+    /// for a blocking caller.
+    ctx: Arc<WaitCtx>,
+    collector: Arc<BatchCollector>,
+    /// Requests a full ring handed back with no queue to stage them on.
+    unsent: VecDeque<CryptoRequest>,
+    /// Consecutive ring-full failures.
+    attempt: u32,
+    /// Blocking callers give up at this instant (set by the first wait).
+    deadline: Option<Instant>,
+}
+
+impl Drop for OffloadStep {
+    /// An abandoned step (its pass was dropped, or it timed out) must
+    /// not strand the inflight accounting of requests the device never
+    /// saw: fail them as a shutdown drain would.
+    fn drop(&mut self) {
+        for request in self.unsent.drain(..) {
+            (request.callback)(Err(CryptoError::Cancelled));
         }
     }
 }
 
-/// Shared result board of one batched offload: a slot per member op and
-/// a countdown; the callback that decrements it to zero wakes the
-/// waiter (one pause / one signal per batch, not per record).
+enum OffloadState {
+    Fresh(Vec<CryptoOp>),
+    InFlight(OffloadStep),
+    Done,
+}
+
+/// An offload in progress, as a future: polling it drives the engine's
+/// one step (see [`OffloadEngine::offload_batch_async`]).
+pub struct Offload<'e> {
+    engine: &'e OffloadEngine,
+    state: OffloadState,
+}
+
+impl Future for Offload<'_> {
+    type Output = Vec<CryptoResult>;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        this.engine.drive(&mut this.state)
+    }
+}
+
+/// Shared result board of one offload step: a slot per member op and a
+/// countdown; the callback that decrements it to zero wakes the waiter
+/// (one pause / one signal per batch, not per record).
 struct BatchCollector {
     slots: Mutex<Vec<Option<CryptoResult>>>,
     remaining: AtomicU64,
@@ -991,6 +935,10 @@ impl BatchCollector {
             slots: Mutex::new((0..n).map(|_| None).collect()),
             remaining: AtomicU64::new(n as u64),
         }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.lock().len()
     }
 
     /// Park one member's result; true when it was the last outstanding.
@@ -1009,25 +957,29 @@ impl BatchCollector {
     }
 }
 
-/// One-shot result slot for the blocking path.
+/// Where a blocking caller behind an external poller sleeps: registered
+/// as its private wait context's notifier, so the poller's completion
+/// wakes it.
 #[derive(Default)]
-struct BlockSlot {
-    lock: Mutex<Option<CryptoResult>>,
+struct Parker {
+    notified: Mutex<bool>,
     cond: Condvar,
 }
 
-impl BlockSlot {
-    fn fill(&self, result: CryptoResult) {
-        *self.lock.lock() = Some(result);
-        self.cond.notify_all();
-    }
-
-    fn try_take(&self, wait: Duration) -> Option<CryptoResult> {
-        let mut guard = self.lock.lock();
-        if guard.is_none() {
-            self.cond.wait_for(&mut guard, wait);
+impl Parker {
+    fn park(&self, at_most: Duration) {
+        let mut notified = self.notified.lock();
+        if !*notified {
+            self.cond.wait_for(&mut notified, at_most);
         }
-        guard.take()
+        *notified = false;
+    }
+}
+
+impl Notifier for Parker {
+    fn notify(&self, _token: u64) {
+        *self.notified.lock() = true;
+        self.cond.notify_all();
     }
 }
 
@@ -1705,5 +1657,255 @@ mod tests {
         assert_eq!(engine.inflight().total(), 0);
         assert_eq!(engine.shard_inflight(0), 0);
         assert_eq!(engine.shard_inflight(1), 0);
+    }
+
+    /// Drive a task-polled future to completion the way an event loop
+    /// would: poll the pass, flush the sweep, retrieve responses.
+    fn run_task<T>(engine: &OffloadEngine, fut: impl Future<Output = T>) -> (T, u32) {
+        let ctx = Arc::new(WaitCtx::new());
+        let mut fut = std::pin::pin!(fut);
+        let mut pendings = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Poll::Ready(out) = task::poll_pass(Some(&ctx), fut.as_mut()) {
+                return (out, pendings);
+            }
+            pendings += 1;
+            assert!(Instant::now() < deadline, "task never completed");
+            engine.flush_submissions();
+            while !ctx.has_result() && !ctx.take_retry() {
+                engine.poll_all();
+                std::thread::yield_now();
+                assert!(Instant::now() < deadline, "no completion delivered");
+            }
+        }
+    }
+
+    #[test]
+    fn task_offload_pends_once_then_is_ready() {
+        let dev = device();
+        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Async);
+        let (out, pendings) = run_task(&engine, engine.offload_async(prf_op(24)));
+        assert_eq!(out.unwrap().into_bytes().len(), 24);
+        assert_eq!(pendings, 1, "one crypto pause per offload");
+        assert_eq!(engine.inflight().total(), 0);
+    }
+
+    #[test]
+    fn task_poll_with_nothing_parked_stays_pending() {
+        // Event disorder (§4.2): a poll that is not backed by a parked
+        // result — a spurious wake — must neither complete nor resubmit.
+        let dev = QatDevice::new(QatConfig {
+            engines_per_endpoint: 0,
+            ..QatConfig::functional_small()
+        });
+        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Async);
+        let ctx = Arc::new(WaitCtx::new());
+        let mut fut = std::pin::pin!(engine.offload_async(prf_op(8)));
+        for _ in 0..3 {
+            assert!(task::poll_pass(Some(&ctx), fut.as_mut()).is_pending());
+        }
+        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.inflight().total(), 1);
+    }
+
+    #[test]
+    fn dropped_task_releases_unsent_requests() {
+        // A pass torn down while its offload waits for ring space must
+        // not strand the inflight accounting of what the device never saw.
+        let dev = QatDevice::new(QatConfig {
+            engines_per_endpoint: 0,
+            ring_capacity: 2,
+            ..QatConfig::functional_small()
+        });
+        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Async);
+        let ctx = Arc::new(WaitCtx::new());
+        {
+            let ops = (0..5).map(|_| prf_op(8)).collect();
+            let mut fut = std::pin::pin!(engine.offload_batch_async(ops));
+            assert!(task::poll_pass(Some(&ctx), fut.as_mut()).is_pending());
+            assert!(ctx.take_retry(), "three requests bounced off the ring");
+            assert_eq!(engine.inflight().total(), 5);
+        }
+        assert_eq!(engine.inflight().total(), 2, "only what the ring took");
+    }
+
+    #[test]
+    fn task_ring_full_retries_until_the_tail_is_published() {
+        // No queue to stage on and a ring of two under a batch of five:
+        // the step raises the retry flag, and every re-poll republishes
+        // what fits until the whole batch has been through the device.
+        let dev = QatDevice::new(QatConfig {
+            ring_capacity: 2,
+            ..QatConfig::functional_small()
+        });
+        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Async);
+        let ops = (1..=5).map(prf_op).collect();
+        let (results, pendings) = run_task(&engine, engine.offload_batch_async(ops));
+        for (i, result) in results.into_iter().enumerate() {
+            assert_eq!(result.unwrap().into_bytes().len(), i + 1, "order kept");
+        }
+        assert!(engine.ring_full_retries() >= 1);
+        assert!(
+            pendings >= 2,
+            "at least one retry pause and one result pause"
+        );
+        assert_eq!(engine.inflight().total(), 0);
+    }
+
+    #[test]
+    fn wedged_device_fails_the_op_not_the_thread() {
+        // No engines and nobody polling: the blocking driver must give
+        // up with a typed error. (The step's deadline is its first wait
+        // plus OFFLOAD_TIMEOUT; plant an expired one.)
+        let dev = QatDevice::new(QatConfig {
+            engines_per_endpoint: 0,
+            ..QatConfig::functional_small()
+        });
+        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Blocking);
+        let mut state = OffloadState::Fresh(vec![prf_op(8), prf_op(8)]);
+        assert!(engine.step(&mut state).is_pending());
+        let OffloadState::InFlight(step) = &mut state else {
+            panic!("submitted")
+        };
+        step.deadline = Some(Instant::now());
+        match engine.drive(&mut state) {
+            Poll::Ready(results) => {
+                assert_eq!(results.len(), 2);
+                assert!(results
+                    .iter()
+                    .all(|r| matches!(r, Err(CryptoError::DeviceTimeout))));
+            }
+            Poll::Pending => panic!("a blocking caller never sees Pending"),
+        }
+    }
+
+    /// What one lone offload leaves behind on a fresh two-shard engine.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        output: Vec<u8>,
+        pendings: u32,
+        submitted: u64,
+        doorbells: u64,
+        ring_full_retries: u64,
+        phase_counts: Vec<u64>,
+        flight: Vec<(EventKind, u32, u64, u64)>,
+        queue: Option<crate::pipeline::SubmitSnapshot>,
+    }
+
+    fn observe_lone_offload(with_queue: bool, task: bool, as_batch: bool) -> Observed {
+        use crate::pipeline::SubmitQueue;
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 2,
+            ..QatConfig::functional_small()
+        });
+        let engine = OffloadEngine::sharded(
+            dev.alloc_instances(2),
+            EngineMode::Async,
+            ShardPolicy::RoundRobin,
+        );
+        if with_queue {
+            for i in 0..2 {
+                engine.attach_shard_submit_queue(i, Arc::new(SubmitQueue::new()));
+            }
+        }
+        engine.enable_metrics();
+        let offload = async {
+            if as_batch {
+                engine.offload_batch_async(vec![prf_op(40)]).await.remove(0)
+            } else {
+                engine.offload_async(prf_op(40)).await
+            }
+        };
+        let (result, pendings) = if task {
+            run_task(&engine, offload)
+        } else {
+            (task::run_sync(offload), 0)
+        };
+        assert_eq!(engine.inflight().total(), 0);
+        Observed {
+            output: result.unwrap().into_bytes(),
+            pendings,
+            submitted: dev.fw_counters().submitted.load(Ordering::Relaxed),
+            doorbells: dev.fw_counters().doorbells.load(Ordering::Relaxed),
+            ring_full_retries: engine.ring_full_retries(),
+            phase_counts: Phase::ALL
+                .iter()
+                .map(|&p| engine.obs().merged(p, OpClass::Prf).count())
+                .collect(),
+            flight: engine
+                .obs()
+                .recorder()
+                .dump()
+                .iter()
+                .map(|e| (e.kind, e.shard, e.a, e.b))
+                .collect(),
+            queue: engine.submit_queue().map(|q| q.stats().snapshot()),
+        }
+    }
+
+    #[test]
+    fn single_op_path_is_exactly_the_batch_of_one_path() {
+        for (with_queue, task) in [(false, false), (false, true), (true, true)] {
+            let single = observe_lone_offload(with_queue, task, false);
+            let batch = observe_lone_offload(with_queue, task, true);
+            assert_eq!(single, batch, "queue {with_queue} task {task}");
+            // And the path is the expected one: one request, one
+            // doorbell, every phase recorded once, one router decision.
+            assert_eq!((single.submitted, single.doorbells), (1, 1));
+            assert_eq!(single.phase_counts, vec![1, 1, 1, 1]);
+            assert_eq!(single.flight.len(), 1);
+            assert_eq!(single.flight[0].0, EventKind::RouterDecision);
+            assert_eq!(single.pendings, u32::from(task));
+            if let Some(queue) = single.queue {
+                // Staged, then published by the sweep flush.
+                assert_eq!((queue.flushes, queue.flushed_requests), (1, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn task_fiber_and_blocking_drivers_agree() {
+        // The three drivers of the one step: same bytes out, same
+        // device-side work.
+        let drive = |mode: EngineMode, how: u8| {
+            let dev = device();
+            let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), mode));
+            let ops = || (1..=4).map(prf_op).collect::<Vec<_>>();
+            let results = match how {
+                0 => engine.offload_batch(ops()),
+                1 => run_task(&engine, engine.offload_batch_async(ops())).0,
+                _ => {
+                    let eng = Arc::clone(&engine);
+                    let mut job = match start_job(move || eng.offload_batch(ops())) {
+                        StartResult::Paused(job) => job,
+                        StartResult::Finished(_) => panic!("must pause"),
+                    };
+                    loop {
+                        engine.poll_all();
+                        match job.resume() {
+                            StartResult::Finished(results) => break results,
+                            StartResult::Paused(again) => job = again,
+                        }
+                    }
+                }
+            };
+            let bytes: Vec<Vec<u8>> = results
+                .into_iter()
+                .map(|r| r.unwrap().into_bytes())
+                .collect();
+            let fw = dev.fw_counters();
+            (
+                bytes,
+                fw.submitted.load(Ordering::Relaxed),
+                fw.doorbells.load(Ordering::Relaxed),
+            )
+        };
+        let blocking = drive(EngineMode::Blocking, 0);
+        assert_eq!(blocking.1, 4);
+        assert_eq!(blocking.2, 1);
+        assert_eq!(drive(EngineMode::Async, 0), blocking, "async, no task");
+        assert_eq!(drive(EngineMode::Async, 1), blocking, "task");
+        assert_eq!(drive(EngineMode::Async, 2), blocking, "fiber");
     }
 }

@@ -1,20 +1,34 @@
 //! Fiber async: cooperative pausable jobs, mirroring OpenSSL's
 //! `ASYNC_JOB` API (paper §4.1, Fig. 6).
 //!
+//! **Ablation only.** The server runs its service passes as polled
+//! tasks ([`crate::task`]); this module is kept as the paper's fiber
+//! mechanism so the `framework` bench and the benchmark's
+//! `core.fiber_*` probes can measure what a fiber costs next to the
+//! task and [`stack`](crate::stack) mechanisms. `scripts/check.sh`
+//! fails if `crates/server/src` mentions it.
+//!
 //! OpenSSL implements fibers with raw stack switching; here each job runs
 //! on a dedicated OS thread with a strict *handoff* discipline: exactly
 //! one of (caller, job) is runnable at any instant, enforced by a small
-//! state machine under a mutex. Semantics match the paper's description:
+//! state machine under a mutex — so a pause or a resume is two condvar
+//! handoffs and a start is a thread spawn, which is the cost the task
+//! mechanism removes. Semantics match the paper's description:
 //!
 //! - `start_job(f)` runs `f` until it either finishes or calls
 //!   [`pause_job`]; the caller is blocked meanwhile ("fiber context swap").
 //! - `pause_job()` (inside the job) returns control to the caller.
 //! - `AsyncJob::resume()` jumps back to the pause point.
+//! - dropping a paused [`AsyncJob`] cancels it: the job thread unwinds
+//!   from its pause point (running the closure's destructors) and is
+//!   joined, so an abandoned job strands neither its thread nor what
+//!   the closure owned.
 //!
-//! This keeps the synchronous-looking control flow of the TLS stack while
-//! allowing the offload to return control to the event loop — the whole
-//! point of the framework.
+//! An engine offload inside a job finds the job's [`WaitCtx`] through
+//! the same thread-local a task poll installs, and turns the step's
+//! `Pending` into `pause_job()`.
 
+use crate::task;
 use crate::wait_ctx::WaitCtx;
 use qtls_sync::{Condvar, Mutex};
 use std::sync::Arc;
@@ -26,16 +40,32 @@ enum Turn {
     Job,
     /// The caller runs; the job thread waits at its pause point.
     Caller,
-    /// The job function returned; result is available.
+    /// The job thread is exiting; its result (or panic) can be joined.
     Done,
+    /// The paused job was dropped: unwind from the pause point.
+    Cancelled,
 }
 
 struct Shared {
     turn: Mutex<Turn>,
     cond: Condvar,
     /// Wait context attached to this job (callback / fd / result slot).
-    wait_ctx: WaitCtx,
+    wait_ctx: Arc<WaitCtx>,
 }
+
+/// Hands the turn back when the job thread exits, however it exits — a
+/// job that panics must fail its caller's join, not leave it waiting.
+struct DoneOnExit(Arc<Shared>);
+
+impl Drop for DoneOnExit {
+    fn drop(&mut self) {
+        *self.0.turn.lock() = Turn::Done;
+        self.0.cond.notify_all();
+    }
+}
+
+/// Unwind payload of a cancelled job (never reaches a panic hook).
+struct JobCancelled;
 
 thread_local! {
     static CURRENT_JOB: std::cell::RefCell<Option<Arc<Shared>>> =
@@ -50,10 +80,11 @@ pub enum StartResult<R> {
     Paused(AsyncJob<R>),
 }
 
-/// A paused asynchronous job.
+/// A paused asynchronous job. Dropping it cancels the job.
 pub struct AsyncJob<R> {
     shared: Arc<Shared>,
-    handle: std::thread::JoinHandle<R>,
+    /// `None` once `resume` has taken the thread over.
+    handle: Option<std::thread::JoinHandle<R>>,
 }
 
 impl<R> std::fmt::Debug for AsyncJob<R> {
@@ -65,6 +96,11 @@ impl<R> std::fmt::Debug for AsyncJob<R> {
 /// Start a new fiber-based job (`ASYNC_start_job` with a NULL job).
 ///
 /// Blocks the caller until `f` finishes or pauses.
+///
+/// # Panics
+///
+/// Panics if the OS refuses the job thread, and re-raises a panic of
+/// `f` — one more reason no production path starts jobs.
 pub fn start_job<R, F>(f: F) -> StartResult<R>
 where
     R: Send + 'static,
@@ -73,19 +109,16 @@ where
     let shared = Arc::new(Shared {
         turn: Mutex::new(Turn::Job),
         cond: Condvar::new(),
-        wait_ctx: WaitCtx::new(),
+        wait_ctx: Arc::new(WaitCtx::new()),
     });
     let job_shared = Arc::clone(&shared);
     let handle = std::thread::Builder::new()
         .name("async-job".into())
         .spawn(move || {
-            CURRENT_JOB.with(|c| *c.borrow_mut() = Some(Arc::clone(&job_shared)));
-            let result = f();
-            CURRENT_JOB.with(|c| *c.borrow_mut() = None);
-            let mut turn = job_shared.turn.lock();
-            *turn = Turn::Done;
-            job_shared.cond.notify_all();
-            result
+            let _done = DoneOnExit(Arc::clone(&job_shared));
+            let _ctx = task::install(Some(Arc::clone(&job_shared.wait_ctx)));
+            CURRENT_JOB.with(|c| *c.borrow_mut() = Some(job_shared));
+            f()
         })
         .expect("spawn job thread");
     wait_for_caller_turn(&shared, handle)
@@ -95,19 +128,34 @@ impl<R: Send + 'static> AsyncJob<R> {
     /// Resume a paused job (`ASYNC_start_job` with an existing job):
     /// control jumps back to the pause point; blocks the caller until the
     /// job pauses again or finishes.
-    pub fn resume(self) -> StartResult<R> {
+    pub fn resume(mut self) -> StartResult<R> {
+        let handle = self.handle.take().expect("a paused job owns its thread");
         {
             let mut turn = self.shared.turn.lock();
             debug_assert_eq!(*turn, Turn::Caller);
             *turn = Turn::Job;
             self.shared.cond.notify_all();
         }
-        wait_for_caller_turn(&self.shared, self.handle)
+        wait_for_caller_turn(&self.shared, handle)
     }
+}
 
+impl<R> AsyncJob<R> {
     /// The wait context of this job (`ASYNC_get_wait_ctx`).
     pub fn wait_ctx(&self) -> &WaitCtx {
         &self.shared.wait_ctx
+    }
+}
+
+impl<R> Drop for AsyncJob<R> {
+    fn drop(&mut self) {
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        *self.shared.turn.lock() = Turn::Cancelled;
+        self.shared.cond.notify_all();
+        // The join result is the cancellation payload; nothing to report.
+        let _ = handle.join();
     }
 }
 
@@ -125,15 +173,17 @@ fn wait_for_caller_turn<R: Send + 'static>(
             drop(turn);
             StartResult::Paused(AsyncJob {
                 shared: Arc::clone(shared),
-                handle,
+                handle: Some(handle),
             })
         }
         Turn::Done => {
             drop(turn);
-            let result = handle.join().expect("job thread panicked");
-            StartResult::Finished(result)
+            match handle.join() {
+                Ok(result) => StartResult::Finished(result),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-        Turn::Job => unreachable!(),
+        Turn::Job | Turn::Cancelled => unreachable!("only a dropped job is cancelled"),
     }
 }
 
@@ -153,36 +203,16 @@ pub fn pause_job() {
     while *turn == Turn::Caller {
         shared.cond.wait(&mut turn);
     }
+    if *turn == Turn::Cancelled {
+        drop(turn);
+        std::panic::resume_unwind(Box::new(JobCancelled));
+    }
 }
 
 /// Is the calling code executing inside an async job?
 /// (`ASYNC_get_current_job() != NULL`.)
 pub fn in_job() -> bool {
     CURRENT_JOB.with(|c| c.borrow().is_some())
-}
-
-/// The wait context of the currently-running job, if any.
-pub fn current_wait_ctx() -> Option<CurrentWaitCtx> {
-    CURRENT_JOB.with(|c| c.borrow().clone().map(CurrentWaitCtx))
-}
-
-/// A cloneable, sendable handle to a job's wait context. The engine's
-/// response callback holds one of these so it can park the crypto result
-/// and fire the notification from whichever thread polls the instance.
-#[derive(Clone)]
-pub struct CurrentWaitCtx(Arc<Shared>);
-
-impl CurrentWaitCtx {
-    /// Access the wait context.
-    pub fn get(&self) -> &WaitCtx {
-        &self.0.wait_ctx
-    }
-
-    /// Park `result` and fire the registered notification
-    /// (see [`WaitCtx::complete`]).
-    pub fn complete(&self, result: qtls_qat::CryptoResult) {
-        self.0.wait_ctx.complete(result);
-    }
 }
 
 #[cfg(test)]
@@ -284,8 +314,8 @@ mod tests {
     #[test]
     fn wait_ctx_accessible_inside_and_outside() {
         let r = start_job(|| {
-            let ctx = current_wait_ctx().expect("inside job");
-            ctx.get().set_ready_marker(7);
+            let ctx = task::current_wait_ctx().expect("inside job");
+            ctx.set_ready_marker(7);
             pause_job();
         });
         let StartResult::Paused(job) = r else {
@@ -295,5 +325,35 @@ mod tests {
         let StartResult::Finished(()) = job.resume() else {
             panic!()
         };
+    }
+
+    #[test]
+    fn dropping_a_paused_job_unwinds_and_joins_its_thread() {
+        struct CountDrop(Arc<AtomicUsize>);
+        impl Drop for CountDrop {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let owned = CountDrop(Arc::clone(&dropped));
+        let StartResult::Paused(job) = start_job(move || {
+            let _owned = owned;
+            pause_job();
+            unreachable!("a cancelled job never runs past its pause point");
+        }) else {
+            panic!("expected pause")
+        };
+        assert_eq!(dropped.load(Ordering::SeqCst), 0);
+        // Drop joins the job thread, so by the time it returns the
+        // thread has unwound and released what the closure owned.
+        drop(job);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_caller_instead_of_hanging_it() {
+        let caught = std::panic::catch_unwind(|| start_job(|| -> u32 { panic!("job failed") }));
+        assert!(caught.is_err());
     }
 }

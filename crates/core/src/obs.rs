@@ -677,7 +677,7 @@ pub enum SpanKind {
     /// One established service pass: request parse → response staged.
     /// `a` = requests completed, `b` = body bytes sent.
     Serve,
-    /// A fiber pause: offload submit → async notify → resume.
+    /// A crypto pause: offload submit → async notify → resume.
     /// `a` = shard index, `b` = 1 if the submit bypassed the batch
     /// queue, 2 if it retried on backpressure.
     OffloadWait,
@@ -763,7 +763,7 @@ impl Span {
 
 /// The span tree of one sampled connection. Single-writer by
 /// construction — owned by the connection it traces and touched only by
-/// the worker (or fiber) currently driving that connection — so begin /
+/// the worker (or the service pass) currently driving that connection — so begin /
 /// end / annotate are plain `Vec` pushes with no atomics and no locks.
 /// Unsampled connections hold `None` instead and allocate nothing.
 #[derive(Clone, Debug)]
@@ -850,8 +850,8 @@ impl ConnTrace {
     }
 
     /// Record an already-measured interval as a completed child of the
-    /// innermost open span (used for intervals measured while the
-    /// connection context was away in a fiber).
+    /// innermost open span (used for intervals measured while a pending
+    /// service pass owned the connection context).
     pub fn add(&mut self, kind: SpanKind, start_ns: u64, end_ns: u64, a: u64, b: u64) {
         let parent = self.open.last().copied();
         self.spans.push(Span {

@@ -30,10 +30,10 @@ use std::time::{Duration, Instant};
 /// how the caller may wait for ring space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitContext {
-    /// Inside a fiber job on the event loop: the caller must not block
-    /// the loop, so the only legal reaction is to pause the job and let
-    /// the application reschedule it (§3.2 "failure of crypto
-    /// submission").
+    /// A task (or legacy fiber job) on the event loop: the caller must
+    /// not block the loop, so the only legal reaction is to pause —
+    /// raise the retry flag, return `Pending` — and let the application
+    /// reschedule it (§3.2 "failure of crypto submission").
     EventLoop,
     /// A blocking caller that drains the response ring itself: retrying
     /// makes progress on every attempt, so it never needs to park.
@@ -47,7 +47,7 @@ pub enum SubmitContext {
 /// What a submitter should do about a full request ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FullAction {
-    /// Pause the fiber job; the application reschedules and retries.
+    /// Pause the pass; the application reschedules and retries.
     Reschedule,
     /// Yield the CPU and retry immediately.
     Yield,
@@ -111,8 +111,8 @@ impl Backpressure {
 
     /// Execute the policy for a blocking caller: yield or park as
     /// [`Backpressure::action`] dictates. Panics on
-    /// [`SubmitContext::EventLoop`], where the caller must pause its
-    /// fiber job instead of waiting in place.
+    /// [`SubmitContext::EventLoop`], where the caller must pause
+    /// instead of waiting in place.
     pub fn wait(&self, attempt: u32, ctx: SubmitContext) {
         match self.action(attempt, ctx) {
             FullAction::Reschedule => {

@@ -12,10 +12,15 @@
 //!
 //! The paper notes this design "has a good performance but is intrusive"
 //! — the caller must perform the careful skipping that fibers give for
-//! free. The evaluation used the fiber implementation (the one adopted
-//! by OpenSSL ≥ 1.1.0), so the TLS stack here integrates fibers; stack
-//! async is provided as the faithful second implementation, exercised by
-//! tests and the `framework` ablation bench.
+//! free.
+//!
+//! **Ablation only.** The TLS stack here integrates neither hand-written
+//! mechanism: its service passes are `async fn` state machines the worker
+//! polls ([`crate::task`]) — the compiler does the "careful skipping",
+//! so the design is as cheap as stack async without being intrusive.
+//! This module stays as the faithful second implementation of the
+//! paper's comparison, exercised by tests, the `framework` ablation
+//! bench and the benchmark's `core.offload_roundtrip_stack_us` probe.
 
 use crate::engine::OffloadEngine;
 use qtls_qat::{CryptoOp, CryptoResult, SubmitFull};

@@ -26,6 +26,9 @@ pub enum CryptoError {
     /// The request was cancelled before the device saw it (e.g. staged
     /// in a submit queue when its worker shut down).
     Cancelled,
+    /// The device never answered within the offload deadline (no poller
+    /// retrieving responses, or a wedged engine).
+    DeviceTimeout,
 }
 
 impl fmt::Display for CryptoError {
@@ -41,6 +44,7 @@ impl fmt::Display for CryptoError {
             CryptoError::BadMac => "MAC verification failed",
             CryptoError::BadPadding => "bad padding",
             CryptoError::Cancelled => "request cancelled before submission",
+            CryptoError::DeviceTimeout => "offload device timed out",
         };
         f.write_str(s)
     }

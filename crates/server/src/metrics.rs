@@ -436,7 +436,7 @@ fn render_worker_section(page: &mut PromText, snap: &StatusSnapshot) {
         ),
         (
             "qtls_worker_async_jobs_total",
-            "Fiber jobs that paused on a crypto offload at least once.",
+            "Service passes that paused on a crypto offload at least once.",
             snap.stats.async_jobs,
         ),
         (

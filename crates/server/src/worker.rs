@@ -2,9 +2,11 @@
 //! with the QTLS modifications of §4.2:
 //!
 //! - one thread handles many connections over non-blocking sockets;
-//! - TLS processing runs inside fiber-based offload jobs (async
-//!   profiles): when a crypto request is submitted the job pauses, the
-//!   connection enters the **TLS-ASYNC** state and the loop moves on;
+//! - each service pass (TLS state machine + HTTP layer) is a future the
+//!   worker polls: when a crypto request is submitted the poll returns
+//!   `Pending` (async profiles), the connection enters the **TLS-ASYNC**
+//!   state and the loop moves on — the pause is a return, the resume the
+//!   next poll, no thread or stack switch either way;
 //! - read events that arrive while an async event is expected are saved
 //!   and replayed after the async event is processed ("event disorder");
 //! - the heuristic polling scheme runs inside the loop, fed by the
@@ -21,9 +23,9 @@ use crate::net::{SockError, VListener, VSocket};
 use crate::sched::SchedShared;
 use qtls_core::obs::{self, ConnTrace, SpanKind};
 use qtls_core::{
-    fiber, AsyncQueue, EngineMode, FdSelector, FlushPolicyConfig, HeuristicConfig, HeuristicPoller,
-    NotifyScheme, OffloadEngine, OffloadProfile, PollingScheme, ShardPolicy, StartResult,
-    SubmitQueue, TimerPoller, VirtualFd,
+    poll_pass, AsyncQueue, EngineMode, FdSelector, FlushPolicyConfig, HeuristicConfig,
+    HeuristicPoller, Notifier, NotifyScheme, OffloadEngine, OffloadProfile, PollingScheme,
+    ShardPolicy, SubmitQueue, TimerPoller, VirtualFd, WaitCtx,
 };
 use qtls_crypto::TestRng;
 use qtls_qat::QatDevice;
@@ -34,8 +36,11 @@ use qtls_tls::server::ServerConfig;
 use qtls_tls::suite::Version;
 use qtls_tls::TlsError;
 use std::collections::HashMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
-use std::time::Duration;
+use std::task::Poll;
+use std::time::{Duration, Instant};
 
 /// Worker configuration.
 pub struct WorkerConfig {
@@ -154,9 +159,9 @@ pub struct WorkerStats {
     /// Established connections handed off from the handshake control
     /// plane to the batched record codec.
     pub record_handoffs: u64,
-    /// Fiber jobs that paused at least once (offload jobs).
+    /// Service passes that pended at least once (offload jobs).
     pub async_jobs: u64,
-    /// Job resumptions processed.
+    /// Pass resumptions (re-polls) processed.
     pub resumptions: u64,
     /// Ring-full retry reschedules.
     pub retries: u64,
@@ -241,7 +246,7 @@ fn folded_submit_stats(engine: &OffloadEngine) -> Option<FoldedSubmit> {
     Some(folded)
 }
 
-/// The bundle that travels in and out of fiber jobs: the TLS session plus
+/// The bundle a service pass owns while it runs: the TLS session plus
 /// the connection's HTTP parsing state and, once the handshake control
 /// plane has handed off, the batched data-plane record codec.
 struct ConnCtx {
@@ -282,10 +287,15 @@ struct ServiceReport {
     error: Option<TlsError>,
 }
 
+/// One service pass in flight: owns the connection's context until it
+/// resolves, handing it back with the pass's report. Dropping it (the
+/// connection went away mid-offload) drops the context with it.
+type Pass = Pin<Box<dyn Future<Output = (ConnCtx, ServiceReport)> + Send>>;
+
 /// Run the TLS state machine + HTTP layer over whatever input has been
-/// fed. Runs inside a fiber job under the async profiles, so every
-/// crypto call inside may pause the job.
-fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> ServiceReport {
+/// fed. Every crypto call inside is awaited, so under the async profiles
+/// the pass is pending wherever an offload is in flight.
+async fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> ServiceReport {
     let mut report = ServiceReport {
         handshake_done: false,
         resumed: false,
@@ -299,7 +309,7 @@ fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> S
     };
     if ctx.codec.is_none() {
         let was_established = ctx.session.is_established();
-        match ctx.session.process() {
+        match ctx.session.process_async().await {
             Ok(()) => {}
             Err(e) => {
                 report.error = Some(e);
@@ -341,7 +351,10 @@ fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> S
             .trace
             .as_mut()
             .map(|t| t.begin(SpanKind::RecordOpen, obs::now_ns()));
-        match codec.open_into(&mut plain, &ctx.provider, &mut ctx.counters) {
+        match codec
+            .open_into_async(&mut plain, &ctx.provider, &mut ctx.counters)
+            .await
+        {
             Ok(records) => {
                 if let (Some(trace), Some(id)) = (&mut ctx.trace, open_span) {
                     trace.end_annotated(id, obs::now_ns(), records as u64, plain.len() as u64);
@@ -387,7 +400,7 @@ fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> S
                     // scatter-gather batch below.
                     Some(codec) => codec.stage(&resp),
                     None => {
-                        if let Err(e) = ctx.session.write_app_data(&resp) {
+                        if let Err(e) = ctx.session.write_app_data_async(&resp).await {
                             report.error = Some(e);
                             report.close = true;
                             break;
@@ -416,12 +429,15 @@ fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> S
                 .trace
                 .as_mut()
                 .map(|t| t.begin(SpanKind::RecordSeal, obs::now_ns()));
-            match codec.flush_into(
-                &mut ctx.wire_out,
-                &ctx.provider,
-                &mut ctx.counters,
-                &mut ctx.rng,
-            ) {
+            match codec
+                .flush_into_async(
+                    &mut ctx.wire_out,
+                    &ctx.provider,
+                    &mut ctx.counters,
+                    &mut ctx.rng,
+                )
+                .await
+            {
                 Ok(records) => {
                     if let (Some(trace), Some(id)) = (&mut ctx.trace, seal_span) {
                         let sealed = (ctx.wire_out.len() - wire_before) as u64;
@@ -446,13 +462,18 @@ fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> S
 enum Driver {
     /// Session available; events can be handled directly.
     Idle(ConnCtx),
-    /// An offload job is paused awaiting an async event.
+    /// The service pass is pending on an offload, awaiting an async
+    /// event.
     Awaiting {
-        job: qtls_core::AsyncJob<(ConnCtx, ServiceReport)>,
+        pass: Pass,
+        /// The pass's rendezvous with the engine: parked result, retry
+        /// flag, submit annotation, and the notifier that announces the
+        /// completion to this worker.
+        wait: Arc<WaitCtx>,
         /// A read event arrived while the async event was expected; its
         /// handler was saved and will be replayed (§4.2).
         saved_read: bool,
-        /// Paused due to a full request ring; resume to retry.
+        /// Pending on a full request ring; re-poll to retry.
         retry: bool,
     },
     /// Transitional.
@@ -480,12 +501,16 @@ struct Conn {
     /// How the gate resolved: 0 passed, 1 challenged, 2 token verified.
     admitted_via: u64,
     /// Open offload-wait interval: (start, engine submit annotation)
-    /// — measured on the worker side while the ctx is away in a fiber.
+    /// — measured on the worker side while the pass owns the ctx.
     await_open: Option<(u64, Option<(u32, u64)>)>,
     /// Closed offload-wait intervals awaiting transfer into the trace:
     /// (start, end, shard, path).
     await_spans: Vec<(u64, u64, u64, u64)>,
 }
+
+/// How long [`Worker::shutdown`] waits for requests already on the
+/// device to complete before giving up on them.
+const SHUTDOWN_SETTLE: Duration = Duration::from_millis(100);
 
 /// The event-driven worker.
 pub struct Worker {
@@ -992,10 +1017,19 @@ impl Worker {
         stolen
     }
 
-    /// Drain the submit pipeline for shutdown: publish what the ring can
-    /// take, then fail every still-staged request with a definite
-    /// `Cancelled` error so no waiter is silently dropped mid-sweep.
+    /// Shut the worker down without leaking: close every connection
+    /// still open — a pass pending on an offload is dropped with the
+    /// context it owns (session, pooled codec buffers, trace), nothing
+    /// stays parked anywhere — then drain the submit pipeline (publish
+    /// what the ring can take, fail every still-staged request with a
+    /// definite `Cancelled` error so no waiter is silently dropped
+    /// mid-sweep), and give requests already on the device a bounded
+    /// moment to come back so the inflight accounting settles at zero.
     pub fn shutdown(&mut self) {
+        let open: Vec<u64> = self.conns.keys().copied().collect();
+        for id in open {
+            self.remove_conn(id);
+        }
         if let Some(engine) = &self.engine {
             let drained = engine.drain_submit_queue();
             self.stats.cancelled_submits += drained.cancelled as u64;
@@ -1004,6 +1038,12 @@ impl Worker {
                 self.stats.flushed_requests = folded.flushed_requests;
                 self.stats.max_flush_depth = folded.max_depth;
                 self.stats.deferred_submits = folded.deferred;
+            }
+            let deadline = Instant::now() + SHUTDOWN_SETTLE;
+            while engine.inflight().total() > 0 && Instant::now() < deadline {
+                if engine.poll_all() == 0 {
+                    std::thread::yield_now();
+                }
             }
         }
     }
@@ -1146,51 +1186,35 @@ impl Worker {
             },
             Err(SockError::WouldBlock) | Err(SockError::Closed) => {}
         }
-        let use_async = self.cfg.profile.uses_async();
         let content = Arc::clone(&self.cfg.content);
         let plane = Arc::clone(&self.plane);
-        if use_async {
-            match fiber::start_job(move || {
-                let report = service(&mut ctx, &content, &plane);
-                (ctx, report)
-            }) {
-                StartResult::Finished((ctx, report)) => {
-                    self.finish_service(id, ctx, report);
-                }
-                StartResult::Paused(job) => {
-                    self.stats.async_jobs += 1;
-                    self.enter_async(id, job);
-                }
-            }
-        } else {
-            let report = service(&mut ctx, &content, &plane);
-            self.finish_service(id, ctx, report);
+        let pass: Pass = Box::pin(async move {
+            let report = service(&mut ctx, &content, &plane).await;
+            (ctx, report)
+        });
+        let wait = self.pass_wait_ctx(id);
+        if self.poll(id, pass, wait, false) {
+            self.stats.async_jobs += 1;
         }
     }
 
-    /// Transition a connection into TLS-ASYNC: register the notification
-    /// channel on the job's wait context.
-    fn enter_async(&mut self, id: u64, job: qtls_core::AsyncJob<(ConnCtx, ServiceReport)>) {
-        let retry = job.wait_ctx().take_retry();
-        match self.cfg.profile.notification() {
-            Some(NotifyScheme::KernelBypass) => {
-                // SSL_set_async_callback equivalent: the async queue IS
-                // the notifier — the response callback delivers the
-                // async-handler token (the connection id) straight onto
-                // it, no closure indirection.
-                let queue: Arc<AsyncQueue<u64>> = Arc::clone(&self.async_queue);
-                job.wait_ctx().set_notifier(queue, id);
-                // Race repair: a dedicated poller may have retrieved the
-                // response between submission and this registration — the
-                // parked result would otherwise never be announced.
-                if job.wait_ctx().has_result() {
-                    self.async_queue.push(id);
-                }
-            }
-            Some(NotifyScheme::Fd) => {
+    /// The wait context of a new service pass, with this worker's
+    /// completion channel registered on it *before* the first poll — so
+    /// a response retrieved (by a dedicated poller thread) the instant
+    /// after submission is still announced. `None` for the profiles
+    /// that never pause (`SW`, `QAT+S`): with no context installed
+    /// their offloads block in place and the pass is ready at once.
+    fn pass_wait_ctx(&mut self, id: u64) -> Option<Arc<WaitCtx>> {
+        let notifier: Arc<dyn Notifier> = match self.cfg.profile.notification()? {
+            // SSL_set_async_callback equivalent: the async queue IS the
+            // notifier — the response callback delivers the
+            // async-handler token (the connection id) straight onto it,
+            // no closure indirection.
+            NotifyScheme::KernelBypass => Arc::clone(&self.async_queue) as _,
+            NotifyScheme::Fd => {
                 let conn = self.conns.get_mut(&id).expect("exists");
-                // §4.4 optimization: one FD shared across all async jobs
-                // of the same connection.
+                // §4.4 optimization: one FD shared across all passes of
+                // the same connection.
                 let fd = conn.fd.get_or_insert_with(|| {
                     let fd = Arc::new(VirtualFd::new(id));
                     if let Some(sel) = &self.selector {
@@ -1198,39 +1222,77 @@ impl Worker {
                     }
                     fd
                 });
-                let fd_notifier: Arc<VirtualFd> = Arc::clone(fd);
-                job.wait_ctx().set_notifier(fd_notifier, id);
-                if job.wait_ctx().has_result() {
-                    fd.signal();
-                }
+                Arc::clone(fd) as _
             }
-            None => unreachable!("async profile without notification"),
-        }
-        let conn = self.conns.get_mut(&id).expect("exists");
-        if conn.sampled && conn.await_open.is_none() {
-            conn.await_open = Some((obs::now_ns(), job.wait_ctx().submit_info()));
-        }
-        conn.driver = Driver::Awaiting {
-            job,
-            saved_read: false,
-            retry,
         };
+        let wait = Arc::new(WaitCtx::new());
+        wait.set_notifier(notifier, id);
+        Some(wait)
     }
 
-    /// Resume a paused offload job (post-processing phase).
+    /// Poll a connection's service pass: finish the pass if it resolved,
+    /// otherwise park the connection in TLS-ASYNC until its async event.
+    /// `saved_read` carries a read event saved while the pass was
+    /// pending (§4.2); `None` for `wait` marks a pass that cannot pend.
+    /// Returns whether the pass is (still) pending.
+    fn poll(
+        &mut self,
+        id: u64,
+        mut pass: Pass,
+        wait: Option<Arc<WaitCtx>>,
+        saved_read: bool,
+    ) -> bool {
+        match (poll_pass(wait.as_ref(), pass.as_mut()), wait) {
+            (Poll::Ready((ctx, report)), _) => {
+                self.finish_service(id, ctx, report);
+                // Replay the saved read event (§4.2).
+                if saved_read && self.conns.get(&id).is_some_and(|c| c.sock.readable()) {
+                    self.drive(id);
+                }
+                false
+            }
+            (Poll::Pending, Some(wait)) => {
+                let conn = self.conns.get_mut(&id).expect("exists");
+                if conn.sampled {
+                    conn.await_open = Some((obs::now_ns(), wait.submit_info()));
+                }
+                let retry = wait.take_retry();
+                conn.driver = Driver::Awaiting {
+                    pass,
+                    wait,
+                    saved_read,
+                    retry,
+                };
+                true
+            }
+            (Poll::Pending, None) => {
+                // Without a task context every offload waits in place,
+                // so this is unreachable; fail the connection rather
+                // than the worker if it ever is not.
+                self.stats.errors += 1;
+                self.remove_conn(id);
+                false
+            }
+        }
+    }
+
+    /// Resume a pending service pass (post-processing phase).
     fn resume(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         let Driver::Awaiting {
-            job, saved_read, ..
+            pass,
+            wait,
+            saved_read,
+            ..
         } = std::mem::replace(&mut conn.driver, Driver::Taken)
         else {
             return;
         };
         // Close the offload-wait interval at the moment the notification
         // is acted on — submit → notify → resume is the paper's async
-        // round trip, and it all happened while the ctx was in the job.
+        // round trip, and it all happened while the pass owned the ctx.
         if conn.sampled {
             if let Some((start, info)) = conn.await_open.take() {
                 let (shard, path) = info.unwrap_or((0, 0));
@@ -1239,32 +1301,7 @@ impl Worker {
             }
         }
         self.stats.resumptions += 1;
-        match job.resume() {
-            StartResult::Finished((ctx, report)) => {
-                self.finish_service(id, ctx, report);
-                // Replay the saved read event (§4.2).
-                if saved_read {
-                    if let Some(conn) = self.conns.get(&id) {
-                        if conn.sock.readable() {
-                            self.drive(id);
-                        }
-                    }
-                }
-            }
-            StartResult::Paused(job) => {
-                // Another crypto op inside the same service pass.
-                let retry = job.wait_ctx().take_retry();
-                let conn = self.conns.get_mut(&id).expect("exists");
-                if conn.sampled {
-                    conn.await_open = Some((obs::now_ns(), job.wait_ctx().submit_info()));
-                }
-                conn.driver = Driver::Awaiting {
-                    job,
-                    saved_read,
-                    retry,
-                };
-            }
-        }
+        self.poll(id, pass, Some(wait), saved_read);
     }
 
     /// Post-service bookkeeping: flush output, update stats, close.
@@ -1341,8 +1378,9 @@ impl Worker {
                 let now = obs::now_ns();
                 let trace = match &mut conn.driver {
                     Driver::Idle(ctx) => ctx.trace.take(),
-                    // Torn down mid-offload: the ctx (and its trace) is
-                    // away in the fiber; nothing to publish.
+                    // Torn down mid-offload: the pending pass owns the
+                    // ctx (and its trace) and is dropped with the
+                    // connection; nothing to publish.
                     _ => None,
                 };
                 if let Some(mut trace) = trace {

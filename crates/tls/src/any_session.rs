@@ -7,6 +7,7 @@ use crate::server::{ServerConfig, ServerSession};
 use crate::suite::Version;
 use crate::tls13::Tls13ServerSession;
 use crate::TlsError;
+use qtls_core::run_sync;
 use std::sync::Arc;
 
 /// A server session of either protocol version.
@@ -41,11 +42,17 @@ impl AnyServerSession {
         }
     }
 
-    /// Process buffered input.
+    /// Synchronous facade over [`Self::process_async`].
     pub fn process(&mut self) -> Result<(), TlsError> {
+        run_sync(self.process_async())
+    }
+
+    /// Process buffered input (pending at each offloaded operation
+    /// under an async profile).
+    pub async fn process_async(&mut self) -> Result<(), TlsError> {
         match self {
-            AnyServerSession::V12(s) => s.process().map(|_| ()),
-            AnyServerSession::V13(s) => s.process(),
+            AnyServerSession::V12(s) => s.process_async().await.map(|_| ()),
+            AnyServerSession::V13(s) => s.process_async().await,
         }
     }
 
@@ -91,11 +98,16 @@ impl AnyServerSession {
         }
     }
 
-    /// Send application data.
+    /// Synchronous facade over [`Self::write_app_data_async`].
     pub fn write_app_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+        run_sync(self.write_app_data_async(data))
+    }
+
+    /// Send application data.
+    pub async fn write_app_data_async(&mut self, data: &[u8]) -> Result<(), TlsError> {
         match self {
-            AnyServerSession::V12(s) => s.write_app_data(data),
-            AnyServerSession::V13(s) => s.write_app_data(data),
+            AnyServerSession::V12(s) => s.write_app_data_async(data).await,
+            AnyServerSession::V13(s) => s.write_app_data_async(data).await,
         }
     }
 

@@ -8,6 +8,7 @@ use crate::messages::*;
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::record::{ContentType, RecordLayer};
 use crate::suite::{sizes, Auth, CipherSuite, KeyExchange, Version};
+use qtls_core::run_sync;
 use qtls_crypto::bn::Bn;
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::rsa::RsaPublicKey;
@@ -112,8 +113,13 @@ impl ClientSession {
         }
     }
 
-    /// Kick off the handshake (queues the ClientHello).
+    /// Synchronous facade over [`Self::start_async`].
     pub fn start(&mut self) -> Result<(), TlsError> {
+        run_sync(self.start_async())
+    }
+
+    /// Kick off the handshake (queues the ClientHello).
+    pub async fn start_async(&mut self) -> Result<(), TlsError> {
         assert_eq!(self.state, State::Start, "start() called twice");
         self.rng.fill(&mut self.client_random);
         let (session_id, ticket) = match &self.resume {
@@ -130,7 +136,7 @@ impl ClientSession {
             key_share: None,
             psk: None,
         });
-        self.send_handshake(&ch)?;
+        self.send_handshake(&ch).await?;
         self.state = State::ExpectServerHello;
         Ok(())
     }
@@ -173,18 +179,26 @@ impl ClientSession {
         self.app_in.pop_front()
     }
 
-    /// Encrypt and queue application data.
+    /// Synchronous facade over [`Self::write_app_data_async`].
     pub fn write_app_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+        run_sync(self.write_app_data_async(data))
+    }
+
+    /// Encrypt and queue application data.
+    pub async fn write_app_data_async(&mut self, data: &[u8]) -> Result<(), TlsError> {
         if self.state != State::Connected {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self.records.write_fragmented(
-            ContentType::ApplicationData,
-            data,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_fragmented_async(
+                ContentType::ApplicationData,
+                data,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -201,12 +215,18 @@ impl ClientSession {
         self.records.extract_secrets()
     }
 
-    /// Process everything currently buffered.
+    /// Synchronous facade over [`Self::process_async`].
     pub fn process(&mut self) -> Result<(), TlsError> {
+        run_sync(self.process_async())
+    }
+
+    /// Process everything currently buffered.
+    pub async fn process_async(&mut self) -> Result<(), TlsError> {
         loop {
             let Some((typ, payload)) = self
                 .records
-                .next_record(&self.provider, &mut self.counters)?
+                .next_record_async(&self.provider, &mut self.counters)
+                .await?
             else {
                 return Ok(());
             };
@@ -216,10 +236,10 @@ impl ClientSession {
                     while let Some((msg, used)) = HandshakeMsg::decode(&self.hs_buf)? {
                         let raw: Vec<u8> = self.hs_buf[..used].to_vec();
                         self.hs_buf.drain(..used);
-                        self.handle_handshake(msg, &raw)?;
+                        self.handle_handshake(msg, &raw).await?;
                     }
                 }
-                ContentType::ChangeCipherSpec => self.handle_ccs()?,
+                ContentType::ChangeCipherSpec => self.handle_ccs().await?,
                 ContentType::ApplicationData => {
                     if self.state != State::Connected {
                         return Err(TlsError::UnexpectedMessage {
@@ -234,28 +254,34 @@ impl ClientSession {
         }
     }
 
-    fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
+    async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self.records.write_record(
-            ContentType::Handshake,
-            &raw,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_record_async(
+                ContentType::Handshake,
+                &raw,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
 
-    fn send_ccs(&mut self) -> Result<(), TlsError> {
-        let rec = self.records.write_record(
-            ContentType::ChangeCipherSpec,
-            &[1],
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+    async fn send_ccs(&mut self) -> Result<(), TlsError> {
+        let rec = self
+            .records
+            .write_record_async(
+                ContentType::ChangeCipherSpec,
+                &[1],
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -264,7 +290,7 @@ impl ClientSession {
         self.transcript.clone().finalize_fixed().to_vec()
     }
 
-    fn handle_ccs(&mut self) -> Result<(), TlsError> {
+    async fn handle_ccs(&mut self) -> Result<(), TlsError> {
         match self.state {
             // Full handshake: server CCS right before its Finished.
             State::ExpectNstOrCcs => {
@@ -284,7 +310,8 @@ impl ClientSession {
                     &self.master,
                     &self.client_random,
                     &self.server_random,
-                )?;
+                )
+                .await?;
                 self.records.set_read_keys(kb.server.clone());
                 self.key_block = Some(kb);
                 self.state = State::ExpectFinished;
@@ -297,7 +324,7 @@ impl ClientSession {
         }
     }
 
-    fn handle_handshake(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
+    async fn handle_handshake(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
         match (self.state, msg) {
             (State::ExpectServerHello, HandshakeMsg::ServerHello(sh)) => {
                 self.transcript.update(raw);
@@ -316,7 +343,7 @@ impl ClientSession {
             }
             (State::ExpectSkxOrDone | State::ExpectDone, HandshakeMsg::ServerHelloDone) => {
                 self.transcript.update(raw);
-                self.on_server_hello_done()
+                self.on_server_hello_done().await
             }
             (State::ExpectNstOrCcs, HandshakeMsg::NewSessionTicket(nst)) => {
                 self.transcript.update(raw);
@@ -326,7 +353,7 @@ impl ClientSession {
             (State::ExpectFinished, HandshakeMsg::Finished(fin)) => {
                 let th = self.transcript_hash();
                 self.transcript.update(raw);
-                self.on_server_finished(fin, th)
+                self.on_server_finished(fin, th).await
             }
             (state, msg) => Err(TlsError::UnexpectedMessage {
                 expected: match state {
@@ -442,7 +469,7 @@ impl ClientSession {
         Ok(())
     }
 
-    fn on_server_hello_done(&mut self) -> Result<(), TlsError> {
+    async fn on_server_hello_done(&mut self) -> Result<(), TlsError> {
         // Build ClientKeyExchange and derive keys.
         let premaster: Vec<u8>;
         let ckx_payload: Vec<u8>;
@@ -467,30 +494,37 @@ impl ClientSession {
                 let curve = NamedCurve::from_iana_id(skx.curve)
                     .ok_or(TlsError::HandshakeFailure("unknown curve"))?;
                 let seed = self.rng.next_u64();
-                let (private, public) = self.provider.ec_keygen(&mut self.counters, curve, seed)?;
+                let (private, public) = self
+                    .provider
+                    .ec_keygen(&mut self.counters, curve, seed)
+                    .await?;
                 premaster = self
                     .provider
-                    .ecdh(&mut self.counters, curve, &private, &skx.public)?;
+                    .ecdh(&mut self.counters, curve, &private, &skx.public)
+                    .await?;
                 ckx_payload = public;
             }
         }
         self.send_handshake(&HandshakeMsg::ClientKeyExchange(ClientKeyExchange {
             payload: ckx_payload,
-        }))?;
+        }))
+        .await?;
         self.master = keys::derive_master_secret(
             &self.provider,
             &mut self.counters,
             &premaster,
             &self.client_random,
             &self.server_random,
-        )?;
+        )
+        .await?;
         let kb = keys::derive_key_block(
             &self.provider,
             &mut self.counters,
             &self.master,
             &self.client_random,
             &self.server_random,
-        )?;
+        )
+        .await?;
         // Client Finished over the transcript so far.
         let th = self.transcript_hash();
         let verify = keys::finished_verify_data(
@@ -499,25 +533,28 @@ impl ClientSession {
             &self.master,
             keys::CLIENT_FINISHED,
             &th,
-        )?;
-        self.send_ccs()?;
+        )
+        .await?;
+        self.send_ccs().await?;
         self.records.set_write_keys(kb.client.clone());
         self.key_block = Some(kb);
         self.send_handshake(&HandshakeMsg::Finished(Finished {
             verify_data: verify,
-        }))?;
+        }))
+        .await?;
         self.state = State::ExpectNstOrCcs;
         Ok(())
     }
 
-    fn on_server_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
+    async fn on_server_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
         let expect = keys::finished_verify_data(
             &self.provider,
             &mut self.counters,
             &self.master,
             keys::SERVER_FINISHED,
             &th,
-        )?;
+        )
+        .await?;
         if !qtls_crypto::hmac::constant_time_eq(&expect, &fin.verify_data) {
             return Err(TlsError::BadFinished);
         }
@@ -530,13 +567,15 @@ impl ClientSession {
                 &self.master,
                 keys::CLIENT_FINISHED,
                 &th,
-            )?;
-            self.send_ccs()?;
+            )
+            .await?;
+            self.send_ccs().await?;
             let kb = self.key_block.as_ref().expect("derived");
             self.records.set_write_keys(kb.client.clone());
             self.send_handshake(&HandshakeMsg::Finished(Finished {
                 verify_data: verify,
-            }))?;
+            }))
+            .await?;
         }
         self.state = State::Connected;
         Ok(())

@@ -1,5 +1,6 @@
 //! TLS 1.2 key schedule (RFC 5246 §8): master secret, key block and
-//! Finished verify data — all through the (offloadable) PRF.
+//! Finished verify data — all through the (offloadable, hence `async`)
+//! PRF.
 
 use crate::error::TlsError;
 use crate::provider::{CryptoProvider, OpCounters};
@@ -17,7 +18,7 @@ pub struct KeyBlock {
 
 /// `master_secret = PRF(premaster, "master secret", client_random ||
 /// server_random, 48)`.
-pub fn derive_master_secret(
+pub async fn derive_master_secret(
     provider: &CryptoProvider,
     counters: &mut OpCounters,
     premaster: &[u8],
@@ -27,19 +28,21 @@ pub fn derive_master_secret(
     let mut seed = Vec::with_capacity(64);
     seed.extend_from_slice(client_random);
     seed.extend_from_slice(server_random);
-    provider.prf(
-        counters,
-        premaster,
-        b"master secret",
-        &seed,
-        sizes::MASTER_SECRET_LEN,
-    )
+    provider
+        .prf(
+            counters,
+            premaster,
+            b"master secret",
+            &seed,
+            sizes::MASTER_SECRET_LEN,
+        )
+        .await
 }
 
 /// `key_block = PRF(master, "key expansion", server_random ||
 /// client_random, 104)` split into MAC keys, cipher keys and IVs
 /// (the IV halves are unused — records carry explicit IVs).
-pub fn derive_key_block(
+pub async fn derive_key_block(
     provider: &CryptoProvider,
     counters: &mut OpCounters,
     master: &[u8],
@@ -49,13 +52,15 @@ pub fn derive_key_block(
     let mut seed = Vec::with_capacity(64);
     seed.extend_from_slice(server_random);
     seed.extend_from_slice(client_random);
-    let block = provider.prf(
-        counters,
-        master,
-        b"key expansion",
-        &seed,
-        sizes::KEY_BLOCK_LEN,
-    )?;
+    let block = provider
+        .prf(
+            counters,
+            master,
+            b"key expansion",
+            &seed,
+            sizes::KEY_BLOCK_LEN,
+        )
+        .await?;
     let m = sizes::MAC_KEY_LEN;
     let k = sizes::ENC_KEY_LEN;
     Ok(KeyBlock {
@@ -71,20 +76,22 @@ pub fn derive_key_block(
 }
 
 /// `verify_data = PRF(master, label, transcript_hash, 12)`.
-pub fn finished_verify_data(
+pub async fn finished_verify_data(
     provider: &CryptoProvider,
     counters: &mut OpCounters,
     master: &[u8],
     label: &'static [u8],
     transcript_hash: &[u8],
 ) -> Result<Vec<u8>, TlsError> {
-    provider.prf(
-        counters,
-        master,
-        label,
-        transcript_hash,
-        sizes::VERIFY_DATA_LEN,
-    )
+    provider
+        .prf(
+            counters,
+            master,
+            label,
+            transcript_hash,
+            sizes::VERIFY_DATA_LEN,
+        )
+        .await
 }
 
 /// One direction's record-protection state at the moment of extraction:
@@ -124,6 +131,7 @@ pub const CLIENT_FINISHED: &[u8] = b"client finished";
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtls_core::run_sync;
 
     #[test]
     fn schedule_is_deterministic_and_split_correctly() {
@@ -132,14 +140,14 @@ mod tests {
         let premaster = vec![9u8; 48];
         let cr = [1u8; 32];
         let sr = [2u8; 32];
-        let master = derive_master_secret(&p, &mut c, &premaster, &cr, &sr).unwrap();
+        let master = run_sync(derive_master_secret(&p, &mut c, &premaster, &cr, &sr)).unwrap();
         assert_eq!(master.len(), 48);
-        let kb = derive_key_block(&p, &mut c, &master, &cr, &sr).unwrap();
+        let kb = run_sync(derive_key_block(&p, &mut c, &master, &cr, &sr)).unwrap();
         assert_eq!(kb.client.mac_key.len(), 20);
         assert_ne!(kb.client.mac_key, kb.server.mac_key);
         assert_ne!(kb.client.enc_key, kb.server.enc_key);
         // Deterministic.
-        let master2 = derive_master_secret(&p, &mut c, &premaster, &cr, &sr).unwrap();
+        let master2 = run_sync(derive_master_secret(&p, &mut c, &premaster, &cr, &sr)).unwrap();
         assert_eq!(master, master2);
         // 1 master + 1 key block + 1 repeat = 3 PRF ops counted.
         assert_eq!(c.prf, 3);
@@ -151,8 +159,22 @@ mod tests {
         let mut c = OpCounters::default();
         let master = vec![7u8; 48];
         let th = [0xabu8; 32];
-        let s = finished_verify_data(&p, &mut c, &master, SERVER_FINISHED, &th).unwrap();
-        let cl = finished_verify_data(&p, &mut c, &master, CLIENT_FINISHED, &th).unwrap();
+        let s = run_sync(finished_verify_data(
+            &p,
+            &mut c,
+            &master,
+            SERVER_FINISHED,
+            &th,
+        ))
+        .unwrap();
+        let cl = run_sync(finished_verify_data(
+            &p,
+            &mut c,
+            &master,
+            CLIENT_FINISHED,
+            &th,
+        ))
+        .unwrap();
         assert_eq!(s.len(), 12);
         assert_ne!(s, cl);
     }
@@ -162,8 +184,8 @@ mod tests {
         let p = CryptoProvider::Software;
         let mut c = OpCounters::default();
         let pm = vec![3u8; 48];
-        let a = derive_master_secret(&p, &mut c, &pm, &[1; 32], &[2; 32]).unwrap();
-        let b = derive_master_secret(&p, &mut c, &pm, &[1; 32], &[3; 32]).unwrap();
+        let a = run_sync(derive_master_secret(&p, &mut c, &pm, &[1; 32], &[2; 32])).unwrap();
+        let b = run_sync(derive_master_secret(&p, &mut c, &pm, &[1; 32], &[3; 32])).unwrap();
         assert_ne!(a, b);
     }
 }

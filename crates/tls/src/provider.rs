@@ -2,6 +2,11 @@
 //! software substrate (the paper's `SW` configuration) or to the QAT
 //! engine (blocking or async per [`qtls_core::EngineMode`]).
 //!
+//! The offloadable operations are `async fn`s: under an async profile
+//! the future is pending while the accelerator works (the crypto pause),
+//! everywhere else it is ready the first time it is polled — wrap a call
+//! in [`qtls_core::run_sync`] to use one from synchronous code.
+//!
 //! Every call is counted per class, which is how the Table 1 operation
 //! counts are verified by test, and which algorithms are offloaded is
 //! configurable — mirroring the artifact's SSL Engine Framework
@@ -60,8 +65,8 @@ pub enum CryptoProvider {
     /// Compute everything on the CPU (`SW`).
     Software,
     /// Offload selected classes through the QAT engine. Whether a call
-    /// blocks (straight offload) or pauses the current job (async) is the
-    /// engine's mode.
+    /// blocks (straight offload) or is pending until the response
+    /// arrives (async) is the engine's mode.
     Offload {
         /// The per-worker offload engine.
         engine: Arc<OffloadEngine>,
@@ -86,12 +91,12 @@ impl CryptoProvider {
         }
     }
 
-    fn run(engine: &OffloadEngine, op: CryptoOp) -> Result<CryptoOutput, TlsError> {
-        engine.offload(op).map_err(TlsError::Crypto)
+    async fn run(engine: &OffloadEngine, op: CryptoOp) -> Result<CryptoOutput, TlsError> {
+        engine.offload_async(op).await.map_err(TlsError::Crypto)
     }
 
     /// RSA PKCS#1 v1.5 signature (SHA-256).
-    pub fn rsa_sign(
+    pub async fn rsa_sign(
         &self,
         counters: &mut OpCounters,
         key: &Arc<RsaPrivateKey>,
@@ -105,14 +110,15 @@ impl CryptoProvider {
                     key: Arc::clone(key),
                     msg: msg.to_vec(),
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => key.sign_pkcs1_sha256(msg).map_err(TlsError::Crypto),
         }
     }
 
     /// RSA PKCS#1 v1.5 decryption of the premaster secret.
-    pub fn rsa_decrypt(
+    pub async fn rsa_decrypt(
         &self,
         counters: &mut OpCounters,
         key: &Arc<RsaPrivateKey>,
@@ -126,14 +132,15 @@ impl CryptoProvider {
                     key: Arc::clone(key),
                     ciphertext: ciphertext.to_vec(),
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => key.decrypt_pkcs1(ciphertext).map_err(TlsError::Crypto),
         }
     }
 
     /// ECDSA signature (SHA-256) with a deterministic nonce seed.
-    pub fn ecdsa_sign(
+    pub async fn ecdsa_sign(
         &self,
         counters: &mut OpCounters,
         curve: NamedCurve,
@@ -151,7 +158,8 @@ impl CryptoProvider {
                     msg: msg.to_vec(),
                     nonce_seed,
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => {
                 let mut rng = TestRng::new(nonce_seed);
@@ -163,7 +171,7 @@ impl CryptoProvider {
 
     /// Ephemeral EC key generation; returns (private scalar, encoded
     /// public point).
-    pub fn ec_keygen(
+    pub async fn ec_keygen(
         &self,
         counters: &mut OpCounters,
         curve: NamedCurve,
@@ -171,7 +179,7 @@ impl CryptoProvider {
     ) -> Result<(Bn, Vec<u8>), TlsError> {
         counters.ecc += 1;
         match self.engine_for(|s| s.asym) {
-            Some(engine) => match Self::run(engine, CryptoOp::EcKeygen { curve, seed })? {
+            Some(engine) => match Self::run(engine, CryptoOp::EcKeygen { curve, seed }).await? {
                 CryptoOutput::KeyPair { private, public } => Ok((private, public)),
                 CryptoOutput::Bytes(_) => Err(TlsError::Crypto(CryptoError::InvalidPoint)),
             },
@@ -184,7 +192,7 @@ impl CryptoProvider {
     }
 
     /// ECDH shared-secret derivation.
-    pub fn ecdh(
+    pub async fn ecdh(
         &self,
         counters: &mut OpCounters,
         curve: NamedCurve,
@@ -200,7 +208,8 @@ impl CryptoProvider {
                     private: private.clone(),
                     peer: peer.to_vec(),
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => {
                 let pt = ecc::decode_point(curve, peer).map_err(TlsError::Crypto)?;
@@ -210,7 +219,7 @@ impl CryptoProvider {
     }
 
     /// TLS 1.2 PRF (offloadable).
-    pub fn prf(
+    pub async fn prf(
         &self,
         counters: &mut OpCounters,
         secret: &[u8],
@@ -228,7 +237,8 @@ impl CryptoProvider {
                     seed: seed.to_vec(),
                     out_len,
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => Ok(kdf::prf_tls12(secret, label, seed, out_len)),
         }
@@ -257,7 +267,7 @@ impl CryptoProvider {
 
     /// Record protection: MAC-then-encrypt with AES-128-CBC + HMAC-SHA1.
     #[allow(clippy::too_many_arguments)]
-    pub fn cipher_encrypt(
+    pub async fn cipher_encrypt(
         &self,
         counters: &mut OpCounters,
         enc_key: [u8; 16],
@@ -277,7 +287,8 @@ impl CryptoProvider {
                     plaintext: plaintext.to_vec(),
                     aad: aad.to_vec(),
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => {
                 software_encrypt(enc_key, mac_key, iv, plaintext, aad).map_err(TlsError::Crypto)
@@ -287,7 +298,7 @@ impl CryptoProvider {
 
     /// Record decryption + MAC verification.
     #[allow(clippy::too_many_arguments)]
-    pub fn cipher_decrypt(
+    pub async fn cipher_decrypt(
         &self,
         counters: &mut OpCounters,
         enc_key: [u8; 16],
@@ -307,7 +318,8 @@ impl CryptoProvider {
                     ciphertext: ciphertext.to_vec(),
                     aad: aad.to_vec(),
                 },
-            )?
+            )
+            .await?
             .into_bytes()),
             None => {
                 software_decrypt(enc_key, mac_key, iv, ciphertext, aad).map_err(TlsError::Crypto)
@@ -327,14 +339,14 @@ impl CryptoProvider {
     /// doorbell ([`OffloadEngine::offload_batch`]). Results come back in
     /// op order. Returns `None` when record crypto is not offloaded (the
     /// caller runs its software path instead).
-    pub fn cipher_batch(
+    pub async fn cipher_batch(
         &self,
         counters: &mut OpCounters,
         ops: Vec<CryptoOp>,
     ) -> Option<Vec<Result<CryptoOutput, CryptoError>>> {
         let engine = self.engine_for(|s| s.cipher)?;
         counters.cipher += ops.len() as u32;
-        Some(engine.offload_batch(ops))
+        Some(engine.offload_batch_async(ops).await)
     }
 }
 
@@ -398,6 +410,7 @@ pub fn software_decrypt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtls_core::run_sync;
     use qtls_crypto::test_keys::test_rsa_1024;
 
     #[test]
@@ -405,10 +418,10 @@ mod tests {
         let p = CryptoProvider::Software;
         let mut c = OpCounters::default();
         let key = Arc::new(test_rsa_1024().clone());
-        p.rsa_sign(&mut c, &key, b"m").unwrap();
-        p.prf(&mut c, b"s", b"l", b"x", 16).unwrap();
+        run_sync(p.rsa_sign(&mut c, &key, b"m")).unwrap();
+        run_sync(p.prf(&mut c, b"s", b"l", b"x", 16)).unwrap();
         p.hkdf_extract(&mut c, b"", b"ikm");
-        let (_, _) = p.ec_keygen(&mut c, NamedCurve::P256, 7).unwrap();
+        let (_, _) = run_sync(p.ec_keygen(&mut c, NamedCurve::P256, 7)).unwrap();
         assert_eq!(
             c,
             OpCounters {
@@ -425,12 +438,10 @@ mod tests {
     fn software_cipher_roundtrip_via_provider() {
         let p = CryptoProvider::Software;
         let mut c = OpCounters::default();
-        let ct = p
-            .cipher_encrypt(&mut c, [1; 16], &[2; 20], [3; 16], b"data", b"aad")
+        let ct = run_sync(p.cipher_encrypt(&mut c, [1; 16], &[2; 20], [3; 16], b"data", b"aad"))
             .unwrap();
-        let pt = p
-            .cipher_decrypt(&mut c, [1; 16], &[2; 20], [3; 16], &ct, b"aad")
-            .unwrap();
+        let pt =
+            run_sync(p.cipher_decrypt(&mut c, [1; 16], &[2; 20], [3; 16], &ct, b"aad")).unwrap();
         assert_eq!(pt, b"data");
         assert_eq!(c.cipher, 2);
     }
@@ -456,10 +467,10 @@ mod tests {
     fn ecdh_agreement_via_provider() {
         let p = CryptoProvider::Software;
         let mut c = OpCounters::default();
-        let (priv_a, pub_a) = p.ec_keygen(&mut c, NamedCurve::P256, 1).unwrap();
-        let (priv_b, pub_b) = p.ec_keygen(&mut c, NamedCurve::P256, 2).unwrap();
-        let s1 = p.ecdh(&mut c, NamedCurve::P256, &priv_a, &pub_b).unwrap();
-        let s2 = p.ecdh(&mut c, NamedCurve::P256, &priv_b, &pub_a).unwrap();
+        let (priv_a, pub_a) = run_sync(p.ec_keygen(&mut c, NamedCurve::P256, 1)).unwrap();
+        let (priv_b, pub_b) = run_sync(p.ec_keygen(&mut c, NamedCurve::P256, 2)).unwrap();
+        let s1 = run_sync(p.ecdh(&mut c, NamedCurve::P256, &priv_a, &pub_b)).unwrap();
+        let s2 = run_sync(p.ecdh(&mut c, NamedCurve::P256, &priv_b, &pub_a)).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(c.ecc, 4);
     }
@@ -475,7 +486,7 @@ mod tests {
         ));
         let p = CryptoProvider::offload(engine);
         let mut c = OpCounters::default();
-        let out = p.prf(&mut c, b"s", b"master secret", b"r", 48).unwrap();
+        let out = run_sync(p.prf(&mut c, b"s", b"master secret", b"r", 48)).unwrap();
         assert_eq!(out, kdf::prf_tls12(b"s", b"master secret", b"r", 48));
         assert_eq!(c.prf, 1);
     }
@@ -498,7 +509,7 @@ mod tests {
             },
         };
         let mut c = OpCounters::default();
-        p.prf(&mut c, b"s", b"l", b"x", 4).unwrap();
+        run_sync(p.prf(&mut c, b"s", b"l", b"x", 4)).unwrap();
         // PRF stayed on the CPU: nothing went through the device.
         assert_eq!(dev.fw_counters().total_completed(), 0);
     }

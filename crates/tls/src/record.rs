@@ -1,7 +1,9 @@
 //! The TLS record layer: framing, sequence numbers, fragmentation at
 //! 16 KB (§2.1), and AES-128-CBC + HMAC-SHA1 record protection routed
 //! through the [`CryptoProvider`] (so record crypto is offloadable, as in
-//! the paper's secure-data-transfer evaluation).
+//! the paper's secure-data-transfer evaluation). Every entry point that
+//! can reach the accelerator is an `async fn` (`*_async`) with a
+//! synchronous facade of the historical name beside it.
 //!
 //! Simplification vs RFC 5246: the MAC additional data covers
 //! `seq || type || version` (the plaintext length is protected implicitly
@@ -12,6 +14,7 @@ use crate::error::TlsError;
 use crate::keys::{DirectionSecrets, ExtractedSecrets};
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::suite::sizes;
+use qtls_core::run_sync;
 use qtls_crypto::EntropySource;
 use qtls_qat::{open_in_place, seal_in_place, CryptoOp};
 use std::sync::Arc;
@@ -104,9 +107,21 @@ impl RecordLayer {
         self.read.is_some()
     }
 
+    /// Synchronous facade over [`Self::write_record_async`].
+    pub fn write_record<R: EntropySource>(
+        &mut self,
+        typ: ContentType,
+        payload: &[u8],
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        rng: &mut R,
+    ) -> Result<Vec<u8>, TlsError> {
+        run_sync(self.write_record_async(typ, payload, provider, counters, rng))
+    }
+
     /// Frame (and protect, once keys are active) one record. `payload`
     /// must fit one fragment.
-    pub fn write_record<R: EntropySource>(
+    pub async fn write_record_async<R: EntropySource>(
         &mut self,
         typ: ContentType,
         payload: &[u8],
@@ -127,14 +142,16 @@ impl RecordLayer {
                 aad.extend_from_slice(&self.version.to_be_bytes());
                 let mut iv = [0u8; 16];
                 rng.fill(&mut iv);
-                let ct = provider.cipher_encrypt(
-                    counters,
-                    state.keys.enc_key,
-                    &state.keys.mac_key,
-                    iv,
-                    payload,
-                    &aad,
-                )?;
+                let ct = provider
+                    .cipher_encrypt(
+                        counters,
+                        state.keys.enc_key,
+                        &state.keys.mac_key,
+                        iv,
+                        payload,
+                        &aad,
+                    )
+                    .await?;
                 state.seq += 1;
                 let mut body = Vec::with_capacity(16 + ct.len());
                 body.extend_from_slice(&iv);
@@ -150,9 +167,21 @@ impl RecordLayer {
         Ok(out)
     }
 
+    /// Synchronous facade over [`Self::write_fragmented_async`].
+    pub fn write_fragmented<R: EntropySource>(
+        &mut self,
+        typ: ContentType,
+        data: &[u8],
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        rng: &mut R,
+    ) -> Result<Vec<u8>, TlsError> {
+        run_sync(self.write_fragmented_async(typ, data, provider, counters, rng))
+    }
+
     /// Fragment `data` into records of at most 16 KB each (§2.1: "the
     /// data object is fragmented into units of 16KB").
-    pub fn write_fragmented<R: EntropySource>(
+    pub async fn write_fragmented_async<R: EntropySource>(
         &mut self,
         typ: ContentType,
         data: &[u8],
@@ -162,10 +191,15 @@ impl RecordLayer {
     ) -> Result<Vec<u8>, TlsError> {
         let mut out = Vec::with_capacity(data.len() + 64);
         if data.is_empty() {
-            return self.write_record(typ, data, provider, counters, rng);
+            return self
+                .write_record_async(typ, data, provider, counters, rng)
+                .await;
         }
         for chunk in data.chunks(sizes::MAX_FRAGMENT) {
-            out.extend_from_slice(&self.write_record(typ, chunk, provider, counters, rng)?);
+            let record = self
+                .write_record_async(typ, chunk, provider, counters, rng)
+                .await?;
+            out.extend_from_slice(&record);
         }
         Ok(out)
     }
@@ -180,9 +214,18 @@ impl RecordLayer {
         self.in_buf.len()
     }
 
+    /// Synchronous facade over [`Self::next_record_async`].
+    pub fn next_record(
+        &mut self,
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+    ) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
+        run_sync(self.next_record_async(provider, counters))
+    }
+
     /// Extract and (if protected) decrypt the next complete record.
     /// Returns `None` when more bytes are needed.
-    pub fn next_record(
+    pub async fn next_record_async(
         &mut self,
         provider: &CryptoProvider,
         counters: &mut OpCounters,
@@ -216,14 +259,16 @@ impl RecordLayer {
                 aad.push(typ as u8);
                 aad.extend_from_slice(&self.version.to_be_bytes());
                 let iv: [u8; 16] = body[..16].try_into().unwrap();
-                let pt = provider.cipher_decrypt(
-                    counters,
-                    state.keys.enc_key,
-                    &state.keys.mac_key,
-                    iv,
-                    &body[16..],
-                    &aad,
-                )?;
+                let pt = provider
+                    .cipher_decrypt(
+                        counters,
+                        state.keys.enc_key,
+                        &state.keys.mac_key,
+                        iv,
+                        &body[16..],
+                        &aad,
+                    )
+                    .await?;
                 state.seq += 1;
                 pt
             }
@@ -395,12 +440,24 @@ impl RecordCodec {
         self.staged.iter().map(Vec::len).sum()
     }
 
+    /// Synchronous facade over [`Self::flush_into_async`].
+    pub fn flush_into<R: EntropySource>(
+        &mut self,
+        out: &mut Vec<u8>,
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        rng: &mut R,
+    ) -> Result<usize, TlsError> {
+        run_sync(self.flush_into_async(out, provider, counters, rng))
+    }
+
     /// Seal every staged fragment, appending wire records to `out`.
     /// Returns the number of records sealed. With an offloading provider
     /// the fragments go down as batches of up to `max_batch` in-place
-    /// descriptors per doorbell; otherwise they are sealed in place on
-    /// the CPU.
-    pub fn flush_into<R: EntropySource>(
+    /// descriptors per doorbell — the future is pending once per batch
+    /// and resumes at the batch it paused on; otherwise they are sealed
+    /// in place on the CPU.
+    pub async fn flush_into_async<R: EntropySource>(
         &mut self,
         out: &mut Vec<u8>,
         provider: &CryptoProvider,
@@ -431,7 +488,8 @@ impl RecordCodec {
                 });
                 ivs.push(iv);
                 if ops.len() == self.max_batch {
-                    self.submit_seal_batch(&mut ops, &mut ivs, out, provider, counters)?;
+                    self.submit_seal_batch(&mut ops, &mut ivs, out, provider, counters)
+                        .await?;
                 }
             } else {
                 counters.cipher += 1;
@@ -447,11 +505,12 @@ impl RecordCodec {
                 self.pool_put(buf);
             }
         }
-        self.submit_seal_batch(&mut ops, &mut ivs, out, provider, counters)?;
+        self.submit_seal_batch(&mut ops, &mut ivs, out, provider, counters)
+            .await?;
         Ok(n)
     }
 
-    /// `stage` + `flush_into` in one call.
+    /// `stage` + `flush_into` in one call (synchronous).
     pub fn seal_into<R: EntropySource>(
         &mut self,
         data: &[u8],
@@ -464,7 +523,7 @@ impl RecordCodec {
         self.flush_into(out, provider, counters, rng)
     }
 
-    fn submit_seal_batch(
+    async fn submit_seal_batch(
         &mut self,
         ops: &mut Vec<CryptoOp>,
         ivs: &mut Vec<[u8; 16]>,
@@ -477,6 +536,7 @@ impl RecordCodec {
         }
         let results = provider
             .cipher_batch(counters, std::mem::take(ops))
+            .await
             .expect("seal batch built without a cipher engine");
         for (result, iv) in results.into_iter().zip(ivs.drain(..)) {
             let ct = result.map_err(TlsError::Crypto)?.into_bytes();
@@ -504,10 +564,20 @@ impl RecordCodec {
         self.in_buf.len()
     }
 
+    /// Synchronous facade over [`Self::open_into_async`].
+    pub fn open_into(
+        &mut self,
+        out: &mut Vec<u8>,
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+    ) -> Result<usize, TlsError> {
+        run_sync(self.open_into_async(out, provider, counters))
+    }
+
     /// Open every complete buffered record, appending plaintext to `out`
     /// in record order. Returns the number of records opened; partial
     /// trailing bytes stay buffered. Batched like the seal path.
-    pub fn open_into(
+    pub async fn open_into_async(
         &mut self,
         out: &mut Vec<u8>,
         provider: &CryptoProvider,
@@ -549,7 +619,9 @@ impl RecordCodec {
                     aad,
                 });
                 if ops.len() == self.max_batch {
-                    opened += self.submit_open_batch(&mut ops, out, provider, counters)?;
+                    opened += self
+                        .submit_open_batch(&mut ops, out, provider, counters)
+                        .await?;
                 }
             } else {
                 counters.cipher += 1;
@@ -568,13 +640,15 @@ impl RecordCodec {
             }
             pos += HEADER_LEN + len;
         }
-        opened += self.submit_open_batch(&mut ops, out, provider, counters)?;
+        opened += self
+            .submit_open_batch(&mut ops, out, provider, counters)
+            .await?;
         self.in_buf = in_buf;
         self.in_buf.drain(..pos);
         Ok(opened)
     }
 
-    fn submit_open_batch(
+    async fn submit_open_batch(
         &mut self,
         ops: &mut Vec<CryptoOp>,
         out: &mut Vec<u8>,
@@ -586,6 +660,7 @@ impl RecordCodec {
         }
         let results = provider
             .cipher_batch(counters, std::mem::take(ops))
+            .await
             .expect("open batch built without a cipher engine");
         let n = results.len();
         for result in results {

@@ -2,11 +2,13 @@
 //! handshake (session-ID and ticket resumption), and the connected
 //! secure-data-transfer state.
 //!
-//! The session is written in the synchronous style of OpenSSL: crypto
-//! calls go through the [`CryptoProvider`], which — under the async
-//! offload framework — pauses the enclosing fiber job at each operation
-//! and resumes it when the QAT response arrives. The state machine itself
-//! never needs to know.
+//! The session is written in the straight-line style of OpenSSL, as
+//! `async fn`s: crypto calls go through the [`CryptoProvider`] and are
+//! `.await`ed, so — under the async offload framework — the handshake
+//! future is pending at each operation and the next poll continues it
+//! when the QAT response has arrived. The compiler generates the state
+//! machine; the handlers never spell it out. `process()` and
+//! `write_app_data()` are the synchronous facades.
 
 use crate::error::TlsError;
 use crate::keys::{self, KeyBlock};
@@ -16,6 +18,7 @@ use crate::record::{ContentType, RecordLayer};
 use crate::session::SessionEntry;
 use crate::store::{SharedSessionStore, TicketKeyRing};
 use crate::suite::{sizes, Auth, CipherSuite, KeyExchange, Version};
+use qtls_core::run_sync;
 use qtls_crypto::bn::Bn;
 use qtls_crypto::ecc::NamedCurve;
 use qtls_crypto::rsa::RsaPrivateKey;
@@ -254,18 +257,26 @@ impl ServerSession {
         self.app_in.pop_front()
     }
 
-    /// Encrypt and queue application data (fragmenting at 16 KB).
+    /// Synchronous facade over [`Self::write_app_data_async`].
     pub fn write_app_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+        run_sync(self.write_app_data_async(data))
+    }
+
+    /// Encrypt and queue application data (fragmenting at 16 KB).
+    pub async fn write_app_data_async(&mut self, data: &[u8]) -> Result<(), TlsError> {
         if self.state != State::Connected {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self.records.write_fragmented(
-            ContentType::ApplicationData,
-            data,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_fragmented_async(
+                ContentType::ApplicationData,
+                data,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -284,13 +295,21 @@ impl ServerSession {
         self.records.extract_secrets()
     }
 
-    /// Process everything currently buffered.
+    /// Synchronous facade over [`Self::process_async`].
     pub fn process(&mut self) -> Result<ProcessOutcome, TlsError> {
+        run_sync(self.process_async())
+    }
+
+    /// Process everything currently buffered. Pending at each offloaded
+    /// crypto operation under an async profile; the next poll resumes
+    /// mid-handshake, exactly where the operation was issued.
+    pub async fn process_async(&mut self) -> Result<ProcessOutcome, TlsError> {
         let was_established = self.is_established();
         let mut progressed = false;
         while let Some((typ, payload)) = self
             .records
-            .next_record(&self.provider, &mut self.counters)?
+            .next_record_async(&self.provider, &mut self.counters)
+            .await?
         {
             progressed = true;
             match typ {
@@ -299,7 +318,7 @@ impl ServerSession {
                     while let Some((msg, used)) = HandshakeMsg::decode(&self.hs_buf)? {
                         let raw: Vec<u8> = self.hs_buf[..used].to_vec();
                         self.hs_buf.drain(..used);
-                        self.handle_handshake(msg, &raw)?;
+                        self.handle_handshake(msg, &raw).await?;
                     }
                 }
                 ContentType::ChangeCipherSpec => self.handle_ccs()?,
@@ -330,28 +349,34 @@ impl ServerSession {
         })
     }
 
-    fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
+    async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self.records.write_record(
-            ContentType::Handshake,
-            &raw,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_record_async(
+                ContentType::Handshake,
+                &raw,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
 
-    fn send_ccs(&mut self) -> Result<(), TlsError> {
-        let rec = self.records.write_record(
-            ContentType::ChangeCipherSpec,
-            &[1],
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+    async fn send_ccs(&mut self) -> Result<(), TlsError> {
+        let rec = self
+            .records
+            .write_record_async(
+                ContentType::ChangeCipherSpec,
+                &[1],
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -360,26 +385,26 @@ impl ServerSession {
         self.transcript.clone().finalize_fixed().to_vec()
     }
 
-    fn handle_handshake(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
+    async fn handle_handshake(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
         match (self.state, msg) {
             (State::ExpectClientHello, HandshakeMsg::ClientHello(ch)) => {
                 self.transcript.update(raw);
-                self.on_client_hello(ch)
+                self.on_client_hello(ch).await
             }
             (State::ExpectClientKeyExchange, HandshakeMsg::ClientKeyExchange(ckx)) => {
                 self.transcript.update(raw);
-                self.on_client_key_exchange(ckx)
+                self.on_client_key_exchange(ckx).await
             }
             (State::ExpectFinished, HandshakeMsg::Finished(fin)) => {
                 // Verify over the transcript EXCLUDING this message.
                 let th = self.transcript_hash();
                 self.transcript.update(raw);
-                self.on_client_finished_full(fin, th)
+                self.on_client_finished_full(fin, th).await
             }
             (State::AbbrExpectFinished, HandshakeMsg::Finished(fin)) => {
                 let th = self.transcript_hash();
                 self.transcript.update(raw);
-                self.on_client_finished_abbr(fin, th)
+                self.on_client_finished_abbr(fin, th).await
             }
             (state, msg) => Err(TlsError::UnexpectedMessage {
                 expected: match state {
@@ -415,7 +440,7 @@ impl ServerSession {
         }
     }
 
-    fn on_client_hello(&mut self, ch: ClientHello) -> Result<(), TlsError> {
+    async fn on_client_hello(&mut self, ch: ClientHello) -> Result<(), TlsError> {
         if ch.version != Version::Tls12 {
             return Err(TlsError::HandshakeFailure("server is TLS 1.2"));
         }
@@ -462,13 +487,13 @@ impl ServerSession {
         });
 
         match resumable {
-            Some((sid, entry)) => self.start_abbreviated(sid, entry),
-            None => self.start_full(),
+            Some((sid, entry)) => self.start_abbreviated(sid, entry).await,
+            None => self.start_full().await,
         }
     }
 
     /// Abbreviated handshake: SH, CCS, Finished (PRF only — §2.1).
-    fn start_abbreviated(
+    async fn start_abbreviated(
         &mut self,
         session_id: Vec<u8>,
         entry: SessionEntry,
@@ -483,14 +508,16 @@ impl ServerSession {
             suite: self.suite,
             key_share: None,
             selected_psk: None,
-        }))?;
+        }))
+        .await?;
         let kb = keys::derive_key_block(
             &self.provider,
             &mut self.counters,
             &self.master,
             &self.client_random,
             &self.server_random,
-        )?;
+        )
+        .await?;
         // Server sends its Finished first in the abbreviated flow.
         let th = self.transcript_hash();
         let verify = keys::finished_verify_data(
@@ -499,19 +526,21 @@ impl ServerSession {
             &self.master,
             keys::SERVER_FINISHED,
             &th,
-        )?;
-        self.send_ccs()?;
+        )
+        .await?;
+        self.send_ccs().await?;
         self.records.set_write_keys(kb.server.clone());
         self.key_block = Some(kb);
         self.send_handshake(&HandshakeMsg::Finished(Finished {
             verify_data: verify,
-        }))?;
+        }))
+        .await?;
         self.state = State::AbbrExpectCcs;
         Ok(())
     }
 
     /// Full handshake: SH, Certificate, [SKX], SHD.
-    fn start_full(&mut self) -> Result<(), TlsError> {
+    async fn start_full(&mut self) -> Result<(), TlsError> {
         self.resumed = false;
         let mut sid = vec![0u8; 32];
         self.rng.fill(&mut sid);
@@ -523,7 +552,8 @@ impl ServerSession {
             suite: self.suite,
             key_share: None,
             selected_psk: None,
-        }))?;
+        }))
+        .await?;
         // Certificate: the bare public key of the authentication alg.
         let cert = match self.suite.auth() {
             Auth::Rsa => CertPayload::Rsa {
@@ -542,13 +572,15 @@ impl ServerSession {
                 }
             }
         };
-        self.send_handshake(&HandshakeMsg::Certificate(cert))?;
+        self.send_handshake(&HandshakeMsg::Certificate(cert))
+            .await?;
         // ServerKeyExchange for ECDHE: ephemeral keygen + signature.
         if self.suite.key_exchange() == KeyExchange::Ecdhe {
             let seed = self.rng.next_u64();
-            let (private, public) =
-                self.provider
-                    .ec_keygen(&mut self.counters, self.curve, seed)?;
+            let (private, public) = self
+                .provider
+                .ec_keygen(&mut self.counters, self.curve, seed)
+                .await?;
             self.ecdhe_private = Some(private);
             let content = skx_signed_content(
                 &self.client_random,
@@ -559,40 +591,43 @@ impl ServerSession {
             let signature = match self.suite.auth() {
                 Auth::Rsa => {
                     self.provider
-                        .rsa_sign(&mut self.counters, &self.config.rsa_key, &content)?
+                        .rsa_sign(&mut self.counters, &self.config.rsa_key, &content)
+                        .await?
                 }
                 Auth::Ecdsa => {
                     let key = self.config.ecdsa_keys.get(&self.curve).expect("checked");
                     let nonce_seed = self.rng.next_u64();
-                    self.provider.ecdsa_sign(
-                        &mut self.counters,
-                        self.curve,
-                        &key.private,
-                        &content,
-                        nonce_seed,
-                    )?
+                    self.provider
+                        .ecdsa_sign(
+                            &mut self.counters,
+                            self.curve,
+                            &key.private,
+                            &content,
+                            nonce_seed,
+                        )
+                        .await?
                 }
             };
             self.send_handshake(&HandshakeMsg::ServerKeyExchange(ServerKeyExchange {
                 curve: self.curve.iana_id(),
                 public,
                 signature,
-            }))?;
+            }))
+            .await?;
         }
-        self.send_handshake(&HandshakeMsg::ServerHelloDone)?;
+        self.send_handshake(&HandshakeMsg::ServerHelloDone).await?;
         self.state = State::ExpectClientKeyExchange;
         Ok(())
     }
 
-    fn on_client_key_exchange(&mut self, ckx: ClientKeyExchange) -> Result<(), TlsError> {
+    async fn on_client_key_exchange(&mut self, ckx: ClientKeyExchange) -> Result<(), TlsError> {
         let premaster = match self.suite.key_exchange() {
             KeyExchange::Rsa => {
                 // The asymmetric-key calculation of Fig. 1 (RSA private op).
-                let pm = self.provider.rsa_decrypt(
-                    &mut self.counters,
-                    &self.config.rsa_key,
-                    &ckx.payload,
-                )?;
+                let pm = self
+                    .provider
+                    .rsa_decrypt(&mut self.counters, &self.config.rsa_key, &ckx.payload)
+                    .await?;
                 if pm.len() != sizes::PREMASTER_LEN {
                     return Err(TlsError::HandshakeFailure("bad premaster length"));
                 }
@@ -604,7 +639,8 @@ impl ServerSession {
                     .take()
                     .ok_or(TlsError::InvalidState("no ephemeral key"))?;
                 self.provider
-                    .ecdh(&mut self.counters, self.curve, &private, &ckx.payload)?
+                    .ecdh(&mut self.counters, self.curve, &private, &ckx.payload)
+                    .await?
             }
         };
         self.master = keys::derive_master_secret(
@@ -613,28 +649,35 @@ impl ServerSession {
             &premaster,
             &self.client_random,
             &self.server_random,
-        )?;
+        )
+        .await?;
         let kb = keys::derive_key_block(
             &self.provider,
             &mut self.counters,
             &self.master,
             &self.client_random,
             &self.server_random,
-        )?;
+        )
+        .await?;
         self.key_block = Some(kb);
         self.state = State::ExpectCcs;
         Ok(())
     }
 
     /// Full handshake: verify client Finished, then NST + CCS + Finished.
-    fn on_client_finished_full(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
+    async fn on_client_finished_full(
+        &mut self,
+        fin: Finished,
+        th: Vec<u8>,
+    ) -> Result<(), TlsError> {
         let expect = keys::finished_verify_data(
             &self.provider,
             &mut self.counters,
             &self.master,
             keys::CLIENT_FINISHED,
             &th,
-        )?;
+        )
+        .await?;
         if !qtls_crypto::hmac::constant_time_eq(&expect, &fin.verify_data) {
             return Err(TlsError::BadFinished);
         }
@@ -647,7 +690,8 @@ impl ServerSession {
                 suite: self.suite,
             };
             if let Some(ticket) = self.config.ticket_keys.seal(&entry, &mut self.rng) {
-                self.send_handshake(&HandshakeMsg::NewSessionTicket(NewSessionTicket { ticket }))?;
+                self.send_handshake(&HandshakeMsg::NewSessionTicket(NewSessionTicket { ticket }))
+                    .await?;
             }
         }
         // Cache for session-ID resumption.
@@ -665,26 +709,33 @@ impl ServerSession {
             &self.master,
             keys::SERVER_FINISHED,
             &th,
-        )?;
-        self.send_ccs()?;
+        )
+        .await?;
+        self.send_ccs().await?;
         let kb = self.key_block.as_ref().expect("derived");
         self.records.set_write_keys(kb.server.clone());
         self.send_handshake(&HandshakeMsg::Finished(Finished {
             verify_data: verify,
-        }))?;
+        }))
+        .await?;
         self.state = State::Connected;
         Ok(())
     }
 
     /// Abbreviated handshake: verify client Finished; done.
-    fn on_client_finished_abbr(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
+    async fn on_client_finished_abbr(
+        &mut self,
+        fin: Finished,
+        th: Vec<u8>,
+    ) -> Result<(), TlsError> {
         let expect = keys::finished_verify_data(
             &self.provider,
             &mut self.counters,
             &self.master,
             keys::CLIENT_FINISHED,
             &th,
-        )?;
+        )
+        .await?;
         if !qtls_crypto::hmac::constant_time_eq(&expect, &fin.verify_data) {
             return Err(TlsError::BadFinished);
         }

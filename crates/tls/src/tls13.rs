@@ -16,6 +16,7 @@ use crate::record::{ContentType, DirectionKeys, RecordLayer};
 use crate::session::SessionEntry;
 use crate::store::psk_store_key;
 use crate::suite::{Auth, CipherSuite, Version};
+use qtls_core::run_sync;
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::hmac::Hmac;
 use qtls_crypto::rsa::RsaPublicKey;
@@ -230,18 +231,26 @@ impl Tls13ServerSession {
         self.app_in.pop_front()
     }
 
-    /// Send app data.
+    /// Synchronous facade over [`Self::write_app_data_async`].
     pub fn write_app_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+        run_sync(self.write_app_data_async(data))
+    }
+
+    /// Send app data.
+    pub async fn write_app_data_async(&mut self, data: &[u8]) -> Result<(), TlsError> {
         if !self.is_established() {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self.records.write_fragmented(
-            ContentType::ApplicationData,
-            data,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_fragmented_async(
+                ContentType::ApplicationData,
+                data,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -260,12 +269,18 @@ impl Tls13ServerSession {
         self.records.extract_secrets()
     }
 
-    /// Process buffered input.
+    /// Synchronous facade over [`Self::process_async`].
     pub fn process(&mut self) -> Result<(), TlsError> {
+        run_sync(self.process_async())
+    }
+
+    /// Process buffered input.
+    pub async fn process_async(&mut self) -> Result<(), TlsError> {
         loop {
             let Some((typ, payload)) = self
                 .records
-                .next_record(&self.provider, &mut self.counters)?
+                .next_record_async(&self.provider, &mut self.counters)
+                .await?
             else {
                 return Ok(());
             };
@@ -275,7 +290,7 @@ impl Tls13ServerSession {
                     while let Some((msg, used)) = HandshakeMsg::decode(&self.hs_buf)? {
                         let raw: Vec<u8> = self.hs_buf[..used].to_vec();
                         self.hs_buf.drain(..used);
-                        self.handle(msg, &raw)?;
+                        self.handle(msg, &raw).await?;
                     }
                 }
                 ContentType::ApplicationData if self.is_established() => {
@@ -286,16 +301,19 @@ impl Tls13ServerSession {
         }
     }
 
-    fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
+    async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self.records.write_record(
-            ContentType::Handshake,
-            &raw,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_record_async(
+                ContentType::Handshake,
+                &raw,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -304,16 +322,16 @@ impl Tls13ServerSession {
         self.transcript.clone().finalize_fixed().to_vec()
     }
 
-    fn handle(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
+    async fn handle(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
         match (self.state, msg) {
             (ServerState::ExpectClientHello, HandshakeMsg::ClientHello(ch)) => {
                 self.transcript.update(raw);
-                self.on_client_hello(ch, raw)
+                self.on_client_hello(ch, raw).await
             }
             (ServerState::ExpectClientFinished, HandshakeMsg::Finished(fin)) => {
                 let th = self.transcript_hash();
                 self.transcript.update(raw);
-                self.on_client_finished(fin, th)
+                self.on_client_finished(fin, th).await
             }
             (_, msg) => Err(TlsError::UnexpectedMessage {
                 expected: "ClientHello/Finished",
@@ -354,7 +372,7 @@ impl Tls13ServerSession {
         Some(entry.master)
     }
 
-    fn on_client_hello(&mut self, ch: ClientHello, raw: &[u8]) -> Result<(), TlsError> {
+    async fn on_client_hello(&mut self, ch: ClientHello, raw: &[u8]) -> Result<(), TlsError> {
         if ch.version != Version::Tls13 {
             return Err(TlsError::HandshakeFailure("not TLS 1.3"));
         }
@@ -387,10 +405,14 @@ impl Tls13ServerSession {
         self.resumed = psk_secret.is_some();
         // Server ECDHE share (offloadable asym ops).
         let seed = self.rng.next_u64();
-        let (private, public) = self.provider.ec_keygen(&mut self.counters, curve, seed)?;
+        let (private, public) = self
+            .provider
+            .ec_keygen(&mut self.counters, curve, seed)
+            .await?;
         let shared = self
             .provider
-            .ecdh(&mut self.counters, curve, &private, &client_share)?;
+            .ecdh(&mut self.counters, curve, &private, &client_share)
+            .await?;
         let mut random = [0u8; 32];
         self.rng.fill(&mut random);
         self.send_handshake(&HandshakeMsg::ServerHello(ServerHello {
@@ -400,7 +422,8 @@ impl Tls13ServerSession {
             suite: self.suite,
             key_share: Some((curve_id, public)),
             selected_psk: if self.resumed { Some(0) } else { None },
-        }))?;
+        }))
+        .await?;
         // Key schedule to handshake-traffic (CPU-only HKDF).
         let hello_hash = self.transcript_hash();
         let schedule = Schedule::handshake(
@@ -426,7 +449,8 @@ impl Tls13ServerSession {
         // Encrypted flight: EE, [Certificate, CertificateVerify],
         // Finished — the certificate pair is skipped when the PSK
         // authenticates the connection (the abbreviated op mix).
-        self.send_handshake(&HandshakeMsg::EncryptedExtensions)?;
+        self.send_handshake(&HandshakeMsg::EncryptedExtensions)
+            .await?;
         if !self.resumed {
             let cert = match self.suite.auth() {
                 Auth::Rsa => CertPayload::Rsa {
@@ -445,30 +469,35 @@ impl Tls13ServerSession {
                     }
                 }
             };
-            self.send_handshake(&HandshakeMsg::Certificate(cert))?;
+            self.send_handshake(&HandshakeMsg::Certificate(cert))
+                .await?;
             // CertificateVerify: signature over context || transcript hash.
             let mut content = SERVER_CV_CONTEXT.to_vec();
             content.extend_from_slice(&self.transcript_hash());
             let signature = match self.suite.auth() {
                 Auth::Rsa => {
                     self.provider
-                        .rsa_sign(&mut self.counters, &self.config.rsa_key, &content)?
+                        .rsa_sign(&mut self.counters, &self.config.rsa_key, &content)
+                        .await?
                 }
                 Auth::Ecdsa => {
                     let key = self.config.ecdsa_keys.get(&curve).expect("checked");
                     let nonce_seed = self.rng.next_u64();
-                    self.provider.ecdsa_sign(
-                        &mut self.counters,
-                        curve,
-                        &key.private,
-                        &content,
-                        nonce_seed,
-                    )?
+                    self.provider
+                        .ecdsa_sign(
+                            &mut self.counters,
+                            curve,
+                            &key.private,
+                            &content,
+                            nonce_seed,
+                        )
+                        .await?
                 }
             };
             self.send_handshake(&HandshakeMsg::CertificateVerify(CertificateVerify {
                 signature,
-            }))?;
+            }))
+            .await?;
         }
         // Server Finished.
         let th = self.transcript_hash();
@@ -480,13 +509,14 @@ impl Tls13ServerSession {
         );
         self.send_handshake(&HandshakeMsg::Finished(Finished {
             verify_data: verify,
-        }))?;
+        }))
+        .await?;
         self.schedule = Some(schedule);
         self.state = ServerState::ExpectClientFinished;
         Ok(())
     }
 
-    fn on_client_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
+    async fn on_client_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
         let schedule = self.schedule.as_ref().expect("schedule exists");
         let expect = finished_mac(
             &self.provider,
@@ -527,7 +557,8 @@ impl Tls13ServerSession {
             };
             if let Some(ticket) = self.config.ticket_keys.seal(&entry, &mut self.rng) {
                 self.config.session_store.put(psk_store_key(&ticket), entry);
-                self.send_handshake(&HandshakeMsg::NewSessionTicket(NewSessionTicket { ticket }))?;
+                self.send_handshake(&HandshakeMsg::NewSessionTicket(NewSessionTicket { ticket }))
+                    .await?;
             }
         }
         Ok(())
@@ -612,14 +643,20 @@ impl Tls13ClientSession {
         }
     }
 
+    /// Synchronous facade over [`Self::start_async`].
+    pub fn start(&mut self) -> Result<(), TlsError> {
+        run_sync(self.start_async())
+    }
+
     /// Send the ClientHello with a key share (and a `pre_shared_key`
     /// offer when resumption data is loaded).
-    pub fn start(&mut self) -> Result<(), TlsError> {
+    pub async fn start_async(&mut self) -> Result<(), TlsError> {
         assert_eq!(self.state, ClientState::Start);
         let seed = self.rng.next_u64();
         let (private, public) = self
             .provider
-            .ec_keygen(&mut self.counters, self.curve, seed)?;
+            .ec_keygen(&mut self.counters, self.curve, seed)
+            .await?;
         self.ecdhe_private = Some(private);
         let mut random = [0u8; 32];
         self.rng.fill(&mut random);
@@ -658,7 +695,7 @@ impl Tls13ClientSession {
             }
             self.offered_psk = true;
         }
-        self.send_handshake(&HandshakeMsg::ClientHello(ch))?;
+        self.send_handshake(&HandshakeMsg::ClientHello(ch)).await?;
         self.state = ClientState::ExpectServerHello;
         Ok(())
     }
@@ -701,18 +738,26 @@ impl Tls13ClientSession {
         self.app_in.pop_front()
     }
 
-    /// Send app data.
+    /// Synchronous facade over [`Self::write_app_data_async`].
     pub fn write_app_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+        run_sync(self.write_app_data_async(data))
+    }
+
+    /// Send app data.
+    pub async fn write_app_data_async(&mut self, data: &[u8]) -> Result<(), TlsError> {
         if !self.is_established() {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self.records.write_fragmented(
-            ContentType::ApplicationData,
-            data,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_fragmented_async(
+                ContentType::ApplicationData,
+                data,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -730,12 +775,18 @@ impl Tls13ClientSession {
         self.records.extract_secrets()
     }
 
-    /// Process buffered input.
+    /// Synchronous facade over [`Self::process_async`].
     pub fn process(&mut self) -> Result<(), TlsError> {
+        run_sync(self.process_async())
+    }
+
+    /// Process buffered input.
+    pub async fn process_async(&mut self) -> Result<(), TlsError> {
         loop {
             let Some((typ, payload)) = self
                 .records
-                .next_record(&self.provider, &mut self.counters)?
+                .next_record_async(&self.provider, &mut self.counters)
+                .await?
             else {
                 return Ok(());
             };
@@ -745,7 +796,7 @@ impl Tls13ClientSession {
                     while let Some((msg, used)) = HandshakeMsg::decode(&self.hs_buf)? {
                         let raw: Vec<u8> = self.hs_buf[..used].to_vec();
                         self.hs_buf.drain(..used);
-                        self.handle(msg, &raw)?;
+                        self.handle(msg, &raw).await?;
                     }
                 }
                 ContentType::ApplicationData if self.is_established() => {
@@ -756,16 +807,19 @@ impl Tls13ClientSession {
         }
     }
 
-    fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
+    async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self.records.write_record(
-            ContentType::Handshake,
-            &raw,
-            &self.provider,
-            &mut self.counters,
-            &mut self.rng,
-        )?;
+        let rec = self
+            .records
+            .write_record_async(
+                ContentType::Handshake,
+                &raw,
+                &self.provider,
+                &mut self.counters,
+                &mut self.rng,
+            )
+            .await?;
         self.out.extend_from_slice(&rec);
         Ok(())
     }
@@ -774,11 +828,11 @@ impl Tls13ClientSession {
         self.transcript.clone().finalize_fixed().to_vec()
     }
 
-    fn handle(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
+    async fn handle(&mut self, msg: HandshakeMsg, raw: &[u8]) -> Result<(), TlsError> {
         match (self.state, msg) {
             (ClientState::ExpectServerHello, HandshakeMsg::ServerHello(sh)) => {
                 self.transcript.update(raw);
-                self.on_server_hello(sh)
+                self.on_server_hello(sh).await
             }
             (ClientState::ExpectEncryptedExtensions, HandshakeMsg::EncryptedExtensions) => {
                 self.transcript.update(raw);
@@ -823,7 +877,7 @@ impl Tls13ClientSession {
             (ClientState::ExpectFinished, HandshakeMsg::Finished(fin)) => {
                 let th = self.transcript_hash();
                 self.transcript.update(raw);
-                self.on_server_finished(fin, th)
+                self.on_server_finished(fin, th).await
             }
             (_, msg) => Err(TlsError::UnexpectedMessage {
                 expected: "next TLS 1.3 flight message",
@@ -832,7 +886,7 @@ impl Tls13ClientSession {
         }
     }
 
-    fn on_server_hello(&mut self, sh: ServerHello) -> Result<(), TlsError> {
+    async fn on_server_hello(&mut self, sh: ServerHello) -> Result<(), TlsError> {
         if sh.version != Version::Tls13 {
             return Err(TlsError::HandshakeFailure("not TLS 1.3"));
         }
@@ -848,7 +902,8 @@ impl Tls13ClientSession {
             .ok_or(TlsError::InvalidState("no key share sent"))?;
         let shared = self
             .provider
-            .ecdh(&mut self.counters, self.curve, &private, &server_share)?;
+            .ecdh(&mut self.counters, self.curve, &private, &server_share)
+            .await?;
         // PSK acceptance: the server echoes the offered identity index.
         self.resumed = self.offered_psk && sh.selected_psk == Some(0);
         let psk_secret = if self.resumed {
@@ -905,7 +960,7 @@ impl Tls13ClientSession {
         Ok(())
     }
 
-    fn on_server_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
+    async fn on_server_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
         let schedule = self.schedule.take().expect("schedule");
         let expect = finished_mac(
             &self.provider,
@@ -926,7 +981,8 @@ impl Tls13ClientSession {
         );
         self.send_handshake(&HandshakeMsg::Finished(Finished {
             verify_data: verify,
-        }))?;
+        }))
+        .await?;
         // Application keys: both sides use the transcript hash THROUGH
         // the server Finished (= `th_client` here; the server computes it
         // as the hash before the client's Finished arrives).

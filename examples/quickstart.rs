@@ -5,10 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qtls::core::{start_job, EngineMode, OffloadEngine, StartResult};
+use qtls::core::{poll_pass, EngineMode, OffloadEngine, WaitCtx};
 use qtls::crypto::test_keys::test_rsa_2048;
 use qtls::qat::{CryptoOp, QatConfig, QatDevice};
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Instant;
 
 fn main() {
@@ -21,31 +22,28 @@ fn main() {
         engines_per_endpoint: 4,
         ..QatConfig::functional_small()
     });
-    let engine = Arc::new(OffloadEngine::new(
-        device.alloc_instance(),
-        EngineMode::Async,
-    ));
+    let engine = OffloadEngine::new(device.alloc_instance(), EngineMode::Async);
     let key = Arc::new(test_rsa_2048().clone());
 
     // --- Phase 1: pre-processing ------------------------------------
-    // Start N offload jobs; each submits an RSA-2048 signature request
-    // and pauses. All N requests are inflight CONCURRENTLY from one
+    // Start N offload passes; each is a future that submits an RSA-2048
+    // signature request and answers `Pending` — the crypto pause is a
+    // plain return. All N requests are inflight CONCURRENTLY from one
     // thread — the core capability straight offload lacks.
     let n = 8;
     let t0 = Instant::now();
-    let mut jobs = Vec::new();
+    let mut passes = Vec::new();
     for i in 0..n {
-        let eng = Arc::clone(&engine);
-        let key = Arc::clone(&key);
-        match start_job(move || {
-            eng.offload(CryptoOp::RsaSign {
-                key,
-                msg: format!("handshake transcript #{i}").into_bytes(),
-            })
-        }) {
-            StartResult::Paused(job) => jobs.push(job),
-            StartResult::Finished(_) => unreachable!("offload pauses the job"),
-        }
+        let wait = Arc::new(WaitCtx::new());
+        let mut pass = Box::pin(engine.offload_async(CryptoOp::RsaSign {
+            key: Arc::clone(&key),
+            msg: format!("handshake transcript #{i}").into_bytes(),
+        }));
+        assert!(
+            poll_pass(Some(&wait), pass.as_mut()).is_pending(),
+            "an offload is pending until its response is retrieved"
+        );
+        passes.push((wait, pass));
     }
     println!(
         "submitted {n} RSA-2048 sign requests concurrently in {:?} \
@@ -60,17 +58,18 @@ fn main() {
         std::thread::yield_now();
     }
 
-    // --- Phases 3+4: notification happened via the wait contexts;
-    // resume consumes the parked results (post-processing).
-    for (i, job) in jobs.into_iter().enumerate() {
-        match job.resume() {
-            StartResult::Finished(result) => {
+    // --- Phases 3+4: notification happened via the wait contexts; the
+    // next poll of each pass consumes its parked result
+    // (post-processing).
+    for (i, (wait, mut pass)) in passes.into_iter().enumerate() {
+        match poll_pass(Some(&wait), pass.as_mut()) {
+            Poll::Ready(result) => {
                 let sig = result.expect("signing succeeded").into_bytes();
                 key.public()
                     .verify_pkcs1_sha256(format!("handshake transcript #{i}").as_bytes(), &sig)
                     .expect("signature verifies");
             }
-            StartResult::Paused(_) => unreachable!("result was ready"),
+            Poll::Pending => unreachable!("result was ready"),
         }
     }
     let elapsed = t0.elapsed();

@@ -300,6 +300,41 @@ if [ ! -s "$trace_dump" ]; then
 fi
 echo "ok: loadgen --trace-dump archived a loaded run's span trees"
 
+echo "== task path: the production pause/resume =="
+# The polled-task path has its own tier-1 suite (every async profile x
+# both versions x full/resumed x the three request shapes, exact wait
+# counts, zero threads started, shutdown mid-handshake), and the three
+# drivers of the engine's one offload step must stay observationally
+# equal. Both run in the sweeps above; this asserts they actually ran.
+task_path=$(cargo test --offline --test task_path 2>&1)
+if ! grep -Eq "test result: ok\. [1-9][0-9]* passed; 0 failed" <<< "$task_path"; then
+  echo "$task_path" >&2
+  echo "tests/task_path.rs did not run and pass" >&2
+  exit 1
+fi
+echo "ok: tests/task_path.rs passes"
+drivers=$(cargo test --offline --features proptest --test proptest_tls \
+  sync_task_and_fiber_drivers_are_observationally_equal 2>&1)
+if ! grep -q "test result: ok. 1 passed" <<< "$drivers"; then
+  echo "$drivers" >&2
+  echo "driver-determinism property did not run and pass" >&2
+  exit 1
+fi
+echo "ok: sync, task and fiber drivers are observationally equal"
+# The fiber mechanism is ablation-only (an OS thread per job): nothing
+# under the server may reach for it again.
+if grep -rnE 'fiber::|start_job' crates/server/src; then
+  echo "crates/server/src mentions the ablation-only fiber mechanism (see above)" >&2
+  exit 1
+fi
+echo "ok: crates/server/src is fiber-free"
+
+echo "== frozen benchmark package builds and passes against this tree =="
+# benchmark/ is frozen between benchmark-defining PRs and compiles
+# against the crates' public API by path; an accidental break of that
+# API must fail here, not in the pipeline.
+cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "== loadgen unwrap guard =="
 # The load generator must never panic on a malformed or partial
 # response: no unwrap() in its non-test code (the test module starts at

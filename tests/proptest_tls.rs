@@ -274,3 +274,346 @@ fn shared_store_shards_are_consistent() {
         assert_eq!(store.len(), n);
     });
 }
+
+// ---------------------------------------------------------------------
+// Determinism across the three drivers of the engine's one offload step.
+// ---------------------------------------------------------------------
+
+mod drivers {
+    use qtls::core::{
+        poll_pass, run_sync, start_job, EngineMode, OffloadEngine, StartResult, SubmitQueue,
+        WaitCtx,
+    };
+    use qtls::crypto::ecc::NamedCurve;
+    use qtls::crypto::TestRng;
+    use qtls::prop::Gen;
+    use qtls::qat::{QatConfig, QatDevice};
+    use qtls::tls::any_session::AnyServerSession;
+    use qtls::tls::client::ClientSession;
+    use qtls::tls::provider::{CryptoProvider, OpCounters};
+    use qtls::tls::record::RecordCodec;
+    use qtls::tls::server::ServerConfig;
+    use qtls::tls::suite::{CipherSuite, Version};
+    use qtls::tls::tls13::Tls13ClientSession;
+    use std::sync::Arc;
+    use std::task::Poll;
+
+    /// How the server end's passes are run.
+    pub enum Driver {
+        /// The synchronous facade over a software provider.
+        Sync,
+        /// A polled task against a real-compute device, every completion
+        /// delivered one sweep late (a spurious poll first).
+        Task(Accelerator),
+        /// A legacy `start_job` fiber against the same kind of device.
+        Fiber(Accelerator),
+    }
+
+    /// An async-mode engine with a sweep queue, as a worker builds it.
+    pub struct Accelerator {
+        /// Owns the engine threads.
+        _device: QatDevice,
+        engine: Arc<OffloadEngine>,
+    }
+
+    impl Accelerator {
+        pub fn new() -> Self {
+            let device = QatDevice::new(QatConfig::functional_small());
+            let engine = Arc::new(OffloadEngine::new(
+                device.alloc_instance(),
+                EngineMode::Async,
+            ));
+            engine.attach_submit_queue(Arc::new(SubmitQueue::new()));
+            Accelerator {
+                _device: device,
+                engine,
+            }
+        }
+    }
+
+    impl Driver {
+        fn provider(&self) -> CryptoProvider {
+            match self {
+                Driver::Sync => CryptoProvider::Software,
+                Driver::Task(acc) | Driver::Fiber(acc) => {
+                    CryptoProvider::offload(Arc::clone(&acc.engine))
+                }
+            }
+        }
+    }
+
+    /// One sweep of an event loop with nothing else to do: publish what
+    /// was staged, then retrieve until something came back.
+    fn sweep_until_delivered(engine: &OffloadEngine) {
+        engine.flush_submissions();
+        while engine.poll_all() == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The server end of one connection: handshake control plane, then
+    /// the record codec.
+    pub struct ServerEnd {
+        session: AnyServerSession,
+        codec: Option<RecordCodec>,
+        provider: CryptoProvider,
+        counters: OpCounters,
+        rng: TestRng,
+        /// Everything this end has put on the wire, in order.
+        pub wire: Vec<u8>,
+        /// Wire bytes not yet handed to the client.
+        unsent: Vec<u8>,
+    }
+
+    impl ServerEnd {
+        fn new(version: Version, config: Arc<ServerConfig>, driver: &Driver, seed: u64) -> Self {
+            ServerEnd {
+                session: AnyServerSession::new(version, config, driver.provider(), seed),
+                codec: None,
+                provider: driver.provider(),
+                counters: OpCounters::default(),
+                rng: TestRng::new(seed ^ 0xc0dec),
+                wire: Vec::new(),
+                unsent: Vec::new(),
+            }
+        }
+
+        pub fn counters(&self) -> (OpCounters, OpCounters) {
+            (self.session.counters(), self.counters)
+        }
+
+        /// One service pass over `input`: the worker's `service` without
+        /// the HTTP layer — every request byte is answered with `reply`.
+        async fn pass(mut self, input: Vec<u8>, reply: Vec<u8>) -> Self {
+            let mut out = Vec::new();
+            match &mut self.codec {
+                None => {
+                    self.session.feed(&input);
+                    self.session.process_async().await.expect("server pass");
+                    out = self.session.take_output();
+                    if self.session.is_established() {
+                        let (secrets, leftover) =
+                            self.session.extract_secrets().expect("established");
+                        self.codec = Some(RecordCodec::new(secrets, leftover, 4));
+                    }
+                }
+                Some(codec) => {
+                    codec.feed(&input);
+                    let mut request = Vec::new();
+                    codec
+                        .open_into_async(&mut request, &self.provider, &mut self.counters)
+                        .await
+                        .expect("open");
+                    if !request.is_empty() {
+                        codec.stage(&reply);
+                        codec
+                            .flush_into_async(
+                                &mut out,
+                                &self.provider,
+                                &mut self.counters,
+                                &mut self.rng,
+                            )
+                            .await
+                            .expect("seal");
+                    }
+                }
+            }
+            self.wire.extend_from_slice(&out);
+            self.unsent.extend_from_slice(&out);
+            self
+        }
+
+        fn run_pass(self, driver: &Driver, input: Vec<u8>, reply: Vec<u8>) -> Self {
+            match driver {
+                Driver::Sync => run_sync(self.pass(input, reply)),
+                Driver::Task(Accelerator { engine, .. }) => {
+                    let wait = Arc::new(WaitCtx::new());
+                    let mut pass = Box::pin(self.pass(input, reply));
+                    loop {
+                        if let Poll::Ready(end) = poll_pass(Some(&wait), pass.as_mut()) {
+                            return end;
+                        }
+                        // One sweep late: the sweep that published the
+                        // request polls the pass again with nothing
+                        // parked, and only the next one delivers.
+                        engine.flush_submissions();
+                        assert!(poll_pass(Some(&wait), pass.as_mut()).is_pending());
+                        sweep_until_delivered(engine);
+                    }
+                }
+                Driver::Fiber(Accelerator { engine, .. }) => {
+                    let mut job = match start_job(move || run_sync(self.pass(input, reply))) {
+                        StartResult::Finished(end) => return end,
+                        StartResult::Paused(job) => job,
+                    };
+                    loop {
+                        sweep_until_delivered(engine);
+                        match job.resume() {
+                            StartResult::Finished(end) => return end,
+                            StartResult::Paused(again) => job = again,
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A software client of either version, reduced to what the script
+    /// needs.
+    enum ClientEnd {
+        V12(Box<ClientSession>),
+        V13(Box<Tls13ClientSession>),
+    }
+
+    macro_rules! each {
+        ($self:expr, $s:ident => $body:expr) => {
+            match $self {
+                ClientEnd::V12($s) => $body,
+                ClientEnd::V13($s) => $body,
+            }
+        };
+    }
+
+    /// What one scripted connection looks like from the server's side.
+    #[derive(Debug, PartialEq)]
+    pub struct Transcript {
+        pub wire: Vec<u8>,
+        pub session_ops: OpCounters,
+        pub data_plane_ops: OpCounters,
+        pub resumed: bool,
+    }
+
+    /// The inputs of one property case.
+    pub struct Script {
+        pub version: Version,
+        pub suite: CipherSuite,
+        pub seed: u64,
+        pub requests: Vec<Vec<u8>>,
+        pub replies: Vec<Vec<u8>>,
+    }
+
+    impl Script {
+        pub fn generate(g: &mut Gen) -> Self {
+            let version = if g.bool() {
+                Version::Tls12
+            } else {
+                Version::Tls13
+            };
+            let suite = match (version, g.usize_in(0, 3)) {
+                (Version::Tls12, 0) => CipherSuite::TlsRsa,
+                (_, 1) => CipherSuite::EcdheEcdsa,
+                _ => CipherSuite::EcdheRsa,
+            };
+            Script {
+                version,
+                suite,
+                seed: g.u64(),
+                requests: (0..3).map(|_| g.bytes_in(1, 600)).collect(),
+                // Up to five records: one, two batches of four, or less.
+                replies: (0..3).map(|_| g.bytes_in(1, 80_000)).collect(),
+            }
+        }
+
+        /// Two connections against one server config — a full handshake,
+        /// then a resumed one — each followed by the three requests.
+        pub fn run(&self, driver: &Driver) -> Vec<Transcript> {
+            let config = ServerConfig::test_default();
+            let mut resume12 = None;
+            let mut resume13 = None;
+            (0..2u64)
+                .map(|conn| {
+                    let seed = self.seed.wrapping_add(conn);
+                    let mut client = match self.version {
+                        Version::Tls12 => ClientEnd::V12(Box::new(ClientSession::new(
+                            CryptoProvider::Software,
+                            self.suite,
+                            NamedCurve::P256,
+                            resume12.take(),
+                            seed ^ 0xc11e,
+                        ))),
+                        Version::Tls13 => {
+                            ClientEnd::V13(Box::new(Tls13ClientSession::new_resuming(
+                                CryptoProvider::Software,
+                                self.suite,
+                                NamedCurve::P256,
+                                resume13.take(),
+                                seed ^ 0xc11e,
+                            )))
+                        }
+                    };
+                    let mut server =
+                        ServerEnd::new(self.version, Arc::clone(&config), driver, seed);
+                    each!(&mut client, c => c.start()).expect("client hello");
+                    // Handshake: alternate flights until both sides rest.
+                    loop {
+                        let flight = each!(&mut client, c => c.take_output());
+                        if flight.is_empty() {
+                            break;
+                        }
+                        server = server.run_pass(driver, flight, Vec::new());
+                        let reply = std::mem::take(&mut server.unsent);
+                        each!(&mut client, c => { c.feed(&reply); c.process() })
+                            .expect("client handshake");
+                    }
+                    assert!(each!(&client, c => c.is_established()));
+                    for (request, reply) in self.requests.iter().zip(&self.replies) {
+                        each!(&mut client, c => c.write_app_data(request)).expect("request");
+                        let flight = each!(&mut client, c => c.take_output());
+                        server = server.run_pass(driver, flight, reply.clone());
+                        let sealed = std::mem::take(&mut server.unsent);
+                        each!(&mut client, c => { c.feed(&sealed); c.process() })
+                            .expect("client read");
+                        let mut got = Vec::new();
+                        while let Some(chunk) = each!(&mut client, c => c.read_app_data()) {
+                            got.extend_from_slice(&chunk);
+                        }
+                        assert_eq!(&got, reply, "the client reads what the server sealed");
+                    }
+                    match &client {
+                        ClientEnd::V12(c) => resume12 = c.export_resume_data(),
+                        ClientEnd::V13(c) => resume13 = c.export_resume_data(),
+                    }
+                    let (session_ops, data_plane_ops) = server.counters();
+                    Transcript {
+                        wire: server.wire,
+                        session_ops,
+                        data_plane_ops,
+                        resumed: each!(&client, c => c.was_resumed()),
+                    }
+                })
+                .collect()
+        }
+    }
+}
+
+/// The three drivers of the engine's one offload step are
+/// observationally equal: for any seeded script (version, suite, a full
+/// then a resumed handshake, three requests each), the server's wire
+/// bytes and operation counters are identical whether its passes run
+/// through the synchronous facade in software, as a task polled against
+/// a device whose completions arrive a sweep late, or inside a legacy
+/// fiber job.
+#[test]
+fn sync_task_and_fiber_drivers_are_observationally_equal() {
+    use drivers::{Accelerator, Driver, Script};
+    prop::check(
+        "sync_task_and_fiber_drivers_are_observationally_equal",
+        24,
+        |g| {
+            let script = Script::generate(g);
+            let sync = script.run(&Driver::Sync);
+            assert_eq!(
+                sync.iter().map(|t| t.resumed).collect::<Vec<_>>(),
+                [false, true],
+                "{:?} {:?}",
+                script.version,
+                script.suite
+            );
+            assert!(sync[0].data_plane_ops.cipher >= 6, "3 opens + 3 seals");
+            let task = script.run(&Driver::Task(Accelerator::new()));
+            assert!(sync == task, "task driver diverged from the sync facade");
+            let fiber = script.run(&Driver::Fiber(Accelerator::new()));
+            assert!(sync == fiber, "fiber driver diverged from the sync facade");
+        },
+    );
+}
