@@ -5,7 +5,10 @@
 //!   async, §4.1);
 //! - kernel-bypass async queue vs FD-based notification (§4.4);
 //! - ring push/pop (the request/response ring pair);
-//! - heuristic poll decision cost (§4.3).
+//! - heuristic poll decision cost (§4.3);
+//! - what waiting costs (DESIGN.md §2): a doorbell against parked
+//!   engines — submitter side and round trip — and the CPU an idle
+//!   worker burns.
 
 use qtls_bench::harness::Criterion;
 use qtls_bench::{criterion_group, criterion_main};
@@ -762,6 +765,124 @@ fn bench_tracing(c: &mut Criterion) {
     println!("trace_overhead: PASS 1-in-64 sampling delta under 2%");
 }
 
+/// Spin (yielding) until `cond` holds.
+fn spin_until(mut cond: impl FnMut() -> bool) {
+    while !cond() {
+        std::thread::yield_now();
+    }
+}
+
+fn bench_doorbell(c: &mut Criterion) {
+    // What one doorbell costs when the engines are asleep: the
+    // submitter's share (ring publish + wake grant + one futex wake) and
+    // the submit -> response round trip of a small PRF, with 1 and with
+    // 12 engines parked on the endpoint. One request wakes one engine
+    // either way, so the two rows should read alike; a broadcast wake
+    // would make the 12-engine row pay for 11 futile scans.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
+    if !c.selects_group("doorbell") {
+        return;
+    }
+    const ROUNDS: usize = 2000;
+    for engines in [1usize, 12] {
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 1,
+            engines_per_endpoint: engines,
+            ..QatConfig::functional_small()
+        });
+        let inst = dev.alloc_instance();
+        let done = Arc::new(AtomicBool::new(false));
+        let (mut submit_ns, mut roundtrip_ns) = (Vec::new(), Vec::new());
+        for _ in 0..ROUNDS {
+            spin_until(|| dev.parked_engines() == engines);
+            done.store(false, Ordering::SeqCst);
+            let flag = Arc::clone(&done);
+            let request = qtls_qat::make_request(
+                0,
+                CryptoOp::Prf {
+                    secret: b"s".to_vec(),
+                    label: b"l".to_vec(),
+                    seed: b"x".to_vec(),
+                    out_len: 16,
+                },
+                Box::new(move |_| flag.store(true, Ordering::SeqCst)),
+            );
+            let t = Instant::now();
+            inst.submit(request).expect("ring has room");
+            submit_ns.push(t.elapsed().as_nanos() as u64);
+            spin_until(|| {
+                inst.poll_all();
+                done.load(Ordering::SeqCst)
+            });
+            roundtrip_ns.push(t.elapsed().as_nanos() as u64);
+        }
+        let median = |v: &mut Vec<u64>| {
+            v.sort_unstable();
+            v[v.len() / 2]
+        };
+        println!(
+            "doorbell/parked{engines}: submit {} ns, round trip {:.1} us, {:.2} engine wakes per \
+             request (median of {ROUNDS})",
+            median(&mut submit_ns),
+            median(&mut roundtrip_ns) as f64 / 1e3,
+            dev.engine_wakes() as f64 / ROUNDS as f64
+        );
+    }
+}
+
+fn bench_worker_idle(c: &mut Criterion) {
+    // CPU an idle QTLS worker burns per millisecond of idleness, read
+    // from the worker thread's schedstat over a half-second window once
+    // it has parked. A spinning loop reads 1000 here.
+    use qtls_core::OffloadProfile;
+    use qtls_server::{VListener, Worker, WorkerConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+    if !c.selects_group("worker_idle") {
+        return;
+    }
+    const THREAD: &str = "bench-idle-wrk";
+    let cpu_ns = || -> u64 {
+        std::fs::read_dir("/proc/self/task")
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|t| {
+                std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c.trim() == THREAD)
+            })
+            .filter_map(|t| std::fs::read_to_string(t.path().join("schedstat")).ok())
+            .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+            .sum()
+    };
+    let dev = QatDevice::new(QatConfig::functional_small());
+    let mut worker = Worker::new(
+        Arc::new(VListener::new()),
+        Some(&dev),
+        WorkerConfig::new(OffloadProfile::Qtls),
+    );
+    let wake = worker.wake_handle();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop2 = Arc::clone(&stop);
+    let handle = std::thread::Builder::new()
+        .name(THREAD.into())
+        .spawn(move || worker.run_until(|_| stop2.load(Ordering::SeqCst)))
+        .expect("spawn worker");
+    spin_until(|| wake.is_parked());
+    let (cpu0, t0) = (cpu_ns(), Instant::now());
+    std::thread::sleep(Duration::from_millis(500));
+    let (burnt, window) = (cpu_ns() - cpu0, t0.elapsed());
+    stop.store(true, Ordering::SeqCst);
+    wake.unpark();
+    handle.join().expect("worker thread");
+    println!(
+        "worker_idle: {:.1} cpu-us per idle ms ({} us of CPU in {:?})",
+        burnt as f64 / 1e3 / (window.as_secs_f64() * 1e3),
+        burnt / 1000,
+        window
+    );
+}
+
 fn bench_offload_roundtrip(c: &mut Criterion) {
     // Full blocking offload of a PRF through the threaded device model:
     // submit → engine thread computes → poll → callback.
@@ -895,6 +1016,8 @@ criterion_group!(
     bench_bulk_transfer,
     bench_heuristic,
     bench_offload_roundtrip,
+    bench_doorbell,
+    bench_worker_idle,
     bench_obs_overhead,
     bench_tracing,
     bench_async_impl

@@ -57,7 +57,7 @@ use qtls_qat::{
     make_request, CryptoInstance, CryptoOp, CryptoOutput, CryptoRequest, CryptoResult, OpClass,
     ResponseCallback,
 };
-use qtls_sync::{Condvar, Mutex};
+use qtls_sync::{Mutex, Parker};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -645,7 +645,7 @@ impl OffloadEngine {
                 if self_poll {
                     return (Waiter::SelfPoll, ctx);
                 }
-                let parker = Arc::new(Parker::default());
+                let parker = Arc::new(Parker::new());
                 ctx.set_notifier(Arc::clone(&parker) as Arc<dyn Notifier>, 0);
                 (Waiter::Parked(parker), ctx)
             }
@@ -840,7 +840,7 @@ impl OffloadEngine {
                 .submit
                 .backpressure
                 .wait(step.attempt - 1, SubmitContext::BlockingWait),
-            Waiter::Parked(parker) => parker.park(PARK_SLICE),
+            Waiter::Parked(parker) => parker.park_timeout(PARK_SLICE),
             Waiter::Task | Waiter::Fiber => unreachable!("event-loop waiters return or pause"),
         }
         Ok(())
@@ -954,32 +954,6 @@ impl BatchCollector {
             .drain(..)
             .map(|slot| slot.expect("batch member completed"))
             .collect()
-    }
-}
-
-/// Where a blocking caller behind an external poller sleeps: registered
-/// as its private wait context's notifier, so the poller's completion
-/// wakes it.
-#[derive(Default)]
-struct Parker {
-    notified: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl Parker {
-    fn park(&self, at_most: Duration) {
-        let mut notified = self.notified.lock();
-        if !*notified {
-            self.cond.wait_for(&mut notified, at_most);
-        }
-        *notified = false;
-    }
-}
-
-impl Notifier for Parker {
-    fn notify(&self, _token: u64) {
-        *self.notified.lock() = true;
-        self.cond.notify_all();
     }
 }
 

@@ -12,8 +12,12 @@
 //! 2. **Kernel-bypass** — an application-defined [`AsyncQueue`] of async
 //!    handlers, appended to by the response callback and drained at the
 //!    end of the main event loop. No kernel crossings at all.
+//!
+//! Both can carry the event loop's [`Parker`]: a completion delivered
+//! from a foreign thread (the timer poller's) then wakes a loop that
+//! went to sleep with nothing else to do.
 
-use qtls_sync::{Condvar, Mutex};
+use qtls_sync::{Condvar, Mutex, Parker, WakeSlot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,6 +46,14 @@ impl Notifier for VirtualFd {
         // The FD scheme identifies the connection by the FD itself; the
         // token travels out-of-band (the selector returns ready ids).
         self.signal();
+    }
+}
+
+/// A blocking caller sleeping on its private wait context: the
+/// completion is the wake-up.
+impl Notifier for Parker {
+    fn notify(&self, _token: u64) {
+        self.unpark();
     }
 }
 
@@ -117,12 +129,18 @@ impl VirtualFd {
 struct SelectorInner {
     lock: Mutex<()>,
     cond: Condvar,
+    /// The event loop that multiplexes over this selector, if it sleeps
+    /// elsewhere than in [`FdSelector::wait_ready`].
+    waker: WakeSlot,
 }
 
 impl SelectorInner {
     fn wake(&self) {
-        let _g = self.lock.lock();
-        self.cond.notify_all();
+        {
+            let _g = self.lock.lock();
+            self.cond.notify_all();
+        }
+        self.waker.wake();
     }
 }
 
@@ -146,6 +164,7 @@ impl FdSelector {
             inner: Arc::new(SelectorInner {
                 lock: Mutex::new(()),
                 cond: Condvar::new(),
+                waker: WakeSlot::new(),
             }),
             fds: Mutex::new(Vec::new()),
             meter: Arc::new(KernelCostMeter::default()),
@@ -155,6 +174,12 @@ impl FdSelector {
     /// The kernel-crossing meter.
     pub fn meter(&self) -> &Arc<KernelCostMeter> {
         &self.meter
+    }
+
+    /// Wake `waker` whenever a registered FD is signalled (the loop
+    /// sleeping in its own `epoll_wait` equivalent).
+    pub fn set_waker(&self, waker: Arc<Parker>) {
+        self.inner.waker.set(waker);
     }
 
     /// Register an FD (`epoll_ctl(ADD)` — one kernel crossing).
@@ -215,6 +240,8 @@ impl FdSelector {
 /// paused connection (e.g. a connection id + handler discriminant).
 pub struct AsyncQueue<T> {
     queue: Mutex<VecDeque<T>>,
+    /// The event loop that drains this queue, woken on every push.
+    waker: WakeSlot,
 }
 
 impl<T> Default for AsyncQueue<T> {
@@ -228,13 +255,21 @@ impl<T> AsyncQueue<T> {
     pub fn new() -> Self {
         AsyncQueue {
             queue: Mutex::new(VecDeque::new()),
+            waker: WakeSlot::new(),
         }
+    }
+
+    /// Wake `waker` on every push (a push from the draining loop's own
+    /// thread just leaves it a token).
+    pub fn set_waker(&self, waker: Arc<Parker>) {
+        self.waker.set(waker);
     }
 
     /// Insert at the tail (called by the response callback — pure user
     /// space, no kernel crossing).
     pub fn push(&self, item: T) {
         self.queue.lock().push_back(item);
+        self.waker.wake();
     }
 
     /// Remove from the head.
@@ -333,6 +368,33 @@ mod tests {
         assert_eq!(queue.drain(), vec![31]);
         assert!(fd.is_ready());
         assert_eq!(fd.clear(), 1);
+    }
+
+    #[test]
+    fn foreign_push_and_signal_wake_the_parked_loop() {
+        // The loop parks first (an hour: only a wake ends it), the
+        // foreign thread publishes second — in both schemes.
+        let parker = Arc::new(Parker::new());
+        let queue = Arc::new(AsyncQueue::<u64>::new());
+        queue.set_waker(Arc::clone(&parker));
+        let sel = FdSelector::new();
+        sel.set_waker(Arc::clone(&parker));
+        let fd = Arc::new(VirtualFd::new(5));
+        sel.register(Arc::clone(&fd));
+        let t0 = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            let (q, fd) = (Arc::clone(&queue), Arc::clone(&fd));
+            scope.spawn(move || q.notify(17));
+            while queue.is_empty() {
+                parker.park_timeout(Duration::from_secs(3600));
+            }
+            scope.spawn(move || fd.notify(0));
+            while sel.poll_ready().is_empty() {
+                parker.park_timeout(Duration::from_secs(3600));
+            }
+        });
+        assert_eq!(queue.drain(), vec![17]);
+        assert!(t0.elapsed() < Duration::from_secs(60), "woken by timeout");
     }
 
     #[test]

@@ -15,6 +15,18 @@
 //!   * **failover**: a coarse timer forces a poll if none was triggered
 //!     during the last interval while requests are inflight.
 //!
+//! `TC_active` is the caller's count of connections the loop could
+//! still make progress on without the accelerator's answer: those with
+//! an offload pending or with unread bytes. A connection that is
+//! mid-handshake but waiting for the *peer's* next flight is not one of
+//! them — counting it (the paper's alive − idle reading) kept the
+//! timeliness rule from firing until a sibling submitted too, and a
+//! response sat on the ring for several device round trips. While the
+//! loop is busy this is the paper's pure poll; once it has nothing else
+//! to do it sleeps until [`HeuristicPoller::failover_in`] and is woken
+//! early by the device when a response lands (`qtls-qat`'s response
+//! waker, the model of event-driven polling).
+//!
 //! On a sharded engine the heuristic is shard-aware: the efficiency
 //! rule evaluates each shard against its own threshold (a ring's
 //! responses can only coalesce on that ring), and a fired poll sweeps
@@ -165,8 +177,9 @@ impl HeuristicPoller {
     }
 
     /// Decide whether the constraints require a poll right now, given the
-    /// number of active TLS connections (`TC_active = TC_alive -
-    /// TC_idle`, §4.3). Returns the trigger that fired, if any.
+    /// number of active TLS connections (`TC_active`: an offload pending
+    /// or unread bytes — see the module docs). Returns the trigger that
+    /// fired, if any.
     pub fn check(&self, tc_active: u64) -> Option<PollTrigger> {
         let total = self.engine.inflight().total();
         if total == 0 {
@@ -213,6 +226,17 @@ impl HeuristicPoller {
         } else {
             0
         }
+    }
+
+    /// How long until [`failover_check`](Self::failover_check) would
+    /// fire, or `None` with nothing inflight — the longest an otherwise
+    /// idle event loop may sleep without stranding a response.
+    pub fn failover_in(&self) -> Option<Duration> {
+        (self.engine.inflight().total() > 0).then(|| {
+            self.config
+                .failover
+                .saturating_sub(self.last_poll.elapsed())
+        })
     }
 
     fn poll_now(&mut self, trigger: PollTrigger) -> usize {
@@ -309,12 +333,30 @@ mod tests {
         let (_dev, engine) = stuck_engine();
         submit_n(&engine, 3);
         let poller = HeuristicPoller::new(Arc::clone(&engine), HeuristicConfig::default());
-        // 3 inflight, 5 active connections -> no poll yet.
+        // 3 offloads pending plus 2 connections with unread bytes: the
+        // loop still has work that needs no response -> no poll yet.
         assert_eq!(poller.check(5), None);
-        // 3 inflight, 3 active -> everyone waits: poll immediately.
+        // Only the 3 waiters are active (siblings waiting on the network
+        // do not count): poll immediately.
         assert_eq!(poller.check(3), Some(PollTrigger::Timeliness));
-        // Also with fewer active than inflight.
+        // A batch pass holds several requests inflight per connection.
         assert_eq!(poller.check(2), Some(PollTrigger::Timeliness));
+    }
+
+    #[test]
+    fn failover_in_bounds_an_idle_loops_sleep() {
+        let (_dev, engine) = stuck_engine();
+        let poller = HeuristicPoller::new(
+            Arc::clone(&engine),
+            HeuristicConfig {
+                failover: Duration::from_secs(3600),
+                ..Default::default()
+            },
+        );
+        assert_eq!(poller.failover_in(), None, "nothing inflight: no deadline");
+        submit_n(&engine, 1);
+        let left = poller.failover_in().expect("inflight");
+        assert!(left <= Duration::from_secs(3600) && left > Duration::from_secs(3500));
     }
 
     #[test]
@@ -397,9 +439,9 @@ mod tests {
 
     #[test]
     fn timeliness_fires_at_zero_active_connections() {
-        // TC_active == 0 with requests inflight is the degenerate
-        // timeliness edge: total >= 0 always holds, so the rule fires
-        // immediately (nothing else could drive the event loop).
+        // TC_active == 0 with requests inflight (the waiter's connection
+        // went away mid-offload): total >= 0 always holds, so the rule
+        // fires immediately (nothing else could drive the event loop).
         let (_dev, engine) = stuck_engine();
         submit_n(&engine, 1);
         let poller = HeuristicPoller::new(Arc::clone(&engine), HeuristicConfig::default());

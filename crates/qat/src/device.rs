@@ -7,13 +7,27 @@
 //! requests from all rings across all available computation engines").
 //! A [`CryptoInstance`] is the logical unit a worker is assigned: one
 //! request/response ring pair plus a handle for submission and polling.
+//!
+//! # What waiting costs
+//!
+//! Idle engines sleep untimed on their endpoint's condvar and are woken
+//! by count, not by broadcast: a doorbell for `n` published requests
+//! grants `min(n, parked)` wake-ups and none when every engine is busy
+//! (a busy engine re-scans the rings when it finishes). An engine
+//! registers as parked and re-scans *under the wake lock* before it
+//! waits, and a doorbell takes the same lock after the ring publish, so
+//! either the engine's re-scan sees the request or the doorbell sees the
+//! engine — no timed rescan is needed to paper over a lost wake-up. Only
+//! a doorbell and device shutdown ever notify. A completed response
+//! wakes the instance's registered [`Parker`], if any — the model of the
+//! QAT driver's event-driven polling fd. Each costs one futex wake.
 
 use crate::config::{QatConfig, ServiceMode};
 use crate::counters::FwCounters;
 use crate::request::{execute_owned, CryptoRequest, CryptoResponse, ResponseCallback};
 use crate::ring::{Ring, RingFull};
 use crate::trace::{self, RetrieveHook};
-use qtls_sync::{Condvar, Mutex, RwLock};
+use qtls_sync::{Condvar, Mutex, MutexGuard, Parker, RwLock, WakeSlot};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,18 +39,32 @@ struct RingPair {
     /// Observer for retrieved responses while tracing is on; shared by
     /// every clone of the owning instance (pollers included).
     retrieve_hook: RwLock<Option<Arc<dyn RetrieveHook>>>,
+    /// Woken whenever an engine lands a response on `resp`.
+    resp_waker: WakeSlot,
     /// Index of the endpoint whose engines currently serve this pair.
-    /// Runtime shard rebalancing retargets it, so submitters route
-    /// doorbells through this instead of a captured endpoint handle.
+    /// Runtime shard rebalancing retargets it (under both endpoints'
+    /// wake locks), so submitters route doorbells through this instead
+    /// of a captured endpoint handle.
     owner: AtomicUsize,
+}
+
+/// Engine sleep accounting of one endpoint, guarded by its wake lock.
+#[derive(Default)]
+struct WakeState {
+    /// Engines registered as parked (waiting, or about to).
+    parked: usize,
+    /// Wake-ups granted by doorbells and not yet taken by an engine.
+    tokens: usize,
+    /// Wake-ups granted since bring-up.
+    wakes: u64,
 }
 
 /// Shared state of one endpoint.
 struct EndpointShared {
     /// Instances assigned from this endpoint.
     pairs: RwLock<Vec<Arc<RingPair>>>,
-    /// Engine wakeup.
-    wake_lock: Mutex<()>,
+    /// Engine wakeup. Lock order: `wake` before `pairs`.
+    wake: Mutex<WakeState>,
     wake_cond: Condvar,
     shutdown: AtomicBool,
     /// Round-robin scan start so engines don't all hammer ring 0.
@@ -44,9 +72,61 @@ struct EndpointShared {
 }
 
 impl EndpointShared {
-    fn notify(&self) {
-        let _g = self.wake_lock.lock();
-        self.wake_cond.notify_all();
+    /// Grant one wake-up per published request, to as many parked
+    /// engines as have none pending. Called with the requests already on
+    /// a ring.
+    fn grant_wakes(&self, mut wake: MutexGuard<'_, WakeState>, requests: usize) {
+        let grant = requests.min(wake.parked - wake.tokens);
+        wake.tokens += grant;
+        wake.wakes += grant as u64;
+        // Notify unlocked so a woken engine does not immediately block
+        // on the lock; the token it needs is already in place.
+        drop(wake);
+        for _ in 0..grant {
+            self.wake_cond.notify_one();
+        }
+    }
+
+    /// Pop the next request off any of this endpoint's rings, rotating
+    /// the scan start for fairness across instances.
+    fn scan(&self) -> Option<(Arc<RingPair>, CryptoRequest)> {
+        let pairs = self.pairs.read();
+        if pairs.is_empty() {
+            return None;
+        }
+        let start = self.scan_cursor.fetch_add(1, Ordering::Relaxed) % pairs.len();
+        (0..pairs.len()).find_map(|i| {
+            let pair = &pairs[(start + i) % pairs.len()];
+            pair.req.pop().map(|req| (Arc::clone(pair), req))
+        })
+    }
+
+    /// The engine's idle path: the next request, sleeping untimed while
+    /// there is none. `None` means the device is shutting down.
+    fn next_request(&self) -> Option<(Arc<RingPair>, CryptoRequest)> {
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(work) = self.scan() {
+                return Some(work);
+            }
+            let mut wake = self.wake.lock();
+            wake.parked += 1;
+            // Re-scan now that doorbells can see this engine: one rung
+            // since the empty scan above found nobody to wake.
+            let work = self.scan();
+            if work.is_none() {
+                while wake.tokens == 0 && !self.shutdown.load(Ordering::SeqCst) {
+                    self.wake_cond.wait(&mut wake);
+                }
+                wake.tokens = wake.tokens.saturating_sub(1);
+            }
+            wake.parked -= 1;
+            if work.is_some() {
+                return work;
+            }
+        }
     }
 }
 
@@ -80,10 +160,21 @@ impl CryptoInstance {
         self.pair.owner.load(Ordering::Relaxed)
     }
 
-    /// Ring the owning endpoint's doorbell.
-    fn notify_owner(&self) {
-        self.endpoints[self.endpoint_index()].notify();
+    /// Ring the owning endpoint's doorbell for `requests` just
+    /// published on this pair.
+    fn ring_doorbell(&self, requests: usize) {
+        loop {
+            let idx = self.pair.owner.load(Ordering::SeqCst);
+            let wake = self.endpoints[idx].wake.lock();
+            // `rebalance` moves a pair under both endpoints' wake locks:
+            // an owner unchanged under the lock is the endpoint whose
+            // engines scan this pair.
+            if self.pair.owner.load(Ordering::SeqCst) == idx {
+                return self.endpoints[idx].grant_wakes(wake, requests);
+            }
+        }
     }
+
     /// Submit a crypto request in non-blocking mode. On success the
     /// request is queued for an engine; completion is delivered through
     /// the callback at poll time.
@@ -96,7 +187,7 @@ impl CryptoInstance {
             Ok(()) => {
                 self.counters.submitted.fetch_add(1, Ordering::Relaxed);
                 self.counters.doorbells.fetch_add(1, Ordering::Relaxed);
-                self.notify_owner();
+                self.ring_doorbell(1);
                 Ok(())
             }
             Err(RingFull(back)) => {
@@ -108,8 +199,9 @@ impl CryptoInstance {
 
     /// Submit a batch of requests under ONE ring-cursor publish and ONE
     /// engine doorbell, amortizing the per-submission overhead across
-    /// the batch. Requests that did not fit (ring full) are left at the
-    /// front of `requests`; the number accepted is returned.
+    /// the batch (the doorbell wakes at most one parked engine per
+    /// accepted request). Requests that did not fit (ring full) are
+    /// left at the front of `requests`; the number accepted is returned.
     pub fn submit_batch(&self, requests: &mut std::collections::VecDeque<CryptoRequest>) -> usize {
         if requests.is_empty() {
             return 0;
@@ -137,7 +229,7 @@ impl CryptoInstance {
                 .submitted
                 .fetch_add(accepted as u64, Ordering::Relaxed);
             self.counters.doorbells.fetch_add(1, Ordering::Relaxed);
-            self.notify_owner();
+            self.ring_doorbell(accepted);
         }
         if !requests.is_empty() {
             // Each leftover request was rejected by this flush attempt.
@@ -202,6 +294,14 @@ impl CryptoInstance {
         *self.pair.retrieve_hook.write() = Some(hook);
     }
 
+    /// Register the sleeper to wake whenever an engine lands a response
+    /// on this instance's ring (shared by all clones; replaces any
+    /// previous one) — the software analogue of the QAT driver's
+    /// event-driven polling fd.
+    pub fn set_response_waker(&self, waker: Arc<Parker>) {
+        self.pair.resp_waker.set(waker);
+    }
+
     /// The device-wide firmware counters this instance reports into.
     pub fn fw_counters(&self) -> &Arc<FwCounters> {
         &self.counters
@@ -250,7 +350,7 @@ impl QatDevice {
         for ep_idx in 0..config.endpoints {
             let shared = Arc::new(EndpointShared {
                 pairs: RwLock::new(Vec::new()),
-                wake_lock: Mutex::new(()),
+                wake: Mutex::new(WakeState::default()),
                 wake_cond: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 scan_cursor: AtomicUsize::new(0),
@@ -328,6 +428,7 @@ impl QatDevice {
             req: Ring::new(self.config.ring_capacity),
             resp: Ring::new(self.config.ring_capacity * 2),
             retrieve_hook: RwLock::new(None),
+            resp_waker: WakeSlot::new(),
             owner: AtomicUsize::new(idx),
         });
         self.endpoints[idx].pairs.write().push(Arc::clone(&pair));
@@ -373,10 +474,16 @@ impl QatDevice {
         if hot == cold || pressures[hot] - pressures[cold] < threshold {
             return 0;
         }
-        // Lock both pair lists in index order (the single-caller
-        // dispatcher makes this belt-and-braces) so the pair is never
-        // scannable by zero endpoints while a submit lands on it.
+        // Hold both endpoints' wake locks (index order, before the pair
+        // lists) across the quiescence check and the move. A doorbell
+        // serialises against this section on the owner it read: one
+        // that came first published its request before the check below
+        // (the pair is then busy, or a hot engine already took it), one
+        // that comes after re-reads the owner under the lock and rings
+        // the cold endpoint. Either way no explicit notify is needed.
         let (first, second) = if hot < cold { (hot, cold) } else { (cold, hot) };
+        let _first_wake = self.endpoints[first].wake.lock();
+        let _second_wake = self.endpoints[second].wake.lock();
         let mut first_guard = self.endpoints[first].pairs.write();
         let mut second_guard = self.endpoints[second].pairs.write();
         let (hot_pairs, cold_pairs) = if hot < cold {
@@ -391,13 +498,27 @@ impl QatDevice {
             return 0; // every shard on the hot endpoint has inflight ops
         };
         let pair = hot_pairs.remove(pos);
-        pair.owner.store(cold, Ordering::Relaxed);
+        pair.owner.store(cold, Ordering::SeqCst);
         cold_pairs.push(pair);
         self.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-        // The cold endpoint's engines may be parked; wake them so a
-        // submit racing the migration is noticed promptly.
-        self.endpoints[cold].notify();
         1
+    }
+
+    /// Engines asleep with no wake-up pending, device-wide (racy;
+    /// monitoring and tests).
+    pub fn parked_engines(&self) -> usize {
+        self.endpoints
+            .iter()
+            .map(|ep| {
+                let wake = ep.wake.lock();
+                wake.parked - wake.tokens
+            })
+            .sum()
+    }
+
+    /// Engine wake-ups granted by doorbells since bring-up, device-wide.
+    pub fn engine_wakes(&self) -> u64 {
+        self.endpoints.iter().map(|ep| ep.wake.lock().wakes).sum()
     }
 
     /// The firmware counters (`cat /sys/kernel/debug/qat*/fw_counters`).
@@ -415,7 +536,11 @@ impl Drop for QatDevice {
     fn drop(&mut self) {
         for ep in self.endpoints.iter() {
             ep.shutdown.store(true, Ordering::SeqCst);
-            ep.notify();
+            // Under the lock: an engine is either before its shutdown
+            // check (and sees the flag) or already waiting (and hears
+            // this).
+            let _wake = ep.wake.lock();
+            ep.wake_cond.notify_all();
         }
         for handle in self.engine_handles.drain(..) {
             let _ = handle.join();
@@ -423,7 +548,7 @@ impl Drop for QatDevice {
     }
 }
 
-/// The engine thread body: scan the endpoint's request rings round-robin,
+/// The engine thread body: take requests off the endpoint's rings,
 /// execute, deliver the response to the originating instance's ring.
 fn engine_loop(
     shared: Arc<EndpointShared>,
@@ -431,73 +556,38 @@ fn engine_loop(
     mode: ServiceMode,
     table: crate::config::ServiceTable,
 ) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let work = {
-            let pairs = shared.pairs.read();
-            if pairs.is_empty() {
-                None
-            } else {
-                // Rotate the scan start for fairness across instances.
-                let start = shared.scan_cursor.fetch_add(1, Ordering::Relaxed) % pairs.len();
-                let mut found = None;
-                for i in 0..pairs.len() {
-                    let pair = &pairs[(start + i) % pairs.len()];
-                    if let Some(req) = pair.req.pop() {
-                        found = Some((Arc::clone(pair), req));
-                        break;
-                    }
-                }
-                found
+    while let Some((pair, req)) = shared.next_request() {
+        if let ServiceMode::Timed { time_scale } = mode {
+            let ns = (table.service_ns(&req.op) as f64 * time_scale) as u64;
+            if ns > 0 {
+                std::thread::sleep(Duration::from_nanos(ns));
             }
+        }
+        let class = req.op.class();
+        // Consume the descriptor: in-place cipher ops transform their
+        // carried buffer and return it via the response.
+        let result = execute_owned(req.op);
+        counters.record_completion(class);
+        let mut resp = CryptoResponse {
+            cookie: req.cookie,
+            class,
+            result,
+            callback: req.callback,
+            trace: req.trace,
         };
-        match work {
-            Some((pair, req)) => {
-                if let ServiceMode::Timed { time_scale } = mode {
-                    let ns = (table.service_ns(&req.op) as f64 * time_scale) as u64;
-                    if ns > 0 {
-                        std::thread::sleep(Duration::from_nanos(ns));
-                    }
+        // Response-ring backpressure: hardware stalls until the host
+        // drains responses; model with a yield-retry loop.
+        loop {
+            match pair.resp.push(resp) {
+                Ok(()) => break,
+                Err(RingFull(back)) => {
+                    counters.resp_stalls.fetch_add(1, Ordering::Relaxed);
+                    resp = back;
+                    std::thread::yield_now();
                 }
-                let class = req.op.class();
-                // Consume the descriptor: in-place cipher ops transform
-                // their carried buffer and return it via the response.
-                let result = execute_owned(req.op);
-                counters.record_completion(class);
-                let mut resp = CryptoResponse {
-                    cookie: req.cookie,
-                    class,
-                    result,
-                    callback: req.callback,
-                    trace: req.trace,
-                };
-                // Response-ring backpressure: hardware stalls until the
-                // host drains responses; model with a yield-retry loop.
-                loop {
-                    match pair.resp.push(resp) {
-                        Ok(()) => break,
-                        Err(RingFull(back)) => {
-                            counters.resp_stalls.fetch_add(1, Ordering::Relaxed);
-                            resp = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-            None => {
-                // Idle: sleep until a submit notification (or timeout, to
-                // re-check shutdown and late-added instances).
-                let mut guard = shared.wake_lock.lock();
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                shared
-                    .wake_cond
-                    .wait_for(&mut guard, Duration::from_micros(500));
             }
         }
+        pair.resp_waker.wake();
     }
 }
 
@@ -862,7 +952,8 @@ mod tests {
         // Timed engines hold endpoint 0 busy long enough for the
         // pressure gap to be visible; after migration, a submit through
         // the moved instance must ring endpoint 1's doorbell and
-        // complete there.
+        // complete there (endpoint 1's engine sleeps untimed, so the
+        // wrong doorbell is a hang).
         use crate::config::{ServiceMode, ServiceTable};
         let dev = QatDevice::new(QatConfig {
             endpoints: 2,
@@ -921,6 +1012,208 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "timed out");
             std::thread::yield_now();
         }
+    }
+
+    /// Spin (yielding) until `cond` holds; a hang is a test failure, not
+    /// a stuck suite.
+    fn await_or_panic(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Submit one small PRF on `inst` counting its completion on `done`.
+    fn counted_prf(cookie: u64, done: &Arc<AtomicUsize>) -> CryptoRequest {
+        let done = Arc::clone(done);
+        make_request(
+            cookie,
+            CryptoOp::Prf {
+                secret: b"s".to_vec(),
+                label: b"l".to_vec(),
+                seed: cookie.to_be_bytes().to_vec(),
+                out_len: 8,
+            },
+            Box::new(move |r| {
+                r.expect("prf");
+                done.fetch_add(1, Ordering::SeqCst);
+            }),
+        )
+    }
+
+    #[test]
+    fn lone_engine_never_misses_a_doorbell() {
+        // The engine waits untimed, so a doorbell lost between its empty
+        // scan and its wait would hang this loop: 20 000 strictly
+        // sequential round trips, the engine idle before most of them.
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 1,
+            engines_per_endpoint: 1,
+            ..QatConfig::functional_small()
+        });
+        let inst = dev.alloc_instance();
+        let done = Arc::new(AtomicUsize::new(0));
+        for i in 0..20_000usize {
+            inst.submit(counted_prf(i as u64, &done)).unwrap();
+            await_or_panic("round trip", || {
+                inst.poll_all();
+                done.load(Ordering::SeqCst) == i + 1
+            });
+        }
+        let c = dev.fw_counters();
+        assert_eq!(c.doorbells.load(Ordering::Relaxed), 20_000);
+        assert_eq!(c.prf.load(Ordering::Relaxed), 20_000);
+        assert!(dev.engine_wakes() <= 20_000, "at most one wake per request");
+    }
+
+    #[test]
+    fn doorbell_wakes_one_engine_per_request() {
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 1,
+            engines_per_endpoint: 4,
+            ..QatConfig::functional_small()
+        });
+        let inst = dev.alloc_instance();
+        let done = Arc::new(AtomicUsize::new(0));
+        let mut expect = 0usize;
+        let settle = |expect: usize| {
+            await_or_panic("completions", || {
+                inst.poll_all();
+                done.load(Ordering::SeqCst) == expect
+            });
+            await_or_panic("engines re-park", || dev.parked_engines() == 4);
+        };
+        settle(0);
+        // One request, four sleepers: exactly one wakes.
+        let before = dev.engine_wakes();
+        inst.submit(counted_prf(0, &done)).unwrap();
+        expect += 1;
+        settle(expect);
+        assert_eq!(dev.engine_wakes() - before, 1, "no thundering herd");
+        // A batch of 16 under one doorbell: every sleeper, once.
+        let before = dev.engine_wakes();
+        let mut batch: std::collections::VecDeque<_> =
+            (0..16).map(|i| counted_prf(i, &done)).collect();
+        assert_eq!(inst.submit_batch(&mut batch), 16);
+        expect += 16;
+        settle(expect);
+        assert_eq!(dev.engine_wakes() - before, 4, "min(requests, parked)");
+        // Interleave batches and single submits without settling in
+        // between: engines park and wake at every possible point.
+        let doorbells = dev.fw_counters().doorbells.load(Ordering::Relaxed);
+        for round in 0..300u64 {
+            let mut batch: std::collections::VecDeque<_> = (0..16)
+                .map(|i| counted_prf(round * 32 + i, &done))
+                .collect();
+            while !batch.is_empty() {
+                inst.submit_batch(&mut batch);
+                inst.poll_all();
+            }
+            let mut single = counted_prf(round * 32 + 16, &done);
+            while let Err(SubmitFull(back)) = inst.submit(single) {
+                single = back;
+                inst.poll_all();
+            }
+            expect += 17;
+            if round % 3 == 0 {
+                settle(expect);
+            }
+        }
+        settle(expect);
+        let c = dev.fw_counters();
+        assert_eq!(c.prf.load(Ordering::Relaxed), expect as u64);
+        assert!(
+            c.doorbells.load(Ordering::Relaxed) - doorbells >= 600,
+            "one doorbell per submit call, batched or not"
+        );
+    }
+
+    #[test]
+    fn rebalance_racing_a_submit_never_strands_the_request() {
+        // A submit reads the pair's owner, then rings that endpoint; a
+        // migration in between would leave the request on a ring no
+        // woken engine scans. Line the two up many times over.
+        use crate::config::{ServiceMode, ServiceTable};
+        for round in 0..100u64 {
+            let dev = QatDevice::new(QatConfig {
+                endpoints: 2,
+                engines_per_endpoint: 1,
+                ring_capacity: 32,
+                service_mode: ServiceMode::Timed { time_scale: 1.0 },
+                service_table: ServiceTable {
+                    prf_ns: 2_000_000, // keeps endpoint 0 pressured
+                    ecc_p256_ns: 0,
+                    ..ServiceTable::default()
+                },
+            });
+            let a = dev.alloc_instance(); // endpoint 0
+            let _b = dev.alloc_instance(); // endpoint 1
+            let c = dev.alloc_instance(); // endpoint 0, quiescent
+            let slow = Arc::new(AtomicUsize::new(0));
+            for i in 0..6 {
+                a.submit(counted_prf(i, &slow)).unwrap();
+            }
+            await_or_panic("endpoint 1 idle", || dev.parked_engines() == 1);
+            let done = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&done);
+            let request = make_request(
+                99,
+                CryptoOp::EcKeygen {
+                    curve: qtls_crypto::ecc::NamedCurve::P256,
+                    seed: round,
+                },
+                Box::new(move |_| flag.store(true, Ordering::SeqCst)),
+            );
+            let line_up = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    line_up.wait();
+                    dev.rebalance(2);
+                });
+                line_up.wait();
+                c.submit(request).unwrap();
+            });
+            await_or_panic("request on the migrated pair", || {
+                c.poll_all();
+                done.load(Ordering::SeqCst)
+            });
+        }
+    }
+
+    #[test]
+    fn drop_joins_parked_engines() {
+        // Shutdown is one of the two things that notify: every engine of
+        // the full 3 x 12 shape is asleep, untimed, when the device goes.
+        let dev = QatDevice::with_defaults();
+        await_or_panic("all engines parked", || dev.parked_engines() == 36);
+        assert_eq!(dev.engine_wakes(), 0, "an idle device wakes nobody");
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(dev);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("drop hung on a parked engine");
+    }
+
+    #[test]
+    fn response_landing_wakes_the_registered_parker() {
+        let dev = small_device();
+        let inst = dev.alloc_instance();
+        let parker = Arc::new(Parker::new());
+        inst.set_response_waker(Arc::clone(&parker));
+        let done = Arc::new(AtomicUsize::new(0));
+        inst.submit(counted_prf(1, &done)).unwrap();
+        // No polling until the wake arrives: an hour-long park that
+        // returns is the response announcing itself.
+        let t0 = std::time::Instant::now();
+        while inst.pending_responses() == 0 {
+            parker.park_timeout(Duration::from_secs(3600));
+            assert!(t0.elapsed() < Duration::from_secs(60), "woken by timeout");
+        }
+        assert_eq!(inst.poll_all(), 1);
+        assert_eq!(done.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -354,7 +354,9 @@ impl Cluster {
     /// in the per-worker backlogs are drained, closed, and counted —
     /// shutdown drops nothing silently.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        // Sleeping workers have no event for the flag; ring them.
+        self.sched.wake_workers();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }

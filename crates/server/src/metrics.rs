@@ -73,7 +73,7 @@ pub struct StatusSnapshot {
     pub tc_alive: u64,
     /// `TC_idle`: established connections with nothing pending.
     pub tc_idle: u64,
-    /// `TC_active = TC_alive - TC_idle` (§4.3).
+    /// `TC_active` (§4.3): an offload pending or unread bytes.
     pub tc_active: u64,
     /// Heuristic-poller statistics, for profiles that run one.
     pub heuristic: Option<HeuristicStats>,
@@ -365,7 +365,7 @@ fn render_worker_section(page: &mut PromText, snap: &StatusSnapshot) {
     let gauges: [(&str, &str, u64); 5] = [
         (
             "qtls_worker_connections_active",
-            "TC_active: connections handshaking or with pending work.",
+            "TC_active: connections with an offload pending or unread bytes.",
             snap.tc_active,
         ),
         (
@@ -375,7 +375,7 @@ fn render_worker_section(page: &mut PromText, snap: &StatusSnapshot) {
         ),
         (
             "qtls_worker_connections_idle",
-            "TC_idle: established connections with no pending work.",
+            "TC_idle: connections waiting on the peer (nothing unread, nothing offloaded).",
             snap.tc_idle,
         ),
         (

@@ -2,8 +2,14 @@
 //! semantics the event-driven architecture needs (readable/writable
 //! readiness, `WouldBlock`, FIN/close) — standing in for the testbed's
 //! TCP over back-to-back 40 GbE NICs.
+//!
+//! Readiness is edge-announced as well as level-readable: the owner of a
+//! socket's read side, or of a listener's accept side, may register its
+//! [`Parker`]; bytes, a close, `connect` and `inject` then wake it (one
+//! wake-up per event, after the event is visible), so an event loop
+//! with nothing to do can sleep instead of scanning.
 
-use qtls_sync::{Condvar, Mutex};
+use qtls_sync::{Condvar, Mutex, Parker, WakeSlot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,6 +19,8 @@ use std::time::Duration;
 struct Pipe {
     buf: Mutex<VecDeque<u8>>,
     closed: AtomicBool,
+    /// Whoever reads this pipe, woken when bytes or a close arrive.
+    reader: WakeSlot,
 }
 
 impl Pipe {
@@ -20,6 +28,7 @@ impl Pipe {
         Arc::new(Pipe {
             buf: Mutex::new(VecDeque::new()),
             closed: AtomicBool::new(false),
+            reader: WakeSlot::new(),
         })
     }
 }
@@ -109,6 +118,13 @@ impl VSocket {
         self.stolen
     }
 
+    /// Wake `waker` whenever the peer writes or closes (replaces any
+    /// previous registration). Bytes already buffered announce nothing:
+    /// register, then check [`readable`](VSocket::readable).
+    pub fn set_read_waker(&self, waker: Arc<Parker>) {
+        self.rx.reader.set(waker);
+    }
+
     /// Read up to `buf.len()` bytes (non-blocking).
     pub fn read(&self, buf: &mut [u8]) -> Result<usize, SockError> {
         let mut rx = self.rx.buf.lock();
@@ -143,6 +159,7 @@ impl VSocket {
             return Err(SockError::Closed);
         }
         self.tx.buf.lock().extend(data);
+        self.tx.reader.wake();
         Ok(())
     }
 
@@ -161,6 +178,7 @@ impl VSocket {
     pub fn close(&self) {
         self.tx.closed.store(true, Ordering::Release);
         self.rx.closed.store(true, Ordering::Release);
+        self.tx.reader.wake();
     }
 }
 
@@ -183,6 +201,9 @@ pub struct VListener {
     /// Signalled whenever the backlog gains an entry, so an accepting
     /// thread can park instead of spinning when idle.
     arrived: Condvar,
+    /// The event loop accepting from this listener, if it sleeps on its
+    /// own handle rather than in [`VListener::wait_pending`].
+    acceptor: WakeSlot,
     cap: usize,
     rejected: AtomicU64,
     /// When set, sockets entering the backlog are stamped with
@@ -209,6 +230,7 @@ impl VListener {
         VListener {
             backlog: Mutex::new(VecDeque::new()),
             arrived: Condvar::new(),
+            acceptor: WakeSlot::new(),
             cap: cap.max(1),
             rejected: AtomicU64::new(0),
             stamp: AtomicBool::new(false),
@@ -218,6 +240,18 @@ impl VListener {
     /// Enable backlog-entry timestamping (connection tracing).
     pub fn set_queue_timestamps(&self, on: bool) {
         self.stamp.store(on, Ordering::Relaxed);
+    }
+
+    /// Wake `waker` whenever the backlog gains an entry (replaces any
+    /// previous registration).
+    pub fn set_accept_waker(&self, waker: Arc<Parker>) {
+        self.acceptor.set(waker);
+    }
+
+    /// Announce a backlog entry that is already queued.
+    fn announce_arrival(&self) {
+        self.arrived.notify_one();
+        self.acceptor.wake();
     }
 
     /// Client side: connect, returning the client socket.
@@ -242,7 +276,8 @@ impl VListener {
             return client;
         }
         backlog.push_back(server);
-        self.arrived.notify_one();
+        drop(backlog);
+        self.announce_arrival();
         client
     }
 
@@ -267,7 +302,8 @@ impl VListener {
             return Err(sock);
         }
         backlog.push_back(sock);
-        self.arrived.notify_one();
+        drop(backlog);
+        self.announce_arrival();
         Ok(())
     }
 

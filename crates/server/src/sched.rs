@@ -19,8 +19,9 @@
 //!   dispatcher facing all-full backlogs parks until a drain instead of
 //!   sleeping a blind backoff.
 
-use qtls_sync::{CachePadded, Condvar, Mutex};
+use qtls_sync::{CachePadded, Condvar, Mutex, Parker};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How the master dispatcher picks the worker for a new socket (the
@@ -82,6 +83,9 @@ pub struct SchedShared {
     /// `dispatch_policy` directive, re-exposed to workers for the
     /// metrics plane.
     policy: DispatchPolicy,
+    /// Every worker's wake handle, so the master can rouse sleeping
+    /// workers for something they have no event for (shutdown).
+    wakers: Mutex<Vec<Arc<Parker>>>,
 }
 
 impl SchedShared {
@@ -101,6 +105,25 @@ impl SchedShared {
             drained: Condvar::new(),
             steal,
             policy,
+            wakers: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A worker registers the handle its idle loop sleeps on.
+    pub fn register_waker(&self, waker: Arc<Parker>) {
+        self.wakers.lock().push(waker);
+    }
+
+    /// Registered workers asleep in their idle loop right now (racy;
+    /// monitoring and tests).
+    pub fn parked_workers(&self) -> usize {
+        self.wakers.lock().iter().filter(|w| w.is_parked()).count()
+    }
+
+    /// Wake every registered worker.
+    pub fn wake_workers(&self) {
+        for waker in self.wakers.lock().iter() {
+            waker.unpark();
         }
     }
 

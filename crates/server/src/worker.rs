@@ -14,7 +14,16 @@
 //!   (`stub_status`-style accounting);
 //! - completions arrive through the kernel-bypass async queue (QTLS) or
 //!   an eventfd/epoll-style FD path (QAT+A / QAT+AH), whose simulated
-//!   kernel crossings are counted.
+//!   kernel crossings are counted;
+//! - a loop with nothing to do sleeps ([`Worker::run_until`]): after a
+//!   short run of empty iterations it parks on its one wake handle,
+//!   which every event source rings *after* publishing the event —
+//!   bytes or a close on one of its sockets, `connect`/`inject` on its
+//!   listener, a response landing on one of its ring pairs (heuristic
+//!   profiles; the software stand-in for the QAT driver's event-driven
+//!   polling fd), an async-queue push or FD signal from the timer
+//!   poller's thread, and cluster shutdown. While the loop is busy none
+//!   of this changes anything: retrieval is the paper's pure poll.
 
 use crate::admission::{self, AdmissionConfig, FrameParse};
 use crate::http::{self, ContentStore, ParseOutcome};
@@ -29,6 +38,7 @@ use qtls_core::{
 };
 use qtls_crypto::TestRng;
 use qtls_qat::QatDevice;
+use qtls_sync::Parker;
 use qtls_tls::any_session::AnyServerSession;
 use qtls_tls::provider::{CryptoProvider, OffloadSelection, OpCounters};
 use qtls_tls::record::RecordCodec;
@@ -512,6 +522,30 @@ struct Conn {
 /// device to complete before giving up on them.
 const SHUTDOWN_SETTLE: Duration = Duration::from_millis(100);
 
+/// Empty iterations (yielding between them) before an idle worker parks:
+/// long enough that a symmetric/PRF offload (tens of microseconds)
+/// completes without paying a sleep and a wake, short enough that the
+/// spin is noise next to an asymmetric one (EXPERIMENTS.md, PR 16).
+const IDLE_SPINS: u32 = 32;
+
+/// Longest an idle worker sleeps. Every event source wakes it, so this
+/// only bounds what has no wake-up of its own: a sibling's backlog
+/// growing deep enough to steal from, and a caller-owned stop flag. A
+/// timed-out park costs 30-45 us of CPU in this sandbox, so 5 ms keeps
+/// an idle worker under 1 % of a core (1 ms measured 3 %).
+const IDLE_PARK: Duration = Duration::from_millis(5);
+
+/// `TC_active`: connections the loop can still make progress on without
+/// hearing from the peer — an offload pending, or bytes unread. A
+/// handshake waiting for the client's next flight is not active (the
+/// paper's alive − idle would count it; DESIGN.md §8).
+fn tc_active(conns: &HashMap<u64, Conn>) -> u64 {
+    conns
+        .values()
+        .filter(|c| matches!(c.driver, Driver::Awaiting { .. }) || c.sock.readable())
+        .count() as u64
+}
+
 /// The event-driven worker.
 pub struct Worker {
     cfg: WorkerConfig,
@@ -536,6 +570,12 @@ pub struct Worker {
     /// Set at shutdown: stop taking new accepts so still-queued
     /// sockets drain with accounting instead of being half-served.
     accepts_paused: bool,
+    /// What an idle [`run_until`](Worker::run_until) sleeps on; every
+    /// event source of this worker holds a clone.
+    wake: Arc<Parker>,
+    /// Per-sweep id lists, kept to reuse their allocations.
+    readable_scratch: Vec<u64>,
+    retry_scratch: Vec<u64>,
 }
 
 impl Worker {
@@ -582,6 +622,26 @@ impl Worker {
             Some(NotifyScheme::Fd) => Some(FdSelector::new()),
             _ => None,
         };
+        // The wake handle, registered with every source that can hand
+        // this worker an event while it sleeps. Ring pairs announce
+        // responses only to a worker that retrieves them itself.
+        let wake = Arc::new(Parker::new());
+        listener.set_accept_waker(Arc::clone(&wake));
+        let async_queue = Arc::new(AsyncQueue::new());
+        async_queue.set_waker(Arc::clone(&wake));
+        if let Some(selector) = &selector {
+            selector.set_waker(Arc::clone(&wake));
+        }
+        if let (Some(_), Some(engine)) = (&heuristic, &engine) {
+            for i in 0..engine.shard_count() {
+                engine
+                    .shard_instance(i)
+                    .set_response_waker(Arc::clone(&wake));
+            }
+        }
+        if let Some(sched) = &cfg.sched {
+            sched.register_waker(Arc::clone(&wake));
+        }
         // Async profiles batch submissions per event-loop sweep — one
         // queue per shard, so the flush policy applies per ring pair; the
         // blocking profile (QAT+S) submits in place and needs no queue.
@@ -621,7 +681,7 @@ impl Worker {
             engine,
             heuristic,
             _timer_poller: timer_poller,
-            async_queue: Arc::new(AsyncQueue::new()),
+            async_queue,
             selector,
             stats: WorkerStats::default(),
             session_seed: 0x9_0000_0000,
@@ -630,6 +690,9 @@ impl Worker {
             last_anomaly_check_ms: 0,
             in_overload: false,
             accepts_paused: false,
+            wake,
+            readable_scratch: Vec::new(),
+            retry_scratch: Vec::new(),
         }
     }
 
@@ -665,7 +728,8 @@ impl Worker {
         self.conns.len() as u64
     }
 
-    /// `TC_idle`: established connections waiting for a request.
+    /// `TC_idle`: connections waiting on the peer — nothing unread,
+    /// nothing offloaded.
     pub fn tc_idle(&self) -> u64 {
         self.tc_alive() - self.tc_active()
     }
@@ -693,11 +757,12 @@ impl Worker {
 
     /// Current worker-level statistics as one snapshot.
     fn status_snapshot(&self) -> StatusSnapshot {
+        let (tc_alive, tc_active) = (self.tc_alive(), self.tc_active());
         StatusSnapshot {
             stats: self.stats,
-            tc_alive: self.tc_alive(),
-            tc_idle: self.tc_idle(),
-            tc_active: self.tc_active(),
+            tc_alive,
+            tc_idle: tc_alive - tc_active,
+            tc_active,
             heuristic: self.heuristic.as_ref().map(|h| h.stats()),
             kernel_switches: self.kernel_switches(),
             load: self.load_gauge(),
@@ -708,15 +773,10 @@ impl Worker {
         }
     }
 
-    /// `TC_active = TC_alive - TC_idle` (§4.3): connections that are
-    /// handshaking, or have inflight work.
+    /// `TC_active` (§4.3), the timeliness rule's input and the gauge:
+    /// connections with an offload pending or bytes unread.
     pub fn tc_active(&self) -> u64 {
-        self.conns
-            .values()
-            .filter(|c| {
-                !c.established || matches!(c.driver, Driver::Awaiting { .. }) || c.sock.readable()
-            })
-            .count() as u64
+        tc_active(&self.conns)
     }
 
     fn provider(&self) -> CryptoProvider {
@@ -786,19 +846,21 @@ impl Worker {
         // connections' record I/O is driven before handshaking ones,
         // and older (further-along) handshakes before fresh
         // ClientHellos — the QFAM priority order.
-        let mut readable: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.sock.readable() || c.sock.peer_closed())
-            .map(|(id, _)| *id)
-            .collect();
+        let mut readable = std::mem::take(&mut self.readable_scratch);
+        readable.clear();
+        readable.extend(
+            self.conns
+                .iter()
+                .filter(|(_, c)| c.sock.readable() || c.sock.peer_closed())
+                .map(|(id, _)| *id),
+        );
         if self.in_overload {
             readable.sort_by_key(|id| {
                 let c = &self.conns[id];
                 (!c.established, *id)
             });
         }
-        for id in readable {
+        for &id in &readable {
             events += 1;
             let conn = self.conns.get_mut(&id).expect("exists");
             if let Driver::Awaiting { saved_read, .. } = &mut conn.driver {
@@ -811,19 +873,11 @@ impl Worker {
                 self.drive(id);
             }
         }
+        self.readable_scratch = readable;
         // 3. QAT response retrieval (heuristic profiles; timer profiles
         // poll from their dedicated thread).
         if let Some(h) = &mut self.heuristic {
-            let tc_active = self
-                .conns
-                .values()
-                .filter(|c| {
-                    !c.established
-                        || matches!(c.driver, Driver::Awaiting { .. })
-                        || c.sock.readable()
-                })
-                .count() as u64;
-            events += h.maybe_poll(tc_active);
+            events += h.maybe_poll(tc_active(&self.conns));
             events += h.failover_check();
         }
         // 4. Async event delivery.
@@ -853,17 +907,20 @@ impl Worker {
             None => {}
         }
         // 5. Ring-full retries: reschedule paused jobs.
-        let retries: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| matches!(c.driver, Driver::Awaiting { retry: true, .. }))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in retries {
+        let mut retries = std::mem::take(&mut self.retry_scratch);
+        retries.clear();
+        retries.extend(
+            self.conns
+                .iter()
+                .filter(|(_, c)| matches!(c.driver, Driver::Awaiting { retry: true, .. }))
+                .map(|(id, _)| *id),
+        );
+        for &id in &retries {
             events += 1;
             self.stats.retries += 1;
             self.resume(id);
         }
+        self.retry_scratch = retries;
         // 6. Sweep boundary: let the flush policy decide whether the
         // staged batch publishes now (one cursor publish, one doorbell)
         // or holds for a deeper batch. All submit counters come from the
@@ -931,6 +988,9 @@ impl Worker {
             self.session_seed,
         ));
         let peer_addr = sock.peer_addr();
+        // Registered before this sweep's readable scan, so bytes that
+        // beat the registration are seen there and later ones wake us.
+        sock.set_read_waker(Arc::clone(&self.wake));
         // 1-in-N sampling decision — one relaxed fetch_add when tracing
         // is on, one relaxed load when off. A sampled connection's root
         // span opens at backlog entry (if stamped) so the accept wait is
@@ -1048,13 +1108,52 @@ impl Worker {
         }
     }
 
-    /// Run the loop until `stop` returns true, yielding when idle.
+    /// Run the loop until `stop` returns true, sleeping when idle: after
+    /// [`IDLE_SPINS`] empty iterations, and with nothing staged for the
+    /// next sweep to flush, the worker parks on its wake handle until an
+    /// event source rings it, the heuristic poller's failover deadline
+    /// comes due (requests inflight), or [`IDLE_PARK`] passes. Sources
+    /// publish before they ring and the handle keeps one token, so an
+    /// event that races the park ends it at once; `stop` is re-evaluated
+    /// after every wake.
     pub fn run_until(&mut self, mut stop: impl FnMut(&mut Worker) -> bool) {
+        let mut idle = 0;
         while !stop(self) {
-            if self.run_iteration() == 0 {
+            if self.run_iteration() > 0 {
+                idle = 0;
+            } else if idle < IDLE_SPINS {
+                idle += 1;
                 std::thread::yield_now();
+            } else if self.submissions_staged() {
+                // Not idle: the sweep is the staged batch's only
+                // flusher and its hold is bounded in time.
+                std::thread::yield_now();
+            } else {
+                // `idle` stays put: a park that brought no event (the
+                // bound ran out, or a stale token) leads straight back
+                // to the next park, not through another spin.
+                let failover = self.heuristic.as_ref().and_then(|h| h.failover_in());
+                self.wake
+                    .park_timeout(failover.map_or(IDLE_PARK, |d| d.min(IDLE_PARK)));
             }
         }
+    }
+
+    /// Is any request staged on a shard's submit queue (held by the
+    /// flush policy, or handed back by a full ring)?
+    fn submissions_staged(&self) -> bool {
+        self.engine.as_ref().is_some_and(|engine| {
+            (0..engine.shard_count())
+                .filter_map(|i| engine.shard_submit_queue(i))
+                .any(|queue| !queue.is_empty())
+        })
+    }
+
+    /// The handle an idle [`run_until`](Worker::run_until) sleeps on: ring
+    /// it after changing what `stop` reads to have that noticed at once
+    /// (and read its gauges to see whether the loop sleeps).
+    pub fn wake_handle(&self) -> Arc<Parker> {
+        Arc::clone(&self.wake)
     }
 
     /// The admission gate for a connection that has not been admitted:

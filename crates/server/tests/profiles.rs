@@ -363,7 +363,7 @@ fn tc_accounting_under_keepalive_requests() {
     assert!(page.contains("alive 2 idle 2 active 0"), "{page}");
 
     // A request lands on B but has not been read yet: B turns active
-    // while A stays idle — TC_active = TC_alive - TC_idle (§4.3).
+    // while A stays idle.
     client_b
         .write_app_data(b"GET / HTTP/1.1\r\nHost: qtls\r\nConnection: keep-alive\r\n\r\n")
         .unwrap();
@@ -399,6 +399,44 @@ fn tc_accounting_under_keepalive_requests() {
         page.contains("server accepts handled requests\n 2 2 1\n"),
         "{page}"
     );
+}
+
+#[test]
+fn handshake_waiting_on_the_network_is_not_active() {
+    // A connection stops mid-handshake: its ClientHello is served and
+    // the server now waits for the client's next flight. Handshaking, no
+    // unread bytes, nothing inflight -> not active, so it cannot hold the
+    // timeliness rule's `R_total >= TC_active` hostage.
+    let listener = Arc::new(VListener::new());
+    let mut worker = Worker::new(
+        Arc::clone(&listener),
+        None,
+        WorkerConfig::new(OffloadProfile::Sw),
+    );
+    let sock = listener.connect();
+    let mut client = qtls_tls::client::ClientSession::new(
+        qtls_tls::provider::CryptoProvider::Software,
+        CipherSuite::EcdheRsa,
+        NamedCurve::P256,
+        None,
+        504,
+    );
+    client.start().unwrap();
+    sock.write(&client.take_output()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !sock.readable() {
+        worker.run_iteration();
+        assert!(Instant::now() < deadline, "ServerHello flight never came");
+    }
+    worker.run_iteration();
+    assert_eq!(worker.tc_alive(), 1);
+    assert_eq!(
+        worker.tc_active(),
+        0,
+        "waiting on the network is not active"
+    );
+    assert_eq!(worker.tc_idle(), 1);
+    assert!(worker.stub_status().contains("alive 1 idle 1 active 0"));
 }
 
 #[test]

@@ -19,12 +19,17 @@
 //!   `parking_lot` shape) rather than consuming and returning the guard.
 //! - [`CachePadded`] aligns its contents to 64 bytes so the ring's
 //!   producer and consumer cursors live on distinct cache lines.
+//! - [`Parker`] is a one-token sleep/wake handle (the
+//!   `thread::park`/`unpark` contract, but shareable before the sleeping
+//!   thread is known): a wake that races the sleep is never lost.
+//!   [`WakeSlot`] is where an event source keeps its consumer's parker.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 /// A mutual-exclusion lock whose `lock()` never fails.
@@ -201,6 +206,115 @@ impl Condvar {
     }
 }
 
+const EMPTY: u8 = 0;
+const PARKED: u8 = 1;
+const NOTIFIED: u8 = 2;
+
+/// A one-token sleep/wake handle for a single sleeper and any number of
+/// wakers. [`unpark`](Parker::unpark) leaves a token;
+/// [`park_timeout`](Parker::park_timeout) consumes one, sleeping until
+/// it arrives or the timeout passes. A wake-up that lands before the
+/// sleeper parks makes the next park return at once, so the sleeper's
+/// protocol is simply: park, *then* look for work — whoever publishes
+/// work publishes first and unparks second.
+///
+/// Waking a thread that is not parked costs one atomic swap.
+#[derive(Default)]
+pub struct Parker {
+    state: AtomicU8,
+    lock: Mutex<()>,
+    cond: Condvar,
+    /// Unparks that found the sleeper parked.
+    wakes: AtomicU64,
+}
+
+impl Parker {
+    /// A parker with no token.
+    pub const fn new() -> Self {
+        Parker {
+            state: AtomicU8::new(EMPTY),
+            lock: Mutex::new(()),
+            cond: Condvar::new(),
+            wakes: AtomicU64::new(0),
+        }
+    }
+
+    /// Consume the token, sleeping up to `timeout` for one. May return
+    /// early without a token (spurious wake-up); callers re-check their
+    /// work sources either way.
+    pub fn park_timeout(&self, timeout: Duration) {
+        if self
+            .state
+            .compare_exchange(NOTIFIED, EMPTY, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            return;
+        }
+        let mut guard = self.lock.lock();
+        if self
+            .state
+            .compare_exchange(EMPTY, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            self.cond.wait_for(&mut guard, timeout);
+        }
+        // Takes the token if one arrived, withdraws PARKED if not.
+        self.state.store(EMPTY, Ordering::SeqCst);
+    }
+
+    /// Leave a token and wake the sleeper if it is parked.
+    pub fn unpark(&self) {
+        if self.state.swap(NOTIFIED, Ordering::SeqCst) == PARKED {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            // The sleeper holds `lock` from its PARKED store until it is
+            // inside the wait, so taking it here orders the notify after
+            // the wait began.
+            drop(self.lock.lock());
+            self.cond.notify_one();
+        }
+    }
+
+    /// Is the sleeper parked right now (racy; monitoring and tests)?
+    pub fn is_parked(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == PARKED
+    }
+
+    /// How many [`unpark`](Parker::unpark) calls found the sleeper
+    /// parked and woke it — as opposed to leaving a token for a sleeper
+    /// that was awake (monitoring and tests).
+    pub fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
+}
+
+/// Where an event source keeps the [`Parker`] of whoever consumes its
+/// events. Sources (sockets, queues, ring pairs) are usually built
+/// before the loop that will sleep on them, so the target is bound late
+/// and may be absent. The source publishes its event, then calls
+/// [`wake`](WakeSlot::wake); the consumer [`set`](WakeSlot::set)s its
+/// parker, then checks the source once for events that came earlier.
+#[derive(Default)]
+pub struct WakeSlot(RwLock<Option<Arc<Parker>>>);
+
+impl WakeSlot {
+    /// A slot with nobody to wake.
+    pub const fn new() -> Self {
+        WakeSlot(RwLock::new(None))
+    }
+
+    /// Wake `parker` from now on (replaces any previous registration).
+    pub fn set(&self, parker: Arc<Parker>) {
+        *self.0.write() = Some(parker);
+    }
+
+    /// Unpark the registered parker, if any.
+    pub fn wake(&self) {
+        if let Some(parker) = self.0.read().as_ref() {
+            parker.unpark();
+        }
+    }
+}
+
 /// Pads and aligns `T` to a 64-byte cache line so that two adjacent
 /// `CachePadded` fields can never share a line (no false sharing between
 /// e.g. a ring's producer and consumer cursors).
@@ -325,6 +439,46 @@ mod tests {
         // The guard must still be usable (lock re-acquired).
         drop(g);
         assert!(lock.try_lock().is_some());
+    }
+
+    #[test]
+    fn parker_token_outlives_the_race_with_park() {
+        // Wake first, park second: the token makes the park a no-op.
+        let p = Parker::new();
+        p.unpark();
+        p.unpark(); // one token, not two
+        let t0 = std::time::Instant::now();
+        p.park_timeout(Duration::from_secs(30));
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        // The token is consumed: the next park runs out its timeout.
+        let t0 = std::time::Instant::now();
+        p.park_timeout(Duration::from_millis(10));
+        assert!(t0.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn parker_wakes_a_parked_thread() {
+        let p = Arc::new(Parker::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let p2 = Arc::clone(&p);
+        let t = std::thread::spawn(move || {
+            let mut rounds = 0u32;
+            // Every message is published before its unpark, so a park
+            // that returns finds it (or a spurious return retries).
+            while rounds < 1000 {
+                p2.park_timeout(Duration::from_secs(30));
+                while rx.try_recv().is_ok() {
+                    rounds += 1;
+                }
+            }
+        });
+        let t0 = std::time::Instant::now();
+        for _ in 0..1000 {
+            tx.send(()).unwrap();
+            p.unpark();
+        }
+        t.join().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(20), "a wake was lost");
     }
 
     #[test]

@@ -329,6 +329,57 @@ if grep -rnE 'fiber::|start_job' crates/server/src; then
 fi
 echo "ok: crates/server/src is fiber-free"
 
+echo "== one wake per request: doorbell, park/wake, no timed idle waits =="
+# The device's engines and the idle worker wait untimed or on a stated
+# deadline, so a lost wake-up is a hang, not a slowdown: the doorbell
+# stress tests and the worker park/wake suite (each under hard
+# deadlines) must run and pass.
+doorbell_suite=$(cargo test --offline -p qtls-qat --lib device:: 2>&1)
+if ! grep -qE "test result: ok. [1-9][0-9]* passed; 0 failed" <<< "$doorbell_suite"; then
+  echo "$doorbell_suite" >&2
+  echo "device doorbell tests did not run and pass" >&2
+  exit 1
+fi
+park_wake=$(cargo test --offline -p qtls-server --test park_wake 2>&1)
+if ! grep -qE "test result: ok. [1-9][0-9]* passed; 0 failed" <<< "$park_wake"; then
+  echo "$park_wake" >&2
+  echo "worker park/wake suite did not run and pass" >&2
+  exit 1
+fi
+echo "ok: doorbell stress + park/wake suites pass"
+# Neither idle path may regain a poll timeout or a spin: the engine's
+# wait is untimed, the worker's sleep goes through its wake handle.
+engine_idle=$(sed -n '/fn next_request/,/^    }/p' crates/qat/src/device.rs)
+worker_idle=$(sed -n '/pub fn run_until/,/^    }/p' crates/server/src/worker.rs)
+if [ -z "$engine_idle" ] || [ -z "$worker_idle" ]; then
+  echo "could not find the engine idle path or Worker::run_until to audit" >&2
+  exit 1
+fi
+if grep -nE 'wait_for|sleep\(|yield_now|park_timeout' <<< "$engine_idle"; then
+  echo "the engine idle path in crates/qat/src/device.rs waits timed or spins (see above)" >&2
+  exit 1
+fi
+if grep -nE 'wait_for|sleep\(|from_(micros|nanos)' <<< "$worker_idle"; then
+  echo "Worker::run_until regained a poll timeout (see above)" >&2
+  exit 1
+fi
+if ! grep -q 'park_timeout' <<< "$worker_idle"; then
+  echo "Worker::run_until no longer parks: a bare yield_now loop burns a core" >&2
+  exit 1
+fi
+echo "ok: engines wait untimed; the idle worker parks on its wake handle"
+
+echo "== trajectory gate =="
+# The newest results/BENCH_e2e.json entry must sit inside every
+# BENCHMARK.json bound (ROADMAP 3(g)).
+bench_gate=$(cargo test --offline --test bench_gate 2>&1)
+if ! grep -q "test result: ok. 1 passed" <<< "$bench_gate"; then
+  echo "$bench_gate" >&2
+  echo "results/BENCH_e2e.json's newest entry is outside a BENCHMARK.json bound" >&2
+  exit 1
+fi
+echo "ok: newest trajectory entry is inside every end-to-end bound"
+
 echo "== frozen benchmark package builds and passes against this tree =="
 # benchmark/ is frozen between benchmark-defining PRs and compiles
 # against the crates' public API by path; an accidental break of that
