@@ -605,166 +605,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     println!("obs_overhead: PASS enabled-vs-disabled delta under 2%");
 }
 
-fn bench_tracing(c: &mut Criterion) {
-    // The <2% guard for the tracing plane (DESIGN.md §16): a full
-    // server-side connection lifecycle — accept, software TLS handshake,
-    // one GET, close, reap — against a worker with tracing off vs the
-    // production 1-in-64 sampling rate. At that rate the hot path pays
-    // one relaxed fetch_add per accept and, on the sampled 1/64th of
-    // connections, a handful of clock reads and span pushes; the paired
-    // interleaved A/B below enforces that this stays under 2%.
-    use qtls_core::OffloadProfile;
-    use qtls_crypto::ecc::NamedCurve;
-    use qtls_server::net::VSocket;
-    use qtls_server::{VListener, Worker, WorkerConfig};
-    use qtls_tls::client::ClientSession;
-    use qtls_tls::provider::CryptoProvider;
-    use qtls_tls::suite::CipherSuite;
-    use std::time::Instant;
-
-    // Runs outside `bench_function`, so honour the CLI substring filter
-    // the same way the harness does.
-    if !c.selects_group("tracing") {
-        return;
-    }
-
-    fn make_worker(sample_rate: u64) -> (Arc<VListener>, Worker) {
-        let listener = Arc::new(VListener::new());
-        let mut cfg = WorkerConfig::new(OffloadProfile::Sw);
-        cfg.metrics.enabled = true;
-        cfg.metrics.trace_sample_rate = sample_rate;
-        let worker = Worker::new(Arc::clone(&listener), None, cfg);
-        (listener, worker)
-    }
-
-    fn pump(worker: &mut Worker, sock: &VSocket, client: &mut ClientSession) {
-        let out = client.take_output();
-        if !out.is_empty() {
-            sock.write(&out).expect("client -> server");
-        }
-        worker.run_iteration();
-        if let Ok(bytes) = sock.read_all() {
-            client.feed(&bytes);
-            client.process().expect("client TLS state");
-        }
-    }
-
-    /// One complete connection: handshake, a 1 KiB GET, close, and
-    /// enough iterations for the worker to reap the socket (which is
-    /// where a sampled connection publishes its trace).
-    fn conn_lifecycle(worker: &mut Worker, listener: &Arc<VListener>, seed: u64) {
-        let sock = listener.connect();
-        let mut client = ClientSession::new(
-            CryptoProvider::Software,
-            CipherSuite::EcdheRsa,
-            NamedCurve::P256,
-            None,
-            seed,
-        );
-        client.start().expect("client hello");
-        while !client.is_established() {
-            pump(worker, &sock, &mut client);
-        }
-        client
-            .write_app_data(b"GET /1kb HTTP/1.1\r\nHost: qtls\r\nConnection: keep-alive\r\n\r\n")
-            .expect("write request");
-        let mut got = 0usize;
-        while got < 1024 {
-            pump(worker, &sock, &mut client);
-            while let Some(chunk) = client.read_app_data() {
-                got += chunk.len();
-            }
-        }
-        sock.close();
-        for _ in 0..3 {
-            worker.run_iteration();
-        }
-    }
-
-    let (off_listener, mut off_worker) = make_worker(0);
-    let (on_listener, mut on_worker) = make_worker(64);
-    let mut seed = 9000u64;
-
-    let mut group = c.benchmark_group("tracing");
-    group.sample_size(10);
-    group.bench_function("conn_lifecycle/trace_off", |b| {
-        b.iter(|| {
-            seed += 1;
-            conn_lifecycle(&mut off_worker, &off_listener, seed)
-        })
-    });
-    group.bench_function("conn_lifecycle/trace_1in64", |b| {
-        b.iter(|| {
-            seed += 1;
-            conn_lifecycle(&mut on_worker, &on_listener, seed)
-        })
-    });
-    group.finish();
-
-    // Paired A/B: alternate off/on connections one-for-one, time each
-    // lifecycle individually, and compare the medians of the two
-    // per-connection populations. A ~2 ms software handshake picks up
-    // multi-millisecond scheduler spikes (the p99 above shows them), so
-    // batch sums and means are hopeless at the 2% level — medians
-    // discard the spikes entirely. Retried to ride out a noisy attempt;
-    // the 2% budget itself is never widened.
-    const CONNS_PER_SIDE: usize = 96;
-    let mut verdict = f64::MAX;
-    for attempt in 0..3 {
-        let mut off_times = Vec::with_capacity(CONNS_PER_SIDE);
-        let mut on_times = Vec::with_capacity(CONNS_PER_SIDE);
-        for _ in 0..8 {
-            seed += 1;
-            conn_lifecycle(&mut off_worker, &off_listener, seed);
-            seed += 1;
-            conn_lifecycle(&mut on_worker, &on_listener, seed);
-        }
-        for _ in 0..CONNS_PER_SIDE {
-            let t = Instant::now();
-            seed += 1;
-            conn_lifecycle(&mut off_worker, &off_listener, seed);
-            off_times.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            seed += 1;
-            conn_lifecycle(&mut on_worker, &on_listener, seed);
-            on_times.push(t.elapsed().as_secs_f64());
-        }
-        off_times.sort_by(f64::total_cmp);
-        on_times.sort_by(f64::total_cmp);
-        verdict = on_times[CONNS_PER_SIDE / 2] / off_times[CONNS_PER_SIDE / 2];
-        println!(
-            "trace_overhead: attempt {attempt} median on/off ratio {verdict:.4} \
-             (delta {:+.2}%)",
-            (verdict - 1.0) * 100.0
-        );
-        if verdict <= 1.02 {
-            break;
-        }
-    }
-    let sink = Arc::clone(on_worker.metrics_plane());
-    let sink = sink.trace_sink();
-    assert!(
-        sink.sampled() > 0,
-        "the traced worker never sampled a connection — the A/B measured nothing"
-    );
-    qtls_bench::results::write(
-        "tracing",
-        &format!(
-            "{{\n  \"bench\": \"tracing\",\n  \"sample_rate\": 64,\n  \
-             \"median_on_off_ratio\": {verdict:.4},\n  \"gate\": 1.02,\n  \
-             \"connections_per_side\": {CONNS_PER_SIDE},\n  \
-             \"sampled_connections\": {},\n  \"spans_published\": {}\n}}\n",
-            sink.sampled(),
-            sink.spans_published()
-        ),
-    );
-    assert!(
-        verdict <= 1.02,
-        "tracing overhead above the 2% budget: on/off ratio {verdict:.4}"
-    );
-    println!("trace_overhead: PASS 1-in-64 sampling delta under 2%");
-}
-
 /// Spin (yielding) until `cond` holds.
 fn spin_until(mut cond: impl FnMut() -> bool) {
     while !cond() {
@@ -1019,7 +859,6 @@ criterion_group!(
     bench_doorbell,
     bench_worker_idle,
     bench_obs_overhead,
-    bench_tracing,
     bench_async_impl
 );
 criterion_main!(benches);

@@ -10,8 +10,8 @@
 //! - [`RetrieveStage`] — response retrieval (polling) over the same
 //!   ring pair.
 //! - the notify stage — wraps completion delivery (inflight decrement +
-//!   [`crate::wait_ctx::WaitCtx::complete`], which fires the registered
-//!   [`crate::notify::Notifier`]) into the device response callback.
+//!   [`crate::wait_ctx::WaitCtx::complete`], which wakes the registered
+//!   waker) into the device response callback.
 //!
 //! An engine is a *set of shards*: each shard owns one
 //! [`CryptoInstance`] (one ring pair, ideally on its own endpoint) plus
@@ -46,7 +46,6 @@
 //! own load.
 
 use crate::fiber;
-use crate::notify::Notifier;
 use crate::obs::{self, EngineObs, EventKind, Phase, ShardObs};
 use crate::pipeline::{Backpressure, DrainReport, FlushReport, SubmitContext, SubmitQueue};
 use crate::shard::{ShardPolicy, ShardRouter};
@@ -230,7 +229,7 @@ impl RetrieveStage {
 /// The notify stage of one shard of the offload pipeline: builds the
 /// device response callback that pairs the inflight decrements
 /// (aggregate + shard) with completion delivery (parking the result and
-/// firing the registered notifier).
+/// waking the registered waker).
 struct NotifyStage {
     counters: Arc<InflightCounters>,
     shard: Arc<ShardInflight>,
@@ -243,9 +242,9 @@ impl NotifyStage {
     /// Response callback for member `index` of an offload step: undo
     /// the inflight accounting and fill the member's slot; the LAST
     /// completion (submitted, deferred or cancelled) parks the batch
-    /// marker on the step's wait context, which fires its notifier — so
+    /// marker on the step's wait context, which wakes its waker — so
     /// a whole batch costs one crypto pause. With metrics on, the
-    /// notification phase (marker parked + notifier fired) is recorded
+    /// notification phase (marker parked + waker woken) is recorded
     /// here and the fire time is stamped on the wait context for the
     /// post-processing phase.
     fn completion(
@@ -607,7 +606,7 @@ impl OffloadEngine {
     /// [`Self::flush_submissions`] publishes it with the rest of the
     /// sweep (unless the flush policy says load is light enough to ring
     /// the doorbell in place). Either way the caller pauses ONCE: the
-    /// last member's completion fires the notifier.
+    /// last member's completion wakes the waker.
     ///
     /// Whatever a full ring would not take is staged on the shard's
     /// submit queue when the caller is on the event loop (published by
@@ -646,7 +645,7 @@ impl OffloadEngine {
                     return (Waiter::SelfPoll, ctx);
                 }
                 let parker = Arc::new(Parker::new());
-                ctx.set_notifier(Arc::clone(&parker) as Arc<dyn Notifier>, 0);
+                ctx.set_waker(Arc::clone(&parker).into());
                 (Waiter::Parked(parker), ctx)
             }
         }
@@ -866,7 +865,7 @@ enum Waiter {
     /// itself.
     SelfPoll,
     /// A blocking caller behind an external poller: sleeps on the
-    /// notifier of its private wait context until the poller delivers.
+    /// waker of its private wait context until the poller delivers.
     Parked(Arc<Parker>),
 }
 
@@ -965,7 +964,6 @@ mod tests {
     use super::*;
     use crate::fiber::{start_job, StartResult};
     use qtls_qat::{QatConfig, QatDevice};
-    use std::sync::mpsc;
 
     fn device() -> QatDevice {
         QatDevice::new(QatConfig::functional_small())
@@ -1359,25 +1357,15 @@ mod tests {
             StartResult::Paused(j) => j,
             _ => panic!(),
         };
-        let (tx, rx) = mpsc::channel();
-        job.wait_ctx().set_callback(
-            Arc::new(move |arg| {
-                let _ = tx.send(arg);
-            }),
-            4242,
-        );
+        let queue = Arc::new(crate::notify::AsyncQueue::<u64>::new());
+        job.wait_ctx().set_waker(queue.waker(4242));
         let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
+        while queue.is_empty() {
             engine.poll_all();
-            match rx.try_recv() {
-                Ok(arg) => {
-                    assert_eq!(arg, 4242);
-                    break;
-                }
-                Err(_) => assert!(Instant::now() < deadline, "callback never fired"),
-            }
+            assert!(Instant::now() < deadline, "callback never fired");
             std::thread::yield_now();
         }
+        assert_eq!(queue.drain(), vec![4242]);
         match job.resume() {
             StartResult::Finished(r) => assert_eq!(r.unwrap().into_bytes().len(), 4),
             _ => panic!(),

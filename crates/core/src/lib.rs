@@ -7,7 +7,7 @@
 //! 1. **Pre-processing** — [`engine::OffloadEngine`] (a thin
 //!    composition of submit/retrieve/notify stages) submits the crypto
 //!    request through the device's non-blocking ring API and answers
-//!    `Poll::Pending`: the service pass that reached the offload is a
+//!    `Poll::Pending`: the connection that reached the offload is a
 //!    future the event loop polls ([`task`]), so the crypto pause is a
 //!    plain return into the loop. With a [`pipeline::SubmitQueue`]
 //!    attached, submissions are staged per event-loop sweep and
@@ -18,7 +18,8 @@
 //!    implements the heuristic scheme (efficiency threshold, timeliness
 //!    rule, failover), with [`poller::TimerPoller`] as the timer-thread
 //!    baseline.
-//! 3. **Async event notification** — [`notify::AsyncQueue`] is the
+//! 3. **Async event notification** — the task's [`std::task::Waker`],
+//!    registered on its wait context: [`notify::AsyncQueue`] is the
 //!    kernel-bypass channel; [`notify::VirtualFd`] + [`notify::FdSelector`]
 //!    model the FD/epoll baseline, with every simulated kernel crossing
 //!    counted by [`notify::KernelCostMeter`].
@@ -62,7 +63,7 @@ pub use engine::{
     EngineMode, InflightCounters, Offload, OffloadEngine, RetrieveStage, SubmitStage,
 };
 pub use fiber::{in_job, pause_job, start_job, AsyncJob, StartResult};
-pub use notify::{AsyncQueue, FdSelector, KernelCostMeter, Notifier, VirtualFd};
+pub use notify::{AsyncQueue, FdSelector, KernelCostMeter, VirtualFd};
 pub use obs::{
     EngineObs, EventKind, FlightEvent, FlightRecorder, HistSnapshot, Histogram, Phase, ShardObs,
 };
@@ -75,4 +76,4 @@ pub use profile::{NotifyScheme, OffloadProfile, PollingScheme};
 pub use shard::{ShardPolicy, ShardRouter};
 pub use stack::{StackAsyncOp, StackPoll};
 pub use task::{current_wait_ctx, poll_pass, run_sync};
-pub use wait_ctx::{AsyncCallback, WaitCtx};
+pub use wait_ctx::WaitCtx;

@@ -13,6 +13,12 @@
 //!    handlers, appended to by the response callback and drained at the
 //!    end of the main event loop. No kernel crossings at all.
 //!
+//! Either is handed to a [`WaitCtx`](crate::wait_ctx::WaitCtx) as a
+//! [`Waker`] — the paper's `(callback, callback_arg)` pair:
+//! [`AsyncQueue::waker`] appends its token (the connection id), a
+//! `VirtualFd` is signalled. A blocking caller's [`Parker`] is the third
+//! waker (`qtls_sync`).
+//!
 //! Both can carry the event loop's [`Parker`]: a completion delivered
 //! from a foreign thread (the timer poller's) then wakes a loop that
 //! went to sleep with nothing else to do.
@@ -21,41 +27,8 @@ use qtls_sync::{Condvar, Mutex, Parker, WakeSlot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::Duration;
-
-/// A pluggable completion-delivery mechanism: how "your crypto result
-/// is ready" reaches the event loop. Implemented by the kernel-bypass
-/// [`AsyncQueue`] (append the handler token — pure user space) and by
-/// [`VirtualFd`] (signal the eventfd — a counted kernel crossing), so
-/// the engine and wait context are agnostic of the notification scheme
-/// the profile selected (§3.4 / §4.4).
-pub trait Notifier: Send + Sync {
-    /// Deliver `token` (the async-handler information the application
-    /// registered, e.g. a connection id).
-    fn notify(&self, token: u64);
-}
-
-impl Notifier for AsyncQueue<u64> {
-    fn notify(&self, token: u64) {
-        self.push(token);
-    }
-}
-
-impl Notifier for VirtualFd {
-    fn notify(&self, _token: u64) {
-        // The FD scheme identifies the connection by the FD itself; the
-        // token travels out-of-band (the selector returns ready ids).
-        self.signal();
-    }
-}
-
-/// A blocking caller sleeping on its private wait context: the
-/// completion is the wake-up.
-impl Notifier for Parker {
-    fn notify(&self, _token: u64) {
-        self.unpark();
-    }
-}
 
 /// Global-ish meter of simulated user/kernel mode switches. One meter is
 /// shared per worker so the QAT+A vs QTLS notification cost is directly
@@ -123,6 +96,14 @@ impl VirtualFd {
             m.record(1);
         }
         self.counter.swap(0, Ordering::AcqRel)
+    }
+}
+
+/// Waking signals the FD (the response callback's `write(fd)`); the
+/// selector then reports the FD's id, which names the connection.
+impl Wake for VirtualFd {
+    fn wake(self: Arc<Self>) {
+        self.signal();
     }
 }
 
@@ -293,6 +274,30 @@ impl<T> AsyncQueue<T> {
     }
 }
 
+/// The kernel-bypass callback and its argument: waking appends `token`
+/// to `queue`.
+struct QueueWaker {
+    queue: Arc<AsyncQueue<u64>>,
+    token: u64,
+}
+
+impl Wake for QueueWaker {
+    fn wake(self: Arc<Self>) {
+        self.queue.push(self.token);
+    }
+}
+
+impl AsyncQueue<u64> {
+    /// A waker that appends `token` (the async-handler information the
+    /// application registered, e.g. a connection id) to this queue.
+    pub fn waker(self: &Arc<Self>, token: u64) -> Waker {
+        Waker::from(Arc::new(QueueWaker {
+            queue: Arc::clone(self),
+            token,
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,13 +362,12 @@ mod tests {
     }
 
     #[test]
-    fn notifier_trait_unifies_queue_and_fd() {
-        // Same trait object type, both delivery schemes.
+    fn one_waker_type_covers_queue_and_fd() {
         let queue = Arc::new(AsyncQueue::<u64>::new());
         let fd = Arc::new(VirtualFd::new(4));
-        let notifiers: Vec<Arc<dyn Notifier>> = vec![Arc::clone(&queue) as _, Arc::clone(&fd) as _];
-        for n in &notifiers {
-            n.notify(31);
+        let wakers: Vec<Waker> = vec![queue.waker(31), Arc::clone(&fd).into()];
+        for waker in &wakers {
+            waker.wake_by_ref();
         }
         assert_eq!(queue.drain(), vec![31]);
         assert!(fd.is_ready());
@@ -384,11 +388,11 @@ mod tests {
         let t0 = std::time::Instant::now();
         std::thread::scope(|scope| {
             let (q, fd) = (Arc::clone(&queue), Arc::clone(&fd));
-            scope.spawn(move || q.notify(17));
+            scope.spawn(move || q.waker(17).wake());
             while queue.is_empty() {
                 parker.park_timeout(Duration::from_secs(3600));
             }
-            scope.spawn(move || fd.notify(0));
+            scope.spawn(move || Waker::from(fd).wake());
             while sel.poll_ready().is_empty() {
                 parker.park_timeout(Duration::from_secs(3600));
             }

@@ -762,9 +762,9 @@ impl Span {
 }
 
 /// The span tree of one sampled connection. Single-writer by
-/// construction — owned by the connection it traces and touched only by
-/// the worker (or the service pass) currently driving that connection — so begin /
-/// end / annotate are plain `Vec` pushes with no atomics and no locks.
+/// construction — owned by the task of the connection it traces — so
+/// begin / end / annotate are plain `Vec` pushes with no atomics and no
+/// locks.
 /// Unsampled connections hold `None` instead and allocate nothing.
 #[derive(Clone, Debug)]
 pub struct ConnTrace {
@@ -850,8 +850,8 @@ impl ConnTrace {
     }
 
     /// Record an already-measured interval as a completed child of the
-    /// innermost open span (used for intervals measured while a pending
-    /// service pass owned the connection context).
+    /// innermost open span (used for the offload waits measured around
+    /// the polls of a pending service pass).
     pub fn add(&mut self, kind: SpanKind, start_ns: u64, end_ns: u64, a: u64, b: u64) {
         let parent = self.open.last().copied();
         self.spans.push(Span {

@@ -1,14 +1,14 @@
-//! Task async: the production pause/resume mechanism. A service pass
-//! is a compiler-generated state machine (an `async fn` future) that
-//! the event loop polls; the *crypto pause* is `Poll::Pending` — a
-//! plain return — and the *resume* is the next `poll` — a plain call.
-//! No thread, no condvar, no second stack.
+//! Task async: the production pause/resume mechanism. A connection is
+//! a compiler-generated state machine (an `async fn` future) that the
+//! event loop polls; the *crypto pause* is `Poll::Pending` — a plain
+//! return — and the *resume* is the next `poll` — a plain call. No
+//! thread, no condvar, no second stack.
 //!
-//! No executor is involved: the application owns its futures and
-//! decides when to poll them (after the pass's
-//! [`Notifier`](crate::notify::Notifier) token arrived, or to retry a
-//! full ring), so every poll runs under `Waker::noop()`. What a poll
-//! does need is the pass's [`WaitCtx`] — the rendezvous the engine
+//! The application owns its futures and is their executor: it polls a
+//! task when the task's [`Waker`] — registered on the task's
+//! [`WaitCtx`], the paper's notification callback — has named it, or to
+//! retry a full ring, and every poll runs under that waker. What a poll
+//! needs besides is the [`WaitCtx`] itself — the rendezvous the engine
 //! parks results on — and the engine finds it through the thread-local
 //! installed here for the duration of each poll. The legacy
 //! [`fiber`](crate::fiber) jobs install theirs the same way, which is
@@ -47,18 +47,21 @@ pub fn current_wait_ctx() -> Option<Arc<WaitCtx>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Poll a service pass once. With `ctx` installed, every offload the
-/// pass reaches parks its result there and answers `Pending`; the
-/// caller registers its notifier on `ctx` *before* the first poll, so
-/// no completion can slip past it. With `None` (profiles that never
-/// pause) offloads block in place and the pass is `Ready` on its first
-/// poll.
+/// Poll a task once, under the waker registered on `ctx`. With `ctx`
+/// installed, every offload the task reaches parks its result there and
+/// answers `Pending`; the caller registers its waker on `ctx` *before*
+/// the first poll, so no completion can slip past it (a context without
+/// one is for a caller that polls on its own schedule). With `None`
+/// (profiles that never pause) offloads block in place and never pend.
 pub fn poll_pass<F: Future + ?Sized>(
     ctx: Option<&Arc<WaitCtx>>,
     pass: Pin<&mut F>,
 ) -> Poll<F::Output> {
+    let waker = ctx.and_then(|ctx| ctx.waker());
     let _restore = install(ctx.cloned());
-    pass.poll(&mut Context::from_waker(Waker::noop()))
+    pass.poll(&mut Context::from_waker(
+        waker.as_ref().unwrap_or(Waker::noop()),
+    ))
 }
 
 /// Run `fut` to completion on the calling thread — the synchronous
@@ -87,6 +90,19 @@ mod tests {
         assert!(poll_pass(Some(&ctx), pass.as_mut()).is_ready());
         assert_eq!(ctx.ready_marker(), Some(9));
         assert!(current_wait_ctx().is_none());
+    }
+
+    #[test]
+    fn a_poll_runs_under_the_registered_waker() {
+        let queue = Arc::new(crate::notify::AsyncQueue::<u64>::new());
+        let ctx = Arc::new(WaitCtx::new());
+        ctx.set_waker(queue.waker(5));
+        let mut pass = pin!(std::future::poll_fn(|cx| {
+            cx.waker().wake_by_ref();
+            Poll::Ready(())
+        }));
+        assert!(poll_pass(Some(&ctx), pass.as_mut()).is_ready());
+        assert_eq!(queue.drain(), vec![5]);
     }
 
     #[test]

@@ -3,31 +3,16 @@
 //! `callback_arg` (§4.4), plus the parked crypto result that the engine
 //! stores between pause and resume.
 //!
-//! Completion delivery goes through one pluggable
-//! [`Notifier`](crate::notify::Notifier) slot: `set_callback` (the
-//! `SSL_set_async_callback` analogue) and `set_fd` are adapters over
-//! the same slot, so the context is agnostic of the notification scheme
-//! and the last-registered mechanism wins.
+//! The paper's callback and its argument are one [`Waker`] here: the
+//! application registers how a completion reaches it
+//! ([`WaitCtx::set_waker`], the `SSL_set_async_callback` analogue) and
+//! the context is agnostic of the notification scheme behind it — the
+//! kernel-bypass queue, the FD baseline or a blocking caller's parker
+//! (see [`crate::notify`]).
 
-use crate::notify::{Notifier, VirtualFd};
 use qtls_qat::CryptoResult;
 use qtls_sync::Mutex;
-use std::sync::Arc;
-
-/// The application-level notification callback (paper §4.4): invoked by
-/// the QAT response callback with `callback_arg` to enqueue the async
-/// handler without touching the kernel.
-pub type AsyncCallback = Arc<dyn Fn(u64) + Send + Sync>;
-
-/// Adapter presenting the paper's `(callback, callback_arg)` pair as a
-/// [`Notifier`].
-struct CallbackNotifier(AsyncCallback);
-
-impl Notifier for CallbackNotifier {
-    fn notify(&self, token: u64) {
-        (self.0)(token)
-    }
-}
+use std::task::Waker;
 
 #[derive(Default)]
 struct Inner {
@@ -37,8 +22,8 @@ struct Inner {
     /// must reschedule the job to retry (§3.2 "failure of crypto
     /// submission").
     needs_retry: bool,
-    /// Completion delivery: the registered notifier and its token.
-    notifier: Option<(Arc<dyn Notifier>, u64)>,
+    /// Completion delivery: woken once a result is parked.
+    waker: Option<Waker>,
     /// Free-form user tag (diagnostics/tests).
     tag: Option<u64>,
     /// Trace stamp: when the notification was fired for the currently
@@ -64,42 +49,30 @@ impl WaitCtx {
         Self::default()
     }
 
-    /// `SSL_set_async_callback` equivalent: register the kernel-bypass
-    /// callback and its argument (the async-handler information).
-    pub fn set_callback(&self, cb: AsyncCallback, arg: u64) {
-        self.set_notifier(Arc::new(CallbackNotifier(cb)), arg);
+    /// `SSL_set_async_callback` equivalent: register how a completion
+    /// on this context reaches the application. Replaces whatever was
+    /// registered before.
+    pub fn set_waker(&self, waker: Waker) {
+        self.inner.lock().waker = Some(waker);
     }
 
-    /// Set-FD API: associate an eventfd-like FD for FD-based
-    /// notification (the FD itself is the [`Notifier`]).
-    pub fn set_fd(&self, fd: Arc<VirtualFd>) {
-        let token = fd.id;
-        self.set_notifier(fd, token);
-    }
-
-    /// Register the completion-delivery mechanism directly. Replaces
-    /// whatever was registered before (last one wins).
-    pub fn set_notifier(&self, notifier: Arc<dyn Notifier>, token: u64) {
-        self.inner.lock().notifier = Some((notifier, token));
-    }
-
-    /// Is a completion-delivery mechanism registered?
-    pub fn has_notifier(&self) -> bool {
-        self.inner.lock().notifier.is_some()
+    /// The registered waker, if any (what a poll of the job runs under).
+    pub fn waker(&self) -> Option<Waker> {
+        self.inner.lock().waker.clone()
     }
 
     /// Park a crypto result (called by the QAT response callback) and
-    /// fire the registered notifier, if any. The notifier is chosen
-    /// under the lock but fired outside it, so a notification handler
-    /// may re-enter the context.
+    /// wake the registered waker, if any. The waker is chosen under the
+    /// lock but woken outside it, so a wake handler may re-enter the
+    /// context.
     pub fn complete(&self, result: CryptoResult) {
-        let notification = {
+        let waker = {
             let mut inner = self.inner.lock();
             inner.result = Some(result);
-            inner.notifier.clone()
+            inner.waker.clone()
         };
-        if let Some((notifier, token)) = notification {
-            notifier.notify(token);
+        if let Some(waker) = waker {
+            waker.wake();
         }
     }
 
@@ -164,7 +137,7 @@ impl WaitCtx {
 mod tests {
     use super::*;
     use qtls_qat::CryptoOutput;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn result_parking() {
@@ -178,44 +151,28 @@ mod tests {
     }
 
     #[test]
-    fn callback_fires_with_arg() {
-        let ctx = WaitCtx::new();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        ctx.set_callback(Arc::new(move |arg| h.store(arg, Ordering::SeqCst)), 77);
-        ctx.complete(Ok(CryptoOutput::Bytes(vec![])));
-        assert_eq!(hits.load(Ordering::SeqCst), 77);
-    }
-
-    #[test]
-    fn callback_takes_precedence_over_fd() {
-        let ctx = WaitCtx::new();
-        let fd = Arc::new(VirtualFd::new(1));
-        ctx.set_fd(Arc::clone(&fd));
-        let hit = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hit);
-        ctx.set_callback(
-            Arc::new(move |_| {
-                h.fetch_add(1, Ordering::SeqCst);
-            }),
-            0,
-        );
-        ctx.complete(Ok(CryptoOutput::Bytes(vec![])));
-        assert_eq!(hit.load(Ordering::SeqCst), 1);
-        assert!(!fd.is_ready(), "FD path must be bypassed");
-    }
-
-    #[test]
-    fn notifier_slot_delivers_token_through_queue() {
+    fn completion_wakes_the_registered_waker_with_its_token() {
         use crate::notify::AsyncQueue;
         let ctx = WaitCtx::new();
-        assert!(!ctx.has_notifier());
+        assert!(ctx.waker().is_none());
         let queue = Arc::new(AsyncQueue::<u64>::new());
-        ctx.set_notifier(Arc::clone(&queue) as _, 91);
-        assert!(ctx.has_notifier());
+        ctx.set_waker(queue.waker(91));
         ctx.complete(Ok(CryptoOutput::Bytes(vec![])));
         assert_eq!(queue.drain(), vec![91]);
         assert!(ctx.has_result());
+    }
+
+    #[test]
+    fn last_registered_waker_wins() {
+        use crate::notify::{AsyncQueue, VirtualFd};
+        let ctx = WaitCtx::new();
+        let fd = Arc::new(VirtualFd::new(1));
+        ctx.set_waker(Arc::clone(&fd).into());
+        let queue = Arc::new(AsyncQueue::<u64>::new());
+        ctx.set_waker(queue.waker(77));
+        ctx.complete(Ok(CryptoOutput::Bytes(vec![])));
+        assert_eq!(queue.drain(), vec![77]);
+        assert!(!fd.is_ready(), "FD path must be bypassed");
     }
 
     #[test]

@@ -50,9 +50,6 @@ pub struct EngineDirectives {
     pub shard_policy: ShardPolicy,
     /// Observability plane (`qat_metrics` directive family).
     pub metrics: MetricsConfig,
-    /// Hand established connections to the batched record codec
-    /// (`qat_record_offload on|off`).
-    pub record_offload: bool,
     /// Records per data-plane batch submission
     /// (`qat_record_batch_depth N`).
     pub record_batch_depth: usize,
@@ -92,7 +89,6 @@ impl Default for EngineDirectives {
             worker_shards: 0,
             shard_policy: ShardPolicy::default(),
             metrics: MetricsConfig::default(),
-            record_offload: true,
             record_batch_depth: qtls_tls::record::RecordCodec::DEFAULT_BATCH,
             session_store_shards: 8,
             session_timeout: Duration::from_secs(3600),
@@ -305,11 +301,6 @@ pub fn parse_ssl_engine_conf(input: &str) -> Result<EngineDirectives, ConfError>
                 out.shard_policy = ShardPolicy::from_name(&value)
                     .ok_or_else(|| ConfError::BadValue(token.clone()))?;
             }
-            "qat_record_offload" => match value.as_str() {
-                "on" => out.record_offload = true,
-                "off" => out.record_offload = false,
-                _ => return Err(ConfError::BadValue(token.clone())),
-            },
             "qat_record_batch_depth" => {
                 let depth = parse_u64(&value)? as usize;
                 if depth == 0 {
@@ -650,17 +641,14 @@ ssl_engine {
     use qat_engine;
     qat_engine {
         qat_offload_mode async;
-        qat_record_offload off;
         qat_record_batch_depth 32;
     }
 }
 "#;
         let d = parse_ssl_engine_conf(conf).unwrap();
-        assert!(!d.record_offload);
         assert_eq!(d.record_batch_depth, 32);
-        // Defaults: data plane on, codec default batch depth.
+        // Default: the codec's batch depth.
         let d = parse_ssl_engine_conf(APPENDIX_EXAMPLE).unwrap();
-        assert!(d.record_offload);
         assert_eq!(
             d.record_batch_depth,
             qtls_tls::record::RecordCodec::DEFAULT_BATCH
@@ -670,7 +658,6 @@ ssl_engine {
     #[test]
     fn record_plane_rejects_bad_values() {
         for bad in [
-            "ssl_engine { use qat_engine; qat_engine { qat_record_offload maybe; } }",
             "ssl_engine { use qat_engine; qat_engine { qat_record_batch_depth 0; } }",
             "ssl_engine { use qat_engine; qat_engine { qat_record_batch_depth deep; } }",
         ] {

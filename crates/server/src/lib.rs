@@ -2,8 +2,9 @@
 //!
 //! A miniature Nginx: one thread, many connections, non-blocking virtual
 //! sockets, an HTTP/1.1 subset, and the QTLS modifications of paper §4.2
-//! (TLS-ASYNC state, saved read handlers, heuristic polling integration,
-//! kernel-bypass async queue). All five offload configurations (`SW`,
+//! (a connection is one polled task, whose being parked on an offload
+//! is the TLS-ASYNC state; heuristic polling integration; kernel-bypass
+//! async queue). All five offload configurations (`SW`,
 //! `QAT+S`, `QAT+A`, `QAT+AH`, `QTLS`) are wired end-to-end and can be
 //! exercised against the closed-loop load generators in [`loadgen`].
 
@@ -12,6 +13,7 @@
 pub mod admission;
 pub mod cluster;
 pub mod config_file;
+mod conn;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;

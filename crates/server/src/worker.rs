@@ -2,18 +2,21 @@
 //! with the QTLS modifications of §4.2:
 //!
 //! - one thread handles many connections over non-blocking sockets;
-//! - each service pass (TLS state machine + HTTP layer) is a future the
-//!   worker polls: when a crypto request is submitted the poll returns
-//!   `Pending` (async profiles), the connection enters the **TLS-ASYNC**
-//!   state and the loop moves on — the pause is a return, the resume the
-//!   next poll, no thread or stack switch either way;
-//! - read events that arrive while an async event is expected are saved
-//!   and replayed after the async event is processed ("event disorder");
+//! - each connection is one long-lived task (`conn`, boxed once at
+//!   accept) and the worker is its executor. When a crypto request is
+//!   submitted the poll returns `Pending` (async profiles) and the loop
+//!   moves on: the pause is a return, the resume the next poll, no
+//!   thread or stack switch either way;
+//! - a task parked on an offload (the **TLS-ASYNC** state) is polled
+//!   only when its waker names it or to retry a full ring, never for
+//!   socket readiness: "event disorder" needs no saved read handler;
 //! - the heuristic polling scheme runs inside the loop, fed by the
 //!   engine's inflight counters and the worker's `TC_active` statistic
 //!   (`stub_status`-style accounting);
-//! - completions arrive through the kernel-bypass async queue (QTLS) or
-//!   an eventfd/epoll-style FD path (QAT+A / QAT+AH), whose simulated
+//! - completions arrive through the task's `Waker` — the paper's
+//!   notification callback and its argument: it appends the connection
+//!   id to the kernel-bypass async queue (QTLS) or signals the
+//!   connection's eventfd-style FD (QAT+A / QAT+AH), whose simulated
 //!   kernel crossings are counted;
 //! - a loop with nothing to do sleeps ([`Worker::run_until`]): after a
 //!   short run of empty iterations it parks on its one wake handle,
@@ -25,31 +28,31 @@
 //!   poller's thread, and cluster shutdown. While the loop is busy none
 //!   of this changes anything: retrieval is the paper's pure poll.
 
-use crate::admission::{self, AdmissionConfig, FrameParse};
-use crate::http::{self, ContentStore, ParseOutcome};
+use crate::admission::AdmissionConfig;
+use crate::conn::{ConnCtx, Connection, Progress, Spans, TaskEnv};
+use crate::http::ContentStore;
 use crate::metrics::{self, MetricsConfig, MetricsPlane, StatusSnapshot};
-use crate::net::{SockError, VListener, VSocket};
+use crate::net::{VListener, VSocket};
 use crate::sched::SchedShared;
 use qtls_core::obs::{self, ConnTrace, SpanKind};
 use qtls_core::{
     poll_pass, AsyncQueue, EngineMode, FdSelector, FlushPolicyConfig, HeuristicConfig,
-    HeuristicPoller, Notifier, NotifyScheme, OffloadEngine, OffloadProfile, PollingScheme,
-    ShardPolicy, SubmitQueue, TimerPoller, VirtualFd, WaitCtx,
+    HeuristicPoller, NotifyScheme, OffloadEngine, OffloadProfile, PollingScheme, ShardPolicy,
+    SubmitQueue, TimerPoller, VirtualFd, WaitCtx,
 };
 use qtls_crypto::TestRng;
 use qtls_qat::QatDevice;
-use qtls_sync::Parker;
+use qtls_sync::{Mutex, Parker};
 use qtls_tls::any_session::AnyServerSession;
 use qtls_tls::provider::{CryptoProvider, OffloadSelection, OpCounters};
 use qtls_tls::record::RecordCodec;
 use qtls_tls::server::ServerConfig;
 use qtls_tls::suite::Version;
-use qtls_tls::TlsError;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::Poll;
 use std::time::{Duration, Instant};
 
 /// Worker configuration.
@@ -81,10 +84,6 @@ pub struct WorkerConfig {
     pub shard_policy: ShardPolicy,
     /// Observability plane (the `qat_metrics` directive family).
     pub metrics: MetricsConfig,
-    /// Hand established connections off to the batched record codec
-    /// (the `qat_record_offload` directive). Off = the handshake
-    /// session keeps serving application records one at a time.
-    pub record_offload: bool,
     /// Records staged per data-plane batch submission (the
     /// `qat_record_batch_depth` directive).
     pub record_batch: usize,
@@ -117,7 +116,6 @@ impl WorkerConfig {
             shards: 0,
             shard_policy: ShardPolicy::default(),
             metrics: MetricsConfig::default(),
-            record_offload: true,
             record_batch: RecordCodec::DEFAULT_BATCH,
             admission: AdmissionConfig::default(),
             sched: None,
@@ -140,7 +138,6 @@ impl WorkerConfig {
             shards: d.worker_shards,
             shard_policy: d.shard_policy,
             metrics: d.metrics,
-            record_offload: d.record_offload,
             record_batch: d.record_batch_depth,
             admission: d.admission,
             sched: None,
@@ -256,266 +253,75 @@ fn folded_submit_stats(engine: &OffloadEngine) -> Option<FoldedSubmit> {
     Some(folded)
 }
 
-/// The bundle a service pass owns while it runs: the TLS session plus
-/// the connection's HTTP parsing state and, once the handshake control
-/// plane has handed off, the batched data-plane record codec.
-struct ConnCtx {
-    session: Box<AnyServerSession>,
-    http_buf: Vec<u8>,
-    /// The data-plane codec; `Some` after the post-Finished handoff.
-    codec: Option<RecordCodec>,
-    /// Provider + counters the data plane seals/opens through (the
-    /// handshake session keeps its own for control-plane ops).
-    provider: CryptoProvider,
-    counters: OpCounters,
-    rng: TestRng,
-    /// Wire records sealed by the codec this pass, flushed to the
-    /// socket by `finish_service`.
-    wire_out: Vec<u8>,
-    record_offload: bool,
-    record_batch: usize,
-    /// The connection's span tree when it was sampled for tracing;
-    /// `None` (no allocation, no clock reads) otherwise.
-    trace: Option<ConnTrace>,
-    /// Open handshake span, until the flight that completes it.
-    hs_span: Option<u32>,
-    /// Open serve span for the current established service pass.
-    serve_span: Option<u32>,
+/// What a connection's task is parked on, which decides what may poll
+/// it next.
+#[derive(Clone, Copy, PartialEq)]
+enum Parked {
+    /// Its socket: polled when input is readable.
+    Input,
+    /// An offload (§4.2's TLS-ASYNC state): polled when its waker names
+    /// it — or, with `retry`, next sweep, to republish what a full
+    /// request ring handed back.
+    Offload { retry: bool },
 }
 
-/// Result of one service pass over a connection.
-struct ServiceReport {
-    handshake_done: bool,
-    resumed: bool,
-    resume_miss: bool,
-    requests: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
-    /// This pass performed the control-plane → data-plane handoff.
-    handoff: bool,
-    close: bool,
-    error: Option<TlsError>,
-}
-
-/// One service pass in flight: owns the connection's context until it
-/// resolves, handing it back with the pass's report. Dropping it (the
-/// connection went away mid-offload) drops the context with it.
-type Pass = Pin<Box<dyn Future<Output = (ConnCtx, ServiceReport)> + Send>>;
-
-/// Run the TLS state machine + HTTP layer over whatever input has been
-/// fed. Every crypto call inside is awaited, so under the async profiles
-/// the pass is pending wherever an offload is in flight.
-async fn service(ctx: &mut ConnCtx, content: &ContentStore, plane: &MetricsPlane) -> ServiceReport {
-    let mut report = ServiceReport {
-        handshake_done: false,
-        resumed: false,
-        resume_miss: false,
-        requests: 0,
-        bytes_sent: 0,
-        bytes_received: 0,
-        handoff: false,
-        close: false,
-        error: None,
-    };
-    if ctx.codec.is_none() {
-        let was_established = ctx.session.is_established();
-        match ctx.session.process_async().await {
-            Ok(()) => {}
-            Err(e) => {
-                report.error = Some(e);
-                report.close = true;
-                return report;
-            }
-        }
-        if !was_established && ctx.session.is_established() {
-            report.handshake_done = true;
-            report.resumed = ctx.session.was_resumed();
-            report.resume_miss = ctx.session.resume_missed();
-        }
-        // Application data the handshake session decrypted before the
-        // handoff (e.g. a request pipelined behind Finished).
-        while let Some(chunk) = ctx.session.read_app_data() {
-            report.bytes_received += chunk.len() as u64;
-            ctx.http_buf.extend_from_slice(&chunk);
-        }
-        // Control plane → data plane: once established, the handshake
-        // session exports its record secrets (sequence spaces included)
-        // and the batched codec owns record protection from here on.
-        if ctx.record_offload && ctx.session.is_established() {
-            match ctx.session.extract_secrets() {
-                Ok((secrets, leftover)) => {
-                    ctx.codec = Some(RecordCodec::new(secrets, leftover, ctx.record_batch));
-                    report.handoff = true;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    report.close = true;
-                    return report;
-                }
-            }
-        }
-    }
-    if let Some(codec) = &mut ctx.codec {
-        let mut plain = Vec::new();
-        let open_span = ctx
-            .trace
-            .as_mut()
-            .map(|t| t.begin(SpanKind::RecordOpen, obs::now_ns()));
-        match codec
-            .open_into_async(&mut plain, &ctx.provider, &mut ctx.counters)
-            .await
-        {
-            Ok(records) => {
-                if let (Some(trace), Some(id)) = (&mut ctx.trace, open_span) {
-                    trace.end_annotated(id, obs::now_ns(), records as u64, plain.len() as u64);
-                }
-                report.bytes_received += plain.len() as u64;
-                ctx.http_buf.extend_from_slice(&plain);
-            }
-            Err(e) => {
-                if let (Some(trace), Some(id)) = (&mut ctx.trace, open_span) {
-                    trace.end(id, obs::now_ns());
-                }
-                report.error = Some(e);
-                report.close = true;
-                return report;
-            }
-        }
-    }
-    loop {
-        match http::parse_request(&ctx.http_buf) {
-            ParseOutcome::Complete(req, used) => {
-                ctx.http_buf.drain(..used);
-                // Observability endpoints take a query string; plain
-                // content paths never carry one.
-                let (path, query) = match req.path.split_once('?') {
-                    Some((p, q)) => (p, q),
-                    None => (req.path.as_str(), ""),
-                };
-                let (status, reason, body) = if req.method != "GET" {
-                    (405, "Method Not Allowed", Vec::new())
-                } else if let Some((status, reason, text)) = plane.serve(path, query) {
-                    (status, reason, text.into_bytes())
-                } else {
-                    match content.get(path) {
-                        Some(body) => (200, "OK", body),
-                        None => (404, "Not Found", Vec::new()),
-                    }
-                };
-                let resp = http::build_response(status, reason, &body, req.keep_alive);
-                report.bytes_sent += resp.len() as u64;
-                report.requests += 1;
-                match &mut ctx.codec {
-                    // Data plane: stage now, seal the whole pass as one
-                    // scatter-gather batch below.
-                    Some(codec) => codec.stage(&resp),
-                    None => {
-                        if let Err(e) = ctx.session.write_app_data_async(&resp).await {
-                            report.error = Some(e);
-                            report.close = true;
-                            break;
-                        }
-                    }
-                }
-                if !req.keep_alive {
-                    report.close = true;
-                    break;
-                }
-            }
-            ParseOutcome::Partial => break,
-            ParseOutcome::Bad(_) => {
-                report.close = true;
-                break;
-            }
-        }
-    }
-    // One batched flush per service pass: every response staged above is
-    // sealed through the engine in batches of `record_batch` in-place
-    // descriptors — one doorbell per batch, not per record.
-    if let Some(codec) = &mut ctx.codec {
-        if codec.staged_bytes() > 0 {
-            let wire_before = ctx.wire_out.len();
-            let seal_span = ctx
-                .trace
-                .as_mut()
-                .map(|t| t.begin(SpanKind::RecordSeal, obs::now_ns()));
-            match codec
-                .flush_into_async(
-                    &mut ctx.wire_out,
-                    &ctx.provider,
-                    &mut ctx.counters,
-                    &mut ctx.rng,
-                )
-                .await
-            {
-                Ok(records) => {
-                    if let (Some(trace), Some(id)) = (&mut ctx.trace, seal_span) {
-                        let sealed = (ctx.wire_out.len() - wire_before) as u64;
-                        trace.end_annotated(id, obs::now_ns(), records as u64, sealed);
-                    }
-                }
-                Err(e) => {
-                    if let (Some(trace), Some(id)) = (&mut ctx.trace, seal_span) {
-                        trace.end(id, obs::now_ns());
-                    }
-                    report.error = Some(e);
-                    report.close = true;
-                }
-            }
-        }
-    }
-    report
-}
-
-/// Per-connection driver state (§4.2's TLS state machine extension: the
-/// `Awaiting` arm is the TLS-ASYNC state).
-enum Driver {
-    /// Session available; events can be handled directly.
-    Idle(ConnCtx),
-    /// The service pass is pending on an offload, awaiting an async
-    /// event.
-    Awaiting {
-        pass: Pass,
-        /// The pass's rendezvous with the engine: parked result, retry
-        /// flag, submit annotation, and the notifier that announces the
-        /// completion to this worker.
-        wait: Arc<WaitCtx>,
-        /// A read event arrived while the async event was expected; its
-        /// handler was saved and will be replayed (§4.2).
-        saved_read: bool,
-        /// Pending on a full request ring; re-poll to retry.
-        retry: bool,
-    },
-    /// Transitional.
-    Taken,
+/// Why the worker turns to a connection.
+#[derive(Clone, Copy)]
+enum Reason {
+    /// Its socket is readable, or the peer closed.
+    Input,
+    /// Its waker fired: an offload completed.
+    Completion,
+    /// It is owed a ring-full retry.
+    RingRetry,
 }
 
 struct Conn {
-    sock: VSocket,
-    driver: Driver,
+    sock: Arc<VSocket>,
+    task: Pin<Box<dyn Future<Output = ()> + Send>>,
+    progress: Arc<Mutex<Progress>>,
+    /// The task's rendezvous with the engine — parked result, retry
+    /// flag, submit annotation, and the waker that announces a
+    /// completion to this worker. `None` for the profiles that never
+    /// pause (`SW`, `QAT+S`): with no context installed their offloads
+    /// block in place and the task only ever parks on input.
+    wait: Option<Arc<WaitCtx>>,
+    /// The FD the waker signals under the FD notification scheme — one
+    /// per connection, shared by all its offloads (§4.4).
     fd: Option<Arc<VirtualFd>>,
+    parked: Parked,
+    /// Handshake complete (admission counts the others as inflight).
     established: bool,
-    close_requested: bool,
-    /// Past the admission gate (always true with admission off).
-    admitted: bool,
-    /// First bytes buffered while the admission gate classifies them
-    /// (frame vs raw ClientHello); fed to the session on admission.
-    pre_buf: Vec<u8>,
-    /// The client's declared address, which retry tokens bind to.
-    peer_addr: u64,
-    /// This connection carries a span trace (mirrors `ctx.trace` so the
-    /// worker can skip clock reads without touching the driver).
-    sampled: bool,
-    /// When the admission gate first engaged (0 = not measuring).
-    gate_start_ns: u64,
-    /// How the gate resolved: 0 passed, 1 challenged, 2 token verified.
-    admitted_via: u64,
-    /// Open offload-wait interval: (start, engine submit annotation)
-    /// — measured on the worker side while the pass owns the ctx.
-    await_open: Option<(u64, Option<(u32, u64)>)>,
-    /// Closed offload-wait intervals awaiting transfer into the trace:
-    /// (start, end, shard, path).
-    await_spans: Vec<(u64, u64, u64, u64)>,
+}
+
+impl Conn {
+    /// Poll the task once and take its report: fold its counters into
+    /// `stats`, note what it parked on. Returns whether it finished.
+    fn poll(&mut self, stats: &mut WorkerStats) -> bool {
+        let done = poll_pass(self.wait.as_ref(), self.task.as_mut()).is_ready();
+        let mut progress = self.progress.lock();
+        let delta = std::mem::take(&mut progress.stats);
+        stats.async_jobs += delta.async_jobs;
+        stats.record_handoffs += delta.record_handoffs;
+        stats.handshakes += delta.handshakes;
+        stats.resumed += delta.resumed;
+        stats.resume_miss += delta.resume_miss;
+        stats.requests += delta.requests;
+        stats.bytes_sent += delta.bytes_sent;
+        stats.bytes_received += delta.bytes_received;
+        stats.errors += delta.errors;
+        stats.challenges_sent += delta.challenges_sent;
+        stats.tokens_verified += delta.tokens_verified;
+        stats.tokens_rejected += delta.tokens_rejected;
+        self.established |= delta.handshakes > 0;
+        self.parked = if progress.awaiting_input {
+            Parked::Input
+        } else {
+            let retry = self.wait.as_ref().is_some_and(|wait| wait.take_retry());
+            Parked::Offload { retry }
+        };
+        done
+    }
 }
 
 /// How long [`Worker::shutdown`] waits for requests already on the
@@ -542,13 +348,13 @@ const IDLE_PARK: Duration = Duration::from_millis(5);
 fn tc_active(conns: &HashMap<u64, Conn>) -> u64 {
     conns
         .values()
-        .filter(|c| matches!(c.driver, Driver::Awaiting { .. }) || c.sock.readable())
+        .filter(|c| matches!(c.parked, Parked::Offload { .. }) || c.sock.readable())
         .count() as u64
 }
 
 /// The event-driven worker.
 pub struct Worker {
-    cfg: WorkerConfig,
+    cfg: Arc<WorkerConfig>,
     listener: Arc<VListener>,
     conns: HashMap<u64, Conn>,
     next_id: u64,
@@ -560,13 +366,13 @@ pub struct Worker {
     /// Aggregated statistics.
     pub stats: WorkerStats,
     session_seed: u64,
-    plane: Arc<MetricsPlane>,
+    /// What the connection tasks share with the worker: the served
+    /// configuration, the metrics plane and the overload flag.
+    env: Arc<TaskEnv>,
     iterations: u64,
     /// Coarse stamp of the last anomaly check (wall cadence, not
     /// iteration counts — see `qat_anomaly_interval_ms`).
     last_anomaly_check_ms: u64,
-    /// Inflight handshakes crossed the admission watermark last sweep.
-    in_overload: bool,
     /// Set at shutdown: stop taking new accepts so still-queued
     /// sockets drain with accounting instead of being half-served.
     accepts_paused: bool,
@@ -667,7 +473,12 @@ impl Worker {
                 engine.enable_metrics();
             }
         }
-        let plane = Arc::new(MetricsPlane::new(cfg.metrics, engine.clone()));
+        let cfg = Arc::new(cfg);
+        let env = Arc::new(TaskEnv {
+            cfg: Arc::clone(&cfg),
+            plane: Arc::new(MetricsPlane::new(cfg.metrics, engine.clone())),
+            in_overload: AtomicBool::new(false),
+        });
         // Connection tracing: stamp backlog entry times on this worker's
         // listener so accept-wait spans have a start edge.
         if cfg.metrics.trace_sample_rate > 0 {
@@ -685,10 +496,9 @@ impl Worker {
             selector,
             stats: WorkerStats::default(),
             session_seed: 0x9_0000_0000,
-            plane,
+            env,
             iterations: 0,
             last_anomaly_check_ms: 0,
-            in_overload: false,
             accepts_paused: false,
             wake,
             readable_scratch: Vec::new(),
@@ -706,7 +516,7 @@ impl Worker {
     /// Is the worker in overload mode (inflight handshakes at or over
     /// the admission watermark, as of the last sweep)?
     pub fn in_overload(&self) -> bool {
-        self.in_overload
+        self.env.in_overload.load(Ordering::Relaxed)
     }
 
     /// The offload engine, if any (inflight counters etc.).
@@ -752,7 +562,7 @@ impl Worker {
 
     /// The worker's metrics plane (shared with in-band HTTP endpoints).
     pub fn metrics_plane(&self) -> &Arc<MetricsPlane> {
-        &self.plane
+        &self.env.plane
     }
 
     /// Current worker-level statistics as one snapshot.
@@ -798,10 +608,10 @@ impl Worker {
         if self.cfg.admission.enabled {
             let inflight = self.conns.values().filter(|c| !c.established).count() as u64;
             let overload = inflight >= self.cfg.admission.watermark;
-            if overload && !self.in_overload {
+            let was_overload = self.env.in_overload.swap(overload, Ordering::Relaxed);
+            if overload && !was_overload {
                 self.stats.overload_entered += 1;
             }
-            self.in_overload = overload;
         }
         // 1. Accept new connections — capped per sweep so a flood of
         // fresh sockets cannot starve in-flight connections behind an
@@ -854,24 +664,12 @@ impl Worker {
                 .filter(|(_, c)| c.sock.readable() || c.sock.peer_closed())
                 .map(|(id, _)| *id),
         );
-        if self.in_overload {
-            readable.sort_by_key(|id| {
-                let c = &self.conns[id];
-                (!c.established, *id)
-            });
+        if self.in_overload() {
+            readable.sort_by_key(|id| (!self.conns[id].established, *id));
         }
         for &id in &readable {
             events += 1;
-            let conn = self.conns.get_mut(&id).expect("exists");
-            if let Driver::Awaiting { saved_read, .. } = &mut conn.driver {
-                // §4.2: save the read handler; replay after the async
-                // event is processed.
-                *saved_read = true;
-            } else if conn.sock.peer_closed() && !conn.sock.readable() {
-                self.remove_conn(id);
-            } else {
-                self.drive(id);
-            }
+            self.wake(id, Reason::Input);
         }
         self.readable_scratch = readable;
         // 3. QAT response retrieval (heuristic profiles; timer profiles
@@ -880,45 +678,39 @@ impl Worker {
             events += h.maybe_poll(tc_active(&self.conns));
             events += h.failover_check();
         }
-        // 4. Async event delivery.
+        // 4. Async event delivery: the connections whose wakers fired.
         match self.cfg.profile.notification() {
             Some(NotifyScheme::KernelBypass) => {
                 // Drain the application async queue (processed "at the
                 // end of the main event loop", §3.4).
                 for id in self.async_queue.drain() {
                     events += 1;
-                    self.resume(id);
+                    self.wake(id, Reason::Completion);
                 }
             }
             Some(NotifyScheme::Fd) => {
                 if let Some(selector) = &self.selector {
-                    let ready = selector.poll_ready();
-                    for id in ready {
+                    for id in selector.poll_ready() {
                         events += 1;
-                        if let Some(conn) = self.conns.get(&id) {
-                            if let Some(fd) = &conn.fd {
-                                fd.clear();
-                            }
-                        }
-                        self.resume(id);
+                        self.wake(id, Reason::Completion);
                     }
                 }
             }
             None => {}
         }
-        // 5. Ring-full retries: reschedule paused jobs.
+        // 5. Ring-full retries: reschedule paused tasks.
         let mut retries = std::mem::take(&mut self.retry_scratch);
         retries.clear();
         retries.extend(
             self.conns
                 .iter()
-                .filter(|(_, c)| matches!(c.driver, Driver::Awaiting { retry: true, .. }))
+                .filter(|(_, c)| c.parked == Parked::Offload { retry: true })
                 .map(|(id, _)| *id),
         );
         for &id in &retries {
             events += 1;
             self.stats.retries += 1;
-            self.resume(id);
+            self.wake(id, Reason::RingRetry);
         }
         self.retry_scratch = retries;
         // 6. Sweep boundary: let the flush policy decide whether the
@@ -947,7 +739,7 @@ impl Worker {
             sched.publish(self.cfg.worker_index, self.load_gauge());
         }
         self.iterations += 1;
-        self.plane.update(self.status_snapshot());
+        self.env.plane.update(self.status_snapshot());
         // Anomaly check on a wall-clock cadence: an iteration-count
         // cadence ran 256 sweeps apart, which on a saturated loop could
         // be microseconds and on an idle one could be never-in-time.
@@ -957,7 +749,7 @@ impl Worker {
                 >= self.cfg.metrics.anomaly_interval_ms
             {
                 self.last_anomaly_check_ms = now_ms;
-                self.plane.check_anomaly();
+                self.env.plane.check_anomaly();
             }
         }
         events
@@ -987,7 +779,6 @@ impl Worker {
             self.provider(),
             self.session_seed,
         ));
-        let peer_addr = sock.peer_addr();
         // Registered before this sweep's readable scan, so bytes that
         // beat the registration are seen there and later ones wake us.
         sock.set_read_waker(Arc::clone(&self.wake));
@@ -995,7 +786,7 @@ impl Worker {
         // is on, one relaxed load when off. A sampled connection's root
         // span opens at backlog entry (if stamped) so the accept wait is
         // inside the connection's wall time.
-        let trace = self.plane.trace_sink().sample().map(|conn_id| {
+        let trace = self.env.plane.trace_sink().sample().map(|conn_id| {
             let now = obs::now_ns();
             let queued = sock.queued_ns();
             let start = if queued != 0 && queued < now {
@@ -1015,36 +806,53 @@ impl Worker {
             }
             trace
         });
-        let sampled = trace.is_some();
+        // SSL_set_async_callback equivalent: the waker that announces
+        // the task's completions is registered on its wait context here,
+        // before its first poll — so a response retrieved (by a
+        // dedicated poller thread) the instant after submission is still
+        // announced.
+        let fd = self.selector.as_ref().map(|selector| {
+            let fd = Arc::new(VirtualFd::new(id));
+            selector.register(Arc::clone(&fd));
+            fd
+        });
+        let wait = self.cfg.profile.notification().map(|_| {
+            let wait = Arc::new(WaitCtx::new());
+            wait.set_waker(match &fd {
+                Some(fd) => Arc::clone(fd).into(),
+                None => self.async_queue.waker(id),
+            });
+            wait
+        });
+        let sock = Arc::new(sock);
+        let progress = Arc::new(Mutex::new(Progress::default()));
+        let connection = Connection {
+            sock: Arc::clone(&sock),
+            env: Arc::clone(&self.env),
+            progress: Arc::clone(&progress),
+            spans: Spans::default(),
+            ctx: ConnCtx {
+                session,
+                http_buf: Vec::new(),
+                codec: None,
+                provider: self.provider(),
+                counters: OpCounters::default(),
+                rng: TestRng::new(self.session_seed ^ 0xda7a_9a7e),
+                wire_out: Vec::new(),
+                record_batch: self.cfg.record_batch,
+                trace,
+            },
+        };
         self.conns.insert(
             id,
             Conn {
                 sock,
-                driver: Driver::Idle(ConnCtx {
-                    session,
-                    http_buf: Vec::new(),
-                    codec: None,
-                    provider: self.provider(),
-                    counters: OpCounters::default(),
-                    rng: TestRng::new(self.session_seed ^ 0xda7a_9a7e),
-                    wire_out: Vec::new(),
-                    record_offload: self.cfg.record_offload,
-                    record_batch: self.cfg.record_batch,
-                    trace,
-                    hs_span: None,
-                    serve_span: None,
-                }),
-                fd: None,
+                task: Box::pin(connection.run()),
+                progress,
+                wait,
+                fd,
+                parked: Parked::Input,
                 established: false,
-                close_requested: false,
-                admitted: !self.cfg.admission.enabled,
-                pre_buf: Vec::new(),
-                peer_addr,
-                sampled,
-                gate_start_ns: 0,
-                admitted_via: 0,
-                await_open: None,
-                await_spans: Vec::new(),
             },
         );
         self.stats.accepted += 1;
@@ -1078,17 +886,17 @@ impl Worker {
     }
 
     /// Shut the worker down without leaking: close every connection
-    /// still open — a pass pending on an offload is dropped with the
-    /// context it owns (session, pooled codec buffers, trace), nothing
-    /// stays parked anywhere — then drain the submit pipeline (publish
+    /// still open — a task parked on an offload is dropped with all it
+    /// owns (session, pooled codec buffers; its partial span tree is
+    /// published), nothing stays parked anywhere — then drain the
+    /// submit pipeline (publish
     /// what the ring can take, fail every still-staged request with a
     /// definite `Cancelled` error so no waiter is silently dropped
     /// mid-sweep), and give requests already on the device a bounded
     /// moment to come back so the inflight accounting settles at zero.
     pub fn shutdown(&mut self) {
-        let open: Vec<u64> = self.conns.keys().copied().collect();
-        for id in open {
-            self.remove_conn(id);
+        for (_, conn) in self.conns.drain() {
+            Self::retire(conn, self.selector.as_ref(), &mut self.stats);
         }
         if let Some(engine) = &self.engine {
             let drained = engine.drain_submit_queue();
@@ -1156,355 +964,45 @@ impl Worker {
         Arc::clone(&self.wake)
     }
 
-    /// The admission gate for a connection that has not been admitted:
-    /// buffer its first bytes and classify them. Returns `true` when
-    /// the connection may proceed into TLS processing this pass.
-    fn admission_gate(&mut self, id: u64) -> bool {
-        let conn = self.conns.get_mut(&id).expect("caller checked");
-        if let Ok(bytes) = conn.sock.read_all() {
-            conn.pre_buf.extend_from_slice(&bytes);
-        }
-        match admission::parse_frame(&conn.pre_buf) {
-            FrameParse::Incomplete => {
-                if conn.sock.peer_closed() {
-                    self.remove_conn(id);
-                }
-                false
-            }
-            FrameParse::Malformed
-            | FrameParse::Frame {
-                kind: admission::FRAME_CHALLENGE,
-                ..
-            } => {
-                // Hostile header, or a frame only servers send.
-                self.stats.tokens_rejected += 1;
-                self.remove_conn(id);
-                false
-            }
-            FrameParse::Frame {
-                token, consumed, ..
-            } => {
-                let now = admission::coarse_now_secs();
-                let ok = self.cfg.tls.ticket_keys.verify_retry_token(
-                    &token,
-                    conn.peer_addr,
-                    now,
-                    self.cfg.admission.token_lifetime.as_secs(),
-                );
-                if !ok {
-                    self.stats.tokens_rejected += 1;
-                    self.remove_conn(id);
-                    return false;
-                }
-                self.stats.tokens_verified += 1;
-                conn.admitted = true;
-                conn.admitted_via = 2;
-                conn.pre_buf.drain(..consumed);
-                true
-            }
-            FrameParse::NotAFrame => {
-                if self.in_overload {
-                    // Over the watermark: challenge instead of spending
-                    // any asymmetric offload work on this ClientHello.
-                    let now = admission::coarse_now_secs();
-                    let token = self
-                        .cfg
-                        .tls
-                        .ticket_keys
-                        .mint_retry_token(conn.peer_addr, now);
-                    let _ = conn.sock.write(&admission::challenge_frame(&token));
-                    self.stats.challenges_sent += 1;
-                    conn.admitted_via = 1;
-                    self.remove_conn(id);
-                    return false;
-                }
-                conn.admitted = true;
-                true
-            }
-        }
-    }
-
-    /// Drive a connection that has a usable session.
-    fn drive(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
+    /// Turn to connection `id` because of `why`, polling its task if
+    /// that is what the task is parked on; a task that finishes is
+    /// retired.
+    fn wake(&mut self, id: u64, why: Reason) {
+        let Entry::Occupied(mut slot) = self.conns.entry(id) else {
+            return; // a completion outlived its connection
         };
-        if !matches!(conn.driver, Driver::Idle(_)) {
-            return; // still awaiting an async event
+        let conn = slot.get_mut();
+        if let (Reason::Completion, Some(fd)) = (why, &conn.fd) {
+            fd.clear();
         }
-        if !conn.admitted {
-            // Admission round-trip span: opens when the gate first sees
-            // the connection, closes when it passes (or in `remove_conn`
-            // when it is challenged away).
-            if conn.sampled && conn.gate_start_ns == 0 {
-                conn.gate_start_ns = obs::now_ns();
+        let done = match (why, conn.parked) {
+            (Reason::Input, Parked::Input) => {
+                (conn.sock.peer_closed() && !conn.sock.readable()) || conn.poll(&mut self.stats)
             }
-            if !self.admission_gate(id) {
-                return;
+            (Reason::Completion | Reason::RingRetry, Parked::Offload { .. }) => {
+                self.stats.resumptions += 1;
+                conn.poll(&mut self.stats)
             }
-        }
-        let conn = self.conns.get_mut(&id).expect("gate keeps admitted conns");
-        let Driver::Idle(mut ctx) = std::mem::replace(&mut conn.driver, Driver::Taken) else {
-            unreachable!("checked above")
+            // A read that lands mid-offload is not polled for — the
+            // bytes wait in the socket until the task asks for input
+            // (§4.2's event disorder); a completion for a task parked on
+            // input is stale.
+            (Reason::Input, Parked::Offload { .. })
+            | (Reason::Completion | Reason::RingRetry, Parked::Input) => false,
         };
-        if let Some(trace) = &mut ctx.trace {
-            let now = obs::now_ns();
-            if conn.gate_start_ns != 0 {
-                trace.add(
-                    SpanKind::Admission,
-                    conn.gate_start_ns,
-                    now,
-                    conn.admitted_via,
-                    0,
-                );
-                conn.gate_start_ns = 0;
-            }
-            if !conn.established {
-                if ctx.hs_span.is_none() {
-                    ctx.hs_span = Some(trace.begin(SpanKind::Handshake, now));
-                }
-            } else if ctx.serve_span.is_none() {
-                ctx.serve_span = Some(trace.begin(SpanKind::Serve, now));
-            }
-        }
-        // Feed everything readable: first any bytes the admission gate
-        // buffered ahead of the handshake, then fresh reads — to the
-        // data-plane codec once the connection has handed off, to the
-        // handshake session before.
-        let pre = std::mem::take(&mut conn.pre_buf);
-        if !pre.is_empty() {
-            match &mut ctx.codec {
-                Some(codec) => codec.feed(&pre),
-                None => ctx.session.feed(&pre),
-            }
-        }
-        match conn.sock.read_all() {
-            Ok(bytes) => match &mut ctx.codec {
-                Some(codec) => codec.feed(&bytes),
-                None => ctx.session.feed(&bytes),
-            },
-            Err(SockError::WouldBlock) | Err(SockError::Closed) => {}
-        }
-        let content = Arc::clone(&self.cfg.content);
-        let plane = Arc::clone(&self.plane);
-        let pass: Pass = Box::pin(async move {
-            let report = service(&mut ctx, &content, &plane).await;
-            (ctx, report)
-        });
-        let wait = self.pass_wait_ctx(id);
-        if self.poll(id, pass, wait, false) {
-            self.stats.async_jobs += 1;
+        if done {
+            Self::retire(slot.remove(), self.selector.as_ref(), &mut self.stats);
         }
     }
 
-    /// The wait context of a new service pass, with this worker's
-    /// completion channel registered on it *before* the first poll — so
-    /// a response retrieved (by a dedicated poller thread) the instant
-    /// after submission is still announced. `None` for the profiles
-    /// that never pause (`SW`, `QAT+S`): with no context installed
-    /// their offloads block in place and the pass is ready at once.
-    fn pass_wait_ctx(&mut self, id: u64) -> Option<Arc<WaitCtx>> {
-        let notifier: Arc<dyn Notifier> = match self.cfg.profile.notification()? {
-            // SSL_set_async_callback equivalent: the async queue IS the
-            // notifier — the response callback delivers the
-            // async-handler token (the connection id) straight onto it,
-            // no closure indirection.
-            NotifyScheme::KernelBypass => Arc::clone(&self.async_queue) as _,
-            NotifyScheme::Fd => {
-                let conn = self.conns.get_mut(&id).expect("exists");
-                // §4.4 optimization: one FD shared across all passes of
-                // the same connection.
-                let fd = conn.fd.get_or_insert_with(|| {
-                    let fd = Arc::new(VirtualFd::new(id));
-                    if let Some(sel) = &self.selector {
-                        sel.register(Arc::clone(&fd));
-                    }
-                    fd
-                });
-                Arc::clone(fd) as _
-            }
-        };
-        let wait = Arc::new(WaitCtx::new());
-        wait.set_notifier(notifier, id);
-        Some(wait)
-    }
-
-    /// Poll a connection's service pass: finish the pass if it resolved,
-    /// otherwise park the connection in TLS-ASYNC until its async event.
-    /// `saved_read` carries a read event saved while the pass was
-    /// pending (§4.2); `None` for `wait` marks a pass that cannot pend.
-    /// Returns whether the pass is (still) pending.
-    fn poll(
-        &mut self,
-        id: u64,
-        mut pass: Pass,
-        wait: Option<Arc<WaitCtx>>,
-        saved_read: bool,
-    ) -> bool {
-        match (poll_pass(wait.as_ref(), pass.as_mut()), wait) {
-            (Poll::Ready((ctx, report)), _) => {
-                self.finish_service(id, ctx, report);
-                // Replay the saved read event (§4.2).
-                if saved_read && self.conns.get(&id).is_some_and(|c| c.sock.readable()) {
-                    self.drive(id);
-                }
-                false
-            }
-            (Poll::Pending, Some(wait)) => {
-                let conn = self.conns.get_mut(&id).expect("exists");
-                if conn.sampled {
-                    conn.await_open = Some((obs::now_ns(), wait.submit_info()));
-                }
-                let retry = wait.take_retry();
-                conn.driver = Driver::Awaiting {
-                    pass,
-                    wait,
-                    saved_read,
-                    retry,
-                };
-                true
-            }
-            (Poll::Pending, None) => {
-                // Without a task context every offload waits in place,
-                // so this is unreachable; fail the connection rather
-                // than the worker if it ever is not.
-                self.stats.errors += 1;
-                self.remove_conn(id);
-                false
-            }
+    /// Close a connection that left the table. Dropping it drops its
+    /// task wherever that was parked, which publishes its span tree.
+    fn retire(conn: Conn, selector: Option<&FdSelector>, stats: &mut WorkerStats) {
+        if let (Some(fd), Some(selector)) = (&conn.fd, selector) {
+            selector.deregister(fd.id);
         }
-    }
-
-    /// Resume a pending service pass (post-processing phase).
-    fn resume(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let Driver::Awaiting {
-            pass,
-            wait,
-            saved_read,
-            ..
-        } = std::mem::replace(&mut conn.driver, Driver::Taken)
-        else {
-            return;
-        };
-        // Close the offload-wait interval at the moment the notification
-        // is acted on — submit → notify → resume is the paper's async
-        // round trip, and it all happened while the pass owned the ctx.
-        if conn.sampled {
-            if let Some((start, info)) = conn.await_open.take() {
-                let (shard, path) = info.unwrap_or((0, 0));
-                conn.await_spans
-                    .push((start, obs::now_ns(), u64::from(shard), path));
-            }
-        }
-        self.stats.resumptions += 1;
-        self.poll(id, pass, Some(wait), saved_read);
-    }
-
-    /// Post-service bookkeeping: flush output, update stats, close.
-    fn finish_service(&mut self, id: u64, mut ctx: ConnCtx, report: ServiceReport) {
-        let out = ctx.session.take_output();
-        let wire = std::mem::take(&mut ctx.wire_out);
-        let conn = self.conns.get_mut(&id).expect("exists");
-        if !out.is_empty() {
-            let _ = conn.sock.write(&out);
-        }
-        if !wire.is_empty() {
-            let _ = conn.sock.write(&wire);
-        }
-        // Fold the pass's offload waits into the trace (they become
-        // children of whichever control-plane span is still open), then
-        // close the spans this pass resolved.
-        if let Some(trace) = &mut ctx.trace {
-            for (start, end, shard, path) in conn.await_spans.drain(..) {
-                trace.add(SpanKind::OffloadWait, start, end, shard, path);
-            }
-            let now = obs::now_ns();
-            if report.handshake_done {
-                if let Some(hs) = ctx.hs_span.take() {
-                    let resume_tag = if report.resumed {
-                        1
-                    } else if report.resume_miss {
-                        2
-                    } else {
-                        0
-                    };
-                    trace.end_annotated(hs, now, resume_tag, u64::from(report.handoff));
-                }
-            }
-            if let Some(sv) = ctx.serve_span.take() {
-                trace.end_annotated(sv, now, report.requests, report.bytes_sent);
-            }
-        }
-        if report.handoff {
-            self.stats.record_handoffs += 1;
-        }
-        if report.handshake_done {
-            self.stats.handshakes += 1;
-            if report.resumed {
-                self.stats.resumed += 1;
-            }
-            if report.resume_miss {
-                self.stats.resume_miss += 1;
-            }
-            conn.established = true;
-        }
-        self.stats.requests += report.requests;
-        self.stats.bytes_sent += report.bytes_sent;
-        self.stats.bytes_received += report.bytes_received;
-        if report.error.is_some() {
-            self.stats.errors += 1;
-        }
-        conn.driver = Driver::Idle(ctx);
-        if report.close || conn.close_requested {
-            self.remove_conn(id);
-        }
-    }
-
-    fn remove_conn(&mut self, id: u64) {
-        if let Some(mut conn) = self.conns.remove(&id) {
-            if let (Some(fd), Some(sel)) = (&conn.fd, &self.selector) {
-                sel.deregister(fd.id);
-            }
-            // Publish the connection's span tree on teardown — the only
-            // point where the tree is guaranteed complete. Challenged or
-            // errored connections publish partial trees, which is the
-            // point: the gate's work is visible even when nothing else
-            // happened.
-            if conn.sampled {
-                let now = obs::now_ns();
-                let trace = match &mut conn.driver {
-                    Driver::Idle(ctx) => ctx.trace.take(),
-                    // Torn down mid-offload: the pending pass owns the
-                    // ctx (and its trace) and is dropped with the
-                    // connection; nothing to publish.
-                    _ => None,
-                };
-                if let Some(mut trace) = trace {
-                    if let Some((start, info)) = conn.await_open.take() {
-                        let (shard, path) = info.unwrap_or((0, 0));
-                        conn.await_spans.push((start, now, u64::from(shard), path));
-                    }
-                    for (start, end, shard, path) in conn.await_spans.drain(..) {
-                        trace.add(SpanKind::OffloadWait, start, end, shard, path);
-                    }
-                    if conn.gate_start_ns != 0 {
-                        trace.add(
-                            SpanKind::Admission,
-                            conn.gate_start_ns,
-                            now,
-                            conn.admitted_via,
-                            0,
-                        );
-                    }
-                    self.plane.trace_sink().publish(trace, now);
-                }
-            }
-            conn.sock.close();
-            self.stats.closed += 1;
-        }
+        conn.sock.close();
+        stats.closed += 1;
     }
 }
 

@@ -375,9 +375,11 @@ fn parked_thieves_still_steal() {
     await_or_panic("thieves park", || sched.parked_workers() == 3);
     let clients: Vec<VSocket> = (0..4).map(|_| listeners[0].connect()).collect();
     sched.publish(0, 4);
-    await_or_panic("steals", || sched.steal_totals().0.iter().sum::<u64>() == 3);
+    // Wait on the victim's side: `record_steal` bumps the thief's count
+    // first, so the victim's total reaching 3 means both are final.
+    await_or_panic("steals", || sched.steal_totals().1 == vec![3, 0, 0, 0]);
     assert_eq!(listeners[0].pending(), 1, "the victim keeps its oldest");
-    assert_eq!(sched.steal_totals().1, vec![3, 0, 0, 0]);
+    assert_eq!(sched.steal_totals().0.iter().sum::<u64>(), 3);
     stop.store(true, Ordering::SeqCst);
     sched.wake_workers();
     let stolen: u64 = thieves

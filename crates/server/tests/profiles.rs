@@ -1156,23 +1156,6 @@ fn data_plane_codec_serves_bulk_objects() {
 }
 
 #[test]
-fn record_offload_directive_off_keeps_the_session_path() {
-    // `qat_record_offload off`: established connections keep serving
-    // through the handshake session's record layer — no codec handoff.
-    let listener = Arc::new(VListener::new());
-    let mut cfg = WorkerConfig::new(OffloadProfile::Sw);
-    cfg.record_offload = false;
-    let mut worker = Worker::new(Arc::clone(&listener), None, cfg);
-    let (sock, mut client) = hand_establish(&mut worker, &listener, 702);
-    let (status, body) = https_get(&mut worker, &sock, &mut client, "/4kb");
-    assert_eq!(status, 200);
-    assert_eq!(body.len(), 4096);
-    assert_eq!(worker.stats.record_handoffs, 0, "no handoff when off");
-    assert!(worker.stats.bytes_received > 0);
-    assert!(worker.stats.bytes_sent >= 4096);
-}
-
-#[test]
 fn stub_status_accounting() {
     let listener = Arc::new(VListener::new());
     let mut worker = Worker::new(

@@ -239,6 +239,62 @@ fn admission_round_trip_is_visible_in_the_span_trees() {
 }
 
 #[test]
+fn teardown_mid_offload_publishes_the_partial_tree() {
+    // Regression: a sampled connection torn down while its task was
+    // parked on an offload used to drop its span tree with the pending
+    // pass. No engines, so every connection is still waiting for its
+    // first handshake offload when the worker shuts down.
+    const CONNS: usize = 12;
+    let listener = Arc::new(VListener::new());
+    let device = QatDevice::new(QatConfig {
+        engines_per_endpoint: 0,
+        ..QatConfig::functional_small()
+    });
+    let mut cfg = WorkerConfig::new(OffloadProfile::Qtls);
+    cfg.metrics.enabled = true;
+    cfg.metrics.trace_sample_rate = 1;
+    let mut worker = Worker::new(Arc::clone(&listener), Some(&device), cfg);
+    let mut socks = Vec::new();
+    for seed in 0..CONNS as u64 {
+        let mut client = qtls_tls::client::ClientSession::new(
+            qtls_tls::provider::CryptoProvider::Software,
+            CipherSuite::EcdheRsa,
+            NamedCurve::P256,
+            None,
+            7800 + seed,
+        );
+        client.start().expect("client hello");
+        let sock = listener.connect();
+        sock.write(&client.take_output()).expect("client write");
+        socks.push(sock);
+    }
+    for _ in 0..10 {
+        worker.run_iteration();
+    }
+    assert_eq!(worker.stats.async_jobs, CONNS as u64);
+    let sink = Arc::clone(worker.metrics_plane().trace_sink());
+    assert!(sink.traces().is_empty(), "nothing is torn down yet");
+    worker.shutdown();
+    let traces = sink.traces();
+    assert_eq!(traces.len(), CONNS, "one tree per torn-down connection");
+    for trace in &traces {
+        let spans = trace.spans();
+        let waits: Vec<_> = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::OffloadWait)
+            .collect();
+        assert_eq!(waits.len(), 1, "the one open offload wait");
+        let parent = &spans[waits[0].parent.expect("nested") as usize];
+        assert_eq!(parent.kind, SpanKind::Handshake);
+        // Closed at the teardown instant, like everything above it.
+        assert_eq!(waits[0].end_ns, parent.end_ns);
+        assert_eq!(parent.end_ns, spans[0].end_ns);
+        assert!(waits[0].end_ns > waits[0].start_ns);
+        assert_eq!(trace.covered_ns(), trace.wall_ns());
+    }
+}
+
+#[test]
 fn sampling_off_stores_nothing_and_trace_is_404() {
     // trace_sample_rate 0 (the default): serving traffic must leave the
     // sink completely untouched and the export endpoint dark.

@@ -287,6 +287,15 @@ impl Parker {
     }
 }
 
+/// A parker is a [`Waker`](std::task::Waker): waking leaves the token.
+/// A blocking caller sleeping on its own parker hands it to whatever
+/// completes its work in this form.
+impl std::task::Wake for Parker {
+    fn wake(self: Arc<Self>) {
+        self.unpark();
+    }
+}
+
 /// Where an event source keeps the [`Parker`] of whoever consumes its
 /// events. Sources (sockets, queues, ring pairs) are usually built
 /// before the loop that will sleep on them, so the target is bound late

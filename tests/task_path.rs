@@ -1,5 +1,5 @@
 //! The production pause/resume path, end to end: a real `Worker` whose
-//! service passes are polled tasks, under every async profile, both
+//! connections are polled tasks, under every async profile, both
 //! protocol versions, full and resumed handshakes, and the three request
 //! shapes the benchmark drives. Single-threaded on the test's side — the
 //! test pumps the client session and `Worker::run_iteration` in turn —
@@ -430,11 +430,12 @@ fn two_slot_ring_defers_and_still_delivers() {
 }
 
 #[test]
-fn read_saved_while_pending_is_replayed() {
+fn read_mid_offload_is_not_polled_for() {
     // Event disorder (§4.2): the second request arrives while the first
-    // request's pass is pending on a slow cipher op. The read event is
-    // saved — the pending pass is not disturbed, polls without a parked
-    // result leave it pending — and replayed once the pass resolves.
+    // request's pass is pending on a slow cipher op. The task is parked
+    // on the offload, not on its socket, so the read event is seen but
+    // nothing is polled for it — the pending pass is not disturbed — and
+    // the bytes are served once the task asks for input again.
     let _turn = serial();
     let slow_cipher = QatConfig {
         service_mode: ServiceMode::Timed { time_scale: 1.0 },
