@@ -5,10 +5,11 @@
 use qtls_bench::harness::{Criterion, Throughput};
 use qtls_bench::{criterion_group, criterion_main};
 use qtls_crypto::ecc::{self, NamedCurve};
-use qtls_crypto::kdf;
+use qtls_crypto::hmac::Hmac;
+use qtls_crypto::sha1::Sha1;
 use qtls_crypto::sha256::Sha256;
 use qtls_crypto::test_keys::test_rsa_2048;
-use qtls_crypto::TestRng;
+use qtls_crypto::{aes, kdf, CbcHmacSha1, TestRng};
 use std::hint::black_box;
 
 fn bench_rsa(c: &mut Criterion) {
@@ -69,20 +70,48 @@ fn bench_ecc(c: &mut Criterion) {
 }
 
 fn bench_symmetric(c: &mut Criterion) {
-    let mut group = c.benchmark_group("record_cipher");
-    // The 16 KB record of the secure-data-transfer phase (§2.1).
+    // The 16 KB record of the secure-data-transfer phase (§2.1), step by
+    // step: the block cipher alone in each direction, the hash alone,
+    // then the keyed MAC-then-encrypt context on top of them.
     let record = vec![0x5au8; 16 * 1024];
+    let cipher = aes::Aes128::new(&[1; 16]);
+    let mut group = c.benchmark_group("record_cipher");
     group.throughput(Throughput::Bytes(record.len() as u64));
+    let mut buf = record.clone();
+    group.bench_function("aes128_cbc_encrypt_16k", |b| {
+        b.iter(|| aes::cbc_encrypt_in_place(&cipher, &[3; 16], black_box(&mut buf)).unwrap())
+    });
+    group.bench_function("aes128_cbc_decrypt_16k", |b| {
+        b.iter(|| aes::cbc_decrypt_in_place(&cipher, &[3; 16], black_box(&mut buf)).unwrap())
+    });
+    group.bench_function("sha1_16k", |b| b.iter(|| Sha1::digest(black_box(&record))));
+    let ctx = CbcHmacSha1::new(&[1; 16], &[2; 20]);
+    let mut buf = Vec::with_capacity(record.len() + 64);
     group.bench_function("aes128_cbc_hmac_sha1_16kb", |b| {
         b.iter(|| {
-            qtls_tls::provider::software_encrypt(
-                [1; 16],
-                &[2; 20],
-                [3; 16],
-                black_box(&record),
-                b"aad",
-            )
-            .unwrap()
+            buf.clear();
+            buf.extend_from_slice(black_box(&record));
+            ctx.seal_in_place(&[3; 16], &mut buf, b"aad").unwrap()
+        })
+    });
+    group.finish();
+
+    // Per-record fixed costs: a short MAC from the keyed midstates (the
+    // 80 bytes are a keep-alive request line) and a 1 KB seal.
+    let mut group = c.benchmark_group("record_fixed_cost");
+    let keyed = Hmac::<Sha1>::new(&[2; 20]);
+    group.bench_function("hmac_sha1_80b", |b| {
+        b.iter(|| {
+            let mut h = keyed.clone();
+            h.update(black_box(&record[..80]));
+            h.finalize_fixed()
+        })
+    });
+    group.bench_function("cbc_hmac_sha1_seal_1k", |b| {
+        b.iter(|| {
+            buf.clear();
+            buf.extend_from_slice(black_box(&record[..1024]));
+            ctx.seal_in_place(&[3; 16], &mut buf, &[4; 11]).unwrap()
         })
     });
     group.finish();

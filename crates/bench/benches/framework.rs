@@ -405,10 +405,9 @@ fn bench_bulk_transfer(c: &mut Criterion) {
         dev.alloc_instance(),
         EngineMode::Blocking,
     ));
-    let mac_key: Arc<[u8]> = Arc::from(vec![0x0b; 20].into_boxed_slice());
+    let cipher = Arc::new(qtls_crypto::CbcHmacSha1::new(&[0x11; 16], &[0x0b; 20]));
     let seal_op = |seq: usize| CryptoOp::CipherSealInPlace {
-        enc_key: [0x11; 16],
-        mac_key: Arc::clone(&mac_key),
+        cipher: Arc::clone(&cipher),
         iv: [0x22; 16],
         buf: vec![0x5a; RECORD],
         aad: [seq as u8; 11],

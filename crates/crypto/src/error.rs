@@ -19,10 +19,9 @@ pub enum CryptoError {
     InvalidScalar,
     /// Input length is not acceptable (e.g. non-block-multiple for CBC).
     InvalidLength,
-    /// MAC verification failed.
+    /// Record authentication failed: a wrong tag *or* malformed CBC
+    /// padding — deliberately one kind (RFC 5246 §6.2.3.2).
     BadMac,
-    /// Malformed padding (CBC).
-    BadPadding,
     /// The request was cancelled before the device saw it (e.g. staged
     /// in a submit queue when its worker shut down).
     Cancelled,
@@ -42,7 +41,6 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidScalar => "invalid scalar",
             CryptoError::InvalidLength => "invalid input length",
             CryptoError::BadMac => "MAC verification failed",
-            CryptoError::BadPadding => "bad padding",
             CryptoError::Cancelled => "request cancelled before submission",
             CryptoError::DeviceTimeout => "offload device timed out",
         };

@@ -2,31 +2,42 @@
 
 use crate::hash::Hash;
 
-/// Streaming HMAC state.
+/// Largest hash block this module keys (covers a 128-byte SHA-512 block).
+const MAX_BLOCK: usize = 128;
+
+/// Streaming HMAC state: the inner hash, already keyed and absorbing the
+/// message, and the keyed outer hash waiting for the inner digest.
+///
+/// A freshly keyed `Hmac` is the pair of RFC 2104 §4 precomputed
+/// midstates, so callers that MAC many messages under one key build it
+/// once and `clone()` it per message: a MAC then costs no key-block
+/// compressions and no allocation.
 #[derive(Clone)]
 pub struct Hmac<H: Hash> {
     inner: H,
-    /// Key XOR opad, kept to build the outer hash at finalize time.
-    opad_key: Vec<u8>,
+    outer: H,
 }
 
 impl<H: Hash> Hmac<H> {
     /// Start an HMAC computation with `key`.
     pub fn new(key: &[u8]) -> Self {
-        let mut k = if key.len() > H::BLOCK_SIZE {
-            H::hash(key)
+        let mut block = [0u8; MAX_BLOCK];
+        let block = &mut block[..H::BLOCK_SIZE];
+        if key.len() > H::BLOCK_SIZE {
+            let mut h = H::new();
+            h.update(key);
+            let digest = h.finalize_fixed();
+            block[..H::OUTPUT_SIZE].copy_from_slice(digest.as_ref());
         } else {
-            key.to_vec()
-        };
-        k.resize(H::BLOCK_SIZE, 0);
-        let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-        let mut inner = H::new();
-        inner.update(&ipad);
-        Hmac {
-            inner,
-            opad_key: opad,
+            block[..key.len()].copy_from_slice(key);
         }
+        let mut inner = H::new();
+        block.iter_mut().for_each(|b| *b ^= 0x36);
+        inner.update(block);
+        let mut outer = H::new();
+        block.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        outer.update(block);
+        Hmac { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -34,13 +45,15 @@ impl<H: Hash> Hmac<H> {
         self.inner.update(data);
     }
 
+    /// Finish, producing the tag without allocating.
+    pub fn finalize_fixed(mut self) -> H::Digest {
+        self.outer.update(self.inner.finalize_fixed().as_ref());
+        self.outer.finalize_fixed()
+    }
+
     /// Finish, producing the tag.
     pub fn finalize(self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize();
-        let mut outer = H::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+        self.finalize_fixed().as_ref().to_vec()
     }
 
     /// One-shot convenience.

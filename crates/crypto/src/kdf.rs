@@ -12,15 +12,20 @@ use crate::sha256::Sha256;
 /// TLS 1.2 `P_hash`: HMAC-based expansion of `secret` over
 /// `seed`, producing `out_len` bytes.
 pub fn p_hash<H: Hash>(secret: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(out_len);
+    let mut out = Vec::with_capacity(out_len + H::OUTPUT_SIZE);
+    // Keyed once; every HMAC below starts from a clone of the midstates.
+    let keyed = Hmac::<H>::new(secret);
+    let mac = |first: &[u8], second: &[u8]| {
+        let mut h = keyed.clone();
+        h.update(first);
+        h.update(second);
+        h.finalize_fixed()
+    };
     // A(1) = HMAC(secret, seed); A(i) = HMAC(secret, A(i-1))
-    let mut a = Hmac::<H>::mac(secret, seed);
+    let mut a = mac(seed, &[]);
     while out.len() < out_len {
-        let mut h = Hmac::<H>::new(secret);
-        h.update(&a);
-        h.update(seed);
-        out.extend_from_slice(&h.finalize());
-        a = Hmac::<H>::mac(secret, &a);
+        out.extend_from_slice(mac(a.as_ref(), seed).as_ref());
+        a = mac(a.as_ref(), &[]);
     }
     out.truncate(out_len);
     out
@@ -49,16 +54,16 @@ pub fn hkdf_extract<H: Hash>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
 /// HKDF-Expand (RFC 5869 §2.3).
 pub fn hkdf_expand<H: Hash>(prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
     assert!(out_len <= 255 * H::OUTPUT_SIZE, "HKDF output too long");
-    let mut out = Vec::with_capacity(out_len);
-    let mut t: Vec<u8> = Vec::new();
+    let mut out = Vec::with_capacity(out_len + H::OUTPUT_SIZE);
+    let keyed = Hmac::<H>::new(prk);
     let mut counter = 1u8;
     while out.len() < out_len {
-        let mut h = Hmac::<H>::new(prk);
-        h.update(&t);
+        let mut h = keyed.clone();
+        // T(i-1) is the previous block of output (empty for T(0)).
+        h.update(&out[out.len().saturating_sub(H::OUTPUT_SIZE)..]);
         h.update(info);
         h.update(&[counter]);
-        t = h.finalize();
-        out.extend_from_slice(&t);
+        out.extend_from_slice(h.finalize_fixed().as_ref());
         counter += 1;
     }
     out.truncate(out_len);

@@ -10,7 +10,8 @@
 //! - [`gf2m`]/[`ec2m`]: binary-field ECC — NIST B-283/B-409/K-283/K-409;
 //! - [`ecc`]: the unified named-curve API;
 //! - [`aes`]/[`sha1`]/[`sha256`]/[`hmac`]: the AES128-SHA record
-//!   protection suite and signature digests;
+//!   protection suite and signature digests, and [`cbc_hmac`], the keyed
+//!   MAC-then-encrypt context built from them once per direction;
 //! - [`kdf`]: the TLS 1.2 PRF and HKDF / HKDF-Expand-Label (TLS 1.3).
 //!
 //! These are the operations the QAT accelerator offloads (RSA, ECC,
@@ -20,9 +21,13 @@
 //! timing side channels and must not be used to protect real traffic.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aes;
+#[cfg(test)]
+mod aes_oracle;
 pub mod bn;
+pub mod cbc_hmac;
 pub mod ec;
 pub mod ec2m;
 pub mod ecc;
@@ -41,5 +46,6 @@ pub mod sha256;
 pub mod test_keys;
 
 pub use bn::Bn;
+pub use cbc_hmac::CbcHmacSha1;
 pub use error::CryptoError;
 pub use rng::{EntropySource, SystemRng, TestRng};

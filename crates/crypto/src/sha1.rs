@@ -4,15 +4,13 @@
 //! in the paper's evaluated cipher suite (AES128-SHA); it is implemented
 //! here for fidelity, not as a recommendation.
 
-use crate::hash::Hash;
+use crate::hash::{BlockBuffer, Hash};
 
 /// Streaming SHA-1 state.
 #[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
 }
 
 impl Default for Sha1 {
@@ -26,9 +24,7 @@ impl Sha1 {
     pub fn new() -> Self {
         Sha1 {
             state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
-            buf: [0u8; 64],
-            buf_len: 0,
-            total_len: 0,
+            block: BlockBuffer::new(),
         }
     }
 
@@ -40,87 +36,72 @@ impl Sha1 {
     }
 
     /// Absorb bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub fn update(&mut self, data: &[u8]) {
+        let state = &mut self.state;
+        self.block.update(data, |b| compress(state, b));
     }
 
     /// Finish and produce the 20-byte digest.
-    pub fn finalize_fixed(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` has already counted the 0x80; rewind the counter.
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
-        }
-        self.update(&bit_len.to_be_bytes());
+    pub fn finalize_fixed(self) -> [u8; 20] {
+        let mut state = self.state;
+        self.block.finish(|b| compress(&mut state, b));
         let mut out = [0u8; 20];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let t = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = t;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+/// The FIPS 180-4 §6.1.3 alternate method: the message schedule lives in
+/// a 16-word ring (`W[t]` overwrites `W[t-16]`), and the 80 rounds are
+/// one loop per round function (the first split where the ring starts
+/// being extended), so no round tests its index.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (wi, b) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(b.try_into().expect("chunks_exact(4)"));
     }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    macro_rules! rounds {
+        ($t:ident in $range:expr, $k:expr, $f:expr, $w:expr) => {
+            for $t in $range {
+                let tmp = a
+                    .rotate_left(5)
+                    .wrapping_add($f)
+                    .wrapping_add(e)
+                    .wrapping_add($k)
+                    .wrapping_add($w);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = tmp;
+            }
+        };
+    }
+    rounds!(t in 0..16, 0x5A827999, d ^ (b & (c ^ d)), w[t]);
+    rounds!(t in 16..20, 0x5A827999, d ^ (b & (c ^ d)), schedule(&mut w, t));
+    rounds!(t in 20..40, 0x6ED9EBA1, b ^ c ^ d, schedule(&mut w, t));
+    rounds!(t in 40..60, 0x8F1BBCDC, (b & c) | (d & (b | c)), schedule(&mut w, t));
+    rounds!(t in 60..80, 0xCA62C1D6, b ^ c ^ d, schedule(&mut w, t));
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// `W[t]` for `t >= 16`, written over `W[t-16]` in the ring.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    let x = (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15]).rotate_left(1);
+    w[t & 15] = x;
+    x
 }
 
 impl Hash for Sha1 {
     const BLOCK_SIZE: usize = 64;
     const OUTPUT_SIZE: usize = 20;
+    type Digest = [u8; 20];
 
     fn new() -> Self {
         Sha1::new()
@@ -130,8 +111,8 @@ impl Hash for Sha1 {
         Sha1::update(self, data)
     }
 
-    fn finalize(self) -> Vec<u8> {
-        self.finalize_fixed().to_vec()
+    fn finalize_fixed(self) -> [u8; 20] {
+        Sha1::finalize_fixed(self)
     }
 }
 

@@ -1,7 +1,7 @@
 //! SHA-256 (FIPS 180-4) — digest for PKCS#1 signatures, the TLS 1.2 PRF
 //! and the TLS 1.3 HKDF key schedule.
 
-use crate::hash::Hash;
+use crate::hash::{BlockBuffer, Hash};
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -18,9 +18,7 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
 }
 
 impl Default for Sha256 {
@@ -37,9 +35,7 @@ impl Sha256 {
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
                 0x5be0cd19,
             ],
-            buf: [0u8; 64],
-            buf_len: 0,
-            total_len: 0,
+            block: BlockBuffer::new(),
         }
     }
 
@@ -51,95 +47,81 @@ impl Sha256 {
     }
 
     /// Absorb bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub fn update(&mut self, data: &[u8]) {
+        let state = &mut self.state;
+        self.block.update(data, |b| compress(state, b));
     }
 
     /// Finish and produce the 32-byte digest.
-    pub fn finalize_fixed(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
-        }
-        self.update(&bit_len.to_be_bytes());
+    pub fn finalize_fixed(self) -> [u8; 32] {
+        let mut state = self.state;
+        self.block.finish(|b| compress(&mut state, b));
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The message schedule lives in a 16-word ring (`W[t]` overwrites
+/// `W[t-16]`): rounds 0..16 read the block's words, rounds 16..64 extend
+/// the ring as they go.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (wi, b) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(b.try_into().expect("chunks_exact(4)"));
     }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    macro_rules! rounds {
+        ($t:ident in $range:expr, $w:expr) => {
+            for $t in $range {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = g ^ (e & (f ^ g));
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[$t])
+                    .wrapping_add($w);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) | (c & (a | b));
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(s0.wrapping_add(maj));
+            }
+        };
+    }
+    rounds!(t in 0..16, w[t]);
+    rounds!(t in 16..64, schedule(&mut w, t));
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// `W[t]` for `t >= 16`, written over `W[t-16]` in the ring.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    let w15 = w[(t + 1) & 15];
+    let w2 = w[(t + 14) & 15];
+    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+    let x = w[t & 15]
+        .wrapping_add(s0)
+        .wrapping_add(w[(t + 9) & 15])
+        .wrapping_add(s1);
+    w[t & 15] = x;
+    x
 }
 
 impl Hash for Sha256 {
     const BLOCK_SIZE: usize = 64;
     const OUTPUT_SIZE: usize = 32;
+    type Digest = [u8; 32];
 
     fn new() -> Self {
         Sha256::new()
@@ -149,8 +131,8 @@ impl Hash for Sha256 {
         Sha256::update(self, data)
     }
 
-    fn finalize(self) -> Vec<u8> {
-        self.finalize_fixed().to_vec()
+    fn finalize_fixed(self) -> [u8; 32] {
+        Sha256::finalize_fixed(self)
     }
 }
 

@@ -7,7 +7,7 @@
 use qtls_crypto::bn::Bn;
 use qtls_crypto::ecc::NamedCurve;
 use qtls_crypto::rsa::RsaPrivateKey;
-use qtls_crypto::CryptoError;
+use qtls_crypto::{CbcHmacSha1, CryptoError};
 use std::sync::Arc;
 
 /// Coarse operation classes matching the paper's inflight counters
@@ -81,10 +81,8 @@ pub enum CryptoOp {
     },
     /// AES-128-CBC + HMAC-SHA1 record encryption (MAC-then-encrypt).
     CipherEncrypt {
-        /// AES key.
-        enc_key: [u8; 16],
-        /// HMAC-SHA1 key.
-        mac_key: Vec<u8>,
+        /// The direction's keyed cipher+hash session.
+        cipher: Arc<CbcHmacSha1>,
         /// Explicit IV.
         iv: [u8; 16],
         /// Plaintext fragment (≤ 16 KB).
@@ -94,10 +92,8 @@ pub enum CryptoOp {
     },
     /// AES-128-CBC + HMAC-SHA1 record decryption + MAC check.
     CipherDecrypt {
-        /// AES key.
-        enc_key: [u8; 16],
-        /// HMAC-SHA1 key.
-        mac_key: Vec<u8>,
+        /// The direction's keyed cipher+hash session.
+        cipher: Arc<CbcHmacSha1>,
         /// Explicit IV.
         iv: [u8; 16],
         /// Ciphertext.
@@ -111,10 +107,9 @@ pub enum CryptoOp {
     /// the ciphertext (models a DMA-style in-place transform — no
     /// per-record allocation on either side).
     CipherSealInPlace {
-        /// AES key.
-        enc_key: [u8; 16],
-        /// HMAC-SHA1 key, shared across the whole batch.
-        mac_key: Arc<[u8]>,
+        /// The direction's keyed cipher+hash session, shared by every
+        /// descriptor of the connection (as a QAT session handle is).
+        cipher: Arc<CbcHmacSha1>,
         /// Explicit IV.
         iv: [u8; 16],
         /// Plaintext in, ciphertext out (same buffer).
@@ -126,10 +121,8 @@ pub enum CryptoOp {
     /// explicit IV); the response returns the same buffer truncated to
     /// the verified content.
     CipherOpenInPlace {
-        /// AES key.
-        enc_key: [u8; 16],
-        /// HMAC-SHA1 key, shared across the whole batch.
-        mac_key: Arc<[u8]>,
+        /// The direction's keyed cipher+hash session.
+        cipher: Arc<CbcHmacSha1>,
         /// Explicit IV.
         iv: [u8; 16],
         /// Ciphertext in, plaintext out (same buffer).
@@ -214,10 +207,9 @@ pub struct CryptoResponse {
     pub trace: crate::trace::ReqTrace,
 }
 
-/// MAC-then-encrypt one record **in place**: `buf` holds the plaintext
-/// on entry and the ciphertext on return. The tag and TLS-style CBC
-/// padding are appended to `buf` (reserve `len + 20 + 16` up front to
-/// avoid a grow). No allocation when capacity suffices.
+/// MAC-then-encrypt one record **in place** under one-shot keys: a thin
+/// wrapper that keys a [`CbcHmacSha1`] for this call only. Anything that
+/// seals more than one record holds the context instead.
 pub fn seal_in_place(
     enc_key: &[u8; 16],
     mac_key: &[u8],
@@ -225,21 +217,11 @@ pub fn seal_in_place(
     buf: &mut Vec<u8>,
     aad: &[u8],
 ) -> Result<(), CryptoError> {
-    use qtls_crypto::{aes, hmac::Hmac, sha1::Sha1};
-    let mut mac = Hmac::<Sha1>::new(mac_key);
-    mac.update(aad);
-    mac.update(buf);
-    let tag = mac.finalize();
-    buf.extend_from_slice(&tag);
-    let pad_len = 16 - (buf.len() % 16);
-    buf.extend(std::iter::repeat_n((pad_len - 1) as u8, pad_len));
-    let cipher = aes::Aes128::new(enc_key);
-    aes::cbc_encrypt_in_place(&cipher, iv, buf)
+    CbcHmacSha1::new(enc_key, mac_key).seal_in_place(iv, buf, aad)
 }
 
-/// Decrypt + verify one record **in place**: `buf` holds the ciphertext
-/// (without the explicit IV) on entry and is truncated to the verified
-/// content on return. No allocation.
+/// Decrypt + verify one record **in place** under one-shot keys (see
+/// [`seal_in_place`]).
 pub fn open_in_place(
     enc_key: &[u8; 16],
     mac_key: &[u8],
@@ -247,33 +229,7 @@ pub fn open_in_place(
     buf: &mut Vec<u8>,
     aad: &[u8],
 ) -> Result<(), CryptoError> {
-    use qtls_crypto::{aes, hmac::Hmac, sha1::Sha1};
-    let cipher = aes::Aes128::new(enc_key);
-    aes::cbc_decrypt_in_place(&cipher, iv, buf)?;
-    if buf.is_empty() {
-        return Err(CryptoError::BadPadding);
-    }
-    let pad_len = *buf.last().unwrap() as usize + 1;
-    if pad_len > buf.len()
-        || buf[buf.len() - pad_len..]
-            .iter()
-            .any(|&b| b as usize != pad_len - 1)
-    {
-        return Err(CryptoError::BadPadding);
-    }
-    let content_and_tag = buf.len() - pad_len;
-    if content_and_tag < 20 {
-        return Err(CryptoError::BadMac);
-    }
-    let content = content_and_tag - 20;
-    let mut mac = Hmac::<Sha1>::new(mac_key);
-    mac.update(aad);
-    mac.update(&buf[..content]);
-    if !qtls_crypto::hmac::constant_time_eq(&mac.finalize(), &buf[content..content_and_tag]) {
-        return Err(CryptoError::BadMac);
-    }
-    buf.truncate(content);
-    Ok(())
+    CbcHmacSha1::new(enc_key, mac_key).open_in_place(iv, buf, aad)
 }
 
 /// Execute an operation, consuming the descriptor — the engine-thread
@@ -284,23 +240,21 @@ pub fn open_in_place(
 pub fn execute_owned(op: CryptoOp) -> CryptoResult {
     match op {
         CryptoOp::CipherSealInPlace {
-            enc_key,
-            mac_key,
+            cipher,
             iv,
             mut buf,
             aad,
         } => {
-            seal_in_place(&enc_key, &mac_key, &iv, &mut buf, &aad)?;
+            cipher.seal_in_place(&iv, &mut buf, &aad)?;
             Ok(CryptoOutput::Bytes(buf))
         }
         CryptoOp::CipherOpenInPlace {
-            enc_key,
-            mac_key,
+            cipher,
             iv,
             mut buf,
             aad,
         } => {
-            open_in_place(&enc_key, &mac_key, &iv, &mut buf, &aad)?;
+            cipher.open_in_place(&iv, &mut buf, &aad)?;
             Ok(CryptoOutput::Bytes(buf))
         }
         other => execute(&other),
@@ -310,7 +264,7 @@ pub fn execute_owned(op: CryptoOp) -> CryptoResult {
 /// Execute an operation using the software crypto substrate — this is
 /// what a QAT computation engine "does" in real-compute mode.
 pub fn execute(op: &CryptoOp) -> CryptoResult {
-    use qtls_crypto::{aes, ecc, hmac::Hmac, kdf, sha1::Sha1, TestRng};
+    use qtls_crypto::{ecc, kdf, TestRng};
     match op {
         CryptoOp::RsaSign { key, msg } => key.sign_pkcs1_sha256(msg).map(CryptoOutput::Bytes),
         CryptoOp::RsaDecrypt { key, ciphertext } => {
@@ -351,83 +305,32 @@ pub fn execute(op: &CryptoOp) -> CryptoResult {
             secret, label, seed, *out_len,
         ))),
         CryptoOp::CipherEncrypt {
-            enc_key,
-            mac_key,
+            cipher,
             iv,
             plaintext,
             aad,
-        } => {
-            // MAC-then-encrypt with TLS-style CBC padding.
-            let mut mac = Hmac::<Sha1>::new(mac_key);
-            mac.update(aad);
-            mac.update(plaintext);
-            let tag = mac.finalize();
-            let mut padded = Vec::with_capacity(plaintext.len() + tag.len() + 16);
-            padded.extend_from_slice(plaintext);
-            padded.extend_from_slice(&tag);
-            let pad_len = 16 - (padded.len() % 16);
-            padded.extend(std::iter::repeat_n((pad_len - 1) as u8, pad_len));
-            let cipher = aes::Aes128::new(enc_key);
-            aes::cbc_encrypt(&cipher, iv, &padded).map(CryptoOutput::Bytes)
-        }
+        } => cipher.seal(iv, plaintext, aad).map(CryptoOutput::Bytes),
         CryptoOp::CipherDecrypt {
-            enc_key,
-            mac_key,
+            cipher,
             iv,
             ciphertext,
             aad,
-        } => {
-            let cipher = aes::Aes128::new(enc_key);
-            let padded = aes::cbc_decrypt(&cipher, iv, ciphertext)?;
-            if padded.is_empty() {
-                return Err(CryptoError::BadPadding);
-            }
-            let pad_len = *padded.last().unwrap() as usize + 1;
-            if pad_len > padded.len()
-                || padded[padded.len() - pad_len..]
-                    .iter()
-                    .any(|&b| b as usize != pad_len - 1)
-            {
-                return Err(CryptoError::BadPadding);
-            }
-            let content_and_tag = &padded[..padded.len() - pad_len];
-            if content_and_tag.len() < 20 {
-                return Err(CryptoError::BadMac);
-            }
-            let (content, tag) = content_and_tag.split_at(content_and_tag.len() - 20);
-            let mut mac = Hmac::<Sha1>::new(mac_key);
-            mac.update(aad);
-            mac.update(content);
-            if !qtls_crypto::hmac::constant_time_eq(&mac.finalize(), tag) {
-                return Err(CryptoError::BadMac);
-            }
-            Ok(CryptoOutput::Bytes(content.to_vec()))
-        }
+        } => cipher.open(iv, ciphertext, aad).map(CryptoOutput::Bytes),
         // By-reference callers (benches, service-time probes) get a
         // copying fallback; the engine threads go through
         // [`execute_owned`] and stay allocation-free.
         CryptoOp::CipherSealInPlace {
-            enc_key,
-            mac_key,
+            cipher,
             iv,
             buf,
             aad,
-        } => {
-            let mut out = buf.clone();
-            seal_in_place(enc_key, mac_key, iv, &mut out, aad)?;
-            Ok(CryptoOutput::Bytes(out))
-        }
+        } => cipher.seal(iv, buf, aad).map(CryptoOutput::Bytes),
         CryptoOp::CipherOpenInPlace {
-            enc_key,
-            mac_key,
+            cipher,
             iv,
             buf,
             aad,
-        } => {
-            let mut out = buf.clone();
-            open_in_place(enc_key, mac_key, iv, &mut out, aad)?;
-            Ok(CryptoOutput::Bytes(out))
-        }
+        } => cipher.open(iv, buf, aad).map(CryptoOutput::Bytes),
     }
 }
 
@@ -459,8 +362,7 @@ mod tests {
         );
         assert_eq!(
             CryptoOp::CipherEncrypt {
-                enc_key: [0; 16],
-                mac_key: vec![],
+                cipher: Arc::new(CbcHmacSha1::new(&[0; 16], &[])),
                 iv: [0; 16],
                 plaintext: vec![],
                 aad: vec![]
@@ -501,9 +403,9 @@ mod tests {
 
     #[test]
     fn execute_cipher_roundtrip() {
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
         let enc = CryptoOp::CipherEncrypt {
-            enc_key: [1; 16],
-            mac_key: vec![2; 20],
+            cipher: Arc::clone(&cipher),
             iv: [3; 16],
             plaintext: b"application data record".to_vec(),
             aad: b"seq+hdr".to_vec(),
@@ -511,8 +413,7 @@ mod tests {
         let ct = execute(&enc).unwrap().into_bytes();
         assert_eq!(ct.len() % 16, 0);
         let dec = CryptoOp::CipherDecrypt {
-            enc_key: [1; 16],
-            mac_key: vec![2; 20],
+            cipher: Arc::clone(&cipher),
             iv: [3; 16],
             ciphertext: ct.clone(),
             aad: b"seq+hdr".to_vec(),
@@ -523,8 +424,7 @@ mod tests {
         );
         // Wrong AAD -> MAC failure.
         let bad = CryptoOp::CipherDecrypt {
-            enc_key: [1; 16],
-            mac_key: vec![2; 20],
+            cipher,
             iv: [3; 16],
             ciphertext: ct,
             aad: b"tampered".to_vec(),
@@ -533,36 +433,30 @@ mod tests {
     }
 
     #[test]
-    fn in_place_seal_matches_allocating_encrypt_and_roundtrips() {
-        let mac_key: Arc<[u8]> = Arc::from(vec![2u8; 20].into_boxed_slice());
-        let mut aad = [0u8; 11];
-        aad[..8].copy_from_slice(&7u64.to_be_bytes());
-        aad[8] = 23;
-        aad[9..].copy_from_slice(&0x0303u16.to_be_bytes());
-        // Sealed-in-place bytes equal the allocating CipherEncrypt path.
-        let reference = execute(&CryptoOp::CipherEncrypt {
-            enc_key: [1; 16],
-            mac_key: vec![2; 20],
-            iv: [3; 16],
-            plaintext: b"bulk record payload".to_vec(),
-            aad: aad.to_vec(),
-        })
-        .unwrap()
-        .into_bytes();
+    fn in_place_ops_hand_the_same_buffer_back() {
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let aad = [7u8; 11];
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(b"bulk record payload");
+        let ptr = buf.as_ptr();
         let sealed = execute_owned(CryptoOp::CipherSealInPlace {
-            enc_key: [1; 16],
-            mac_key: Arc::clone(&mac_key),
+            cipher: Arc::clone(&cipher),
             iv: [3; 16],
-            buf: b"bulk record payload".to_vec(),
+            buf,
             aad,
         })
         .unwrap()
         .into_bytes();
-        assert_eq!(sealed, reference);
+        assert_eq!(sealed.as_ptr(), ptr, "sealed in the caller's buffer");
+        // The one-shot wrappers key the same context.
+        let mut oneshot = b"bulk record payload".to_vec();
+        seal_in_place(&[1; 16], &[2; 20], &[3; 16], &mut oneshot, &aad).unwrap();
+        assert_eq!(oneshot, sealed);
+        open_in_place(&[1; 16], &[2; 20], &[3; 16], &mut oneshot, &aad).unwrap();
+        assert_eq!(oneshot, b"bulk record payload");
         // Open in place recovers the content and truncates the buffer.
         let opened = execute_owned(CryptoOp::CipherOpenInPlace {
-            enc_key: [1; 16],
-            mac_key: Arc::clone(&mac_key),
+            cipher: Arc::clone(&cipher),
             iv: [3; 16],
             buf: sealed.clone(),
             aad,
@@ -575,8 +469,7 @@ mod tests {
         bad_aad[0] ^= 1;
         assert!(matches!(
             execute_owned(CryptoOp::CipherOpenInPlace {
-                enc_key: [1; 16],
-                mac_key,
+                cipher,
                 iv: [3; 16],
                 buf: sealed,
                 aad: bad_aad,

@@ -14,8 +14,7 @@
 //! client cannot stockpile tokens.
 
 use crate::session::TicketKeys;
-use qtls_crypto::hmac::{constant_time_eq, Hmac};
-use qtls_crypto::sha256::Sha256;
+use qtls_crypto::hmac::constant_time_eq;
 
 /// Wire length of a retry token: 8-byte timestamp + 16-byte tag.
 pub const RETRY_TOKEN_LEN: usize = 24;
@@ -29,9 +28,8 @@ fn retry_tag(keys: &TicketKeys, addr: u64, ts_secs: u64) -> [u8; 16] {
     msg[..RETRY_CONTEXT.len()].copy_from_slice(RETRY_CONTEXT);
     msg[RETRY_CONTEXT.len()..RETRY_CONTEXT.len() + 8].copy_from_slice(&addr.to_be_bytes());
     msg[RETRY_CONTEXT.len() + 8..].copy_from_slice(&ts_secs.to_be_bytes());
-    let full = Hmac::<Sha256>::mac(keys.mac_key(), &msg);
     let mut tag = [0u8; 16];
-    tag.copy_from_slice(&full[..16]);
+    tag.copy_from_slice(&keys.mac(&msg)[..16]);
     tag
 }
 

@@ -18,7 +18,7 @@ use qtls_crypto::bn::Bn;
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::kdf;
 use qtls_crypto::rsa::RsaPrivateKey;
-use qtls_crypto::{aes, hmac::Hmac, sha1::Sha1, CryptoError, TestRng};
+use qtls_crypto::{CbcHmacSha1, CryptoError, TestRng};
 use qtls_qat::{CryptoOp, CryptoOutput};
 use std::sync::Arc;
 
@@ -265,13 +265,12 @@ impl CryptoProvider {
         kdf::hkdf_expand_label(secret, label, context, out_len)
     }
 
-    /// Record protection: MAC-then-encrypt with AES-128-CBC + HMAC-SHA1.
-    #[allow(clippy::too_many_arguments)]
+    /// Record protection: MAC-then-encrypt with AES-128-CBC + HMAC-SHA1
+    /// under the direction's keyed context.
     pub async fn cipher_encrypt(
         &self,
         counters: &mut OpCounters,
-        enc_key: [u8; 16],
-        mac_key: &[u8],
+        cipher: &Arc<CbcHmacSha1>,
         iv: [u8; 16],
         plaintext: &[u8],
         aad: &[u8],
@@ -281,8 +280,7 @@ impl CryptoProvider {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::CipherEncrypt {
-                    enc_key,
-                    mac_key: mac_key.to_vec(),
+                    cipher: Arc::clone(cipher),
                     iv,
                     plaintext: plaintext.to_vec(),
                     aad: aad.to_vec(),
@@ -290,19 +288,15 @@ impl CryptoProvider {
             )
             .await?
             .into_bytes()),
-            None => {
-                software_encrypt(enc_key, mac_key, iv, plaintext, aad).map_err(TlsError::Crypto)
-            }
+            None => cipher.seal(&iv, plaintext, aad).map_err(TlsError::Crypto),
         }
     }
 
     /// Record decryption + MAC verification.
-    #[allow(clippy::too_many_arguments)]
     pub async fn cipher_decrypt(
         &self,
         counters: &mut OpCounters,
-        enc_key: [u8; 16],
-        mac_key: &[u8],
+        cipher: &Arc<CbcHmacSha1>,
         iv: [u8; 16],
         ciphertext: &[u8],
         aad: &[u8],
@@ -312,8 +306,7 @@ impl CryptoProvider {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::CipherDecrypt {
-                    enc_key,
-                    mac_key: mac_key.to_vec(),
+                    cipher: Arc::clone(cipher),
                     iv,
                     ciphertext: ciphertext.to_vec(),
                     aad: aad.to_vec(),
@@ -321,9 +314,7 @@ impl CryptoProvider {
             )
             .await?
             .into_bytes()),
-            None => {
-                software_decrypt(enc_key, mac_key, iv, ciphertext, aad).map_err(TlsError::Crypto)
-            }
+            None => cipher.open(&iv, ciphertext, aad).map_err(TlsError::Crypto),
         }
     }
 
@@ -348,63 +339,6 @@ impl CryptoProvider {
         counters.cipher += ops.len() as u32;
         Some(engine.offload_batch_async(ops).await)
     }
-}
-
-/// Software record encryption (shared with the QAT engine's real-compute
-/// implementation — see `qtls_qat::request::execute`).
-pub fn software_encrypt(
-    enc_key: [u8; 16],
-    mac_key: &[u8],
-    iv: [u8; 16],
-    plaintext: &[u8],
-    aad: &[u8],
-) -> Result<Vec<u8>, CryptoError> {
-    let mut mac = Hmac::<Sha1>::new(mac_key);
-    mac.update(aad);
-    mac.update(plaintext);
-    let tag = mac.finalize();
-    let mut padded = Vec::with_capacity(plaintext.len() + tag.len() + 16);
-    padded.extend_from_slice(plaintext);
-    padded.extend_from_slice(&tag);
-    let pad_len = 16 - (padded.len() % 16);
-    padded.extend(std::iter::repeat_n((pad_len - 1) as u8, pad_len));
-    let cipher = aes::Aes128::new(&enc_key);
-    aes::cbc_encrypt(&cipher, &iv, &padded)
-}
-
-/// Software record decryption + MAC verification.
-pub fn software_decrypt(
-    enc_key: [u8; 16],
-    mac_key: &[u8],
-    iv: [u8; 16],
-    ciphertext: &[u8],
-    aad: &[u8],
-) -> Result<Vec<u8>, CryptoError> {
-    let cipher = aes::Aes128::new(&enc_key);
-    let padded = aes::cbc_decrypt(&cipher, &iv, ciphertext)?;
-    if padded.is_empty() {
-        return Err(CryptoError::BadPadding);
-    }
-    let pad_len = *padded.last().unwrap() as usize + 1;
-    if pad_len > padded.len()
-        || padded[padded.len() - pad_len..]
-            .iter()
-            .any(|&b| b as usize != pad_len - 1)
-    {
-        return Err(CryptoError::BadPadding);
-    }
-    let content_and_tag = &padded[..padded.len() - pad_len];
-    if content_and_tag.len() < 20 {
-        return Err(CryptoError::BadMac);
-    }
-    let (content, tag) = content_and_tag.split_at(content_and_tag.len() - 20);
-    let mut mac = Hmac::<Sha1>::new(mac_key);
-    mac.update(aad);
-    mac.update(content);
-    if !qtls_crypto::hmac::constant_time_eq(&mac.finalize(), tag) {
-        return Err(CryptoError::BadMac);
-    }
-    Ok(content.to_vec())
 }
 
 #[cfg(test)]
@@ -438,29 +372,11 @@ mod tests {
     fn software_cipher_roundtrip_via_provider() {
         let p = CryptoProvider::Software;
         let mut c = OpCounters::default();
-        let ct = run_sync(p.cipher_encrypt(&mut c, [1; 16], &[2; 20], [3; 16], b"data", b"aad"))
-            .unwrap();
-        let pt =
-            run_sync(p.cipher_decrypt(&mut c, [1; 16], &[2; 20], [3; 16], &ct, b"aad")).unwrap();
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let ct = run_sync(p.cipher_encrypt(&mut c, &cipher, [3; 16], b"data", b"aad")).unwrap();
+        let pt = run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], &ct, b"aad")).unwrap();
         assert_eq!(pt, b"data");
         assert_eq!(c.cipher, 2);
-    }
-
-    #[test]
-    fn software_matches_engine_execute() {
-        // The provider's software cipher must be byte-identical to the
-        // QAT real-compute implementation (they protect the same records).
-        let sw = software_encrypt([1; 16], &[2; 20], [3; 16], b"hello world", b"hdr").unwrap();
-        let qat = qtls_qat::request::execute(&CryptoOp::CipherEncrypt {
-            enc_key: [1; 16],
-            mac_key: vec![2; 20],
-            iv: [3; 16],
-            plaintext: b"hello world".to_vec(),
-            aad: b"hdr".to_vec(),
-        })
-        .unwrap()
-        .into_bytes();
-        assert_eq!(sw, qat);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use crate::keys::{DirectionSecrets, ExtractedSecrets};
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::suite::sizes;
 use qtls_core::run_sync;
-use qtls_crypto::EntropySource;
-use qtls_qat::{open_in_place, seal_in_place, CryptoOp};
+use qtls_crypto::{CbcHmacSha1, EntropySource};
+use qtls_qat::CryptoOp;
 use std::sync::Arc;
 
 /// Record content types (RFC values).
@@ -54,10 +54,20 @@ pub struct DirectionKeys {
     pub enc_key: [u8; 16],
 }
 
-/// One direction's record protection state.
+/// One direction's record protection state: the raw keys (kept for
+/// [`RecordLayer::extract_secrets`]), the cipher+hash context keyed from
+/// them once, here, and the next sequence number.
 struct CipherState {
     keys: DirectionKeys,
+    cipher: Arc<CbcHmacSha1>,
     seq: u64,
+}
+
+impl CipherState {
+    fn new(keys: DirectionKeys, seq: u64) -> Self {
+        let cipher = Arc::new(CbcHmacSha1::new(&keys.enc_key, &keys.mac_key));
+        CipherState { keys, cipher, seq }
+    }
 }
 
 /// The record layer of one connection end.
@@ -89,12 +99,12 @@ impl RecordLayer {
 
     /// Activate write protection (our ChangeCipherSpec point).
     pub fn set_write_keys(&mut self, keys: DirectionKeys) {
-        self.write = Some(CipherState { keys, seq: 0 });
+        self.write = Some(CipherState::new(keys, 0));
     }
 
     /// Activate read protection (peer's ChangeCipherSpec point).
     pub fn set_read_keys(&mut self, keys: DirectionKeys) {
-        self.read = Some(CipherState { keys, seq: 0 });
+        self.read = Some(CipherState::new(keys, 0));
     }
 
     /// Is write protection active?
@@ -143,14 +153,7 @@ impl RecordLayer {
                 let mut iv = [0u8; 16];
                 rng.fill(&mut iv);
                 let ct = provider
-                    .cipher_encrypt(
-                        counters,
-                        state.keys.enc_key,
-                        &state.keys.mac_key,
-                        iv,
-                        payload,
-                        &aad,
-                    )
+                    .cipher_encrypt(counters, &state.cipher, iv, payload, &aad)
                     .await?;
                 state.seq += 1;
                 let mut body = Vec::with_capacity(16 + ct.len());
@@ -260,14 +263,7 @@ impl RecordLayer {
                 aad.extend_from_slice(&self.version.to_be_bytes());
                 let iv: [u8; 16] = body[..16].try_into().unwrap();
                 let pt = provider
-                    .cipher_decrypt(
-                        counters,
-                        state.keys.enc_key,
-                        &state.keys.mac_key,
-                        iv,
-                        &body[16..],
-                        &aad,
-                    )
+                    .cipher_decrypt(counters, &state.cipher, iv, &body[16..], &aad)
                     .await?;
                 state.seq += 1;
                 pt
@@ -347,10 +343,6 @@ pub struct RecordCodec {
     version: u16,
     write: CipherState,
     read: CipherState,
-    /// MAC keys as refcounted slices: cloning one into a batch descriptor
-    /// is a refcount bump, not an allocation.
-    write_mac: Arc<[u8]>,
-    read_mac: Arc<[u8]>,
     /// Raw inbound bytes not yet opened.
     in_buf: Vec<u8>,
     /// Staged outbound plaintext fragments awaiting flush.
@@ -371,20 +363,10 @@ impl RecordCodec {
     /// Build a codec from extracted secrets plus any leftover raw bytes
     /// the handshake had buffered past `Finished`.
     pub fn new(secrets: ExtractedSecrets, leftover: Vec<u8>, max_batch: usize) -> Self {
-        let write_mac: Arc<[u8]> = secrets.write.keys.mac_key.clone().into();
-        let read_mac: Arc<[u8]> = secrets.read.keys.mac_key.clone().into();
         RecordCodec {
             version: secrets.version,
-            write: CipherState {
-                keys: secrets.write.keys,
-                seq: secrets.write.seq,
-            },
-            read: CipherState {
-                keys: secrets.read.keys,
-                seq: secrets.read.seq,
-            },
-            write_mac,
-            read_mac,
+            write: CipherState::new(secrets.write.keys, secrets.write.seq),
+            read: CipherState::new(secrets.read.keys, secrets.read.seq),
             in_buf: leftover,
             staged: Vec::new(),
             pool: Vec::new(),
@@ -480,8 +462,7 @@ impl RecordCodec {
             rng.fill(&mut iv);
             if offload {
                 ops.push(CryptoOp::CipherSealInPlace {
-                    enc_key: self.write.keys.enc_key,
-                    mac_key: Arc::clone(&self.write_mac),
+                    cipher: Arc::clone(&self.write.cipher),
                     iv,
                     buf,
                     aad,
@@ -493,14 +474,10 @@ impl RecordCodec {
                 }
             } else {
                 counters.cipher += 1;
-                seal_in_place(
-                    &self.write.keys.enc_key,
-                    &self.write.keys.mac_key,
-                    &iv,
-                    &mut buf,
-                    &aad,
-                )
-                .map_err(TlsError::Crypto)?;
+                self.write
+                    .cipher
+                    .seal_in_place(&iv, &mut buf, &aad)
+                    .map_err(TlsError::Crypto)?;
                 Self::emit_record(out, self.version, &iv, &buf);
                 self.pool_put(buf);
             }
@@ -612,8 +589,7 @@ impl RecordCodec {
             buf.extend_from_slice(&body[16..]);
             if offload {
                 ops.push(CryptoOp::CipherOpenInPlace {
-                    enc_key: self.read.keys.enc_key,
-                    mac_key: Arc::clone(&self.read_mac),
+                    cipher: Arc::clone(&self.read.cipher),
                     iv,
                     buf,
                     aad,
@@ -625,14 +601,10 @@ impl RecordCodec {
                 }
             } else {
                 counters.cipher += 1;
-                open_in_place(
-                    &self.read.keys.enc_key,
-                    &self.read.keys.mac_key,
-                    &iv,
-                    &mut buf,
-                    &aad,
-                )
-                .map_err(TlsError::Crypto)?;
+                self.read
+                    .cipher
+                    .open_in_place(&iv, &mut buf, &aad)
+                    .map_err(TlsError::Crypto)?;
                 self.bytes_opened += buf.len() as u64;
                 out.extend_from_slice(&buf);
                 self.pool_put(buf);

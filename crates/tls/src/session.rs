@@ -10,7 +10,8 @@
 //! recency and expiry semantics.
 
 use crate::suite::CipherSuite;
-use qtls_crypto::{aes, hmac::Hmac, sha256::Sha256, EntropySource};
+use qtls_crypto::hmac::{constant_time_eq, Hmac};
+use qtls_crypto::{aes, sha256::Sha256, EntropySource};
 use qtls_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -220,11 +221,13 @@ impl Default for SessionCache {
     }
 }
 
-/// Server ticket protection keys (AES-128-CBC + HMAC-SHA256).
+/// Server ticket protection keys (AES-128-CBC + HMAC-SHA256), held
+/// expanded: the AES schedules and the keyed HMAC midstates are built
+/// once per key, not once per ticket.
 #[derive(Clone)]
 pub struct TicketKeys {
-    enc_key: [u8; 16],
-    mac_key: [u8; 32],
+    aes: aes::Aes128,
+    mac: Hmac<Sha256>,
 }
 
 impl TicketKeys {
@@ -234,14 +237,19 @@ impl TicketKeys {
         let mut mac_key = [0u8; 32];
         rng.fill(&mut enc_key);
         rng.fill(&mut mac_key);
-        TicketKeys { enc_key, mac_key }
+        TicketKeys {
+            aes: aes::Aes128::new(&enc_key),
+            mac: Hmac::new(&mac_key),
+        }
     }
 
-    /// The MAC half of the key pair, shared with sibling modules that
-    /// derive cheap authenticators (admission retry tokens) from the
-    /// same rotating material.
-    pub(crate) fn mac_key(&self) -> &[u8; 32] {
-        &self.mac_key
+    /// HMAC-SHA256 of `msg` under the MAC half of the key pair. Shared
+    /// with sibling modules that derive cheap authenticators (admission
+    /// retry tokens) from the same rotating material.
+    pub(crate) fn mac(&self, msg: &[u8]) -> [u8; 32] {
+        let mut h = self.mac.clone();
+        h.update(msg);
+        h.finalize_fixed()
     }
 
     /// Seal a session into an opaque ticket: `iv || ct || mac`.
@@ -260,12 +268,11 @@ impl TicketKeys {
         plaintext.extend(std::iter::repeat_n(pad as u8, pad));
         let mut iv = [0u8; 16];
         rng.fill(&mut iv);
-        let cipher = aes::Aes128::new(&self.enc_key);
-        let ct = aes::cbc_encrypt(&cipher, &iv, &plaintext).expect("padded");
+        let ct = aes::cbc_encrypt(&self.aes, &iv, &plaintext).expect("padded");
         let mut out = Vec::with_capacity(16 + ct.len() + 32);
         out.extend_from_slice(&iv);
         out.extend_from_slice(&ct);
-        let mac = Hmac::<Sha256>::mac(&self.mac_key, &out);
+        let mac = self.mac(&out);
         out.extend_from_slice(&mac);
         Some(out)
     }
@@ -276,12 +283,11 @@ impl TicketKeys {
             return None;
         }
         let (body, mac) = ticket.split_at(ticket.len() - 32);
-        if !Hmac::<Sha256>::verify(&self.mac_key, body, mac) {
+        if !constant_time_eq(&self.mac(body), mac) {
             return None;
         }
         let iv: [u8; 16] = body[..16].try_into().ok()?;
-        let cipher = aes::Aes128::new(&self.enc_key);
-        let pt = aes::cbc_decrypt(&cipher, &iv, &body[16..]).ok()?;
+        let pt = aes::cbc_decrypt(&self.aes, &iv, &body[16..]).ok()?;
         let pad = *pt.last()? as usize;
         if pad == 0 || pad > 16 || pad >= pt.len() {
             return None;

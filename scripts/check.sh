@@ -356,6 +356,26 @@ if ! grep -q 'park_timeout' <<< "$worker_idle"; then
 fi
 echo "ok: engines wait untimed; the idle worker parks on its wake handle"
 
+echo "== symmetric substrate: compile-time tables, one body each =="
+# The record-cipher primitives (DESIGN.md §18) build their tables at
+# compile time and multiply in GF(2^8) only to build them: no lazily
+# initialised global and no run-time gmul outside test code. The
+# byte-wise reference lives in aes_oracle.rs, which only test targets
+# compile. (ec.rs / ec2m.rs / test_keys.rs keep their OnceLock'd curve
+# and key constants — bignums cannot be const-built; not this gate.)
+for f in aes sha1 sha256 hmac hash cbc_hmac; do
+  src=crates/crypto/src/$f.rs
+  if sed '/#\[cfg(test)\]/,$d' "$src" | grep -nE 'OnceLock|gmul'; then
+    echo "non-test $src uses OnceLock or gmul (see above)" >&2
+    exit 1
+  fi
+done
+if ! grep -qx '#\[cfg(test)\]' <(grep -B1 '^mod aes_oracle;' crates/crypto/src/lib.rs); then
+  echo "crates/crypto/src/lib.rs compiles aes_oracle outside #[cfg(test)]" >&2
+  exit 1
+fi
+echo "ok: symmetric primitives are const-table and gmul-free outside tests"
+
 echo "== trajectory gate =="
 # The newest results/BENCH_e2e.json entry must sit inside every
 # BENCHMARK.json bound (ROADMAP 3(g)).
