@@ -6,6 +6,7 @@ use qtls_bench::harness::{Criterion, Throughput};
 use qtls_bench::{criterion_group, criterion_main};
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::hmac::Hmac;
+use qtls_crypto::mont::MontCtx;
 use qtls_crypto::sha1::Sha1;
 use qtls_crypto::sha256::Sha256;
 use qtls_crypto::test_keys::test_rsa_2048;
@@ -28,12 +29,29 @@ fn bench_rsa(c: &mut Criterion) {
         b.iter(|| key.decrypt_pkcs1(black_box(&ct)).unwrap())
     });
     let sig = key.sign_pkcs1_sha256(b"msg").unwrap();
-    group.bench_function("verify", |b| {
+    group.bench_function("rsa2048_verify", |b| {
         b.iter(|| {
             key.public()
                 .verify_pkcs1_sha256(black_box(b"msg"), &sig)
                 .unwrap()
         })
+    });
+    group.finish();
+
+    // The two kernels under every exponentiation, at the CRT half's
+    // width (a 1024-bit prime: 16 limbs).
+    let ctx = MontCtx::new(key.primes().0.clone());
+    let k = ctx.limbs();
+    let a: Vec<u64> = (0..k as u64)
+        .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1) >> 1)
+        .collect();
+    let (mut out, mut wide) = (vec![0u64; k], vec![0u64; 2 * k]);
+    let mut group = c.benchmark_group("mont");
+    group.bench_function("mont_mul_1024", |b| {
+        b.iter(|| ctx.mont_mul(black_box(&a), ctx.rr(), &mut out, &mut wide))
+    });
+    group.bench_function("mont_sqr_1024", |b| {
+        b.iter(|| ctx.mont_sqr(black_box(&a), &mut out, &mut wide))
     });
     group.finish();
 }
@@ -54,6 +72,24 @@ fn bench_ecc(c: &mut Criterion) {
             b.iter(|| ecc::ecdsa_sign(curve, &kp.private, black_box(b"transcript"), &mut nonce_rng))
         });
     }
+    group.finish();
+
+    // The three scalar-multiplication shapes under keygen/sign, ECDH and
+    // verify: fixed-base comb, variable-base wNAF, and the joint pass.
+    let mut rng = TestRng::new(5);
+    let kp = ecc::generate_keypair(NamedCurve::P256, &mut rng);
+    let sig = ecc::ecdsa_sign(NamedCurve::P256, &kp.private, b"transcript", &mut rng);
+    let mut group = c.benchmark_group("p256");
+    group.sample_size(10);
+    group.bench_function("p256_scalar_mul_base", |b| {
+        b.iter(|| NamedCurve::P256.scalar_mul_base(black_box(&kp.private)))
+    });
+    group.bench_function("p256_scalar_mul", |b| {
+        b.iter(|| NamedCurve::P256.scalar_mul(black_box(&kp.public), &kp.private))
+    });
+    group.bench_function("p256_ecdsa_verify", |b| {
+        b.iter(|| ecc::ecdsa_verify(NamedCurve::P256, &kp.public, black_box(b"transcript"), &sig))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("ecdh");

@@ -43,7 +43,12 @@ const HEAVY_KB: usize = 768;
 const LIGHT_KB: usize = 2;
 /// Pause between connection arrivals so worker gauges and backlogs
 /// reflect in-progress work when the dispatcher routes the next socket.
-const PACE: Duration = Duration::from_millis(2);
+/// Both cluster verdicts need the heavies to *overlap*: a worker sees
+/// one every `HEAVY_STRIDE * PACE`, which must stay well under the
+/// ≈ 6 ms a heavy connection takes to serve (2 ms was level with it
+/// once a handshake cost ≈ 1 ms instead of ≈ 2: no backlog to steal in
+/// 5 of 6 runs, every heavy on worker 0 under least-loaded in 2 of 6).
+const PACE: Duration = Duration::from_micros(500);
 /// Per-connection driver deadline.
 const DRIVE_DEADLINE: Duration = Duration::from_secs(120);
 /// Sim gate: dFCFS+steal must beat round-robin p99 by at least this.

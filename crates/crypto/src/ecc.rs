@@ -185,6 +185,10 @@ pub fn generate_keypair<R: EntropySource>(curve: NamedCurve, rng: &mut R) -> EcK
 
 /// ECDH shared-secret computation: the x-coordinate of
 /// `private * peer_public`, encoded to the field width.
+///
+/// `peer_public` is validated here even though [`decode_point`] already
+/// did: this function is public on a raw [`AffinePoint`], and on the
+/// prime curves the check is a limb compare and four field products.
 pub fn ecdh(
     curve: NamedCurve,
     private: &Bn,

@@ -3,11 +3,15 @@
 //!
 //! Elements are `[u64; N]` in Montgomery form — no heap allocation in the
 //! point-arithmetic hot path, following the perf-book guidance to keep
-//! oft-instantiated types small and allocation-free.
+//! oft-instantiated types small and allocation-free. Multiplication is
+//! the row-interleaved (CIOS) form, whose `N`-limb accumulator lives in
+//! registers at these widths; squaring and reduction are
+//! [`crate::mont`]'s kernels, run at a width the compiler knows.
 
 #![allow(clippy::needless_range_loop)] // fixed-width limb kernels index in lockstep
 
 use crate::bn::Bn;
+use crate::mont::{ge, redc, sqr_wide, sub_assign};
 
 /// Parameters of a prime field with an `N`-limb odd modulus.
 #[derive(Clone, Debug)]
@@ -27,37 +31,46 @@ impl<const N: usize> FpParams<N> {
     pub fn new(p_bn: &Bn) -> Self {
         assert!(p_bn.is_odd(), "prime field modulus must be odd");
         assert!(p_bn.bit_len() <= 64 * N && p_bn.bit_len() > 64 * (N - 1));
-        let mut p = [0u64; N];
-        p[..p_bn.limbs().len()].copy_from_slice(p_bn.limbs());
+        let limbs = |v: &Bn| {
+            let mut a = [0u64; N];
+            a[..v.limbs().len()].copy_from_slice(v.limbs());
+            a
+        };
+        let p = limbs(p_bn);
         // -p^{-1} mod 2^64 by Newton iteration.
         let mut inv = p[0];
         for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(p[0].wrapping_mul(inv)));
         }
-        let n0_inv = inv.wrapping_neg();
-        let rr_bn = Bn::one().shl(128 * N).rem(p_bn);
-        let mut rr = [0u64; N];
-        rr[..rr_bn.limbs().len()].copy_from_slice(rr_bn.limbs());
-        let one_bn = Bn::one().shl(64 * N).rem(p_bn);
-        let mut one = [0u64; N];
-        one[..one_bn.limbs().len()].copy_from_slice(one_bn.limbs());
-        FpParams { p, n0_inv, rr, one }
+        FpParams {
+            p,
+            n0_inv: inv.wrapping_neg(),
+            rr: limbs(&Bn::one().shl(128 * N).rem(p_bn)),
+            one: limbs(&Bn::one().shl(64 * N).rem(p_bn)),
+        }
     }
 
-    /// Convert a `Bn` (reduced mod p by the caller) into Montgomery form.
-    pub fn to_mont(&self, v: &Bn) -> [u64; N] {
+    /// Convert a `Bn` into Montgomery form; `None` unless it is `< p`.
+    /// Allocation-free: a range compare on the limbs and one product.
+    pub fn to_mont(&self, v: &Bn) -> Option<[u64; N]> {
+        let limbs = v.limbs();
+        if limbs.len() > N {
+            return None;
+        }
         let mut a = [0u64; N];
-        let v = v.rem(&self.modulus_bn());
-        a[..v.limbs().len()].copy_from_slice(v.limbs());
-        self.mul(&a, &self.rr)
+        a[..limbs.len()].copy_from_slice(limbs);
+        if ge(&a, &self.p) {
+            return None;
+        }
+        Some(self.mul(&a, &self.rr))
     }
 
     /// Convert out of Montgomery form into a `Bn`.
     pub fn from_mont(&self, a: &[u64; N]) -> Bn {
-        let mut one = [0u64; N];
-        one[0] = 1;
-        let v = self.mul(a, &one);
-        Bn::from_limbs(v.to_vec())
+        let mut out = [0u64; N];
+        let mut wide = [*a, [0u64; N]];
+        redc(&self.p, self.n0_inv, wide.as_flattened_mut(), &mut out);
+        Bn::from_limbs(out.to_vec())
     }
 
     /// The modulus as a `Bn`.
@@ -72,20 +85,11 @@ impl<const N: usize> FpParams<N> {
 
     /// Field addition.
     pub fn add(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
-        let mut out = [0u64; N];
-        let mut carry = 0u64;
-        for i in 0..N {
-            let (s1, c1) = a[i].overflowing_add(b[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        if carry != 0 {
-            // The true value is out + 2^(64N); the borrow from the
-            // subtraction cancels against the dropped carry.
-            let _ = sub_limbs_borrow(&mut out, &self.p);
-        } else if ge(&out, &self.p) {
-            sub_limbs(&mut out, &self.p);
+        let mut out = *a;
+        // On a carry the true value is out + 2^(64N); the borrow of the
+        // subtraction cancels it.
+        if add_assign(&mut out, b) || ge(&out, &self.p) {
+            sub_assign(&mut out, &self.p);
         }
         out
     }
@@ -93,88 +97,101 @@ impl<const N: usize> FpParams<N> {
     /// Field subtraction.
     pub fn sub(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let mut out = *a;
-        let borrow = sub_limbs_borrow(&mut out, b);
-        if borrow {
-            // out += p
-            let mut carry = 0u64;
-            for i in 0..N {
-                let (s1, c1) = out[i].overflowing_add(self.p[i]);
-                let (s2, c2) = s1.overflowing_add(carry);
-                out[i] = s2;
-                carry = (c1 as u64) + (c2 as u64);
-            }
+        if sub_assign(&mut out, b) {
+            add_assign(&mut out, &self.p);
         }
         out
     }
 
     /// Field negation.
     pub fn neg(&self, a: &[u64; N]) -> [u64; N] {
-        if a.iter().all(|&l| l == 0) {
+        if self.is_zero(a) {
             return [0u64; N];
         }
         let mut out = self.p;
-        sub_limbs(&mut out, a);
+        sub_assign(&mut out, a);
         out
     }
 
     /// Montgomery multiplication (CIOS): `a * b * R^{-1} mod p`.
     pub fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
-        // t: N+2 limbs, on the stack.
-        let mut t = [0u64; 16]; // N <= 14 supported; we use N=4 or 6.
-        debug_assert!(N + 2 <= 16);
-        for &ai in a.iter() {
-            let mut carry = 0u128;
+        let p = &self.p;
+        let mut t = [0u64; N];
+        let mut top = 0u64;
+        for i in 0..N {
+            let ai = a[i];
+            let mut carry = 0u64;
             for j in 0..N {
-                let s = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry;
+                let s = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry as u128;
                 t[j] = s as u64;
-                carry = s >> 64;
+                carry = (s >> 64) as u64;
             }
-            let s = t[N] as u128 + carry;
-            t[N] = s as u64;
-            t[N + 1] = (s >> 64) as u64;
+            let s = top as u128 + carry as u128;
+            let (hi0, hi1) = (s as u64, (s >> 64) as u64);
             let m = t[0].wrapping_mul(self.n0_inv);
-            let s = t[0] as u128 + (m as u128) * (self.p[0] as u128);
-            let mut carry = s >> 64;
+            let s = t[0] as u128 + (m as u128) * (p[0] as u128);
+            let mut carry = (s >> 64) as u64;
             for j in 1..N {
-                let s = t[j] as u128 + (m as u128) * (self.p[j] as u128) + carry;
+                let s = t[j] as u128 + (m as u128) * (p[j] as u128) + carry as u128;
                 t[j - 1] = s as u64;
-                carry = s >> 64;
+                carry = (s >> 64) as u64;
             }
-            let s = t[N] as u128 + carry;
+            let s = hi0 as u128 + carry as u128;
             t[N - 1] = s as u64;
-            t[N] = t[N + 1] + (s >> 64) as u64;
-            t[N + 1] = 0;
+            top = hi1 + (s >> 64) as u64;
         }
-        let mut out = [0u64; N];
-        out.copy_from_slice(&t[..N]);
-        if t[N] != 0 {
-            // True value is out + t[N] * 2^(64N) < 2p, so one subtraction
-            // (with the borrow cancelling the high limb) normalizes it.
-            let _ = sub_limbs_borrow(&mut out, &self.p);
-        } else if ge(&out, &self.p) {
-            sub_limbs(&mut out, &self.p);
+        if top != 0 || ge(&t, p) {
+            sub_assign(&mut t, p);
         }
-        out
+        t
     }
 
-    /// Field squaring (delegates to `mul`).
+    /// Montgomery squaring: `a * a * R^{-1} mod p`.
     pub fn sqr(&self, a: &[u64; N]) -> [u64; N] {
-        self.mul(a, a)
+        self.sqr_times(a, 1)
+    }
+
+    /// `a^(2^n)` in Montgomery form: `n` squarings whose intermediate
+    /// values never leave registers for a call boundary.
+    fn sqr_times(&self, a: &[u64; N], n: usize) -> [u64; N] {
+        let mut acc = *a;
+        for _ in 0..n {
+            // Low half first; a `[u64; 2 * N]` cannot be named on stable.
+            let mut wide = [[0u64; N]; 2];
+            sqr_wide(&acc, wide.as_flattened_mut());
+            redc(&self.p, self.n0_inv, wide.as_flattened_mut(), &mut acc);
+        }
+        acc
     }
 
     /// Field inversion via Fermat: `a^(p-2) mod p`.
     pub fn inv(&self, a: &[u64; N]) -> [u64; N] {
-        let exp = self.modulus_bn().sub(&Bn::from_u64(2));
+        let mut exp = self.p;
+        let mut two = [0u64; N];
+        two[0] = 2;
+        sub_assign(&mut exp, &two);
         self.pow(a, &exp)
     }
 
-    /// Exponentiation by a `Bn` exponent (square-and-multiply, MSB-first).
-    pub fn pow(&self, a: &[u64; N], exp: &Bn) -> [u64; N] {
+    /// Exponentiation by little-endian exponent limbs (4-bit fixed
+    /// window, most significant first).
+    pub fn pow(&self, a: &[u64; N], exp: &[u64]) -> [u64; N] {
+        let mut table = [self.one; 16];
+        for i in 1..16 {
+            table[i] = if i % 2 == 0 {
+                self.sqr(&table[i / 2])
+            } else {
+                self.mul(&table[i - 1], a)
+            };
+        }
         let mut acc = self.one;
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.sqr(&acc);
-            if exp.bit(i) {
-                acc = self.mul(&acc, a);
+        for &limb in exp.iter().rev() {
+            for shift in (0..64).step_by(4).rev() {
+                acc = self.sqr_times(&acc, 4);
+                let digit = (limb >> shift) as usize & 15;
+                if digit != 0 {
+                    acc = self.mul(&acc, &table[digit]);
+                }
             }
         }
         acc
@@ -191,32 +208,16 @@ impl<const N: usize> FpParams<N> {
     }
 }
 
-/// `a >= b` on little-endian fixed-size limbs.
-fn ge<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
-    for i in (0..N).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
-        }
-    }
-    true
-}
-
-/// `a -= b`, asserting no borrow out.
-fn sub_limbs<const N: usize>(a: &mut [u64; N], b: &[u64; N]) {
-    let borrow = sub_limbs_borrow(a, b);
-    debug_assert!(!borrow);
-}
-
-/// `a -= b`, returning whether a borrow out occurred.
-fn sub_limbs_borrow<const N: usize>(a: &mut [u64; N], b: &[u64; N]) -> bool {
-    let mut borrow = 0u64;
+/// `a += b`; returns the carry out.
+fn add_assign<const N: usize>(a: &mut [u64; N], b: &[u64; N]) -> bool {
+    let mut carry = false;
     for i in 0..N {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
+        let (s, c1) = a[i].overflowing_add(b[i]);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        a[i] = s;
+        carry = c1 | c2;
     }
-    borrow != 0
+    carry
 }
 
 #[cfg(test)]
@@ -241,7 +242,7 @@ mod tests {
             "ffffffff00000001000000000000000000000000fffffffffffffffffffffffe",
         ] {
             let v = Bn::from_hex(hx).unwrap();
-            let m = f.to_mont(&v);
+            let m = f.to_mont(&v).unwrap();
             assert_eq!(f.from_mont(&m), v, "hx={hx}");
         }
     }
@@ -249,8 +250,12 @@ mod tests {
     #[test]
     fn add_sub_neg() {
         let f = p256();
-        let a = f.to_mont(&Bn::from_hex("123456789abcdef").unwrap());
-        let b = f.to_mont(&Bn::from_hex("fedcba987654321").unwrap());
+        let a = f
+            .to_mont(&Bn::from_hex("123456789abcdef").unwrap())
+            .unwrap();
+        let b = f
+            .to_mont(&Bn::from_hex("fedcba987654321").unwrap())
+            .unwrap();
         let s = f.add(&a, &b);
         assert_eq!(f.sub(&s, &b), a);
         let na = f.neg(&a);
@@ -264,8 +269,8 @@ mod tests {
         let p = f.modulus_bn();
         let a_bn = Bn::from_hex("aa87ca22be8b05378eb1c71ef320ad746e1d3b628ba79b98").unwrap();
         let b_bn = Bn::from_hex("3617de4a96262c6f5d9e98bf9292dc29f8f41dbd289a147c").unwrap();
-        let a = f.to_mont(&a_bn);
-        let b = f.to_mont(&b_bn);
+        let a = f.to_mont(&a_bn).unwrap();
+        let b = f.to_mont(&b_bn).unwrap();
         let c = f.mul(&a, &b);
         assert_eq!(f.from_mont(&c), a_bn.mul_mod(&b_bn, &p));
     }
@@ -273,7 +278,7 @@ mod tests {
     #[test]
     fn inversion() {
         let f = p256();
-        let a = f.to_mont(&Bn::from_hex("123456789").unwrap());
+        let a = f.to_mont(&Bn::from_hex("123456789").unwrap()).unwrap();
         let ai = f.inv(&a);
         assert_eq!(f.mul(&a, &ai), f.one);
     }
@@ -281,9 +286,9 @@ mod tests {
     #[test]
     fn pow_small() {
         let f = p256();
-        let a = f.to_mont(&Bn::from_u64(3));
+        let a = f.to_mont(&Bn::from_u64(3)).unwrap();
         // 3^4 = 81
-        let r = f.pow(&a, &Bn::from_u64(4));
+        let r = f.pow(&a, &[4]);
         assert_eq!(f.from_mont(&r), Bn::from_u64(81));
     }
 
@@ -291,8 +296,8 @@ mod tests {
     fn wraparound_add() {
         let f = p256();
         let p = f.modulus_bn();
-        let pm1 = f.to_mont(&p.sub(&Bn::one()));
-        let one = f.to_mont(&Bn::one());
+        let pm1 = f.to_mont(&p.sub(&Bn::one())).unwrap();
+        let one = f.to_mont(&Bn::one()).unwrap();
         // (p-1) + 1 = 0 mod p
         assert!(f.is_zero(&f.add(&pm1, &one)));
         // (p-1) + (p-1) = p-2 mod p

@@ -4,9 +4,11 @@
 //! paper's TLS stack needs, standing in for OpenSSL's libcrypto:
 //!
 //! - [`bn`]/[`mont`]/[`prime`]: arbitrary-precision arithmetic, Montgomery
-//!   exponentiation and prime generation;
+//!   exponentiation (one multiply, one squaring and one reduction kernel,
+//!   shared with [`fp`]) and prime generation;
 //! - [`rsa`]: RSA-2048 sign/verify/encrypt/decrypt (PKCS#1 v1.5, CRT);
-//! - [`fp`]/[`ec`]: prime-field ECC — NIST P-256 and P-384 (ECDHE, ECDSA);
+//! - [`fp`]/[`ec`]: prime-field ECC — NIST P-256 and P-384 (ECDHE, ECDSA):
+//!   a fixed-base comb table for `k * G`, width-5 wNAF for the rest;
 //! - [`gf2m`]/[`ec2m`]: binary-field ECC — NIST B-283/B-409/K-283/K-409;
 //! - [`ecc`]: the unified named-curve API;
 //! - [`aes`]/[`sha1`]/[`sha256`]/[`hmac`]: the AES128-SHA record
@@ -30,6 +32,8 @@ pub mod bn;
 pub mod cbc_hmac;
 pub mod ec;
 pub mod ec2m;
+#[cfg(test)]
+mod ec_oracle;
 pub mod ecc;
 pub mod error;
 pub mod fp;

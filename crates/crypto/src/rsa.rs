@@ -180,8 +180,10 @@ impl RsaPrivateKey {
     }
 
     /// Raw private-key operation `c^d mod n` using the Chinese Remainder
-    /// Theorem (≈4x faster than a direct `mod_exp` on `n`).
+    /// Theorem (≈4x faster than a direct `mod_exp` on `n`). `c` must be
+    /// below `n`: signing encodes below it and decryption checks.
     pub fn raw(&self, c: &Bn) -> Bn {
+        debug_assert!(c < &self.public.n, "RSA input not reduced mod n");
         let m1 = self.ctx_p.mod_exp(&c.rem(&self.p), &self.dp);
         let m2 = self.ctx_q.mod_exp(&c.rem(&self.q), &self.dq);
         // h = qinv * (m1 - m2) mod p

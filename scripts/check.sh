@@ -376,6 +376,31 @@ if ! grep -qx '#\[cfg(test)\]' <(grep -B1 '^mod aes_oracle;' crates/crypto/src/l
 fi
 echo "ok: symmetric primitives are const-table and gmul-free outside tests"
 
+echo "== asymmetric substrate: allocation-free loops, one oracle, no unsafe =="
+# The exponentiation (DESIGN.md §19) owns one scratch allocation, made
+# before its loops: from the first loop header to the end of
+# MontCtx::mod_exp nothing may clone or build a Vec. The double-and-add
+# the comb and wNAF paths replaced lives on only in ec_oracle.rs, which
+# only test targets compile, and the crate stays unsafe-free.
+mod_exp_loops=$(sed -n '/pub fn mod_exp/,/^    }/p' crates/crypto/src/mont.rs | sed -n '/^ *for /,$p')
+if [ -z "$mod_exp_loops" ]; then
+  echo "could not find MontCtx::mod_exp's loops to audit" >&2
+  exit 1
+fi
+if grep -nE '\.clone\(\)|vec!' <<< "$mod_exp_loops"; then
+  echo "MontCtx::mod_exp allocates inside its loops (see above)" >&2
+  exit 1
+fi
+if ! grep -qx '#\[cfg(test)\]' <(grep -B1 '^mod ec_oracle;' crates/crypto/src/lib.rs); then
+  echo "crates/crypto/src/lib.rs compiles ec_oracle outside #[cfg(test)]" >&2
+  exit 1
+fi
+if ! grep -qx '#!\[forbid(unsafe_code)\]' crates/crypto/src/lib.rs; then
+  echo "crates/crypto/src/lib.rs no longer forbids unsafe code" >&2
+  exit 1
+fi
+echo "ok: mod_exp's loops are allocation-free; ec_oracle is test-only; no unsafe"
+
 echo "== trajectory gate =="
 # The newest results/BENCH_e2e.json entry must sit inside every
 # BENCHMARK.json bound (ROADMAP 3(g)).

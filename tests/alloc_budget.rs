@@ -10,6 +10,11 @@
 //! pause/resume machinery itself (the boxed pass future and its
 //! `Arc<WaitCtx>` were two allocations per request until PR 20;
 //! EXPERIMENTS.md "A connection is one task").
+//!
+//! A second case pins the asymmetric primitives the handshake leans on —
+//! one RSA-2048 signature, one P-256 key pair — so the allocator cannot
+//! creep back into the exponentiation loop or the comb walk
+//! (DESIGN.md §19).
 
 use qtls::core::OffloadProfile;
 use qtls::crypto::ecc::NamedCurve;
@@ -151,5 +156,57 @@ fn keepalive_request_allocations_are_pinned() {
     assert!(
         counts.iter().all(|&n| n == ALLOCS_PER_REQUEST),
         "worker-thread allocations per request moved off {ALLOCS_PER_REQUEST}: {counts:?}"
+    );
+}
+
+/// Allocations of `f` on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.get();
+    let out = f();
+    let count = ALLOCS.get() - before;
+    drop(out);
+    count
+}
+
+/// Allocations per RSA-2048 `sign_pkcs1_sha256` of [`SIGNED`]: the
+/// encoded message, the two CRT halves (a reduced input, one scratch
+/// block and one result each), the recombination's bignums and the
+/// signature bytes. The recombination's `Bn` steps make the count
+/// data-dependent (34 to 40 over other messages), so one message is
+/// pinned. It was ≈ 7 400 while `mod_exp` allocated per Montgomery
+/// multiplication.
+const ALLOCS_PER_RSA_SIGN: u64 = 34;
+const SIGNED: &[u8] = b"server key exchange";
+
+/// Allocations per `generate_keypair(P256)`: the scalar's draw and
+/// range shift, and the public point's two coordinates. The comb walk
+/// and the field inversion allocate nothing.
+const ALLOCS_PER_P256_KEYGEN: u64 = 8;
+
+#[test]
+fn asymmetric_primitive_allocations_are_pinned() {
+    use qtls::crypto::ecc::generate_keypair;
+    use qtls::crypto::test_keys::test_rsa_2048;
+    use qtls::crypto::TestRng;
+
+    // Generating the key and building the curve's comb table are set-up,
+    // not part of any operation.
+    let key = test_rsa_2048();
+    let mut rng = TestRng::new(0xa110c);
+    generate_keypair(NamedCurve::P256, &mut rng);
+
+    let signs: Vec<u64> = (0..16)
+        .map(|_| allocations_of(|| key.sign_pkcs1_sha256(SIGNED).expect("2048-bit key")))
+        .collect();
+    assert!(
+        signs.iter().all(|&n| n == ALLOCS_PER_RSA_SIGN),
+        "allocations per RSA-2048 signature moved off {ALLOCS_PER_RSA_SIGN}: {signs:?}"
+    );
+    let keygens: Vec<u64> = (0..16)
+        .map(|_| allocations_of(|| generate_keypair(NamedCurve::P256, &mut rng)))
+        .collect();
+    assert!(
+        keygens.iter().all(|&n| n == ALLOCS_PER_P256_KEYGEN),
+        "allocations per P-256 key pair moved off {ALLOCS_PER_P256_KEYGEN}: {keygens:?}"
     );
 }

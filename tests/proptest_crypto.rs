@@ -7,10 +7,13 @@
 //! `cargo test --features proptest`.
 
 use qtls::crypto::bn::Bn;
+use qtls::crypto::ec::{p256, p384, AffinePoint, PrimeCurve};
 use qtls::crypto::gf2m::Gf2m;
 use qtls::crypto::hmac::Hmac;
+use qtls::crypto::mont::MontCtx;
 use qtls::crypto::sha1::Sha1;
 use qtls::crypto::sha256::Sha256;
+use qtls::crypto::test_keys::test_rsa_2048;
 use qtls::crypto::{aes, kdf, CbcHmacSha1, CryptoError};
 use qtls::prop;
 use std::sync::Arc;
@@ -19,6 +22,11 @@ use std::sync::Arc;
 /// tests (where it is `#[cfg(test)]`): one copy, test binaries only.
 #[path = "../crates/crypto/src/aes_oracle.rs"]
 mod aes_oracle;
+
+/// The double-and-add reference for the prime curves, shared the same
+/// way.
+#[path = "../crates/crypto/src/ec_oracle.rs"]
+mod ec_oracle;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -130,6 +138,306 @@ fn bn_shift_roundtrip() {
         let v = bn_from(&g.bytes_in(0, 32));
         let shift = g.usize_in(0, 200);
         assert_eq!(v.shl(shift).shr(shift), v);
+    });
+}
+
+// ---- Montgomery exponentiation / RSA ----
+
+/// Limb counts on every side of the kernels' 16- and 32-limb instances.
+const MONT_WIDTHS: [usize; 7] = [1, 2, 15, 16, 17, 32, 33];
+
+/// Square-and-multiply on `Bn`'s schoolbook product and long division:
+/// no Montgomery form anywhere (`Bn::mod_exp` itself goes through
+/// `MontCtx` for odd moduli, so it cannot be the reference).
+fn schoolbook_mod_exp(base: &Bn, exp: &Bn, m: &Bn) -> Bn {
+    let mut acc = Bn::one().rem(m);
+    for i in (0..exp.bit_len()).rev() {
+        acc = acc.mul_mod(&acc, m);
+        if exp.bit(i) {
+            acc = acc.mul_mod(base, m);
+        }
+    }
+    acc
+}
+
+/// A random odd modulus of exactly `limbs` limbs.
+fn odd_modulus(g: &mut prop::Gen, limbs: usize) -> Bn {
+    let mut words = g.words(limbs);
+    words[0] |= 1;
+    words[limbs - 1] |= 1 << g.usize_in(1, 64);
+    Bn::from_limbs(words)
+}
+
+/// A random value of exactly `bits` bits (zero for 0).
+fn exact_bits(g: &mut prop::Gen, bits: usize) -> Bn {
+    if bits == 0 {
+        return Bn::zero();
+    }
+    let mut v = Bn::from_limbs(g.words(bits.div_ceil(64))).shr(bits.div_ceil(64) * 64 - bits);
+    v.set_bit(bits - 1);
+    v
+}
+
+#[test]
+fn mont_mod_exp_matches_schoolbook() {
+    prop::check("mont_mod_exp_matches_schoolbook", 16, |g| {
+        for limbs in MONT_WIDTHS {
+            let n = odd_modulus(g, limbs);
+            let ctx = MontCtx::new(n.clone());
+            // Below n, and above it by up to a limb.
+            let small = Bn::from_limbs(g.words(limbs)).rem(&n);
+            let large = n.add(&Bn::from_limbs(g.words(limbs + 1)));
+            // Every window width (1, 3, 4, 5 bits) and the sizes around
+            // a full and a short top window.
+            for exp_bits in [0, 1, 4, 5, 6, 23, 24, 80, 239, 240, 1023, 1024] {
+                let exp = exact_bits(g, exp_bits);
+                for base in [&small, &large] {
+                    assert_eq!(
+                        ctx.mod_exp(base, &exp),
+                        schoolbook_mod_exp(&base.rem(&n), &exp, &n),
+                        "{limbs} limbs, {exp_bits}-bit exponent"
+                    );
+                }
+            }
+            assert_eq!(ctx.mul_mod(&small, &large), small.mul_mod(&large, &n));
+        }
+    });
+}
+
+#[test]
+fn mont_sqr_matches_mont_mul() {
+    prop::check("mont_sqr_matches_mont_mul", 16, |g| {
+        for limbs in MONT_WIDTHS {
+            let all_ones = Bn::from_limbs(vec![u64::MAX; limbs]);
+            let mut top_bit_only = Bn::one();
+            top_bit_only.set_bit(64 * limbs - 1);
+            // A random modulus; R - 1, whose n - 1 is the all-ones
+            // pattern but for a bit (every row's carry is live); and
+            // 2^(64k-1) + 1, under which the accumulator reaches 2n > R.
+            for n in [odd_modulus(g, limbs), all_ones, top_bit_only] {
+                let ctx = MontCtx::new(n.clone());
+                let pad = |v: &Bn| {
+                    let mut limbs_of = v.limbs().to_vec();
+                    limbs_of.resize(limbs, 0);
+                    limbs_of
+                };
+                let n_minus_1 = n.sub(&Bn::one());
+                let random = Bn::from_limbs(g.words(limbs)).rem(&n);
+                for a in [&Bn::zero(), &Bn::one(), &n_minus_1, &random] {
+                    let (mut sqr, mut mul) = (vec![0u64; limbs], vec![0u64; limbs]);
+                    let mut wide = vec![0u64; 2 * limbs];
+                    let a_limbs = pad(a);
+                    ctx.mont_sqr(&a_limbs, &mut sqr, &mut wide);
+                    ctx.mont_mul(&a_limbs, &a_limbs, &mut mul, &mut wide);
+                    assert_eq!(sqr, mul, "{limbs} limbs, a = {a:?}, n = {n:?}");
+                    // And both are a^2 / R: multiply R back in.
+                    let got = Bn::from_limbs(sqr);
+                    assert!(got < n);
+                    assert_eq!(got.shl(64 * limbs).rem(&n), a.mul_mod(a, &n));
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn rsa2048_sign_verifies_and_crt_matches_plain_d() {
+    let key = test_rsa_2048();
+    let (n, e) = (key.public().modulus(), key.public().exponent());
+    // 4 cases x 8 messages: 32 with or without the sweep feature.
+    prop::check("rsa2048_sign_verifies_and_crt_matches_plain_d", 4, |g| {
+        for _ in 0..8 {
+            let msg = g.bytes_in(0, 200);
+            let sig = key.sign_pkcs1_sha256(&msg).unwrap();
+            key.public().verify_pkcs1_sha256(&msg, &sig).unwrap();
+            let mut other = msg.clone();
+            other.push(0);
+            assert!(key.public().verify_pkcs1_sha256(&other, &sig).is_err());
+            // The public operation by the schoolbook path recovers the
+            // PKCS#1 v1.5 block: 00 01 ff .. ff 00 DigestInfo digest.
+            let em = schoolbook_mod_exp(&Bn::from_bytes_be(&sig), e, n).to_bytes_be_padded(256);
+            assert_eq!(em[..3], [0x00, 0x01, 0xff]);
+            assert_eq!(em[256 - 32..], Sha256::digest(&msg));
+            // CRT (two 16-limb exponentiations) against the plain
+            // private exponent (one 32-limb exponentiation).
+            let m = bn_from(&g.bytes(256)).rem(n);
+            assert_eq!(key.raw(&m), MontCtx::new(n.clone()).mod_exp(&m, key.d()));
+        }
+    });
+}
+
+// ---- prime curves: comb, wNAF and the joint pass against double-and-add ----
+
+fn oracle_of<const N: usize>(c: &PrimeCurve<N>) -> ec_oracle::OracleCurve {
+    let p = c.field.modulus_bn();
+    ec_oracle::OracleCurve {
+        a: p.sub(&Bn::from_u64(3)),
+        p,
+    }
+}
+
+fn to_oracle(pt: &AffinePoint) -> ec_oracle::Point {
+    (!pt.infinity).then(|| (pt.x.clone(), pt.y.clone()))
+}
+
+fn negated<const N: usize>(c: &PrimeCurve<N>, pt: &AffinePoint) -> AffinePoint {
+    AffinePoint::new(pt.x.clone(), c.field.modulus_bn().sub(&pt.y))
+}
+
+/// Scalars at the edges of the group order, plus the two that steer the
+/// last wNAF addition into its exceptional branches: `k = n` ends on
+/// `d*P + (-d*P)` (infinity), and `k = n + 2d` with `d = -n mod 32` as a
+/// signed digit ends on `d*P + d*P` (doubling).
+fn edge_scalars(n: &Bn) -> Vec<Bn> {
+    let one = Bn::one();
+    let low = n.limbs()[0] % 32;
+    let doubling = if low > 16 {
+        n.add(&Bn::from_u64(2 * (32 - low)))
+    } else {
+        n.sub(&Bn::from_u64(2 * low))
+    };
+    let mut two_255 = Bn::zero();
+    two_255.set_bit(255);
+    vec![
+        Bn::zero(),
+        one.clone(),
+        Bn::from_u64(2),
+        Bn::from_u64(15),
+        Bn::from_u64(16),
+        n.sub(&one),
+        n.clone(),
+        n.add(&one),
+        n.shl(1),
+        doubling,
+        two_255,
+    ]
+}
+
+/// Run `property` on both NIST prime curves.
+macro_rules! on_prime_curves {
+    ($property:ident $(, $arg:expr)*) => {{
+        $property(p256() $(, $arg)*);
+        $property(p384() $(, $arg)*);
+    }};
+}
+
+#[test]
+fn comb_scalar_mul_base_matches_oracle() {
+    fn property<const N: usize>(c: &PrimeCurve<N>, g: &mut prop::Gen) {
+        let (o, base) = (oracle_of(c), to_oracle(&c.generator()));
+        let mut scalars = edge_scalars(&c.order);
+        scalars.push(bn_from(&g.bytes(c.byte_len)));
+        scalars.push(bn_from(&g.bytes(c.byte_len)).rem(&c.order));
+        for k in &scalars {
+            assert_eq!(
+                to_oracle(&c.scalar_mul_base(k)),
+                o.scalar_mul(&base, k),
+                "k = {k:?}"
+            );
+        }
+    }
+    prop::check("comb_scalar_mul_base_matches_oracle", 16, |g| {
+        on_prime_curves!(property, g)
+    });
+}
+
+/// Every entry of the comb on its own: `k = d * 16^i` reads exactly one.
+/// The oracle walks the same lattice by repeated addition, so the whole
+/// table costs it one group operation per entry.
+#[test]
+fn comb_every_table_entry_matches_oracle() {
+    fn property<const N: usize>(c: &PrimeCurve<N>) {
+        let o = oracle_of(c);
+        let mut row_base = to_oracle(&c.generator());
+        for i in 0..c.order.bit_len().div_ceil(4) {
+            let mut entry = None;
+            for d in 1..=15u64 {
+                entry = o.add_points(&entry, &row_base);
+                let k = Bn::from_u64(d).shl(4 * i);
+                assert_eq!(to_oracle(&c.scalar_mul_base(&k)), entry, "{d} * 16^{i}");
+            }
+            row_base = o.add_points(&entry, &row_base);
+        }
+    }
+    on_prime_curves!(property);
+}
+
+#[test]
+fn wnaf_scalar_mul_matches_oracle() {
+    fn property<const N: usize>(c: &PrimeCurve<N>, g: &mut prop::Gen) {
+        let o = oracle_of(c);
+        let point = c.scalar_mul_base(&bn_from(&g.bytes(c.byte_len)));
+        let mut scalars = edge_scalars(&c.order);
+        scalars.push(bn_from(&g.bytes(c.byte_len)));
+        scalars.push(bn_from(&g.bytes(c.byte_len + 8)));
+        for k in &scalars {
+            assert_eq!(
+                to_oracle(&c.scalar_mul(&point, k)),
+                o.scalar_mul(&to_oracle(&point), k),
+                "k = {k:?}"
+            );
+        }
+        assert!(c.scalar_mul(&AffinePoint::infinity(), &scalars[3]).infinity);
+    }
+    prop::check("wnaf_scalar_mul_matches_oracle", 16, |g| {
+        on_prime_curves!(property, g)
+    });
+}
+
+#[test]
+fn prime_curve_group_order_identities() {
+    fn property<const N: usize>(c: &PrimeCurve<N>) {
+        let g = c.generator();
+        let n_minus_1 = c.order.sub(&Bn::one());
+        assert!(c.scalar_mul_base(&c.order).infinity);
+        assert!(c.scalar_mul(&g, &c.order).infinity);
+        assert_eq!(c.scalar_mul_base(&n_minus_1), negated(c, &g));
+        assert_eq!(c.scalar_mul(&g, &n_minus_1), negated(c, &g));
+    }
+    on_prime_curves!(property);
+}
+
+#[test]
+fn double_scalar_mul_matches_oracle() {
+    fn property<const N: usize>(c: &PrimeCurve<N>, g: &mut prop::Gen) {
+        let o = oracle_of(c);
+        let base = c.generator();
+        let random_point = c.scalar_mul_base(&bn_from(&g.bytes(c.byte_len)));
+        let edges = edge_scalars(&c.order);
+        let (zero, n, doubling) = (&edges[0], &edges[6], &edges[9]);
+        let r1 = bn_from(&g.bytes(c.byte_len)).rem(&c.order);
+        let r2 = bn_from(&g.bytes(c.byte_len)).rem(&c.order);
+        let cancels = c.order.sub(&r1);
+        let check = |u1: &Bn, u2: &Bn, q: &AffinePoint| {
+            let want = o.add_points(
+                &o.scalar_mul(&to_oracle(&base), u1),
+                &o.scalar_mul(&to_oracle(q), u2),
+            );
+            assert_eq!(
+                to_oracle(&c.double_scalar_mul(u1, u2, q)),
+                want,
+                "u1 = {u1:?}, u2 = {u2:?}, q = {q:?}"
+            );
+        };
+        for q in [&random_point, &base, &negated(c, &base)] {
+            check(&r1, &r2, q);
+            check(zero, &r2, q);
+            check(&r1, zero, q);
+            check(zero, zero, q);
+            // The same scalar on both: with Q = G the two halves meet in
+            // the doubling branch, with Q = -G they cancel step by step.
+            check(&r1, &r1, q);
+            check(&r1, &cancels, q);
+            // The exceptional last step of either half on its own.
+            check(n, &r2, q);
+            check(doubling, zero, q);
+            check(zero, doubling, q);
+            check(&r1, n, q);
+        }
+        check(&r1, &r2, &AffinePoint::infinity());
+    }
+    prop::check("double_scalar_mul_matches_oracle", 16, |g| {
+        on_prime_curves!(property, g)
     });
 }
 
