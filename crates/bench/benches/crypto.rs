@@ -7,8 +7,8 @@ use qtls_bench::{criterion_group, criterion_main};
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::hmac::Hmac;
 use qtls_crypto::mont::MontCtx;
-use qtls_crypto::sha1::Sha1;
-use qtls_crypto::sha256::Sha256;
+use qtls_crypto::sha1::{self, Sha1};
+use qtls_crypto::sha256::{self, Sha256};
 use qtls_crypto::test_keys::test_rsa_2048;
 use qtls_crypto::{aes, kdf, CbcHmacSha1, TestRng};
 use std::hint::black_box;
@@ -108,7 +108,9 @@ fn bench_ecc(c: &mut Criterion) {
 fn bench_symmetric(c: &mut Criterion) {
     // The 16 KB record of the secure-data-transfer phase (§2.1), step by
     // step: the block cipher alone in each direction, the hash alone,
-    // then the keyed MAC-then-encrypt context on top of them.
+    // then the keyed MAC-then-encrypt context on top of them. Each
+    // primitive also has a `*_portable` row that calls the table / rolled
+    // kernel directly: the number every CPU without AES-NI / SHA-NI gets.
     let record = vec![0x5au8; 16 * 1024];
     let cipher = aes::Aes128::new(&[1; 16]);
     let mut group = c.benchmark_group("record_cipher");
@@ -120,7 +122,26 @@ fn bench_symmetric(c: &mut Criterion) {
     group.bench_function("aes128_cbc_decrypt_16k", |b| {
         b.iter(|| aes::cbc_decrypt_in_place(&cipher, &[3; 16], black_box(&mut buf)).unwrap())
     });
+    group.bench_function("aes128_cbc_encrypt_16k_portable", |b| {
+        b.iter(|| {
+            aes::cbc_encrypt_in_place_portable(&cipher, &[3; 16], black_box(&mut buf)).unwrap()
+        })
+    });
+    group.bench_function("aes128_cbc_decrypt_16k_portable", |b| {
+        b.iter(|| {
+            aes::cbc_decrypt_in_place_portable(&cipher, &[3; 16], black_box(&mut buf)).unwrap()
+        })
+    });
     group.bench_function("sha1_16k", |b| b.iter(|| Sha1::digest(black_box(&record))));
+    group.bench_function("sha1_16k_portable", |b| {
+        b.iter(|| {
+            let mut state = [0u32; 5];
+            for block in black_box(&record).chunks_exact(64) {
+                sha1::compress_portable(&mut state, block.try_into().unwrap());
+            }
+            state
+        })
+    });
     let ctx = CbcHmacSha1::new(&[1; 16], &[2; 20]);
     let mut buf = Vec::with_capacity(record.len() + 64);
     group.bench_function("aes128_cbc_hmac_sha1_16kb", |b| {
@@ -166,6 +187,15 @@ fn bench_symmetric(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.bench_function("sha256_16kb", |b| {
         b.iter(|| Sha256::digest(black_box(&data)))
+    });
+    group.bench_function("sha256_16kb_portable", |b| {
+        b.iter(|| {
+            let mut state = [0u32; 8];
+            for block in black_box(&data).chunks_exact(64) {
+                sha256::compress_portable(&mut state, block.try_into().unwrap());
+            }
+            state
+        })
     });
     group.finish();
 }

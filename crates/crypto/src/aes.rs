@@ -6,19 +6,30 @@
 //! QAT engine thread "does" in real-compute mode — so its speed is the
 //! floor under every bulk and keep-alive number the benchmark reports.
 //!
-//! It is the classic word-wise table implementation: the state is four
-//! big-endian column words, a round is four 256×`u32` lookups per column
-//! (SubBytes, ShiftRows and MixColumns folded into `TE`/`TD`), and
-//! decryption runs the FIPS 197 §5.3.5 *equivalent inverse cipher* on its
-//! own key schedule, so both directions have the same round shape. All
-//! tables are `const`-evaluated at compile time (no first-use
-//! initialisation, nothing that differs run to run). CBC encryption is
-//! serial by construction; CBC decryption is not, and
-//! [`cbc_decrypt_in_place`] runs `DECRYPT_LANES` independent blocks per
-//! iteration to overlap their lookups.
+//! Two implementations sit behind the four entry points
+//! ([`cbc_encrypt_in_place`], [`cbc_decrypt_in_place`],
+//! [`Aes128::encrypt_block`], [`Aes128::decrypt_block`]). On an x86-64
+//! CPU with AES-NI they run the `aesenc`/`aesdec` kernels of `x86.rs`
+//! (DESIGN.md §20), chosen per call by `is_x86_feature_detected!`. On
+//! every other CPU — and, through the `*_portable` functions, under the
+//! tests that hold the two to one answer — they run the code in this
+//! file.
 //!
-//! The tables are indexed by secret bytes: this is **not** constant-time
-//! (see DESIGN.md §18). `unsafe`-free; AES-NI is a separate decision.
+//! That code is the classic word-wise table implementation: the state is
+//! four big-endian column words, a round is four 256×`u32` lookups per
+//! column (SubBytes, ShiftRows and MixColumns folded into `TE`/`TD`), and
+//! decryption runs the FIPS 197 §5.3.5 *equivalent inverse cipher* on its
+//! own key schedule, so both directions have the same round shape — and
+//! the schedule is the one `aesdec` takes. All tables are
+//! `const`-evaluated at compile time (no first-use initialisation,
+//! nothing that differs run to run). CBC encryption is serial by
+//! construction; CBC decryption is not, and
+//! [`cbc_decrypt_in_place_portable`] runs `DECRYPT_LANES` independent
+//! blocks per iteration to overlap their lookups.
+//!
+//! The tables are indexed by secret bytes: the portable path is **not**
+//! constant-time (see DESIGN.md §18); the hardware path has no tables.
+//! This file is `unsafe`-free.
 
 use crate::error::CryptoError;
 
@@ -234,13 +245,32 @@ impl Aes128 {
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        // One block of CBC under a zero IV is the bare cipher.
+        #[cfg(target_arch = "x86_64")]
+        if crate::x86::cbc_encrypt(&self.enc, &[0; 16], block) {
+            return;
+        }
+        self.encrypt_block_portable(block);
+    }
+
+    /// Decrypt one 16-byte block in place.
+    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::x86::cbc_decrypt(&self.dec, &[0; 16], block) {
+            return;
+        }
+        self.decrypt_block_portable(block);
+    }
+
+    /// [`Self::encrypt_block`] by the table cipher, whatever the CPU.
+    pub(crate) fn encrypt_block_portable(&self, block: &mut [u8; 16]) {
         let mut s = [load(block)];
         self.encrypt_words(&mut s);
         store(block, &s[0]);
     }
 
-    /// Decrypt one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    /// [`Self::decrypt_block`] by the table cipher, whatever the CPU.
+    pub(crate) fn decrypt_block_portable(&self, block: &mut [u8; 16]) {
         let mut s = [load(block)];
         self.decrypt_words(&mut s);
         store(block, &s[0]);
@@ -251,6 +281,26 @@ impl Aes128 {
 /// ciphertext, no output allocation. `buf.len()` must be a multiple of
 /// 16 (the record layer pads before encrypting).
 pub fn cbc_encrypt_in_place(
+    key: &Aes128,
+    iv: &[u8; 16],
+    buf: &mut [u8],
+) -> Result<(), CryptoError> {
+    if !buf.len().is_multiple_of(16) {
+        return Err(CryptoError::InvalidLength);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::cbc_encrypt(&key.enc, iv, buf) {
+        return Ok(());
+    }
+    cbc_encrypt_in_place_portable(key, iv, buf)
+}
+
+/// [`cbc_encrypt_in_place`] by the table cipher, whatever the CPU: the
+/// only path without AES-NI, and the reference the hardware kernel is
+/// tested and benchmarked against (hence reachable from `tests/` and
+/// `crates/bench`).
+#[doc(hidden)]
+pub fn cbc_encrypt_in_place_portable(
     key: &Aes128,
     iv: &[u8; 16],
     buf: &mut [u8],
@@ -269,18 +319,36 @@ pub fn cbc_encrypt_in_place(
     Ok(())
 }
 
-/// Blocks [`cbc_decrypt_in_place`] decrypts per iteration. Measured on
-/// the 16 KB record (x86-64, 16 general registers; two alternating runs
-/// each): 1 lane ≈ 215 MiB/s, 2 lanes ≈ 344, 4 lanes ≈ 289 — four
+/// Blocks [`cbc_decrypt_in_place_portable`] decrypts per iteration.
+/// Measured on the 16 KB record (x86-64, 16 general registers; two
+/// alternating runs each): 1 lane ≈ 215 MiB/s, 2 lanes ≈ 344, 4 lanes ≈ 289 — four
 /// word-wise states are 16 live words before a single temporary, so the
 /// round spills.
 const DECRYPT_LANES: usize = 2;
 
 /// AES-128-CBC decryption in place: `buf` is overwritten with the
-/// (still padded) plaintext, no output allocation. `DECRYPT_LANES`
-/// blocks per iteration (each plaintext block needs only its own and the
-/// previous ciphertext block), then the tail one block at a time.
+/// (still padded) plaintext, no output allocation.
 pub fn cbc_decrypt_in_place(
+    key: &Aes128,
+    iv: &[u8; 16],
+    buf: &mut [u8],
+) -> Result<(), CryptoError> {
+    if !buf.len().is_multiple_of(16) || buf.is_empty() {
+        return Err(CryptoError::InvalidLength);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::cbc_decrypt(&key.dec, iv, buf) {
+        return Ok(());
+    }
+    cbc_decrypt_in_place_portable(key, iv, buf)
+}
+
+/// [`cbc_decrypt_in_place`] by the table cipher, whatever the CPU (see
+/// [`cbc_encrypt_in_place_portable`]). `DECRYPT_LANES` blocks per
+/// iteration (each plaintext block needs only its own and the previous
+/// ciphertext block), then the tail one block at a time.
+#[doc(hidden)]
+pub fn cbc_decrypt_in_place_portable(
     key: &Aes128,
     iv: &[u8; 16],
     buf: &mut [u8],
@@ -439,9 +507,10 @@ mod tests {
         assert!(cbc_decrypt_in_place(&aes, &iv, &mut []).is_err());
     }
 
-    /// Single blocks against the byte-wise reference over random keys;
-    /// CBC at every lane-tail length is `tests/proptest_crypto.rs`'s
-    /// `aes_matches_bytewise_oracle`, which shares the oracle by `#[path]`.
+    /// Single blocks, dispatched and by the table cipher, against the
+    /// byte-wise reference over random keys; CBC at every lane-tail length
+    /// is `tests/proptest_crypto.rs`'s `aes_matches_bytewise_oracle`,
+    /// which shares the oracle by `#[path]`.
     #[test]
     fn blocks_match_bytewise_oracle() {
         use crate::aes_oracle::OracleAes128;
@@ -457,12 +526,18 @@ mod tests {
             aes.encrypt_block(&mut got);
             oracle.encrypt_block(&mut want);
             assert_eq!(got, want, "encrypt_block");
+            let mut got = block;
+            aes.encrypt_block_portable(&mut got);
+            assert_eq!(got, want, "encrypt_block_portable");
             // The same random bytes as ciphertext: the inverse cipher is
             // checked on its own, not only as encrypt's undo.
             let (mut got, mut want) = (block, block);
             aes.decrypt_block(&mut got);
             oracle.decrypt_block(&mut want);
             assert_eq!(got, want, "decrypt_block");
+            let mut got = block;
+            aes.decrypt_block_portable(&mut got);
+            assert_eq!(got, want, "decrypt_block_portable");
         }
     }
 

@@ -34,7 +34,7 @@ pub trait Hash: Clone {
 
 /// The 64-byte block buffer and FIPS 180-4 §5.1.1 padding shared by
 /// SHA-1 and SHA-256: callers pass the compression function, this type
-/// decides which 64-byte blocks it sees.
+/// decides which runs of whole 64-byte blocks it sees.
 #[derive(Clone)]
 pub(crate) struct BlockBuffer {
     buf: [u8; 64],
@@ -52,8 +52,10 @@ impl BlockBuffer {
     }
 
     /// Absorb `data`, compressing every completed block. Whole blocks
-    /// in the middle of `data` are compressed where they lie, uncopied.
-    pub(crate) fn update(&mut self, mut data: &[u8], mut compress: impl FnMut(&[u8; 64])) {
+    /// in the middle of `data` are compressed where they lie, uncopied
+    /// and as one run, so a kernel keeps its state in registers across
+    /// them.
+    pub(crate) fn update(&mut self, mut data: &[u8], mut compress: impl FnMut(&[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -66,18 +68,17 @@ impl BlockBuffer {
             compress(&self.buf);
             self.buf_len = 0;
         }
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            compress(block.try_into().expect("chunks_exact(64)"));
+        let (blocks, rest) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            compress(blocks);
         }
-        let rest = blocks.remainder();
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buf_len = rest.len();
     }
 
     /// Pad (`0x80`, zeros, 64-bit big-endian bit length) and compress the
     /// final one or two blocks.
-    pub(crate) fn finish(mut self, mut compress: impl FnMut(&[u8; 64])) {
+    pub(crate) fn finish(mut self, mut compress: impl FnMut(&[u8])) {
         let bit_len = self.total_len.wrapping_mul(8);
         self.buf[self.buf_len] = 0x80;
         self.buf[self.buf_len + 1..].fill(0);

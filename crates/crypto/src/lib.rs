@@ -16,6 +16,12 @@
 //!   MAC-then-encrypt context built from them once per direction;
 //! - [`kdf`]: the TLS 1.2 PRF and HKDF / HKDF-Expand-Label (TLS 1.3).
 //!
+//! AES-128-CBC and the SHA-1 / SHA-256 compression functions each have
+//! two bodies: portable table / rolled code, and AES-NI / SHA-NI kernels
+//! in `x86.rs` picked per call by `is_x86_feature_detected!`
+//! (DESIGN.md §20). That file is the only one allowed `unsafe`; the rest
+//! of the crate is compiled under `deny(unsafe_code)`.
+//!
 //! These are the operations the QAT accelerator offloads (RSA, ECC,
 //! symmetric chained cipher, PRF) and the CPU computes in the `SW`
 //! baseline. The implementation is validated against published test
@@ -23,7 +29,7 @@
 //! timing side channels and must not be used to protect real traffic.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod aes;
 #[cfg(test)]
@@ -48,6 +54,9 @@ pub mod rsa;
 pub mod sha1;
 pub mod sha256;
 pub mod test_keys;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 pub use bn::Bn;
 pub use cbc_hmac::CbcHmacSha1;

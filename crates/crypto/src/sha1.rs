@@ -53,11 +53,29 @@ impl Sha1 {
     }
 }
 
+/// Compress a run of whole 64-byte blocks: by the SHA-NI kernel of
+/// `x86.rs` where the CPU has one (DESIGN.md §20), else block by block
+/// through [`compress_portable`].
+fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::sha1_compress(state, blocks) {
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress_portable(state, block.try_into().expect("chunks_exact(64)"));
+    }
+}
+
 /// The FIPS 180-4 §6.1.3 alternate method: the message schedule lives in
 /// a 16-word ring (`W[t]` overwrites `W[t-16]`), and the 80 rounds are
 /// one loop per round function (the first split where the ring starts
 /// being extended), so no round tests its index.
-fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+///
+/// The only path without SHA-NI, and the reference the hardware kernel
+/// is tested and benchmarked against (hence reachable from `tests/` and
+/// `crates/bench`).
+#[doc(hidden)]
+pub fn compress_portable(state: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (wi, b) in w.iter_mut().zip(block.chunks_exact(4)) {
         *wi = u32::from_be_bytes(b.try_into().expect("chunks_exact(4)"));

@@ -64,10 +64,28 @@ impl Sha256 {
     }
 }
 
+/// Compress a run of whole 64-byte blocks: by the SHA-NI kernel of
+/// `x86.rs` where the CPU has one (DESIGN.md §20), else block by block
+/// through [`compress_portable`].
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::sha256_compress(state, blocks, &K) {
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress_portable(state, block.try_into().expect("chunks_exact(64)"));
+    }
+}
+
 /// The message schedule lives in a 16-word ring (`W[t]` overwrites
 /// `W[t-16]`): rounds 0..16 read the block's words, rounds 16..64 extend
 /// the ring as they go.
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+///
+/// The only path without SHA-NI, and the reference the hardware kernel
+/// is tested and benchmarked against (hence reachable from `tests/` and
+/// `crates/bench`).
+#[doc(hidden)]
+pub fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (wi, b) in w.iter_mut().zip(block.chunks_exact(4)) {
         *wi = u32::from_be_bytes(b.try_into().expect("chunks_exact(4)"));

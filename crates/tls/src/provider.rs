@@ -292,13 +292,15 @@ impl CryptoProvider {
         }
     }
 
-    /// Record decryption + MAC verification.
+    /// Record decryption + MAC verification. Takes the ciphertext by
+    /// value: the software path opens it in place and hands the same
+    /// buffer back, the offload path moves it into the descriptor.
     pub async fn cipher_decrypt(
         &self,
         counters: &mut OpCounters,
         cipher: &Arc<CbcHmacSha1>,
         iv: [u8; 16],
-        ciphertext: &[u8],
+        mut ciphertext: Vec<u8>,
         aad: &[u8],
     ) -> Result<Vec<u8>, TlsError> {
         counters.cipher += 1;
@@ -308,13 +310,16 @@ impl CryptoProvider {
                 CryptoOp::CipherDecrypt {
                     cipher: Arc::clone(cipher),
                     iv,
-                    ciphertext: ciphertext.to_vec(),
+                    ciphertext,
                     aad: aad.to_vec(),
                 },
             )
             .await?
             .into_bytes()),
-            None => cipher.open(&iv, ciphertext, aad).map_err(TlsError::Crypto),
+            None => {
+                cipher.open_in_place(&iv, &mut ciphertext, aad)?;
+                Ok(ciphertext)
+            }
         }
     }
 
@@ -374,7 +379,7 @@ mod tests {
         let mut c = OpCounters::default();
         let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
         let ct = run_sync(p.cipher_encrypt(&mut c, &cipher, [3; 16], b"data", b"aad")).unwrap();
-        let pt = run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], &ct, b"aad")).unwrap();
+        let pt = run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], ct, b"aad")).unwrap();
         assert_eq!(pt, b"data");
         assert_eq!(c.cipher, 2);
     }

@@ -75,7 +75,12 @@ pub struct RecordLayer {
     version: u16,
     write: Option<CipherState>,
     read: Option<CipherState>,
+    /// Raw inbound bytes; those before `in_pos` are already consumed.
+    /// Records are taken by advancing the cursor, and the consumed
+    /// prefix is dropped once per [`Self::feed`] — not once per record,
+    /// which moved the whole tail of a multi-record flush every time.
     in_buf: Vec<u8>,
+    in_pos: usize,
     /// Set once `extract_secrets` hands the connection to a codec:
     /// record I/O through this layer is a logic error from then on (it
     /// would otherwise silently emit plaintext).
@@ -93,6 +98,7 @@ impl RecordLayer {
             write: None,
             read: None,
             in_buf: Vec::new(),
+            in_pos: 0,
             detached: false,
         }
     }
@@ -209,12 +215,14 @@ impl RecordLayer {
 
     /// Buffer incoming raw bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.in_buf.drain(..self.in_pos);
+        self.in_pos = 0;
         self.in_buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.in_buf.len()
+        self.in_buf.len() - self.in_pos
     }
 
     /// Synchronous facade over [`Self::next_record_async`].
@@ -236,34 +244,34 @@ impl RecordLayer {
         if self.detached {
             return Err(TlsError::InvalidState("record layer handed off to codec"));
         }
-        if self.in_buf.len() < HEADER_LEN {
+        let unread = &self.in_buf[self.in_pos..];
+        if unread.len() < HEADER_LEN {
             return Ok(None);
         }
-        let mut r = Reader::new(&self.in_buf);
+        let mut r = Reader::new(unread);
         let typ = ContentType::from_u8(r.u8()?)?;
         let version = r.u16()?;
         if version != self.version {
             return Err(TlsError::Decode("record version mismatch"));
         }
         let len = r.u16()? as usize;
-        if self.in_buf.len() < HEADER_LEN + len {
+        if unread.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let body: Vec<u8> = self.in_buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.in_buf.drain(..HEADER_LEN + len);
+        let body = &unread[HEADER_LEN..HEADER_LEN + len];
+        // The record is consumed whatever becomes of it below.
+        self.in_pos += HEADER_LEN + len;
         let payload = match &mut self.read {
-            None => body,
+            None => body.to_vec(),
             Some(state) => {
-                if body.len() < 16 {
+                let Some((iv, ciphertext)) = body.split_first_chunk::<16>() else {
                     return Err(TlsError::Decode("protected record too short"));
-                }
-                let mut aad = Vec::with_capacity(11);
-                aad.extend_from_slice(&state.seq.to_be_bytes());
-                aad.push(typ as u8);
-                aad.extend_from_slice(&self.version.to_be_bytes());
-                let iv: [u8; 16] = body[..16].try_into().unwrap();
+                };
+                let aad = aad_bytes(state.seq, typ, self.version);
+                // The one copy of the body: opened in place by the
+                // software path, moved into the descriptor by the engine.
                 let pt = provider
-                    .cipher_decrypt(counters, &state.cipher, iv, &body[16..], &aad)
+                    .cipher_decrypt(counters, &state.cipher, *iv, ciphertext.to_vec(), &aad)
                     .await?;
                 state.seq += 1;
                 pt
@@ -304,7 +312,9 @@ impl RecordLayer {
                 seq: read.seq,
             },
         };
-        Ok((secrets, std::mem::take(&mut self.in_buf)))
+        let mut leftover = std::mem::take(&mut self.in_buf);
+        leftover.drain(..std::mem::take(&mut self.in_pos));
+        Ok((secrets, leftover))
     }
 }
 
@@ -873,13 +883,16 @@ mod tests {
         let r1 = tx
             .write_record(ContentType::Handshake, b"fin", &p, &mut c, &mut rng)
             .unwrap();
-        rx.feed(&r1);
-        rx.next_record(&p, &mut c).unwrap().unwrap();
-        // Early data arrives before handoff; only part of it has landed.
+        // Early data arrives before handoff, in the same read as the
+        // last handshake record; only part of it has landed.
         let early = tx
             .write_record(ContentType::ApplicationData, b"early", &p, &mut c, &mut rng)
             .unwrap();
-        rx.feed(&early[..3]);
+        rx.feed(&[&r1[..], &early[..3]].concat());
+        rx.next_record(&p, &mut c).unwrap().unwrap();
+        // The consumed record is behind the read cursor, not yet dropped:
+        // neither the count nor the handoff may include it.
+        assert_eq!(rx.buffered(), 3);
         let (secrets, leftover) = rx.extract_secrets().unwrap();
         assert_eq!(secrets.read.seq, 1);
         assert_eq!(secrets.write.seq, 0);

@@ -525,30 +525,64 @@ fn aes_cbc_sp80038a_f21_f22() {
     assert_eq!(buf, pt);
 }
 
-/// The table cipher against the byte-wise oracle over random keys, at
-/// every length class a 2- or 4-lane CBC decrypt loop distinguishes:
-/// every tail before and after the first full group, around 64 blocks,
-/// and a long run.
+/// The three-implementation tests below compare the dispatching
+/// functions with the portable kernels. On a CPU where `aes::*` / `Sha1` /
+/// `Sha256` do not dispatch to the `x86.rs` kernels the two are the same
+/// code, and the test says so on stderr (written directly, so the line
+/// shows without `--nocapture`) instead of passing silently.
+fn note_if_hardware_half_is_skipped(test: &str) {
+    #[cfg(target_arch = "x86_64")]
+    let detected = std::arch::is_x86_feature_detected!("aes")
+        && std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected = false;
+    if !detected {
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "{test}: hardware half SKIPPED — no AES-NI / SHA-NI on this CPU, \
+             the dispatching functions are the portable kernels"
+        );
+    }
+}
+
+/// Three implementations, one answer: the dispatching CBC functions
+/// (AES-NI where the CPU has it), the table functions called directly
+/// and the byte-wise oracle, over random keys, at every length class an
+/// 8-lane (hardware) or 2-lane (table) decrypt loop distinguishes — every
+/// tail before and after the first and second full group, around 64
+/// blocks, and a long run — in place and allocating.
 #[test]
 fn aes_matches_bytewise_oracle() {
+    note_if_hardware_half_is_skipped("aes_matches_bytewise_oracle");
     prop::check("aes_matches_bytewise_oracle", 16, |g| {
         let key: [u8; 16] = g.array();
         let iv: [u8; 16] = g.array();
         let aes = aes::Aes128::new(&key);
         let oracle = aes_oracle::OracleAes128::new(&key);
-        for blocks in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 1024] {
+        for blocks in (1usize..=17).chain(63..=65).chain([1024]) {
             let data = g.bytes(blocks * 16);
-            let mut got = data.clone();
             let mut want = data.clone();
-            aes::cbc_encrypt_in_place(&aes, &iv, &mut got).unwrap();
             oracle.cbc_encrypt(&iv, &mut want);
-            assert_eq!(got, want, "cbc encrypt, {blocks} blocks");
-            // Random bytes as ciphertext: the decrypt side on its own.
             let mut got = data.clone();
-            let mut want = data;
-            aes::cbc_decrypt_in_place(&aes, &iv, &mut got).unwrap();
+            aes::cbc_encrypt_in_place(&aes, &iv, &mut got).unwrap();
+            assert_eq!(got, want, "cbc encrypt, {blocks} blocks");
+            let mut got = data.clone();
+            aes::cbc_encrypt_in_place_portable(&aes, &iv, &mut got).unwrap();
+            assert_eq!(got, want, "portable cbc encrypt, {blocks} blocks");
+            assert_eq!(aes::cbc_encrypt(&aes, &iv, &data).unwrap(), want);
+            // Random bytes as ciphertext: the decrypt side on its own.
+            let mut want = data.clone();
             oracle.cbc_decrypt(&iv, &mut want);
+            let mut got = data.clone();
+            aes::cbc_decrypt_in_place(&aes, &iv, &mut got).unwrap();
             assert_eq!(got, want, "cbc decrypt, {blocks} blocks");
+            let mut got = data.clone();
+            aes::cbc_decrypt_in_place_portable(&aes, &iv, &mut got).unwrap();
+            assert_eq!(got, want, "portable cbc decrypt, {blocks} blocks");
+            assert_eq!(aes::cbc_decrypt(&aes, &iv, &data).unwrap(), want);
         }
     });
 }
@@ -678,6 +712,142 @@ fn sha_padding_boundaries() {
             );
         }
     }
+}
+
+const SHA1_IV: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+const SHA256_IV: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// A Merkle–Damgård digest driven block by block through `compress` —
+/// the rolled kernels of `sha1.rs` / `sha256.rs` called directly, with
+/// the FIPS 180-4 §5.1.1 padding done here — as the reference for
+/// whatever `Sha1` / `Sha256` dispatch to.
+fn md_digest<const N: usize>(
+    mut state: [u32; N],
+    compress: fn(&mut [u32; N], &[u8; 64]),
+    msg: &[u8],
+) -> Vec<u8> {
+    let mut padded = msg.to_vec();
+    padded.push(0x80);
+    padded.resize((padded.len() + 8).next_multiple_of(64) - 8, 0);
+    padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+    for block in padded.chunks_exact(64) {
+        compress(&mut state, block.try_into().unwrap());
+    }
+    state.iter().flat_map(|w| w.to_be_bytes()).collect()
+}
+
+fn sha1_rolled(msg: &[u8]) -> Vec<u8> {
+    md_digest(SHA1_IV, qtls::crypto::sha1::compress_portable, msg)
+}
+
+fn sha256_rolled(msg: &[u8]) -> Vec<u8> {
+    md_digest(SHA256_IV, qtls::crypto::sha256::compress_portable, msg)
+}
+
+/// `Sha1` / `Sha256` (SHA-NI where the CPU has it, fed runs of whole
+/// blocks) against the rolled `compress` driven one block at a time:
+/// random messages of 0–300 bytes split at every offset — so a run starts
+/// and ends at every position relative to the block buffer — and a 16 KB
+/// record in one piece.
+#[test]
+fn sha_matches_rolled_compress() {
+    note_if_hardware_half_is_skipped("sha_matches_rolled_compress");
+    prop::check("sha_matches_rolled_compress", 8, |g| {
+        let msg = g.bytes_in(0, 301);
+        let (want1, want256) = (sha1_rolled(&msg), sha256_rolled(&msg));
+        for split in 0..=msg.len() {
+            let mut h1 = Sha1::new();
+            h1.update(&msg[..split]);
+            h1.update(&msg[split..]);
+            assert_eq!(h1.finalize_fixed()[..], want1[..], "sha1 split {split}");
+            let mut h256 = Sha256::new();
+            h256.update(&msg[..split]);
+            h256.update(&msg[split..]);
+            assert_eq!(
+                h256.finalize_fixed()[..],
+                want256[..],
+                "sha256 split {split}"
+            );
+        }
+        let record = g.bytes(16 * 1024);
+        assert_eq!(Sha1::digest(&record)[..], sha1_rolled(&record)[..]);
+        assert_eq!(Sha256::digest(&record)[..], sha256_rolled(&record)[..]);
+    });
+}
+
+/// The keyed record cipher on the dispatched kernels against the same
+/// record composed from the portable ones (HMAC spelled out over the
+/// rolled SHA-1, TLS padding, table CBC), at sizes on both sides of the
+/// 8-block decrypt group and at a full fragment; then forged records —
+/// a wrong pad byte, a pad longer than the record, a wrong tag byte, a
+/// lone block — are all the one `BadMac`. (That the MAC still *runs* for
+/// each of them is `qtls-crypto`'s own
+/// `bad_pad_and_bad_tag_are_one_error_and_both_run_the_mac`, which counts
+/// tags through a test-only seam and goes through the same dispatch.)
+#[test]
+fn record_cipher_matches_portable_composition() {
+    note_if_hardware_half_is_skipped("record_cipher_matches_portable_composition");
+    prop::check("record_cipher_matches_portable_composition", 8, |g| {
+        let enc_key: [u8; 16] = g.array();
+        let mac_key: [u8; 20] = g.array();
+        let iv: [u8; 16] = g.array();
+        let aad: [u8; 11] = g.array();
+        let cipher = CbcHmacSha1::new(&enc_key, &mac_key);
+        let aes = aes::Aes128::new(&enc_key);
+        let hmac_rolled = |msg: &[u8]| {
+            let mut inner = [0x36u8; 64].to_vec();
+            let mut outer = [0x5cu8; 64].to_vec();
+            for (i, k) in mac_key.iter().enumerate() {
+                inner[i] ^= k;
+                outer[i] ^= k;
+            }
+            inner.extend_from_slice(msg);
+            outer.extend_from_slice(&sha1_rolled(&inner));
+            sha1_rolled(&outer)
+        };
+        let len = g.usize_in(0, 300);
+        for len in [len, 16 * 1024] {
+            let payload = g.bytes(len);
+            let mut padded = payload.clone();
+            padded.extend_from_slice(&hmac_rolled(&[&aad[..], &payload].concat()));
+            let pad = 16 - padded.len() % 16;
+            padded.resize(padded.len() + pad, (pad - 1) as u8);
+            let mut want = padded.clone();
+            aes::cbc_encrypt_in_place_portable(&aes, &iv, &mut want).unwrap();
+
+            let mut buf = payload.clone();
+            cipher.seal_in_place(&iv, &mut buf, &aad).unwrap();
+            assert_eq!(buf, want, "seal, {len} bytes");
+            cipher.open_in_place(&iv, &mut buf, &aad).unwrap();
+            assert_eq!(buf, payload, "open, {len} bytes");
+
+            let n = padded.len();
+            let mut bad_pad = padded.clone();
+            bad_pad[n - pad] ^= 0x10; // not the length byte when pad > 1
+            let mut bad_pad_len = padded.clone();
+            bad_pad_len[n - 1] = 0xff;
+            let mut bad_tag = padded.clone();
+            bad_tag[n - pad - 1] ^= 0x01;
+            let forgeries = [
+                ("pad byte", pad > 1, bad_pad),
+                ("pad length", true, bad_pad_len),
+                ("tag byte", true, bad_tag),
+                ("one block, no room for a tag", true, vec![0u8; 16]),
+            ];
+            for (what, applies, forged) in forgeries {
+                if applies {
+                    let ct = aes::cbc_encrypt(&aes, &iv, &forged).unwrap();
+                    assert_eq!(
+                        cipher.open(&iv, &ct, &aad),
+                        Err(CryptoError::BadMac),
+                        "{what}, {len} bytes"
+                    );
+                }
+            }
+        }
+    });
 }
 
 #[test]

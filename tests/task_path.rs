@@ -133,6 +133,25 @@ impl Client {
     }
 }
 
+/// Waits, when dropped, until `stack_threads()` is back down to `before`.
+/// A joined thread can stay listed in `/proc/self/task` for a moment
+/// after `join` returns (the kernel wakes the joiner before it unlinks
+/// the task), so without this the next rig's baseline count — or an
+/// assertion right after `drop(rig)` — can include a thread that is
+/// about to vanish, and the count it then waits for never comes.
+struct ThreadsGone {
+    before: usize,
+}
+
+impl Drop for ThreadsGone {
+    fn drop(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stack_threads() > self.before && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// One worker over its own device and listener.
 struct Rig {
     device: QatDevice,
@@ -143,12 +162,16 @@ struct Rig {
     /// `stack_threads()` with this rig up: what was there before plus
     /// the device's engines and the profile's poller thread, if any.
     threads: usize,
+    /// Declared last, so dropped after the device and the worker have
+    /// joined their threads.
+    _threads_gone: ThreadsGone,
 }
 
 impl Rig {
     fn new(profile: OffloadProfile, version: Version, device: QatConfig) -> Self {
         let poller = matches!(profile.polling(), Some(PollingScheme::TimerThread(_)));
-        let threads = stack_threads() + device.total_engines() + usize::from(poller);
+        let before = stack_threads();
+        let threads = before + device.total_engines() + usize::from(poller);
         let device = QatDevice::new(device);
         let listener = Arc::new(VListener::new());
         let mut cfg = WorkerConfig::new(profile);
@@ -168,6 +191,7 @@ impl Rig {
             version,
             next_seed: 0x7a5c,
             threads,
+            _threads_gone: ThreadsGone { before },
         }
     }
 
