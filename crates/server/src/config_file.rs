@@ -20,6 +20,14 @@
 //! [`parse_ssl_engine_conf`] turns this into an [`EngineDirectives`]
 //! bundle (profile, offload selection, thresholds, worker count) that
 //! maps directly onto [`crate::worker::WorkerConfig`].
+//!
+//! `default_algorithm` names the *eligible* classes — `RSA`/`EC`/`DH`
+//! (asymmetric), `PKEY_CRYPTO`/`PRF`, `CIPHERS`, or `ALL`. Eligible is
+//! not offloaded: an eligible asymmetric op always goes to the device,
+//! an eligible PRF or record pass only when it processes at least
+//! [`OffloadSelection::min_sym_bytes`] (2048 by default, no directive;
+//! DESIGN.md §21), so under `ALL` every PRF and every sub-2 KB record
+//! stays on the worker.
 
 use crate::admission::AdmissionConfig;
 use crate::metrics::MetricsConfig;
@@ -35,7 +43,8 @@ pub struct EngineDirectives {
     pub worker_processes: usize,
     /// Derived offload profile.
     pub profile: OffloadProfile,
-    /// Which algorithm classes are offloaded (`default_algorithm`).
+    /// Which algorithm classes are eligible for offload
+    /// (`default_algorithm`), with the default size rule.
     pub selection: OffloadSelection,
     /// Heuristic thresholds (`qat_heuristic_poll_*_threshold`).
     pub heuristic: HeuristicConfig,
@@ -223,6 +232,7 @@ pub fn parse_ssl_engine_conf(input: &str) -> Result<EngineDirectives, ConfError>
                     asym: false,
                     prf: false,
                     cipher: false,
+                    ..out.selection
                 };
                 for alg in value.split(',') {
                     match alg.trim() {
@@ -234,6 +244,7 @@ pub fn parse_ssl_engine_conf(input: &str) -> Result<EngineDirectives, ConfError>
                                 asym: true,
                                 prf: true,
                                 cipher: true,
+                                ..sel
                             }
                         }
                         "" => {}
@@ -454,9 +465,14 @@ ssl_engine {
         let d = parse_ssl_engine_conf(APPENDIX_EXAMPLE).unwrap();
         assert_eq!(d.worker_processes, 8);
         assert_eq!(d.profile, OffloadProfile::Qtls);
-        assert!(d.selection.asym);
-        assert!(d.selection.prf);
-        assert!(!d.selection.cipher, "CIPHERS not listed");
+        // CIPHERS is not listed; the size rule keeps its default.
+        assert_eq!(
+            d.selection,
+            OffloadSelection {
+                cipher: false,
+                ..OffloadSelection::default()
+            }
+        );
         assert_eq!(d.heuristic.asym_threshold, 48);
         assert_eq!(d.heuristic.sym_threshold, 24);
     }
@@ -858,6 +874,7 @@ ssl_engine {
 }
 "#;
         let d = parse_ssl_engine_conf(conf).unwrap();
-        assert!(d.selection.asym && d.selection.prf && d.selection.cipher);
+        // Every class eligible; PRFs and small records still stay inline.
+        assert_eq!(d.selection, OffloadSelection::default());
     }
 }

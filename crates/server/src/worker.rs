@@ -70,8 +70,11 @@ pub struct WorkerConfig {
     pub heuristic: HeuristicConfig,
     /// Timer-poller interval override (Fig. 12 sweeps 10 µs vs 1 ms).
     pub timer_interval: Option<Duration>,
-    /// Which algorithm classes are offloaded (the `default_algorithm`
-    /// directive of the SSL Engine Framework).
+    /// Which algorithm classes are eligible for offload (the
+    /// `default_algorithm` directive of the SSL Engine Framework) and the
+    /// size below which an eligible PRF or record pass stays on this
+    /// worker ([`OffloadSelection::offload_everything`] is the paper's
+    /// policy, kept as an ablation).
     pub selection: OffloadSelection,
     /// Protocol version served (the worker terminates one protocol, as
     /// in the paper's per-experiment Nginx configurations).

@@ -22,7 +22,7 @@ use qtls_server::{
 };
 use qtls_sync::Parker;
 use qtls_tls::client::ClientSession;
-use qtls_tls::provider::CryptoProvider;
+use qtls_tls::provider::{CryptoProvider, OffloadSelection};
 use qtls_tls::server::ServerConfig;
 use qtls_tls::suite::CipherSuite;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -307,6 +307,7 @@ fn a_held_submit_batch_is_never_slept_on() {
     // (5 ms) before every one of the 11 offloads of a full handshake and
     // request: 55 ms per connection. It must keep sweeping instead.
     let mut cfg = WorkerConfig::new(OffloadProfile::Qtls);
+    cfg.selection = OffloadSelection::offload_everything();
     cfg.flush = FlushPolicyConfig {
         light_inflight: 0,
         max_hold_sweeps: u32::MAX,

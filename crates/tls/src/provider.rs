@@ -8,9 +8,13 @@
 //! in [`qtls_core::run_sync`] to use one from synchronous code.
 //!
 //! Every call is counted per class, which is how the Table 1 operation
-//! counts are verified by test, and which algorithms are offloaded is
+//! counts are verified by test. Which classes *may* be offloaded is
 //! configurable — mirroring the artifact's SSL Engine Framework
-//! (`default_algorithm RSA,EC,DH,PKEY_CRYPTO`, `qat_offload_mode`, ...).
+//! (`default_algorithm RSA,EC,DH,PKEY_CRYPTO`, `qat_offload_mode`, ...) —
+//! and whether an eligible call *is* offloaded is one cost rule, decided
+//! in one place (`CryptoProvider::engine_for`, DESIGN.md §21): every
+//! asymmetric op goes to the device, a PRF or record-crypto op only when
+//! it processes at least [`OffloadSelection::min_sym_bytes`].
 
 use crate::error::TlsError;
 use qtls_core::OffloadEngine;
@@ -37,16 +41,37 @@ pub struct OpCounters {
     pub cipher: u32,
 }
 
-/// Which offloadable classes actually go to the accelerator (the
-/// `default_algorithm` directive of the artifact's engine framework).
-#[derive(Clone, Copy, Debug)]
+/// Which offloadable classes are eligible for the accelerator (the
+/// `default_algorithm` directive of the artifact's engine framework), and
+/// how many bytes a symmetric op must process to be worth a round trip.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OffloadSelection {
-    /// Offload RSA/ECC.
+    /// RSA/ECC are eligible; an eligible one always goes to the device.
     pub asym: bool,
-    /// Offload the TLS 1.2 PRF.
+    /// The TLS 1.2 PRF is eligible.
     pub prf: bool,
-    /// Offload record encryption/decryption.
+    /// Record encryption/decryption is eligible.
     pub cipher: bool,
+    /// An eligible PRF (its output length) or record-crypto pass (its
+    /// input bytes) goes to the device only from this size up; below it
+    /// the op is cheaper on the CPU than a device round trip.
+    pub min_sym_bytes: usize,
+}
+
+impl OffloadSelection {
+    /// Default [`Self::min_sym_bytes`]: Intel's QAT Engine keeps records
+    /// below 2048 bytes on the CPU by default, and at that size a record
+    /// op still costs a fraction of a round trip (DESIGN.md §21).
+    pub const DEFAULT_MIN_SYM_BYTES: usize = 2048;
+
+    /// The paper's policy, kept as an ablation: every eligible class, and
+    /// every op of it, goes to the device whatever its size.
+    pub fn offload_everything() -> Self {
+        OffloadSelection {
+            min_sym_bytes: 0,
+            ..OffloadSelection::default()
+        }
+    }
 }
 
 impl Default for OffloadSelection {
@@ -55,8 +80,18 @@ impl Default for OffloadSelection {
             asym: true,
             prf: true,
             cipher: true,
+            min_sym_bytes: Self::DEFAULT_MIN_SYM_BYTES,
         }
     }
+}
+
+/// What an offloadable call is, as far as the offload rule cares.
+enum OpClass {
+    Asym,
+    /// A TLS 1.2 PRF producing this many bytes.
+    Prf(usize),
+    /// Record crypto over this many bytes (one record, or a codec pass).
+    Cipher(usize),
 }
 
 /// The provider held by each TLS session.
@@ -84,11 +119,18 @@ impl CryptoProvider {
         }
     }
 
-    fn engine_for(&self, want: impl Fn(&OffloadSelection) -> bool) -> Option<&Arc<OffloadEngine>> {
-        match self {
-            CryptoProvider::Software => None,
-            CryptoProvider::Offload { engine, selection } => want(selection).then_some(engine),
-        }
+    /// The offload rule, and the only place it is decided: the engine an
+    /// op of `class` goes to, or `None` to compute it on the CPU.
+    fn engine_for(&self, class: OpClass) -> Option<&OffloadEngine> {
+        let CryptoProvider::Offload { engine, selection } = self else {
+            return None;
+        };
+        let offload = match class {
+            OpClass::Asym => selection.asym,
+            OpClass::Prf(bytes) => selection.prf && bytes >= selection.min_sym_bytes,
+            OpClass::Cipher(bytes) => selection.cipher && bytes >= selection.min_sym_bytes,
+        };
+        offload.then_some(engine.as_ref())
     }
 
     async fn run(engine: &OffloadEngine, op: CryptoOp) -> Result<CryptoOutput, TlsError> {
@@ -103,7 +145,7 @@ impl CryptoProvider {
         msg: &[u8],
     ) -> Result<Vec<u8>, TlsError> {
         counters.rsa += 1;
-        match self.engine_for(|s| s.asym) {
+        match self.engine_for(OpClass::Asym) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::RsaSign {
@@ -125,7 +167,7 @@ impl CryptoProvider {
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, TlsError> {
         counters.rsa += 1;
-        match self.engine_for(|s| s.asym) {
+        match self.engine_for(OpClass::Asym) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::RsaDecrypt {
@@ -149,7 +191,7 @@ impl CryptoProvider {
         nonce_seed: u64,
     ) -> Result<Vec<u8>, TlsError> {
         counters.ecc += 1;
-        match self.engine_for(|s| s.asym) {
+        match self.engine_for(OpClass::Asym) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::EcdsaSign {
@@ -178,7 +220,7 @@ impl CryptoProvider {
         seed: u64,
     ) -> Result<(Bn, Vec<u8>), TlsError> {
         counters.ecc += 1;
-        match self.engine_for(|s| s.asym) {
+        match self.engine_for(OpClass::Asym) {
             Some(engine) => match Self::run(engine, CryptoOp::EcKeygen { curve, seed }).await? {
                 CryptoOutput::KeyPair { private, public } => Ok((private, public)),
                 CryptoOutput::Bytes(_) => Err(TlsError::Crypto(CryptoError::InvalidPoint)),
@@ -200,7 +242,7 @@ impl CryptoProvider {
         peer: &[u8],
     ) -> Result<Vec<u8>, TlsError> {
         counters.ecc += 1;
-        match self.engine_for(|s| s.asym) {
+        match self.engine_for(OpClass::Asym) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::EcdhDerive {
@@ -228,7 +270,7 @@ impl CryptoProvider {
         out_len: usize,
     ) -> Result<Vec<u8>, TlsError> {
         counters.prf += 1;
-        match self.engine_for(|s| s.prf) {
+        match self.engine_for(OpClass::Prf(out_len)) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::Prf {
@@ -276,7 +318,7 @@ impl CryptoProvider {
         aad: &[u8],
     ) -> Result<Vec<u8>, TlsError> {
         counters.cipher += 1;
-        match self.engine_for(|s| s.cipher) {
+        match self.engine_for(OpClass::Cipher(plaintext.len())) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::CipherEncrypt {
@@ -304,7 +346,7 @@ impl CryptoProvider {
         aad: &[u8],
     ) -> Result<Vec<u8>, TlsError> {
         counters.cipher += 1;
-        match self.engine_for(|s| s.cipher) {
+        match self.engine_for(OpClass::Cipher(ciphertext.len())) {
             Some(engine) => Ok(Self::run(
                 engine,
                 CryptoOp::CipherDecrypt {
@@ -323,31 +365,18 @@ impl CryptoProvider {
         }
     }
 
-    /// Does record crypto go to the accelerator? The record codec uses
-    /// this to pick between its in-place software path and the batched
-    /// offload path.
-    pub fn offloads_cipher(&self) -> bool {
-        self.engine_for(|s| s.cipher).is_some()
-    }
-
-    /// Batched record protection for the data plane: each op protects one
-    /// record, and the engine publishes the whole batch under a single
-    /// doorbell ([`OffloadEngine::offload_batch`]). Results come back in
-    /// op order. Returns `None` when record crypto is not offloaded (the
-    /// caller runs its software path instead).
-    pub async fn cipher_batch(
-        &self,
-        counters: &mut OpCounters,
-        ops: Vec<CryptoOp>,
-    ) -> Option<Vec<Result<CryptoOutput, CryptoError>>> {
-        let engine = self.engine_for(|s| s.cipher)?;
-        counters.cipher += ops.len() as u32;
-        Some(engine.offload_batch_async(ops).await)
+    /// The record codec's one decision per pass: the engine that a pass
+    /// processing `bytes` of record crypto goes to, as batches of one
+    /// descriptor per record under one doorbell each
+    /// ([`OffloadEngine::offload_batch`]), or `None` to seal or open the
+    /// whole pass in place on the CPU.
+    pub fn offloads_cipher(&self, bytes: usize) -> Option<&OffloadEngine> {
+        self.engine_for(OpClass::Cipher(bytes))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qtls_core::run_sync;
     use qtls_crypto::test_keys::test_rsa_1024;
@@ -396,42 +425,92 @@ mod tests {
         assert_eq!(c.ecc, 4);
     }
 
-    #[test]
-    fn offload_provider_blocking_mode() {
-        use qtls_core::{EngineMode, OffloadEngine};
+    /// A blocking-mode provider over its own device, with `selection`.
+    pub(crate) fn blocking(selection: OffloadSelection) -> (CryptoProvider, qtls_qat::QatDevice) {
+        use qtls_core::EngineMode;
         use qtls_qat::{QatConfig, QatDevice};
         let dev = QatDevice::new(QatConfig::functional_small());
         let engine = Arc::new(OffloadEngine::new(
             dev.alloc_instance(),
             EngineMode::Blocking,
         ));
-        let p = CryptoProvider::offload(engine);
+        (CryptoProvider::Offload { engine, selection }, dev)
+    }
+
+    #[test]
+    fn offload_provider_blocking_mode() {
+        let (p, dev) = blocking(OffloadSelection::offload_everything());
         let mut c = OpCounters::default();
         let out = run_sync(p.prf(&mut c, b"s", b"master secret", b"r", 48)).unwrap();
         assert_eq!(out, kdf::prf_tls12(b"s", b"master secret", b"r", 48));
         assert_eq!(c.prf, 1);
+        assert_eq!(dev.fw_counters().total_completed(), 1);
     }
 
     #[test]
     fn selection_keeps_unselected_classes_on_cpu() {
-        use qtls_core::{EngineMode, OffloadEngine};
-        use qtls_qat::{QatConfig, QatDevice};
-        let dev = QatDevice::new(QatConfig::functional_small());
-        let engine = Arc::new(OffloadEngine::new(
-            dev.alloc_instance(),
-            EngineMode::Blocking,
-        ));
-        let p = CryptoProvider::Offload {
-            engine: Arc::clone(&engine),
-            selection: OffloadSelection {
-                asym: true,
-                prf: false,
-                cipher: false,
-            },
-        };
+        let (p, dev) = blocking(OffloadSelection {
+            asym: true,
+            prf: false,
+            cipher: false,
+            min_sym_bytes: 0,
+        });
         let mut c = OpCounters::default();
         run_sync(p.prf(&mut c, b"s", b"l", b"x", 4)).unwrap();
         // PRF stayed on the CPU: nothing went through the device.
         assert_eq!(dev.fw_counters().total_completed(), 0);
+    }
+
+    #[test]
+    fn cipher_ops_reach_the_device_from_min_sym_bytes_up() {
+        let (p, dev) = blocking(OffloadSelection::default());
+        let completed = || dev.fw_counters().total_completed();
+        let mut c = OpCounters::default();
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let seal = |c: &mut OpCounters, len: usize| {
+            run_sync(p.cipher_encrypt(c, &cipher, [3; 16], &vec![7; len], b"aad")).unwrap()
+        };
+        seal(&mut c, 2047);
+        assert_eq!(completed(), 0, "a 2047-byte seal stays inline");
+        seal(&mut c, 2048);
+        assert_eq!(completed(), 1, "a 2048-byte seal reaches the device");
+        // An open decides on the ciphertext it processes: 2000 bytes + tag
+        // pad to 2032 (seal and open inline), 2048 bytes + tag to 2080 (both
+        // on the device).
+        for (len, completed_after) in [(2000, 1), (2048, 3)] {
+            let ct = seal(&mut c, len);
+            let pt = run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], ct, b"aad")).unwrap();
+            assert_eq!(pt, vec![7; len]);
+            assert_eq!(completed(), completed_after, "{len}-byte record");
+        }
+        assert!(p.offloads_cipher(2047).is_none() && p.offloads_cipher(2048).is_some());
+        assert_eq!(c.cipher, 6);
+    }
+
+    #[test]
+    fn prfs_stay_inline_while_asymmetric_ops_reach_the_device() {
+        let (p, dev) = blocking(OffloadSelection::default());
+        let mut c = OpCounters::default();
+        // The largest TLS 1.2 PRF output here is a 104-byte key block.
+        let out = run_sync(p.prf(&mut c, b"s", b"key expansion", b"r", 104)).unwrap();
+        assert_eq!(out, kdf::prf_tls12(b"s", b"key expansion", b"r", 104));
+        assert_eq!(dev.fw_counters().total_completed(), 0);
+        let key = Arc::new(test_rsa_1024().clone());
+        let sig = run_sync(p.rsa_sign(&mut c, &key, b"m")).unwrap();
+        assert_eq!(sig, key.sign_pkcs1_sha256(b"m").unwrap());
+        assert_eq!(dev.fw_counters().total_completed(), 1);
+    }
+
+    #[test]
+    fn min_sym_bytes_zero_sends_everything() {
+        let (p, dev) = blocking(OffloadSelection::offload_everything());
+        let mut c = OpCounters::default();
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        run_sync(p.prf(&mut c, b"s", b"l", b"x", 1)).unwrap();
+        let ct = run_sync(p.cipher_encrypt(&mut c, &cipher, [3; 16], b"", b"aad")).unwrap();
+        run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], ct, b"aad")).unwrap();
+        run_sync(p.ec_keygen(&mut c, NamedCurve::P256, 7)).unwrap();
+        assert_eq!(dev.fw_counters().total_completed(), 4);
+        assert!(p.offloads_cipher(0).is_some());
     }
 }

@@ -1,9 +1,10 @@
 //! The TLS record layer: framing, sequence numbers, fragmentation at
 //! 16 KB (§2.1), and AES-128-CBC + HMAC-SHA1 record protection routed
 //! through the [`CryptoProvider`] (so record crypto is offloadable, as in
-//! the paper's secure-data-transfer evaluation). Every entry point that
-//! can reach the accelerator is an `async fn` (`*_async`) with a
-//! synchronous facade of the historical name beside it.
+//! the paper's secure-data-transfer evaluation; whether a record or a codec
+//! pass is big enough to be worth the round trip is the provider's call).
+//! Every entry point that can reach the accelerator is an `async fn`
+//! (`*_async`) with a synchronous facade of the historical name beside it.
 //!
 //! Simplification vs RFC 5246: the MAC additional data covers
 //! `seq || type || version` (the plaintext length is protected implicitly
@@ -14,7 +15,7 @@ use crate::error::TlsError;
 use crate::keys::{DirectionSecrets, ExtractedSecrets};
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::suite::sizes;
-use qtls_core::run_sync;
+use qtls_core::{run_sync, OffloadEngine};
 use qtls_crypto::{CbcHmacSha1, EntropySource};
 use qtls_qat::CryptoOp;
 use std::sync::Arc;
@@ -328,6 +329,22 @@ fn aad_bytes(seq: u64, typ: ContentType, version: u16) -> [u8; 11] {
     aad
 }
 
+/// Ciphertext bytes (bodies less their IVs) of the complete records at the
+/// front of `buf`: what one open pass of the codec would process. Headers
+/// are validated by the pass itself.
+fn complete_ciphertext_bytes(mut buf: &[u8]) -> usize {
+    let mut bytes = 0;
+    while let Some((hdr, rest)) = buf.split_first_chunk::<HEADER_LEN>() {
+        let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
+        let Some((body, rest)) = rest.split_at_checked(len) else {
+            break;
+        };
+        bytes += body.len().saturating_sub(16);
+        buf = rest;
+    }
+    bytes
+}
+
 /// The data-plane record codec: owns an established connection's record
 /// protection after the handshake control plane exports its secrets
 /// ([`RecordLayer::extract_secrets`]).
@@ -337,10 +354,12 @@ fn aad_bytes(seq: u64, typ: ContentType, version: u16) -> [u8; 11] {
 ///
 /// - writes are staged into pooled fragment buffers (tiny writes coalesce
 ///   into the tail fragment, so N small writes become one record, not N);
-/// - a flush seals all staged fragments as one scatter-gather batch of
+/// - each flush (and each open pass) is offloaded or not as a whole, on
+///   its total bytes ([`CryptoProvider::offloads_cipher`]); an offloaded
+///   flush seals all staged fragments as one scatter-gather batch of
 ///   [`CryptoOp::CipherSealInPlace`] descriptors — up to `max_batch`
-///   records per [`OffloadEngine::offload_batch`](qtls_core::OffloadEngine)
-///   submission, i.e. one ring publish + one doorbell for the whole batch;
+///   records per [`OffloadEngine::offload_batch`] submission, i.e. one
+///   ring publish + one doorbell for the whole batch;
 /// - the cipher transforms run **in place** in the pooled buffers (the
 ///   one memcpy splicing each sealed record into the contiguous wire
 ///   buffer is the only copy), and buffers return to the pool, so the
@@ -444,11 +463,12 @@ impl RecordCodec {
     }
 
     /// Seal every staged fragment, appending wire records to `out`.
-    /// Returns the number of records sealed. With an offloading provider
-    /// the fragments go down as batches of up to `max_batch` in-place
-    /// descriptors per doorbell — the future is pending once per batch
-    /// and resumes at the batch it paused on; otherwise they are sealed
-    /// in place on the CPU.
+    /// Returns the number of records sealed. The provider decides once,
+    /// on the bytes staged, where the whole flush runs
+    /// ([`CryptoProvider::offloads_cipher`]): on the device the fragments
+    /// go down as batches of up to `max_batch` in-place descriptors per
+    /// doorbell — the future is pending once per batch and resumes at the
+    /// batch it paused on; otherwise they are sealed in place on the CPU.
     pub async fn flush_into_async<R: EntropySource>(
         &mut self,
         out: &mut Vec<u8>,
@@ -461,39 +481,45 @@ impl RecordCodec {
         }
         let staged = std::mem::take(&mut self.staged);
         let n = staged.len();
-        let offload = provider.offloads_cipher();
-        let mut ops: Vec<CryptoOp> = Vec::with_capacity(self.max_batch.min(n));
-        let mut ivs: Vec<[u8; 16]> = Vec::with_capacity(self.max_batch.min(n));
+        let engine = provider.offloads_cipher(staged.iter().map(Vec::len).sum());
+        let batch = engine.map_or(0, |_| self.max_batch.min(n));
+        let mut ops: Vec<CryptoOp> = Vec::with_capacity(batch);
+        let mut ivs: Vec<[u8; 16]> = Vec::with_capacity(batch);
         for mut buf in staged {
             self.bytes_sealed += buf.len() as u64;
             let aad = aad_bytes(self.write.seq, ContentType::ApplicationData, self.version);
             self.write.seq += 1;
             let mut iv = [0u8; 16];
             rng.fill(&mut iv);
-            if offload {
-                ops.push(CryptoOp::CipherSealInPlace {
-                    cipher: Arc::clone(&self.write.cipher),
-                    iv,
-                    buf,
-                    aad,
-                });
-                ivs.push(iv);
-                if ops.len() == self.max_batch {
-                    self.submit_seal_batch(&mut ops, &mut ivs, out, provider, counters)
-                        .await?;
+            match engine {
+                Some(engine) => {
+                    ops.push(CryptoOp::CipherSealInPlace {
+                        cipher: Arc::clone(&self.write.cipher),
+                        iv,
+                        buf,
+                        aad,
+                    });
+                    ivs.push(iv);
+                    if ops.len() == self.max_batch {
+                        self.submit_seal_batch(engine, &mut ops, &mut ivs, out, counters)
+                            .await?;
+                    }
                 }
-            } else {
-                counters.cipher += 1;
-                self.write
-                    .cipher
-                    .seal_in_place(&iv, &mut buf, &aad)
-                    .map_err(TlsError::Crypto)?;
-                Self::emit_record(out, self.version, &iv, &buf);
-                self.pool_put(buf);
+                None => {
+                    counters.cipher += 1;
+                    self.write
+                        .cipher
+                        .seal_in_place(&iv, &mut buf, &aad)
+                        .map_err(TlsError::Crypto)?;
+                    Self::emit_record(out, self.version, &iv, &buf);
+                    self.pool_put(buf);
+                }
             }
         }
-        self.submit_seal_batch(&mut ops, &mut ivs, out, provider, counters)
-            .await?;
+        if let Some(engine) = engine {
+            self.submit_seal_batch(engine, &mut ops, &mut ivs, out, counters)
+                .await?;
+        }
         Ok(n)
     }
 
@@ -512,19 +538,17 @@ impl RecordCodec {
 
     async fn submit_seal_batch(
         &mut self,
+        engine: &OffloadEngine,
         ops: &mut Vec<CryptoOp>,
         ivs: &mut Vec<[u8; 16]>,
         out: &mut Vec<u8>,
-        provider: &CryptoProvider,
         counters: &mut OpCounters,
     ) -> Result<(), TlsError> {
         if ops.is_empty() {
             return Ok(());
         }
-        let results = provider
-            .cipher_batch(counters, std::mem::take(ops))
-            .await
-            .expect("seal batch built without a cipher engine");
+        counters.cipher += ops.len() as u32;
+        let results = engine.offload_batch_async(std::mem::take(ops)).await;
         for (result, iv) in results.into_iter().zip(ivs.drain(..)) {
             let ct = result.map_err(TlsError::Crypto)?.into_bytes();
             Self::emit_record(out, self.version, &iv, &ct);
@@ -563,15 +587,16 @@ impl RecordCodec {
 
     /// Open every complete buffered record, appending plaintext to `out`
     /// in record order. Returns the number of records opened; partial
-    /// trailing bytes stay buffered. Batched like the seal path.
+    /// trailing bytes stay buffered. Decided once, on the ciphertext bytes
+    /// of the complete records, and batched like the seal path.
     pub async fn open_into_async(
         &mut self,
         out: &mut Vec<u8>,
         provider: &CryptoProvider,
         counters: &mut OpCounters,
     ) -> Result<usize, TlsError> {
-        let offload = provider.offloads_cipher();
         let in_buf = std::mem::take(&mut self.in_buf);
+        let engine = provider.offloads_cipher(complete_ciphertext_bytes(&in_buf));
         let mut pos = 0usize;
         let mut opened = 0usize;
         let mut ops: Vec<CryptoOp> = Vec::new();
@@ -588,43 +613,47 @@ impl RecordCodec {
             if in_buf.len() - pos < HEADER_LEN + len {
                 break;
             }
-            if len < 16 {
-                return Err(TlsError::Decode("protected record too short"));
-            }
             let body = &in_buf[pos + HEADER_LEN..pos + HEADER_LEN + len];
-            let iv: [u8; 16] = body[..16].try_into().unwrap();
+            let Some((&iv, ciphertext)) = body.split_first_chunk::<16>() else {
+                return Err(TlsError::Decode("protected record too short"));
+            };
             let aad = aad_bytes(self.read.seq, ContentType::ApplicationData, self.version);
             self.read.seq += 1;
             let mut buf = self.pool_get();
-            buf.extend_from_slice(&body[16..]);
-            if offload {
-                ops.push(CryptoOp::CipherOpenInPlace {
-                    cipher: Arc::clone(&self.read.cipher),
-                    iv,
-                    buf,
-                    aad,
-                });
-                if ops.len() == self.max_batch {
-                    opened += self
-                        .submit_open_batch(&mut ops, out, provider, counters)
-                        .await?;
+            buf.extend_from_slice(ciphertext);
+            match engine {
+                Some(engine) => {
+                    ops.push(CryptoOp::CipherOpenInPlace {
+                        cipher: Arc::clone(&self.read.cipher),
+                        iv,
+                        buf,
+                        aad,
+                    });
+                    if ops.len() == self.max_batch {
+                        opened += self
+                            .submit_open_batch(engine, &mut ops, out, counters)
+                            .await?;
+                    }
                 }
-            } else {
-                counters.cipher += 1;
-                self.read
-                    .cipher
-                    .open_in_place(&iv, &mut buf, &aad)
-                    .map_err(TlsError::Crypto)?;
-                self.bytes_opened += buf.len() as u64;
-                out.extend_from_slice(&buf);
-                self.pool_put(buf);
-                opened += 1;
+                None => {
+                    counters.cipher += 1;
+                    self.read
+                        .cipher
+                        .open_in_place(&iv, &mut buf, &aad)
+                        .map_err(TlsError::Crypto)?;
+                    self.bytes_opened += buf.len() as u64;
+                    out.extend_from_slice(&buf);
+                    self.pool_put(buf);
+                    opened += 1;
+                }
             }
             pos += HEADER_LEN + len;
         }
-        opened += self
-            .submit_open_batch(&mut ops, out, provider, counters)
-            .await?;
+        if let Some(engine) = engine {
+            opened += self
+                .submit_open_batch(engine, &mut ops, out, counters)
+                .await?;
+        }
         self.in_buf = in_buf;
         self.in_buf.drain(..pos);
         Ok(opened)
@@ -632,18 +661,16 @@ impl RecordCodec {
 
     async fn submit_open_batch(
         &mut self,
+        engine: &OffloadEngine,
         ops: &mut Vec<CryptoOp>,
         out: &mut Vec<u8>,
-        provider: &CryptoProvider,
         counters: &mut OpCounters,
     ) -> Result<usize, TlsError> {
         if ops.is_empty() {
             return Ok(0);
         }
-        let results = provider
-            .cipher_batch(counters, std::mem::take(ops))
-            .await
-            .expect("open batch built without a cipher engine");
+        counters.cipher += ops.len() as u32;
+        let results = engine.offload_batch_async(std::mem::take(ops)).await;
         let n = results.len();
         for result in results {
             let pt = result.map_err(TlsError::Crypto)?.into_bytes();
@@ -675,6 +702,8 @@ impl RecordCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::tests::blocking as offloading;
+    use crate::provider::OffloadSelection;
     use qtls_crypto::TestRng;
 
     fn keys(seed: u8) -> DirectionKeys {
@@ -909,15 +938,8 @@ mod tests {
 
     #[test]
     fn tiny_writes_coalesce_into_one_batched_submission() {
-        use qtls_core::{EngineMode, OffloadEngine};
-        use qtls_qat::{QatConfig, QatDevice};
         use std::sync::atomic::Ordering;
-        let dev = QatDevice::new(QatConfig::functional_small());
-        let engine = Arc::new(OffloadEngine::new(
-            dev.alloc_instance(),
-            EngineMode::Blocking,
-        ));
-        let p = CryptoProvider::offload(engine);
+        let (p, dev) = offloading(OffloadSelection::offload_everything());
         let mut c = OpCounters::default();
         let mut rng = TestRng::new(7);
         let (server, client) = secrets_pair(0x0303);
@@ -996,5 +1018,44 @@ mod tests {
         hs[0] = ContentType::Handshake as u8;
         let mut rx2 = RecordCodec::new(client, hs, 4);
         assert!(rx2.open_into(&mut Vec::new(), &p, &mut c).is_err());
+    }
+
+    #[test]
+    fn the_offload_decision_never_changes_a_wire_byte() {
+        // Flushes of 100 B, 1 KB, 2 KB and a 1 MiB response with its
+        // header, each opened by the peer as it lands: the default keeps
+        // the first two on the CPU, the ablation offloads all four, and
+        // both ends put out the same bytes.
+        let sizes = [100, 1024, 2048, (1 << 20) + 100];
+        let run = |selection| {
+            let (p, dev) = offloading(selection);
+            let (server, client) = secrets_pair(0x0303);
+            let mut tx = RecordCodec::new(server, Vec::new(), RecordCodec::DEFAULT_BATCH);
+            let mut rx = RecordCodec::new(client, Vec::new(), RecordCodec::DEFAULT_BATCH);
+            let mut c = OpCounters::default();
+            let mut rng = TestRng::new(0x5eed);
+            let (mut wire, mut on_device) = (Vec::new(), Vec::new());
+            for (i, &len) in sizes.iter().enumerate() {
+                let data = vec![i as u8; len];
+                let mut flight = Vec::new();
+                tx.seal_into(&data, &mut flight, &p, &mut c, &mut rng)
+                    .unwrap();
+                rx.feed(&flight);
+                let mut opened = Vec::new();
+                rx.open_into(&mut opened, &p, &mut c).unwrap();
+                assert_eq!(opened, data);
+                wire.extend_from_slice(&flight);
+                on_device.push(dev.fw_counters().total_completed());
+            }
+            (wire, on_device, c.cipher)
+        };
+        let default = run(OffloadSelection::default());
+        let everything = run(OffloadSelection::offload_everything());
+        assert!(default.0 == everything.0, "wire bytes differ");
+        // Cumulative device ops after each size: 65 records seal and 65
+        // open for the 1 MiB response under both.
+        assert_eq!(default.1, [0, 0, 2, 132]);
+        assert_eq!(everything.1, [2, 4, 6, 136]);
+        assert_eq!((default.2, everything.2), (136, 136));
     }
 }

@@ -316,6 +316,24 @@ if grep -rnE 'fiber::|start_job' crates/server/src; then
 fi
 echo "ok: crates/server/src is fiber-free"
 
+echo "== offload only what is worth a round trip: one decision point =="
+# DESIGN.md §21: whether an op goes to the device is decided in one place,
+# CryptoProvider::engine_for. No other file may read the selection's
+# eligibility or size fields to make a decision of its own.
+selection_readers=$(grep -rnE --include='*.rs' \
+  'selection\.(asym|prf|cipher|min_sym_bytes)\b' crates src tests examples benchmark \
+  | grep -v '^crates/tls/src/provider\.rs:' || true)
+if [ -n "$selection_readers" ]; then
+  echo "$selection_readers" >&2
+  echo "offload selection read outside crates/tls/src/provider.rs (see above)" >&2
+  exit 1
+fi
+if ! grep -q 'fn engine_for' crates/tls/src/provider.rs; then
+  echo "could not find CryptoProvider::engine_for to audit" >&2
+  exit 1
+fi
+echo "ok: only CryptoProvider::engine_for reads the offload selection"
+
 echo "== one wake per request: doorbell, park/wake, no timed idle waits =="
 # The device's engines and the idle worker wait untimed or on a stated
 # deadline, so a lost wake-up is a hang, not a slowdown: the doorbell

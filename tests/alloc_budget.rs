@@ -72,8 +72,11 @@ static GLOBAL: Counting = Counting;
 /// keep-alive connection (28 while each pass boxed a future and a wait
 /// context; 26 while every sweep that delivered a completion collected
 /// the async queue into a fresh `Vec` — one per offload wait, two per
-/// request).
-const ALLOCS_PER_REQUEST: u64 = 24;
+/// request; 24 while the request and the 1 KB response each went to the
+/// device as a batch of one descriptor). Under the default offload rule
+/// (DESIGN.md §21) both are opened and sealed in place in the codec's
+/// pooled buffers on the worker.
+const ALLOCS_PER_REQUEST: u64 = 11;
 
 struct Rig {
     worker: Worker,

@@ -9,7 +9,7 @@ use qtls::qat::{QatConfig, QatDevice};
 use qtls::sim::workload::{handshake_flights, OpKind, Seg, SuiteKind};
 use qtls::sim::CostModel;
 use qtls::tls::client::ClientSession;
-use qtls::tls::provider::CryptoProvider;
+use qtls::tls::provider::{CryptoProvider, OffloadSelection};
 use qtls::tls::server::{ServerConfig, ServerSession};
 use qtls::tls::CipherSuite;
 use std::sync::atomic::Ordering;
@@ -102,7 +102,8 @@ fn offloaded_handshake_ops_reach_the_device() {
         EngineMode::Blocking,
     ));
     let config = ServerConfig::test_default();
-    let mut server = ServerSession::new(config, CryptoProvider::offload(engine), 300);
+    let selection = OffloadSelection::offload_everything();
+    let mut server = ServerSession::new(config, CryptoProvider::Offload { engine, selection }, 300);
     let mut client = ClientSession::new(
         CryptoProvider::Software,
         CipherSuite::EcdheRsa,

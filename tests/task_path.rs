@@ -11,7 +11,7 @@ use qtls::qat::{QatConfig, QatDevice, ServiceMode, ServiceTable};
 use qtls::server::http::synthetic_body;
 use qtls::server::{VListener, VSocket, Worker, WorkerConfig};
 use qtls::tls::client::{ClientSession, ResumeData};
-use qtls::tls::provider::CryptoProvider;
+use qtls::tls::provider::{CryptoProvider, OffloadSelection};
 use qtls::tls::suite::Version;
 use qtls::tls::tls13::{Tls13ClientSession, Tls13ResumeData};
 use qtls::tls::{CipherSuite, TlsError};
@@ -168,7 +168,28 @@ struct Rig {
 }
 
 impl Rig {
+    /// A rig under the default offload rule (DESIGN.md §21).
     fn new(profile: OffloadProfile, version: Version, device: QatConfig) -> Self {
+        Rig::with_selection(profile, version, device, OffloadSelection::default())
+    }
+
+    /// A rig under the paper's offload-everything policy, the ablation
+    /// whose wait counts are the paper's Table 1.
+    fn ablation(profile: OffloadProfile, version: Version, device: QatConfig) -> Self {
+        Rig::with_selection(
+            profile,
+            version,
+            device,
+            OffloadSelection::offload_everything(),
+        )
+    }
+
+    fn with_selection(
+        profile: OffloadProfile,
+        version: Version,
+        device: QatConfig,
+        selection: OffloadSelection,
+    ) -> Self {
         let poller = matches!(profile.polling(), Some(PollingScheme::TimerThread(_)));
         let before = stack_threads();
         let threads = before + device.total_engines() + usize::from(poller);
@@ -176,6 +197,7 @@ impl Rig {
         let listener = Arc::new(VListener::new());
         let mut cfg = WorkerConfig::new(profile);
         cfg.version = version;
+        cfg.selection = selection;
         let worker = Worker::new(Arc::clone(&listener), Some(&device), cfg);
         // A thread names itself once it runs; wait until every thread
         // this rig started has, so later counts compare like with like.
@@ -329,35 +351,42 @@ fn run_shape(rig: &mut Rig, resume: Option<Resume>, shape: Shape) -> Option<Resu
 #[test]
 fn every_async_profile_serves_every_handshake_and_request_shape() {
     let _turn = serial();
-    for profile in ASYNC_PROFILES {
-        for version in [Version::Tls12, Version::Tls13] {
-            for shape in [Shape::OneSmallClose, Shape::FiftyKeepAlive, Shape::OneLarge] {
-                let mut rig = Rig::new(profile, version, QatConfig::functional_small());
-                let resume = run_shape(&mut rig, None, shape);
-                let resume = resume.expect("a full handshake exports resumption state");
-                run_shape(&mut rig, Some(resume), shape);
-                let stats = rig.worker.stats;
-                let case = format!("{profile:?} {version:?} {shape:?}");
-                assert_eq!(stats.errors, 0, "{case}");
-                assert_eq!((stats.handshakes, stats.resumed), (2, 1), "{case}");
-                assert_eq!(stats.resume_miss, 0, "{case}");
-                assert_eq!(stats.closed, 2, "{case}");
-                assert!(stats.async_jobs > 0 && stats.resumptions >= stats.async_jobs);
-                assert_eq!(
-                    stack_threads(),
-                    rig.threads,
-                    "{case}: a pass started a thread"
-                );
-                let engine = rig.worker.engine().expect("offload profile");
-                assert_eq!(engine.inflight().total(), 0, "{case}");
-                // One resumption per completed offload step. Lone ops are
-                // a step each; the 1 MiB response is 65 records sealed
-                // 16 per step (5 steps), once per connection.
-                let batched = match shape {
-                    Shape::OneLarge => 2 * (65 - 5),
-                    _ => 0,
-                };
-                assert_eq!(stats.resumptions + batched, rig.polled(), "{case}");
+    let rules = [
+        ("default", OffloadSelection::default()),
+        ("ablation", OffloadSelection::offload_everything()),
+    ];
+    for (rule, selection) in rules {
+        for profile in ASYNC_PROFILES {
+            for version in [Version::Tls12, Version::Tls13] {
+                for shape in [Shape::OneSmallClose, Shape::FiftyKeepAlive, Shape::OneLarge] {
+                    let device = QatConfig::functional_small();
+                    let mut rig = Rig::with_selection(profile, version, device, selection);
+                    let resume = run_shape(&mut rig, None, shape);
+                    let resume = resume.expect("a full handshake exports resumption state");
+                    run_shape(&mut rig, Some(resume), shape);
+                    let stats = rig.worker.stats;
+                    let case = format!("{rule} {profile:?} {version:?} {shape:?}");
+                    assert_eq!(stats.errors, 0, "{case}");
+                    assert_eq!((stats.handshakes, stats.resumed), (2, 1), "{case}");
+                    assert_eq!(stats.resume_miss, 0, "{case}");
+                    assert_eq!(stats.closed, 2, "{case}");
+                    assert!(stats.async_jobs > 0 && stats.resumptions >= stats.async_jobs);
+                    assert_eq!(
+                        stack_threads(),
+                        rig.threads,
+                        "{case}: a pass started a thread"
+                    );
+                    let engine = rig.worker.engine().expect("offload profile");
+                    assert_eq!(engine.inflight().total(), 0, "{case}");
+                    // One resumption per completed offload step. Lone ops are
+                    // a step each; the 1 MiB response is 65 records sealed
+                    // 16 per step (5 steps), once per connection.
+                    let batched = match shape {
+                        Shape::OneLarge => 2 * (65 - 5),
+                        _ => 0,
+                    };
+                    assert_eq!(stats.resumptions + batched, rig.polled(), "{case}");
+                }
             }
         }
     }
@@ -371,7 +400,7 @@ fn wait_counts_keep_their_meaning() {
     // resumed one, none under SW; three service passes each.
     let _turn = serial();
     for profile in ASYNC_PROFILES {
-        let mut rig = Rig::new(profile, Version::Tls12, QatConfig::functional_small());
+        let mut rig = Rig::ablation(profile, Version::Tls12, QatConfig::functional_small());
         let resume = run_shape(&mut rig, None, Shape::OneSmallClose);
         assert_eq!(rig.worker.stats.resumptions, 11, "{profile:?} full");
         assert_eq!(rig.worker.stats.async_jobs, 3, "{profile:?} full");
@@ -381,7 +410,7 @@ fn wait_counts_keep_their_meaning() {
         assert_eq!(rig.polled(), 18);
     }
     for profile in [OffloadProfile::Sw, OffloadProfile::QatS] {
-        let mut rig = Rig::new(profile, Version::Tls12, QatConfig::functional_small());
+        let mut rig = Rig::ablation(profile, Version::Tls12, QatConfig::functional_small());
         let resume = run_shape(&mut rig, None, Shape::OneSmallClose);
         run_shape(&mut rig, resume, Shape::OneSmallClose);
         let stats = rig.worker.stats;
@@ -397,12 +426,49 @@ fn wait_counts_keep_their_meaning() {
 }
 
 #[test]
+fn wait_counts_under_the_default_rule() {
+    // The same connections under the default offload rule (DESIGN.md
+    // §21): only the asymmetric ops are worth a round trip — 3 waits on a
+    // full handshake connection (keygen, sign | ecdh), none on a resumed
+    // one, none under SW. Every PRF, both Finished records, the request
+    // and the 1 KB response run inline. The rig counts 2 paused service
+    // passes on the full connection, not 3: keygen and sign share the
+    // ClientHello pass, and the request pass no longer pauses.
+    let _turn = serial();
+    for profile in ASYNC_PROFILES {
+        let mut rig = Rig::new(profile, Version::Tls12, QatConfig::functional_small());
+        let resume = run_shape(&mut rig, None, Shape::OneSmallClose);
+        assert_eq!(rig.worker.stats.resumptions, 3, "{profile:?} full");
+        assert_eq!(rig.worker.stats.async_jobs, 2, "{profile:?} full");
+        run_shape(&mut rig, resume, Shape::OneSmallClose);
+        assert_eq!(rig.worker.stats.resumptions, 3, "{profile:?} resumed");
+        assert_eq!(rig.worker.stats.async_jobs, 2, "{profile:?} resumed");
+        assert_eq!(rig.worker.stats.resumed, 1);
+        assert_eq!(rig.polled(), 3);
+    }
+    for profile in [OffloadProfile::Sw, OffloadProfile::QatS] {
+        let mut rig = Rig::new(profile, Version::Tls12, QatConfig::functional_small());
+        let resume = run_shape(&mut rig, None, Shape::OneSmallClose);
+        run_shape(&mut rig, resume, Shape::OneSmallClose);
+        let stats = rig.worker.stats;
+        assert_eq!((stats.async_jobs, stats.resumptions), (0, 0), "{profile:?}");
+        assert_eq!((stats.handshakes, stats.resumed, stats.errors), (2, 1, 0));
+        let offloaded = if profile == OffloadProfile::QatS {
+            3
+        } else {
+            0
+        };
+        assert_eq!(rig.polled(), offloaded, "{profile:?}");
+    }
+}
+
+#[test]
 fn steady_state_starts_no_threads() {
     // 500 connections (1 full, 499 resumed, each GET /1kb close) under
     // the production profile: the fiber path started ~2.3 threads per
     // connection; the task path starts none.
     let _turn = serial();
-    let mut rig = Rig::new(
+    let mut rig = Rig::ablation(
         OffloadProfile::Qtls,
         Version::Tls12,
         QatConfig::functional_small(),
@@ -432,7 +498,7 @@ fn two_slot_ring_defers_and_still_delivers() {
     // find nothing parked yet.
     let _turn = serial();
     for profile in ASYNC_PROFILES {
-        let mut rig = Rig::new(
+        let mut rig = Rig::ablation(
             profile,
             Version::Tls12,
             QatConfig {
@@ -471,7 +537,7 @@ fn read_mid_offload_is_not_polled_for() {
         },
         ..QatConfig::functional_small()
     };
-    let mut rig = Rig::new(OffloadProfile::Qtls, Version::Tls12, slow_cipher);
+    let mut rig = Rig::ablation(OffloadProfile::Qtls, Version::Tls12, slow_cipher);
     let (mut client, sock) = rig.connect(None);
     let request = b"GET /1kb HTTP/1.1\r\nHost: qtls\r\nConnection: keep-alive\r\n\r\n";
     client.write_app_data(request).expect("first request");
@@ -520,7 +586,7 @@ fn shutdown_mid_handshake_leaks_nothing() {
     let _turn = serial();
     for profile in ASYNC_PROFILES {
         let threads_before = stack_threads();
-        let mut rig = Rig::new(
+        let mut rig = Rig::ablation(
             profile,
             Version::Tls12,
             QatConfig {
@@ -564,7 +630,7 @@ fn shutdown_mid_handshake_leaks_nothing() {
         assert_eq!(stack_threads(), threads_before, "{profile:?}");
     }
     // With engines the same shutdown settles the accounting to zero.
-    let mut rig = Rig::new(
+    let mut rig = Rig::ablation(
         OffloadProfile::Qtls,
         Version::Tls12,
         QatConfig::functional_small(),
