@@ -1,5 +1,5 @@
 //! A minimal, std-only micro-benchmark harness exposing the subset of
-//! the `criterion` API the bench files use (`Criterion`,
+//! the `criterion` API `benches/crypto.rs` uses (`Criterion`,
 //! `benchmark_group`, `sample_size`, `throughput`, `bench_function`,
 //! plus the `criterion_group!`/`criterion_main!` macros at the crate
 //! root). It exists so `cargo bench` works in the hermetic build with
@@ -36,14 +36,6 @@ impl Criterion {
         self.filters.is_empty() || self.filters.iter().any(|f| id.contains(f.as_str()))
     }
 
-    /// Do the CLI filters select work reported under `group` that runs
-    /// outside `bench_function` (paired A/B verdicts, side-by-side
-    /// prints)? True with no filters, or when one is a substring of the
-    /// group name.
-    pub fn selects_group(&self, group: &str) -> bool {
-        self.filters.is_empty() || self.filters.iter().any(|f| group.contains(f.as_str()))
-    }
-
     /// Start a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -60,8 +52,6 @@ impl Criterion {
 pub enum Throughput {
     /// Bytes processed per iteration.
     Bytes(u64),
-    /// Logical elements processed per iteration.
-    Elements(u64),
 }
 
 /// A named group of benchmarks sharing sample settings.
@@ -166,14 +156,8 @@ impl Bencher {
             fmt_time(mean),
             fmt_time(p99)
         );
-        match throughput {
-            Some(Throughput::Bytes(n)) => {
-                line.push_str(&format!("  thrpt: {}/s", fmt_bytes(n as f64 / median)));
-            }
-            Some(Throughput::Elements(n)) => {
-                line.push_str(&format!("  thrpt: {:.0} elem/s", n as f64 / median));
-            }
-            None => {}
+        if let Some(Throughput::Bytes(n)) = throughput {
+            line.push_str(&format!("  thrpt: {}/s", fmt_bytes(n as f64 / median)));
         }
         println!("{line}");
     }

@@ -1,51 +1,14 @@
-//! # qtls-bench — benchmark harnesses
+//! # qtls-bench — crypto micro-benchmarks
 //!
 //! - `src/harness.rs`: the hermetic std-only micro-benchmark harness
-//!   (criterion-compatible subset) that all benches below run on;
+//!   (criterion-compatible subset) the bench below runs on;
 //! - `benches/crypto.rs`: micro-benchmarks of the software crypto
-//!   substrate (the per-op costs behind the `SW` baseline);
-//! - `benches/framework.rs`: micro-benchmarks of the offload
-//!   framework's moving parts (rings, fibers, notification schemes,
-//!   heuristic poll decision) — the §4.4/§4.1 ablations;
-//! - `benches/handshake.rs`: end-to-end functional handshakes through
-//!   the real TLS stack and the threaded QAT device model;
-//! - `benches/figures.rs`: regenerates every table and figure of the
-//!   paper's evaluation on the simulated testbed (see EXPERIMENTS.md);
-//! - `benches/scheduling.rs`: the cluster-scheduling verdict — the
-//!   simulated p99 ablation plus a real-cluster load-distribution and
-//!   work-stealing check under a skewed connection mix (DESIGN.md §15).
+//!   substrate (the per-op costs behind the `SW` baseline), each
+//!   hardware-dispatched kernel beside its portable twin.
+//!
+//! Everything else is measured end to end, layer by layer, by the
+//! `benchmark/` package.
 
 #![warn(missing_docs)]
 
 pub mod harness;
-
-/// Machine-readable verdict persistence: each bench group that prints a
-/// greppable `*: PASS` verdict also drops the measured numbers as JSON
-/// under `results/BENCH_<name>.json` at the workspace root, so runs can
-/// be compared across checkouts without re-parsing bench stdout.
-pub mod results {
-    use std::path::PathBuf;
-
-    /// The `results/` directory at the workspace root (next to
-    /// `EXPERIMENTS.md`), resolved from this crate's manifest so it is
-    /// stable under whatever CWD cargo hands the bench binary.
-    pub fn dir() -> PathBuf {
-        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
-    }
-
-    /// Write `json` to `results/BENCH_<name>.json`. Failures are
-    /// reported but never panic: verdict persistence must not turn a
-    /// passing bench red on a read-only checkout.
-    pub fn write(name: &str, json: &str) {
-        let dir = dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("results: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("BENCH_{name}.json"));
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("results: wrote {}", path.display()),
-            Err(e) => eprintln!("results: failed to write {}: {e}", path.display()),
-        }
-    }
-}

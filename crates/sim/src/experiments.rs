@@ -1,7 +1,7 @@
 //! Experiment runners — one per table/figure of the paper's evaluation
 //! (§5). Each returns a [`Figure`] of labeled series that can be rendered
-//! as the text analogue of the paper's plot, and is exercised by the
-//! `qtls-bench` harness (`cargo bench --bench figures`).
+//! as the text analogue of the paper's plot; `cargo run -p qtls-sim --bin
+//! figures` renders them.
 
 use crate::cost::CostModel;
 use crate::sim::{RequestLoad, Sim, SimConfig, SimProfile, SimReport};
@@ -1069,46 +1069,6 @@ mod tests {
         assert!(
             shared_cps > solo_cps,
             "shared {shared_cps}K must beat per-worker {solo_cps}K"
-        );
-    }
-
-    #[test]
-    fn scheduling_ablation_steal_beats_round_robin() {
-        let fig = scheduling_ablation(Fidelity::QUICK);
-        // The headline: under the skewed mix, least-loaded dispatch with
-        // stealing clears blind round-robin's tail by a wide margin at
-        // throughput parity.
-        let rr_p99 = fig.value("rr p99 ms", "unified").unwrap();
-        let steal_p99 = fig.value("dfcfs+steal p99 ms", "unified").unwrap();
-        assert!(
-            steal_p99 <= rr_p99 * 0.85,
-            "stealing must beat round-robin p99: rr={rr_p99} steal={steal_p99}"
-        );
-        let rr_cps = fig.value("rr K CPS", "unified").unwrap();
-        let steal_cps = fig.value("dfcfs+steal K CPS", "unified").unwrap();
-        assert!(
-            steal_cps >= rr_cps * 0.95,
-            "throughput parity: rr={rr_cps}K steal={steal_cps}K"
-        );
-        // Why dfcfs+steal is the shipped policy: it tracks the
-        // centralized-queue ideal's tail without paying a shared queue
-        // in the real cluster.
-        let cfcfs_p99 = fig.value("cfcfs p99 ms", "unified").unwrap();
-        assert!(
-            steal_p99 <= cfcfs_p99 * 1.25,
-            "stealing tracks cFCFS: cfcfs={cfcfs_p99} steal={steal_p99}"
-        );
-        assert!(
-            fig.value("dfcfs+steal steals/s", "unified").unwrap() > 0.0,
-            "idle workers must actually steal under the skewed mix"
-        );
-        // Phase-dedicated cores isolate record I/O from handshakes and
-        // cut the tail further, at a handshake-throughput cost — the
-        // trade the split knob exposes.
-        let split_p99 = fig.value("dfcfs+steal p99 ms", "tls6+app2").unwrap();
-        assert!(
-            split_p99 < steal_p99,
-            "phase split must cut the tail: unified={steal_p99} split={split_p99}"
         );
     }
 

@@ -1,8 +1,10 @@
-//! The paper's quantitative claims, checked against the simulated
-//! testbed at quick fidelity (generous bands to absorb simulation
-//! noise; EXPERIMENTS.md records exact full-fidelity numbers).
+//! The paper's quantitative claims, and the scheduling ablation's,
+//! checked against the simulated testbed at quick fidelity (generous
+//! bands to absorb simulation noise; EXPERIMENTS.md records exact
+//! full-fidelity numbers).
 
 use qtls::crypto::ecc::NamedCurve;
+use qtls::sim::experiments::{scheduling_ablation, Fidelity};
 use qtls::sim::{RequestLoad, Sim, SimConfig, SimProfile, SuiteKind};
 
 fn run(cfg: SimConfig) -> qtls::sim::SimReport {
@@ -194,6 +196,47 @@ fn claim_tls13_smaller_speedup() {
         "TLS1.3 speedup ({r13:.1}x) must be below TLS1.2 ({r12:.1}x)"
     );
     assert!(r13 > 2.5, "but still substantial: {r13:.1}x (paper 3.5x)");
+}
+
+/// DESIGN.md §15: under a skewed handshake+app mix, least-loaded dispatch
+/// with work stealing cuts blind round-robin's p99 by at least 1.25x at
+/// throughput parity, tracks the central-queue ideal, and a phase split
+/// cuts the tail further.
+#[test]
+fn scheduling_ablation_steal_beats_round_robin() {
+    let fig = scheduling_ablation(Fidelity::QUICK);
+    let rr_p99 = fig.value("rr p99 ms", "unified").unwrap();
+    let steal_p99 = fig.value("dfcfs+steal p99 ms", "unified").unwrap();
+    assert!(
+        rr_p99 / steal_p99 >= 1.25,
+        "stealing must beat round-robin p99 by 1.25x: rr={rr_p99} steal={steal_p99}"
+    );
+    let rr_cps = fig.value("rr K CPS", "unified").unwrap();
+    let steal_cps = fig.value("dfcfs+steal K CPS", "unified").unwrap();
+    assert!(
+        steal_cps >= rr_cps * 0.95,
+        "throughput parity: rr={rr_cps}K steal={steal_cps}K"
+    );
+    // Why dfcfs+steal is the shipped policy: it tracks the
+    // centralized-queue ideal's tail without paying a shared queue in the
+    // real cluster.
+    let cfcfs_p99 = fig.value("cfcfs p99 ms", "unified").unwrap();
+    assert!(
+        steal_p99 <= cfcfs_p99 * 1.25,
+        "stealing tracks cFCFS: cfcfs={cfcfs_p99} steal={steal_p99}"
+    );
+    assert!(
+        fig.value("dfcfs+steal steals/s", "unified").unwrap() > 0.0,
+        "idle workers must actually steal under the skewed mix"
+    );
+    // Phase-dedicated cores isolate record I/O from handshakes and cut
+    // the tail further, at a handshake-throughput cost: the trade the
+    // split knob exposes.
+    let split_p99 = fig.value("dfcfs+steal p99 ms", "tls6+app2").unwrap();
+    assert!(
+        split_p99 < steal_p99,
+        "phase split must cut the tail: unified={steal_p99} split={split_p99}"
+    );
 }
 
 /// §5.2 / Fig 7c: the "striking phenomenon" — Montgomery-friendly P-256
