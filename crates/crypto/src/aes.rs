@@ -196,7 +196,8 @@ fn store(block: &mut [u8], s: &[u32; 4]) {
 /// equivalent-inverse-cipher decryption schedule, 44 words each.
 #[derive(Clone)]
 pub struct Aes128 {
-    enc: [u32; 44],
+    /// Also read by the stitched seal of `cbc_hmac.rs`.
+    pub(crate) enc: [u32; 44],
     dec: [u32; 44],
 }
 

@@ -39,11 +39,17 @@ impl CbcHmacSha1 {
         }
     }
 
-    fn tag(&self, aad: &[u8], content: &[u8]) -> [u8; TAG_LEN] {
+    /// The MAC keyed and fed `aad`, ready for the content.
+    fn mac(&self, aad: &[u8]) -> Hmac<Sha1> {
         #[cfg(test)]
         tests::TAGS_COMPUTED.with(|n| n.set(n.get() + 1));
         let mut mac = self.hmac.clone();
         mac.update(aad);
+        mac
+    }
+
+    fn tag(&self, aad: &[u8], content: &[u8]) -> [u8; TAG_LEN] {
+        let mut mac = self.mac(aad);
         mac.update(content);
         mac.finalize_fixed()
     }
@@ -53,17 +59,85 @@ impl CbcHmacSha1 {
     /// TLS-style CBC padding are appended to `buf` (reserve
     /// `len + 20 + 16` up front to avoid a grow). No allocation when
     /// capacity suffices.
+    ///
+    /// On an x86-64 CPU with AES-NI and SHA-NI the content goes through
+    /// the stitched kernel of `x86.rs`, hashed and encrypted in one pass
+    /// (DESIGN.md §20); elsewhere, and for the record's last bytes, the
+    /// MAC runs first and the encryption after it.
     pub fn seal_in_place(
         &self,
         iv: &[u8; 16],
         buf: &mut Vec<u8>,
         aad: &[u8],
     ) -> Result<(), CryptoError> {
-        let tag = self.tag(aad, buf);
-        buf.extend_from_slice(&tag);
+        self.seal_with(iv, buf, aad, true)
+    }
+
+    /// [`Self::seal_in_place`] as two passes, MAC then encrypt, whatever
+    /// the CPU: the reference the stitched kernel is tested and
+    /// benchmarked against (hence reachable from `tests/` and
+    /// `crates/bench`).
+    #[doc(hidden)]
+    pub fn seal_in_place_two_pass(
+        &self,
+        iv: &[u8; 16],
+        buf: &mut Vec<u8>,
+        aad: &[u8],
+    ) -> Result<(), CryptoError> {
+        self.seal_with(iv, buf, aad, false)
+    }
+
+    fn seal_with(
+        &self,
+        iv: &[u8; 16],
+        buf: &mut Vec<u8>,
+        aad: &[u8],
+        stitch: bool,
+    ) -> Result<(), CryptoError> {
+        let mut mac = self.mac(aad);
+        let mut chain = *iv;
+        let hashed = if stitch {
+            self.seal_front(&mut mac, &mut chain, buf)
+        } else {
+            0
+        };
+        mac.update(&buf[hashed..]);
+        buf.extend_from_slice(&mac.finalize_fixed());
         let pad_len = 16 - (buf.len() % 16);
         buf.resize(buf.len() + pad_len, (pad_len - 1) as u8);
-        cbc_encrypt_in_place(&self.aes, iv, buf)
+        // The whole blocks among the hashed bytes are already encrypted.
+        cbc_encrypt_in_place(&self.aes, &chain, &mut buf[hashed & !15..])
+    }
+
+    /// The stitched front of a seal: hashes `buf` into `mac` up to the
+    /// last whole block of the MAC input and encrypts, from `chain`, the
+    /// whole 16-byte blocks among those bytes, leaving `chain` the last
+    /// ciphertext block. Returns how many bytes were hashed; 0, with
+    /// nothing touched, where the CPU lacks the kernel or the record is
+    /// too short to fill a block.
+    #[cfg(target_arch = "x86_64")]
+    fn seal_front(&self, mac: &mut Hmac<Sha1>, chain: &mut [u8; 16], buf: &mut [u8]) -> usize {
+        let Some(cpu) = crate::x86::aes_sha() else {
+            return 0;
+        };
+        let inner = mac.inner_mut();
+        // Content bytes that complete the block the AAD started.
+        let lead = (64 - inner.buffered()) % 64;
+        let blocks = buf.len().saturating_sub(lead) / 64;
+        if blocks == 0 {
+            return 0;
+        }
+        inner.update(&buf[..lead]);
+        let hashed = lead + 64 * blocks;
+        inner.absorb_blocks_with(blocks, |state| {
+            crate::x86::cbc_sha1_encrypt(cpu, &self.aes.enc, chain, state, &mut buf[..hashed], lead)
+        });
+        hashed
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn seal_front(&self, _: &mut Hmac<Sha1>, _: &mut [u8; 16], _: &mut [u8]) -> usize {
+        0
     }
 
     /// Decrypt + verify one record **in place**: `buf` holds the

@@ -76,6 +76,21 @@ impl BlockBuffer {
         self.buf_len = rest.len();
     }
 
+    /// Bytes waiting for their block to fill.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf_len
+    }
+
+    /// Count `len` bytes of whole blocks that the caller compressed
+    /// itself; only between blocks (nothing buffered).
+    pub(crate) fn skip_blocks(&mut self, len: usize) {
+        debug_assert!(
+            self.buf_len == 0 && len.is_multiple_of(64),
+            "not on a block boundary"
+        );
+        self.total_len = self.total_len.wrapping_add(len as u64);
+    }
+
     /// Pad (`0x80`, zeros, 64-bit big-endian bit length) and compress the
     /// final one or two blocks.
     pub(crate) fn finish(mut self, mut compress: impl FnMut(&[u8])) {

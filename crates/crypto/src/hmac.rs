@@ -45,6 +45,12 @@ impl<H: Hash> Hmac<H> {
         self.inner.update(data);
     }
 
+    /// The keyed inner hash, for a caller that feeds it by other means
+    /// than [`Self::update`].
+    pub(crate) fn inner_mut(&mut self) -> &mut H {
+        &mut self.inner
+    }
+
     /// Finish, producing the tag without allocating.
     pub fn finalize_fixed(mut self) -> H::Digest {
         self.outer.update(self.inner.finalize_fixed().as_ref());

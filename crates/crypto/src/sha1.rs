@@ -41,6 +41,19 @@ impl Sha1 {
         self.block.update(data, |b| compress(state, b));
     }
 
+    /// Bytes absorbed since the last whole block.
+    pub(crate) fn buffered(&self) -> usize {
+        self.block.buffered()
+    }
+
+    /// Absorb `blocks` whole blocks that `kernel` compresses into the
+    /// state itself (the stitched seal of `cbc_hmac.rs`); only when
+    /// [`Self::buffered`] is 0.
+    pub(crate) fn absorb_blocks_with(&mut self, blocks: usize, kernel: impl FnOnce(&mut [u32; 5])) {
+        self.block.skip_blocks(64 * blocks);
+        kernel(&mut self.state);
+    }
+
     /// Finish and produce the 20-byte digest.
     pub fn finalize_fixed(self) -> [u8; 20] {
         let mut state = self.state;

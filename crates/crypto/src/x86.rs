@@ -1,15 +1,18 @@
-//! x86-64 hardware kernels: AES-NI AES-128-CBC and SHA-NI SHA-1 /
-//! SHA-256 block compression (DESIGN.md §20).
+//! x86-64 hardware kernels: AES-NI AES-128-CBC, SHA-NI SHA-1 / SHA-256
+//! block compression, and the two stitched into one pass for the
+//! AES128-SHA record seal (DESIGN.md §20).
 //!
 //! This is the only file in the crate that may contain `unsafe`. It
-//! holds four kernels and nothing else; the four dispatch sites
+//! holds five kernels and nothing else; the dispatch sites
 //! (`aes::cbc_{en,de}crypt_in_place` with the single-block pair,
-//! `sha1::compress`, `sha256::compress`) call the safe wrappers below,
-//! which run a kernel only right behind `is_x86_feature_detected!`
-//! (std caches the CPUID result in an atomic) and otherwise return
-//! `false`, sending the caller down its portable path. Outputs are
-//! bit-identical to the portable kernels, which stay as the path on
-//! every other CPU and as the reference the tests compare against.
+//! `sha1::compress`, `sha256::compress`, `CbcHmacSha1::seal_in_place`)
+//! call the safe wrappers below, which run a kernel only right behind
+//! `is_x86_feature_detected!` (std caches the CPUID result in an
+//! atomic) and otherwise return `false`, sending the caller down its
+//! portable path — or, for the stitched seal, only with the [`AesSha`]
+//! proof that the same check made. Outputs are bit-identical to the
+//! portable kernels, which stay as the path on every other CPU and as
+//! the reference the tests compare against.
 //!
 //! The kernels are safe `#[target_feature]` functions: inside them the
 //! register-only intrinsics need no `unsafe`. What remains `unsafe` is
@@ -102,14 +105,21 @@ fn cbc_encrypt_aesni(enc: &[u32; 44], iv: &[u8; 16], buf: &mut [u8]) {
     let rk = round_keys(enc);
     let mut prev = load(iv);
     for block in buf.chunks_exact_mut(16) {
-        let block = lane_mut(block, 0);
-        let mut s = _mm_xor_si128(_mm_xor_si128(load(block), prev), rk[0]);
-        for k in &rk[1..10] {
-            s = _mm_aesenc_si128(s, *k);
-        }
-        prev = _mm_aesenclast_si128(s, rk[10]);
-        store(block, prev);
+        prev = cbc_encrypt_block(&rk, prev, lane_mut(block, 0));
     }
+}
+
+/// `block` ← AES(`block` ⊕ `prev`); returns the ciphertext, the next
+/// block's chain value.
+#[target_feature(enable = "aes")]
+fn cbc_encrypt_block(rk: &[__m128i; 11], prev: __m128i, block: &mut [u8; 16]) -> __m128i {
+    let mut s = _mm_xor_si128(_mm_xor_si128(load(block), prev), rk[0]);
+    for k in &rk[1..10] {
+        s = _mm_aesenc_si128(s, *k);
+    }
+    let ct = _mm_aesenclast_si128(s, rk[10]);
+    store(block, ct);
+    ct
 }
 
 /// Blocks per iteration of the decrypt loop: `aesdec` has a latency of
@@ -185,58 +195,87 @@ pub(crate) fn sha256_compress(state: &mut [u32; 8], blocks: &[u8], k: &[u32; 64]
     true
 }
 
-/// The state rides as `ABCD` (A in the top lane) plus `E` in the top lane
-/// of a second register; `sha1rnds4` does four rounds, `sha1nexte` folds
-/// the rotated `A` of four rounds ago into the next four schedule words,
-/// and `W[t..t+4] = sha1msg2(sha1msg1(W[t-16..], W[t-12..]) ^ W[t-8..],
-/// W[t-4..])` extends the schedule in a four-register ring.
-#[target_feature(enable = "sha,ssse3,sse4.1")]
-fn sha1_compress_shani(state: &mut [u32; 5], blocks: &[u8]) {
+/// The four message vectors of the 64-byte block at `buf[at..at + 64]`.
+#[target_feature(enable = "ssse3")]
+fn sha1_message(buf: &[u8], at: usize) -> [__m128i; 4] {
+    let block = &buf[at..at + 64];
     // Reverses all 16 bytes: big-endian words, first word in the top lane.
     let flip = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+    [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(load(lane(block, i)), flip))
+}
+
+/// `state` as the `(ABCD, E)` register pair: A in the top lane of the
+/// first, E in the top lane of the second.
+#[target_feature(enable = "sse4.1")]
+fn sha1_state_load(state: &[u32; 5]) -> (__m128i, __m128i) {
     let [a, b, c, d, e] = state.map(|w| w as i32);
-    let mut abcd = _mm_set_epi32(a, b, c, d);
-    let mut e0 = _mm_set_epi32(e, 0, 0, 0);
-    for block in blocks.chunks_exact(64) {
-        let (abcd_save, e_save) = (abcd, e0);
-        let mut w = [_mm_setzero_si128(); 4];
-        // ABCD as it stood before the latest four rounds: its A, rotated,
-        // is the E of the next four.
-        let mut before = abcd;
-        macro_rules! rounds {
-            ($groups:expr, $func:literal) => {
-                for g in $groups {
-                    let e = if g < 4 {
-                        w[g] = _mm_shuffle_epi8(load(lane(block, g)), flip);
-                        if g == 0 {
-                            _mm_add_epi32(e0, w[0])
-                        } else {
-                            _mm_sha1nexte_epu32(before, w[g])
-                        }
-                    } else {
-                        let x = _mm_sha1msg1_epu32(w[g % 4], w[(g + 1) % 4]);
-                        let x = _mm_xor_si128(x, w[(g + 2) % 4]);
-                        w[g % 4] = _mm_sha1msg2_epu32(x, w[(g + 3) % 4]);
-                        _mm_sha1nexte_epu32(before, w[g % 4])
-                    };
-                    before = abcd;
-                    abcd = _mm_sha1rnds4_epu32(abcd, e, $func);
-                }
-            };
-        }
-        rounds!(0..5, 0);
-        rounds!(5..10, 1);
-        rounds!(10..15, 2);
-        rounds!(15..20, 3);
-        e0 = _mm_sha1nexte_epu32(before, e_save);
-        abcd = _mm_add_epi32(abcd, abcd_save);
-    }
+    (_mm_set_epi32(a, b, c, d), _mm_set_epi32(e, 0, 0, 0))
+}
+
+#[target_feature(enable = "sse4.1")]
+fn sha1_state_store(state: &mut [u32; 5], abcd: __m128i, e0: __m128i) {
     let mut out = [0u8; 16];
     store(&mut out, abcd);
     for (s, w) in state[..4].iter_mut().rev().zip(out.chunks_exact(4)) {
         *s = u32::from_le_bytes(w.try_into().expect("chunks_exact(4)"));
     }
     state[4] = _mm_extract_epi32(e0, 3) as u32;
+}
+
+/// One SHA-1 block on the register state `($abcd, $e0)`, message
+/// vectors `$msg`, running `$between!(g)` before each four-round group
+/// `g` (0..20) — the slot the stitched seal fills with AES rounds.
+///
+/// `sha1rnds4` does four rounds, `sha1nexte` folds the rotated `A` of
+/// four rounds ago into the next four schedule words, and `W[t..t+4] =
+/// sha1msg2(sha1msg1(W[t-16..], W[t-12..]) ^ W[t-8..], W[t-4..])`
+/// extends the schedule in a four-register ring.
+macro_rules! sha1_block {
+    ($abcd:ident, $e0:ident, $msg:expr, $between:ident) => {{
+        let (abcd_save, e_save) = ($abcd, $e0);
+        let mut w: [__m128i; 4] = $msg;
+        // ABCD as it stood before the latest four rounds: its A, rotated,
+        // is the E of the next four.
+        let mut before = $abcd;
+        sha1_block!(@groups $abcd, $e0, w, before, $between;
+            0 0, 1 0, 2 0, 3 0, 4 0, 5 1, 6 1, 7 1, 8 1, 9 1,
+            10 2, 11 2, 12 2, 13 2, 14 2, 15 3, 16 3, 17 3, 18 3, 19 3);
+        $e0 = _mm_sha1nexte_epu32(before, e_save);
+        $abcd = _mm_add_epi32($abcd, abcd_save);
+    }};
+    (@groups $abcd:ident, $e0:ident, $w:ident, $before:ident, $between:ident;
+        $($g:literal $func:literal),*) => {
+        $(
+            $between!($g);
+            let e = if $g == 0 {
+                _mm_add_epi32($e0, $w[0])
+            } else if $g < 4 {
+                _mm_sha1nexte_epu32($before, $w[$g % 4])
+            } else {
+                let x = _mm_sha1msg1_epu32($w[$g % 4], $w[($g + 1) % 4]);
+                let x = _mm_xor_si128(x, $w[($g + 2) % 4]);
+                $w[$g % 4] = _mm_sha1msg2_epu32(x, $w[($g + 3) % 4]);
+                _mm_sha1nexte_epu32($before, $w[$g % 4])
+            };
+            $before = $abcd;
+            $abcd = _mm_sha1rnds4_epu32($abcd, e, $func);
+        )*
+    };
+}
+
+/// Nothing to run between the groups of a plain SHA-1 block.
+macro_rules! no_interleave {
+    ($g:literal) => {};
+}
+
+/// The state stays in registers across the run of blocks.
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha1_compress_shani(state: &mut [u32; 5], blocks: &[u8]) {
+    let (mut abcd, mut e0) = sha1_state_load(state);
+    for at in (0..blocks.len() / 64).map(|i| 64 * i) {
+        sha1_block!(abcd, e0, sha1_message(blocks, at), no_interleave);
+    }
+    sha1_state_store(state, abcd, e0);
 }
 
 /// `sha256rnds2` wants the state as `ABEF` / `CDGH`; each group of four
@@ -291,4 +330,87 @@ fn sha256_compress_shani(state: &mut [u32; 8], blocks: &[u8], k: &[u32; 64]) {
         word(&lo, 1),
         word(&lo, 0),
     ];
+}
+
+// ---- Stitched AES-128-CBC encryption + SHA-1 ----
+
+/// Proof that the CPU has AES-NI and the SHA extensions, the two units
+/// the stitched seal runs on: only [`aes_sha`] makes one.
+#[derive(Clone, Copy)]
+pub(crate) struct AesSha(());
+
+/// `Some` when the stitched seal can run. Its caller must commit to the
+/// kernel before calling it (it hashes the record's first bytes), so
+/// the check comes first and the kernel takes the proof.
+pub(crate) fn aes_sha() -> Option<AesSha> {
+    (has_aes() && has_sha()).then_some(AesSha(()))
+}
+
+/// One pass over `buf` for the MAC-then-encrypt seal: SHA-1-compress the
+/// whole 64-byte blocks of `buf[lead..]` into `state`, and AES-128-CBC
+/// encrypt in place, under `enc` and chained from `chain`, every 16-byte
+/// block of `buf` that ends at or before the last hashed byte; `chain`
+/// returns as the last ciphertext block. The caller has already hashed
+/// `buf[..lead]`.
+pub(crate) fn cbc_sha1_encrypt(
+    _cpu: AesSha,
+    enc: &[u32; 44],
+    chain: &mut [u8; 16],
+    state: &mut [u32; 5],
+    buf: &mut [u8],
+    lead: usize,
+) {
+    // SAFETY: an `AesSha` exists only where `aes_sha()` confirmed `aes`,
+    // `sha`, `ssse3` and `sse4.1`, the features the kernel is compiled
+    // for.
+    unsafe { cbc_sha1_encrypt_stitched(enc, chain, state, buf, lead) };
+}
+
+/// CBC encryption is one dependent `aesenc` chain and SHA-1 one
+/// dependent `sha1rnds4` chain, on different units, so each 64-byte
+/// step issues them interleaved: two AES rounds before each of the 20
+/// four-round SHA groups, which is four AES blocks per SHA block. A
+/// step reads its SHA block before it stores any ciphertext, and
+/// encrypts only blocks that lie wholly in bytes already read, so the
+/// hash sees plaintext.
+#[target_feature(enable = "aes,sha,ssse3,sse4.1")]
+fn cbc_sha1_encrypt_stitched(
+    enc: &[u32; 44],
+    chain: &mut [u8; 16],
+    state: &mut [u32; 5],
+    buf: &mut [u8],
+    lead: usize,
+) {
+    let rk = round_keys(enc);
+    let mut prev = load(chain);
+    // The blocks before the first SHA block: hashed by the caller.
+    for block in buf[..lead & !15].chunks_exact_mut(16) {
+        prev = cbc_encrypt_block(&rk, prev, lane_mut(block, 0));
+    }
+    let (mut abcd, mut e0) = sha1_state_load(state);
+    // The AES state of the block in flight.
+    let mut s = prev;
+    for at in (0..(buf.len() - lead) / 64).map(|i| lead + 64 * i) {
+        // Four AES blocks from the one holding `buf[at]`: together they
+        // end at or before `at + 64`.
+        let first = at / 16;
+        macro_rules! aes_rounds {
+            ($g:literal) => {
+                let block = first + $g / 5;
+                if $g % 5 == 0 {
+                    s = _mm_xor_si128(_mm_xor_si128(load(lane(buf, block)), prev), rk[0]);
+                }
+                s = _mm_aesenc_si128(s, rk[2 * ($g % 5) + 1]);
+                if $g % 5 == 4 {
+                    prev = _mm_aesenclast_si128(s, rk[10]);
+                    store(lane_mut(buf, block), prev);
+                } else {
+                    s = _mm_aesenc_si128(s, rk[2 * ($g % 5) + 2]);
+                }
+            };
+        }
+        sha1_block!(abcd, e0, sha1_message(buf, at), aes_rounds);
+    }
+    sha1_state_store(state, abcd, e0);
+    store(chain, prev);
 }

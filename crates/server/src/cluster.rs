@@ -386,9 +386,24 @@ mod tests {
     use crate::config_file::parse_ssl_engine_conf;
     use crate::loadgen::{run_connection, ClientConfig};
     use qtls_tls::server::ServerConfig;
+    use std::sync::MutexGuard;
+
+    /// Every test here boots a cluster and drives it from client threads
+    /// on the same cores. `full_backlogs_park_on_drain_signal_not_backoff`
+    /// sheds a connection when its lone worker accepts nothing for 10 ms,
+    /// which a neighbouring test's handshake traffic can cause on a small
+    /// box, so the cluster tests take turns.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn cluster_from_conf_serves_across_workers() {
+        let _turn = serial();
         let directives = parse_ssl_engine_conf(
             r#"
 worker_processes 3;
@@ -455,6 +470,7 @@ ssl_engine {
 
     #[test]
     fn ticket_minted_on_worker_a_resumes_on_worker_b() {
+        let _turn = serial();
         // The round-robin dispatcher guarantees consecutive connections
         // land on different workers of a 2-worker cluster: the full
         // handshake (and its ticket) goes to worker 0, the reconnect to
@@ -506,6 +522,7 @@ ssl_engine {
 
     #[test]
     fn least_loaded_cluster_with_stealing_conserves_sockets() {
+        let _turn = serial();
         let directives = parse_ssl_engine_conf(
             r#"
 worker_processes 3;
@@ -566,6 +583,7 @@ dispatch_steal on;
 
     #[test]
     fn full_backlogs_park_on_drain_signal_not_backoff() {
+        let _turn = serial();
         // One worker with a 2-deep backlog, 8 concurrent clients: the
         // dispatcher keeps finding the lone backlog full. With the old
         // fixed-backoff park it would shed; with the drain signal it
@@ -618,6 +636,7 @@ admission_backlog_cap 2;
 
     #[test]
     fn sw_cluster_without_device() {
+        let _turn = serial();
         let directives = parse_ssl_engine_conf("worker_processes 2;").unwrap();
         let cluster = Cluster::start(
             &directives,

@@ -140,10 +140,21 @@ impl ContentStore {
     }
 }
 
-/// Deterministic filler content of exactly `len` bytes.
+/// The period of [`synthetic_body`].
+const PATTERN: &[u8] = b"QTLS-PPoPP19-reproduction-payload-";
+
+/// Deterministic filler content of exactly `len` bytes: [`PATTERN`]
+/// repeated. Each pass appends a copy of everything written so far (a
+/// whole number of periods), so the body is built by about
+/// `log2(len / 34)` memcpys.
 pub fn synthetic_body(len: usize) -> Vec<u8> {
-    let pattern = b"QTLS-PPoPP19-reproduction-payload-";
-    pattern.iter().copied().cycle().take(len).collect()
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&PATTERN[..len.min(PATTERN.len())]);
+    while out.len() < len {
+        let copy = out.len().min(len - out.len());
+        out.extend_from_within(..copy);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -231,6 +242,17 @@ mod tests {
         assert_eq!(store.get("/1024kb").unwrap().len(), 1024 * 1024);
         assert!(store.get("/nope").is_none());
         assert!(store.get("/").unwrap().len() < 100, "small index page");
+    }
+
+    /// The doubling build equals the plain repetition, around one period
+    /// and at record and bulk sizes.
+    #[test]
+    fn synthetic_body_is_the_pattern_repeated() {
+        for n in [0, 1, 33, 34, 35, 16 * 1024, 1 << 20, 10 << 20] {
+            let reference: Vec<u8> = PATTERN.iter().copied().cycle().take(n).collect();
+            // Not assert_eq!: a mismatch would print megabytes.
+            assert!(synthetic_body(n) == reference, "synthetic_body({n})");
+        }
     }
 
     #[test]

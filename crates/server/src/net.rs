@@ -162,14 +162,19 @@ impl VSocket {
             }
             return Err(SockError::WouldBlock);
         }
+        // The ring holds its bytes as at most two runs: copy each.
         let n = buf.len().min(rx.bytes.len());
-        for b in buf.iter_mut().take(n) {
-            *b = rx.bytes.pop_front().unwrap();
-        }
+        let (front, back) = rx.bytes.as_slices();
+        let split = n.min(front.len());
+        buf[..split].copy_from_slice(&front[..split]);
+        buf[split..n].copy_from_slice(&back[..n - split]);
+        rx.bytes.drain(..n);
         Ok(n)
     }
 
-    /// Drain everything currently readable.
+    /// Drain everything currently readable. The pipe's buffer itself is
+    /// handed over (one copy only if its bytes wrap the ring); the next
+    /// write starts a fresh one.
     pub fn read_all(&self) -> Result<Vec<u8>, SockError> {
         let mut rx = self.rx.buf.lock();
         if rx.bytes.is_empty() {
@@ -178,7 +183,7 @@ impl VSocket {
             }
             return Err(SockError::WouldBlock);
         }
-        Ok(rx.bytes.drain(..).collect())
+        Ok(Vec::from(std::mem::take(&mut rx.bytes)))
     }
 
     /// Write all bytes (the in-memory pipe is unbounded).
@@ -429,6 +434,72 @@ mod tests {
         assert_eq!(b.read_all().unwrap_err(), SockError::Closed);
         assert!(b.peer_closed());
         assert_eq!(b.write(b"x").unwrap_err(), SockError::Closed);
+    }
+
+    /// `(a, b, want)`: `b`'s pipe holds `want` split across the ring's
+    /// wrap point — a write, a partial read, then a write that fills the
+    /// ring past its end.
+    fn wrapped_pair() -> (VSocket, VSocket, Vec<u8>) {
+        let (a, b) = VSocket::pair();
+        let first: Vec<u8> = (0..40).collect();
+        a.write(&first).unwrap();
+        let mut head = [0u8; 30];
+        assert_eq!(b.read(&mut head).unwrap(), 30);
+        assert_eq!(head[..], first[..30]);
+        let room = b.rx.buf.lock().bytes.capacity() - 10;
+        let second: Vec<u8> = (0..room).map(|i| (100 + i) as u8).collect();
+        a.write(&second).unwrap();
+        let (front, back) = {
+            let rx = b.rx.buf.lock();
+            let (front, back) = rx.bytes.as_slices();
+            (front.len(), back.len())
+        };
+        assert!(front > 0 && back > 0, "the bytes wrap the ring");
+        let want = [&first[30..], &second[..]].concat();
+        (a, b, want)
+    }
+
+    /// After the wrapped bytes: nothing left, then the peer's close.
+    fn assert_drained_then_closed(a: VSocket, b: &VSocket) {
+        let mut byte = [0u8; 1];
+        assert_eq!(b.read(&mut byte).unwrap_err(), SockError::WouldBlock);
+        assert_eq!(b.read_all().unwrap_err(), SockError::WouldBlock);
+        drop(a);
+        assert_eq!(b.read(&mut byte).unwrap_err(), SockError::Closed);
+        assert_eq!(b.read_all().unwrap_err(), SockError::Closed);
+    }
+
+    #[test]
+    fn reads_keep_byte_order_across_the_ring_wrap() {
+        let (a, b, want) = wrapped_pair();
+        let mut got = Vec::new();
+        let mut byte = [0u8; 1];
+        while let Ok(1) = b.read(&mut byte) {
+            got.push(byte[0]);
+        }
+        assert_eq!(got, want, "single bytes");
+        assert_drained_then_closed(a, &b);
+
+        let (a, b, want) = wrapped_pair();
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 7];
+        while let Ok(n) = b.read(&mut chunk) {
+            got.extend_from_slice(&chunk[..n]);
+        }
+        assert_eq!(got, want, "partial reads");
+        assert_drained_then_closed(a, &b);
+
+        let (a, b, want) = wrapped_pair();
+        assert_eq!(b.read_all().unwrap(), want, "read_all");
+        assert_drained_then_closed(a, &b);
+
+        // A read that stops inside the front run, then read_all.
+        let (a, b, want) = wrapped_pair();
+        let mut two = [0u8; 2];
+        assert_eq!(b.read(&mut two).unwrap(), 2);
+        assert_eq!(two[..], want[..2]);
+        assert_eq!(b.read_all().unwrap(), want[2..], "read then read_all");
+        assert_drained_then_closed(a, &b);
     }
 
     /// Counts its wakes.

@@ -26,7 +26,7 @@ use qtls_crypto::sha256::Sha256;
 use qtls_crypto::{EntropySource, TestRng};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An ECDSA signing key for one curve.
 #[derive(Clone)]
@@ -94,23 +94,14 @@ impl ServerConfig {
     }
 
     /// A ready-to-use config with the deterministic test RSA-2048 key and
-    /// ECDSA keys on every supported curve.
+    /// ECDSA keys on every supported curve. The keys are built once per
+    /// process; each call gets its own session store and ticket ring.
     pub fn test_default() -> Arc<Self> {
-        let mut rng = TestRng::new(0x5eed_c0f1);
-        let mut ecdsa_keys = HashMap::new();
-        for curve in NamedCurve::ALL {
-            let kp = qtls_crypto::ecc::generate_keypair(curve, &mut rng);
-            ecdsa_keys.insert(
-                curve,
-                EcdsaKey {
-                    private: Arc::new(kp.private),
-                    public_point: qtls_crypto::ecc::encode_point(curve, &kp.public),
-                },
-            );
-        }
+        let (ecdsa_keys, rng) = test_ecdsa_keys();
+        let mut rng = rng.clone();
         Arc::new(ServerConfig {
             rsa_key: Arc::new(qtls_crypto::test_keys::test_rsa_2048().clone()),
-            ecdsa_keys,
+            ecdsa_keys: ecdsa_keys.clone(),
             suites: CipherSuite::ALL.to_vec(),
             curves: NamedCurve::ALL.to_vec(),
             session_store: Arc::new(SharedSessionStore::default()),
@@ -118,6 +109,32 @@ impl ServerConfig {
             issue_tickets: true,
         })
     }
+}
+
+/// The seed of the test ECDSA keys (and, after them, of the ticket ring).
+const TEST_KEY_SEED: u64 = 0x5eed_c0f1;
+
+/// ECDSA keys on every supported curve, drawn in [`NamedCurve::ALL`]
+/// order from [`TEST_KEY_SEED`], and the generator as the last key left
+/// it: one binary-curve key pair costs ~20 ms, so a process draws them
+/// once and every [`ServerConfig::test_default`] continues from there.
+fn test_ecdsa_keys() -> &'static (HashMap<NamedCurve, EcdsaKey>, TestRng) {
+    static KEYS: OnceLock<(HashMap<NamedCurve, EcdsaKey>, TestRng)> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = TestRng::new(TEST_KEY_SEED);
+        let mut keys = HashMap::new();
+        for curve in NamedCurve::ALL {
+            let kp = qtls_crypto::ecc::generate_keypair(curve, &mut rng);
+            keys.insert(
+                curve,
+                EcdsaKey {
+                    private: Arc::new(kp.private),
+                    public_point: qtls_crypto::ecc::encode_point(curve, &kp.public),
+                },
+            );
+        }
+        (keys, rng)
+    })
 }
 
 /// Handshake progress states.
@@ -741,5 +758,36 @@ impl ServerSession {
         }
         self.state = State::Connected;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The process-wide keys are a fresh draw from the seed, so caching
+    /// them changed no key byte, and the generator `test_default` hands
+    /// to its ticket ring continues where the draw left off.
+    #[test]
+    fn cached_ecdsa_keys_equal_a_fresh_draw_from_the_seed() {
+        let (cached, cached_rng) = test_ecdsa_keys();
+        let mut rng = TestRng::new(TEST_KEY_SEED);
+        for curve in NamedCurve::ALL {
+            let kp = qtls_crypto::ecc::generate_keypair(curve, &mut rng);
+            let key = &cached[&curve];
+            assert_eq!(*key.private, kp.private, "{curve:?} private scalar");
+            assert_eq!(
+                key.public_point,
+                qtls_crypto::ecc::encode_point(curve, &kp.public),
+                "{curve:?} public point"
+            );
+        }
+        let (mut fresh, mut continued) = ([0u8; 32], [0u8; 32]);
+        rng.fill(&mut fresh);
+        cached_rng.clone().fill(&mut continued);
+        assert_eq!(
+            fresh, continued,
+            "the ticket ring draws what it drew before"
+        );
     }
 }

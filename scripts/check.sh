@@ -33,6 +33,10 @@ required=(
   # the record data plane and admission economics (§13, §14)
   economics::sixteen_records_under_one_doorbell_beat_sixteen_round_trips
   economics::a_challenge_costs_a_fiftieth_of_the_handshake_it_displaces
+  # the bulk bytes move at memory speed; the stitched seal is the
+  # two-pass seal (§13, §20)
+  economics::bulk_bytes_move_at_memory_speed
+  proptest_crypto::stitched_seal_matches_the_two_pass_seal_at_every_length
   # admission control: the sim gate and the real-stack flood suite (§14)
   qtls_sim::sim::tests::admission_absorbs_handshake_flood
   flood::challenge_then_token_retry_admits_the_client

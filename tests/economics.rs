@@ -1,6 +1,6 @@
-//! The two cost ratios the design rests on that no end-to-end cell can
-//! see, each measured as the fastest of several runs per side (host
-//! noise can only inflate a run):
+//! The cost ratios the design rests on that no end-to-end cell can see,
+//! each measured as the fastest of several runs per side (host noise can
+//! only inflate a run):
 //!
 //! - admission: minting and verifying a retry token must cost orders of
 //!   magnitude less than the full handshake it displaces, or a flood of
@@ -8,21 +8,28 @@
 //!   (DESIGN.md §14);
 //! - the record data plane: 16 sealed 16 KB records under one doorbell
 //!   must beat 16 one-record round trips, on a device whose engines
-//!   sleep a card's service time (DESIGN.md §13).
+//!   sleep a card's service time (DESIGN.md §13);
+//! - the bulk bytes: a megabyte through a virtual socket, and a
+//!   megabyte of synthetic body, must each cost no more than a few
+//!   copies of a megabyte (DESIGN.md §13), or the transport and the
+//!   content outweigh the record cipher on the bulk path.
 
 use qtls::core::{EngineMode, OffloadEngine};
 use qtls::crypto::ecc::NamedCurve;
 use qtls::crypto::CbcHmacSha1;
 use qtls::qat::{CryptoOp, QatConfig, QatDevice, ServiceMode};
+use qtls::server::http::synthetic_body;
+use qtls::server::VSocket;
 use qtls::tls::client::ClientSession;
 use qtls::tls::provider::CryptoProvider;
 use qtls::tls::server::{ServerConfig, ServerSession};
 use qtls::tls::CipherSuite;
+use std::hint::black_box;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Both verdicts are wall-clock ratios, so the tests of this file take
+/// Every verdict is a wall-clock ratio, so the tests of this file take
 /// turns instead of sharing the cores.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -171,5 +178,59 @@ fn sixteen_records_under_one_doorbell_beat_sixteen_round_trips() {
         "{DEPTH} records under one doorbell must be at least 1.5x faster than \
          {DEPTH} round trips: per-record {serial_time:?}, batched {batched_time:?} \
          ({speedup:.2}x)"
+    );
+}
+
+#[test]
+fn bulk_bytes_move_at_memory_speed() {
+    const MIB: usize = 1 << 20;
+    const RUNS: usize = 9;
+    /// A byte-at-a-time loop reads 50-80x here; two or three copies
+    /// (plus one fresh allocation per side) read 1-3x.
+    const BOUND: u32 = 8;
+    let _turn = serial();
+    let body = synthetic_body(MIB);
+    // Each side times its work and returns before dropping its output.
+    let clone = fastest(RUNS, || {
+        let t = Instant::now();
+        let copy = black_box(body.clone());
+        let spent = t.elapsed();
+        drop(copy);
+        spent
+    });
+    let (client, server) = VSocket::pair();
+    let socket = fastest(RUNS, || {
+        let t = Instant::now();
+        server.write(black_box(&body)).expect("open socket");
+        let got = black_box(client.read_all().expect("bytes waiting"));
+        let spent = t.elapsed();
+        assert_eq!(got.len(), MIB);
+        spent
+    });
+    let build = fastest(RUNS, || {
+        let t = Instant::now();
+        let built = black_box(synthetic_body(black_box(MIB)));
+        let spent = t.elapsed();
+        assert_eq!(built.len(), MIB);
+        spent
+    });
+    let ratio = |d: Duration| d.as_secs_f64() / clone.as_secs_f64();
+    println!(
+        "bulk bytes, 1 MiB: clone {clone:?}, socket write + read_all {socket:?} \
+         ({:.1}x), synthetic_body {build:?} ({:.1}x)",
+        ratio(socket),
+        ratio(build)
+    );
+    assert!(
+        socket <= clone * BOUND,
+        "1 MiB through a VSocket must cost at most {BOUND}x a 1 MiB clone: \
+         {socket:?} vs {clone:?} ({:.1}x)",
+        ratio(socket)
+    );
+    assert!(
+        build <= clone * BOUND,
+        "synthetic_body(1 MiB) must cost at most {BOUND}x a 1 MiB clone: \
+         {build:?} vs {clone:?} ({:.1}x)",
+        ratio(build)
     );
 }

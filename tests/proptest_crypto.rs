@@ -850,6 +850,49 @@ fn record_cipher_matches_portable_composition() {
     });
 }
 
+/// The stitched seal (AES-NI CBC and SHA-NI SHA-1 interleaved in one
+/// pass, DESIGN.md §20) is the two-pass composition byte for byte at
+/// every plaintext length from 0 to a full 16 KB record and one hash
+/// block more, so every split of a record into the hash block the AAD
+/// starts, whole hash blocks and a tail; and what it seals opens. Key,
+/// IV, AAD and payload are random per length, and the AAD's length
+/// moves where the first whole hash block starts.
+#[test]
+fn stitched_seal_matches_the_two_pass_seal_at_every_length() {
+    note_if_hardware_half_is_skipped("stitched_seal_matches_the_two_pass_seal_at_every_length");
+    prop::check(
+        "stitched_seal_matches_the_two_pass_seal_at_every_length",
+        1,
+        |g| {
+            const MAX: usize = 16 * 1024 + 64;
+            let mut stitched = Vec::with_capacity(MAX + 36);
+            let mut two_pass = Vec::with_capacity(MAX + 36);
+            for len in 0..=MAX {
+                let cipher = CbcHmacSha1::new(&g.array(), &g.array::<20>());
+                let iv: [u8; 16] = g.array();
+                let aad = g.bytes_in(0, 80);
+                let payload = g.bytes(len);
+                stitched.clear();
+                stitched.extend_from_slice(&payload);
+                cipher.seal_in_place(&iv, &mut stitched, &aad).unwrap();
+                two_pass.clear();
+                two_pass.extend_from_slice(&payload);
+                cipher
+                    .seal_in_place_two_pass(&iv, &mut two_pass, &aad)
+                    .unwrap();
+                // Not assert_eq!: a mismatch would print 16 KB twice.
+                assert!(
+                    stitched == two_pass,
+                    "seal, {len} bytes, {} bytes of AAD",
+                    aad.len()
+                );
+                cipher.open_in_place(&iv, &mut stitched, &aad).unwrap();
+                assert!(stitched == payload, "open, {len} bytes");
+            }
+        },
+    );
+}
+
 #[test]
 fn record_protection_roundtrip() {
     prop::check("record_protection_roundtrip", 64, |g| {
