@@ -16,14 +16,14 @@
 //! An engine is a *set of shards*: each shard owns one
 //! [`CryptoInstance`] (one ring pair, ideally on its own endpoint) plus
 //! its own submit/retrieve/notify stages and optional submit queue, and
-//! a [`ShardRouter`] places every offload on one shard. A
+//! a round-robin cursor places every offload on one shard. A
 //! single-instance engine ([`OffloadEngine::new`]) is simply the
 //! one-shard special case and behaves exactly as before; multi-shard
 //! engines ([`OffloadEngine::sharded`]) scale a worker's offload path
 //! past one ring pair.
 //!
 //! Every offload — a single op is a batch of one — is ONE poll-style
-//! step ([`Offload`]): the first call routes the batch to a shard and
+//! step ([`Offload`]): the first call places the batch on a shard and
 //! stages or publishes it, later calls take the parked result or stay
 //! pending, and a full ring raises the wait context's retry flag. Three
 //! drivers turn the step's `Pending` into a wait, chosen from what the
@@ -42,13 +42,11 @@
 //! The per-class inflight counters `R_asym`, `R_cipher`, `R_prf` are
 //! maintained "with a new engine command" for the heuristic polling
 //! scheme; sharded engines keep the engine-wide aggregate *and* a
-//! per-shard total so routing and shard-aware polling see each ring's
-//! own load.
+//! per-shard total so shard-aware polling sees each ring's own load.
 
 use crate::fiber;
 use crate::obs::{self, EngineObs, EventKind, Phase, ShardObs};
 use crate::pipeline::{Backpressure, DrainReport, FlushReport, SubmitContext, SubmitQueue};
-use crate::shard::{ShardPolicy, ShardRouter};
 use crate::task;
 use crate::wait_ctx::WaitCtx;
 use qtls_crypto::CryptoError;
@@ -60,7 +58,7 @@ use qtls_sync::{Mutex, Parker};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
@@ -100,8 +98,8 @@ impl InflightCounters {
     }
 }
 
-/// Per-shard inflight tallies: the router's placement signal and the
-/// shard-aware poller's "does this ring have pending work" test.
+/// Per-shard inflight tallies: the shard-aware poller's "does this ring
+/// have pending work" test and its per-ring efficiency threshold.
 #[derive(Debug, Default)]
 struct ShardInflight {
     total: AtomicU64,
@@ -196,13 +194,11 @@ impl SubmitStage {
         self.queue.lock().clone()
     }
 
-    /// Sweep-boundary flush of the attached queue: the queue's flush
-    /// policy decides — from the staged depth and this shard's inflight
-    /// total (the load actually queued on this ring pair) — whether to
-    /// publish now or hold the batch to deepen.
+    /// Sweep-boundary flush of the attached queue: publish everything
+    /// staged under one doorbell.
     fn flush(&self) -> FlushReport {
         match self.attached_queue() {
-            Some(queue) => queue.sweep(&self.instance, self.shard.total()),
+            Some(queue) => queue.flush(&self.instance),
             None => FlushReport::default(),
         }
     }
@@ -290,12 +286,13 @@ struct Shard {
     obs: Arc<ShardObs>,
 }
 
-/// The offload engine of one worker: a router over one or more shards,
-/// each a thin composition of the submit, retrieve and notify stages
-/// bound to its own crypto instance.
+/// The offload engine of one worker: one or more shards, each a thin
+/// composition of the submit, retrieve and notify stages bound to its
+/// own crypto instance, taken in turn by a round-robin cursor.
 pub struct OffloadEngine {
     shards: Vec<Shard>,
-    router: ShardRouter,
+    /// Round-robin placement cursor (counts multi-shard placements).
+    next_shard: AtomicUsize,
     counters: Arc<InflightCounters>,
     mode: EngineMode,
     /// Whether a dedicated polling thread retrieves responses (affects
@@ -310,16 +307,16 @@ pub struct OffloadEngine {
 impl OffloadEngine {
     /// Create a single-shard engine over `instance` in the given mode.
     pub fn new(instance: CryptoInstance, mode: EngineMode) -> Self {
-        Self::sharded(vec![instance], mode, ShardPolicy::RoundRobin)
+        Self::sharded(vec![instance], mode)
     }
 
     /// Create an engine sharded over `instances` (one shard per
-    /// instance), placing requests with `policy`.
+    /// instance), placing offloads on them in rotation.
     ///
     /// # Panics
     ///
     /// Panics if `instances` is empty.
-    pub fn sharded(instances: Vec<CryptoInstance>, mode: EngineMode, policy: ShardPolicy) -> Self {
+    pub fn sharded(instances: Vec<CryptoInstance>, mode: EngineMode) -> Self {
         assert!(!instances.is_empty(), "engine needs at least one instance");
         let counters = Arc::new(InflightCounters::default());
         let next_cookie = Arc::new(AtomicU64::new(1));
@@ -351,7 +348,7 @@ impl OffloadEngine {
             .collect();
         OffloadEngine {
             shards,
-            router: ShardRouter::new(policy),
+            next_shard: AtomicUsize::new(0),
             counters,
             mode,
             has_external_poller: AtomicU64::new(0),
@@ -359,21 +356,21 @@ impl OffloadEngine {
         }
     }
 
-    /// Pick the shard for an op of `class` (per-shard inflight totals
-    /// feed the router's placement policy). Multi-shard placements are
-    /// logged to the flight recorder while metrics are enabled.
+    /// Pick the shard for an op of `class`: the next one in rotation.
+    /// Multi-shard placements are logged to the flight recorder while
+    /// metrics are enabled.
     fn route(&self, class: OpClass) -> &Shard {
-        let idx = self.router.route_by(class, self.shards.len(), |i| {
-            self.shards[i].inflight.total()
-        });
-        if self.shards.len() > 1 {
-            self.obs.recorder().record(
-                EventKind::RouterDecision,
-                idx as u32,
-                obs::class_index(class) as u64,
-                0,
-            );
+        let n = self.shards.len();
+        if n == 1 {
+            return &self.shards[0];
         }
+        let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % n;
+        self.obs.recorder().record(
+            EventKind::RouterDecision,
+            idx as u32,
+            obs::class_index(class) as u64,
+            0,
+        );
         &self.shards[idx]
     }
 
@@ -412,11 +409,6 @@ impl OffloadEngine {
     /// Number of shards (crypto instances) backing this engine.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The router's placement policy.
-    pub fn shard_policy(&self) -> ShardPolicy {
-        self.router.policy()
     }
 
     /// Shard 0's crypto instance (single-shard engines: *the* instance).
@@ -486,7 +478,7 @@ impl OffloadEngine {
     }
 
     /// Attach a submit queue to shard `i` (each shard stages and
-    /// flushes independently, so the flush policy applies per ring).
+    /// flushes its own ring independently).
     ///
     /// # Panics
     ///
@@ -514,9 +506,7 @@ impl OffloadEngine {
 
     /// Sweep-boundary flush of every shard's attached submit queue
     /// (no-op for shards without one). Called by the worker at the end
-    /// of each event-loop iteration; each queue's
-    /// [`crate::pipeline::FlushPolicyConfig`] decides from its own
-    /// shard's load whether this sweep publishes or holds.
+    /// of each event-loop iteration: everything staged is published.
     pub fn flush_submissions(&self) -> FlushReport {
         let mut total = FlushReport::default();
         for shard in &self.shards {
@@ -595,7 +585,7 @@ impl OffloadEngine {
     }
 
     /// Offload a batch of same-class operations through ONE shard; the
-    /// results return in op order. The router places the batch first;
+    /// results return in op order. The cursor places the batch first;
     /// the mode and the caller's context then decide how the pending
     /// step is waited on (see the module docs).
     ///
@@ -604,9 +594,8 @@ impl OffloadEngine {
     /// doorbell. A lone op has no batch of its own: on the event loop
     /// with a submit queue attached it is staged, and
     /// [`Self::flush_submissions`] publishes it with the rest of the
-    /// sweep (unless the flush policy says load is light enough to ring
-    /// the doorbell in place). Either way the caller pauses ONCE: the
-    /// last member's completion wakes the waker.
+    /// sweep. Either way the caller pauses ONCE: the last member's
+    /// completion wakes the waker.
     ///
     /// Whatever a full ring would not take is staged on the shard's
     /// submit queue when the caller is on the event loop (published by
@@ -614,7 +603,7 @@ impl OffloadEngine {
     /// a shutdown drain — so a mid-batch shutdown fails only the unsent
     /// tail). Without a queue the step raises the retry flag and
     /// republishes the tail when polled again; retries stay on the
-    /// shard the router picked — re-routing a bounced request would
+    /// shard the cursor picked — re-routing a bounced request would
     /// reorder it behind later submissions on another ring.
     ///
     /// # Panics
@@ -651,7 +640,7 @@ impl OffloadEngine {
         }
     }
 
-    /// The step's first call: route, account, then stage or publish.
+    /// The step's first call: place, account, then stage or publish.
     fn submit_step(&self, ops: Vec<CryptoOp>) -> OffloadStep {
         let class = ops[0].class();
         debug_assert!(
@@ -667,18 +656,11 @@ impl OffloadEngine {
             Waiter::SelfPoll | Waiter::Parked(_) => None,
         };
         let lone = ops.len() == 1;
-        // Light-load fast path for a lone op: the policy may skip
-        // staging and ring the doorbell in place, trading one
-        // unamortized doorbell for a sweep less of staging latency.
-        let bypass = lone
-            && queue
-                .as_ref()
-                .is_some_and(|q| q.should_bypass(shard.inflight.total()));
         if shard.obs.enabled() {
-            // Connection tracing: link the coming pause to the shard +
-            // flush decision (read back by the worker when it annotates
-            // the offload-wait span).
-            ctx.set_submit_info(shard.index, u64::from(bypass));
+            // Connection tracing: link the coming pause to its shard
+            // (read back by the worker when it annotates the
+            // offload-wait span).
+            ctx.set_submit_info(shard.index, 0);
         }
         let collector = Arc::new(BatchCollector::new(ops.len()));
         let mut unsent: VecDeque<CryptoRequest> = ops
@@ -705,12 +687,8 @@ impl OffloadEngine {
         };
         // A staged lone op skips the ring here: ring-full then shows up
         // as deferral inside the queue, not as a submission failure.
-        let stage_lone = lone && queue.is_some() && !bypass;
-        if !stage_lone {
-            let sent = shard.submit.instance.submit_batch(&mut unsent);
-            if let (true, Some(queue)) = (bypass && sent == 1, &queue) {
-                queue.note_bypass();
-            }
+        if !lone || queue.is_none() {
+            shard.submit.instance.submit_batch(&mut unsent);
         }
         match queue {
             // The unsent tail rides the sweep machinery: the next flush
@@ -1172,87 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_bypass_submits_in_place_under_light_load() {
-        use crate::pipeline::{FlushPolicyConfig, SubmitQueue};
-        let dev = device();
-        let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
-        let queue = Arc::new(SubmitQueue::with_policy(FlushPolicyConfig {
-            bypass: true,
-            ..FlushPolicyConfig::adaptive()
-        }));
-        engine.attach_submit_queue(Arc::clone(&queue));
-        let eng = Arc::clone(&engine);
-        let job = match start_job(move || eng.offload(prf_op(8))) {
-            StartResult::Paused(j) => j,
-            StartResult::Finished(_) => panic!("must pause"),
-        };
-        // Light load: the request skipped staging and is already on the
-        // device — no flush needed.
-        assert!(queue.is_empty());
-        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 1);
-        assert_eq!(queue.stats().bypasses.load(Ordering::Relaxed), 1);
-        assert_eq!(engine.flush_submissions(), FlushReport::default());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while engine.inflight().total() > 0 {
-            engine.poll_all();
-            assert!(Instant::now() < deadline);
-            std::thread::yield_now();
-        }
-        match job.resume() {
-            StartResult::Finished(res) => assert_eq!(res.unwrap().into_bytes().len(), 8),
-            StartResult::Paused(_) => panic!("must finish"),
-        }
-    }
-
-    #[test]
-    fn adaptive_sweep_holds_then_starvation_cap_flushes() {
-        use crate::pipeline::{FlushMode, FlushPolicyConfig, SubmitQueue};
-        let dev = device();
-        let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
-        // Never light (light_inflight 0 and jobs keep inflight > 0),
-        // hold bound of 2 sweeps, wall-clock cap effectively off.
-        let queue = Arc::new(SubmitQueue::with_policy(FlushPolicyConfig {
-            mode: FlushMode::Adaptive,
-            target_depth: 16,
-            light_inflight: 0,
-            light_ewma_depth_milli: u64::MAX,
-            max_hold_sweeps: 2,
-            max_hold: Duration::from_secs(3600),
-            bypass: false,
-        }));
-        engine.attach_submit_queue(Arc::clone(&queue));
-        let mut jobs = Vec::new();
-        for _ in 0..3 {
-            let eng = Arc::clone(&engine);
-            match start_job(move || eng.offload(prf_op(8))) {
-                StartResult::Paused(j) => jobs.push(j),
-                StartResult::Finished(_) => panic!("must pause"),
-            }
-        }
-        // Two sweeps hold the shallow batch...
-        assert_eq!(engine.flush_submissions(), FlushReport::default());
-        assert_eq!(engine.flush_submissions(), FlushReport::default());
-        assert_eq!(queue.len(), 3);
-        // ...the third hits the starvation cap and force-flushes.
-        let report = engine.flush_submissions();
-        assert_eq!(report.submitted, 3);
-        assert_eq!(queue.stats().holds.load(Ordering::Relaxed), 2);
-        assert_eq!(queue.stats().forced_flushes.load(Ordering::Relaxed), 1);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while engine.inflight().total() > 0 {
-            engine.poll_all();
-            assert!(Instant::now() < deadline);
-            std::thread::yield_now();
-        }
-        for job in jobs {
-            match job.resume() {
-                StartResult::Finished(res) => assert_eq!(res.unwrap().into_bytes().len(), 8),
-                StartResult::Paused(_) => panic!("must finish"),
-            }
-        }
-    }
-
-    #[test]
     fn drain_cancels_staged_requests_with_definite_error() {
         // Regression (PR 3): requests staged in the SubmitQueue but not
         // yet flushed were silently dropped on worker shutdown — the
@@ -1383,7 +1280,6 @@ mod tests {
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::RoundRobin,
         ));
         assert_eq!(engine.shard_count(), 2);
         // Distinct endpoints back the two shards.
@@ -1407,46 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn op_affinity_keeps_asym_off_the_symmetric_shard() {
-        let dev = QatDevice::new(QatConfig {
-            endpoints: 2,
-            engines_per_endpoint: 0,
-            ring_capacity: 32,
-            ..QatConfig::functional_small()
-        });
-        let engine = Arc::new(OffloadEngine::sharded(
-            dev.alloc_instances(2),
-            EngineMode::Async,
-            ShardPolicy::OpAffinity,
-        ));
-        for _ in 0..3 {
-            let eng = Arc::clone(&engine);
-            match start_job(move || eng.offload(prf_op(8))) {
-                StartResult::Paused(j) => std::mem::forget(j),
-                _ => panic!("must pause"),
-            }
-        }
-        // PRF ops all landed on the symmetric shard (1)...
-        assert_eq!(engine.shard_inflight(0), 0);
-        assert_eq!(engine.shard_inflight(1), 3);
-        // ...and an asym op goes to shard 0, away from them.
-        let eng = Arc::clone(&engine);
-        match start_job(move || {
-            eng.offload(CryptoOp::EcKeygen {
-                curve: qtls_crypto::ecc::NamedCurve::P256,
-                seed: 1,
-            })
-        }) {
-            StartResult::Paused(j) => std::mem::forget(j),
-            _ => panic!("must pause"),
-        }
-        assert_eq!(engine.shard_inflight(0), 1);
-        assert_eq!(engine.shard_asym_inflight(0), 1);
-        assert_eq!(engine.shard_asym_inflight(1), 0);
-        assert_eq!(engine.inflight().asym_inflight(), 1);
-    }
-
-    #[test]
     fn sharded_drain_cancels_staged_requests_on_every_shard() {
         // The PR-3 drain fix, extended to N queues: shutdown must
         // publish what each shard's ring takes and fail the rest — on
@@ -1461,7 +1317,6 @@ mod tests {
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::RoundRobin,
         ));
         for i in 0..engine.shard_count() {
             engine.attach_shard_submit_queue(i, Arc::new(SubmitQueue::new()));
@@ -1607,11 +1462,7 @@ mod tests {
             ring_capacity: 32,
             ..QatConfig::functional_small()
         });
-        let engine = OffloadEngine::sharded(
-            dev.alloc_instances(2),
-            EngineMode::Blocking,
-            ShardPolicy::RoundRobin,
-        );
+        let engine = OffloadEngine::sharded(dev.alloc_instances(2), EngineMode::Blocking);
         for i in 1..=6 {
             let out = engine.offload(prf_op(i)).unwrap().into_bytes();
             assert_eq!(out.len(), i);
@@ -1761,11 +1612,7 @@ mod tests {
             endpoints: 2,
             ..QatConfig::functional_small()
         });
-        let engine = OffloadEngine::sharded(
-            dev.alloc_instances(2),
-            EngineMode::Async,
-            ShardPolicy::RoundRobin,
-        );
+        let engine = OffloadEngine::sharded(dev.alloc_instances(2), EngineMode::Async);
         if with_queue {
             for i in 0..2 {
                 engine.attach_shard_submit_queue(i, Arc::new(SubmitQueue::new()));

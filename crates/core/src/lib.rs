@@ -54,7 +54,6 @@ pub mod obs;
 pub mod pipeline;
 pub mod poller;
 pub mod profile;
-pub mod shard;
 pub mod stack;
 pub mod task;
 pub mod wait_ctx;
@@ -68,12 +67,11 @@ pub use obs::{
     EngineObs, EventKind, FlightEvent, FlightRecorder, HistSnapshot, Histogram, Phase, ShardObs,
 };
 pub use pipeline::{
-    Backpressure, BackpressureConfig, DrainReport, FlushMode, FlushPolicyConfig, FlushReport,
-    FullAction, SubmitContext, SubmitQueue, SubmitSnapshot, SubmitStats,
+    Backpressure, BackpressureConfig, DrainReport, FlushReport, FullAction, SubmitContext,
+    SubmitQueue, SubmitSnapshot, SubmitStats,
 };
 pub use poller::{HeuristicConfig, HeuristicPoller, HeuristicStats, PollTrigger, TimerPoller};
 pub use profile::{NotifyScheme, OffloadProfile, PollingScheme};
-pub use shard::{ShardPolicy, ShardRouter};
 pub use stack::{StackAsyncOp, StackPoll};
 pub use task::{current_wait_ctx, poll_pass, run_sync};
 pub use wait_ctx::WaitCtx;

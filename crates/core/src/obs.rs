@@ -17,9 +17,9 @@
 //!   the two phases measured at the ring boundary; the engine records
 //!   the notification and post-processing phases directly.
 //! - [`FlightRecorder`] — a fixed-size ring of recent structured events
-//!   (ring-full deferrals, forced flushes, backpressure retries, poller
-//!   misses, shard-router decisions), dumpable on demand or frozen on
-//!   anomaly so post-hoc debugging does not need a re-run.
+//!   (ring-full deferrals, backpressure retries, poller misses, shard
+//!   placements), dumpable on demand or frozen on anomaly so post-hoc
+//!   debugging does not need a re-run.
 //! - [`registry`] — the single authoritative list of every exposed
 //!   metric name, enforced by `scripts/check.sh`.
 //! - [`promtext`] — a renderer + mini-parser for the Prometheus text
@@ -405,9 +405,6 @@ pub enum EventKind {
     /// A flush left requests behind because the ring was full
     /// (`a` = deferred count, `b` = accepted count).
     RingFullDeferral,
-    /// The hold policy force-flushed a light queue
-    /// (`a` = flushed depth, `b` = hold sweeps at the time).
-    ForcedFlush,
     /// A direct submission hit a full ring and the job rescheduled
     /// (`a` = retry attempt number).
     BackpressureRetry,
@@ -415,8 +412,8 @@ pub enum EventKind {
     /// its response ring empty — one §5.6 wasted poll (`a` = trigger:
     /// 0 efficiency, 1 timeliness, 2 failover).
     PollerMiss,
-    /// The shard router placed a request (`a` = op-class index); only
-    /// recorded when the engine has more than one shard.
+    /// The round-robin cursor placed a request (`a` = op-class index);
+    /// only recorded when the engine has more than one shard.
     RouterDecision,
     /// A merged phase p99 crossed the configured anomaly threshold
     /// (`a` = phase index × `CLASSES` + class index, `b` = p99 ns).
@@ -424,13 +421,12 @@ pub enum EventKind {
 }
 
 /// Number of event kinds.
-pub const EVENT_KINDS: usize = 6;
+pub const EVENT_KINDS: usize = 5;
 
 impl EventKind {
     /// All kinds, in declaration order.
     pub const ALL: [EventKind; EVENT_KINDS] = [
         EventKind::RingFullDeferral,
-        EventKind::ForcedFlush,
         EventKind::BackpressureRetry,
         EventKind::PollerMiss,
         EventKind::RouterDecision,
@@ -441,11 +437,10 @@ impl EventKind {
     pub fn index(self) -> usize {
         match self {
             EventKind::RingFullDeferral => 0,
-            EventKind::ForcedFlush => 1,
-            EventKind::BackpressureRetry => 2,
-            EventKind::PollerMiss => 3,
-            EventKind::RouterDecision => 4,
-            EventKind::AnomalyP99 => 5,
+            EventKind::BackpressureRetry => 1,
+            EventKind::PollerMiss => 2,
+            EventKind::RouterDecision => 3,
+            EventKind::AnomalyP99 => 4,
         }
     }
 
@@ -453,7 +448,6 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::RingFullDeferral => "ring_full_deferral",
-            EventKind::ForcedFlush => "forced_flush",
             EventKind::BackpressureRetry => "backpressure_retry",
             EventKind::PollerMiss => "poller_miss",
             EventKind::RouterDecision => "router_decision",
@@ -678,8 +672,8 @@ pub enum SpanKind {
     /// `a` = requests completed, `b` = body bytes sent.
     Serve,
     /// A crypto pause: offload submit → async notify → resume.
-    /// `a` = shard index, `b` = 1 if the submit bypassed the batch
-    /// queue, 2 if it retried on backpressure.
+    /// `a` = shard index, `b` = 2 if the submit retried on
+    /// backpressure, else 0.
     OffloadWait,
     /// One `RecordCodec::flush_into` batch. `a` = records sealed,
     /// `b` = ciphertext bytes produced.
@@ -1465,11 +1459,7 @@ pub mod registry {
         "qtls_submit_flushes_total",
         "qtls_submit_flushed_requests_total",
         "qtls_submit_deferred_total",
-        "qtls_submit_holds_total",
-        "qtls_submit_forced_flushes_total",
-        "qtls_submit_bypassed_total",
         "qtls_submit_max_depth",
-        "qtls_submit_ewma_depth_milli",
         "qtls_shard_inflight",
         "qtls_shard_asym_inflight",
         "qtls_ring_full_retries_total",
@@ -1508,7 +1498,6 @@ pub mod registry {
         "qtls_worker_load",
         "qtls_worker_steals_total",
         "qtls_dispatch_policy",
-        "qtls_qat_rebalances_total",
         "qtls_metrics_enabled",
         "qtls_worker_closed_total",
         "qtls_worker_ring_retries_total",
@@ -1884,14 +1873,14 @@ mod tests {
         let rec = FlightRecorder::new(4);
         rec.set_enabled(true);
         for i in 0..6u64 {
-            rec.record(EventKind::ForcedFlush, 0, i, 0);
+            rec.record(EventKind::RingFullDeferral, 0, i, 0);
         }
         let dump = rec.dump();
         assert_eq!(dump.len(), 4);
         // Oldest retained is event 2; order is preserved.
         let seq: Vec<u64> = dump.iter().map(|e| e.a).collect();
         assert_eq!(seq, vec![2, 3, 4, 5]);
-        assert_eq!(rec.count(EventKind::ForcedFlush), 6);
+        assert_eq!(rec.count(EventKind::RingFullDeferral), 6);
         assert_eq!(rec.count(EventKind::PollerMiss), 0);
     }
 

@@ -498,20 +498,37 @@ mod tests {
 
     #[test]
     fn sharded_poll_sweeps_only_shards_with_inflight() {
-        use crate::shard::ShardPolicy;
+        use qtls_qat::{ServiceMode, ServiceTable};
         let dev = QatDevice::new(QatConfig {
             endpoints: 2,
-            engines_per_endpoint: 0,
+            engines_per_endpoint: 1,
             ring_capacity: 128,
-            ..QatConfig::functional_small()
+            service_mode: ServiceMode::Timed { time_scale: 1.0 },
+            service_table: ServiceTable {
+                // Asym instant; PRF stuck for the duration of the test.
+                ecc_p256_ns: 1,
+                prf_ns: 300_000_000,
+                ..ServiceTable::default()
+            },
         });
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::OpAffinity,
         ));
-        // PRF ops pin to the symmetric shard; the asym shard stays idle.
-        submit_n(&engine, 2);
+        // Round-robin order: the first offload takes shard 0 and is
+        // waited out in place; the second, one batch of two PRF ops,
+        // takes shard 1. Shard 0 is left idle.
+        engine
+            .offload(CryptoOp::EcKeygen {
+                curve: qtls_crypto::ecc::NamedCurve::P256,
+                seed: 5,
+            })
+            .expect("keygen");
+        let eng = Arc::clone(&engine);
+        match start_job(move || eng.offload_batch(vec![prf_op(), prf_op()])) {
+            StartResult::Paused(j) => std::mem::forget(j),
+            _ => panic!("must pause"),
+        }
         assert_eq!(engine.shard_inflight(0), 0);
         assert_eq!(engine.shard_inflight(1), 2);
         let mut poller = HeuristicPoller::new(Arc::clone(&engine), HeuristicConfig::default());
@@ -525,7 +542,6 @@ mod tests {
 
     #[test]
     fn efficiency_evaluates_each_shard_against_its_own_threshold() {
-        use crate::shard::ShardPolicy;
         let dev = QatDevice::new(QatConfig {
             endpoints: 2,
             engines_per_endpoint: 0,
@@ -535,7 +551,6 @@ mod tests {
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::RoundRobin,
         ));
         // 30 PRFs round-robin to 15 per shard: the aggregate (30) passes
         // the sym threshold (24) but no single ring can coalesce that
@@ -552,7 +567,6 @@ mod tests {
 
     #[test]
     fn asym_threshold_applies_only_to_the_asym_shard() {
-        use crate::shard::ShardPolicy;
         let dev = QatDevice::new(QatConfig {
             endpoints: 2,
             engines_per_endpoint: 0,
@@ -562,11 +576,11 @@ mod tests {
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::OpAffinity,
         ));
-        // One asym op on shard 0, 24 PRFs on shard 1. The old aggregate
-        // rule would hold everything to the asym threshold (48); per
-        // shard, the pure-sym ring fires at 24.
+        // One asym op on shard 0, then one batch of 24 PRFs, which the
+        // round-robin cursor places on shard 1. The old aggregate rule
+        // would hold everything to the asym threshold (48); per shard,
+        // the pure-sym ring fires at 24.
         let eng = Arc::clone(&engine);
         match start_job(move || {
             eng.offload(CryptoOp::EcKeygen {
@@ -577,7 +591,11 @@ mod tests {
             StartResult::Paused(j) => std::mem::forget(j),
             _ => panic!(),
         }
-        submit_n(&engine, 24);
+        let eng = Arc::clone(&engine);
+        match start_job(move || eng.offload_batch(vec![prf_op(); 24])) {
+            StartResult::Paused(j) => std::mem::forget(j),
+            _ => panic!(),
+        }
         assert_eq!(engine.shard_asym_inflight(0), 1);
         assert_eq!(engine.shard_inflight(1), 24);
         let poller = HeuristicPoller::new(Arc::clone(&engine), HeuristicConfig::default());
@@ -591,7 +609,6 @@ mod tests {
         // (`if n == 0` after the loop) reported a single empty poll and
         // under-counted the §5.6 wasted-poll metric on every sharded
         // configuration.
-        use crate::shard::ShardPolicy;
         let dev = QatDevice::new(QatConfig {
             endpoints: 2,
             engines_per_endpoint: 0,
@@ -601,7 +618,6 @@ mod tests {
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::RoundRobin,
         ));
         submit_n(&engine, 2); // round-robin: one stuck request per shard
         assert_eq!(engine.shard_inflight(0), 1);
@@ -619,7 +635,6 @@ mod tests {
         // A sweep that retrieves responses from one shard but finds the
         // other ring empty has still wasted one ring read. The old
         // accounting (aggregate n > 0) reported zero empty polls here.
-        use crate::shard::ShardPolicy;
         use qtls_qat::{ServiceMode, ServiceTable};
         let dev = QatDevice::new(QatConfig {
             endpoints: 2,
@@ -637,9 +652,9 @@ mod tests {
         let engine = Arc::new(OffloadEngine::sharded(
             dev.alloc_instances(2),
             EngineMode::Async,
-            ShardPolicy::OpAffinity,
         ));
-        // Slow asym op pins to shard 0, fast PRF to shard 1.
+        // Round-robin order: the slow asym op takes shard 0, the fast
+        // PRF shard 1.
         let eng = Arc::clone(&engine);
         match start_job(move || {
             eng.offload(CryptoOp::EcKeygen {

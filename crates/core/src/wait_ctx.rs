@@ -31,8 +31,8 @@ struct Inner {
     /// post-processing phase).
     notified_ns: Option<u64>,
     /// Trace annotation: the shard the last submission from this job
-    /// was routed to, and how it left the submit queue (0 = batched,
-    /// 1 = bypass, 2 = backpressure retry). Set by the engine only for
+    /// was placed on, and how it left (0 = staged or published,
+    /// 2 = backpressure retry). Set by the engine only for
     /// sampled/traced jobs.
     submit_info: Option<(u32, u64)>,
 }
@@ -111,8 +111,8 @@ impl WaitCtx {
     }
 
     /// Trace annotation (connection tracing): which shard the last
-    /// submission went to and whether it bypassed the batch queue
-    /// (1), was batched (0), or retried on backpressure (2).
+    /// submission went to and whether it was staged or published (0)
+    /// or retried on backpressure (2).
     pub fn set_submit_info(&self, shard: u32, path: u64) {
         self.inner.lock().submit_info = Some((shard, path));
     }

@@ -26,9 +26,6 @@ pub struct FwCounters {
     pub polled: AtomicU64,
     /// Engine stalls on a full response ring.
     pub resp_stalls: AtomicU64,
-    /// Quiescent ring pairs migrated between endpoints by runtime shard
-    /// rebalancing.
-    pub rebalances: AtomicU64,
 }
 
 impl FwCounters {

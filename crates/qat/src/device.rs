@@ -41,11 +41,6 @@ struct RingPair {
     retrieve_hook: RwLock<Option<Arc<dyn RetrieveHook>>>,
     /// Woken whenever an engine lands a response on `resp`.
     resp_waker: WakeSlot,
-    /// Index of the endpoint whose engines currently serve this pair.
-    /// Runtime shard rebalancing retargets it (under both endpoints'
-    /// wake locks), so submitters route doorbells through this instead
-    /// of a captured endpoint handle.
-    owner: AtomicUsize,
 }
 
 /// Engine sleep accounting of one endpoint, guarded by its wake lock.
@@ -147,32 +142,24 @@ impl std::fmt::Debug for SubmitFull {
 #[derive(Clone)]
 pub struct CryptoInstance {
     pair: Arc<RingPair>,
-    /// Every endpoint of the device: the doorbell goes to whichever one
-    /// currently owns the pair (rebalancing may move it at runtime).
-    endpoints: Arc<Vec<Arc<EndpointShared>>>,
+    /// The endpoint whose engines serve this pair, for its lifetime.
+    endpoint: Arc<EndpointShared>,
+    /// That endpoint's index on the device.
+    endpoint_index: usize,
     counters: Arc<FwCounters>,
 }
 
 impl CryptoInstance {
-    /// The endpoint whose engines currently serve this instance (may
-    /// change under runtime shard rebalancing).
+    /// The endpoint whose engines serve this instance.
     pub fn endpoint_index(&self) -> usize {
-        self.pair.owner.load(Ordering::Relaxed)
+        self.endpoint_index
     }
 
-    /// Ring the owning endpoint's doorbell for `requests` just
-    /// published on this pair.
+    /// Ring the endpoint's doorbell for `requests` just published on
+    /// this pair.
     fn ring_doorbell(&self, requests: usize) {
-        loop {
-            let idx = self.pair.owner.load(Ordering::SeqCst);
-            let wake = self.endpoints[idx].wake.lock();
-            // `rebalance` moves a pair under both endpoints' wake locks:
-            // an owner unchanged under the lock is the endpoint whose
-            // engines scan this pair.
-            if self.pair.owner.load(Ordering::SeqCst) == idx {
-                return self.endpoints[idx].grant_wakes(wake, requests);
-            }
-        }
+        self.endpoint
+            .grant_wakes(self.endpoint.wake.lock(), requests);
     }
 
     /// Submit a crypto request in non-blocking mode. On success the
@@ -335,7 +322,7 @@ impl CryptoInstance {
 /// A software QAT card: endpoints, engines and firmware counters.
 pub struct QatDevice {
     config: QatConfig,
-    endpoints: Arc<Vec<Arc<EndpointShared>>>,
+    endpoints: Vec<Arc<EndpointShared>>,
     counters: Arc<FwCounters>,
     engine_handles: Vec<std::thread::JoinHandle<()>>,
 }
@@ -370,7 +357,7 @@ impl QatDevice {
         }
         QatDevice {
             config,
-            endpoints: Arc::new(endpoints),
+            endpoints,
             counters,
             engine_handles,
         }
@@ -429,79 +416,14 @@ impl QatDevice {
             resp: Ring::new(self.config.ring_capacity * 2),
             retrieve_hook: RwLock::new(None),
             resp_waker: WakeSlot::new(),
-            owner: AtomicUsize::new(idx),
         });
         self.endpoints[idx].pairs.write().push(Arc::clone(&pair));
         CryptoInstance {
             pair,
-            endpoints: Arc::clone(&self.endpoints),
+            endpoint: Arc::clone(&self.endpoints[idx]),
+            endpoint_index: idx,
             counters: Arc::clone(&self.counters),
         }
-    }
-
-    /// Queued (submitted-but-unconsumed) requests per endpoint — the
-    /// co-tenant pressure signal rebalancing acts on.
-    pub fn endpoint_pressures(&self) -> Vec<u64> {
-        self.endpoints
-            .iter()
-            .map(|ep| {
-                ep.pairs
-                    .read()
-                    .iter()
-                    .map(|p| p.req.len() as u64)
-                    .sum::<u64>()
-            })
-            .collect()
-    }
-
-    /// Runtime shard rebalancing: when the most-pressured endpoint's
-    /// queued-request count exceeds the least-pressured one's by at
-    /// least `threshold`, migrate ONE quiescent ring pair (empty request
-    /// AND response ring — no inflight ops) from the hot endpoint to the
-    /// cold one. Doorbells follow the pair's owner, so submitters need
-    /// no coordination. Returns the number of pairs migrated (0 or 1).
-    pub fn rebalance(&self, threshold: u64) -> usize {
-        let pressures = self.endpoint_pressures();
-        if pressures.len() < 2 {
-            return 0;
-        }
-        let hot = (0..pressures.len())
-            .max_by_key(|&i| pressures[i])
-            .expect("device has endpoints");
-        let cold = (0..pressures.len())
-            .min_by_key(|&i| pressures[i])
-            .expect("device has endpoints");
-        if hot == cold || pressures[hot] - pressures[cold] < threshold {
-            return 0;
-        }
-        // Hold both endpoints' wake locks (index order, before the pair
-        // lists) across the quiescence check and the move. A doorbell
-        // serialises against this section on the owner it read: one
-        // that came first published its request before the check below
-        // (the pair is then busy, or a hot engine already took it), one
-        // that comes after re-reads the owner under the lock and rings
-        // the cold endpoint. Either way no explicit notify is needed.
-        let (first, second) = if hot < cold { (hot, cold) } else { (cold, hot) };
-        let _first_wake = self.endpoints[first].wake.lock();
-        let _second_wake = self.endpoints[second].wake.lock();
-        let mut first_guard = self.endpoints[first].pairs.write();
-        let mut second_guard = self.endpoints[second].pairs.write();
-        let (hot_pairs, cold_pairs) = if hot < cold {
-            (&mut *first_guard, &mut *second_guard)
-        } else {
-            (&mut *second_guard, &mut *first_guard)
-        };
-        let Some(pos) = hot_pairs
-            .iter()
-            .position(|p| p.req.len() == 0 && p.resp.len() == 0)
-        else {
-            return 0; // every shard on the hot endpoint has inflight ops
-        };
-        let pair = hot_pairs.remove(pos);
-        pair.owner.store(cold, Ordering::SeqCst);
-        cold_pairs.push(pair);
-        self.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-        1
     }
 
     /// Engines asleep with no wake-up pending, device-wide (racy;
@@ -897,123 +819,6 @@ mod tests {
         assert_eq!(eps, vec![0, 1]);
     }
 
-    #[test]
-    fn rebalance_migrates_only_quiescent_shards() {
-        // No engines: queued requests stay queued, so endpoint pressure
-        // is fully deterministic.
-        let dev = QatDevice::new(QatConfig {
-            endpoints: 2,
-            engines_per_endpoint: 0,
-            ring_capacity: 8,
-            ..QatConfig::functional_small()
-        });
-        let a = dev.alloc_instance(); // endpoint 0
-        let b = dev.alloc_instance(); // endpoint 1
-        let c = dev.alloc_instance(); // endpoint 0 again (2 vs 1 pairs)
-        assert_eq!((a.endpoint_index(), b.endpoint_index()), (0, 1));
-        assert_eq!(c.endpoint_index(), 0);
-        let mk = |i| {
-            make_request(
-                i,
-                CryptoOp::Prf {
-                    secret: vec![],
-                    label: vec![],
-                    seed: vec![],
-                    out_len: 1,
-                },
-                Box::new(|_| {}),
-            )
-        };
-        for i in 0..4 {
-            a.submit(mk(i)).unwrap();
-        }
-        assert_eq!(dev.endpoint_pressures(), vec![4, 0]);
-        // Gap 4 < threshold 5: no migration.
-        assert_eq!(dev.rebalance(5), 0);
-        // Gap 4 >= threshold 2: the QUIESCENT pair (c) migrates off the
-        // hot endpoint; the pair with inflight ops (a) must stay put.
-        assert_eq!(dev.rebalance(2), 1);
-        assert_eq!(c.endpoint_index(), 1, "quiescent shard migrated");
-        assert_eq!(a.endpoint_index(), 0, "busy shard never migrates");
-        assert_eq!(a.queued_requests(), 4, "inflight ops untouched");
-        assert_eq!(
-            dev.fw_counters().rebalances.load(Ordering::Relaxed),
-            1,
-            "migration is observable"
-        );
-        // Hot endpoint now holds only the busy pair: nothing quiescent
-        // remains to migrate, however wide the gap.
-        assert_eq!(dev.rebalance(1), 0);
-        assert_eq!(dev.fw_counters().rebalances.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn rebalanced_shard_completes_work_on_its_new_endpoint() {
-        // Timed engines hold endpoint 0 busy long enough for the
-        // pressure gap to be visible; after migration, a submit through
-        // the moved instance must ring endpoint 1's doorbell and
-        // complete there (endpoint 1's engine sleeps untimed, so the
-        // wrong doorbell is a hang).
-        use crate::config::{ServiceMode, ServiceTable};
-        let dev = QatDevice::new(QatConfig {
-            endpoints: 2,
-            engines_per_endpoint: 1,
-            ring_capacity: 32,
-            service_mode: ServiceMode::Timed { time_scale: 1.0 },
-            service_table: ServiceTable {
-                prf_ns: 20_000_000, // 20 ms per PRF
-                ..ServiceTable::default()
-            },
-        });
-        let a = dev.alloc_instance(); // endpoint 0
-        let _b = dev.alloc_instance(); // endpoint 1
-        let c = dev.alloc_instance(); // endpoint 0
-        let mk = |i| {
-            make_request(
-                i,
-                CryptoOp::Prf {
-                    secret: b"s".to_vec(),
-                    label: b"l".to_vec(),
-                    seed: b"x".to_vec(),
-                    out_len: 8,
-                },
-                Box::new(|_| {}),
-            )
-        };
-        for i in 0..8 {
-            a.submit(mk(i)).unwrap();
-        }
-        // Endpoint 0's lone engine chews one request at a time, so at
-        // least 6 stay queued while we rebalance.
-        assert_eq!(dev.rebalance(4), 1);
-        assert_eq!(c.endpoint_index(), 1);
-        let (tx, rx) = mpsc::channel();
-        c.submit(make_request(
-            99,
-            CryptoOp::Prf {
-                secret: b"s".to_vec(),
-                label: b"l".to_vec(),
-                seed: b"y".to_vec(),
-                out_len: 16,
-            },
-            Box::new(move |r| tx.send(r).unwrap()),
-        ))
-        .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            c.poll_all();
-            if let Ok(result) = rx.try_recv() {
-                assert_eq!(
-                    result.unwrap().into_bytes(),
-                    qtls_crypto::kdf::prf_tls12(b"s", b"l", b"y", 16)
-                );
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "timed out");
-            std::thread::yield_now();
-        }
-    }
-
     /// Spin (yielding) until `cond` holds; a hang is a test failure, not
     /// a stuck suite.
     fn await_or_panic(what: &str, mut cond: impl FnMut() -> bool) {
@@ -1127,58 +932,6 @@ mod tests {
             c.doorbells.load(Ordering::Relaxed) - doorbells >= 600,
             "one doorbell per submit call, batched or not"
         );
-    }
-
-    #[test]
-    fn rebalance_racing_a_submit_never_strands_the_request() {
-        // A submit reads the pair's owner, then rings that endpoint; a
-        // migration in between would leave the request on a ring no
-        // woken engine scans. Line the two up many times over.
-        use crate::config::{ServiceMode, ServiceTable};
-        for round in 0..100u64 {
-            let dev = QatDevice::new(QatConfig {
-                endpoints: 2,
-                engines_per_endpoint: 1,
-                ring_capacity: 32,
-                service_mode: ServiceMode::Timed { time_scale: 1.0 },
-                service_table: ServiceTable {
-                    prf_ns: 2_000_000, // keeps endpoint 0 pressured
-                    ecc_p256_ns: 0,
-                    ..ServiceTable::default()
-                },
-            });
-            let a = dev.alloc_instance(); // endpoint 0
-            let _b = dev.alloc_instance(); // endpoint 1
-            let c = dev.alloc_instance(); // endpoint 0, quiescent
-            let slow = Arc::new(AtomicUsize::new(0));
-            for i in 0..6 {
-                a.submit(counted_prf(i, &slow)).unwrap();
-            }
-            await_or_panic("endpoint 1 idle", || dev.parked_engines() == 1);
-            let done = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&done);
-            let request = make_request(
-                99,
-                CryptoOp::EcKeygen {
-                    curve: qtls_crypto::ecc::NamedCurve::P256,
-                    seed: round,
-                },
-                Box::new(move |_| flag.store(true, Ordering::SeqCst)),
-            );
-            let line_up = std::sync::Barrier::new(2);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    line_up.wait();
-                    dev.rebalance(2);
-                });
-                line_up.wait();
-                c.submit(request).unwrap();
-            });
-            await_or_panic("request on the migrated pair", || {
-                c.poll_all();
-                done.load(Ordering::SeqCst)
-            });
-        }
     }
 
     #[test]

@@ -166,26 +166,12 @@ impl Cluster {
             let counters = Arc::clone(&dispatch);
             let sched = Arc::clone(&sched);
             let policy = directives.dispatch_policy;
-            let rebalance = directives
-                .shard_rebalance
-                .then_some(directives.shard_rebalance_threshold);
-            let device = device.clone();
             std::thread::Builder::new()
                 .name("qtls-master".into())
                 .spawn(move || {
                     let mut next = 0usize;
-                    let mut since_rebalance = 0u32;
                     while !stop.load(Ordering::Relaxed) {
                         let Some(sock) = shared.accept() else {
-                            // Co-tenant shard rebalancing: when idle,
-                            // migrate one quiescent shard off an
-                            // endpoint whose queue pressure exceeds its
-                            // least-loaded sibling's by the configured
-                            // gap.
-                            if let (Some(threshold), Some(device)) = (rebalance, device.as_ref()) {
-                                since_rebalance = 0;
-                                device.rebalance(threshold);
-                            }
                             // Idle: park on the listener's condvar
                             // instead of busy-spinning on yield_now.
                             shared.wait_pending(Duration::from_millis(1));
@@ -251,18 +237,6 @@ impl Cluster {
                         if let Some(sock) = pending {
                             counters.shed.fetch_add(1, Ordering::Relaxed);
                             sock.close();
-                        } else {
-                            // Under sustained load the idle arm above
-                            // never runs; rebalance periodically too.
-                            since_rebalance += 1;
-                            if since_rebalance >= 256 {
-                                since_rebalance = 0;
-                                if let (Some(threshold), Some(device)) =
-                                    (rebalance, device.as_ref())
-                                {
-                                    device.rebalance(threshold);
-                                }
-                            }
                         }
                     }
                 })

@@ -32,7 +32,7 @@
 use crate::admission::AdmissionConfig;
 use crate::metrics::MetricsConfig;
 use crate::sched::DispatchPolicy;
-use qtls_core::{FlushMode, FlushPolicyConfig, HeuristicConfig, OffloadProfile, ShardPolicy};
+use qtls_core::{HeuristicConfig, OffloadProfile};
 use qtls_tls::provider::OffloadSelection;
 use std::time::Duration;
 
@@ -50,13 +50,9 @@ pub struct EngineDirectives {
     pub heuristic: HeuristicConfig,
     /// Timer poll interval (`qat_poll_interval_us`, for timer mode).
     pub timer_interval: Option<Duration>,
-    /// Submit flush policy (`qat_submit_flush_*`); applies per shard.
-    pub flush: FlushPolicyConfig,
     /// Offload shards per worker (`qat_worker_shards N`); 0 = one per
     /// device endpoint.
     pub worker_shards: usize,
-    /// Shard placement policy (`qat_shard_policy`).
-    pub shard_policy: ShardPolicy,
     /// Observability plane (`qat_metrics` directive family).
     pub metrics: MetricsConfig,
     /// Records per data-plane batch submission
@@ -78,12 +74,6 @@ pub struct EngineDirectives {
     /// Idle workers steal half of the most-loaded sibling's accept
     /// backlog (`dispatch_steal on|off`).
     pub dispatch_steal: bool,
-    /// Runtime migration of quiescent offload shards between device
-    /// endpoints (`shard_rebalance on|off`).
-    pub shard_rebalance: bool,
-    /// Endpoint pressure gap (queued ops) that triggers a rebalance
-    /// (`shard_rebalance_threshold N`, N > 0).
-    pub shard_rebalance_threshold: u64,
 }
 
 impl Default for EngineDirectives {
@@ -94,9 +84,7 @@ impl Default for EngineDirectives {
             selection: OffloadSelection::default(),
             heuristic: HeuristicConfig::default(),
             timer_interval: None,
-            flush: FlushPolicyConfig::adaptive(),
             worker_shards: 0,
-            shard_policy: ShardPolicy::default(),
             metrics: MetricsConfig::default(),
             record_batch_depth: qtls_tls::record::RecordCodec::DEFAULT_BATCH,
             session_store_shards: 8,
@@ -105,8 +93,6 @@ impl Default for EngineDirectives {
             admission: AdmissionConfig::default(),
             dispatch_policy: DispatchPolicy::RoundRobin,
             dispatch_steal: false,
-            shard_rebalance: false,
-            shard_rebalance_threshold: 16,
         }
     }
 }
@@ -120,6 +106,14 @@ pub enum ConfError {
     BadDirective(String),
     /// A directive had an invalid value.
     BadValue(String),
+    /// A directive the format no longer has: the behaviour it tuned is
+    /// now fixed (see [`REMOVED_DIRECTIVES`]).
+    Removed {
+        /// The directive's name.
+        directive: &'static str,
+        /// What the server does instead.
+        replacement: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfError {
@@ -128,9 +122,37 @@ impl std::fmt::Display for ConfError {
             ConfError::UnbalancedBraces => f.write_str("unbalanced braces"),
             ConfError::BadDirective(d) => write!(f, "bad directive: {d}"),
             ConfError::BadValue(d) => write!(f, "bad value in: {d}"),
+            ConfError::Removed {
+                directive,
+                replacement,
+            } => write!(f, "directive {directive} was removed: {replacement}"),
         }
     }
 }
+
+/// Directives the format has dropped, each with the one behaviour that
+/// replaced its settings (DESIGN.md §9, §10, §15). Naming one is an
+/// error rather than a silent no-op, so a stale config is caught at
+/// parse time.
+pub const REMOVED_DIRECTIVES: [(&str, &str); 9] = [
+    ("qat_submit_flush_mode", EAGER_FLUSH),
+    ("qat_submit_flush_target_depth", EAGER_FLUSH),
+    ("qat_submit_flush_max_hold_sweeps", EAGER_FLUSH),
+    ("qat_submit_flush_max_hold_us", EAGER_FLUSH),
+    ("qat_submit_flush_light_inflight", EAGER_FLUSH),
+    ("qat_submit_flush_bypass", EAGER_FLUSH),
+    (
+        "qat_shard_policy",
+        "a worker's offloads take its shards in round-robin order",
+    ),
+    ("shard_rebalance", FIXED_RING_PAIRS),
+    ("shard_rebalance_threshold", FIXED_RING_PAIRS),
+];
+
+const EAGER_FLUSH: &str =
+    "every sweep boundary publishes all staged submissions under one doorbell (eager flush)";
+const FIXED_RING_PAIRS: &str =
+    "a ring pair stays on the device endpoint it was allocated on for its lifetime";
 
 impl std::error::Error for ConfError {}
 
@@ -278,39 +300,9 @@ pub fn parse_ssl_engine_conf(input: &str) -> Result<EngineDirectives, ConfError>
             "qat_heuristic_poll_sym_threshold" => {
                 out.heuristic.sym_threshold = parse_u64(&value)?;
             }
-            "qat_submit_flush_mode" => match value.as_str() {
-                "adaptive" => out.flush.mode = FlushMode::Adaptive,
-                "eager" => out.flush = FlushPolicyConfig::eager(),
-                _ => return Err(ConfError::BadValue(token.clone())),
-            },
-            "qat_submit_flush_target_depth" => {
-                let depth = parse_u64(&value)? as usize;
-                if depth == 0 {
-                    return Err(ConfError::BadValue(token.clone()));
-                }
-                out.flush.target_depth = depth;
-            }
-            "qat_submit_flush_max_hold_sweeps" => {
-                out.flush.max_hold_sweeps = parse_u64(&value)? as u32;
-            }
-            "qat_submit_flush_max_hold_us" => {
-                out.flush.max_hold = Duration::from_micros(parse_u64(&value)?);
-            }
-            "qat_submit_flush_light_inflight" => {
-                out.flush.light_inflight = parse_u64(&value)?;
-            }
-            "qat_submit_flush_bypass" => match value.as_str() {
-                "on" => out.flush.bypass = true,
-                "off" => out.flush.bypass = false,
-                _ => return Err(ConfError::BadValue(token.clone())),
-            },
             "qat_worker_shards" => {
                 // 0 is the "auto" spelling: one shard per device endpoint.
                 out.worker_shards = parse_u64(&value)? as usize;
-            }
-            "qat_shard_policy" => {
-                out.shard_policy = ShardPolicy::from_name(&value)
-                    .ok_or_else(|| ConfError::BadValue(token.clone()))?;
             }
             "qat_record_batch_depth" => {
                 let depth = parse_u64(&value)? as usize;
@@ -375,18 +367,6 @@ pub fn parse_ssl_engine_conf(input: &str) -> Result<EngineDirectives, ConfError>
                 "off" => out.dispatch_steal = false,
                 _ => return Err(ConfError::BadValue(token.clone())),
             },
-            "shard_rebalance" => match value.as_str() {
-                "on" => out.shard_rebalance = true,
-                "off" => out.shard_rebalance = false,
-                _ => return Err(ConfError::BadValue(token.clone())),
-            },
-            "shard_rebalance_threshold" => {
-                let gap = parse_u64(&value)?;
-                if gap == 0 {
-                    return Err(ConfError::BadValue(token.clone()));
-                }
-                out.shard_rebalance_threshold = gap;
-            }
             "qat_metrics" => match value.as_str() {
                 "on" => out.metrics.enabled = true,
                 "off" => out.metrics.enabled = false,
@@ -424,7 +404,15 @@ pub fn parse_ssl_engine_conf(input: &str) -> Result<EngineDirectives, ConfError>
                 "off" => out.metrics.trace_export = false,
                 _ => return Err(ConfError::BadValue(token.clone())),
             },
-            _ => return Err(ConfError::BadDirective(token.clone())),
+            _ => {
+                return Err(match REMOVED_DIRECTIVES.iter().find(|(d, _)| *d == name) {
+                    Some(&(directive, replacement)) => ConfError::Removed {
+                        directive,
+                        replacement,
+                    },
+                    None => ConfError::BadDirective(token.clone()),
+                })
+            }
         }
     }
     if depth != 0 {
@@ -561,57 +549,37 @@ ssl_engine {
     }
 
     #[test]
-    fn submit_flush_directives_parse() {
-        let conf = r#"
-ssl_engine {
-    use qat_engine;
-    qat_engine {
-        qat_offload_mode async;
-        qat_submit_flush_mode adaptive;
-        qat_submit_flush_target_depth 32;
-        qat_submit_flush_max_hold_sweeps 5;
-        qat_submit_flush_max_hold_us 150;
-        qat_submit_flush_light_inflight 8;
-        qat_submit_flush_bypass on;
-    }
-}
-"#;
-        let d = parse_ssl_engine_conf(conf).unwrap();
-        assert_eq!(d.flush.mode, FlushMode::Adaptive);
-        assert_eq!(d.flush.target_depth, 32);
-        assert_eq!(d.flush.max_hold_sweeps, 5);
-        assert_eq!(d.flush.max_hold, Duration::from_micros(150));
-        assert_eq!(d.flush.light_inflight, 8);
-        assert!(d.flush.bypass);
-    }
-
-    #[test]
-    fn submit_flush_eager_mode_resets_policy() {
-        let conf = r#"
-ssl_engine {
-    use qat_engine;
-    qat_engine {
-        qat_offload_mode async;
-        qat_submit_flush_mode eager;
-    }
-}
-"#;
-        let d = parse_ssl_engine_conf(conf).unwrap();
-        assert_eq!(d.flush.mode, FlushMode::Eager);
-        assert_eq!(d.flush, FlushPolicyConfig::eager());
-    }
-
-    #[test]
-    fn submit_flush_rejects_bad_values() {
-        for bad in [
-            "ssl_engine { use qat_engine; qat_engine { qat_submit_flush_mode sometimes; } }",
-            "ssl_engine { use qat_engine; qat_engine { qat_submit_flush_target_depth 0; } }",
-            "ssl_engine { use qat_engine; qat_engine { qat_submit_flush_bypass maybe; } }",
+    fn removed_directives_are_rejected_by_name() {
+        for name in [
+            "qat_submit_flush_mode",
+            "qat_submit_flush_target_depth",
+            "qat_submit_flush_max_hold_sweeps",
+            "qat_submit_flush_max_hold_us",
+            "qat_submit_flush_light_inflight",
+            "qat_submit_flush_bypass",
+            "qat_shard_policy",
+            "shard_rebalance",
+            "shard_rebalance_threshold",
         ] {
-            assert!(
-                matches!(parse_ssl_engine_conf(bad), Err(ConfError::BadValue(_))),
-                "should reject: {bad}"
-            );
+            for conf in [
+                format!("{name} 1;"),
+                format!("ssl_engine {{ use qat_engine; qat_engine {{ {name} on; }} }}"),
+            ] {
+                let err = parse_ssl_engine_conf(&conf).unwrap_err();
+                let ConfError::Removed {
+                    directive,
+                    replacement,
+                } = err
+                else {
+                    panic!("{conf}: expected ConfError::Removed, got {err:?}");
+                };
+                assert_eq!(directive, name);
+                let shown = err.to_string();
+                assert!(
+                    shown.contains(name) && shown.contains(replacement),
+                    "{shown}"
+                );
+            }
         }
     }
 
@@ -623,26 +591,18 @@ ssl_engine {
     qat_engine {
         qat_offload_mode async;
         qat_worker_shards 4;
-        qat_shard_policy least_inflight;
     }
 }
 "#;
         let d = parse_ssl_engine_conf(conf).unwrap();
         assert_eq!(d.worker_shards, 4);
-        assert_eq!(d.shard_policy, ShardPolicy::LeastInflight);
-        // Defaults: auto shard count, round-robin placement.
+        // Default: auto shard count.
         let d = parse_ssl_engine_conf(APPENDIX_EXAMPLE).unwrap();
         assert_eq!(d.worker_shards, 0);
-        assert_eq!(d.shard_policy, ShardPolicy::RoundRobin);
     }
 
     #[test]
-    fn sharding_rejects_bad_policy() {
-        let bad = "ssl_engine { use qat_engine; qat_engine { qat_shard_policy fastest_first; } }";
-        assert!(matches!(
-            parse_ssl_engine_conf(bad),
-            Err(ConfError::BadValue(_))
-        ));
+    fn sharding_rejects_a_bad_count() {
         let bad = "ssl_engine { use qat_engine; qat_engine { qat_worker_shards lots; } }";
         assert!(matches!(
             parse_ssl_engine_conf(bad),
@@ -832,31 +792,19 @@ admission_token_lifetime 10;
 worker_processes 4;
 dispatch_policy least_loaded;
 dispatch_steal on;
-shard_rebalance on;
-shard_rebalance_threshold 32;
 "#;
         let d = parse_ssl_engine_conf(conf).unwrap();
         assert_eq!(d.dispatch_policy, DispatchPolicy::LeastLoaded);
         assert!(d.dispatch_steal);
-        assert!(d.shard_rebalance);
-        assert_eq!(d.shard_rebalance_threshold, 32);
-        // Defaults: blind round-robin, no stealing, no rebalancing.
+        // Defaults: blind round-robin, no stealing.
         let d = parse_ssl_engine_conf(APPENDIX_EXAMPLE).unwrap();
         assert_eq!(d.dispatch_policy, DispatchPolicy::RoundRobin);
         assert!(!d.dispatch_steal);
-        assert!(!d.shard_rebalance);
-        assert_eq!(d.shard_rebalance_threshold, 16);
     }
 
     #[test]
     fn scheduling_rejects_bad_values() {
-        for bad in [
-            "dispatch_policy fastest;",
-            "dispatch_steal maybe;",
-            "shard_rebalance sometimes;",
-            "shard_rebalance_threshold 0;",
-            "shard_rebalance_threshold wide;",
-        ] {
+        for bad in ["dispatch_policy fastest;", "dispatch_steal maybe;"] {
             assert!(
                 matches!(parse_ssl_engine_conf(bad), Err(ConfError::BadValue(_))),
                 "should reject: {bad}"

@@ -657,7 +657,7 @@ fn render_engine_section(page: &mut PromText, engine: &Arc<OffloadEngine>) {
     );
 
     // Per-shard submit pipeline.
-    let submit_families: [(&str, &str, &str); 8] = [
+    let submit_families: [(&str, &str, &str); 4] = [
         (
             "qtls_submit_flushes_total",
             "counter",
@@ -674,29 +674,9 @@ fn render_engine_section(page: &mut PromText, engine: &Arc<OffloadEngine>) {
             "Requests a flush deferred to the next sweep (ring full).",
         ),
         (
-            "qtls_submit_holds_total",
-            "counter",
-            "Sweeps where the adaptive policy held a shallow batch.",
-        ),
-        (
-            "qtls_submit_forced_flushes_total",
-            "counter",
-            "Held batches published because the hold bound expired.",
-        ),
-        (
-            "qtls_submit_bypassed_total",
-            "counter",
-            "Requests that bypassed staging under light load.",
-        ),
-        (
             "qtls_submit_max_depth",
             "gauge",
             "Deepest batch published by one flush.",
-        ),
-        (
-            "qtls_submit_ewma_depth_milli",
-            "gauge",
-            "EWMA of published flush depth, milli-requests.",
         ),
     ];
     for (name, kind, help) in submit_families {
@@ -712,11 +692,7 @@ fn render_engine_section(page: &mut PromText, engine: &Arc<OffloadEngine>) {
                 "qtls_submit_flushes_total" => qs.flushes,
                 "qtls_submit_flushed_requests_total" => qs.flushed_requests,
                 "qtls_submit_deferred_total" => qs.deferred,
-                "qtls_submit_holds_total" => qs.holds,
-                "qtls_submit_forced_flushes_total" => qs.forced_flushes,
-                "qtls_submit_bypassed_total" => qs.bypasses,
-                "qtls_submit_max_depth" => qs.max_depth,
-                _ => qs.ewma_depth_milli,
+                _ => qs.max_depth,
             };
             page.sample(name, &labels, value);
         }
@@ -779,25 +755,6 @@ fn render_engine_section(page: &mut PromText, engine: &Arc<OffloadEngine>) {
         }
     }
 
-    // Device-wide rebalance counter (shared by every shard instance, so
-    // it is rendered once, unlabelled).
-    if engine.shard_count() > 0 {
-        page.header(
-            "qtls_qat_rebalances_total",
-            "counter",
-            "Quiescent ring pairs migrated between endpoints by runtime shard rebalancing.",
-        );
-        page.sample(
-            "qtls_qat_rebalances_total",
-            &[],
-            engine
-                .shard_instance(0)
-                .fw_counters()
-                .rebalances
-                .load(Ordering::Relaxed),
-        );
-    }
-
     // Flight-recorder event counts (monotonic; survive ring overwrite).
     page.header(
         "qtls_flight_events_total",
@@ -823,8 +780,7 @@ pub fn render_stub_status(snap: &StatusSnapshot, engine: Option<&OffloadEngine>)
          server accepts handled requests\n {} {} {}\n\
          TLS: alive {} idle {} active {} async-jobs {} resumptions {}\n\
          bytes: sent {} received {} handoffs {}\n\
-         submit: flushes {} flushed {} max-depth {} deferred {} \
-         holds {} forced {} bypassed {} ewma-depth {}.{:03}\n",
+         submit: flushes {} flushed {} max-depth {} deferred {}\n",
         snap.tc_alive,
         snap.stats.handshakes + snap.stats.errors,
         snap.stats.handshakes,
@@ -841,11 +797,6 @@ pub fn render_stub_status(snap: &StatusSnapshot, engine: Option<&OffloadEngine>)
         snap.stats.flushed_requests,
         snap.stats.max_flush_depth,
         snap.stats.deferred_submits,
-        snap.stats.submit_holds,
-        snap.stats.forced_flushes,
-        snap.stats.bypassed_submits,
-        snap.stats.ewma_flush_depth_milli / 1000,
-        snap.stats.ewma_flush_depth_milli % 1000,
     );
     let _ = writeln!(
         page,
@@ -864,39 +815,19 @@ pub fn render_stub_status(snap: &StatusSnapshot, engine: Option<&OffloadEngine>)
         snap.load, snap.stats.steals, snap.dispatch_policy,
     );
     if let Some(engine) = engine {
-        let queues: Vec<(usize, Arc<qtls_core::SubmitQueue>)> = (0..engine.shard_count())
-            .filter_map(|i| engine.shard_submit_queue(i).map(|q| (i, q)))
+        let queued: Vec<usize> = (0..engine.shard_count())
+            .filter(|&i| engine.shard_submit_queue(i).is_some())
             .collect();
-        if !queues.is_empty() {
-            let mut rows = String::new();
-            let mut holds = 0u64;
-            let mut forced = 0u64;
-            for (i, queue) in &queues {
-                let qs = queue.stats().snapshot();
-                holds += qs.holds;
-                forced += qs.forced_flushes;
-                let _ = writeln!(
-                    rows,
-                    "shard {}: inflight {} ewma-depth {}.{:03} holds {} forced {}",
-                    i,
-                    engine.shard_inflight(*i),
-                    qs.ewma_depth_milli / 1000,
-                    qs.ewma_depth_milli % 1000,
-                    qs.holds,
-                    qs.forced_flushes,
-                );
-            }
-            // The aggregate line is computed from the same sources the
-            // per-shard rows read, so their totals always match.
+        if !queued.is_empty() {
             let _ = writeln!(
                 page,
-                "shards: count {} inflight {} holds {} forced {}",
-                queues.len(),
+                "shards: count {} inflight {}",
+                queued.len(),
                 engine.inflight().total(),
-                holds,
-                forced,
             );
-            page.push_str(&rows);
+            for i in queued {
+                let _ = writeln!(page, "shard {i}: inflight {}", engine.shard_inflight(i));
+            }
         }
     }
     page
@@ -927,10 +858,6 @@ pub fn render_stub_status_kv(snap: &StatusSnapshot, engine: Option<&OffloadEngin
     kv("submit_flushed", snap.stats.flushed_requests);
     kv("submit_max_depth", snap.stats.max_flush_depth);
     kv("submit_deferred", snap.stats.deferred_submits);
-    kv("submit_holds", snap.stats.submit_holds);
-    kv("submit_forced", snap.stats.forced_flushes);
-    kv("submit_bypassed", snap.stats.bypassed_submits);
-    kv("submit_ewma_depth_milli", snap.stats.ewma_flush_depth_milli);
     kv("admission_accepted", snap.stats.accepted);
     kv("admission_challenges", snap.stats.challenges_sent);
     kv("admission_tokens_verified", snap.stats.tokens_verified);
@@ -958,27 +885,15 @@ pub fn render_stub_status_kv(snap: &StatusSnapshot, engine: Option<&OffloadEngin
         kv("poll_shards_swept", h.shards_swept);
     }
     if let Some(engine) = engine {
-        let queues: Vec<(usize, Arc<qtls_core::SubmitQueue>)> = (0..engine.shard_count())
-            .filter_map(|i| engine.shard_submit_queue(i).map(|q| (i, q)))
+        let queued: Vec<usize> = (0..engine.shard_count())
+            .filter(|&i| engine.shard_submit_queue(i).is_some())
             .collect();
-        if !queues.is_empty() {
-            let mut holds = 0u64;
-            let mut forced = 0u64;
-            let mut rows = String::new();
-            for (i, queue) in &queues {
-                let qs = queue.stats().snapshot();
-                holds += qs.holds;
-                forced += qs.forced_flushes;
-                let _ = writeln!(rows, "shard{i}_inflight {}", engine.shard_inflight(*i));
-                let _ = writeln!(rows, "shard{i}_ewma_depth_milli {}", qs.ewma_depth_milli);
-                let _ = writeln!(rows, "shard{i}_holds {}", qs.holds);
-                let _ = writeln!(rows, "shard{i}_forced {}", qs.forced_flushes);
-            }
-            let _ = writeln!(page, "shards_count {}", queues.len());
+        if !queued.is_empty() {
+            let _ = writeln!(page, "shards_count {}", queued.len());
             let _ = writeln!(page, "shards_inflight {}", engine.inflight().total());
-            let _ = writeln!(page, "shards_holds {holds}");
-            let _ = writeln!(page, "shards_forced {forced}");
-            page.push_str(&rows);
+            for i in queued {
+                let _ = writeln!(page, "shard{i}_inflight {}", engine.shard_inflight(i));
+            }
         }
     }
     page

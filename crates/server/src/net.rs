@@ -375,16 +375,15 @@ impl VListener {
     /// or dropped, so socket conservation holds by construction.
     pub fn steal_half(&self, max: usize) -> Vec<VSocket> {
         let mut backlog = self.backlog.lock();
-        let take = (backlog.len() / 2).min(max);
-        let mut stolen = Vec::with_capacity(take);
-        for _ in 0..take {
-            let mut sock = backlog.pop_back().expect("len checked");
-            sock.stolen = true;
-            stolen.push(sock);
-        }
-        // Popped back-to-front: restore arrival order for the thief.
-        stolen.reverse();
-        stolen
+        let len = backlog.len();
+        let take = (len / 2).min(max);
+        backlog
+            .drain(len - take..)
+            .map(|mut sock| {
+                sock.stolen = true;
+                sock
+            })
+            .collect()
     }
 
     /// Drain every still-queued connection, closing each, and return

@@ -38,9 +38,9 @@ use crate::net::{VListener, VSocket};
 use crate::sched::SchedShared;
 use qtls_core::obs::{self, ConnTrace, SpanKind};
 use qtls_core::{
-    poll_pass, AsyncQueue, EngineMode, FdSelector, FlushPolicyConfig, HeuristicConfig,
-    HeuristicPoller, NotifyScheme, OffloadEngine, OffloadProfile, PollingScheme, ShardPolicy,
-    SubmitQueue, SubmitSnapshot, TimerPoller, VirtualFd, WaitCtx,
+    poll_pass, AsyncQueue, EngineMode, FdSelector, HeuristicConfig, HeuristicPoller, NotifyScheme,
+    OffloadEngine, OffloadProfile, PollingScheme, SubmitQueue, SubmitSnapshot, TimerPoller,
+    VirtualFd, WaitCtx,
 };
 use qtls_crypto::TestRng;
 use qtls_qat::QatDevice;
@@ -79,15 +79,11 @@ pub struct WorkerConfig {
     /// Protocol version served (the worker terminates one protocol, as
     /// in the paper's per-experiment Nginx configurations).
     pub version: Version,
-    /// Sweep-boundary flush policy for the submit pipeline (the
-    /// `qat_submit_flush_*` directive family). Applies per shard.
-    pub flush: FlushPolicyConfig,
     /// Number of offload shards (crypto instances) this worker spreads
     /// its submissions over; 0 means one per device endpoint (the
-    /// `qat_worker_shards` directive).
+    /// `qat_worker_shards` directive). Offloads take the shards in
+    /// rotation.
     pub shards: usize,
-    /// Shard placement policy (the `qat_shard_policy` directive).
-    pub shard_policy: ShardPolicy,
     /// Observability plane (the `qat_metrics` directive family).
     pub metrics: MetricsConfig,
     /// Records staged per data-plane batch submission (the
@@ -118,9 +114,7 @@ impl WorkerConfig {
             timer_interval: None,
             selection: OffloadSelection::default(),
             version: Version::Tls12,
-            flush: FlushPolicyConfig::adaptive(),
             shards: 0,
-            shard_policy: ShardPolicy::default(),
             metrics: MetricsConfig::default(),
             record_batch: RecordCodec::DEFAULT_BATCH,
             admission: AdmissionConfig::default(),
@@ -136,9 +130,7 @@ impl WorkerConfig {
             heuristic: d.heuristic,
             timer_interval: d.timer_interval,
             selection: d.selection,
-            flush: d.flush,
             shards: d.worker_shards,
-            shard_policy: d.shard_policy,
             metrics: d.metrics,
             record_batch: d.record_batch_depth,
             admission: d.admission,
@@ -184,14 +176,6 @@ pub struct WorkerStats {
     pub max_flush_depth: u64,
     /// Requests a flush had to defer to the next sweep (ring full).
     pub deferred_submits: u64,
-    /// Sweeps where the adaptive policy held a shallow batch back.
-    pub submit_holds: u64,
-    /// Held batches published because the hold bound expired.
-    pub forced_flushes: u64,
-    /// Requests that bypassed staging under light load.
-    pub bypassed_submits: u64,
-    /// EWMA of published flush depth, in milli-requests.
-    pub ewma_flush_depth_milli: u64,
     /// Staged requests cancelled at worker shutdown.
     pub cancelled_submits: u64,
     /// Connections accepted off the listener backlog.
@@ -232,34 +216,24 @@ impl WorkerStats {
     }
 
     /// Copy in the submit-pipeline counters of every shard's queue:
-    /// counters sum, the depth high-water mark takes the max, the EWMA
-    /// the mean (at one shard, an exact copy of that queue's snapshot).
+    /// counters sum, the depth high-water mark takes the max (at one
+    /// shard, an exact copy of that queue's snapshot).
     fn refresh_submit(&mut self, engine: &OffloadEngine) {
         let mut sum = SubmitSnapshot::default();
-        let mut queues = 0;
         for i in 0..engine.shard_count() {
             let Some(queue) = engine.shard_submit_queue(i) else {
                 continue;
             };
             let snap = queue.stats().snapshot();
-            queues += 1;
             sum.flushes += snap.flushes;
             sum.flushed_requests += snap.flushed_requests;
             sum.max_depth = sum.max_depth.max(snap.max_depth);
             sum.deferred += snap.deferred;
-            sum.holds += snap.holds;
-            sum.forced_flushes += snap.forced_flushes;
-            sum.bypasses += snap.bypasses;
-            sum.ewma_depth_milli += snap.ewma_depth_milli;
         }
         self.flushes = sum.flushes;
         self.flushed_requests = sum.flushed_requests;
         self.max_flush_depth = sum.max_depth;
         self.deferred_submits = sum.deferred;
-        self.submit_holds = sum.holds;
-        self.forced_flushes = sum.forced_flushes;
-        self.bypassed_submits = sum.bypasses;
-        self.ewma_flush_depth_milli = sum.ewma_depth_milli / queues.max(1);
     }
 }
 
@@ -354,7 +328,6 @@ impl Worker {
             Some(Arc::new(OffloadEngine::sharded(
                 device.alloc_instances(shard_count),
                 mode,
-                cfg.shard_policy,
             )))
         } else {
             None
@@ -397,15 +370,12 @@ impl Worker {
             sched.register_waker(Arc::clone(&wake));
         }
         // Async profiles batch submissions per event-loop sweep — one
-        // queue per shard, so the flush policy applies per ring pair; the
+        // queue per shard, each flushed to its own ring pair; the
         // blocking profile (QAT+S) submits in place and needs no queue.
         if let Some(engine) = &engine {
             if profile.uses_async() {
                 for i in 0..engine.shard_count() {
-                    engine.attach_shard_submit_queue(
-                        i,
-                        Arc::new(SubmitQueue::with_policy(cfg.flush)),
-                    );
+                    engine.attach_shard_submit_queue(i, Arc::new(SubmitQueue::new()));
                 }
             }
         }
@@ -649,9 +619,8 @@ impl Worker {
             self.poll_task(id);
         }
         events += polled;
-        // 6. Sweep boundary: let the flush policy decide whether the
-        // staged batch publishes now (one cursor publish, one doorbell)
-        // or holds for a deeper batch.
+        // 6. Sweep boundary: publish the staged batch (one cursor
+        // publish, one doorbell per shard).
         if let Some(engine) = &self.engine {
             events += engine.flush_submissions().submitted;
             self.stats.refresh_submit(engine);
@@ -879,8 +848,8 @@ impl Worker {
                 idle += 1;
                 std::thread::yield_now();
             } else if self.submissions_staged() {
-                // Not idle: the sweep is the staged batch's only
-                // flusher and its hold is bounded in time.
+                // Not idle: a full ring deferred part of the last
+                // flush, and the sweep is that batch's only flusher.
                 std::thread::yield_now();
             } else {
                 // `idle` stays put: a park that brought no event (the
@@ -893,8 +862,8 @@ impl Worker {
         }
     }
 
-    /// Is any request staged on a shard's submit queue (held by the
-    /// flush policy, or handed back by a full ring)?
+    /// Is any request still staged on a shard's submit queue after the
+    /// sweep flush (a full ring deferred it)?
     fn submissions_staged(&self) -> bool {
         self.engine.as_ref().is_some_and(|engine| {
             (0..engine.shard_count())

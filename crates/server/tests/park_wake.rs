@@ -11,10 +11,9 @@
 //! core is awake-but-waiting rather than parked, which is exactly the
 //! state these tests need it not to be in when the event fires.
 
-use qtls_core::{FlushPolicyConfig, HeuristicConfig, OffloadProfile};
+use qtls_core::{HeuristicConfig, OffloadProfile};
 use qtls_crypto::ecc::NamedCurve;
 use qtls_qat::{QatConfig, QatDevice, ServiceMode, ServiceTable};
-use qtls_server::loadgen::{run_connection, ClientConfig};
 use qtls_server::net::SockError;
 use qtls_server::{
     parse_ssl_engine_conf, Cluster, ContentStore, MetricsPlane, SchedShared, VListener, VSocket,
@@ -55,7 +54,7 @@ struct Rig {
     plane: Arc<MetricsPlane>,
     stop: Arc<AtomicBool>,
     handle: JoinHandle<WorkerStats>,
-    _device: Option<QatDevice>,
+    device: Option<QatDevice>,
 }
 
 impl Rig {
@@ -77,7 +76,7 @@ impl Rig {
             plane,
             stop,
             handle,
-            _device: device,
+            device,
         }
     }
 
@@ -299,49 +298,57 @@ fn timer_pollers_fd_signal_wakes_the_parked_qat_a_worker() {
 }
 
 #[test]
-fn a_held_submit_batch_is_never_slept_on() {
+fn a_deferred_submit_is_never_slept_on() {
     let _turn = my_turn();
-    // A flush policy that holds every lone request for 100 us however
-    // many sweeps that takes. No event announces the end of a hold, so a
-    // worker that parked on one would sit out its whole idle bound
-    // (5 ms) before every one of the 11 offloads of a full handshake and
-    // request: 55 ms per connection. It must keep sweeping instead.
+    // A 2-slot ring with no engines behind it: three handshakes each
+    // offload a key generation, the ring takes two and the sweep flush
+    // defers the third, which then stays staged for good. Staged work
+    // raises no event (ring space frees silently), so a worker that
+    // parked on it would sit out its idle bound again and again. It
+    // must keep sweeping instead: from the deferral on, it never parks.
     let mut cfg = WorkerConfig::new(OffloadProfile::Qtls);
     cfg.selection = OffloadSelection::offload_everything();
-    cfg.flush = FlushPolicyConfig {
-        light_inflight: 0,
-        max_hold_sweeps: u32::MAX,
-        max_hold: Duration::from_micros(100),
-        ..FlushPolicyConfig::adaptive()
-    };
     cfg.heuristic.failover = Duration::from_secs(3600);
-    let rig = Rig::start(Some(QatDevice::new(QatConfig::functional_small())), cfg);
-    let client = ClientConfig {
-        request_path: Some("/".into()),
-        ..ClientConfig::default()
-    };
-    const CONNS: u32 = 3;
-    let t0 = Instant::now();
-    for seed in 0..CONNS {
-        run_connection(
-            &rig.listener,
-            &client,
-            9300 + u64::from(seed),
+    let device = QatDevice::new(QatConfig {
+        engines_per_endpoint: 0,
+        ring_capacity: 2,
+        ..QatConfig::functional_small()
+    });
+    let rig = Rig::start(Some(device), cfg);
+    let mut conns = Vec::new();
+    for seed in 0..3 {
+        let sock = rig.listener.connect();
+        let mut client = ClientSession::new(
+            CryptoProvider::Software,
+            CipherSuite::EcdheRsa,
+            NamedCurve::P256,
             None,
-            Duration::from_secs(60),
-        )
-        .expect("connection");
+            9300 + seed,
+        );
+        client.start().unwrap();
+        sock.write(&client.take_output()).unwrap();
+        conns.push((sock, client));
     }
-    let elapsed = t0.elapsed();
+    let fw = rig.device.as_ref().expect("device").fw_counters();
+    await_or_panic("a flush defers on the full ring", || {
+        fw.ring_full.load(Ordering::Relaxed) > 0
+    });
+    assert_eq!(fw.submitted.load(Ordering::Relaxed), 2);
+    // Twenty idle bounds' worth of watching.
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_millis(100) {
+        assert!(
+            !rig.wake.is_parked(),
+            "the worker parked with a request staged"
+        );
+        std::thread::yield_now();
+    }
+    drop(conns);
     let stats = rig.finish();
-    assert_eq!(stats.handshakes, u64::from(CONNS));
-    assert!(
-        stats.forced_flushes >= 11 * u64::from(CONNS),
-        "every op was held"
-    );
-    assert!(
-        elapsed < Duration::from_millis(55) * CONNS,
-        "{CONNS} connections took {elapsed:?}: the worker slept on held batches"
+    assert!(stats.deferred_submits > 0);
+    assert_eq!(
+        stats.cancelled_submits, 1,
+        "the shutdown drain fails the staged request"
     );
 }
 

@@ -330,8 +330,7 @@ fn stub_status_formats_every_field() {
          server accepts handled requests\n 0 0 0\n\
          TLS: alive 0 idle 0 active 0 async-jobs 0 resumptions 0\n\
          bytes: sent 0 received 0 handoffs 0\n\
-         submit: flushes 0 flushed 0 max-depth 0 deferred 0 \
-         holds 0 forced 0 bypassed 0 ewma-depth 0.000\n\
+         submit: flushes 0 flushed 0 max-depth 0 deferred 0\n\
          admission: accepted 0 challenges 0 verified 0 rejected 0 \
          sheds 0 overloads 0\n\
          sched: load 0 steals 0 policy 0\n"
@@ -482,10 +481,6 @@ fn qtls_stub_status_reports_batched_submissions() {
     assert_eq!(worker.stats.flushed_requests, snap.flushed_requests);
     assert_eq!(worker.stats.max_flush_depth, snap.max_depth);
     assert_eq!(worker.stats.deferred_submits, snap.deferred);
-    assert_eq!(worker.stats.submit_holds, snap.holds);
-    assert_eq!(worker.stats.forced_flushes, snap.forced_flushes);
-    assert_eq!(worker.stats.bypassed_submits, snap.bypasses);
-    assert_eq!(worker.stats.ewma_flush_depth_milli, snap.ewma_depth_milli);
 }
 
 /// A raw crypto request whose callback records what happened to it.
@@ -626,38 +621,25 @@ fn stub_status_per_shard_totals_match_aggregate() {
         worker.run_iteration();
     }
     let page = worker.stub_status();
-    // Parse "shards: count C inflight I holds H forced F" and each
-    // "shard i: inflight x ewma-depth e holds h forced f" row.
-    let mut agg: Option<(u64, u64, u64, u64)> = None;
+    // Parse "shards: count C inflight I" and each "shard i: inflight x"
+    // row.
+    let mut agg: Option<(u64, u64)> = None;
     let mut row_inflight = 0u64;
-    let mut row_holds = 0u64;
-    let mut row_forced = 0u64;
     let mut rows = 0usize;
     for line in page.lines() {
         let f: Vec<&str> = line.split_whitespace().collect();
         if line.starts_with("shards: ") {
-            agg = Some((
-                f[2].parse().unwrap(),
-                f[4].parse().unwrap(),
-                f[6].parse().unwrap(),
-                f[8].parse().unwrap(),
-            ));
+            agg = Some((f[2].parse().unwrap(), f[4].parse().unwrap()));
         } else if line.starts_with("shard ") {
             rows += 1;
             row_inflight += f[3].parse::<u64>().unwrap();
-            row_holds += f[7].parse::<u64>().unwrap();
-            row_forced += f[9].parse::<u64>().unwrap();
         }
     }
-    let (count, inflight, holds, forced) = agg.expect("aggregate shard line present: {page}");
+    let (count, inflight) = agg.expect("aggregate shard line present: {page}");
     assert_eq!(count, 2, "{page}");
     assert_eq!(rows, 2, "{page}");
     assert_eq!(inflight, row_inflight, "{page}");
-    assert_eq!(holds, row_holds, "{page}");
-    assert_eq!(forced, row_forced, "{page}");
-    // The folded worker stats agree with the aggregate line.
-    assert_eq!(worker.stats.submit_holds, holds);
-    assert_eq!(worker.stats.forced_flushes, forced);
+    // The engine's aggregate agrees with the aggregate line.
     assert_eq!(engine.inflight().total(), inflight);
     // The scheduling line's load gauge agrees with the worker's live
     // gauge (same formula the cluster dispatcher routes on).
@@ -706,7 +688,7 @@ fn multi_shard_shutdown_drains_every_shard() {
         assert_eq!(engine.shard_instance(i).queued_requests(), 2);
     }
     // The kv page's submit fields are the fold of the shard queues as
-    // the drain left them: the drain's flush moved every queue's EWMA.
+    // the drain left them: the drain's flush published on every ring.
     let kv = worker.stub_status_kv();
     let field = |key: &str| -> u64 {
         kv.lines()
@@ -722,12 +704,7 @@ fn multi_shard_shutdown_drains_every_shard() {
     let deepest = snaps.iter().map(|s| s.max_depth).max();
     assert_eq!(Some(field("submit_max_depth")), deepest);
     assert_eq!(field("submit_deferred"), sum(|s| s.deferred));
-    assert_eq!(field("submit_holds"), sum(|s| s.holds));
-    assert_eq!(field("submit_forced"), sum(|s| s.forced_flushes));
-    assert_eq!(field("submit_bypassed"), sum(|s| s.bypasses));
-    let ewma = sum(|s| s.ewma_depth_milli) / snaps.len() as u64;
-    assert_eq!(field("submit_ewma_depth_milli"), ewma);
-    assert!(ewma > 0, "{kv}");
+    assert!(snaps.iter().all(|s| s.flushes > 0), "{kv}");
     // Dropping the worker re-drains; the second drain is a no-op.
     drop(worker);
     assert_eq!(cancelled.load(Ordering::Relaxed), 6);
@@ -820,7 +797,6 @@ fn stub_status_kv_is_a_superset_of_the_human_page() {
     assert_eq!(kv.len(), kv_page.lines().count(), "kv keys must be unique");
 
     let mut pairs: Vec<(String, u64)> = Vec::new();
-    let mut ewma_decimals: Vec<(String, String)> = Vec::new();
     for line in human.lines() {
         let f: Vec<&str> = line.split_whitespace().collect();
         if line.starts_with("Active connections:") {
@@ -854,32 +830,20 @@ fn stub_status_kv_is_a_superset_of_the_human_page() {
                 ("submit_flushed", 4),
                 ("submit_max_depth", 6),
                 ("submit_deferred", 8),
-                ("submit_holds", 10),
-                ("submit_forced", 12),
-                ("submit_bypassed", 14),
             ] {
                 pairs.push((key.into(), f[idx].parse().unwrap()));
             }
-            ewma_decimals.push(("submit_ewma_depth_milli".into(), f[16].to_string()));
         } else if line.starts_with("sched:") {
             for (key, idx) in [("sched_load", 2), ("sched_steals", 4), ("sched_policy", 6)] {
                 pairs.push((key.into(), f[idx].parse().unwrap()));
             }
         } else if line.starts_with("shards:") {
-            for (key, idx) in [
-                ("shards_count", 2),
-                ("shards_inflight", 4),
-                ("shards_holds", 6),
-                ("shards_forced", 8),
-            ] {
+            for (key, idx) in [("shards_count", 2), ("shards_inflight", 4)] {
                 pairs.push((key.into(), f[idx].parse().unwrap()));
             }
         } else if line.starts_with("shard ") {
             let i = f[1].trim_end_matches(':');
             pairs.push((format!("shard{i}_inflight"), f[3].parse().unwrap()));
-            pairs.push((format!("shard{i}_holds"), f[7].parse().unwrap()));
-            pairs.push((format!("shard{i}_forced"), f[9].parse().unwrap()));
-            ewma_decimals.push((format!("shard{i}_ewma_depth_milli"), f[5].to_string()));
         } else if line.starts_with("trace:") {
             for (key, idx) in [
                 ("trace_sample_rate", 2),
@@ -923,11 +887,6 @@ fn stub_status_kv_is_a_superset_of_the_human_page() {
             "kv missing or mismatching {key}\nhuman:\n{human}\nkv:\n{kv_page}"
         );
     }
-    // EWMA fields: the human page prints milli-requests as a decimal.
-    for (key, decimal) in ewma_decimals {
-        let milli = kv.get(&key).copied().expect("ewma kv key");
-        assert_eq!(format!("{}.{:03}", milli / 1000, milli % 1000), decimal);
-    }
 }
 
 /// The Prometheus family responsible for a `stub_status?format=kv` key.
@@ -938,12 +897,6 @@ fn prom_family_for_kv_key(key: &str) -> &'static str {
         if rest.starts_with(|c: char| c.is_ascii_digit()) {
             return if rest.ends_with("_inflight") {
                 "qtls_shard_inflight"
-            } else if rest.ends_with("_ewma_depth_milli") {
-                "qtls_submit_ewma_depth_milli"
-            } else if rest.ends_with("_holds") {
-                "qtls_submit_holds_total"
-            } else if rest.ends_with("_forced") {
-                "qtls_submit_forced_flushes_total"
             } else {
                 panic!("per-shard kv key {key} has no mapped Prometheus family")
             };
@@ -968,10 +921,6 @@ fn prom_family_for_kv_key(key: &str) -> &'static str {
         "submit_flushed" => "qtls_submit_flushed_requests_total",
         "submit_max_depth" => "qtls_submit_max_depth",
         "submit_deferred" => "qtls_submit_deferred_total",
-        "submit_holds" | "shards_holds" => "qtls_submit_holds_total",
-        "submit_forced" | "shards_forced" => "qtls_submit_forced_flushes_total",
-        "submit_bypassed" => "qtls_submit_bypassed_total",
-        "submit_ewma_depth_milli" => "qtls_submit_ewma_depth_milli",
         "admission_challenges" => "qtls_admission_challenges_total",
         "admission_tokens_verified" => "qtls_admission_tokens_verified_total",
         "admission_tokens_rejected" => "qtls_admission_tokens_rejected_total",

@@ -199,7 +199,8 @@ impl Default for OffloadCosts {
 }
 
 /// How the simulated worker amortizes the submission doorbell — the
-/// analytic mirror of the functional pipeline's `FlushPolicyConfig`.
+/// paper-ablation model of the flush trade (the functional pipeline
+/// flushes eagerly at every sweep boundary, DESIGN.md §9).
 ///
 /// The simulator does not replay individual sweeps; instead each policy
 /// maps the instantaneous submission concurrency (`avail`: how many

@@ -164,12 +164,11 @@ pub struct SimConfig {
     /// (§4.3 default 24).
     pub heuristic_sym_threshold: u64,
     /// Submission flush policy for async profiles: how the doorbell is
-    /// amortized and what staging delay a held request pays (the
-    /// analytic mirror of the pipeline's `FlushPolicyConfig`).
+    /// amortized and what staging delay a held request pays (a model
+    /// only: the functional pipeline flushes eagerly, DESIGN.md §9).
     pub submit_flush: crate::cost::SimFlushPolicy,
-    /// Starvation cap for held submissions (the `qat_submit_flush_max_
-    /// hold_us` analogue): latency a request stranded in a batch that
-    /// cannot fill pays before the forced flush.
+    /// Starvation cap for held submissions: latency a request stranded
+    /// in a batch that cannot fill pays before the forced flush.
     pub submit_hold_cap_ns: u64,
     /// Offload shards per worker (the `qat_worker_shards` analogue):
     /// the worker's inflight is split across this many submit queues,

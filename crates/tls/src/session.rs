@@ -1,18 +1,15 @@
-//! Session resumption state: the server-side session-ID cache and
-//! self-encrypted session tickets (§2.1 "Session resumption").
+//! Session resumption state: the cached session entry, the LRU +
+//! lifetime core that caches it, and self-encrypted session tickets
+//! (§2.1 "Session resumption").
 //!
 //! Real deployments restrict the lifetime of IDs/tickets to bound the
-//! forward-secrecy exposure; the cache enforces a configurable lifetime
-//! and capacity.
-//!
-//! The LRU bookkeeping lives in [`LruCore`], shared with the sharded
-//! cross-worker store in [`crate::store`], so both enforce the same
-//! recency and expiry semantics.
+//! forward-secrecy exposure; [`LruCore`] enforces a configurable
+//! lifetime and capacity for each shard of the cluster-shared
+//! [`crate::store::SharedSessionStore`].
 
 use crate::suite::CipherSuite;
 use qtls_crypto::hmac::{constant_time_eq, Hmac};
 use qtls_crypto::{aes, sha256::Sha256, EntropySource};
-use qtls_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -31,8 +28,8 @@ struct Slot {
     seq: u64,
 }
 
-/// Single-threaded LRU + lifetime core used by both [`SessionCache`]
-/// and the sharded [`crate::store::SharedSessionStore`].
+/// Single-threaded LRU + lifetime core: one per shard of the
+/// [`crate::store::SharedSessionStore`].
 ///
 /// Recency is tracked with a sequence-stamped queue: a re-put assigns a
 /// fresh sequence number and pushes a new queue slot, turning the old
@@ -173,54 +170,6 @@ impl LruCore {
     }
 }
 
-/// A bounded, lifetime-limited session-ID cache.
-pub struct SessionCache {
-    inner: Mutex<LruCore>,
-}
-
-impl SessionCache {
-    /// Create with `capacity` entries and `lifetime` per entry.
-    pub fn new(capacity: usize, lifetime: Duration) -> Self {
-        SessionCache {
-            inner: Mutex::new(LruCore::new(capacity, lifetime)),
-        }
-    }
-
-    /// Store a session under `id`; a re-put refreshes its recency.
-    pub fn put(&self, id: Vec<u8>, entry: SessionEntry) {
-        self.inner.lock().put(id, entry);
-    }
-
-    /// Look up a session (respecting lifetime; expired entries are
-    /// dropped on access so they cannot hold capacity slots).
-    pub fn get(&self, id: &[u8]) -> Option<SessionEntry> {
-        self.inner.lock().get(id)
-    }
-
-    /// Number of live (unexpired) entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Test seam: age every entry by `d` without sleeping.
-    #[doc(hidden)]
-    pub fn age_entries(&self, d: Duration) {
-        self.inner.lock().age_entries(d);
-    }
-}
-
-impl Default for SessionCache {
-    fn default() -> Self {
-        // Paper: lifetimes are "generally less than an hour".
-        SessionCache::new(100_000, Duration::from_secs(3600))
-    }
-}
-
 /// Server ticket protection keys (AES-128-CBC + HMAC-SHA256), held
 /// expanded: the AES schedules and the keyed HMAC midstates are built
 /// once per key, not once per ticket.
@@ -311,6 +260,7 @@ impl TicketKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::SharedSessionStore;
     use qtls_crypto::TestRng;
 
     fn entry() -> SessionEntry {
@@ -320,9 +270,15 @@ mod tests {
         }
     }
 
+    /// A one-shard store is one `LruCore` behind one lock: these tests
+    /// pin the core's recency and expiry through the public store API.
+    fn cache(capacity: usize, lifetime: Duration) -> SharedSessionStore {
+        SharedSessionStore::new(1, capacity, lifetime)
+    }
+
     #[test]
     fn cache_put_get() {
-        let cache = SessionCache::new(10, Duration::from_secs(60));
+        let cache = cache(10, Duration::from_secs(60));
         cache.put(vec![1, 2, 3], entry());
         let got = cache.get(&[1, 2, 3]).unwrap();
         assert_eq!(got.master, vec![0x42; 48]);
@@ -331,7 +287,7 @@ mod tests {
 
     #[test]
     fn cache_lifetime_expires() {
-        let cache = SessionCache::new(10, Duration::from_millis(5));
+        let cache = cache(10, Duration::from_millis(5));
         cache.put(vec![1], entry());
         std::thread::sleep(Duration::from_millis(20));
         assert!(cache.get(&[1]).is_none());
@@ -339,7 +295,7 @@ mod tests {
 
     #[test]
     fn cache_eviction_at_capacity() {
-        let cache = SessionCache::new(2, Duration::from_secs(60));
+        let cache = cache(2, Duration::from_secs(60));
         cache.put(vec![1], entry());
         cache.put(vec![2], entry());
         cache.put(vec![3], entry());
@@ -352,7 +308,7 @@ mod tests {
     fn cache_re_put_refreshes_recency() {
         // Re-putting id 1 must move it to the back of the eviction
         // queue, so inserting a third entry evicts id 2 instead.
-        let cache = SessionCache::new(2, Duration::from_secs(60));
+        let cache = cache(2, Duration::from_secs(60));
         cache.put(vec![1], entry());
         cache.put(vec![2], entry());
         cache.put(vec![1], entry());
@@ -367,7 +323,7 @@ mod tests {
     fn cache_expired_entries_release_capacity() {
         // A burst of short-lived sessions must not evict live ones:
         // expired entries are purged on put, freeing their slots.
-        let cache = SessionCache::new(2, Duration::from_secs(60));
+        let cache = cache(2, Duration::from_secs(60));
         cache.put(vec![1], entry());
         cache.put(vec![2], entry());
         cache.age_entries(Duration::from_secs(120));
@@ -381,7 +337,7 @@ mod tests {
 
     #[test]
     fn cache_expired_get_drops_entry() {
-        let cache = SessionCache::new(10, Duration::from_secs(60));
+        let cache = cache(10, Duration::from_secs(60));
         cache.put(vec![1], entry());
         cache.age_entries(Duration::from_secs(120));
         assert!(cache.get(&[1]).is_none());
@@ -391,16 +347,17 @@ mod tests {
 
     #[test]
     fn cache_heavy_re_put_does_not_grow_queue() {
-        let cache = SessionCache::new(4, Duration::from_secs(60));
+        // The queue is the core's own bookkeeping, so this one reads
+        // the core directly rather than through a store.
+        let mut core = LruCore::new(4, Duration::from_secs(60));
         for i in 0..10_000u32 {
-            cache.put(vec![(i % 4) as u8], entry());
+            core.put(vec![(i % 4) as u8], entry());
         }
-        assert_eq!(cache.len(), 4);
-        let inner = cache.inner.lock();
+        assert_eq!(core.len(), 4);
         assert!(
-            inner.queue.len() <= 2 * inner.map.len() + 16,
+            core.queue.len() <= 2 * core.map.len() + 16,
             "tombstone compaction bounds the queue (len {})",
-            inner.queue.len()
+            core.queue.len()
         );
     }
 

@@ -2,8 +2,8 @@
 //! PSK store plus a rotating ticket-key ring.
 //!
 //! The paper's §2.1 resumption story assumes an abbreviated handshake
-//! actually resumes, but with per-worker `TicketKeys` and
-//! `SessionCache` a round-robin dispatcher sends the returning client
+//! actually resumes, but with per-worker ticket keys and session caches
+//! a round-robin dispatcher sends the returning client
 //! to a worker that cannot open its ticket — it silently pays the full
 //! asym-offload handshake (a resume *miss*). This module makes the
 //! resumption state structural cluster property instead: one
@@ -152,7 +152,8 @@ impl SharedSessionStore {
 
 impl Default for SharedSessionStore {
     fn default() -> Self {
-        // Mirrors SessionCache::default, striped over 8 shards.
+        // Lifetimes are "generally less than an hour" (the paper);
+        // striped over 8 shards.
         SharedSessionStore::new(8, 100_000, Duration::from_secs(3600))
     }
 }

@@ -42,7 +42,7 @@ required=(
   flood::challenge_then_token_retry_admits_the_client
   flood::flood_with_admission_keeps_established_streams_alive
   flood::shutdown_accounts_for_every_socket
-  # cluster scheduling: sim p99, dispatch, steal, drain, rebalance (§15)
+  # cluster scheduling: sim p99, dispatch, steal, drain (§15)
   sim_claims::scheduling_ablation_steal_beats_round_robin
   qtls_server::sched::tests::least_loaded_pick_is_argmin_over_full_probe
   qtls_server::sched::tests::drain_signal_wakes_parked_dispatcher_before_the_timeout
@@ -51,8 +51,10 @@ required=(
   qtls_server::cluster::tests::full_backlogs_park_on_drain_signal_not_backoff
   proptest_framework::least_loaded_dispatch_is_argmin
   proptest_framework::steal_half_conserves_and_never_duplicates_sockets
-  qtls_qat::device::tests::rebalance_migrates_only_quiescent_shards
-  qtls_qat::device::tests::rebalanced_shard_completes_work_on_its_new_endpoint
+  # eager flush: a deferred submit keeps the worker sweeping (§9); the
+  # deleted flush, placement and rebalance directives fail by name
+  park_wake::a_deferred_submit_is_never_slept_on
+  qtls_server::config_file::tests::removed_directives_are_rejected_by_name
   # connection tracing and the metrics registry (§11, §16)
   trace::mixed_cluster_run_exports_complete_sum_checked_span_trees
   trace::admission_round_trip_is_visible_in_the_span_trees

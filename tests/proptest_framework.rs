@@ -159,68 +159,6 @@ fn heuristic_thresholds_monotone() {
 }
 
 #[test]
-fn least_inflight_routing_is_argmin() {
-    use qtls::core::{ShardPolicy, ShardRouter};
-    use qtls::qat::OpClass;
-    // Over an arbitrary interleaving of placements and completions, the
-    // least-inflight policy must never place a request on a shard whose
-    // inflight count exceeds the minimum — the router IS the argmin.
-    prop::check("least_inflight_routing_is_argmin", 128, |g| {
-        let n = g.usize_in(1, 8);
-        let router = ShardRouter::new(ShardPolicy::LeastInflight);
-        let mut inflight = vec![0u64; n];
-        // Seed with an arbitrary pre-existing imbalance.
-        for load in inflight.iter_mut() {
-            *load = g.u64_in(0, 12);
-        }
-        for _ in 0..g.usize_in(0, 200) {
-            if g.bool() {
-                let idx = router.route(OpClass::Prf, &inflight);
-                let min = *inflight.iter().min().unwrap();
-                assert_eq!(
-                    inflight[idx], min,
-                    "routed shard {idx} holds {} inflight, min is {min}: {inflight:?}",
-                    inflight[idx]
-                );
-                inflight[idx] += 1;
-            } else {
-                // A random shard completes one request.
-                let idx = g.u64() as usize % n;
-                inflight[idx] = inflight[idx].saturating_sub(1);
-            }
-        }
-    });
-}
-
-#[test]
-fn op_affinity_isolates_asym_and_spreads_cipher() {
-    use qtls::core::{ShardPolicy, ShardRouter};
-    use qtls::qat::OpClass;
-    // The re-tuned affinity policy (DESIGN.md §13): asym and PRF keep
-    // fixed homes (shard 0 and shard n-1) regardless of inflight churn,
-    // while cipher spreads over the non-asym shards by least inflight —
-    // it must never land on the asym shard, and the shard it picks must
-    // hold the minimum inflight among shards 1..n.
-    prop::check("op_affinity_isolates_asym_and_spreads_cipher", 128, |g| {
-        let n = g.usize_in(2, 8);
-        let router = ShardRouter::new(ShardPolicy::OpAffinity);
-        for _ in 0..g.usize_in(1, 100) {
-            let inflight: Vec<u64> = (0..n).map(|_| g.u64_in(0, 100)).collect();
-            assert_eq!(router.route(OpClass::Asym, &inflight), 0, "asym home");
-            assert_eq!(router.route(OpClass::Prf, &inflight), n - 1, "prf home");
-            let idx = router.route(OpClass::Cipher, &inflight);
-            assert!(idx >= 1 && idx < n, "cipher never shares the asym shard");
-            let min = inflight[1..].iter().min().unwrap();
-            assert_eq!(
-                inflight[idx], *min,
-                "cipher shard {idx} holds {} inflight, non-asym min is {min}: {inflight:?}",
-                inflight[idx]
-            );
-        }
-    });
-}
-
-#[test]
 fn histogram_zero_duration_and_error_bound() {
     use qtls::core::obs::{bucket_upper_bound, Histogram, BUCKETS};
     prop::check("histogram_zero_duration_and_error_bound", 128, |g| {
@@ -404,8 +342,7 @@ fn least_loaded_dispatch_is_argmin() {
     // The cluster dispatcher's decision function (DESIGN.md §15): with a
     // full probe the pick IS the argmin over the published gauges, ties
     // resolved by rotation order from `start`; with a bounded probe it
-    // is the argmin over exactly the probed window. Mirrors the shard
-    // router's `least_inflight_routing_is_argmin` one layer up.
+    // is the argmin over exactly the probed window.
     prop::check("least_loaded_dispatch_is_argmin", 128, |g| {
         let n = g.usize_in(1, 13);
         let gauges: Vec<u64> = (0..n).map(|_| g.u64_in(0, 51)).collect();

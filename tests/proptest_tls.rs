@@ -9,7 +9,7 @@
 
 use qtls::crypto::TestRng;
 use qtls::prop;
-use qtls::tls::session::{SessionCache, SessionEntry, TicketKeys};
+use qtls::tls::session::{SessionEntry, TicketKeys};
 use qtls::tls::store::{psk_store_key, SharedSessionStore, TicketKeyRing};
 use qtls::tls::suite::CipherSuite;
 use std::time::Duration;
@@ -81,7 +81,7 @@ fn cache_churn_matches_model() {
     prop::check("cache_churn_matches_model", 48, |g| {
         let capacity = g.usize_in(1, 6);
         let lifetime = 60u64;
-        let cache = SessionCache::new(capacity, Duration::from_secs(lifetime));
+        let cache = SharedSessionStore::new(1, capacity, Duration::from_secs(lifetime));
         let mut model = Model {
             live: Vec::new(),
             capacity,
@@ -132,7 +132,7 @@ fn cache_churn_matches_model() {
 fn cache_hot_entry_survives_streaming_churn() {
     prop::check("cache_hot_entry_survives_streaming_churn", 32, |g| {
         let capacity = g.usize_in(2, 8);
-        let cache = SessionCache::new(capacity, Duration::from_secs(3600));
+        let cache = SharedSessionStore::new(1, capacity, Duration::from_secs(3600));
         cache.put(vec![0xAA], entry(1));
         let rounds = g.usize_in(1, 50);
         for i in 0..rounds {
