@@ -6,10 +6,11 @@ use qtls_bench::harness::{Criterion, Throughput};
 use qtls_bench::{criterion_group, criterion_main};
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::hmac::Hmac;
-use qtls_crypto::mont::MontCtx;
+use qtls_crypto::mont::{Mont52, MontCtx};
 use qtls_crypto::sha1::{self, Sha1};
 use qtls_crypto::sha256::{self, Sha256};
 use qtls_crypto::test_keys::test_rsa_2048;
+use qtls_crypto::Bn;
 use qtls_crypto::{aes, kdf, CbcHmacSha1, TestRng};
 use std::hint::black_box;
 
@@ -23,6 +24,15 @@ fn bench_rsa(c: &mut Criterion) {
             key.sign_pkcs1_sha256(black_box(b"server key exchange"))
                 .unwrap()
         })
+    });
+    // The sign without the radix-2^52 dispatch: the portable CRT over
+    // the same encoded message (the public operation recovers it from a
+    // signature), so the two rows differ only by the 19-byte SHA-256.
+    let em = key.public().raw(&Bn::from_bytes_be(
+        &key.sign_pkcs1_sha256(b"server key exchange").unwrap(),
+    ));
+    group.bench_function("sign_pkcs1_sha256_portable", |b| {
+        b.iter(|| key.raw_portable(black_box(&em)).to_bytes_be_padded(256))
     });
     let ct = key.public().encrypt_pkcs1(&[7u8; 48], &mut rng).unwrap();
     group.bench_function("decrypt_premaster", |b| {
@@ -53,6 +63,16 @@ fn bench_rsa(c: &mut Criterion) {
     group.bench_function("mont_sqr_1024", |b| {
         b.iter(|| ctx.mont_sqr(black_box(&a), &mut out, &mut wide))
     });
+    // The radix-2^52 kernel the sign dispatches to on a CPU with AVX-512
+    // IFMA: both CRT halves' products in one call, so it is one step of
+    // a whole sign where the rows above are one step of a half.
+    let (p, q) = key.primes();
+    if let (Some(cp), Some(cq)) = (Mont52::new(p), Mont52::new(q)) {
+        let (ap, aq) = (*cp.rr(), *cq.rr());
+        group.bench_function("amm52_x2_1024", |b| {
+            b.iter(|| Mont52::amm_pair([&cp, &cq], black_box([&ap, &aq]), [&ap, &aq]))
+        });
+    }
     group.finish();
 }
 

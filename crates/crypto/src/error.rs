@@ -17,6 +17,9 @@ pub enum CryptoError {
     InvalidPoint,
     /// A scalar is out of range (zero or ≥ group order).
     InvalidScalar,
+    /// Public-key parameters a peer sent are not a usable key (an RSA
+    /// modulus that is even or ≤ 1, an exponent that is even or < 3).
+    InvalidKey,
     /// Input length is not acceptable (e.g. non-block-multiple for CBC).
     InvalidLength,
     /// Record authentication failed: a wrong tag *or* malformed CBC
@@ -39,6 +42,7 @@ impl fmt::Display for CryptoError {
             CryptoError::DecryptionFailed => "decryption failed",
             CryptoError::InvalidPoint => "invalid curve point",
             CryptoError::InvalidScalar => "invalid scalar",
+            CryptoError::InvalidKey => "invalid public key",
             CryptoError::InvalidLength => "invalid input length",
             CryptoError::BadMac => "MAC verification failed",
             CryptoError::Cancelled => "request cancelled before submission",

@@ -6,7 +6,8 @@
 //! - [`bn`]/[`mont`]/[`prime`]: arbitrary-precision arithmetic, Montgomery
 //!   exponentiation (one multiply, one squaring and one reduction kernel,
 //!   shared with [`fp`]) and prime generation;
-//! - [`rsa`]: RSA-2048 sign/verify/encrypt/decrypt (PKCS#1 v1.5, CRT);
+//! - [`rsa`]: RSA-2048 sign/verify/encrypt/decrypt (PKCS#1 v1.5, CRT),
+//!   with a certificate's public key checked where it enters;
 //! - [`fp`]/[`ec`]: prime-field ECC — NIST P-256 and P-384 (ECDHE, ECDSA):
 //!   a fixed-base comb table for `k * G`, width-5 wNAF for the rest;
 //! - [`gf2m`]/[`ec2m`]: binary-field ECC — NIST B-283/B-409/K-283/K-409;
@@ -19,8 +20,12 @@
 //! AES-128-CBC and the SHA-1 / SHA-256 compression functions each have
 //! two bodies: portable table / rolled code, and AES-NI / SHA-NI kernels
 //! in `x86.rs` picked per call by `is_x86_feature_detected!`
-//! (DESIGN.md §20). That file is the only one allowed `unsafe`; the rest
-//! of the crate is compiled under `deny(unsafe_code)`.
+//! (DESIGN.md §20). RSA with 1024-bit primes (RSA-2048) likewise has two
+//! CRT paths: the portable [`mont::MontCtx`] halves one after the other,
+//! and, where the CPU has AVX-512 IFMA, both halves in lockstep through
+//! a radix-2^52 kernel in `x86.rs` ([`mont::Mont52`]), chosen once per
+//! key. That file is the only one allowed `unsafe`; the rest of the
+//! crate is compiled under `deny(unsafe_code)`.
 //!
 //! These are the operations the QAT accelerator offloads (RSA, ECC,
 //! symmetric chained cipher, PRF) and the CPU computes in the `SW`

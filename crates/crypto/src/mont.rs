@@ -10,6 +10,13 @@
 //! the *base*, so it is rebuilt per call, inside the one scratch
 //! allocation the call owns. The kernels at the bottom of the file also
 //! serve the fixed-width prime fields of [`crate::fp`].
+//!
+//! On a CPU with AVX-512 IFMA a 1024-bit modulus also gets a [`Mont52`]:
+//! the same constants in radix 2^52, for the `x86.rs` kernel that
+//! computes two Montgomery products at once. [`Mont52::mod_exp_pair`]
+//! runs an RSA-2048 sign's two CRT halves through it in lockstep, with
+//! fixed windows and a masked table read; `MontCtx::mod_exp` stays the
+//! path for every other width and CPU, and the reference.
 
 use crate::bn::Bn;
 
@@ -233,6 +240,200 @@ impl MontCtx {
         self.mont_mul(z, &self.rr, x, wide);
         Bn::from_limbs(x.to_vec())
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+use crate::x86::{amm52x20_x2, ifma, Ifma};
+
+/// Where the target is not x86-64 there is no kernel and no proof.
+#[cfg(not(target_arch = "x86_64"))]
+mod no_ifma {
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Ifma {}
+
+    pub(super) fn ifma() -> Option<Ifma> {
+        None
+    }
+
+    pub(super) fn amm52x20_x2(
+        cpu: Ifma,
+        _: [&super::Limbs52; 2],
+        _: [&super::Limbs52; 2],
+        _: [&super::Limbs52; 2],
+        _: [u64; 2],
+    ) -> [super::Limbs52; 2] {
+        match cpu {}
+    }
+}
+#[cfg(not(target_arch = "x86_64"))]
+use no_ifma::{amm52x20_x2, ifma, Ifma};
+
+/// A value below 2^1040 as 20 radix-2^52 limbs, little-endian, padded
+/// with zeros to the 24 lanes of three 512-bit registers.
+pub type Limbs52 = [u64; 24];
+
+pub(crate) const MASK52: u64 = (1 << 52) - 1;
+
+/// Bits an exponent may have on the radix-2^52 path: 208 windows of 5.
+const EXP_BITS52: usize = 1040;
+
+/// Radix-2^52 Montgomery context for a 1024-bit odd modulus, on a CPU
+/// with AVX-512 IFMA: the modulus, `-m^{-1} mod 2^52` and `2^2080 mod
+/// m`, and the proof that the kernel can run. `R` is 2^1040 here, so
+/// `4m < R` and products stay below `2m` without a subtraction (see
+/// [`Mont52::amm_pair`]).
+#[derive(Clone, Debug)]
+pub struct Mont52 {
+    cpu: Ifma,
+    m: Limbs52,
+    k0: u64,
+    rr: Limbs52,
+}
+
+impl Mont52 {
+    /// The context for `m`, or `None` unless `m` is odd, exactly 1024
+    /// bits long and the CPU has AVX-512F and AVX-512 IFMA.
+    pub fn new(m: &Bn) -> Option<Self> {
+        let cpu = ifma()?;
+        if !m.is_odd() || m.bit_len() != 1024 {
+            return None;
+        }
+        Some(Mont52 {
+            cpu,
+            m: to_limbs52(m),
+            k0: neg_inv_u64(m.limbs()[0]) & MASK52,
+            rr: to_limbs52(&Bn::one().shl(2 * EXP_BITS52).rem(m)),
+        })
+    }
+
+    /// `R^2 mod m`: [`Self::amm_pair`] by it takes a value into
+    /// Montgomery form.
+    pub fn rr(&self) -> &Limbs52 {
+        &self.rr
+    }
+
+    /// The kernel: two almost-Montgomery products at once, `a[h] * b[h]
+    /// / R` modulo `ctx[h].m`. Limbs are normalised (each below 2^52)
+    /// and `a[h]`, `b[h]` below `2m`; so is the result, which is
+    /// congruent to the product but not reduced.
+    pub fn amm_pair(ctx: [&Self; 2], a: [&Limbs52; 2], b: [&Limbs52; 2]) -> [Limbs52; 2] {
+        amm52x20_x2(ctx[0].cpu, a, b, ctx.map(|c| &c.m), ctx.map(|c| c.k0))
+    }
+
+    /// `base[h]^exp[h] mod ctx[h].m` for both `h` in lockstep, each base
+    /// below its modulus and each exponent below 2^1040: a sign's two
+    /// CRT halves in one pass.
+    ///
+    /// Fixed 5-bit windows from the top: five squarings, then one
+    /// product by the table entry the window names — `base^0`
+    /// included, so every window costs the same — selected by reading
+    /// all 32 entries under a mask. No branch and no address depends
+    /// on the exponent. The table is powers of the base, per call, on
+    /// the stack with the accumulator: the call allocates only its two
+    /// results.
+    pub fn mod_exp_pair(ctx: [&Self; 2], base: [&Bn; 2], exp: [&Bn; 2]) -> [Bn; 2] {
+        assert!(exp.iter().all(|e| e.bit_len() <= EXP_BITS52));
+        let mul =
+            |a: &[Limbs52; 2], b: &[Limbs52; 2]| Self::amm_pair(ctx, a.each_ref(), b.each_ref());
+        let exp = exp.map(exponent_words);
+        let base = base.map(to_limbs52);
+        assert!(
+            (0..2).all(|h| !ge(&base[h], &ctx[h].m)),
+            "base below its modulus"
+        );
+        let rr = ctx.map(|c| c.rr);
+        let mut one = [0u64; 24];
+        one[0] = 1;
+        let one = [one; 2];
+        // Entry i holds both halves' base^i, in Montgomery form: entry 0
+        // is R, entry 1 is base * R.
+        let mut table = [[[0u64; 24]; 2]; 32];
+        table[0] = mul(&rr, &one);
+        table[1] = mul(&base, &rr);
+        for i in 2..32 {
+            table[i] = mul(&table[i - 1], &table[1]);
+        }
+        let windows = EXP_BITS52 / 5;
+        let mut acc = select(&table, exp.each_ref().map(|e| window(e, windows - 1)));
+        for k in (0..windows - 1).rev() {
+            for _ in 0..5 {
+                acc = mul(&acc, &acc);
+            }
+            acc = mul(&acc, &select(&table, exp.each_ref().map(|e| window(e, k))));
+        }
+        // Out of Montgomery form: a product by 1 is at most m, and m
+        // itself stands for 0.
+        let acc = mul(&acc, &one);
+        [0, 1].map(|h| from_limbs52(&reduce_once(acc[h], &ctx[h].m)))
+    }
+}
+
+/// `v` (below 2^1040) as radix-2^52 limbs.
+fn to_limbs52(v: &Bn) -> Limbs52 {
+    let mut words = [0u64; 17];
+    words[..v.limbs().len()].copy_from_slice(v.limbs());
+    let mut out = [0u64; 24];
+    for (i, limb) in out[..20].iter_mut().enumerate() {
+        let (w, shift) = (52 * i / 64, 52 * i % 64);
+        let pair = (words[w + 1] as u128) << 64 | words[w] as u128;
+        *limb = (pair >> shift) as u64 & MASK52;
+    }
+    out
+}
+
+/// Normalised radix-2^52 limbs as a `Bn`.
+fn from_limbs52(v: &Limbs52) -> Bn {
+    let mut words = vec![0u64; 17];
+    for (i, &limb) in v[..20].iter().enumerate() {
+        let (w, shift) = (52 * i / 64, 52 * i % 64);
+        let wide = (limb as u128) << shift;
+        words[w] |= wide as u64;
+        words[w + 1] |= (wide >> 64) as u64;
+    }
+    Bn::from_limbs(words)
+}
+
+/// An exponent's words, padded so that every 5-bit window reads two.
+fn exponent_words(exp: &Bn) -> [u64; 18] {
+    let mut words = [0u64; 18];
+    words[..exp.limbs().len()].copy_from_slice(exp.limbs());
+    words
+}
+
+/// Bits `5k..5k + 5` of the exponent.
+fn window(words: &[u64; 18], k: usize) -> usize {
+    let (w, shift) = (5 * k / 64, 5 * k % 64);
+    let pair = (words[w + 1] as u128) << 64 | words[w] as u128;
+    (pair >> shift) as usize & 31
+}
+
+/// Entry `index[h]` of half `h` of the table, for both halves, read
+/// through a mask from every entry.
+fn select(table: &[[Limbs52; 2]; 32], index: [usize; 2]) -> [Limbs52; 2] {
+    let mut out = [[0u64; 24]; 2];
+    for (i, entry) in table.iter().enumerate() {
+        for h in 0..2 {
+            let mask = ((i == index[h]) as u64).wrapping_neg();
+            for (o, &e) in out[h].iter_mut().zip(&entry[h]) {
+                *o |= e & mask;
+            }
+        }
+    }
+    out
+}
+
+/// `v mod m` for a normalised `v <= m`: subtract `m` and keep the
+/// difference unless it borrowed, choosing by mask.
+fn reduce_once(v: Limbs52, m: &Limbs52) -> Limbs52 {
+    let mut diff = [0u64; 24];
+    let mut borrow = 0u64;
+    for ((d, &x), &y) in diff.iter_mut().zip(&v).zip(m) {
+        let t = x.wrapping_sub(y).wrapping_sub(borrow);
+        *d = t & MASK52;
+        borrow = t >> 63;
+    }
+    let keep = borrow.wrapping_neg();
+    std::array::from_fn(|i| (v[i] & keep) | (diff[i] & !keep))
 }
 
 /// `wide = a * b`: `k`-limb operands, `2k`-limb product.

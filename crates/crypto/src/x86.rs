@@ -1,28 +1,32 @@
 //! x86-64 hardware kernels: AES-NI AES-128-CBC, SHA-NI SHA-1 / SHA-256
-//! block compression, and the two stitched into one pass for the
-//! AES128-SHA record seal (DESIGN.md §20).
+//! block compression, the two stitched into one pass for the AES128-SHA
+//! record seal, and AVX-512 IFMA radix-2^52 Montgomery products for
+//! RSA-2048's CRT halves (DESIGN.md §20).
 //!
 //! This is the only file in the crate that may contain `unsafe`. It
-//! holds five kernels and nothing else; the dispatch sites
+//! holds six kernels and nothing else; the dispatch sites
 //! (`aes::cbc_{en,de}crypt_in_place` with the single-block pair,
-//! `sha1::compress`, `sha256::compress`, `CbcHmacSha1::seal_in_place`)
-//! call the safe wrappers below, which run a kernel only right behind
-//! `is_x86_feature_detected!` (std caches the CPUID result in an
-//! atomic) and otherwise return `false`, sending the caller down its
-//! portable path — or, for the stitched seal, only with the [`AesSha`]
-//! proof that the same check made. Outputs are bit-identical to the
-//! portable kernels, which stay as the path on every other CPU and as
-//! the reference the tests compare against.
+//! `sha1::compress`, `sha256::compress`, `CbcHmacSha1::seal_in_place`,
+//! `mont::Mont52`) call the safe wrappers below, which run a kernel only
+//! right behind `is_x86_feature_detected!` (std caches the CPUID result
+//! in an atomic) and otherwise return `false`, sending the caller down
+//! its portable path — or, for the stitched seal and the radix-2^52
+//! product, only with the [`AesSha`] / [`Ifma`] proof that the same
+//! check made. Outputs are bit-identical to the portable kernels (for
+//! the radix-2^52 product: the exponentiations built on it return the
+//! same integers), which stay as the path on every other CPU and as the
+//! reference the tests compare against.
 //!
 //! The kernels are safe `#[target_feature]` functions: inside them the
 //! register-only intrinsics need no `unsafe`. What remains `unsafe` is
 //! (a) each call from a wrapper, which has no target feature of its own,
-//! into a kernel, and (b) the unaligned 16-byte load and store, which
-//! take raw pointers.
+//! into a kernel, and (b) the unaligned 16- and 64-byte loads and
+//! stores, which take raw pointers.
 //!
-//! Every kernel takes a run of whole blocks so that round keys and hash
-//! state are loaded once and stay in registers across the run.
+//! Every symmetric kernel takes a run of whole blocks so that round keys
+//! and hash state are loaded once and stay in registers across the run.
 
+use crate::mont::{Limbs52, MASK52};
 use std::arch::x86_64::*;
 
 /// Unaligned 16-byte load (SSE2, the x86-64 baseline).
@@ -413,4 +417,120 @@ fn cbc_sha1_encrypt_stitched(
     }
     sha1_state_store(state, abcd, e0);
     store(chain, prev);
+}
+
+// ---- Radix-2^52 Montgomery products (AVX-512 IFMA) ----
+
+/// Proof that the CPU has AVX-512F and AVX-512 IFMA, the two the
+/// radix-2^52 kernel runs on: only [`ifma`] makes one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ifma(());
+
+/// `Some` when [`amm52x20_x2`] can run. The caller keeps the proof in
+/// the per-key context it builds for the kernel, so the check is made
+/// once per key.
+pub(crate) fn ifma() -> Option<Ifma> {
+    (is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma"))
+        .then_some(Ifma(()))
+}
+
+/// A value's three registers.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load3(x: &Limbs52) -> [__m512i; 3] {
+    // SAFETY: each `x[8 * j..]` holds 8 readable words (`x` is 24) and
+    // `loadu` has no alignment requirement.
+    std::array::from_fn(|j| unsafe { _mm512_loadu_si512(x[8 * j..].as_ptr().cast()) })
+}
+
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn store3(x: &mut Limbs52, v: [__m512i; 3]) {
+    for (j, v) in v.into_iter().enumerate() {
+        let words: &mut [u64; 8] = (&mut x[8 * j..8 * j + 8]).try_into().expect("8 lanes");
+        // SAFETY: `words` is 64 writable bytes and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), v) }
+    }
+}
+
+/// Two independent almost-Montgomery products, `a[h] * b[h] / 2^1040
+/// mod m[h]` for `h` = 0, 1, where `k0[h] = -m[h]^-1 mod 2^52`.
+///
+/// Inputs are normalised limbs (each below 2^52: the multiplier reads
+/// only the low 52 bits of a lane), `a[h]` and `b[h]` below `2 m[h]`,
+/// and `4 m[h] <= 2^1040`. The output is normalised and below `2 m[h]`
+/// again, so products chain without a conditional subtraction: the
+/// result is congruent to the Montgomery product, not reduced.
+pub(crate) fn amm52x20_x2(
+    _cpu: Ifma,
+    a: [&Limbs52; 2],
+    b: [&Limbs52; 2],
+    m: [&Limbs52; 2],
+    k0: [u64; 2],
+) -> [Limbs52; 2] {
+    // SAFETY: an `Ifma` exists only where `ifma()` confirmed `avx512f`
+    // and `avx512ifma`, the features the kernel is compiled for.
+    unsafe { amm52x20_ifma(a, b, m, k0) }
+}
+
+/// Word-serial Montgomery: for each limb `b_i`, add `a * b_i`, add the
+/// multiple `y * m` that clears limb 0, and divide by 2^52 — one lane
+/// shift down the three registers. `madd52lo` adds the low half of each
+/// 104-bit lane product at its own lane before the shift and `madd52hi`
+/// the high half at the same lane after it, which is one limb up. The
+/// lanes are not normalised inside the loop (20 steps add at most
+/// 80 · 2^52 to a lane). Limb 0 lives in a general register: `y` needs
+/// it every step, and the scalar `a_0 b_i + y m_0` is shorter than a
+/// round trip through the vector unit; the vector lane 0 is never read.
+/// The two products are independent chains, interleaved step by step so
+/// each hides the other's multiply latency.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn amm52x20_ifma(
+    a: [&Limbs52; 2],
+    b: [&Limbs52; 2],
+    m: [&Limbs52; 2],
+    k0: [u64; 2],
+) -> [Limbs52; 2] {
+    let (va, vm) = ([load3(a[0]), load3(a[1])], [load3(m[0]), load3(m[1])]);
+    let zero = _mm512_setzero_si512();
+    let mut acc = [[zero; 3]; 2];
+    let mut acc0 = [0u64; 2];
+    for (&b0, &b1) in b[0][..20].iter().zip(&b[1][..20]) {
+        for (h, bi) in [b0, b1].into_iter().enumerate() {
+            let t = acc0[h] as u128 + a[h][0] as u128 * bi as u128;
+            let y = (t as u64).wrapping_mul(k0[h]) & MASK52;
+            let t = t + m[h][0] as u128 * y as u128;
+            let (vb, vy) = (_mm512_set1_epi64(bi as i64), _mm512_set1_epi64(y as i64));
+            let r = &mut acc[h];
+            for j in 0..3 {
+                r[j] = _mm512_madd52lo_epu64(r[j], va[h][j], vb);
+                r[j] = _mm512_madd52lo_epu64(r[j], vm[h][j], vy);
+            }
+            r[0] = _mm512_alignr_epi64::<1>(r[1], r[0]);
+            r[1] = _mm512_alignr_epi64::<1>(r[2], r[1]);
+            r[2] = _mm512_alignr_epi64::<1>(zero, r[2]);
+            // `t` is a multiple of 2^52: its quotient carries limb 0's
+            // whole contribution, the high halves of `a_0 b_i` and
+            // `y m_0` included.
+            acc0[h] = (t >> 52) as u64 + _mm_cvtsi128_si64(_mm512_castsi512_si128(r[0])) as u64;
+            for j in 0..3 {
+                r[j] = _mm512_madd52hi_epu64(r[j], va[h][j], vb);
+                r[j] = _mm512_madd52hi_epu64(r[j], vm[h][j], vy);
+            }
+        }
+    }
+    let mut out = [[0u64; 24]; 2];
+    for h in 0..2 {
+        store3(&mut out[h], acc[h]);
+        out[h][0] = acc0[h];
+        let mut carry = 0;
+        for limb in &mut out[h][..20] {
+            let v = *limb + carry;
+            *limb = v & MASK52;
+            carry = v >> 52;
+        }
+        debug_assert_eq!(carry, 0, "an almost-Montgomery product is below 2^1040");
+    }
+    out
 }

@@ -410,7 +410,7 @@ impl ClientSession {
                 self.server_rsa = Some(RsaPublicKey::new(
                     Bn::from_bytes_be(&n),
                     Bn::from_bytes_be(&e),
-                ));
+                )?);
             }
             CertPayload::Ecdsa { curve, point } => {
                 if self.offered_suite.auth() != Auth::Ecdsa {

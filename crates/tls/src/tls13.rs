@@ -858,7 +858,7 @@ impl Tls13ClientSession {
                         self.server_rsa = Some(RsaPublicKey::new(
                             Bn::from_bytes_be(&n),
                             Bn::from_bytes_be(&e),
-                        ));
+                        )?);
                     }
                     CertPayload::Ecdsa { curve, point } => {
                         let curve = NamedCurve::from_iana_id(curve)

@@ -3,14 +3,18 @@
 //! errors.
 
 use qtls_crypto::ecc::NamedCurve;
-use qtls_crypto::TestRng;
+use qtls_crypto::rsa::RsaPrivateKey;
+use qtls_crypto::test_keys::test_rsa_2048;
+use qtls_crypto::{Bn, CryptoError, TestRng};
 use qtls_tls::client::ClientSession;
 use qtls_tls::messages::*;
 use qtls_tls::provider::{CryptoProvider, OpCounters};
 use qtls_tls::record::{ContentType, RecordLayer};
 use qtls_tls::server::{ServerConfig, ServerSession};
 use qtls_tls::suite::{CipherSuite, Version};
+use qtls_tls::tls13::{Tls13ClientSession, Tls13ServerSession};
 use qtls_tls::TlsError;
+use std::sync::Arc;
 
 /// Wrap a handshake message in a plaintext record.
 fn record_with(msg: &HandshakeMsg) -> Vec<u8> {
@@ -240,4 +244,101 @@ fn finished_replay_across_sessions_fails() {
         server_b.process().is_err(),
         "cross-session replay must fail (randoms differ)"
     );
+}
+
+/// A certificate's RSA key is peer input: a modulus that is even or ≤ 1,
+/// or an exponent that is even or < 3, is a typed error, not a panic in
+/// the Montgomery set-up (TLS 1.2 client).
+#[test]
+fn tls12_client_rejects_a_certificate_rsa_key_that_is_not_a_key() {
+    let n = test_rsa_2048().public().modulus().to_bytes_be();
+    let e = test_rsa_2048().public().exponent().to_bytes_be();
+    let hostile = [
+        (vec![], e.clone()),
+        (vec![0x02], e.clone()),
+        (vec![0x01], e.clone()),
+        (vec![0xff, 0xfe], e.clone()),
+        (n.clone(), vec![]),
+        (n.clone(), vec![0x01]),
+        (n.clone(), vec![0x01, 0x00, 0x00]),
+    ];
+    for (seed, (n, e)) in (20..).zip(hostile) {
+        let mut client = ClientSession::new(
+            CryptoProvider::Software,
+            CipherSuite::EcdheRsa,
+            NamedCurve::P256,
+            None,
+            seed,
+        );
+        client.start().unwrap();
+        let _ = client.take_output();
+        let sh = HandshakeMsg::ServerHello(ServerHello {
+            version: Version::Tls12,
+            random: [2u8; 32],
+            session_id: vec![3; 32],
+            suite: CipherSuite::EcdheRsa,
+            key_share: None,
+            selected_psk: None,
+        });
+        client.feed(&record_with(&sh));
+        client.process().unwrap();
+        let cert = HandshakeMsg::Certificate(CertPayload::Rsa {
+            n: n.clone(),
+            e: e.clone(),
+        });
+        client.feed(&record_with(&cert));
+        assert!(
+            matches!(
+                client.process(),
+                Err(TlsError::Crypto(CryptoError::InvalidKey))
+            ),
+            "n = {n:02x?}, e = {e:02x?}"
+        );
+    }
+}
+
+/// The same check on the TLS 1.3 client, whose certificate arrives
+/// encrypted: a server whose key carries `e` = 1 or 2 (its signatures
+/// still use the real `d`).
+#[test]
+fn tls13_client_rejects_a_certificate_rsa_key_that_is_not_a_key() {
+    let key = test_rsa_2048();
+    let (p, q) = key.primes();
+    for (seed, e) in (30..).step_by(2).zip([1, 2]) {
+        let hostile = RsaPrivateKey::from_parts(
+            key.public().modulus().clone(),
+            Bn::from_u64(e),
+            key.d().clone(),
+            p.clone(),
+            q.clone(),
+        );
+        let base = ServerConfig::test_default();
+        let config = Arc::new(ServerConfig {
+            rsa_key: Arc::new(hostile),
+            ecdsa_keys: base.ecdsa_keys.clone(),
+            suites: base.suites.clone(),
+            curves: base.curves.clone(),
+            session_store: Arc::clone(&base.session_store),
+            ticket_keys: Arc::clone(&base.ticket_keys),
+            issue_tickets: base.issue_tickets,
+        });
+        let mut server = Tls13ServerSession::new(config, CryptoProvider::Software, seed);
+        let mut client = Tls13ClientSession::new(
+            CryptoProvider::Software,
+            CipherSuite::EcdheRsa,
+            NamedCurve::P256,
+            seed + 1,
+        );
+        client.start().unwrap();
+        server.feed(&client.take_output());
+        server.process().unwrap();
+        client.feed(&server.take_output());
+        assert!(
+            matches!(
+                client.process(),
+                Err(TlsError::Crypto(CryptoError::InvalidKey))
+            ),
+            "e = {e}"
+        );
+    }
 }

@@ -78,6 +78,11 @@ required=(
   park_wake::idle_cluster_worker_burns_next_to_no_cpu
   # the worker is an executor (§17)
   idle_sweep::idle_sweep_cost_is_flat_in_silent_connections
+  # RSA-2048 on AVX-512 IFMA: a CPU that has it takes the radix-2^52
+  # path, which matches the portable CRT and MontCtx::mod_exp (§19, §20)
+  proptest_crypto::rsa2048_takes_the_ifma_path_wherever_the_cpu_has_it
+  proptest_crypto::rsa_raw_matches_raw_portable
+  proptest_crypto::mont52_mod_exp_pair_matches_mod_exp_at_every_exponent_length
   # the newest results/BENCH_e2e.json entry inside every BENCHMARK.json bound
   bench_gate::newest_trajectory_entry_is_inside_every_bound
 )
@@ -262,7 +267,9 @@ echo "ok: symmetric primitives are const-table and gmul-free outside tests"
 echo "== asymmetric substrate: allocation-free loops, one oracle =="
 # The exponentiation (DESIGN.md §19) owns one scratch allocation, made
 # before its loops: from the first loop header to the end of
-# MontCtx::mod_exp nothing may clone or build a Vec. The double-and-add
+# MontCtx::mod_exp nothing may clone or build a Vec. The sed range also
+# matches Mont52::mod_exp_pair, whose table lives on the stack, so its
+# body is held to the same rule. The double-and-add
 # the comb and wNAF paths replaced lives on only in ec_oracle.rs, which
 # only test targets compile.
 mod_exp_loops=$(sed -n '/pub fn mod_exp/,/^    }/p' crates/crypto/src/mont.rs | sed -n '/^ *for /,$p')

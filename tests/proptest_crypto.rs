@@ -10,7 +10,7 @@ use qtls::crypto::bn::Bn;
 use qtls::crypto::ec::{p256, p384, AffinePoint, PrimeCurve};
 use qtls::crypto::gf2m::Gf2m;
 use qtls::crypto::hmac::Hmac;
-use qtls::crypto::mont::MontCtx;
+use qtls::crypto::mont::{Mont52, MontCtx};
 use qtls::crypto::sha1::Sha1;
 use qtls::crypto::sha256::Sha256;
 use qtls::crypto::test_keys::test_rsa_2048;
@@ -264,6 +264,156 @@ fn rsa2048_sign_verifies_and_crt_matches_plain_d() {
             assert_eq!(key.raw(&m), MontCtx::new(n.clone()).mod_exp(&m, key.d()));
         }
     });
+}
+
+/// Whether this CPU runs the radix-2^52 kernel (AVX-512F and IFMA).
+fn cpu_has_ifma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The radix-2^52 tests below compare it with the portable path; on a CPU
+/// without AVX-512 IFMA there is nothing to compare, and the test says
+/// so on stderr instead of passing silently.
+fn note_if_ifma_half_is_skipped(test: &str) -> bool {
+    if !cpu_has_ifma() {
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "{test}: IFMA half SKIPPED — no AVX-512 IFMA on this CPU, \
+             RsaPrivateKey::raw is the portable path"
+        );
+    }
+    !cpu_has_ifma()
+}
+
+/// A sign's CPU never falls back to the portable exponentiation quietly:
+/// wherever CPUID reports AVX-512 IFMA the 2048-bit key runs its CRT
+/// halves through the radix-2^52 kernel, and a key whose primes are not
+/// 1024 bits never does.
+#[test]
+fn rsa2048_takes_the_ifma_path_wherever_the_cpu_has_it() {
+    assert_eq!(test_rsa_2048().raw_uses_ifma(), cpu_has_ifma());
+    assert!(!qtls::crypto::test_keys::test_rsa_1024().raw_uses_ifma());
+}
+
+/// The dispatched CRT (both halves in one radix-2^52 pass where the CPU
+/// has IFMA) against the portable one: random inputs below `n` and the
+/// edges `0, 1, n - 1, p, q` and multiples of `p` and of `q`, whose CRT
+/// half on that prime has base 0.
+#[test]
+fn rsa_raw_matches_raw_portable() {
+    note_if_ifma_half_is_skipped("rsa_raw_matches_raw_portable");
+    let key = test_rsa_2048();
+    let n = key.public().modulus();
+    let (p, q) = key.primes();
+    let one = Bn::one();
+    let edges = [
+        Bn::zero(),
+        one.clone(),
+        n.sub(&one),
+        p.clone(),
+        q.clone(),
+        p.mul(&q.sub(&one)),
+        q.mul(&p.sub(&one)),
+        p.add(p),
+    ];
+    for c in &edges {
+        assert_eq!(key.raw(c), key.raw_portable(c), "c = {c:?}");
+    }
+    prop::check("rsa_raw_matches_raw_portable", 64, |g| {
+        let multiple_of_p = p.mul(&Bn::from_limbs(g.words(16)).rem(q));
+        let random = bn_from(&g.bytes(256)).rem(n);
+        for c in [multiple_of_p, random] {
+            assert_eq!(key.raw(&c), key.raw_portable(&c), "c = {c:?}");
+        }
+    });
+}
+
+/// A random odd modulus of exactly 1024 bits.
+fn odd_1024(g: &mut prop::Gen) -> Bn {
+    let mut words = g.words(16);
+    words[0] |= 1;
+    words[15] |= 1 << 63;
+    Bn::from_limbs(words)
+}
+
+/// The radix-2^52 exponentiation against `MontCtx::mod_exp` at every
+/// exponent length from 0 to 1024 bits: one half a random exponent of
+/// that length, the other all ones (all zeros at length 0). The moduli
+/// alternate between a random pair and the extremes `2^1024 - 1` and
+/// `2^1023 + 1`; the second half's base cycles through 0, 1, `m - 1` and
+/// a random value. Then `3^646`, whose zero divisors reach the final
+/// subtraction.
+#[test]
+fn mont52_mod_exp_pair_matches_mod_exp_at_every_exponent_length() {
+    if note_if_ifma_half_is_skipped("mont52_mod_exp_pair_matches_mod_exp_at_every_exponent_length")
+    {
+        return;
+    }
+    prop::check(
+        "mont52_mod_exp_pair_matches_mod_exp_at_every_exponent_length",
+        2,
+        |g| {
+            let one = Bn::one();
+            let extremes = [one.shl(1024).sub(&one), one.shl(1023).add(&one)];
+            let moduli = [[odd_1024(g), odd_1024(g)], extremes];
+            let ctx = moduli.clone().map(|pair| {
+                pair.map(|m| {
+                    (
+                        Mont52::new(&m).expect("odd, 1024 bits, IFMA"),
+                        MontCtx::new(m),
+                    )
+                })
+            });
+            for bits in 0..=1024 {
+                let pair = bits % 2;
+                let [(c0, p0), (c1, p1)] = &ctx[pair];
+                let [m0, m1] = &moduli[pair];
+                let exp = [exact_bits(g, bits), one.shl(bits).sub(&one)];
+                let base = [
+                    bn_from(&g.bytes(128)).rem(m0),
+                    [
+                        Bn::zero(),
+                        one.clone(),
+                        m1.sub(&one),
+                        bn_from(&g.bytes(128)).rem(m1),
+                    ][bits % 4]
+                        .clone(),
+                ];
+                let got = Mont52::mod_exp_pair([c0, c1], [&base[0], &base[1]], [&exp[0], &exp[1]]);
+                assert_eq!(
+                    got[0],
+                    p0.mod_exp(&base[0], &exp[0]),
+                    "random exponent, {bits} bits"
+                );
+                assert_eq!(
+                    got[1],
+                    p1.mod_exp(&base[1], &exp[1]),
+                    "all-ones exponent, {bits} bits"
+                );
+            }
+        },
+    );
+    // Under 3^646 (1024 bits) a power of 3 reaches 0 without being 0 on
+    // the way, so the product by 1 can land on m itself: the only input
+    // the final subtraction changes.
+    let m = (0..646).fold(Bn::one(), |v, _| v.mul(&Bn::from_u64(3)));
+    let (c, p) = (
+        Mont52::new(&m).expect("odd, 1024 bits"),
+        MontCtx::new(m.clone()),
+    );
+    let bases = [Bn::from_u64(3), m.sub(&Bn::from_u64(3))];
+    for bits in [0, 1, 2, 9, 10, 11, 64, 646, 1023, 1024] {
+        let exp = Bn::one().shl(bits).sub(&Bn::one());
+        let got = Mont52::mod_exp_pair([&c, &c], [&bases[0], &bases[1]], [&exp, &exp]);
+        for (got, base) in got.iter().zip(&bases) {
+            assert_eq!(got, &p.mod_exp(base, &exp), "3^646, {bits}-bit exponent");
+        }
+    }
 }
 
 // ---- prime curves: comb, wNAF and the joint pass against double-and-add ----
