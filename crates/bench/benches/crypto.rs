@@ -4,6 +4,7 @@
 
 use qtls_bench::harness::{Criterion, Throughput};
 use qtls_bench::{criterion_group, criterion_main};
+use qtls_crypto::cbc_hmac::{open_batch, seal_batch, OpenRecord, SealRecord};
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::hmac::Hmac;
 use qtls_crypto::mont::{Mont52, MontCtx};
@@ -155,6 +156,13 @@ fn bench_symmetric(c: &mut Criterion) {
         })
     });
     group.bench_function("sha1_16k", |b| b.iter(|| Sha1::digest(black_box(&record))));
+    // The 16-lane AVX-512 kernel, per record: sixteen records per call.
+    let records: [&[u8]; 16] = [&record; 16];
+    if sha1::digest_x16(&records).is_some() {
+        group.bench_function("sha1_16k_x16", |b| {
+            b.iter_per(16, || sha1::digest_x16(black_box(&records)))
+        });
+    }
     group.bench_function("sha1_16k_portable", |b| {
         b.iter(|| {
             let mut state = [0u32; 5];
@@ -179,6 +187,54 @@ fn bench_symmetric(c: &mut Criterion) {
             buf.extend_from_slice(black_box(&record));
             ctx.seal_in_place_two_pass(&[3; 16], &mut buf, b"aad")
                 .unwrap()
+        })
+    });
+    // A doorbell's sixteen records in one multi-buffer pass, per record
+    // (the per-record seal on a CPU without AVX-512 and VAES).
+    let mut bufs: Vec<Vec<u8>> = (0..16)
+        .map(|_| Vec::with_capacity(record.len() + 64))
+        .collect();
+    group.bench_function("aes128_cbc_hmac_sha1_16kb_x16", |b| {
+        b.iter_per(16, || {
+            seal_batch(bufs.iter_mut().map(|buf| {
+                buf.clear();
+                buf.extend_from_slice(black_box(&record));
+                SealRecord {
+                    cipher: &ctx,
+                    iv: &[3; 16],
+                    aad: b"aad",
+                    buf,
+                }
+            }))
+            .unwrap()
+        })
+    });
+    // Opening: one record, then sixteen with their MACs in one pass.
+    let sealed = ctx.seal(&[3; 16], &record, b"aad").unwrap();
+    group.bench_function("cbc_hmac_sha1_open_16kb", |b| {
+        b.iter(|| {
+            buf.clear();
+            buf.extend_from_slice(black_box(&sealed));
+            ctx.open_in_place(&[3; 16], &mut buf, b"aad").unwrap()
+        })
+    });
+    group.bench_function("cbc_hmac_sha1_open_16kb_x16", |b| {
+        b.iter_per(16, || {
+            let mut content = 0;
+            open_batch(
+                bufs.iter_mut().map(|buf| {
+                    buf.clear();
+                    buf.extend_from_slice(black_box(&sealed));
+                    OpenRecord {
+                        cipher: &ctx,
+                        iv: &[3; 16],
+                        aad: b"aad",
+                        buf: &mut buf[..],
+                    }
+                }),
+                |_, verdict| content += verdict.unwrap(),
+            );
+            content
         })
     });
     group.finish();

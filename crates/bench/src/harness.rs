@@ -134,6 +134,16 @@ impl Bencher {
         }
     }
 
+    /// [`Self::iter`] for an `f` that does `units` operations per call:
+    /// the row reports the time per operation (a 16-record batch read
+    /// per record, beside its one-record twin).
+    pub fn iter_per<O, F: FnMut() -> O>(&mut self, units: u64, f: F) {
+        self.iter(f);
+        for (iters, _) in &mut self.samples {
+            *iters *= units;
+        }
+    }
+
     fn report(&self, id: &str, throughput: Option<Throughput>) {
         if self.samples.is_empty() {
             println!("{id:<44} (no samples)");

@@ -7,11 +7,20 @@
 //! costs only its own blocks. It is the single MAC-then-encrypt body in
 //! the workspace — the record layer, the data-plane codec, the client
 //! and the engine threads all hold an `Arc` of it.
+//!
+//! [`seal_batch`] and [`open_batch`] take many records at once, each
+//! under its own context, and run up to [`LANES`] of them through one
+//! multi-buffer pass where the CPU has the 16-lane kernels; every
+//! record's bytes and verdict are the per-record methods' (DESIGN.md
+//! §20).
 
 use crate::aes::{cbc_decrypt_in_place, cbc_encrypt_in_place, Aes128};
 use crate::error::CryptoError;
 use crate::hmac::{constant_time_eq, Hmac};
 use crate::sha1::Sha1;
+#[cfg(target_arch = "x86_64")]
+use crate::{sha1, x86};
+use std::cell::Cell;
 
 /// HMAC-SHA1 tag length.
 const TAG_LEN: usize = 20;
@@ -157,24 +166,19 @@ impl CbcHmacSha1 {
         buf: &mut Vec<u8>,
         aad: &[u8],
     ) -> Result<(), CryptoError> {
-        cbc_decrypt_in_place(&self.aes, iv, buf)?;
-        let len = buf.len();
-        let pad_len = buf[len - 1] as usize + 1;
-        let pad_ok = pad_len + TAG_LEN <= len
-            && buf[len - pad_len..]
-                .iter()
-                .all(|&b| b as usize == pad_len - 1);
-        let content_and_tag = if pad_ok { len - pad_len } else { len };
-        // Saturates only for a one-block record, which has no room for a
-        // tag: its MAC still runs (over nothing) and cannot match.
-        let content = content_and_tag.saturating_sub(TAG_LEN);
-        let tag = self.tag(aad, &buf[..content]);
-        let tag_ok = constant_time_eq(&tag, &buf[content..content_and_tag]);
-        if !(pad_ok & tag_ok) {
-            return Err(CryptoError::BadMac);
-        }
+        let content = self.open_slice(iv, buf, aad)?;
         buf.truncate(content);
         Ok(())
+    }
+
+    /// [`Self::open_in_place`] on a borrowed buffer: decrypts `buf` in
+    /// place and returns the length of the verified content at its
+    /// front.
+    fn open_slice(&self, iv: &[u8; 16], buf: &mut [u8], aad: &[u8]) -> Result<usize, CryptoError> {
+        cbc_decrypt_in_place(&self.aes, iv, buf)?;
+        let frame = Unpadded::of(buf);
+        let tag = self.tag(aad, &buf[..frame.content]);
+        frame.verify(buf, &tag)
     }
 
     /// Allocating form of [`Self::seal_in_place`]: returns the ciphertext
@@ -205,10 +209,320 @@ impl CbcHmacSha1 {
     }
 }
 
+/// Where the content, tag and pad of a decrypted record lie.
+#[derive(Clone, Copy, Default)]
+struct Unpadded {
+    pad_ok: bool,
+    /// Content bytes at the front of the record.
+    content: usize,
+    /// Content and tag: where the pad starts.
+    content_and_tag: usize,
+}
+
+impl Unpadded {
+    /// A malformed pad is treated as zero-length (RFC 5246 §6.2.3.2), so
+    /// the MAC runs either way.
+    fn of(buf: &[u8]) -> Self {
+        let len = buf.len();
+        let pad_len = buf[len - 1] as usize + 1;
+        let pad_ok = pad_len + TAG_LEN <= len
+            && buf[len - pad_len..]
+                .iter()
+                .all(|&b| b as usize == pad_len - 1);
+        let content_and_tag = if pad_ok { len - pad_len } else { len };
+        Unpadded {
+            pad_ok,
+            // Saturates only for a one-block record, which has no room
+            // for a tag: its MAC still runs (over nothing) and cannot
+            // match.
+            content: content_and_tag.saturating_sub(TAG_LEN),
+            content_and_tag,
+        }
+    }
+
+    /// The content length, or [`CryptoError::BadMac`] for a bad pad or
+    /// tag alike.
+    fn verify(self, buf: &[u8], tag: &[u8; TAG_LEN]) -> Result<usize, CryptoError> {
+        let tag_ok = constant_time_eq(tag, &buf[self.content..self.content_and_tag]);
+        if !(self.pad_ok & tag_ok) {
+            return Err(CryptoError::BadMac);
+        }
+        Ok(self.content)
+    }
+}
+
+/// Records one multi-buffer pass seals or opens: the lanes of the
+/// 16-lane kernels of `x86.rs` (DESIGN.md §20). An engine takes at most
+/// this many requests off its ring at once.
+pub const LANES: usize = 16;
+
+/// The fewest records for which one multi-buffer pass costs less than
+/// sealing or opening them one at a time (DESIGN.md §20). A pass costs
+/// what its longest lane costs whatever the number of lanes in use, so
+/// below this [`seal_batch`] and [`open_batch`] take the per-record
+/// paths, as they do on a CPU without AVX-512 and VAES.
+pub const MULTI_BUFFER_MIN: usize = 6;
+
+/// One record of a [`seal_batch`]: what [`CbcHmacSha1::seal_in_place`]
+/// takes, under the record's own keys.
+pub struct SealRecord<'a> {
+    /// The direction's keyed context.
+    pub cipher: &'a CbcHmacSha1,
+    /// Explicit IV.
+    pub iv: &'a [u8; 16],
+    /// MAC additional data.
+    pub aad: &'a [u8],
+    /// Plaintext in, ciphertext out (tag and pad appended).
+    pub buf: &'a mut Vec<u8>,
+}
+
+/// One record of an [`open_batch`]: what [`CbcHmacSha1::open_in_place`]
+/// takes, on a borrowed buffer.
+pub struct OpenRecord<'a> {
+    /// The direction's keyed context.
+    pub cipher: &'a CbcHmacSha1,
+    /// Explicit IV.
+    pub iv: &'a [u8; 16],
+    /// MAC additional data.
+    pub aad: &'a [u8],
+    /// Ciphertext in, decrypted record out; the verified content is
+    /// its front.
+    pub buf: &'a mut [u8],
+}
+
+thread_local! {
+    /// Multi-buffer passes this thread has run.
+    static PASSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Multi-buffer passes this thread has run: how a test sees that a
+/// batch took the 16-lane path rather than falling back in silence.
+#[doc(hidden)]
+pub fn multi_buffer_passes() -> u64 {
+    PASSES.with(Cell::get)
+}
+
+/// MAC-then-encrypt every record `records` yields, in place, each
+/// exactly as [`CbcHmacSha1::seal_in_place`] would: [`LANES`] at a time
+/// in one multi-buffer pass — every inner and outer HMAC in one 16-lane
+/// SHA-1 run each, then every CBC chain in one 16-lane VAES run — where
+/// the CPU has AVX-512 and VAES and a run holds at least
+/// [`MULTI_BUFFER_MIN`] records; one at a time otherwise. The records
+/// may be under different keys. Allocation-free.
+pub fn seal_batch<'a>(
+    records: impl IntoIterator<Item = SealRecord<'a>>,
+) -> Result<(), CryptoError> {
+    let mut records = records.into_iter().fuse();
+    loop {
+        let mut run: [Option<SealRecord<'a>>; LANES] = std::array::from_fn(|_| records.next());
+        let n = run.iter().flatten().count();
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = multi_buffer(n, run.iter().flatten().map(|r| r.aad)) {
+            seal_x16(cpu, &mut run);
+        } else {
+            seal_each(&mut run)?;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        seal_each(&mut run)?;
+        if n < LANES {
+            return Ok(());
+        }
+    }
+}
+
+fn seal_each(run: &mut [Option<SealRecord<'_>>; LANES]) -> Result<(), CryptoError> {
+    for r in run.iter_mut().flatten() {
+        r.cipher.seal_in_place(r.iv, r.buf, r.aad)?;
+    }
+    Ok(())
+}
+
+/// Decrypt and verify every record `records` yields, in place, each
+/// exactly as [`CbcHmacSha1::open_in_place`] would, and hand its verdict
+/// to `verdict` with its index: the length of the verified content at
+/// the front of its buffer, [`CryptoError::BadMac`] or
+/// [`CryptoError::InvalidLength`]. Each record is decrypted on its own;
+/// the MACs of [`LANES`] at a time run as one multi-buffer pass under
+/// the same conditions as [`seal_batch`]'s. Allocation-free.
+pub fn open_batch<'a>(
+    records: impl IntoIterator<Item = OpenRecord<'a>>,
+    mut verdict: impl FnMut(usize, Result<usize, CryptoError>),
+) {
+    let mut records = records.into_iter().fuse();
+    let mut index = 0;
+    loop {
+        let mut run: [Option<OpenRecord<'a>>; LANES] = std::array::from_fn(|_| records.next());
+        let n = run.iter().flatten().count();
+        let mut verdicts = [Ok(0); LANES];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = multi_buffer(n, run.iter().flatten().map(|r| r.aad)) {
+            open_x16(cpu, &mut run, &mut verdicts);
+        } else {
+            open_each(&mut run, &mut verdicts);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        open_each(&mut run, &mut verdicts);
+        for v in &verdicts[..n] {
+            verdict(index, *v);
+            index += 1;
+        }
+        if n < LANES {
+            return;
+        }
+    }
+}
+
+fn open_each(
+    run: &mut [Option<OpenRecord<'_>>; LANES],
+    verdicts: &mut [Result<usize, CryptoError>; LANES],
+) {
+    for (r, verdict) in run.iter_mut().flatten().zip(verdicts) {
+        *verdict = r.cipher.open_slice(r.iv, r.buf, r.aad);
+    }
+}
+
+/// The kernels' proof when a run of `n` records with these AADs is worth
+/// a multi-buffer pass.
+#[cfg(target_arch = "x86_64")]
+fn multi_buffer<'a>(n: usize, mut aads: impl Iterator<Item = &'a [u8]>) -> Option<x86::Avx512Vaes> {
+    if n < MULTI_BUFFER_MIN || aads.any(|aad| aad.len() > sha1::MAX_LANE_PREFIX) {
+        return None;
+    }
+    x86::avx512_vaes()
+}
+
+#[cfg(target_arch = "x86_64")]
+fn seal_x16(cpu: x86::Avx512Vaes, run: &mut [Option<SealRecord<'_>>; LANES]) {
+    let tags = tags_x16(
+        cpu,
+        run.each_ref()
+            .map(|r| r.as_ref().map(|r| (&r.cipher.hmac, r.aad, &r.buf[..]))),
+    );
+    for (r, tag) in run.iter_mut().zip(&tags) {
+        if let Some(r) = r {
+            r.buf.extend_from_slice(tag);
+            let pad_len = 16 - (r.buf.len() % 16);
+            r.buf.resize(r.buf.len() + pad_len, (pad_len - 1) as u8);
+        }
+    }
+    let mut lanes = run.each_mut().map(|r| match r {
+        Some(r) => x86::CbcLane {
+            enc: &r.cipher.aes.enc,
+            iv: r.iv,
+            buf: &mut r.buf[..],
+        },
+        None => x86::CbcLane {
+            enc: &[0; 44],
+            iv: &[0; 16],
+            buf: &mut [],
+        },
+    });
+    x86::cbc_encrypt_x16(cpu, &mut lanes);
+}
+
+#[cfg(target_arch = "x86_64")]
+fn open_x16(
+    cpu: x86::Avx512Vaes,
+    run: &mut [Option<OpenRecord<'_>>; LANES],
+    verdicts: &mut [Result<usize, CryptoError>; LANES],
+) {
+    let mut frames = [Unpadded::default(); LANES];
+    for ((r, verdict), frame) in run.iter_mut().zip(verdicts.iter_mut()).zip(&mut frames) {
+        if let Some(r) = r {
+            *verdict = cbc_decrypt_in_place(&r.cipher.aes, r.iv, r.buf).map(|()| 0);
+            if verdict.is_ok() {
+                *frame = Unpadded::of(r.buf);
+            }
+        }
+    }
+    let mut messages = [None; LANES];
+    for ((m, r), frame) in messages.iter_mut().zip(run.iter()).zip(&frames) {
+        *m = r
+            .as_ref()
+            .map(|r| (&r.cipher.hmac, r.aad, &r.buf[..frame.content]));
+    }
+    let tags = tags_x16(cpu, messages);
+    for (((r, verdict), frame), tag) in run.iter().zip(verdicts).zip(frames).zip(&tags) {
+        if let Some(r) = r {
+            if verdict.is_ok() {
+                *verdict = frame.verify(r.buf, tag);
+            }
+        }
+    }
+}
+
+/// One lane's MAC input: the keyed midstates, the AAD and the content.
+#[cfg(target_arch = "x86_64")]
+type MacInput<'m> = (&'m Hmac<Sha1>, &'m [u8], &'m [u8]);
+
+/// HMAC-SHA1 of `aad ‖ content` for each message, each under its own
+/// keyed midstates: one 16-lane run over the inner hashes, then one over
+/// the outer. A lane with no message idles.
+#[cfg(target_arch = "x86_64")]
+fn tags_x16(
+    cpu: x86::Avx512Vaes,
+    messages: [Option<MacInput<'_>>; LANES],
+) -> [[u8; TAG_LEN]; LANES] {
+    PASSES.with(|n| n.set(n.get() + 1));
+    let mut heads = [[0u8; sha1::LANE_EDGE]; LANES];
+    let mut tails = [[0u8; sha1::LANE_EDGE]; LANES];
+    let mut frames: [(usize, &[u8], usize); LANES] = [(0, &[], 0); LANES];
+    let mut inner = [[0u32; LANES]; 5];
+    let mut outer = [[0u32; LANES]; 5];
+    let mut outer_len = [None; LANES];
+    for (l, message) in messages.into_iter().enumerate() {
+        let Some((hmac, aad, content)) = message else {
+            continue;
+        };
+        #[cfg(test)]
+        tests::TAGS_COMPUTED.with(|n| n.set(n.get() + 1));
+        let (inner_hash, outer_hash) = hmac.midstates();
+        let (state, absorbed) = inner_hash.midstate();
+        (0..5).for_each(|w| inner[w][l] = state[w]);
+        frames[l] = sha1::frame_lane(aad, content, absorbed, &mut heads[l], &mut tails[l]);
+        let (state, absorbed) = outer_hash.midstate();
+        (0..5).for_each(|w| outer[w][l] = state[w]);
+        outer_len[l] = Some(absorbed);
+    }
+    let runs = std::array::from_fn(|l| {
+        let (head, body, tail) = frames[l];
+        [&heads[l][..head], body, &tails[l][..tail]]
+    });
+    x86::sha1_x16(cpu, &mut inner, &runs);
+    // The outer message is the inner digest: one block with its padding.
+    let mut blocks = [[0u8; 64]; LANES];
+    for (l, block) in blocks.iter_mut().enumerate() {
+        let Some(absorbed) = outer_len[l] else {
+            continue;
+        };
+        for (w, bytes) in block[..TAG_LEN].chunks_exact_mut(4).enumerate() {
+            bytes.copy_from_slice(&inner[w][l].to_be_bytes());
+        }
+        block[TAG_LEN] = 0x80;
+        let bits = (absorbed + TAG_LEN as u64) * 8;
+        block[56..].copy_from_slice(&bits.to_be_bytes());
+    }
+    let runs = std::array::from_fn(|l| {
+        let block: &[u8] = if outer_len[l].is_some() {
+            &blocks[l]
+        } else {
+            &[]
+        };
+        [block, &[], &[]]
+    });
+    x86::sha1_x16(cpu, &mut outer, &runs);
+    std::array::from_fn(|l| {
+        let mut tag = [0u8; TAG_LEN];
+        for (w, bytes) in tag.chunks_exact_mut(4).enumerate() {
+            bytes.copy_from_slice(&outer[w][l].to_be_bytes());
+        }
+        tag
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     thread_local! {
         /// How many tags this thread has computed: the seam that lets a
@@ -304,6 +618,82 @@ mod tests {
         assert_eq!(buf, ctx.seal(&[9; 16], &pt, &[7; 11]).unwrap());
         ctx.open_in_place(&[9; 16], &mut buf, &[7; 11]).unwrap();
         assert_eq!(buf, pt);
+    }
+
+    /// Records of `lens` bytes: contexts under two alternating keys,
+    /// plaintexts, IVs and AADs of alternating lengths.
+    struct BatchInputs {
+        ciphers: [CbcHmacSha1; 2],
+        plain: Vec<Vec<u8>>,
+        ivs: Vec<[u8; 16]>,
+        aads: Vec<Vec<u8>>,
+    }
+
+    fn batch_inputs(lens: &[usize]) -> BatchInputs {
+        BatchInputs {
+            ciphers: [ctx(), CbcHmacSha1::new(&[5; 16], &[6; 20])],
+            plain: lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|b| (b * 7 + i) as u8).collect())
+                .collect(),
+            ivs: (0..lens.len()).map(|i| [i as u8; 16]).collect(),
+            aads: (0..lens.len())
+                .map(|i| vec![i as u8; [11, 13, 0, 64][i % 4]])
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn batched_seal_and_open_match_the_per_record_paths() {
+        for lens in [
+            vec![16384; 16],
+            (0..16).map(|i| i * 997 % 1500).collect(),
+            vec![5; 6],
+            vec![100; 17],
+        ] {
+            let BatchInputs {
+                ciphers,
+                plain,
+                ivs,
+                aads,
+            } = batch_inputs(&lens);
+            let mut bufs = plain.clone();
+            let passes = multi_buffer_passes();
+            seal_batch(bufs.iter_mut().enumerate().map(|(i, buf)| SealRecord {
+                cipher: &ciphers[i % 2],
+                iv: &ivs[i],
+                aad: &aads[i],
+                buf,
+            }))
+            .unwrap();
+            #[cfg(target_arch = "x86_64")]
+            if x86::avx512_vaes().is_some() {
+                assert_eq!(
+                    multi_buffer_passes() - passes,
+                    1,
+                    "{lens:?}: one 16-lane pass"
+                );
+            }
+            for (i, buf) in bufs.iter().enumerate() {
+                let want = ciphers[i % 2].seal(&ivs[i], &plain[i], &aads[i]).unwrap();
+                assert!(*buf == want, "seal, record {i} of {lens:?}");
+            }
+            let mut verdicts = vec![Ok(0); lens.len()];
+            open_batch(
+                bufs.iter_mut().enumerate().map(|(i, buf)| OpenRecord {
+                    cipher: &ciphers[i % 2],
+                    iv: &ivs[i],
+                    aad: &aads[i],
+                    buf: &mut buf[..],
+                }),
+                |i, verdict| verdicts[i] = verdict,
+            );
+            for (i, buf) in bufs.iter().enumerate() {
+                assert_eq!(verdicts[i], Ok(plain[i].len()), "open, record {i}");
+                assert!(buf[..plain[i].len()] == plain[i][..], "open, record {i}");
+            }
+        }
     }
 
     #[test]

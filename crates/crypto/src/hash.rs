@@ -81,6 +81,11 @@ impl BlockBuffer {
         self.buf_len
     }
 
+    /// Bytes absorbed so far.
+    pub(crate) fn total_len(&self) -> u64 {
+        self.total_len
+    }
+
     /// Count `len` bytes of whole blocks that the caller compressed
     /// itself; only between blocks (nothing buffered).
     pub(crate) fn skip_blocks(&mut self, len: usize) {

@@ -51,6 +51,12 @@ impl<H: Hash> Hmac<H> {
         &mut self.inner
     }
 
+    /// The keyed inner and outer hashes, for a caller that runs them by
+    /// other means than [`Self::update`] and [`Self::finalize_fixed`].
+    pub(crate) fn midstates(&self) -> (&H, &H) {
+        (&self.inner, &self.outer)
+    }
+
     /// Finish, producing the tag without allocating.
     pub fn finalize_fixed(mut self) -> H::Digest {
         self.outer.update(self.inner.finalize_fixed().as_ref());

@@ -46,6 +46,14 @@ impl Sha1 {
         self.block.buffered()
     }
 
+    /// The chaining state and the bytes absorbed so far, taken between
+    /// blocks: a keyed HMAC midstate, which the multi-buffer MAC of
+    /// `cbc_hmac.rs` loads into a lane of its own.
+    pub(crate) fn midstate(&self) -> ([u32; 5], u64) {
+        debug_assert_eq!(self.block.buffered(), 0, "not on a block boundary");
+        (self.state, self.block.total_len())
+    }
+
     /// Absorb `blocks` whole blocks that `kernel` compresses into the
     /// state itself (the stitched seal of `cbc_hmac.rs`); only when
     /// [`Self::buffered`] is 0.
@@ -64,6 +72,97 @@ impl Sha1 {
         }
         out
     }
+}
+
+/// Sixteen digests in one run of the 16-lane kernel of `x86.rs`
+/// (DESIGN.md §20), lane `l` hashing `messages[l]`; `None` on a CPU
+/// without AVX-512. The kernel's own entry point, for the test that
+/// holds it to [`Sha1::digest`] lane by lane and the bench row beside
+/// it (hence reachable from `tests/` and `crates/bench`); the record
+/// MAC reaches the kernel through `cbc_hmac::seal_batch` / `open_batch`.
+#[doc(hidden)]
+pub fn digest_x16(messages: &[&[u8]; 16]) -> Option<[[u8; 20]; 16]> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let cpu = crate::x86::avx512_vaes()?;
+        let mut heads = [[0u8; LANE_EDGE]; 16];
+        let mut tails = [[0u8; LANE_EDGE]; 16];
+        let mut frames: [(usize, &[u8], usize); 16] = [(0, &[], 0); 16];
+        for (l, message) in messages.iter().enumerate() {
+            frames[l] = frame_lane(&[], message, 0, &mut heads[l], &mut tails[l]);
+        }
+        let runs = std::array::from_fn(|l| {
+            let (head, body, tail) = frames[l];
+            [&heads[l][..head], body, &tails[l][..tail]]
+        });
+        let mut state = Sha1::new().state.map(|w| [w; 16]);
+        crate::x86::sha1_x16(cpu, &mut state, &runs);
+        Some(std::array::from_fn(|l| {
+            let mut out = [0u8; 20];
+            for (o, words) in out.chunks_exact_mut(4).zip(&state) {
+                o.copy_from_slice(&words[l].to_be_bytes());
+            }
+            out
+        }))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = messages;
+        None
+    }
+}
+
+/// Longest prefix [`frame_lane`] takes (a TLS 1.2 record's AAD is 11 or
+/// 13 bytes): with the content bytes that complete its block it forms
+/// the lane's first hash block.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const MAX_LANE_PREFIX: usize = 64;
+
+/// Bytes of a lane's head or tail buffer: two blocks.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const LANE_EDGE: usize = 128;
+
+/// `prefix ‖ content`, the rest of a message after `absorbed` bytes
+/// already in a state, as the whole blocks one lane of the multi-buffer
+/// kernel hashes, the final padding included: a head in `head` (the
+/// prefix and the content bytes that complete its block), a body
+/// borrowed from `content`, and a tail in `tail` (the last content
+/// bytes — with the prefix, when the content is too short to complete
+/// its block — then `0x80`, zeros and the 64-bit bit length). Returns
+/// the head's length, the body and the tail's length.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn frame_lane<'m>(
+    prefix: &[u8],
+    content: &'m [u8],
+    absorbed: u64,
+    head: &mut [u8; LANE_EDGE],
+    tail: &mut [u8; LANE_EDGE],
+) -> (usize, &'m [u8], usize) {
+    debug_assert!(prefix.len() <= MAX_LANE_PREFIX);
+    let bits = (absorbed + (prefix.len() + content.len()) as u64) * 8;
+    let lead = (64 - prefix.len() % 64) % 64;
+    let mut filled = 0;
+    let (head_len, body, rest) = if content.len() >= lead {
+        head[..prefix.len()].copy_from_slice(prefix);
+        head[prefix.len()..prefix.len() + lead].copy_from_slice(&content[..lead]);
+        let body_end = lead + (content.len() - lead) / 64 * 64;
+        (
+            prefix.len() + lead,
+            &content[lead..body_end],
+            &content[body_end..],
+        )
+    } else {
+        tail[..prefix.len()].copy_from_slice(prefix);
+        filled = prefix.len();
+        (0, &content[..0], content)
+    };
+    tail[filled..filled + rest.len()].copy_from_slice(rest);
+    filled += rest.len();
+    tail[filled] = 0x80;
+    let tail_len = if filled + 9 <= 64 { 64 } else { 128 };
+    tail[filled + 1..tail_len - 8].fill(0);
+    tail[tail_len - 8..tail_len].copy_from_slice(&bits.to_be_bytes());
+    (head_len, body, tail_len)
 }
 
 /// Compress a run of whole 64-byte blocks: by the SHA-NI kernel of

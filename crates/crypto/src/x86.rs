@@ -1,21 +1,23 @@
 //! x86-64 hardware kernels: AES-NI AES-128-CBC, SHA-NI SHA-1 / SHA-256
 //! block compression, the two stitched into one pass for the AES128-SHA
-//! record seal, and AVX-512 IFMA radix-2^52 Montgomery products for
-//! RSA-2048's CRT halves (DESIGN.md §20).
+//! record seal, AVX-512 IFMA radix-2^52 Montgomery products for
+//! RSA-2048's CRT halves, and 16-lane AVX-512 SHA-1 and VAES CBC
+//! encryption for a batch of records (DESIGN.md §20).
 //!
 //! This is the only file in the crate that may contain `unsafe`. It
-//! holds six kernels and nothing else; the dispatch sites
+//! holds eight kernels and nothing else; the dispatch sites
 //! (`aes::cbc_{en,de}crypt_in_place` with the single-block pair,
 //! `sha1::compress`, `sha256::compress`, `CbcHmacSha1::seal_in_place`,
-//! `mont::Mont52`) call the safe wrappers below, which run a kernel only
-//! right behind `is_x86_feature_detected!` (std caches the CPUID result
-//! in an atomic) and otherwise return `false`, sending the caller down
-//! its portable path — or, for the stitched seal and the radix-2^52
-//! product, only with the [`AesSha`] / [`Ifma`] proof that the same
-//! check made. Outputs are bit-identical to the portable kernels (for
-//! the radix-2^52 product: the exponentiations built on it return the
-//! same integers), which stay as the path on every other CPU and as the
-//! reference the tests compare against.
+//! `mont::Mont52`, `cbc_hmac::{seal,open}_batch` and `sha1::digest_x16`)
+//! call the safe wrappers below, which run a kernel only right behind
+//! `is_x86_feature_detected!` (std caches the CPUID result in an atomic)
+//! and otherwise return `false`, sending the caller down its portable
+//! path — or, for the stitched seal, the radix-2^52 product and the
+//! 16-lane kernels, only with the [`AesSha`] / [`Ifma`] / [`Avx512Vaes`]
+//! proof that the same check made. Outputs are bit-identical to the
+//! portable kernels (for the radix-2^52 product: the exponentiations
+//! built on it return the same integers), which stay as the path on
+//! every other CPU and as the reference the tests compare against.
 //!
 //! The kernels are safe `#[target_feature]` functions: inside them the
 //! register-only intrinsics need no `unsafe`. What remains `unsafe` is
@@ -533,4 +535,305 @@ fn amm52x20_ifma(
         debug_assert_eq!(carry, 0, "an almost-Montgomery product is below 2^1040");
     }
     out
+}
+
+// ---- 16-lane AES-128-CBC encryption and SHA-1 (AVX-512, VAES) ----
+
+/// Records one multi-buffer pass carries: sixteen 32-bit SHA-1 words in
+/// a `zmm`, and four `zmm` of four 128-bit AES blocks each.
+pub(crate) const LANES: usize = 16;
+
+/// Proof that the CPU has AVX-512F, AVX-512BW and VAES, what the two
+/// 16-lane kernels run on: only [`avx512_vaes`] makes one.
+#[derive(Clone, Copy)]
+pub(crate) struct Avx512Vaes(());
+
+/// `Some` when [`sha1_x16`] and [`cbc_encrypt_x16`] can run.
+pub(crate) fn avx512_vaes() -> Option<Avx512Vaes> {
+    (is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("vaes"))
+    .then_some(Avx512Vaes(()))
+}
+
+/// Unaligned 64-byte load.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load64(bytes: &[u8; 64]) -> __m512i {
+    // SAFETY: `bytes` is 64 readable bytes and `loadu` has no alignment
+    // requirement.
+    unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
+}
+
+/// Unaligned 64-byte store.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn store64(bytes: &mut [u8; 64], v: __m512i) {
+    // SAFETY: `bytes` is 64 writable bytes and `storeu` has no alignment
+    // requirement.
+    unsafe { _mm512_storeu_si512(bytes.as_mut_ptr().cast(), v) }
+}
+
+/// Sixteen words as the bytes of a register, and back.
+fn words_to_bytes(words: &[u32; LANES]) -> [u8; 64] {
+    let mut bytes = [0u8; 64];
+    for (b, w) in bytes.chunks_exact_mut(4).zip(words) {
+        b.copy_from_slice(&w.to_le_bytes());
+    }
+    bytes
+}
+
+fn bytes_to_words(bytes: &[u8; 64]) -> [u32; LANES] {
+    std::array::from_fn(|i| {
+        u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+    })
+}
+
+/// One lane of [`sha1_x16`]: its message blocks as up to three runs of
+/// whole 64-byte blocks, hashed in order. A lane with no blocks idles.
+pub(crate) type Sha1Lane<'a> = [&'a [u8]; 3];
+
+/// SHA-1 compression of sixteen independent messages at once:
+/// `state[w][l]` is word `w` of lane `l`'s state, and lane `l` absorbs
+/// the blocks of `lanes[l]`. Lanes may differ in length; one that has
+/// run out keeps its state while the others go on.
+pub(crate) fn sha1_x16(
+    _cpu: Avx512Vaes,
+    state: &mut [[u32; LANES]; 5],
+    lanes: &[Sha1Lane<'_>; LANES],
+) {
+    // SAFETY: an `Avx512Vaes` exists only where `avx512_vaes()` confirmed
+    // `avx512f` and `avx512bw`, the features the kernel is compiled for.
+    unsafe { sha1_x16_avx512(state, lanes) }
+}
+
+/// Block `i` of a lane, `None` past its end.
+#[inline(always)]
+fn sha1_lane_block<'a>(lane: &Sha1Lane<'a>, counts: &[usize; 3], i: usize) -> Option<&'a [u8; 64]> {
+    let mut i = i;
+    for (run, &n) in lane.iter().zip(counts) {
+        if i < n {
+            return Some(run[64 * i..64 * i + 64].try_into().expect("64-byte block"));
+        }
+        i -= n;
+    }
+    None
+}
+
+/// Sixteen rows of sixteen words → sixteen columns, in place: `r[j]`
+/// ends up holding word `j` of every row, row `l` in lane `l`. Pairs of
+/// rows interleave by word, then by pairs of words, leaving each 128-bit
+/// lane `q` of `u[g][k]` with word `4q + k` of rows `4g..4g + 4`; two
+/// rounds of 128-bit shuffles then gather the four groups. (Plain loops
+/// over arrays: a closure here would not inherit the target features
+/// and would not be inlined.)
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose16(r: &mut [__m512i; 16]) {
+    let mut u = [[_mm512_setzero_si512(); 4]; 4];
+    for g in 0..4 {
+        let lo01 = _mm512_unpacklo_epi32(r[4 * g], r[4 * g + 1]);
+        let hi01 = _mm512_unpackhi_epi32(r[4 * g], r[4 * g + 1]);
+        let lo23 = _mm512_unpacklo_epi32(r[4 * g + 2], r[4 * g + 3]);
+        let hi23 = _mm512_unpackhi_epi32(r[4 * g + 2], r[4 * g + 3]);
+        u[g] = [
+            _mm512_unpacklo_epi64(lo01, lo23),
+            _mm512_unpackhi_epi64(lo01, lo23),
+            _mm512_unpacklo_epi64(hi01, hi23),
+            _mm512_unpackhi_epi64(hi01, hi23),
+        ];
+    }
+    for k in 0..4 {
+        let v0 = _mm512_shuffle_i32x4::<0x44>(u[0][k], u[1][k]);
+        let v1 = _mm512_shuffle_i32x4::<0xee>(u[0][k], u[1][k]);
+        let v2 = _mm512_shuffle_i32x4::<0x44>(u[2][k], u[3][k]);
+        let v3 = _mm512_shuffle_i32x4::<0xee>(u[2][k], u[3][k]);
+        r[k] = _mm512_shuffle_i32x4::<0x88>(v0, v2);
+        r[4 + k] = _mm512_shuffle_i32x4::<0xdd>(v0, v2);
+        r[8 + k] = _mm512_shuffle_i32x4::<0x88>(v1, v3);
+        r[12 + k] = _mm512_shuffle_i32x4::<0xdd>(v1, v3);
+    }
+}
+
+/// Eighty rounds on sixteen lanes, one lane per 32-bit element: the
+/// round functions are single `vpternlogd`s (choose `0xca`, parity
+/// `0x96`, majority `0xe8`), and the schedule lives in a sixteen-register
+/// ring as in [`crate::sha1::compress_portable`]. Fully unrolled, so
+/// every ring index is a constant and the ring stays in registers.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn sha1_x16_rounds(s: &mut [__m512i; 5], w: &mut [__m512i; 16]) {
+    let [mut a, mut b, mut c, mut d, mut e] = *s;
+    macro_rules! rounds {
+        ($k:expr, $f:literal; $($t:literal)*) => {
+            let k = _mm512_set1_epi32($k as i32);
+            $(
+                if $t >= 16 {
+                    let x = _mm512_ternarylogic_epi32::<0x96>(
+                        w[($t + 13) & 15],
+                        w[($t + 8) & 15],
+                        w[($t + 2) & 15],
+                    );
+                    w[$t & 15] = _mm512_rol_epi32::<1>(_mm512_xor_si512(x, w[$t & 15]));
+                }
+                let f = _mm512_ternarylogic_epi32::<$f>(b, c, d);
+                let tmp = _mm512_add_epi32(
+                    _mm512_add_epi32(_mm512_rol_epi32::<5>(a), f),
+                    _mm512_add_epi32(_mm512_add_epi32(e, k), w[$t & 15]),
+                );
+                e = d;
+                d = c;
+                c = _mm512_rol_epi32::<30>(b);
+                b = a;
+                a = tmp;
+            )*
+        };
+    }
+    rounds!(0x5A827999u32, 0xca;
+        0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
+    rounds!(0x6ED9EBA1u32, 0x96;
+        20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+    rounds!(0x8F1BBCDCu32, 0xe8;
+        40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59);
+    rounds!(0xCA62C1D6u32, 0x96;
+        60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 77 78 79);
+    for (s, x) in s.iter_mut().zip([a, b, c, d, e]) {
+        *s = _mm512_add_epi32(*s, x);
+    }
+}
+
+/// Each step loads one block of every lane still running (an idle lane
+/// reads zeros), transposes the sixteen rows into the sixteen schedule
+/// words, byte-swaps them to big-endian words and runs the rounds; the
+/// state update is masked to the running lanes.
+#[target_feature(enable = "avx512f,avx512bw")]
+fn sha1_x16_avx512(state: &mut [[u32; LANES]; 5], lanes: &[Sha1Lane<'_>; LANES]) {
+    const IDLE: [u8; 64] = [0; 64];
+    let mut counts = [[0usize; 3]; LANES];
+    let mut steps = 0;
+    for (count, lane) in counts.iter_mut().zip(lanes) {
+        for (n, run) in count.iter_mut().zip(lane) {
+            *n = run.len() / 64;
+        }
+        steps = steps.max(count.iter().sum());
+    }
+    // Reverses the bytes of each 32-bit word.
+    let flip = _mm512_broadcast_i32x4(_mm_set_epi8(
+        12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
+    ));
+    let mut s = [_mm512_setzero_si512(); 5];
+    for (s, words) in s.iter_mut().zip(state.iter()) {
+        *s = load64(&words_to_bytes(words));
+    }
+    let mut w = [_mm512_setzero_si512(); 16];
+    for i in 0..steps {
+        let mut running: u16 = 0;
+        for l in 0..LANES {
+            let block = sha1_lane_block(&lanes[l], &counts[l], i);
+            running |= (block.is_some() as u16) << l;
+            w[l] = load64(block.unwrap_or(&IDLE));
+        }
+        transpose16(&mut w);
+        for x in &mut w {
+            *x = _mm512_shuffle_epi8(*x, flip);
+        }
+        let mut next = s;
+        sha1_x16_rounds(&mut next, &mut w);
+        for (s, n) in s.iter_mut().zip(next) {
+            *s = _mm512_mask_mov_epi32(*s, running, n);
+        }
+    }
+    for (words, v) in state.iter_mut().zip(s) {
+        let mut bytes = [0u8; 64];
+        store64(&mut bytes, v);
+        *words = bytes_to_words(&bytes);
+    }
+}
+
+/// One lane of [`cbc_encrypt_x16`]: an AES-128 encryption schedule, the
+/// IV, and whole 16-byte blocks to encrypt in place. A lane with no
+/// blocks idles.
+pub(crate) struct CbcLane<'a> {
+    pub(crate) enc: &'a [u32; 44],
+    pub(crate) iv: &'a [u8; 16],
+    pub(crate) buf: &'a mut [u8],
+}
+
+/// AES-128-CBC encryption of sixteen independent buffers at once, each
+/// under its own key and IV. Lanes may differ in length.
+pub(crate) fn cbc_encrypt_x16(_cpu: Avx512Vaes, lanes: &mut [CbcLane<'_>; LANES]) {
+    // SAFETY: an `Avx512Vaes` exists only where `avx512_vaes()` confirmed
+    // `avx512f` and `vaes`, the features the kernel is compiled for.
+    unsafe { cbc_encrypt_x16_vaes(lanes) }
+}
+
+/// Four 128-bit values as one register, `x[0]` in the low lane.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn join4(x: [__m128i; 4]) -> __m512i {
+    let v = _mm512_castsi128_si512(x[0]);
+    let v = _mm512_inserti32x4::<1>(v, x[1]);
+    let v = _mm512_inserti32x4::<2>(v, x[2]);
+    _mm512_inserti32x4::<3>(v, x[3])
+}
+
+/// Four chains per register, four registers: each CBC chain is serial,
+/// but the sixteen are independent, so one `vaesenc` advances four of
+/// them and the four registers' rounds overlap in the pipeline. Lane
+/// `4g + j` is 128-bit lane `j` of register `g`; its round keys sit at
+/// the same place in `rk[g]`. A step encrypts block `i` of every lane
+/// that has one; an idle lane's slot computes on zeros and is not
+/// stored.
+#[target_feature(enable = "avx512f,vaes")]
+fn cbc_encrypt_x16_vaes(lanes: &mut [CbcLane<'_>; LANES]) {
+    let mut rk = [[_mm512_setzero_si512(); 11]; 4];
+    let mut chain = [_mm512_setzero_si512(); 4];
+    let mut counts = [0usize; LANES];
+    for g in 0..4 {
+        let keys = [0, 1, 2, 3].map(|j| round_keys(lanes[4 * g + j].enc));
+        for (r, rk) in rk[g].iter_mut().enumerate() {
+            *rk = join4([keys[0][r], keys[1][r], keys[2][r], keys[3][r]]);
+        }
+        let ivs = [0, 1, 2, 3].map(|j| load(lanes[4 * g + j].iv));
+        chain[g] = join4(ivs);
+    }
+    for (count, lane) in counts.iter_mut().zip(lanes.iter()) {
+        *count = lane.buf.len() / 16;
+    }
+    let steps = counts.iter().copied().max().unwrap_or(0);
+    for i in 0..steps {
+        let mut s = [_mm512_setzero_si512(); 4];
+        for g in 0..4 {
+            let mut pt = [_mm_setzero_si128(); 4];
+            for (j, pt) in pt.iter_mut().enumerate() {
+                let l = 4 * g + j;
+                if i < counts[l] {
+                    *pt = load(lane(lanes[l].buf, i));
+                }
+            }
+            // Plaintext ⊕ round key 0 ⊕ chain in one `vpternlogd`: only
+            // the last input is on the chain's critical path.
+            s[g] = _mm512_ternarylogic_epi32::<0x96>(join4(pt), rk[g][0], chain[g]);
+        }
+        for r in 1..10 {
+            for (s, rk) in s.iter_mut().zip(&rk) {
+                *s = _mm512_aesenc_epi128(*s, rk[r]);
+            }
+        }
+        for g in 0..4 {
+            chain[g] = _mm512_aesenclast_epi128(s[g], rk[g][10]);
+            let ct = [
+                _mm512_extracti32x4_epi32::<0>(chain[g]),
+                _mm512_extracti32x4_epi32::<1>(chain[g]),
+                _mm512_extracti32x4_epi32::<2>(chain[g]),
+                _mm512_extracti32x4_epi32::<3>(chain[g]),
+            ];
+            for (j, ct) in ct.into_iter().enumerate() {
+                let l = 4 * g + j;
+                if i < counts[l] {
+                    store(lane_mut(lanes[l].buf, i), ct);
+                }
+            }
+        }
+    }
 }

@@ -26,6 +26,9 @@ pub struct FwCounters {
     pub polled: AtomicU64,
     /// Engine stalls on a full response ring.
     pub resp_stalls: AtomicU64,
+    /// Engine wake-ups that found every ring empty: the siblings a
+    /// doorbell woke beside the engine that took its batch whole.
+    pub empty_wakes: AtomicU64,
 }
 
 impl FwCounters {
@@ -59,6 +62,7 @@ impl FwCounters {
              | Cipher completed   : {:>10}                |\n\
              | PRF completed      : {:>10}                |\n\
              | Responses polled   : {:>10}                |\n\
+             | Empty wake-ups     : {:>10}                |\n\
              +------------------------------------------------+",
             self.submitted.load(Ordering::Relaxed),
             self.ring_full.load(Ordering::Relaxed),
@@ -67,6 +71,7 @@ impl FwCounters {
             self.cipher.load(Ordering::Relaxed),
             self.prf.load(Ordering::Relaxed),
             self.polled.load(Ordering::Relaxed),
+            self.empty_wakes.load(Ordering::Relaxed),
         )
     }
 }

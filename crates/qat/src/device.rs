@@ -24,9 +24,10 @@
 
 use crate::config::{QatConfig, ServiceMode};
 use crate::counters::FwCounters;
-use crate::request::{execute_owned, CryptoRequest, CryptoResponse, ResponseCallback};
-use crate::ring::{Ring, RingFull};
+use crate::request::{execute_run, CryptoRequest, CryptoResponse, OpClass, ResponseCallback};
+use crate::ring::{Ring, RingFull, SOLO};
 use crate::trace::{self, RetrieveHook};
+use qtls_crypto::cbc_hmac::LANES;
 use qtls_sync::{Condvar, Mutex, MutexGuard, Parker, RwLock, WakeSlot};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,9 +83,12 @@ impl EndpointShared {
         }
     }
 
-    /// Pop the next request off any of this endpoint's rings, rotating
-    /// the scan start for fairness across instances.
-    fn scan(&self) -> Option<(Arc<RingPair>, CryptoRequest)> {
+    /// Pop the next run of requests off any of this endpoint's rings
+    /// into `run` (at most `k`, of one batch class: see
+    /// [`batch_class`]), rotating the scan start for fairness across
+    /// instances; the ring pair they came from, or `None` with `run`
+    /// untouched when every ring is empty.
+    fn scan(&self, k: usize, run: &mut Vec<CryptoRequest>) -> Option<Arc<RingPair>> {
         let pairs = self.pairs.read();
         if pairs.is_empty() {
             return None;
@@ -92,30 +96,43 @@ impl EndpointShared {
         let start = self.scan_cursor.fetch_add(1, Ordering::Relaxed) % pairs.len();
         (0..pairs.len()).find_map(|i| {
             let pair = &pairs[(start + i) % pairs.len()];
-            pair.req.pop().map(|req| (Arc::clone(pair), req))
+            (pair.req.pop_batch(k, run) > 0).then(|| Arc::clone(pair))
         })
     }
 
-    /// The engine's idle path: the next request, sleeping untimed while
-    /// there is none. `None` means the device is shutting down.
-    fn next_request(&self) -> Option<(Arc<RingPair>, CryptoRequest)> {
+    /// The engine's idle path: the next run of requests (see
+    /// [`Self::scan`]), sleeping untimed while there is none. `None`
+    /// means the device is shutting down. A wake-up after which the
+    /// engine finds every ring empty — a batch a woken sibling took
+    /// whole — is counted in `empty_wakes` before it sleeps again.
+    fn next_request(
+        &self,
+        k: usize,
+        run: &mut Vec<CryptoRequest>,
+        counters: &FwCounters,
+    ) -> Option<Arc<RingPair>> {
+        let mut woken = false;
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            if let Some(work) = self.scan() {
-                return Some(work);
+            if let Some(pair) = self.scan(k, run) {
+                return Some(pair);
             }
             let mut wake = self.wake.lock();
             wake.parked += 1;
             // Re-scan now that doorbells can see this engine: one rung
             // since the empty scan above found nobody to wake.
-            let work = self.scan();
+            let work = self.scan(k, run);
             if work.is_none() {
+                if woken {
+                    counters.empty_wakes.fetch_add(1, Ordering::Relaxed);
+                }
                 while wake.tokens == 0 && !self.shutdown.load(Ordering::SeqCst) {
                     self.wake_cond.wait(&mut wake);
                 }
                 wake.tokens = wake.tokens.saturating_sub(1);
+                woken = true;
             }
             wake.parked -= 1;
             if work.is_some() {
@@ -412,7 +429,7 @@ impl QatDevice {
 
     fn alloc_on(&self, idx: usize) -> CryptoInstance {
         let pair = Arc::new(RingPair {
-            req: Ring::new(self.config.ring_capacity),
+            req: Ring::with_classes(self.config.ring_capacity, batch_class),
             resp: Ring::new(self.config.ring_capacity * 2),
             retrieve_hook: RwLock::new(None),
             resp_waker: WakeSlot::new(),
@@ -470,45 +487,61 @@ impl Drop for QatDevice {
     }
 }
 
-/// The engine thread body: take requests off the endpoint's rings,
-/// execute, deliver the response to the originating instance's ring.
+/// A request's batch class on its ring: record crypto travels in runs
+/// (the multi-buffer passes of `cbc_hmac`), everything else alone — an
+/// RSA sign held behind another would only wait, and a sibling engine
+/// is free to take it.
+fn batch_class(req: &CryptoRequest) -> u8 {
+    match req.op.class() {
+        OpClass::Cipher => 1,
+        OpClass::Asym | OpClass::Prf => SOLO,
+    }
+}
+
+/// The engine thread body: take runs of requests off the endpoint's
+/// rings, execute, deliver each response to the originating instance's
+/// ring. A real-compute engine takes up to [`LANES`] ready records at
+/// once, so a doorbell's batch is sealed or opened in one multi-buffer
+/// pass; a lone request is a run of one and never waits for company. A
+/// timed engine models a card whose engines work in parallel, so it
+/// takes one request at a time.
 fn engine_loop(
     shared: Arc<EndpointShared>,
     counters: Arc<FwCounters>,
     mode: ServiceMode,
     table: crate::config::ServiceTable,
 ) {
-    while let Some((pair, req)) = shared.next_request() {
+    let k = match mode {
+        ServiceMode::RealCompute => LANES,
+        ServiceMode::Timed { .. } => 1,
+    };
+    let mut run = Vec::with_capacity(k);
+    while let Some(pair) = shared.next_request(k, &mut run, &counters) {
         if let ServiceMode::Timed { time_scale } = mode {
-            let ns = (table.service_ns(&req.op) as f64 * time_scale) as u64;
-            if ns > 0 {
-                std::thread::sleep(Duration::from_nanos(ns));
-            }
-        }
-        let class = req.op.class();
-        // Consume the descriptor: in-place cipher ops transform their
-        // carried buffer and return it via the response.
-        let result = execute_owned(req.op);
-        counters.record_completion(class);
-        let mut resp = CryptoResponse {
-            cookie: req.cookie,
-            class,
-            result,
-            callback: req.callback,
-            trace: req.trace,
-        };
-        // Response-ring backpressure: hardware stalls until the host
-        // drains responses; model with a yield-retry loop.
-        loop {
-            match pair.resp.push(resp) {
-                Ok(()) => break,
-                Err(RingFull(back)) => {
-                    counters.resp_stalls.fetch_add(1, Ordering::Relaxed);
-                    resp = back;
-                    std::thread::yield_now();
+            for req in &run {
+                let ns = (table.service_ns(&req.op) as f64 * time_scale) as u64;
+                if ns > 0 {
+                    std::thread::sleep(Duration::from_nanos(ns));
                 }
             }
         }
+        // In-place cipher ops transform their carried buffer and return
+        // it via the response.
+        execute_run(&mut run, |mut resp| {
+            counters.record_completion(resp.class);
+            // Response-ring backpressure: hardware stalls until the host
+            // drains responses; model with a yield-retry loop.
+            loop {
+                match pair.resp.push(resp) {
+                    Ok(()) => break,
+                    Err(RingFull(back)) => {
+                        counters.resp_stalls.fetch_add(1, Ordering::Relaxed);
+                        resp = back;
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        });
         pair.resp_waker.wake();
     }
 }
@@ -932,6 +965,69 @@ mod tests {
             c.doorbells.load(Ordering::Relaxed) - doorbells >= 600,
             "one doorbell per submit call, batched or not"
         );
+    }
+
+    /// A doorbell's 16 records are one run: the first engine to scan
+    /// takes them all, and the other three the doorbell woke find the
+    /// ring empty — counted, and never the records' business: each
+    /// request still gets its own response, sealed as it would be alone.
+    /// An RSA sign never joins a run.
+    #[test]
+    fn a_doorbells_records_are_one_run_on_one_engine() {
+        use qtls_crypto::CbcHmacSha1;
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 1,
+            engines_per_endpoint: 4,
+            ..QatConfig::functional_small()
+        });
+        let inst = dev.alloc_instance();
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let got = Arc::new(qtls_sync::Mutex::new(Vec::new()));
+        let settle = |n: usize| {
+            await_or_panic("responses", || {
+                inst.poll_all();
+                got.lock().len() == n
+            });
+            await_or_panic("engines re-park", || dev.parked_engines() == 4);
+        };
+        settle(0);
+        let c = dev.fw_counters();
+        let (wakes, empty) = (dev.engine_wakes(), c.empty_wakes.load(Ordering::Relaxed));
+        let mut batch: std::collections::VecDeque<_> = (0..16u8)
+            .map(|i| {
+                let got = Arc::clone(&got);
+                make_request(
+                    i as u64,
+                    CryptoOp::CipherSealInPlace {
+                        cipher: Arc::clone(&cipher),
+                        iv: [i; 16],
+                        buf: vec![i; 4096],
+                        aad: [i; 11],
+                    },
+                    Box::new(move |r| got.lock().push((i, r.unwrap().into_bytes()))),
+                )
+            })
+            .collect();
+        assert_eq!(inst.submit_batch(&mut batch), 16);
+        settle(16);
+        assert_eq!(
+            dev.engine_wakes() - wakes,
+            4,
+            "the doorbell rule is unchanged"
+        );
+        assert_eq!(
+            c.empty_wakes.load(Ordering::Relaxed) - empty,
+            3,
+            "one engine took the run; three woke to an empty ring"
+        );
+        for (i, sealed) in got.lock().iter() {
+            let want = cipher.seal(&[*i; 16], &[*i; 4096], &[*i; 11]).unwrap();
+            assert!(*sealed == want, "record {i}");
+        }
+        assert_eq!(batch_class(&counted_prf(0, &Arc::default())), SOLO);
+        let key = Arc::new(test_rsa_1024().clone());
+        let sign = make_request(0, CryptoOp::RsaSign { key, msg: vec![] }, Box::new(|_| {}));
+        assert_eq!(batch_class(&sign), SOLO);
     }
 
     #[test]

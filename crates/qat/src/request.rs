@@ -5,6 +5,7 @@
 //! descriptors drive the calibrated service-time model.
 
 use qtls_crypto::bn::Bn;
+use qtls_crypto::cbc_hmac::{self, OpenRecord, SealRecord, LANES};
 use qtls_crypto::ecc::NamedCurve;
 use qtls_crypto::rsa::RsaPrivateKey;
 use qtls_crypto::{CbcHmacSha1, CryptoError};
@@ -261,6 +262,87 @@ pub fn execute_owned(op: CryptoOp) -> CryptoResult {
     }
 }
 
+/// Execute a run of requests an engine took off its ring together (at
+/// most [`LANES`] of one batch class, `Ring::pop_batch`) and answer
+/// each, in run order, through `respond`. The run's in-place seals go
+/// down one [`cbc_hmac::seal_batch`] and its in-place opens one
+/// [`cbc_hmac::open_batch`] — a multi-buffer pass each where the CPU and
+/// the number of records allow (DESIGN.md §20) — and every other op
+/// runs alone through [`execute_owned`]. The passes allocate nothing,
+/// and each in-place buffer goes back through its own response as it
+/// does from [`execute_owned`]. Requests past the first [`LANES`] run
+/// alone.
+pub fn execute_run(run: &mut Vec<CryptoRequest>, mut respond: impl FnMut(CryptoResponse)) {
+    // The verdict of each op a batch pass ran, by position in the run:
+    // the length of its buffer's result.
+    let mut done: [Option<Result<usize, CryptoError>>; LANES] = [None; LANES];
+    let lanes = run.len().min(LANES);
+    let sealed = cbc_hmac::seal_batch(run[..lanes].iter_mut().filter_map(|r| match &mut r.op {
+        CryptoOp::CipherSealInPlace {
+            cipher,
+            iv,
+            buf,
+            aad,
+        } => Some(SealRecord {
+            cipher,
+            iv,
+            aad,
+            buf,
+        }),
+        _ => None,
+    }));
+    let mut opens = [0usize; LANES];
+    let mut n_opens = 0;
+    for (i, r) in run[..lanes].iter().enumerate() {
+        match &r.op {
+            CryptoOp::CipherSealInPlace { buf, .. } => done[i] = Some(sealed.map(|()| buf.len())),
+            CryptoOp::CipherOpenInPlace { .. } => {
+                opens[n_opens] = i;
+                n_opens += 1;
+            }
+            _ => {}
+        }
+    }
+    cbc_hmac::open_batch(
+        run[..lanes].iter_mut().filter_map(|r| match &mut r.op {
+            CryptoOp::CipherOpenInPlace {
+                cipher,
+                iv,
+                buf,
+                aad,
+            } => Some(OpenRecord {
+                cipher,
+                iv,
+                aad,
+                buf,
+            }),
+            _ => None,
+        }),
+        |j, verdict| done[opens[j]] = Some(verdict),
+    );
+    for (i, req) in run.drain(..).enumerate() {
+        let class = req.op.class();
+        let result = match (done.get(i).copied().flatten(), req.op) {
+            (
+                Some(verdict),
+                CryptoOp::CipherSealInPlace { mut buf, .. }
+                | CryptoOp::CipherOpenInPlace { mut buf, .. },
+            ) => verdict.map(|len| {
+                buf.truncate(len);
+                CryptoOutput::Bytes(buf)
+            }),
+            (_, op) => execute_owned(op),
+        };
+        respond(CryptoResponse {
+            cookie: req.cookie,
+            class,
+            result,
+            callback: req.callback,
+            trace: req.trace,
+        });
+    }
+}
+
 /// Execute an operation using the software crypto substrate — this is
 /// what a QAT computation engine "does" in real-compute mode.
 pub fn execute(op: &CryptoOp) -> CryptoResult {
@@ -476,6 +558,84 @@ mod tests {
             }),
             Err(CryptoError::BadMac)
         ));
+    }
+
+    /// A run as an engine pops it: in-place seals and opens (one open
+    /// forged) around a PRF and a by-value seal. Each response is what
+    /// the op alone gives, in run order, with the in-place buffers handed
+    /// back.
+    #[test]
+    fn a_run_answers_each_request_as_the_op_alone_would() {
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let aad = |i: u8| [i; 11];
+        let sealed: Vec<Vec<u8>> = (0..7u8)
+            .map(|i| {
+                cipher
+                    .seal(&[i; 16], &vec![i; 3000 + i as usize], &aad(i))
+                    .unwrap()
+            })
+            .collect();
+        let mut forged = sealed[2].clone();
+        forged[100] ^= 1;
+        let mut ops = Vec::new();
+        for i in 0..7u8 {
+            ops.push(CryptoOp::CipherSealInPlace {
+                cipher: Arc::clone(&cipher),
+                iv: [i; 16],
+                buf: vec![i; 3000 + i as usize],
+                aad: aad(i),
+            });
+        }
+        ops.push(CryptoOp::Prf {
+            secret: b"sec".to_vec(),
+            label: b"key expansion".to_vec(),
+            seed: b"seed".to_vec(),
+            out_len: 40,
+        });
+        for i in 0..7u8 {
+            let buf = if i == 2 {
+                forged.clone()
+            } else {
+                sealed[i as usize].clone()
+            };
+            ops.push(CryptoOp::CipherOpenInPlace {
+                cipher: Arc::clone(&cipher),
+                iv: [i; 16],
+                buf,
+                aad: aad(i),
+            });
+        }
+        ops.push(CryptoOp::CipherEncrypt {
+            cipher: Arc::clone(&cipher),
+            iv: [9; 16],
+            plaintext: b"by value".to_vec(),
+            aad: b"aad".to_vec(),
+        });
+        let want: Vec<Result<Vec<u8>, CryptoError>> = ops
+            .iter()
+            .map(|op| execute_owned(op.clone()).map(CryptoOutput::into_bytes))
+            .collect();
+        let mut run: Vec<CryptoRequest> = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| CryptoRequest {
+                cookie: i as u64,
+                op,
+                callback: Box::new(|_| {}),
+                trace: Default::default(),
+            })
+            .collect();
+        assert_eq!(run.len(), LANES, "one full run");
+        let mut got = Vec::new();
+        execute_run(&mut run, |resp| {
+            got.push((resp.cookie, resp.result.map(CryptoOutput::into_bytes)));
+        });
+        assert!(run.is_empty());
+        assert_eq!(got.len(), want.len());
+        for (i, ((cookie, got), want)) in got.into_iter().zip(want).enumerate() {
+            assert_eq!(cookie, i as u64, "run order");
+            assert!(got == want, "request {i}");
+        }
     }
 
     #[test]

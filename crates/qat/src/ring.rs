@@ -7,20 +7,34 @@
 //! A full request ring returns [`RingFull`], which is exactly the
 //! submission-failure case §3.2 of the paper handles by pausing the
 //! offload job and retrying later.
+//!
+//! Both ends also move runs: [`Ring::push_batch`] publishes many values
+//! under one producer-cursor CAS (one doorbell), and [`Ring::pop_batch`]
+//! claims the run of ready values of one *batch class* at the head under
+//! one consumer-cursor CAS — how an engine takes a doorbell's records
+//! for one multi-buffer pass. A value's class is stamped on its slot at
+//! push, so a consumer reads it before claiming without touching the
+//! value.
 
 use qtls_sync::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// Error returned when pushing to a full ring (the value is handed back).
 #[derive(Debug)]
 pub struct RingFull<T>(pub T);
 
+/// The batch class [`Ring::pop_batch`] never batches: a value of this
+/// class always leaves the ring alone.
+pub const SOLO: u8 = 0;
+
 struct Slot<T> {
     /// Sequence: `pos` when ready for producer, `pos + 1` when occupied.
     seq: AtomicUsize,
+    /// The value's batch class, stored before `seq` publishes the value.
+    class: AtomicU8,
     val: UnsafeCell<MaybeUninit<T>>,
 }
 
@@ -30,6 +44,8 @@ pub struct Ring<T> {
     mask: usize,
     enqueue_pos: CachePadded<AtomicUsize>,
     dequeue_pos: CachePadded<AtomicUsize>,
+    /// A value's batch class, read once per value, at push.
+    class_of: fn(&T) -> u8,
 }
 
 unsafe impl<T: Send> Send for Ring<T> {}
@@ -37,12 +53,19 @@ unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
     /// Create a ring with capacity `cap` (rounded up to a power of two,
-    /// minimum 2).
+    /// minimum 2) whose values are all of one batch class.
     pub fn new(cap: usize) -> Self {
+        Self::with_classes(cap, |_| 1)
+    }
+
+    /// A ring whose [`Self::pop_batch`] takes runs of one batch class,
+    /// `class_of(&value)`; a value of class [`SOLO`] travels alone.
+    pub fn with_classes(cap: usize, class_of: fn(&T) -> u8) -> Self {
         let cap = cap.max(2).next_power_of_two();
         let buf: Box<[Slot<T>]> = (0..cap)
             .map(|i| Slot {
                 seq: AtomicUsize::new(i),
+                class: AtomicU8::new(SOLO),
                 val: UnsafeCell::new(MaybeUninit::uninit()),
             })
             .collect();
@@ -51,6 +74,7 @@ impl<T> Ring<T> {
             mask: cap - 1,
             enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
             dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
+            class_of,
         }
     }
 
@@ -87,6 +111,7 @@ impl<T> Ring<T> {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
+                        slot.class.store((self.class_of)(&value), Ordering::Relaxed);
                         unsafe { (*slot.val.get()).write(value) };
                         slot.seq.store(pos + 1, Ordering::Release);
                         return Ok(());
@@ -152,6 +177,7 @@ impl<T> Ring<T> {
             for i in 0..n {
                 let slot = &self.buf[(pos + i) & self.mask];
                 let value = items.pop_front().expect("counted above");
+                slot.class.store((self.class_of)(&value), Ordering::Relaxed);
                 unsafe { (*slot.val.get()).write(value) };
                 slot.seq.store(pos + i + 1, Ordering::Release);
             }
@@ -186,6 +212,70 @@ impl<T> Ring<T> {
             } else {
                 pos = self.dequeue_pos.load(Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Pop the run of ready values at the head of the ring that share
+    /// the first one's batch class — at most `k` of them, and only the
+    /// first when its class is [`SOLO`] — appending them to `out` in FIFO
+    /// order. The run is claimed under ONE CAS on the dequeue cursor,
+    /// the mirror of [`Self::push_batch`]; a lone ready value is a run of
+    /// one, so nothing ever waits for company. Returns how many values
+    /// were taken: 0 when the ring is empty (or `k` is 0).
+    pub fn pop_batch(&self, k: usize, out: &mut Vec<T>) -> usize {
+        if k == 0 {
+            return 0;
+        }
+        loop {
+            let pos = self.dequeue_pos.load(Ordering::Relaxed);
+            // Count the ready slots of one class from `pos`. A slot is
+            // ready when its producer published it (`seq == p + 1`); the
+            // scan self-limits at `capacity` as `push_batch`'s does. A
+            // class read here may be a later lap's if another consumer
+            // overtakes us, but then the CAS below fails and we rescan.
+            let mut n = 0usize;
+            let mut class = SOLO;
+            while n < k {
+                let slot = &self.buf[(pos + n) & self.mask];
+                if slot.seq.load(Ordering::Acquire) != pos + n + 1 {
+                    break;
+                }
+                let c = slot.class.load(Ordering::Relaxed);
+                if n == 0 {
+                    class = c;
+                } else if class == SOLO || c != class {
+                    break;
+                }
+                n += 1;
+            }
+            if n == 0 {
+                let seq = self.buf[pos & self.mask].seq.load(Ordering::Acquire);
+                if (seq as isize) < (pos + 1) as isize {
+                    // The head slot holds nothing published: empty.
+                    return 0;
+                }
+                // Another consumer claimed `pos` between loads; retry.
+                continue;
+            }
+            if self
+                .dequeue_pos
+                .compare_exchange_weak(pos, pos + n, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+            {
+                continue;
+            }
+            // Slots [pos, pos + n) are ours: take each value and free its
+            // slot for the producer one lap ahead.
+            for i in 0..n {
+                let slot = &self.buf[(pos + i) & self.mask];
+                // SAFETY: the scan saw this slot published for position
+                // `pos + i` and the CAS made us its only consumer, so it
+                // holds an initialised value nobody else reads or writes
+                // until the `seq` store below frees it.
+                out.push(unsafe { (*slot.val.get()).assume_init_read() });
+                slot.seq.store(pos + i + self.mask + 1, Ordering::Release);
+            }
+            return n;
         }
     }
 }
@@ -386,6 +476,115 @@ mod tests {
         }
         let expect: usize = 3 * (0..8_000u64).sum::<u64>() as usize;
         assert_eq!(sum.load(Ordering::Relaxed), expect);
+    }
+
+    #[test]
+    fn pop_batch_takes_a_run_in_fifo_order() {
+        let r = Ring::new(8);
+        for i in 0..6 {
+            r.push(i).unwrap();
+        }
+        let mut out = Vec::new();
+        assert_eq!(r.pop_batch(4, &mut out), 4);
+        assert_eq!(out, [0, 1, 2, 3]);
+        assert_eq!(r.pop_batch(4, &mut out), 2, "k larger than what is ready");
+        assert_eq!(out, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(r.pop_batch(4, &mut out), 0, "empty");
+        assert_eq!(r.pop_batch(0, &mut out), 0);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn pop_batch_stops_at_a_class_change_and_solo_travels_alone() {
+        // Class = the tens digit; 0..10 are SOLO.
+        let r: Ring<u32> = Ring::with_classes(16, |v| (*v / 10) as u8);
+        for v in [11, 12, 13, 21, 22, 3, 4, 14] {
+            r.push(v).unwrap();
+        }
+        let mut out = Vec::new();
+        let mut runs = Vec::new();
+        while r.pop_batch(16, &mut out) > 0 {
+            runs.push(std::mem::take(&mut out));
+        }
+        assert_eq!(
+            runs,
+            [vec![11, 12, 13], vec![21, 22], vec![3], vec![4], vec![14]]
+        );
+        // What is left after a popped run keeps its place for `pop`.
+        r.push(15).unwrap();
+        r.push(23).unwrap();
+        assert_eq!(r.pop_batch(16, &mut out), 1);
+        assert_eq!(r.pop(), Some(23));
+    }
+
+    #[test]
+    fn pop_batch_across_wraparound() {
+        let r = Ring::new(4);
+        for lap in 0..7 {
+            r.push(lap).unwrap();
+            assert_eq!(r.pop(), Some(lap));
+        }
+        // The run straddles the wrap point, and the freed slots take the
+        // next lap's values.
+        let mut items: VecDeque<i32> = (0..4).collect();
+        assert_eq!(r.push_batch(&mut items), 4);
+        let mut out = Vec::new();
+        assert_eq!(r.pop_batch(16, &mut out), 4);
+        assert_eq!(out, [0, 1, 2, 3]);
+        let mut items: VecDeque<i32> = (4..8).collect();
+        assert_eq!(r.push_batch(&mut items), 4);
+        assert_eq!(r.pop_batch(3, &mut out), 3);
+        assert_eq!(r.pop_batch(3, &mut out), 1);
+        assert_eq!(out, [0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn batch_consumers_race_without_loss_or_duplication() {
+        let r = Arc::new(Ring::<u64>::with_classes(32, |v| (v % 3) as u8));
+        let total = 30_000u64;
+        let producer = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                for i in 0..total {
+                    let mut item = i;
+                    while let Err(RingFull(back)) = r.push(item) {
+                        item = back;
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let popped = Arc::new(AtomicUsize::new(0));
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let (r, popped) = (Arc::clone(&r), Arc::clone(&popped));
+                std::thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    let mut run = Vec::new();
+                    while popped.load(Ordering::Relaxed) < total as usize {
+                        let n = r.pop_batch(16, &mut run);
+                        if n == 0 {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        let class = run[0] % 3;
+                        assert!(run.iter().all(|v| v % 3 == class), "one class per run");
+                        assert!(class != 0 || n == 1, "SOLO values travel alone");
+                        assert!(run.windows(2).all(|w| w[0] < w[1]), "FIFO within a run");
+                        popped.fetch_add(n, Ordering::Relaxed);
+                        seen.append(&mut run);
+                    }
+                    seen
+                })
+            })
+            .collect();
+        producer.join().unwrap();
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..total).collect::<Vec<_>>());
     }
 
     #[test]

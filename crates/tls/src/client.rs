@@ -220,9 +220,23 @@ impl ClientSession {
         run_sync(self.process_async())
     }
 
-    /// Process everything currently buffered.
+    /// Process everything currently buffered. Once established, the
+    /// complete application-data records in the buffer are opened as one
+    /// batch ([`RecordLayer::open_app_data`]); every other record goes
+    /// through the record layer one at a time.
     pub async fn process_async(&mut self) -> Result<(), TlsError> {
         loop {
+            if self.state == State::Connected {
+                let app_in = &mut self.app_in;
+                let opened =
+                    self.records
+                        .open_app_data(&self.provider, &mut self.counters, |content| {
+                            app_in.push_back(content.to_vec())
+                        })?;
+                if opened > 0 {
+                    continue;
+                }
+            }
             let Some((typ, payload)) = self
                 .records
                 .next_record_async(&self.provider, &mut self.counters)
@@ -231,14 +245,7 @@ impl ClientSession {
                 return Ok(());
             };
             match typ {
-                ContentType::Handshake => {
-                    self.hs_buf.extend_from_slice(&payload);
-                    while let Some((msg, used)) = HandshakeMsg::decode(&self.hs_buf)? {
-                        let raw: Vec<u8> = self.hs_buf[..used].to_vec();
-                        self.hs_buf.drain(..used);
-                        self.handle_handshake(msg, &raw).await?;
-                    }
-                }
+                ContentType::Handshake => self.handle_flight(payload).await?,
                 ContentType::ChangeCipherSpec => self.handle_ccs().await?,
                 ContentType::ApplicationData => {
                     if self.state != State::Connected {
@@ -252,6 +259,36 @@ impl ClientSession {
                 ContentType::Alert => return Err(TlsError::Decode("peer alert")),
             }
         }
+    }
+
+    /// Handle every whole handshake message buffered once `payload` is
+    /// appended (or, with nothing buffered, in `payload` itself), each
+    /// decoded and hashed where it lies; the consumed messages are
+    /// drained once, after the last.
+    async fn handle_flight(&mut self, payload: Vec<u8>) -> Result<(), TlsError> {
+        let mut buf = std::mem::take(&mut self.hs_buf);
+        if buf.is_empty() {
+            buf = payload;
+        } else {
+            buf.extend_from_slice(&payload);
+        }
+        let mut consumed = 0;
+        let result = loop {
+            match HandshakeMsg::decode(&buf[consumed..]) {
+                Ok(Some((msg, used))) => {
+                    let raw = &buf[consumed..consumed + used];
+                    consumed += used;
+                    if let Err(e) = self.handle_handshake(msg, raw).await {
+                        break Err(e);
+                    }
+                }
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        buf.drain(..consumed);
+        self.hs_buf = buf;
+        result
     }
 
     async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
@@ -294,14 +331,21 @@ impl ClientSession {
         match self.state {
             // Full handshake: server CCS right before its Finished.
             State::ExpectNstOrCcs => {
-                let kb = self.key_block.as_ref().expect("derived");
+                let kb = self
+                    .key_block
+                    .as_ref()
+                    .ok_or(TlsError::InvalidState("server CCS before the key block"))?;
                 self.records.set_read_keys(kb.server.clone());
                 self.state = State::ExpectFinished;
                 Ok(())
             }
             // Abbreviated: server accepted resumption.
             State::ExpectCcsOrCertificate => {
-                let resume = self.resume.as_ref().expect("offered resumption");
+                // This state is entered only when resumption was offered.
+                let resume = self
+                    .resume
+                    .as_ref()
+                    .ok_or(TlsError::InvalidState("abbreviated CCS without an offer"))?;
                 self.resumed = true;
                 self.master = resume.master.clone();
                 let kb = keys::derive_key_block(
@@ -570,7 +614,9 @@ impl ClientSession {
             )
             .await?;
             self.send_ccs().await?;
-            let kb = self.key_block.as_ref().expect("derived");
+            let kb = self.key_block.as_ref().ok_or(TlsError::InvalidState(
+                "resumed Finished before the key block",
+            ))?;
             self.records.set_write_keys(kb.client.clone());
             self.send_handshake(&HandshakeMsg::Finished(Finished {
                 verify_data: verify,

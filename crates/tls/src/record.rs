@@ -16,7 +16,8 @@ use crate::keys::{DirectionSecrets, ExtractedSecrets};
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::suite::sizes;
 use qtls_core::{run_sync, OffloadEngine};
-use qtls_crypto::{CbcHmacSha1, EntropySource};
+use qtls_crypto::cbc_hmac::{self, OpenRecord, LANES};
+use qtls_crypto::{CbcHmacSha1, CryptoError, EntropySource};
 use qtls_qat::CryptoOp;
 use std::sync::Arc;
 
@@ -279,6 +280,100 @@ impl RecordLayer {
             }
         };
         Ok(Some((typ, payload)))
+    }
+
+    /// Open the run of complete, protected ApplicationData records at
+    /// the front of the buffered input that `provider` opens on the CPU,
+    /// [`LANES`] at a time as one batch ([`cbc_hmac::open_batch`]: each
+    /// record decrypted in place in the input buffer, then their MACs in
+    /// one multi-buffer pass where the CPU and the number of records
+    /// allow, DESIGN.md §20), and hand each verified content to `deliver`
+    /// in record order. Returns how many records were delivered; 0 when
+    /// the next record is anything else — not yet complete, another
+    /// content type, malformed, or one the provider would offload — which
+    /// [`Self::next_record_async`] then takes as before.
+    ///
+    /// The checks and the error are [`CbcHmacSha1::open_in_place`]'s: at
+    /// the first record that fails, the records before it have been
+    /// delivered, none after it is, and the error is returned. A failed
+    /// run is consumed whole — its records were decrypted in place and
+    /// cannot be read again — and the connection is dead anyway.
+    pub fn open_app_data(
+        &mut self,
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        mut deliver: impl FnMut(&[u8]),
+    ) -> Result<usize, TlsError> {
+        if self.detached {
+            return Err(TlsError::InvalidState("record layer handed off to codec"));
+        }
+        let Some(state) = &mut self.read else {
+            return Ok(0);
+        };
+        let mut delivered = 0;
+        loop {
+            // The run: each record's length, at most LANES of them.
+            let mut lens = [0usize; LANES];
+            let mut n = 0;
+            let mut at = self.in_pos;
+            while n < LANES {
+                let Some(hdr) = self.in_buf[at..].first_chunk::<HEADER_LEN>() else {
+                    break;
+                };
+                let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
+                if hdr[0] != ContentType::ApplicationData as u8
+                    || u16::from_be_bytes([hdr[1], hdr[2]]) != self.version
+                    || len < 16
+                    || self.in_buf.len() - at < HEADER_LEN + len
+                    || provider.offloads_cipher(len - 16).is_some()
+                {
+                    break;
+                }
+                lens[n] = len;
+                n += 1;
+                at += HEADER_LEN + len;
+            }
+            if n == 0 {
+                return Ok(delivered);
+            }
+            let aads: [[u8; 11]; LANES] = std::array::from_fn(|j| {
+                aad_bytes(
+                    state.seq + j as u64,
+                    ContentType::ApplicationData,
+                    self.version,
+                )
+            });
+            // A record the batch never saw (none: each is at least an IV
+            // long) would fail rather than deliver.
+            let mut verdicts = [Err(CryptoError::InvalidLength); LANES];
+            let mut rest = &mut self.in_buf[self.in_pos..at];
+            let cipher = &state.cipher;
+            cbc_hmac::open_batch(
+                lens[..n].iter().zip(&aads).map_while(|(&len, aad)| {
+                    let (record, tail) = std::mem::take(&mut rest).split_at_mut(HEADER_LEN + len);
+                    rest = tail;
+                    let (iv, ciphertext) = record[HEADER_LEN..].split_first_chunk_mut::<16>()?;
+                    Some(OpenRecord {
+                        cipher,
+                        iv,
+                        aad,
+                        buf: ciphertext,
+                    })
+                }),
+                |j, verdict| verdicts[j] = verdict,
+            );
+            let mut start = self.in_pos;
+            self.in_pos = at;
+            for (&len, verdict) in lens[..n].iter().zip(verdicts) {
+                counters.cipher += 1;
+                let content = verdict.map_err(TlsError::Crypto)?;
+                let body = start + HEADER_LEN + 16;
+                deliver(&self.in_buf[body..body + content]);
+                state.seq += 1;
+                delivered += 1;
+                start += HEADER_LEN + len;
+            }
+        }
     }
 
     /// Export the established record state plus any buffered-but-unparsed
@@ -727,6 +822,71 @@ mod tests {
             OpCounters::default(),
             TestRng::new(1),
         )
+    }
+
+    /// What a reader makes of `wire`, record by record through
+    /// `next_record` or in batches through `open_app_data` first: the
+    /// application data delivered, then the error (or the type of the
+    /// first record that is not application data), and the record
+    /// operations counted.
+    fn read_all(
+        wire: &[u8],
+        batched: bool,
+    ) -> (Vec<Vec<u8>>, Result<Option<ContentType>, TlsError>, u32) {
+        let (_, mut rx, p, mut c, _) = pipe();
+        rx.set_read_keys(keys(7));
+        rx.feed(wire);
+        let mut delivered = Vec::new();
+        let outcome = loop {
+            if batched {
+                match rx.open_app_data(&p, &mut c, |content| delivered.push(content.to_vec())) {
+                    Ok(0) => {}
+                    Ok(_) => continue,
+                    Err(e) => break Err(e),
+                }
+            }
+            match rx.next_record(&p, &mut c) {
+                Ok(Some((ContentType::ApplicationData, pt))) => delivered.push(pt),
+                Ok(other) => break Ok(other.map(|(typ, _)| typ)),
+                Err(e) => break Err(e),
+            }
+        };
+        (delivered, outcome, c.cipher)
+    }
+
+    /// The client's batched open delivers what the per-record path
+    /// delivers: every record up to a tampered one in order, then the
+    /// same `BadMac`, with the same records counted; and it stops at a
+    /// record of another type, which the per-record path then takes.
+    #[test]
+    fn batched_app_data_open_matches_the_per_record_path() {
+        let (mut tx, _, p, mut c, mut rng) = pipe();
+        tx.set_write_keys(keys(7));
+        let mut records = Vec::new();
+        for i in 0..40usize {
+            let len = [16 * 1024, 1, 700, 0, 5000][i % 5];
+            let (typ, data) = match i {
+                35 => (ContentType::Handshake, b"hs".to_vec()),
+                _ => (ContentType::ApplicationData, vec![i as u8; len]),
+            };
+            records.push(tx.write_record(typ, &data, &p, &mut c, &mut rng).unwrap());
+        }
+        let clean = records.concat();
+        let (want, want_end, want_count) = read_all(&clean, false);
+        assert_eq!(want.len(), 35);
+        assert_eq!(want_end, Ok(Some(ContentType::Handshake)));
+        assert_eq!(read_all(&clean, true), (want, want_end, want_count));
+        for bad in [0, 7, 15, 16, 17, 34] {
+            let mut wire = records.clone();
+            // A byte of the last ciphertext block: the MAC or the pad.
+            let last = wire[bad].len() - 1;
+            wire[bad][last] ^= 0x40;
+            let wire = wire.concat();
+            let per_record = read_all(&wire, false);
+            assert_eq!(per_record.0.len(), bad);
+            assert_eq!(per_record.1, Err(TlsError::Crypto(CryptoError::BadMac)));
+            assert_eq!(read_all(&wire, true), per_record, "tampered record {bad}");
+        }
     }
 
     #[test]

@@ -83,6 +83,14 @@ required=(
   proptest_crypto::rsa2048_takes_the_ifma_path_wherever_the_cpu_has_it
   proptest_crypto::rsa_raw_matches_raw_portable
   proptest_crypto::mont52_mod_exp_pair_matches_mod_exp_at_every_exponent_length
+  # multi-buffer record crypto: a doorbell's records sealed and opened in
+  # one 16-lane pass are the per-record records, and a CPU that has the
+  # kernels takes them; the batched seal allocates nothing more (§13, §20)
+  proptest_crypto::batched_seal_matches_the_per_record_seal_at_every_batch_size
+  proptest_crypto::batched_open_matches_the_per_record_open_with_one_tampered_lane
+  proptest_crypto::sha1_x16_matches_sha1_in_every_lane_at_every_block_count
+  proptest_crypto::sixteen_record_batches_take_the_multi_buffer_path_wherever_the_cpu_has_it
+  alloc_budget::a_batched_seal_allocates_nothing_beyond_the_per_record_seals
   # the newest results/BENCH_e2e.json entry inside every BENCHMARK.json bound
   bench_gate::newest_trajectory_entry_is_inside_every_bound
 )

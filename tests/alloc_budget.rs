@@ -224,3 +224,57 @@ fn asymmetric_primitive_allocations_are_pinned() {
         "allocations per P-256 key pair moved off {ALLOCS_PER_P256_KEYGEN}: {keygens:?}"
     );
 }
+
+/// Engine-side allocations of one doorbell's 16 records sealed as one
+/// run (`execute_run`, what an engine thread does with a batch it pops)
+/// beyond the same 16 sealed one at a time through `execute_owned`. The
+/// per-record seal allocates nothing (the codec's buffers carry their
+/// tag and pad room), and neither does the multi-buffer pass: its lanes,
+/// hash blocks and verdicts live on the stack (DESIGN.md §20).
+const EXTRA_ALLOCS_PER_BATCHED_SEAL: u64 = 0;
+
+#[test]
+fn a_batched_seal_allocates_nothing_beyond_the_per_record_seals() {
+    use qtls::crypto::{cbc_hmac, CbcHmacSha1};
+    use qtls::qat::request::{execute_owned, execute_run};
+    use qtls::qat::{CryptoOp, CryptoRequest};
+
+    let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+    let request = |i: u64| {
+        let mut buf = Vec::with_capacity(16 * 1024 + 64);
+        buf.extend_from_slice(&synthetic_body(16 * 1024));
+        CryptoRequest {
+            cookie: i,
+            op: CryptoOp::CipherSealInPlace {
+                cipher: Arc::clone(&cipher),
+                iv: [3; 16],
+                buf,
+                aad: [4; 11],
+            },
+            callback: Box::new(|_| {}),
+            trace: Default::default(),
+        }
+    };
+    let per_record: u64 = (0..16)
+        .map(|i| {
+            let op = request(i).op;
+            allocations_of(|| execute_owned(op))
+        })
+        .sum();
+    let mut run: Vec<CryptoRequest> = (0..16).map(request).collect();
+    let mut responses = Vec::with_capacity(16);
+    let passes = cbc_hmac::multi_buffer_passes();
+    let batched = allocations_of(|| execute_run(&mut run, |resp| responses.push(resp)));
+    assert_eq!(responses.len(), 16);
+    assert!(responses.iter().all(|r| r.result.is_ok()));
+    eprintln!(
+        "16 seals: {per_record} allocations one at a time, {batched} as one run \
+         ({} multi-buffer pass)",
+        cbc_hmac::multi_buffer_passes() - passes
+    );
+    assert_eq!(
+        batched,
+        per_record + EXTRA_ALLOCS_PER_BATCHED_SEAL,
+        "a batched seal allocates beyond its per-record seals"
+    );
+}

@@ -7,11 +7,12 @@
 //! `cargo test --features proptest`.
 
 use qtls::crypto::bn::Bn;
+use qtls::crypto::cbc_hmac::{self, OpenRecord, SealRecord};
 use qtls::crypto::ec::{p256, p384, AffinePoint, PrimeCurve};
 use qtls::crypto::gf2m::Gf2m;
 use qtls::crypto::hmac::Hmac;
 use qtls::crypto::mont::{Mont52, MontCtx};
-use qtls::crypto::sha1::Sha1;
+use qtls::crypto::sha1::{self, Sha1};
 use qtls::crypto::sha256::Sha256;
 use qtls::crypto::test_keys::test_rsa_2048;
 use qtls::crypto::{aes, kdf, CbcHmacSha1, CryptoError};
@@ -1177,4 +1178,264 @@ fn ticket_roundtrip_random_master() {
         let opened = keys.open(&ticket).unwrap();
         assert_eq!(opened.master, master);
     });
+}
+
+/// Whether CPUID reports what the 16-lane record kernels of `x86.rs` run
+/// on (DESIGN.md §20).
+fn cpu_has_avx512_vaes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("vaes");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Says on stderr when the multi-buffer half of a test cannot run, so a
+/// batch that fell back to the per-record paths does not pass silently.
+fn note_if_multi_buffer_half_is_skipped(test: &str) {
+    if !cpu_has_avx512_vaes() {
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "{test}: multi-buffer half SKIPPED — no AVX-512 / VAES on this CPU, \
+             the batches ran the per-record paths"
+        );
+    }
+}
+
+/// One lane of a batch test: its keys, the context keyed from them, IV,
+/// AAD and content.
+struct Lane {
+    enc_key: [u8; 16],
+    mac_key: Vec<u8>,
+    cipher: CbcHmacSha1,
+    iv: [u8; 16],
+    aad: Vec<u8>,
+    content: Vec<u8>,
+}
+
+/// `n` records: per lane a fresh key, a TLS-sized or random AAD (up to
+/// the 64 bytes a lane takes) and a content length drawn from 0–16 384,
+/// half of them full 16 KB records, so one pass mixes lanes that run out
+/// early with lanes that run to the end.
+fn random_lanes(g: &mut prop::Gen, n: usize) -> Vec<Lane> {
+    (0..n)
+        .map(|_| {
+            let len = if g.bool() {
+                16 * 1024
+            } else {
+                g.usize_in(0, 16 * 1024 + 1)
+            };
+            let aad_len = [11, 13, g.usize_in(0, 65)][g.usize_in(0, 3)];
+            let (enc_key, mac_key) = (g.array(), g.bytes(20));
+            Lane {
+                cipher: CbcHmacSha1::new(&enc_key, &mac_key),
+                enc_key,
+                mac_key,
+                iv: g.array(),
+                aad: g.bytes(aad_len),
+                content: g.bytes(len),
+            }
+        })
+        .collect()
+}
+
+fn seal_lanes_batched(lanes: &[Lane]) -> Vec<Vec<u8>> {
+    let mut bufs: Vec<Vec<u8>> = lanes.iter().map(|l| l.content.clone()).collect();
+    cbc_hmac::seal_batch(bufs.iter_mut().zip(lanes).map(|(buf, l)| SealRecord {
+        cipher: &l.cipher,
+        iv: &l.iv,
+        aad: &l.aad,
+        buf,
+    }))
+    .unwrap();
+    bufs
+}
+
+/// A doorbell's records sealed in one multi-buffer pass are, byte for
+/// byte, the records `seal_in_place` produces one at a time — at every
+/// batch size from 1 to 16 (below `MULTI_BUFFER_MIN` the batch is the
+/// per-record path by construction) and at 17, which is one full pass
+/// and a remainder, over random length mixes, keys and AADs per lane.
+#[test]
+fn batched_seal_matches_the_per_record_seal_at_every_batch_size() {
+    note_if_multi_buffer_half_is_skipped(
+        "batched_seal_matches_the_per_record_seal_at_every_batch_size",
+    );
+    prop::check(
+        "batched_seal_matches_the_per_record_seal_at_every_batch_size",
+        16,
+        |g| {
+            for n in 1..=cbc_hmac::LANES + 1 {
+                let lanes = random_lanes(g, n);
+                let batched = seal_lanes_batched(&lanes);
+                for (i, (l, got)) in lanes.iter().zip(&batched).enumerate() {
+                    let mut want = l.content.clone();
+                    l.cipher.seal_in_place(&l.iv, &mut want, &l.aad).unwrap();
+                    // Not assert_eq!: a mismatch would print 16 KB twice.
+                    assert!(
+                        *got == want,
+                        "batch of {n}, record {i}: {} bytes, {} bytes of AAD",
+                        l.content.len(),
+                        l.aad.len()
+                    );
+                }
+            }
+        },
+    );
+}
+
+/// Forge `l`'s record from its *plaintext* — content, tag, pad —
+/// with one thing wrong, so the opener meets a bad MAC byte, a bad pad
+/// byte or a pad length that does not fit.
+fn tamper(l: &Lane, what: usize) -> Vec<u8> {
+    let mut padded = l.content.clone();
+    let mut mac = Hmac::<Sha1>::new(&l.mac_key);
+    mac.update(&l.aad);
+    mac.update(&l.content);
+    padded.extend_from_slice(&mac.finalize_fixed());
+    // At least two pad bytes, so one that is not the length can be bad.
+    let pad_len = 16 - (padded.len() + 1) % 16 + 1;
+    padded.resize(padded.len() + pad_len, (pad_len - 1) as u8);
+    let last = padded.len() - 1;
+    match what {
+        0 => padded[l.content.len()] ^= 0x01,
+        1 => padded[last - 1] ^= 0x10,
+        _ => padded[last] = 0xff,
+    }
+    aes::cbc_encrypt(&aes::Aes128::new(&l.enc_key), &l.iv, &padded).unwrap()
+}
+
+/// Opening a batch in one pass gives, record by record, the per-record
+/// verdicts: with one lane tampered — a MAC byte, a pad byte or the pad
+/// length — both report `BadMac` at the same record and deliver the same
+/// records before it, at every batch size from 1 to 16 and every
+/// position of the bad lane.
+#[test]
+fn batched_open_matches_the_per_record_open_with_one_tampered_lane() {
+    note_if_multi_buffer_half_is_skipped(
+        "batched_open_matches_the_per_record_open_with_one_tampered_lane",
+    );
+    prop::check(
+        "batched_open_matches_the_per_record_open_with_one_tampered_lane",
+        8,
+        |g| {
+            for n in 1..=cbc_hmac::LANES {
+                let lanes = random_lanes(g, n);
+                let bad = g.usize_in(0, n);
+                let what = g.usize_in(0, 3);
+                let mut records = seal_lanes_batched(&lanes);
+                records[bad] = tamper(&lanes[bad], what);
+
+                // Per record, in order, stopping at the first failure.
+                let mut want_delivered = Vec::new();
+                let mut want_error = None;
+                for (i, (l, ct)) in lanes.iter().zip(&records).enumerate() {
+                    let mut buf = ct.clone();
+                    match l.cipher.open_in_place(&l.iv, &mut buf, &l.aad) {
+                        Ok(()) => want_delivered.push(buf),
+                        Err(e) => {
+                            want_error = Some((i, e));
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(
+                    want_error,
+                    Some((bad, CryptoError::BadMac)),
+                    "tamper {what}"
+                );
+
+                // One batch; deliver in order up to the first failure.
+                let mut bufs = records.clone();
+                let mut verdicts = vec![Ok(0); n];
+                cbc_hmac::open_batch(
+                    bufs.iter_mut().zip(&lanes).map(|(buf, l)| OpenRecord {
+                        cipher: &l.cipher,
+                        iv: &l.iv,
+                        aad: &l.aad,
+                        buf: &mut buf[..],
+                    }),
+                    |i, verdict| verdicts[i] = verdict,
+                );
+                let first_bad = verdicts.iter().position(Result::is_err);
+                assert_eq!(
+                    first_bad.map(|i| (i, verdicts[i].unwrap_err())),
+                    want_error,
+                    "batch of {n}, tamper {what} at {bad}"
+                );
+                for (i, want) in want_delivered.iter().enumerate() {
+                    let content = verdicts[i].unwrap();
+                    assert!(bufs[i][..content] == want[..], "batch of {n}, record {i}");
+                }
+            }
+        },
+    );
+}
+
+/// The 16-lane SHA-1 kernel is `Sha1::digest` in every lane, at every
+/// block count a lane can have in one run — 0 to 34 blocks and every
+/// tail length in between — with the lanes of one run all different
+/// lengths, so lanes stop at every step while the others go on.
+#[test]
+fn sha1_x16_matches_sha1_in_every_lane_at_every_block_count() {
+    if !cpu_has_avx512_vaes() {
+        assert!(sha1::digest_x16(&[&[]; 16]).is_none());
+        note_if_multi_buffer_half_is_skipped(
+            "sha1_x16_matches_sha1_in_every_lane_at_every_block_count",
+        );
+        return;
+    }
+    prop::check(
+        "sha1_x16_matches_sha1_in_every_lane_at_every_block_count",
+        2,
+        |g| {
+            let data = g.bytes(34 * 64 + 16);
+            for first in (0..=34 * 64).step_by(16) {
+                let messages: [&[u8]; 16] = std::array::from_fn(|l| &data[..first + l]);
+                let digests = sha1::digest_x16(&messages).expect("the CPU has the kernel");
+                for (l, (m, d)) in messages.iter().zip(digests).enumerate() {
+                    assert_eq!(d, Sha1::digest(m), "lane {l}, {} bytes", m.len());
+                }
+            }
+        },
+    );
+}
+
+/// No silent fallback: on a CPU with AVX-512 and VAES a doorbell's 16
+/// records are sealed in one multi-buffer pass and opened in another,
+/// and a batch below `MULTI_BUFFER_MIN` takes the per-record paths; on a
+/// CPU without them nothing takes the 16-lane path.
+#[test]
+fn sixteen_record_batches_take_the_multi_buffer_path_wherever_the_cpu_has_it() {
+    let cipher = CbcHmacSha1::new(&[1; 16], &[2; 20]);
+    let run = |n: usize| {
+        let mut bufs = vec![vec![0x5a; 16 * 1024]; n];
+        let before = cbc_hmac::multi_buffer_passes();
+        cbc_hmac::seal_batch(bufs.iter_mut().map(|buf| SealRecord {
+            cipher: &cipher,
+            iv: &[3; 16],
+            aad: &[4; 13],
+            buf,
+        }))
+        .unwrap();
+        let sealed = cbc_hmac::multi_buffer_passes() - before;
+        let mut opened_ok = 0;
+        cbc_hmac::open_batch(
+            bufs.iter_mut().map(|buf| OpenRecord {
+                cipher: &cipher,
+                iv: &[3; 16],
+                aad: &[4; 13],
+                buf: &mut buf[..],
+            }),
+            |_, verdict| opened_ok += (verdict == Ok(16 * 1024)) as usize,
+        );
+        assert_eq!(opened_ok, n);
+        (sealed, cbc_hmac::multi_buffer_passes() - before - sealed)
+    };
+    let multi = cpu_has_avx512_vaes() as u64;
+    assert_eq!(run(16), (multi, multi), "a 16-record batch");
+    let below = cbc_hmac::MULTI_BUFFER_MIN - 1;
+    assert_eq!(run(below), (0, 0), "a batch of {below}");
 }
