@@ -23,11 +23,11 @@
 //! past one ring pair.
 //!
 //! Every offload — a single op is a batch of one — is ONE poll-style
-//! step ([`Offload`]): the first call places the batch on a shard and
-//! stages or publishes it, later calls take the parked result or stay
-//! pending, and a full ring raises the wait context's retry flag. Three
-//! drivers turn the step's `Pending` into a wait, chosen from what the
-//! caller can do:
+//! step ([`Offload`]): the first call places the batch on the shards, a
+//! chunk per shard, and stages or publishes every chunk; later calls
+//! take the parked results or stay pending, and a full ring raises the
+//! wait context's retry flag. Three drivers turn the step's `Pending`
+//! into a wait, chosen from what the caller can do:
 //!
 //! - a polled **task** ([`crate::task`], the production path of the
 //!   async profiles) returns `Pending` to the event loop — the paper's
@@ -574,8 +574,10 @@ impl OffloadEngine {
     /// Offload one crypto operation: a batch of one through
     /// [`Self::offload_batch_async`].
     pub async fn offload_async(&self, op: CryptoOp) -> CryptoResult {
+        // An awaited offload answers once, with one result per op; the
+        // error stands for a result that a batch of one cannot lack.
         let mut results = self.offload_batch_async(vec![op]).await;
-        results.pop().expect("one result per op")
+        results.pop().unwrap_or(Err(CryptoError::Cancelled))
     }
 
     /// Synchronous facade over [`Self::offload_batch_async`] (see
@@ -584,35 +586,47 @@ impl OffloadEngine {
         task::run_sync(self.offload_batch_async(ops))
     }
 
-    /// Offload a batch of same-class operations through ONE shard; the
-    /// results return in op order. The cursor places the batch first;
-    /// the mode and the caller's context then decide how the pending
-    /// step is waited on (see the module docs).
+    /// Offload a batch of same-class operations through ONE shard, under
+    /// one ring publish and one doorbell: [`Self::offload_chunks_async`]
+    /// with the whole batch as its one chunk.
+    pub fn offload_batch_async(&self, ops: Vec<CryptoOp>) -> Offload<'_> {
+        self.offload_chunks_async(ops, usize::MAX)
+    }
+
+    /// Offload a batch of same-class operations as chunks of at most
+    /// `chunk` requests; the results return in op order. Each chunk goes
+    /// to the next shard in the cursor's rotation under its own ring
+    /// publish and doorbell, every chunk before the caller waits; the
+    /// mode and the caller's context then decide how the pending step is
+    /// waited on (see the module docs). However many chunks, the caller
+    /// pauses ONCE: the last member's completion wakes the waker.
     ///
-    /// A multi-op batch — the data plane's multi-record submission — is
-    /// published at once under a single ring publish and a single
-    /// doorbell. A lone op has no batch of its own: on the event loop
+    /// A multi-op batch — the data plane's record flush — is published
+    /// at once. A lone op has no batch of its own: on the event loop
     /// with a submit queue attached it is staged, and
     /// [`Self::flush_submissions`] publishes it with the rest of the
-    /// sweep. Either way the caller pauses ONCE: the last member's
-    /// completion wakes the waker.
+    /// sweep.
     ///
-    /// Whatever a full ring would not take is staged on the shard's
+    /// Whatever a full ring would not take is staged on its shard's
     /// submit queue when the caller is on the event loop (published by
     /// the next sweep flush, failed with [`CryptoError::Cancelled`] by
     /// a shutdown drain — so a mid-batch shutdown fails only the unsent
-    /// tail). Without a queue the step raises the retry flag and
-    /// republishes the tail when polled again; retries stay on the
-    /// shard the cursor picked — re-routing a bounced request would
-    /// reorder it behind later submissions on another ring.
+    /// tail of each chunk). Without a queue the step raises the retry
+    /// flag and republishes each chunk's tail when polled again; retries
+    /// stay on the shard the cursor picked for the chunk — re-routing a
+    /// bounced request would reorder it behind later submissions on
+    /// another ring.
     ///
     /// # Panics
     ///
     /// Debug-asserts that every op shares one [`OpClass`].
-    pub fn offload_batch_async(&self, ops: Vec<CryptoOp>) -> Offload<'_> {
+    pub fn offload_chunks_async(&self, ops: Vec<CryptoOp>, chunk: usize) -> Offload<'_> {
         Offload {
             engine: self,
-            state: OffloadState::Fresh(ops),
+            state: OffloadState::Fresh {
+                ops,
+                chunk: chunk.max(1),
+            },
         }
     }
 
@@ -631,160 +645,184 @@ impl OffloadEngine {
                 let self_poll = self.mode == EngineMode::Async
                     || self.has_external_poller.load(Ordering::Relaxed) == 0;
                 if self_poll {
-                    return (Waiter::SelfPoll, ctx);
+                    return (Waiter::Blocking(Blocker::SelfPoll), ctx);
                 }
                 let parker = Arc::new(Parker::new());
                 ctx.set_waker(Arc::clone(&parker).into());
-                (Waiter::Parked(parker), ctx)
+                (Waiter::Blocking(Blocker::Parked(parker)), ctx)
             }
         }
     }
 
-    /// The step's first call: place, account, then stage or publish.
-    fn submit_step(&self, ops: Vec<CryptoOp>) -> OffloadStep {
+    /// The step's first call: place each chunk, account, then stage or
+    /// publish it.
+    fn submit_step(&self, ops: Vec<CryptoOp>, chunk: usize) -> OffloadStep {
         let class = ops[0].class();
         debug_assert!(
             ops.iter().all(|op| op.class() == class),
             "an offload batch is single-class"
         );
-        let shard = self.route(class);
         let (waiter, ctx) = self.waiter();
         // Only an event-loop caller may leave requests on the sweep
         // queue: a blocked caller cannot also be its flusher.
-        let queue = match waiter {
-            Waiter::Task | Waiter::Fiber => shard.submit.attached_queue(),
-            Waiter::SelfPoll | Waiter::Parked(_) => None,
-        };
+        let on_event_loop = matches!(waiter, Waiter::Task | Waiter::Fiber);
         let lone = ops.len() == 1;
-        if shard.obs.enabled() {
-            // Connection tracing: link the coming pause to its shard
-            // (read back by the worker when it annotates the
-            // offload-wait span).
-            ctx.set_submit_info(shard.index, 0);
-        }
         let collector = Arc::new(BatchCollector::new(ops.len()));
-        let mut unsent: VecDeque<CryptoRequest> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| {
-                shard.submit.begin(class);
-                let done =
-                    shard
-                        .notify
-                        .completion(Arc::clone(&collector), i, Arc::clone(&ctx), class);
-                make_request(shard.submit.next_cookie(), op, done)
-            })
-            .collect();
         let mut step = OffloadStep {
-            shard: shard.index as usize,
             class,
             waiter,
             ctx,
             collector,
-            unsent: VecDeque::new(),
+            parts: Vec::with_capacity(ops.len().div_ceil(chunk)),
             attempt: 0,
             deadline: None,
         };
-        // A staged lone op skips the ring here: ring-full then shows up
-        // as deferral inside the queue, not as a submission failure.
-        if !lone || queue.is_none() {
-            shard.submit.instance.submit_batch(&mut unsent);
-        }
-        match queue {
+        let mut ops = ops.into_iter().enumerate().peekable();
+        while ops.peek().is_some() {
+            let shard = self.route(class);
+            if step.parts.is_empty() && shard.obs.enabled() {
+                // Connection tracing: link the coming pause to the first
+                // chunk's shard (read back by the worker when it
+                // annotates the offload-wait span).
+                step.ctx.set_submit_info(shard.index, 0);
+            }
+            let mut unsent: VecDeque<CryptoRequest> = ops
+                .by_ref()
+                .take(chunk)
+                .map(|(i, op)| {
+                    shard.submit.begin(class);
+                    let done = shard.notify.completion(
+                        Arc::clone(&step.collector),
+                        i,
+                        Arc::clone(&step.ctx),
+                        class,
+                    );
+                    make_request(shard.submit.next_cookie(), op, done)
+                })
+                .collect();
+            let queue = on_event_loop
+                .then(|| shard.submit.attached_queue())
+                .flatten();
+            // A staged lone op skips the ring here: ring-full then shows
+            // up as deferral inside the queue, not as a submission
+            // failure.
+            if !lone || queue.is_none() {
+                shard.submit.instance.submit_batch(&mut unsent);
+            }
             // The unsent tail rides the sweep machinery: the next flush
             // publishes it; a shutdown drain fails it with Cancelled
             // while the already-published head completes.
-            Some(queue) => unsent.drain(..).for_each(|request| queue.enqueue(request)),
-            None => {
-                step.unsent = unsent;
-                if !step.unsent.is_empty() {
-                    self.note_ring_full(shard, &mut step);
-                }
+            if let Some(queue) = queue {
+                unsent.drain(..).for_each(|request| queue.enqueue(request));
             }
+            step.parts.push(Part {
+                shard: shard.index as usize,
+                unsent,
+            });
+        }
+        if step.parts.iter().any(|part| !part.unsent.is_empty()) {
+            self.note_ring_full(&mut step);
         }
         step
     }
 
-    /// Submission failure (§3.2): count it and raise the retry flag so
-    /// the application reschedules the pass.
-    fn note_ring_full(&self, shard: &Shard, step: &mut OffloadStep) {
+    /// Submission failure (§3.2): count it on every shard whose ring
+    /// bounced part of its chunk, and raise the retry flag once so the
+    /// application reschedules the pass.
+    fn note_ring_full(&self, step: &mut OffloadStep) {
         step.attempt += 1;
-        shard
-            .submit
-            .ring_full_retries
-            .fetch_add(1, Ordering::Relaxed);
-        self.obs.recorder().record(
-            EventKind::BackpressureRetry,
-            shard.index,
-            u64::from(step.attempt),
-            0,
-        );
-        if shard.obs.enabled() {
-            step.ctx.set_submit_info(shard.index, 2);
+        for part in step.parts.iter().filter(|part| !part.unsent.is_empty()) {
+            let shard = &self.shards[part.shard];
+            shard
+                .submit
+                .ring_full_retries
+                .fetch_add(1, Ordering::Relaxed);
+            self.obs.recorder().record(
+                EventKind::BackpressureRetry,
+                shard.index,
+                u64::from(step.attempt),
+                0,
+            );
+            if shard.obs.enabled() {
+                step.ctx.set_submit_info(shard.index, 2);
+            }
         }
         step.ctx.set_retry();
     }
 
-    /// One poll-style step of an offload. First call: submit. Later
-    /// calls: republish a ring-full tail, then take the parked result —
-    /// a call with nothing parked (spurious wake, event disorder §4.2)
-    /// stays pending. With metrics on, the post-processing phase
-    /// (notification fired → result consumed here) is recorded against
-    /// the owning shard.
-    fn step(&self, state: &mut OffloadState) -> Poll<Vec<CryptoResult>> {
-        let step = match state {
-            OffloadState::Fresh(ops) if ops.is_empty() => {
-                *state = OffloadState::Done;
-                return Poll::Ready(Vec::new());
-            }
-            OffloadState::Fresh(ops) => {
-                *state = OffloadState::InFlight(self.submit_step(std::mem::take(ops)));
-                return Poll::Pending;
-            }
-            OffloadState::InFlight(step) => step,
-            OffloadState::Done => panic!("offload polled after completion"),
-        };
-        let shard = &self.shards[step.shard];
-        if !step.unsent.is_empty() {
-            shard.submit.instance.submit_batch(&mut step.unsent);
-            if !step.unsent.is_empty() {
-                self.note_ring_full(shard, step);
-                return Poll::Pending;
-            }
+    /// One poll-style step of a submitted offload: republish every
+    /// chunk's ring-full tail, then take the parked results — a call
+    /// with nothing parked (spurious wake, event disorder §4.2) stays
+    /// pending. With metrics on, the post-processing phase
+    /// (notification fired → results consumed here) is recorded against
+    /// the first chunk's shard.
+    fn poll_step(&self, step: &mut OffloadStep) -> Poll<Vec<CryptoResult>> {
+        let mut bounced = false;
+        for part in step.parts.iter_mut().filter(|p| !p.unsent.is_empty()) {
+            let instance = &self.shards[part.shard].submit.instance;
+            instance.submit_batch(&mut part.unsent);
+            bounced |= !part.unsent.is_empty();
+        }
+        if bounced {
+            self.note_ring_full(step);
+            return Poll::Pending;
         }
         if step.ctx.take_result().is_none() {
             return Poll::Pending;
         }
-        if shard.obs.enabled() {
-            if let Some(t) = step.ctx.take_notified_ns() {
-                shard
-                    .obs
-                    .record(Phase::Post, step.class, obs::now_ns().saturating_sub(t));
+        if let Some(part) = step.parts.first() {
+            let shard = &self.shards[part.shard];
+            if shard.obs.enabled() {
+                if let Some(t) = step.ctx.take_notified_ns() {
+                    shard
+                        .obs
+                        .record(Phase::Post, step.class, obs::now_ns().saturating_sub(t));
+                }
             }
         }
-        let results = step.collector.take();
-        *state = OffloadState::Done;
-        Poll::Ready(results)
+        Poll::Ready(step.collector.take())
     }
 
-    /// Drive the step until it must return: a task hands `Pending` back
-    /// to its poller, a fiber job pauses, a blocking caller waits in
-    /// place (a device that never answers fails the op with
-    /// [`CryptoError::DeviceTimeout`], not the thread).
+    /// Drive the offload until it must return: the first call submits,
+    /// then a task hands `Pending` back to its poller, a fiber job
+    /// pauses, a blocking caller waits in place (a device that never
+    /// answers fails the op with [`CryptoError::DeviceTimeout`], not the
+    /// thread). A finished offload has handed its results over: polling
+    /// it again yields none.
     fn drive(&self, state: &mut OffloadState) -> Poll<Vec<CryptoResult>> {
-        loop {
-            if let Poll::Ready(results) = self.step(state) {
-                return Poll::Ready(results);
+        let mut just_submitted = false;
+        if let OffloadState::Fresh { ops, chunk } = state {
+            if ops.is_empty() {
+                *state = OffloadState::Done;
+                return Poll::Ready(Vec::new());
             }
-            let OffloadState::InFlight(step) = state else {
-                unreachable!("a pending step is in flight");
-            };
-            match step.waiter {
+            *state = OffloadState::InFlight(self.submit_step(std::mem::take(ops), *chunk));
+            just_submitted = true;
+        }
+        let OffloadState::InFlight(step) = state else {
+            return Poll::Ready(Vec::new());
+        };
+        loop {
+            if !std::mem::take(&mut just_submitted) {
+                if let Poll::Ready(results) = self.poll_step(step) {
+                    *state = OffloadState::Done;
+                    return Poll::Ready(results);
+                }
+            }
+            let OffloadStep {
+                waiter,
+                parts,
+                attempt,
+                deadline,
+                collector,
+                ..
+            } = &mut *step;
+            match waiter {
                 Waiter::Task => return Poll::Pending,
                 Waiter::Fiber => fiber::pause_job(),
-                Waiter::SelfPoll | Waiter::Parked(_) => {
-                    if let Err(timeout) = self.wait_in_place(step) {
-                        let n = step.collector.len();
+                Waiter::Blocking(blocker) => {
+                    if let Err(timeout) = self.wait_in_place(blocker, parts, *attempt, deadline) {
+                        let n = collector.len();
                         *state = OffloadState::Done;
                         return Poll::Ready((0..n).map(|_| Err(timeout)).collect());
                     }
@@ -796,29 +834,39 @@ impl OffloadEngine {
     /// The blocking driver's wait ("the QAT Engine cannot return
     /// control to upper layers after it submits a crypto request" —
     /// §2.4), for a result or for ring space.
-    fn wait_in_place(&self, step: &mut OffloadStep) -> Result<(), CryptoError> {
+    fn wait_in_place(
+        &self,
+        blocker: &Blocker,
+        parts: &[Part],
+        attempt: u32,
+        deadline: &mut Option<Instant>,
+    ) -> Result<(), CryptoError> {
         let now = Instant::now();
-        if now >= *step.deadline.get_or_insert(now + OFFLOAD_TIMEOUT) {
+        if now >= *deadline.get_or_insert(now + OFFLOAD_TIMEOUT) {
             return Err(CryptoError::DeviceTimeout);
         }
-        let shard = &self.shards[step.shard];
-        match &step.waiter {
-            // Only this caller's own poll can deliver its result (or
+        match blocker {
+            // Only this caller's own polls can deliver its results (or
             // free ring space), so there is nothing to sleep on: yield
-            // only when the poll came back empty.
-            Waiter::SelfPoll => {
-                if shard.retrieve.poll_all() == 0 {
+            // only when every chunk's shard came back empty.
+            Blocker::SelfPoll => {
+                let retrieved: usize = parts
+                    .iter()
+                    .map(|part| self.shards[part.shard].retrieve.poll_all())
+                    .sum();
+                if retrieved == 0 {
                     std::thread::yield_now();
                 }
             }
             // The external poller frees ring space: spin briefly, then
             // park so its thread gets cycles.
-            Waiter::Parked(_) if !step.unsent.is_empty() => shard
-                .submit
-                .backpressure
-                .wait(step.attempt - 1, SubmitContext::BlockingWait),
-            Waiter::Parked(parker) => parker.park_timeout(PARK_SLICE),
-            Waiter::Task | Waiter::Fiber => unreachable!("event-loop waiters return or pause"),
+            Blocker::Parked(parker) => match parts.iter().find(|part| !part.unsent.is_empty()) {
+                Some(part) => self.shards[part.shard]
+                    .submit
+                    .backpressure
+                    .wait(attempt.saturating_sub(1), SubmitContext::BlockingWait),
+                None => parker.park_timeout(PARK_SLICE),
+            },
         }
         Ok(())
     }
@@ -839,26 +887,37 @@ enum Waiter {
     Task,
     /// A legacy fiber job: `Pending` becomes `pause_job()`.
     Fiber,
-    /// A blocking caller (nowhere to return to) that polls the shard
-    /// itself.
+    /// A blocking caller: nowhere to return to, so it waits in place.
+    Blocking(Blocker),
+}
+
+/// How a blocking caller waits in place.
+enum Blocker {
+    /// Polls the shards of its chunks itself.
     SelfPoll,
-    /// A blocking caller behind an external poller: sleeps on the
-    /// waker of its private wait context until the poller delivers.
+    /// Behind an external poller: sleeps on the waker of its private
+    /// wait context until the poller delivers.
     Parked(Arc<Parker>),
 }
 
-/// One submitted offload: where it went, who waits for it and how, and
-/// whatever the ring has not taken yet.
-struct OffloadStep {
+/// One chunk of a submitted offload: the shard it went to, and whatever
+/// that shard's ring has not taken yet with no queue to stage it on.
+struct Part {
     shard: usize,
+    unsent: VecDeque<CryptoRequest>,
+}
+
+/// One submitted offload: where its chunks went, who waits for it and
+/// how.
+struct OffloadStep {
     class: OpClass,
     waiter: Waiter,
     /// The rendezvous: the caller's per-pass context, or a private one
     /// for a blocking caller.
     ctx: Arc<WaitCtx>,
     collector: Arc<BatchCollector>,
-    /// Requests a full ring handed back with no queue to stage them on.
-    unsent: VecDeque<CryptoRequest>,
+    /// One per chunk, in op order.
+    parts: Vec<Part>,
     /// Consecutive ring-full failures.
     attempt: u32,
     /// Blocking callers give up at this instant (set by the first wait).
@@ -870,14 +929,16 @@ impl Drop for OffloadStep {
     /// not strand the inflight accounting of requests the device never
     /// saw: fail them as a shutdown drain would.
     fn drop(&mut self) {
-        for request in self.unsent.drain(..) {
-            (request.callback)(Err(CryptoError::Cancelled));
+        for part in &mut self.parts {
+            for request in part.unsent.drain(..) {
+                (request.callback)(Err(CryptoError::Cancelled));
+            }
         }
     }
 }
 
 enum OffloadState {
-    Fresh(Vec<CryptoOp>),
+    Fresh { ops: Vec<CryptoOp>, chunk: usize },
     InFlight(OffloadStep),
     Done,
 }
@@ -900,16 +961,18 @@ impl Future for Offload<'_> {
 
 /// Shared result board of one offload step: a slot per member op and a
 /// countdown; the callback that decrements it to zero wakes the waiter
-/// (one pause / one signal per batch, not per record).
+/// (one pause / one signal per offload, however many chunks it took).
 struct BatchCollector {
-    slots: Mutex<Vec<Option<CryptoResult>>>,
+    /// Each slot reads `Cancelled` until its member's completion fills
+    /// it; the step takes them only once the countdown reached zero.
+    slots: Mutex<Vec<CryptoResult>>,
     remaining: AtomicU64,
 }
 
 impl BatchCollector {
     fn new(n: usize) -> Self {
         BatchCollector {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
+            slots: Mutex::new(vec![Err(CryptoError::Cancelled); n]),
             remaining: AtomicU64::new(n as u64),
         }
     }
@@ -920,17 +983,15 @@ impl BatchCollector {
 
     /// Park one member's result; true when it was the last outstanding.
     fn fill(&self, index: usize, result: CryptoResult) -> bool {
-        self.slots.lock()[index] = Some(result);
+        if let Some(slot) = self.slots.lock().get_mut(index) {
+            *slot = result;
+        }
         self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
     /// Collect every result in submission order.
     fn take(&self) -> Vec<CryptoResult> {
-        self.slots
-            .lock()
-            .drain(..)
-            .map(|slot| slot.expect("batch member completed"))
-            .collect()
+        std::mem::take(&mut *self.slots.lock())
     }
 }
 
@@ -1453,6 +1514,46 @@ mod tests {
     }
 
     #[test]
+    fn chunked_offload_publishes_every_chunk_before_its_one_pause() {
+        // 40 ops in chunks of 16 over three shards: a publish and a
+        // doorbell per chunk, on the shards in rotation, all before the
+        // caller pauses; then ONE pause, and the results in op order
+        // although the shards are retrieved last-first.
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 3,
+            engines_per_endpoint: 1,
+            ring_capacity: 64,
+            ..QatConfig::functional_small()
+        });
+        let engine = OffloadEngine::sharded(dev.alloc_instances(3), EngineMode::Async);
+        let ctx = Arc::new(WaitCtx::new());
+        let ops = (1..=40).map(prf_op).collect();
+        let mut fut = std::pin::pin!(engine.offload_chunks_async(ops, 16));
+        assert!(task::poll_pass(Some(&ctx), fut.as_mut()).is_pending());
+        assert_eq!(dev.fw_counters().doorbells.load(Ordering::Relaxed), 3);
+        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 40);
+        let inflight: Vec<u64> = (0..3).map(|i| engine.shard_inflight(i)).collect();
+        assert_eq!(inflight, [16, 16, 8]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let answered = || (0..3).map(|i| engine.shard_instance(i).pending_responses());
+        while answered().sum::<usize>() < 40 {
+            assert!(Instant::now() < deadline, "engines never answered");
+            std::thread::yield_now();
+        }
+        for i in (0..3).rev() {
+            assert!(!ctx.has_result(), "woken before the last chunk");
+            engine.poll_shard(i);
+        }
+        let Poll::Ready(results) = task::poll_pass(Some(&ctx), fut.as_mut()) else {
+            panic!("every chunk answered; one resume finishes the offload")
+        };
+        for (i, result) in results.into_iter().enumerate() {
+            assert_eq!(result.unwrap().into_bytes().len(), i + 1, "op order kept");
+        }
+        assert_eq!(engine.inflight().total(), 0);
+    }
+
+    #[test]
     fn sharded_blocking_offloads_complete_on_every_shard() {
         // End-to-end through real engines: round-robin placement across
         // two shards still delivers every result.
@@ -1576,12 +1677,9 @@ mod tests {
             ..QatConfig::functional_small()
         });
         let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Blocking);
-        let mut state = OffloadState::Fresh(vec![prf_op(8), prf_op(8)]);
-        assert!(engine.step(&mut state).is_pending());
-        let OffloadState::InFlight(step) = &mut state else {
-            panic!("submitted")
-        };
+        let mut step = engine.submit_step(vec![prf_op(8), prf_op(8)], usize::MAX);
         step.deadline = Some(Instant::now());
+        let mut state = OffloadState::InFlight(step);
         match engine.drive(&mut state) {
             Poll::Ready(results) => {
                 assert_eq!(results.len(), 2);

@@ -11,9 +11,11 @@
 //! # What waiting costs
 //!
 //! Idle engines sleep untimed on their endpoint's condvar and are woken
-//! by count, not by broadcast: a doorbell for `n` published requests
-//! grants `min(n, parked)` wake-ups and none when every engine is busy
-//! (a busy engine re-scans the rings when it finishes). An engine
+//! by count, not by broadcast: a doorbell grants one wake-up per *run*
+//! its requests make — the requests one engine takes at once (up to
+//! [`LANES`] records of one batch class, or one `SOLO` request) — to at
+//! most as many engines as are parked, and none when every engine is
+//! busy (a busy engine re-scans the rings when it finishes). An engine
 //! registers as parked and re-scans *under the wake lock* before it
 //! waits, and a doorbell takes the same lock after the ring publish, so
 //! either the engine's re-scan sees the request or the doorbell sees the
@@ -65,14 +67,15 @@ struct EndpointShared {
     shutdown: AtomicBool,
     /// Round-robin scan start so engines don't all hammer ring 0.
     scan_cursor: AtomicUsize,
+    /// Most requests of one batch class an engine takes at once.
+    run_width: usize,
 }
 
 impl EndpointShared {
-    /// Grant one wake-up per published request, to as many parked
-    /// engines as have none pending. Called with the requests already on
-    /// a ring.
-    fn grant_wakes(&self, mut wake: MutexGuard<'_, WakeState>, requests: usize) {
-        let grant = requests.min(wake.parked - wake.tokens);
+    /// Grant one wake-up per published run, to as many parked engines as
+    /// have none pending. Called with the requests already on a ring.
+    fn grant_wakes(&self, mut wake: MutexGuard<'_, WakeState>, runs: usize) {
+        let grant = runs.min(wake.parked - wake.tokens);
         wake.tokens += grant;
         wake.wakes += grant as u64;
         // Notify unlocked so a woken engine does not immediately block
@@ -84,11 +87,11 @@ impl EndpointShared {
     }
 
     /// Pop the next run of requests off any of this endpoint's rings
-    /// into `run` (at most `k`, of one batch class: see
+    /// into `run` (at most `run_width`, of one batch class: see
     /// [`batch_class`]), rotating the scan start for fairness across
     /// instances; the ring pair they came from, or `None` with `run`
     /// untouched when every ring is empty.
-    fn scan(&self, k: usize, run: &mut Vec<CryptoRequest>) -> Option<Arc<RingPair>> {
+    fn scan(&self, run: &mut Vec<CryptoRequest>) -> Option<Arc<RingPair>> {
         let pairs = self.pairs.read();
         if pairs.is_empty() {
             return None;
@@ -96,18 +99,18 @@ impl EndpointShared {
         let start = self.scan_cursor.fetch_add(1, Ordering::Relaxed) % pairs.len();
         (0..pairs.len()).find_map(|i| {
             let pair = &pairs[(start + i) % pairs.len()];
-            (pair.req.pop_batch(k, run) > 0).then(|| Arc::clone(pair))
+            (pair.req.pop_batch(self.run_width, run) > 0).then(|| Arc::clone(pair))
         })
     }
 
     /// The engine's idle path: the next run of requests (see
     /// [`Self::scan`]), sleeping untimed while there is none. `None`
     /// means the device is shutting down. A wake-up after which the
-    /// engine finds every ring empty — a batch a woken sibling took
-    /// whole — is counted in `empty_wakes` before it sleeps again.
+    /// engine finds every ring empty — the run it was woken for taken by
+    /// a sibling that finished its own first — is counted in
+    /// `empty_wakes` before it sleeps again.
     fn next_request(
         &self,
-        k: usize,
         run: &mut Vec<CryptoRequest>,
         counters: &FwCounters,
     ) -> Option<Arc<RingPair>> {
@@ -116,14 +119,14 @@ impl EndpointShared {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            if let Some(pair) = self.scan(k, run) {
+            if let Some(pair) = self.scan(run) {
                 return Some(pair);
             }
             let mut wake = self.wake.lock();
             wake.parked += 1;
             // Re-scan now that doorbells can see this engine: one rung
             // since the empty scan above found nobody to wake.
-            let work = self.scan(k, run);
+            let work = self.scan(run);
             if work.is_none() {
                 if woken {
                     counters.empty_wakes.fetch_add(1, Ordering::Relaxed);
@@ -172,11 +175,10 @@ impl CryptoInstance {
         self.endpoint_index
     }
 
-    /// Ring the endpoint's doorbell for `requests` just published on
-    /// this pair.
-    fn ring_doorbell(&self, requests: usize) {
-        self.endpoint
-            .grant_wakes(self.endpoint.wake.lock(), requests);
+    /// Ring the endpoint's doorbell for `runs` runs of requests just
+    /// published on this pair.
+    fn ring_doorbell(&self, runs: usize) {
+        self.endpoint.grant_wakes(self.endpoint.wake.lock(), runs);
     }
 
     /// Submit a crypto request in non-blocking mode. On success the
@@ -203,13 +205,17 @@ impl CryptoInstance {
 
     /// Submit a batch of requests under ONE ring-cursor publish and ONE
     /// engine doorbell, amortizing the per-submission overhead across
-    /// the batch (the doorbell wakes at most one parked engine per
-    /// accepted request). Requests that did not fit (ring full) are
-    /// left at the front of `requests`; the number accepted is returned.
+    /// the batch. The doorbell wakes at most one parked engine per run
+    /// the accepted requests make: 16 records wake one engine,
+    /// which takes them all, and 3 RSA signs wake three. Requests that
+    /// did not fit (ring full) are left at the front of `requests`; the
+    /// number accepted is returned.
     pub fn submit_batch(&self, requests: &mut std::collections::VecDeque<CryptoRequest>) -> usize {
         if requests.is_empty() {
             return 0;
         }
+        let width = self.endpoint.run_width;
+        let batch_runs = runs(requests.iter(), width);
         if trace::tracing() {
             // One clock read per flush; leftovers are re-stamped by the
             // next attempt, so flush_ns reflects the publish that stuck.
@@ -233,7 +239,14 @@ impl CryptoInstance {
                 .submitted
                 .fetch_add(accepted as u64, Ordering::Relaxed);
             self.counters.doorbells.fetch_add(1, Ordering::Relaxed);
-            self.ring_doorbell(accepted);
+            // A full ring took a prefix: the unsent tail's runs are not
+            // published, and the cut may have split one run in two.
+            let published = if requests.is_empty() {
+                batch_runs
+            } else {
+                (batch_runs.saturating_sub(runs(requests.iter(), width)) + 1).min(accepted)
+            };
+            self.ring_doorbell(published);
         }
         if !requests.is_empty() {
             // Each leftover request was rejected by this flush attempt.
@@ -351,24 +364,31 @@ impl QatDevice {
         let counters = Arc::new(FwCounters::default());
         let mut endpoints = Vec::with_capacity(config.endpoints);
         let mut engine_handles = Vec::new();
-        for ep_idx in 0..config.endpoints {
+        // A card has at least one endpoint, so every allocation below
+        // has one to land on.
+        for ep_idx in 0..config.endpoints.max(1) {
             let shared = Arc::new(EndpointShared {
                 pairs: RwLock::new(Vec::new()),
                 wake: Mutex::new(WakeState::default()),
                 wake_cond: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 scan_cursor: AtomicUsize::new(0),
+                run_width: run_width(&config.service_mode),
             });
             for engine_idx in 0..config.engines_per_endpoint {
                 let shared = Arc::clone(&shared);
                 let counters = Arc::clone(&counters);
                 let mode = config.service_mode.clone();
                 let table = config.service_table.clone();
-                let handle = std::thread::Builder::new()
+                // An engine the OS gives no thread is left out: the
+                // endpoint serves with the engines it has, and
+                // `engine_threads` says how many that is.
+                if let Ok(handle) = std::thread::Builder::new()
                     .name(format!("qat-ep{ep_idx}-eng{engine_idx}"))
                     .spawn(move || engine_loop(shared, counters, mode, table))
-                    .expect("spawn engine thread");
-                engine_handles.push(handle);
+                {
+                    engine_handles.push(handle);
+                }
             }
             endpoints.push(shared);
         }
@@ -408,11 +428,13 @@ impl QatDevice {
         let mut picked = vec![0usize; eps];
         (0..n)
             .map(|_| {
-                let min_picked = *picked.iter().min().expect("device has endpoints");
+                // `new` brings up at least one endpoint, so neither
+                // fallback below is ever taken.
+                let min_picked = picked.iter().min().copied().unwrap_or(0);
                 let idx = (0..eps)
                     .filter(|&i| picked[i] == min_picked)
                     .min_by_key(|&i| self.endpoints[i].pairs.read().len())
-                    .expect("device has endpoints");
+                    .unwrap_or(0);
                 picked[idx] += 1;
                 self.alloc_on(idx)
             })
@@ -422,9 +444,10 @@ impl QatDevice {
     /// Endpoint with the fewest assigned instances (lowest index wins
     /// ties).
     fn least_loaded_endpoint(&self) -> usize {
+        // Endpoint 0 exists: `new` brings up at least one.
         (0..self.endpoints.len())
             .min_by_key(|&i| self.endpoints[i].pairs.read().len())
-            .expect("device has endpoints")
+            .unwrap_or(0)
     }
 
     fn alloc_on(&self, idx: usize) -> CryptoInstance {
@@ -453,6 +476,12 @@ impl QatDevice {
                 wake.parked - wake.tokens
             })
             .sum()
+    }
+
+    /// Engine threads running, device-wide: `endpoints ×
+    /// engines_per_endpoint` unless the OS refused some at bring-up.
+    pub fn engine_threads(&self) -> usize {
+        self.engine_handles.len()
     }
 
     /// Engine wake-ups granted by doorbells since bring-up, device-wide.
@@ -498,25 +527,49 @@ fn batch_class(req: &CryptoRequest) -> u8 {
     }
 }
 
+/// Most requests one engine takes at once: a real-compute engine seals
+/// or opens up to [`LANES`] records in one multi-buffer pass; a timed
+/// engine models a card whose engines work in parallel, so it takes one
+/// request at a time.
+fn run_width(mode: &ServiceMode) -> usize {
+    match mode {
+        ServiceMode::RealCompute => LANES,
+        ServiceMode::Timed { .. } => 1,
+    }
+}
+
+/// How many runs engines take `requests` in, in order — each a stretch
+/// of at most `width` consecutive requests of one batched class, or one
+/// `SOLO` request (the runs [`Ring::pop_batch`] claims) — and so how
+/// many wake-ups their publish earns.
+fn runs<'a>(requests: impl Iterator<Item = &'a CryptoRequest>, width: usize) -> usize {
+    let mut runs = 0;
+    let mut open: Option<(u8, usize)> = None;
+    for class in requests.map(batch_class) {
+        match &mut open {
+            Some((c, len)) if *c == class && class != SOLO && *len < width => *len += 1,
+            _ => {
+                runs += 1;
+                open = Some((class, 1));
+            }
+        }
+    }
+    runs
+}
+
 /// The engine thread body: take runs of requests off the endpoint's
 /// rings, execute, deliver each response to the originating instance's
-/// ring. A real-compute engine takes up to [`LANES`] ready records at
-/// once, so a doorbell's batch is sealed or opened in one multi-buffer
-/// pass; a lone request is a run of one and never waits for company. A
-/// timed engine models a card whose engines work in parallel, so it
-/// takes one request at a time.
+/// ring. An engine takes up to [`run_width`] ready requests at once, so
+/// a doorbell's records are sealed or opened in one multi-buffer pass; a
+/// lone request is a run of one and never waits for company.
 fn engine_loop(
     shared: Arc<EndpointShared>,
     counters: Arc<FwCounters>,
     mode: ServiceMode,
     table: crate::config::ServiceTable,
 ) {
-    let k = match mode {
-        ServiceMode::RealCompute => LANES,
-        ServiceMode::Timed { .. } => 1,
-    };
-    let mut run = Vec::with_capacity(k);
-    while let Some(pair) = shared.next_request(k, &mut run, &counters) {
+    let mut run = Vec::with_capacity(shared.run_width);
+    while let Some(pair) = shared.next_request(&mut run, &counters) {
         if let ServiceMode::Timed { time_scale } = mode {
             for req in &run {
                 let ns = (table.service_ns(&req.op) as f64 * time_scale) as u64;
@@ -967,11 +1020,10 @@ mod tests {
         );
     }
 
-    /// A doorbell's 16 records are one run: the first engine to scan
-    /// takes them all, and the other three the doorbell woke find the
-    /// ring empty — counted, and never the records' business: each
-    /// request still gets its own response, sealed as it would be alone.
-    /// An RSA sign never joins a run.
+    /// A doorbell's 16 records are one run: they wake one engine, which
+    /// takes them all, and none of the other three — each request still
+    /// gets its own response, sealed as it would be alone. An RSA sign
+    /// never joins a run.
     #[test]
     fn a_doorbells_records_are_one_run_on_one_engine() {
         use qtls_crypto::CbcHmacSha1;
@@ -1010,15 +1062,11 @@ mod tests {
             .collect();
         assert_eq!(inst.submit_batch(&mut batch), 16);
         settle(16);
-        assert_eq!(
-            dev.engine_wakes() - wakes,
-            4,
-            "the doorbell rule is unchanged"
-        );
+        assert_eq!(dev.engine_wakes() - wakes, 1, "one run, one wake-up");
         assert_eq!(
             c.empty_wakes.load(Ordering::Relaxed) - empty,
-            3,
-            "one engine took the run; three woke to an empty ring"
+            0,
+            "the engine woken took the run"
         );
         for (i, sealed) in got.lock().iter() {
             let want = cipher.seal(&[*i; 16], &[*i; 4096], &[*i; 11]).unwrap();
@@ -1030,11 +1078,125 @@ mod tests {
         assert_eq!(batch_class(&sign), SOLO);
     }
 
+    /// A doorbell wakes one engine per run: 33 records are three runs
+    /// (16 + 16 + 1) and wake three of four sleepers, each of which finds
+    /// its run; three `SOLO` requests are three runs. The response ring
+    /// is filled to 8 free slots first, so no engine can finish a
+    /// 16-record run — and go back for a sibling's — before every woken
+    /// engine has scanned.
+    #[test]
+    fn doorbell_wakes_one_engine_per_run() {
+        use qtls_crypto::CbcHmacSha1;
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 1,
+            engines_per_endpoint: 4,
+            ring_capacity: 64,
+            ..QatConfig::functional_small()
+        });
+        let inst = dev.alloc_instance();
+        let done = Arc::new(AtomicUsize::new(0));
+        let all_parked = || await_or_panic("engines park", || dev.parked_engines() == 4);
+        all_parked();
+        // 120 answered PRFs left unpolled on the 128-slot response ring.
+        for round in 0..2u64 {
+            let mut fill: std::collections::VecDeque<_> = (0..60)
+                .map(|i| counted_prf(round * 60 + i, &done))
+                .collect();
+            assert_eq!(inst.submit_batch(&mut fill), 60);
+            await_or_panic("fill taken", || inst.queued_requests() == 0);
+        }
+        await_or_panic("fill answered", || inst.pending_responses() == 120);
+        all_parked();
+        let c = dev.fw_counters();
+        let (wakes, empty) = (dev.engine_wakes(), c.empty_wakes.load(Ordering::Relaxed));
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let mut records: std::collections::VecDeque<_> = (0..33u8)
+            .map(|i| {
+                let done = Arc::clone(&done);
+                make_request(
+                    1000 + u64::from(i),
+                    CryptoOp::CipherSealInPlace {
+                        cipher: Arc::clone(&cipher),
+                        iv: [i; 16],
+                        buf: vec![i; 1024],
+                        aad: [i; 11],
+                    },
+                    Box::new(move |r| {
+                        r.expect("seal");
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }),
+                )
+            })
+            .collect();
+        assert_eq!(inst.submit_batch(&mut records), 33);
+        // Every run claimed, two of them stalled on the response ring.
+        await_or_panic("runs taken", || inst.queued_requests() == 0);
+        await_or_panic("everything answered", || {
+            inst.poll_all();
+            done.load(Ordering::SeqCst) == 153
+        });
+        all_parked();
+        assert_eq!(dev.engine_wakes() - wakes, 3, "three runs, three wake-ups");
+        assert_eq!(
+            c.empty_wakes.load(Ordering::Relaxed) - empty,
+            0,
+            "every woken engine found its run"
+        );
+        let wakes = dev.engine_wakes();
+        let mut solo: std::collections::VecDeque<_> =
+            (0..3).map(|i| counted_prf(2000 + i, &done)).collect();
+        assert_eq!(inst.submit_batch(&mut solo), 3);
+        await_or_panic("solo answered", || {
+            inst.poll_all();
+            done.load(Ordering::SeqCst) == 156
+        });
+        all_parked();
+        assert_eq!(dev.engine_wakes() - wakes, 3, "a SOLO request is a run");
+    }
+
+    /// The wake-up count of a publish is the number of runs engines take
+    /// it in: a stretch of one batched class in runs of `width`, a class
+    /// change or a `SOLO` request starting a new run; a timed device
+    /// (width 1) wakes one engine per request.
+    #[test]
+    fn runs_follow_the_engines_batch_rule() {
+        use qtls_crypto::CbcHmacSha1;
+        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
+        let seal = || {
+            make_request(
+                0,
+                CryptoOp::CipherSealInPlace {
+                    cipher: Arc::clone(&cipher),
+                    iv: [0; 16],
+                    buf: Vec::new(),
+                    aad: [0; 11],
+                },
+                Box::new(|_| {}),
+            )
+        };
+        let prf = || counted_prf(0, &Arc::default());
+        let count = |pattern: &str, width: usize| {
+            let reqs: Vec<_> = pattern
+                .bytes()
+                .map(|b| if b == b'c' { seal() } else { prf() })
+                .collect();
+            runs(reqs.iter(), width)
+        };
+        assert_eq!(count("", LANES), 0);
+        assert_eq!(count(&"c".repeat(16), LANES), 1);
+        assert_eq!(count(&"c".repeat(17), LANES), 2);
+        assert_eq!(count(&"c".repeat(33), LANES), 3);
+        assert_eq!(count("ppp", LANES), 3);
+        assert_eq!(count("ccpcc", LANES), 3);
+        assert_eq!(count(&"c".repeat(16), 1), 16);
+    }
+
     #[test]
     fn drop_joins_parked_engines() {
         // Shutdown is one of the two things that notify: every engine of
         // the full 3 x 12 shape is asleep, untimed, when the device goes.
         let dev = QatDevice::with_defaults();
+        assert_eq!(dev.engine_threads(), 36);
         await_or_panic("all engines parked", || dev.parked_engines() == 36);
         assert_eq!(dev.engine_wakes(), 0, "an idle device wakes nobody");
         let (tx, rx) = mpsc::channel();

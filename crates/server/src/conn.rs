@@ -170,8 +170,8 @@ async fn serve(
         }
     }
     // One batched flush per service pass: every response staged above is
-    // sealed through the engine in batches of `record_batch` in-place
-    // descriptors — one doorbell per batch, not per record.
+    // sealed through the engine as one offload of in-place descriptors,
+    // a doorbell per `record_batch` records and one pause for the lot.
     if codec.staged_bytes() > 0 {
         let wire_before = ctx.wire_out.len();
         let seal_span = ctx

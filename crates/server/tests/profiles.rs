@@ -1127,6 +1127,51 @@ fn data_plane_codec_serves_bulk_objects() {
     );
 }
 
+/// `qat_record_batch_depth d` is the records per doorbell of a flush: a
+/// 1 MiB response (65 records) rings ceil(65 / d) doorbells, and the
+/// flush pauses its connection's pass exactly once whatever d is.
+#[test]
+fn record_batch_depth_sets_the_doorbells_of_a_flush_that_pauses_once() {
+    for depth in [1usize, 8, 16, 64] {
+        let conf = format!(
+            "ssl_engine {{ use qat_engine; default_algorithm ALL; \
+             qat_engine {{ qat_offload_mode async; qat_notify_mode poll; \
+             qat_poll_mode heuristic; qat_record_batch_depth {depth}; }} }}"
+        );
+        let directives = qtls_server::config_file::parse_ssl_engine_conf(&conf).unwrap();
+        assert_eq!(directives.record_batch_depth, depth);
+        let listener = Arc::new(VListener::new());
+        let device = QatDevice::new(QatConfig {
+            endpoints: 3,
+            ring_capacity: 128,
+            ..QatConfig::functional_small()
+        });
+        let mut worker = Worker::new(
+            Arc::clone(&listener),
+            Some(&device),
+            WorkerConfig::from_directives(&directives),
+        );
+        let (sock, mut client) = hand_establish(&mut worker, &listener, 702);
+        for _ in 0..20 {
+            worker.run_iteration();
+        }
+        let fw = device.fw_counters();
+        let doorbells = fw.doorbells.load(Ordering::Relaxed);
+        let ciphers = fw.cipher.load(Ordering::Relaxed);
+        let (jobs, resumptions) = (worker.stats.async_jobs, worker.stats.resumptions);
+        let (status, body) = https_get(&mut worker, &sock, &mut client, "/1024kb");
+        assert_eq!((status, body.len()), (200, 1024 * 1024));
+        assert_eq!(fw.cipher.load(Ordering::Relaxed) - ciphers, 65);
+        assert_eq!(
+            fw.doorbells.load(Ordering::Relaxed) - doorbells,
+            65usize.div_ceil(depth) as u64,
+            "depth {depth}"
+        );
+        assert_eq!(worker.stats.async_jobs - jobs, 1, "depth {depth}");
+        assert_eq!(worker.stats.resumptions - resumptions, 1, "depth {depth}");
+    }
+}
+
 #[test]
 fn stub_status_accounting() {
     let listener = Arc::new(VListener::new());

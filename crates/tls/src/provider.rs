@@ -366,10 +366,10 @@ impl CryptoProvider {
     }
 
     /// The record codec's one decision per pass: the engine that a pass
-    /// processing `bytes` of record crypto goes to, as batches of one
-    /// descriptor per record under one doorbell each
-    /// ([`OffloadEngine::offload_batch`]), or `None` to seal or open the
-    /// whole pass in place on the CPU.
+    /// processing `bytes` of record crypto goes to, as one offload of one
+    /// descriptor per record, a doorbell per chunk
+    /// ([`OffloadEngine::offload_chunks_async`]), or `None` to seal or
+    /// open the whole pass in place on the CPU.
     pub fn offloads_cipher(&self, bytes: usize) -> Option<&OffloadEngine> {
         self.engine_for(OpClass::Cipher(bytes))
     }

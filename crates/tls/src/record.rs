@@ -15,7 +15,7 @@ use crate::error::TlsError;
 use crate::keys::{DirectionSecrets, ExtractedSecrets};
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::suite::sizes;
-use qtls_core::{run_sync, OffloadEngine};
+use qtls_core::run_sync;
 use qtls_crypto::cbc_hmac::{self, OpenRecord, LANES};
 use qtls_crypto::{CbcHmacSha1, CryptoError, EntropySource};
 use qtls_qat::CryptoOp;
@@ -451,15 +451,18 @@ fn complete_ciphertext_bytes(mut buf: &[u8]) -> usize {
 ///   into the tail fragment, so N small writes become one record, not N);
 /// - each flush (and each open pass) is offloaded or not as a whole, on
 ///   its total bytes ([`CryptoProvider::offloads_cipher`]); an offloaded
-///   flush seals all staged fragments as one scatter-gather batch of
-///   [`CryptoOp::CipherSealInPlace`] descriptors — up to `max_batch`
-///   records per [`OffloadEngine::offload_batch`] submission, i.e. one
-///   ring publish + one doorbell for the whole batch;
+///   flush seals all staged fragments as one scatter-gather offload of
+///   [`CryptoOp::CipherSealInPlace`] descriptors
+///   ([`qtls_core::OffloadEngine::offload_chunks_async`]): chunks of
+///   `max_batch` records, each one ring publish + one doorbell on the
+///   next shard, all published before the flush pauses — once;
 /// - the cipher transforms run **in place** in the pooled buffers (the
 ///   one memcpy splicing each sealed record into the contiguous wire
-///   buffer is the only copy), and buffers return to the pool, so the
-///   steady-state hot path performs no per-record allocation
-///   ([`Self::pool_allocs`] stays flat — see the buffer-reuse test).
+///   buffer is the only copy), and buffers return to the pool, which
+///   keeps as many as the largest pass used (up to a 1 MiB response's
+///   65 fragments), so the steady-state hot path performs no per-record
+///   allocation
+///   ([`Self::pool_allocs`] stays flat — see the buffer-reuse tests).
 ///
 /// The wire format is identical to [`RecordLayer`]'s, so a codec on one
 /// end interoperates with an unmodified record layer on the other.
@@ -473,15 +476,22 @@ pub struct RecordCodec {
     staged: Vec<Vec<u8>>,
     /// Reusable record buffers (both directions draw from one pool).
     pool: Vec<Vec<u8>>,
-    /// Records per batched submission.
+    /// Most buffers the pool keeps: the most one pass has held at once,
+    /// up to `POOL_MAX`.
+    pool_keep: usize,
+    /// Records per doorbell (one chunk of an offloaded pass).
     max_batch: usize,
     pool_allocs: u64,
     bytes_sealed: u64,
     bytes_opened: u64,
 }
 
+/// Most record buffers a codec's pool keeps: a 1 MiB response's
+/// fragments (64 full ones and the one its header spills into).
+const POOL_MAX: usize = (1 << 20) / sizes::MAX_FRAGMENT + 1;
+
 impl RecordCodec {
-    /// Default records per batched submission (`qat_record_batch_depth`).
+    /// Default records per doorbell (`qat_record_batch_depth`).
     pub const DEFAULT_BATCH: usize = 16;
 
     /// Build a codec from extracted secrets plus any leftover raw bytes
@@ -494,6 +504,7 @@ impl RecordCodec {
             in_buf: leftover,
             staged: Vec::new(),
             pool: Vec::new(),
+            pool_keep: 1,
             max_batch: max_batch.max(1),
             pool_allocs: 0,
             bytes_sealed: 0,
@@ -514,10 +525,16 @@ impl RecordCodec {
     }
 
     fn pool_put(&mut self, mut buf: Vec<u8>) {
-        if self.pool.len() < 2 * self.max_batch {
+        if self.pool.len() < self.pool_keep {
             buf.clear();
             self.pool.push(buf);
         }
+    }
+
+    /// A pass is about to hold `buffers` pool buffers at once: let the
+    /// pool keep that many for the next one.
+    fn pool_reserve(&mut self, buffers: usize) {
+        self.pool_keep = self.pool_keep.max(buffers.min(POOL_MAX));
     }
 
     /// Stage outbound plaintext. Data is split at 16 KB fragment
@@ -560,10 +577,12 @@ impl RecordCodec {
     /// Seal every staged fragment, appending wire records to `out`.
     /// Returns the number of records sealed. The provider decides once,
     /// on the bytes staged, where the whole flush runs
-    /// ([`CryptoProvider::offloads_cipher`]): on the device the fragments
-    /// go down as batches of up to `max_batch` in-place descriptors per
-    /// doorbell — the future is pending once per batch and resumes at the
-    /// batch it paused on; otherwise they are sealed in place on the CPU.
+    /// ([`CryptoProvider::offloads_cipher`]): on the device every
+    /// fragment goes down as an in-place descriptor, `max_batch` per
+    /// doorbell, all published before the future pends — once — for the
+    /// lot; otherwise they are sealed in place on the CPU. Either way the
+    /// records are emitted in order; on a failed seal, those before it
+    /// are emitted and the error is returned.
     pub async fn flush_into_async<R: EntropySource>(
         &mut self,
         out: &mut Vec<u8>,
@@ -576,46 +595,68 @@ impl RecordCodec {
         }
         let staged = std::mem::take(&mut self.staged);
         let n = staged.len();
+        self.pool_reserve(n);
         let engine = provider.offloads_cipher(staged.iter().map(Vec::len).sum());
-        let batch = engine.map_or(0, |_| self.max_batch.min(n));
+        let batch = engine.map_or(0, |_| n);
         let mut ops: Vec<CryptoOp> = Vec::with_capacity(batch);
         let mut ivs: Vec<[u8; 16]> = Vec::with_capacity(batch);
+        counters.cipher += n as u32;
         for mut buf in staged {
             self.bytes_sealed += buf.len() as u64;
             let aad = aad_bytes(self.write.seq, ContentType::ApplicationData, self.version);
             self.write.seq += 1;
             let mut iv = [0u8; 16];
             rng.fill(&mut iv);
-            match engine {
-                Some(engine) => {
-                    ops.push(CryptoOp::CipherSealInPlace {
-                        cipher: Arc::clone(&self.write.cipher),
-                        iv,
-                        buf,
-                        aad,
-                    });
-                    ivs.push(iv);
-                    if ops.len() == self.max_batch {
-                        self.submit_seal_batch(engine, &mut ops, &mut ivs, out, counters)
-                            .await?;
+            if engine.is_some() {
+                ops.push(CryptoOp::CipherSealInPlace {
+                    cipher: Arc::clone(&self.write.cipher),
+                    iv,
+                    buf,
+                    aad,
+                });
+                ivs.push(iv);
+                continue;
+            }
+            self.write
+                .cipher
+                .seal_in_place(&iv, &mut buf, &aad)
+                .map_err(TlsError::Crypto)?;
+            Self::emit_record(out, self.version, &iv, &buf);
+            self.pool_put(buf);
+        }
+        if let Some(engine) = engine {
+            let results = engine.offload_chunks_async(ops, self.max_batch).await;
+            self.take_results(results, |codec, i, sealed| {
+                Self::emit_record(out, codec.version, &ivs[i], sealed);
+            })?;
+        }
+        Ok(n)
+    }
+
+    /// Hand each offloaded record's output to `emit` in record order up
+    /// to the first failure, whose error is returned; every buffer that
+    /// came back goes to the pool, emitted or not.
+    fn take_results(
+        &mut self,
+        results: Vec<qtls_qat::CryptoResult>,
+        mut emit: impl FnMut(&mut Self, usize, &[u8]),
+    ) -> Result<(), TlsError> {
+        let mut failure = None;
+        for (i, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(output) => {
+                    let buf = output.into_bytes();
+                    if failure.is_none() {
+                        emit(self, i, &buf);
                     }
-                }
-                None => {
-                    counters.cipher += 1;
-                    self.write
-                        .cipher
-                        .seal_in_place(&iv, &mut buf, &aad)
-                        .map_err(TlsError::Crypto)?;
-                    Self::emit_record(out, self.version, &iv, &buf);
                     self.pool_put(buf);
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
                 }
             }
         }
-        if let Some(engine) = engine {
-            self.submit_seal_batch(engine, &mut ops, &mut ivs, out, counters)
-                .await?;
-        }
-        Ok(n)
+        failure.map_or(Ok(()), |e| Err(TlsError::Crypto(e)))
     }
 
     /// `stage` + `flush_into` in one call (synchronous).
@@ -629,27 +670,6 @@ impl RecordCodec {
     ) -> Result<usize, TlsError> {
         self.stage(data);
         self.flush_into(out, provider, counters, rng)
-    }
-
-    async fn submit_seal_batch(
-        &mut self,
-        engine: &OffloadEngine,
-        ops: &mut Vec<CryptoOp>,
-        ivs: &mut Vec<[u8; 16]>,
-        out: &mut Vec<u8>,
-        counters: &mut OpCounters,
-    ) -> Result<(), TlsError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        counters.cipher += ops.len() as u32;
-        let results = engine.offload_batch_async(std::mem::take(ops)).await;
-        for (result, iv) in results.into_iter().zip(ivs.drain(..)) {
-            let ct = result.map_err(TlsError::Crypto)?.into_bytes();
-            Self::emit_record(out, self.version, &iv, &ct);
-            self.pool_put(ct);
-        }
-        Ok(())
     }
 
     fn emit_record(out: &mut Vec<u8>, version: u16, iv: &[u8; 16], ct: &[u8]) {
@@ -683,7 +703,8 @@ impl RecordCodec {
     /// Open every complete buffered record, appending plaintext to `out`
     /// in record order. Returns the number of records opened; partial
     /// trailing bytes stay buffered. Decided once, on the ciphertext bytes
-    /// of the complete records, and batched like the seal path.
+    /// of the complete records, and offloaded like the seal path: one
+    /// offload for the pass, `max_batch` records per doorbell, one pause.
     pub async fn open_into_async(
         &mut self,
         out: &mut Vec<u8>,
@@ -714,66 +735,40 @@ impl RecordCodec {
             };
             let aad = aad_bytes(self.read.seq, ContentType::ApplicationData, self.version);
             self.read.seq += 1;
+            counters.cipher += 1;
             let mut buf = self.pool_get();
             buf.extend_from_slice(ciphertext);
-            match engine {
-                Some(engine) => {
-                    ops.push(CryptoOp::CipherOpenInPlace {
-                        cipher: Arc::clone(&self.read.cipher),
-                        iv,
-                        buf,
-                        aad,
-                    });
-                    if ops.len() == self.max_batch {
-                        opened += self
-                            .submit_open_batch(engine, &mut ops, out, counters)
-                            .await?;
-                    }
-                }
-                None => {
-                    counters.cipher += 1;
-                    self.read
-                        .cipher
-                        .open_in_place(&iv, &mut buf, &aad)
-                        .map_err(TlsError::Crypto)?;
-                    self.bytes_opened += buf.len() as u64;
-                    out.extend_from_slice(&buf);
-                    self.pool_put(buf);
-                    opened += 1;
-                }
-            }
             pos += HEADER_LEN + len;
+            if engine.is_some() {
+                ops.push(CryptoOp::CipherOpenInPlace {
+                    cipher: Arc::clone(&self.read.cipher),
+                    iv,
+                    buf,
+                    aad,
+                });
+                continue;
+            }
+            self.read
+                .cipher
+                .open_in_place(&iv, &mut buf, &aad)
+                .map_err(TlsError::Crypto)?;
+            self.bytes_opened += buf.len() as u64;
+            out.extend_from_slice(&buf);
+            self.pool_put(buf);
+            opened += 1;
         }
         if let Some(engine) = engine {
-            opened += self
-                .submit_open_batch(engine, &mut ops, out, counters)
-                .await?;
+            self.pool_reserve(ops.len());
+            let results = engine.offload_chunks_async(ops, self.max_batch).await;
+            self.take_results(results, |codec, _, plaintext| {
+                codec.bytes_opened += plaintext.len() as u64;
+                out.extend_from_slice(plaintext);
+                opened += 1;
+            })?;
         }
         self.in_buf = in_buf;
         self.in_buf.drain(..pos);
         Ok(opened)
-    }
-
-    async fn submit_open_batch(
-        &mut self,
-        engine: &OffloadEngine,
-        ops: &mut Vec<CryptoOp>,
-        out: &mut Vec<u8>,
-        counters: &mut OpCounters,
-    ) -> Result<usize, TlsError> {
-        if ops.is_empty() {
-            return Ok(0);
-        }
-        counters.cipher += ops.len() as u32;
-        let results = engine.offload_batch_async(std::mem::take(ops)).await;
-        let n = results.len();
-        for result in results {
-            let pt = result.map_err(TlsError::Crypto)?.into_bytes();
-            self.bytes_opened += pt.len() as u64;
-            out.extend_from_slice(&pt);
-            self.pool_put(pt);
-        }
-        Ok(n)
     }
 
     /// Buffers allocated by the pool since construction. Flat in steady
@@ -799,7 +794,13 @@ mod tests {
     use super::*;
     use crate::provider::tests::blocking as offloading;
     use crate::provider::OffloadSelection;
+    use qtls_core::{poll_pass, EngineMode, OffloadEngine, SubmitQueue, WaitCtx};
     use qtls_crypto::TestRng;
+    use qtls_qat::{QatConfig, QatDevice};
+    use std::future::Future;
+    use std::sync::atomic::Ordering;
+    use std::task::Poll;
+    use std::time::{Duration, Instant};
 
     fn keys(seed: u8) -> DirectionKeys {
         DirectionKeys {
@@ -1180,6 +1181,49 @@ mod tests {
         assert!(rx2.open_into(&mut Vec::new(), &p, &mut c).is_err());
     }
 
+    /// An async-mode provider over `device`, one shard per endpoint,
+    /// that sends every record pass to the device.
+    fn sharded(device: &QatDevice) -> (CryptoProvider, Arc<OffloadEngine>) {
+        let shards = device.config().endpoints;
+        let engine = Arc::new(OffloadEngine::sharded(
+            device.alloc_instances(shards),
+            EngineMode::Async,
+        ));
+        let provider = CryptoProvider::Offload {
+            engine: Arc::clone(&engine),
+            selection: OffloadSelection::offload_everything(),
+        };
+        (provider, engine)
+    }
+
+    /// Poll `fut` as the worker polls a connection task, and return its
+    /// output and how many times it paused. At each pause, wait until
+    /// the engines have answered every published request, then retrieve
+    /// the shards last-first, so a pass's chunks complete in reverse.
+    fn drive_reversed<T>(engine: &OffloadEngine, fut: impl Future<Output = T>) -> (T, u32) {
+        let ctx = Arc::new(WaitCtx::new());
+        let mut fut = std::pin::pin!(fut);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let answered = || {
+            (0..engine.shard_count())
+                .map(|i| engine.shard_instance(i).pending_responses() as u64)
+                .sum::<u64>()
+        };
+        for pauses in 0.. {
+            if let Poll::Ready(out) = poll_pass(Some(&ctx), fut.as_mut()) {
+                return (out, pauses);
+            }
+            while answered() < engine.inflight().total() {
+                assert!(Instant::now() < deadline, "engines never answered");
+                std::thread::yield_now();
+            }
+            for i in (0..engine.shard_count()).rev() {
+                engine.poll_shard(i);
+            }
+        }
+        unreachable!("a pass pauses fewer than u32::MAX times")
+    }
+
     #[test]
     fn the_offload_decision_never_changes_a_wire_byte() {
         // Flushes of 100 B, 1 KB, 2 KB and a 1 MiB response with its
@@ -1217,5 +1261,188 @@ mod tests {
         assert_eq!(default.1, [0, 0, 2, 132]);
         assert_eq!(everything.1, [2, 4, 6, 136]);
         assert_eq!((default.2, everything.2), (136, 136));
+
+        // Flushes of 1 to 70 records through a three-shard engine, every
+        // chunk of 16 on the next shard and the shards retrieved
+        // last-first: the wire bytes are the inline seal's, each flush
+        // pauses once and rings one doorbell per chunk.
+        let device = QatDevice::new(QatConfig {
+            endpoints: 3,
+            engines_per_endpoint: 1,
+            ring_capacity: 64,
+            ..QatConfig::functional_small()
+        });
+        let (p, engine) = sharded(&device);
+        let (server, _) = secrets_pair(0x0303);
+        let mut on_device =
+            RecordCodec::new(server.clone(), Vec::new(), RecordCodec::DEFAULT_BATCH);
+        let mut inline = RecordCodec::new(server, Vec::new(), RecordCodec::DEFAULT_BATCH);
+        let (mut rng_device, mut rng_inline) = (TestRng::new(70), TestRng::new(70));
+        let mut c = OpCounters::default();
+        let doorbells = || device.fw_counters().doorbells.load(Ordering::Relaxed);
+        for records in 1..=70usize {
+            let data = vec![records as u8; records * sizes::MAX_FRAGMENT - 7];
+            let mut want = Vec::new();
+            inline
+                .seal_into(
+                    &data,
+                    &mut want,
+                    &CryptoProvider::Software,
+                    &mut c,
+                    &mut rng_inline,
+                )
+                .unwrap();
+            on_device.stage(&data);
+            let before = doorbells();
+            let mut wire = Vec::new();
+            let (sealed, pauses) = drive_reversed(
+                &engine,
+                on_device.flush_into_async(&mut wire, &p, &mut c, &mut rng_device),
+            );
+            assert_eq!(sealed, Ok(records));
+            assert!(wire == want, "{records} records: wire bytes differ");
+            assert_eq!(pauses, 1, "{records} records: one pause per flush");
+            assert_eq!(doorbells() - before, records.div_ceil(16) as u64);
+        }
+        assert_eq!(engine.inflight().total(), 0);
+    }
+
+    /// A 1 MiB response is 65 fragments: the pool keeps them all, so a
+    /// keep-alive connection serving it again allocates nothing.
+    #[test]
+    fn a_whole_mib_flush_stays_in_the_pool() {
+        let (server, _) = secrets_pair(0x0303);
+        let mut tx = RecordCodec::new(server, Vec::new(), RecordCodec::DEFAULT_BATCH);
+        let p = CryptoProvider::Software;
+        let mut c = OpCounters::default();
+        let mut rng = TestRng::new(13);
+        let response = vec![0x6du8; (1 << 20) + 100];
+        let mut allocs = Vec::new();
+        for _ in 0..3 {
+            let records = tx
+                .seal_into(&response, &mut Vec::new(), &p, &mut c, &mut rng)
+                .unwrap();
+            assert_eq!(records, POOL_MAX);
+            allocs.push(tx.pool_allocs());
+        }
+        assert_eq!(allocs, [65, 65, 65], "later flushes missed the pool");
+    }
+
+    /// A worker shutdown drains the submit queues while a flush's chunks
+    /// are in flight on all three shards, each with a tail staged behind
+    /// a four-slot ring: the flush emits exactly the records before the
+    /// first cancelled one and fails with `Cancelled`; inflight counts go
+    /// back to zero, and the pool lacks only the buffers that died with
+    /// the cancelled requests.
+    #[test]
+    fn a_shutdown_drain_mid_flush_emits_exactly_the_records_before_it() {
+        use qtls_qat::{ServiceMode, ServiceTable};
+        const RECORDS: usize = 40;
+        // Timed engines take one request per 2 ms: a ring the drain
+        // publishes into is still nearly full from the flush.
+        let device = QatDevice::new(QatConfig {
+            endpoints: 3,
+            engines_per_endpoint: 1,
+            ring_capacity: 4,
+            service_mode: ServiceMode::Timed { time_scale: 1.0 },
+            service_table: ServiceTable {
+                cipher_16kb_ns: 2_000_000,
+                ..ServiceTable::default()
+            },
+        });
+        let (p, engine) = sharded(&device);
+        let queues: Vec<Arc<SubmitQueue>> = (0..3)
+            .map(|i| {
+                let queue = Arc::new(SubmitQueue::new());
+                engine.attach_shard_submit_queue(i, Arc::clone(&queue));
+                queue
+            })
+            .collect();
+        let (server, client) = secrets_pair(0x0303);
+        let mut tx = RecordCodec::new(server, Vec::new(), RecordCodec::DEFAULT_BATCH);
+        let mut rx = RecordCodec::new(client, Vec::new(), RecordCodec::DEFAULT_BATCH);
+        let mut c = OpCounters::default();
+        let mut rng = TestRng::new(17);
+        let data = |i: usize| vec![i as u8; RECORDS * sizes::MAX_FRAGMENT];
+        // Poll a flush as the worker would, flushing the sweep queues.
+        let flush = |tx: &mut RecordCodec, c: &mut OpCounters, rng: &mut TestRng, drain: bool| {
+            let ctx = Arc::new(WaitCtx::new());
+            let mut wire = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut cancelled = None;
+            let result = {
+                let mut fut = std::pin::pin!(tx.flush_into_async(&mut wire, &p, c, rng));
+                loop {
+                    if let Poll::Ready(result) = poll_pass(Some(&ctx), fut.as_mut()) {
+                        break result;
+                    }
+                    if drain && cancelled.is_none() {
+                        let staged: Vec<usize> = queues.iter().map(|q| q.len()).collect();
+                        let flushed =
+                            |q: &SubmitQueue| q.stats().snapshot().flushed_requests as usize;
+                        let before: Vec<usize> = queues.iter().map(|q| flushed(q)).collect();
+                        assert!(
+                            staged.iter().all(|&s| s > 0),
+                            "a tail staged on every shard"
+                        );
+                        let drained = engine.drain_submit_queue();
+                        let per_shard: Vec<usize> = (0..3)
+                            .map(|i| staged[i] - (flushed(&queues[i]) - before[i]))
+                            .collect();
+                        assert_eq!(per_shard.iter().sum::<usize>(), drained.cancelled);
+                        cancelled = Some(per_shard);
+                    }
+                    while !ctx.has_result() && !ctx.take_retry() {
+                        engine.flush_submissions();
+                        engine.poll_all();
+                        assert!(Instant::now() < deadline, "flush never completed");
+                        std::thread::yield_now();
+                    }
+                }
+            };
+            (result, wire, cancelled)
+        };
+        tx.stage(&data(1));
+        let (warm, wire, _) = flush(&mut tx, &mut c, &mut rng, false);
+        assert_eq!(warm, Ok(RECORDS));
+        let mut plain = Vec::new();
+        rx.feed(&wire);
+        assert_eq!(
+            rx.open_into(&mut plain, &CryptoProvider::Software, &mut c),
+            Ok(RECORDS)
+        );
+        let baseline = tx.pool_allocs();
+        assert_eq!(baseline, RECORDS as u64);
+
+        // Chunks 0, 1 and 2 (16 + 16 + 8) go to shards 0, 1 and 2: the
+        // warm flush left the rotation where it starts.
+        tx.stage(&data(2));
+        let (failed, wire, cancelled) = flush(&mut tx, &mut c, &mut rng, true);
+        assert_eq!(failed, Err(TlsError::Crypto(CryptoError::Cancelled)));
+        let cancelled = cancelled.expect("drained mid-flush");
+        let first_failure = [(0, 16), (16, 16), (32, 8)]
+            .iter()
+            .zip(&cancelled)
+            .find(|(_, &lost)| lost > 0)
+            .map(|(&(start, len), &lost)| start + len - lost)
+            .expect("the drain cancelled a staged tail");
+        let mut plain = Vec::new();
+        rx.feed(&wire);
+        assert_eq!(
+            rx.open_into(&mut plain, &CryptoProvider::Software, &mut c),
+            Ok(first_failure),
+            "cancelled per shard {cancelled:?}"
+        );
+        assert!(plain == data(2)[..first_failure * sizes::MAX_FRAGMENT]);
+        assert_eq!(engine.inflight().total(), 0);
+        assert!((0..3).all(|i| engine.shard_inflight(i) == 0));
+        // The pool: the next flush replaces the buffers the cancelled
+        // requests took with them, the one after allocates nothing.
+        let lost = cancelled.iter().sum::<usize>() as u64;
+        for _ in 0..2 {
+            tx.stage(&data(3));
+            assert_eq!(flush(&mut tx, &mut c, &mut rng, false).0, Ok(RECORDS));
+            assert_eq!(tx.pool_allocs(), baseline + lost);
+        }
     }
 }

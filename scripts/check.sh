@@ -69,8 +69,18 @@ required=(
   task_path::shutdown_mid_handshake_leaks_nothing
   task_path::steady_state_starts_no_threads
   proptest_tls::sync_task_and_fiber_drivers_are_observationally_equal
-  # one wake per request: doorbell and park/wake (§2, §17)
+  # one wake per request: doorbell and park/wake (§2, §17); a doorbell
+  # wakes one engine per run, and a record flush is one device round
+  # trip: every chunk published, one pause, records in order (§13)
   qtls_qat::device::tests::doorbell_wakes_one_engine_per_request
+  qtls_qat::device::tests::doorbell_wakes_one_engine_per_run
+  qtls_qat::device::tests::runs_follow_the_engines_batch_rule
+  qtls_qat::device::tests::a_doorbells_records_are_one_run_on_one_engine
+  qtls_core::engine::tests::chunked_offload_publishes_every_chunk_before_its_one_pause
+  qtls_tls::record::tests::the_offload_decision_never_changes_a_wire_byte
+  qtls_tls::record::tests::a_shutdown_drain_mid_flush_emits_exactly_the_records_before_it
+  qtls_tls::record::tests::a_whole_mib_flush_stays_in_the_pool
+  profiles::record_batch_depth_sets_the_doorbells_of_a_flush_that_pauses_once
   qtls_qat::device::tests::lone_engine_never_misses_a_doorbell
   park_wake::client_write_wakes_the_parked_worker
   park_wake::response_landing_wakes_the_parked_qtls_worker

@@ -380,9 +380,10 @@ fn every_async_profile_serves_every_handshake_and_request_shape() {
                     assert_eq!(engine.inflight().total(), 0, "{case}");
                     // One resumption per completed offload step. Lone ops are
                     // a step each; the 1 MiB response is 65 records sealed
-                    // 16 per step (5 steps), once per connection.
+                    // in one step (five doorbells, one pause), once per
+                    // connection.
                     let batched = match shape {
-                        Shape::OneLarge => 2 * (65 - 5),
+                        Shape::OneLarge => 2 * (65 - 1),
                         _ => 0,
                     };
                     assert_eq!(stats.resumptions + batched, rig.polled(), "{case}");
@@ -492,10 +493,10 @@ fn steady_state_starts_no_threads() {
 
 #[test]
 fn two_slot_ring_defers_and_still_delivers() {
-    // A ring that holds two requests under 65-record responses: every
-    // multi-record step overflows it, the overflow rides the sweep queue
-    // as deferrals, and the pass stays pending across many polls that
-    // find nothing parked yet.
+    // A ring that holds two requests under 65-record responses: the
+    // flush's step overflows it, the overflow rides the sweep queue as
+    // deferrals, and the pass stays pending across many polls that find
+    // nothing parked yet.
     let _turn = serial();
     for profile in ASYNC_PROFILES {
         let mut rig = Rig::ablation(
@@ -510,7 +511,7 @@ fn two_slot_ring_defers_and_still_delivers() {
         let stats = rig.worker.stats;
         assert_eq!(stats.errors, 0, "{profile:?}");
         assert!(stats.deferred_submits > 0, "{profile:?}: ring never filled");
-        assert_eq!(stats.resumptions + (65 - 5), rig.polled(), "{profile:?}");
+        assert_eq!(stats.resumptions + (65 - 1), rig.polled(), "{profile:?}");
         assert_eq!(
             rig.worker.engine().expect("engine").inflight().total(),
             0,
