@@ -106,10 +106,26 @@ fn bench_ecc(c: &mut Criterion) {
         b.iter(|| NamedCurve::P256.scalar_mul_base(black_box(&kp.private)))
     });
     group.bench_function("p256_scalar_mul", |b| {
-        b.iter(|| NamedCurve::P256.scalar_mul(black_box(&kp.public), &kp.private))
+        b.iter(|| {
+            NamedCurve::P256
+                .scalar_mul(black_box(&kp.public), &kp.private)
+                .unwrap()
+        })
     });
     group.bench_function("p256_ecdsa_verify", |b| {
         b.iter(|| ecc::ecdsa_verify(NamedCurve::P256, &kp.public, black_box(b"transcript"), &sig))
+    });
+    // A handshake's key pair: a new scalar every call, drawn from an RNG
+    // made outside the clock.
+    let mut seed = 0;
+    group.bench_function("keygen_fresh", |b| {
+        b.iter_batched(
+            || {
+                seed += 1;
+                TestRng::new(seed)
+            },
+            |mut rng| ecc::generate_keypair(NamedCurve::P256, &mut rng),
+        )
     });
     group.finish();
 
@@ -123,6 +139,56 @@ fn bench_ecc(c: &mut Criterion) {
             b.iter(|| ecc::ecdh(curve, &alice.private, black_box(&bob.public)).unwrap())
         });
     }
+    // What a handshake pays: a new private scalar and a new peer point
+    // every call. The row above repeats one pair, so the branch
+    // predictor learns its digit pattern and the row reads low.
+    let mut rng = TestRng::new(6);
+    group.bench_function("p256_fresh_peer", |b| {
+        b.iter_batched(
+            || {
+                let ours = ecc::generate_keypair(NamedCurve::P256, &mut rng);
+                let peer = ecc::generate_keypair(NamedCurve::P256, &mut rng);
+                (ours.private, peer.public)
+            },
+            |(private, peer)| ecc::ecdh(NamedCurve::P256, &private, &peer).unwrap(),
+        )
+    });
+    group.finish();
+
+    // One field product and one square of P-256 in a dependent chain,
+    // as the point formulas run them: the `mulx`/`adx` kernels (on a CPU
+    // with BMI2 and ADX) beside the portable CIOS product and the
+    // portable square.
+    let f = &qtls_crypto::ec::p256().field;
+    let y = f
+        .to_mont(&kp.public.x)
+        .expect("a public point's x is below p");
+    let mut group = c.benchmark_group("fp");
+    let mut x = y;
+    group.bench_function("p256_mul", |b| {
+        b.iter(|| {
+            x = f.mul(black_box(&x), &y);
+            x
+        })
+    });
+    group.bench_function("p256_mul_portable", |b| {
+        b.iter(|| {
+            x = f.mul_portable(black_box(&x), &y);
+            x
+        })
+    });
+    group.bench_function("p256_sqr", |b| {
+        b.iter(|| {
+            x = f.sqr(black_box(&x));
+            x
+        })
+    });
+    group.bench_function("p256_sqr_portable", |b| {
+        b.iter(|| {
+            x = f.sqr_portable(black_box(&x));
+            x
+        })
+    });
     group.finish();
 }
 

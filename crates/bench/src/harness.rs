@@ -110,15 +110,41 @@ impl Bencher {
     /// timing. The return value is passed through [`black_box`] so the
     /// computation cannot be optimized away.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Calibrate: grow iterations until one sample takes >= 2 ms
-        // (or a single iteration is already slower than that).
-        let mut iters = 1u64;
-        loop {
+        self.sample(|iters| {
             let t0 = Instant::now();
             for _ in 0..iters {
                 black_box(f());
             }
-            let dt = t0.elapsed();
+            t0.elapsed()
+        });
+    }
+
+    /// [`Self::iter`] for a `routine` that must see a fresh input on
+    /// every call (so the branch predictor cannot learn one): `setup`
+    /// makes a sample's inputs before its clock starts, and only the
+    /// `routine` calls are timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        self.sample(|iters| {
+            let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
+            let t0 = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            t0.elapsed()
+        });
+    }
+
+    /// Collect `sample_size` samples of `run(iters)`, the time of
+    /// `iters` operations, with `iters` calibrated so one sample takes
+    /// at least 2 ms (or a single operation is already slower than that).
+    fn sample(&mut self, mut run: impl FnMut(u64) -> Duration) {
+        let mut iters = 1u64;
+        loop {
+            let dt = run(iters);
             if dt >= Duration::from_millis(2) || iters >= 1 << 24 {
                 self.samples.push((iters, dt));
                 break;
@@ -126,11 +152,7 @@ impl Bencher {
             iters = iters.saturating_mul(2);
         }
         for _ in 1..self.sample_size {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            self.samples.push((iters, t0.elapsed()));
+            self.samples.push((iters, run(iters)));
         }
     }
 
@@ -251,5 +273,26 @@ mod tests {
         b.iter(|| black_box(1 + 1));
         assert_eq!(b.samples.len(), 5);
         assert!(b.samples.iter().all(|(iters, _)| *iters >= 1));
+    }
+
+    #[test]
+    fn batched_inputs_are_fresh_and_each_used_once() {
+        let mut b = Bencher {
+            sample_size: 5,
+            samples: Vec::new(),
+        };
+        let (mut made, mut used) = (0u64, 0u64);
+        b.iter_batched(
+            || {
+                made += 1;
+                made
+            },
+            |input| {
+                used += 1;
+                assert_eq!(input, used, "inputs arrive in order, one per call");
+            },
+        );
+        assert_eq!(b.samples.len(), 5);
+        assert_eq!(made, used);
     }
 }

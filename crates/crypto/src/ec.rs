@@ -7,14 +7,23 @@
 //! `u1 * G + u2 * Q` of ECDSA verification are one width-5 wNAF pass over
 //! a single doubling chain.
 //!
+//! Every public operation takes its points as given and checks them
+//! once: a finite point whose coordinates are not reduced, or that is
+//! off the curve, is `CryptoError::InvalidPoint`.
+//!
 //! NOTE: this implementation is for the QTLS reproduction — it is
 //! algorithmically correct (validated against the NIST group structure
 //! and cross-checked sign/verify/ECDH tests) but NOT hardened against
 //! timing side channels: the comb row entry and the wNAF table entry an
 //! addition reads are indexed by bits of the (secret) scalar, and the
-//! additions branch on their operands.
+//! additions, field additions and subtractions included, branch on
+//! their operands. What is branch-free is the field product under them
+//! on the P-256 kernel path (DESIGN.md §20): `mulx`/`adcx`/`adox` and a
+//! `cmov` subtraction, no secret-dependent branch or address, where the
+//! portable product's final subtraction is a compare and a branch.
 
 use crate::bn::Bn;
+use crate::error::CryptoError;
 use crate::fp::FpParams;
 
 /// An affine point (or infinity) with coordinates as plain integers.
@@ -220,26 +229,29 @@ impl<const N: usize> PrimeCurve<N> {
 
     /// Is `pt` on the curve (and not infinity)?
     pub fn is_on_curve(&self, pt: &AffinePoint) -> bool {
-        let Some(AffineMont { x, y }) = self.to_affine_mont(pt) else {
-            return false;
-        };
+        self.to_affine_mont(pt)
+            .is_some_and(|p| self.satisfies_equation(&p))
+    }
+
+    /// `y^2 == x^3 + a x + b`.
+    fn satisfies_equation(&self, p: &AffineMont<N>) -> bool {
         let f = &self.field;
-        // y^2 == x^3 + a x + b
-        let lhs = f.sqr(&y);
-        let rhs = f.add(&f.mul(&f.add(&f.sqr(&x), &self.a), &x), &self.b);
+        let lhs = f.sqr(&p.y);
+        let rhs = f.add(&f.mul(&f.add(&f.sqr(&p.x), &self.a), &p.x), &self.b);
         f.eq(&lhs, &rhs)
     }
 
-    /// Jacobian form of a point whose coordinates are reduced field
-    /// elements (every point that passed [`is_on_curve`](Self::is_on_curve)).
-    fn to_jacobian(&self, pt: &AffinePoint) -> Jacobian<N> {
+    /// Jacobian form of `pt`, the one check every public operation makes
+    /// on its points: infinity, or reduced coordinates that satisfy the
+    /// curve equation; anything else is `InvalidPoint`.
+    fn checked_jacobian(&self, pt: &AffinePoint) -> Result<Jacobian<N>, CryptoError> {
         if pt.infinity {
-            return self.jac_infinity();
+            return Ok(self.jac_infinity());
         }
-        let affine = self
-            .to_affine_mont(pt)
-            .expect("point coordinates are reduced mod p");
-        self.lift(&affine)
+        self.to_affine_mont(pt)
+            .filter(|p| self.satisfies_equation(p))
+            .map(|p| self.lift(&p))
+            .ok_or(CryptoError::InvalidPoint)
     }
 
     fn lift(&self, p: &AffineMont<N>) -> Jacobian<N> {
@@ -397,14 +409,18 @@ impl<const N: usize> PrimeCurve<N> {
     /// `u1 * G + u2 * Q` in one pass: both scalars in width-5 wNAF over a
     /// shared doubling chain (Shamir's trick). `G`'s odd multiples are
     /// row 0 of the comb (affine: mixed additions); `Q`'s are built here.
-    fn wnaf_sum(&self, u1: &Bn, u2: &Bn, q: &AffinePoint) -> Jacobian<N> {
+    fn wnaf_sum(&self, u1: &Bn, u2: &Bn, q: &Jacobian<N>) -> Jacobian<N> {
         let f = &self.field;
         let g_digits = wnaf(u1);
-        let q_digits = if q.infinity { Vec::new() } else { wnaf(u2) };
+        let q_digits = if self.is_jac_infinity(q) {
+            Vec::new()
+        } else {
+            wnaf(u2)
+        };
         // q_odd[i] = (2i + 1) * Q
         let mut q_odd = [self.jac_infinity(); 1 << (WNAF_WIDTH - 2)];
         if !q_digits.is_empty() {
-            q_odd[0] = self.to_jacobian(q);
+            q_odd[0] = *q;
             let twice = self.dbl(&q_odd[0]);
             for i in 1..q_odd.len() {
                 q_odd[i] = self.add_jac(&q_odd[i - 1], &twice);
@@ -432,9 +448,11 @@ impl<const N: usize> PrimeCurve<N> {
         acc
     }
 
-    /// Scalar multiplication `k * pt` (width-5 wNAF).
-    pub fn scalar_mul(&self, pt: &AffinePoint, k: &Bn) -> AffinePoint {
-        self.to_affine(&self.wnaf_sum(&Bn::zero(), k, pt))
+    /// Scalar multiplication `k * pt` (width-5 wNAF); `InvalidPoint`
+    /// unless `pt` is infinity or on the curve.
+    pub fn scalar_mul(&self, pt: &AffinePoint, k: &Bn) -> Result<AffinePoint, CryptoError> {
+        let q = self.checked_jacobian(pt)?;
+        Ok(self.to_affine(&self.wnaf_sum(&Bn::zero(), k, &q)))
     }
 
     /// `k * G` from the comb table: one mixed addition per non-zero 4-bit
@@ -458,15 +476,23 @@ impl<const N: usize> PrimeCurve<N> {
         self.to_affine(&acc)
     }
 
-    /// Point addition on affine points (for tests/verification).
-    pub fn add_points(&self, p: &AffinePoint, q: &AffinePoint) -> AffinePoint {
-        let r = self.add_jac(&self.to_jacobian(p), &self.to_jacobian(q));
-        self.to_affine(&r)
+    /// Point addition on affine points (for tests/verification);
+    /// `InvalidPoint` unless both are infinity or on the curve.
+    pub fn add_points(&self, p: &AffinePoint, q: &AffinePoint) -> Result<AffinePoint, CryptoError> {
+        let r = self.add_jac(&self.checked_jacobian(p)?, &self.checked_jacobian(q)?);
+        Ok(self.to_affine(&r))
     }
 
-    /// Sum of two scalar multiplications `u1*G + u2*Q` (ECDSA verify).
-    pub fn double_scalar_mul(&self, u1: &Bn, u2: &Bn, q: &AffinePoint) -> AffinePoint {
-        self.to_affine(&self.wnaf_sum(u1, u2, q))
+    /// Sum of two scalar multiplications `u1*G + u2*Q` (ECDSA verify);
+    /// `InvalidPoint` unless `q` is infinity or on the curve.
+    pub fn double_scalar_mul(
+        &self,
+        u1: &Bn,
+        u2: &Bn,
+        q: &AffinePoint,
+    ) -> Result<AffinePoint, CryptoError> {
+        let q = self.checked_jacobian(q)?;
+        Ok(self.to_affine(&self.wnaf_sum(u1, u2, &q)))
     }
 }
 
@@ -570,8 +596,8 @@ mod tests {
                 let k = Bn::from_hex(hex).unwrap();
                 let want = o.scalar_mul(&point(&g), &k);
                 assert_eq!(point(&c.scalar_mul_base(&k)), want, "comb {hex}");
-                assert_eq!(point(&c.scalar_mul(&g, &k)), want, "wnaf {hex}");
-                let sum = c.add_points(&c.scalar_mul_base(&k), &g);
+                assert_eq!(point(&c.scalar_mul(&g, &k).unwrap()), want, "wnaf {hex}");
+                let sum = c.add_points(&c.scalar_mul_base(&k), &g).unwrap();
                 assert_eq!(point(&sum), o.add_points(&want, &point(&g)), "add {hex}");
             }
         }
@@ -600,11 +626,11 @@ mod tests {
         let (o, g) = (oracle(&c), c.generator());
         assert!(c.is_on_curve(&g));
         assert!(c.scalar_mul_base(&c.order).infinity);
-        assert!(c.scalar_mul(&g, &c.order).infinity);
+        assert!(c.scalar_mul(&g, &c.order).unwrap().infinity);
         let k = Bn::from_hex("deadbeefcafebabe0123456789abcdef").unwrap();
         let want = o.scalar_mul(&point(&g), &k);
         assert_eq!(point(&c.scalar_mul_base(&k)), want);
-        assert_eq!(point(&c.scalar_mul(&g, &k)), want);
+        assert_eq!(point(&c.scalar_mul(&g, &k).unwrap()), want);
     }
 
     #[test]
@@ -667,7 +693,9 @@ mod tests {
         let k2 = Bn::from_hex("fedcba9876543210").unwrap();
         let sum_scalar = k1.add(&k2);
         let lhs = c.scalar_mul_base(&sum_scalar);
-        let rhs = c.add_points(&c.scalar_mul_base(&k1), &c.scalar_mul_base(&k2));
+        let rhs = c
+            .add_points(&c.scalar_mul_base(&k1), &c.scalar_mul_base(&k2))
+            .unwrap();
         assert_eq!(lhs, rhs);
     }
 
@@ -675,22 +703,45 @@ mod tests {
     fn add_doubling_consistency() {
         let c = p256();
         let g = c.generator();
-        let g2a = c.add_points(&g, &g);
+        let g2a = c.add_points(&g, &g).unwrap();
         let g2b = c.scalar_mul_base(&Bn::from_u64(2));
         assert_eq!(g2a, g2b);
         // P + (-P) = infinity
         let neg_g = AffinePoint::new(g.x.clone(), c.field.modulus_bn().sub(&g.y));
-        assert!(c.add_points(&g, &neg_g).infinity);
+        assert!(c.add_points(&g, &neg_g).unwrap().infinity);
         // P + infinity = P
-        assert_eq!(c.add_points(&g, &AffinePoint::infinity()), g);
+        assert_eq!(c.add_points(&g, &AffinePoint::infinity()), Ok(g));
     }
 
+    /// Off the curve, or a coordinate at or above `p` (which used to
+    /// reach an `expect` and panic): `is_on_curve` says no and every
+    /// operation on points answers `InvalidPoint`.
     #[test]
     fn off_curve_rejected() {
         let c = p256();
-        let bogus = AffinePoint::new(Bn::from_u64(1), Bn::from_u64(1));
-        assert!(!c.is_on_curve(&bogus));
+        let (p, g) = (c.field.modulus_bn(), c.generator());
+        let k = Bn::from_u64(7);
         assert!(!c.is_on_curve(&AffinePoint::infinity()));
+        for bad in [
+            AffinePoint::new(Bn::from_u64(1), Bn::from_u64(1)),
+            AffinePoint::new(p.clone(), Bn::one()),
+            AffinePoint::new(g.x.add(&p), g.y.clone()),
+            AffinePoint::new(g.x.clone(), g.y.add(&p)),
+        ] {
+            assert!(!c.is_on_curve(&bad));
+            assert_eq!(c.scalar_mul(&bad, &k), Err(CryptoError::InvalidPoint));
+            assert_eq!(
+                c.double_scalar_mul(&k, &k, &bad),
+                Err(CryptoError::InvalidPoint)
+            );
+            assert_eq!(c.add_points(&bad, &g), Err(CryptoError::InvalidPoint));
+            assert_eq!(c.add_points(&g, &bad), Err(CryptoError::InvalidPoint));
+        }
+        // Infinity is a group element: k * O = O.
+        assert_eq!(
+            c.scalar_mul(&AffinePoint::infinity(), &k),
+            Ok(AffinePoint::infinity())
+        );
     }
 
     #[test]
@@ -699,7 +750,7 @@ mod tests {
         let q = c.scalar_mul_base(&Bn::from_u64(99));
         let u1 = Bn::from_u64(7);
         let u2 = Bn::from_u64(13);
-        let direct = c.double_scalar_mul(&u1, &u2, &q);
+        let direct = c.double_scalar_mul(&u1, &u2, &q).unwrap();
         // 7G + 13*99G = (7 + 1287) G
         let expect = c.scalar_mul_base(&Bn::from_u64(7 + 13 * 99));
         assert_eq!(direct, expect);

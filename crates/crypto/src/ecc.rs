@@ -4,7 +4,7 @@
 
 use crate::bn::Bn;
 use crate::ec::{p256, p384, AffinePoint};
-use crate::ec2m::{b283, b409, k283, k409};
+use crate::ec2m::{b283, b409, k283, k409, BinaryCurve};
 use crate::error::CryptoError;
 use crate::rng::EntropySource;
 use crate::sha256::Sha256;
@@ -110,15 +110,17 @@ impl NamedCurve {
         }
     }
 
-    /// Scalar multiplication `k * pt` on this curve.
-    pub fn scalar_mul(&self, pt: &AffinePoint, k: &Bn) -> AffinePoint {
+    /// Scalar multiplication `k * pt` on this curve; `InvalidPoint`
+    /// unless `pt` is infinity or on the curve.
+    pub fn scalar_mul(&self, pt: &AffinePoint, k: &Bn) -> Result<AffinePoint, CryptoError> {
+        let binary = |c: &BinaryCurve| on_binary_curve(c, pt).map(|c| c.scalar_mul(pt, k));
         match self {
             NamedCurve::P256 => p256().scalar_mul(pt, k),
             NamedCurve::P384 => p384().scalar_mul(pt, k),
-            NamedCurve::B283 => b283().scalar_mul(pt, k),
-            NamedCurve::B409 => b409().scalar_mul(pt, k),
-            NamedCurve::K283 => k283().scalar_mul(pt, k),
-            NamedCurve::K409 => k409().scalar_mul(pt, k),
+            NamedCurve::B283 => binary(b283()),
+            NamedCurve::B409 => binary(b409()),
+            NamedCurve::K283 => binary(k283()),
+            NamedCurve::K409 => binary(k409()),
         }
     }
 
@@ -134,15 +136,23 @@ impl NamedCurve {
         }
     }
 
-    /// `u1*G + u2*Q` on this curve.
-    pub fn double_scalar_mul(&self, u1: &Bn, u2: &Bn, q: &AffinePoint) -> AffinePoint {
+    /// `u1*G + u2*Q` on this curve; `InvalidPoint` unless `q` is
+    /// infinity or on the curve.
+    pub fn double_scalar_mul(
+        &self,
+        u1: &Bn,
+        u2: &Bn,
+        q: &AffinePoint,
+    ) -> Result<AffinePoint, CryptoError> {
+        let binary =
+            |c: &BinaryCurve| on_binary_curve(c, q).map(|c| c.double_scalar_mul(u1, u2, q));
         match self {
             NamedCurve::P256 => p256().double_scalar_mul(u1, u2, q),
             NamedCurve::P384 => p384().double_scalar_mul(u1, u2, q),
-            NamedCurve::B283 => b283().double_scalar_mul(u1, u2, q),
-            NamedCurve::B409 => b409().double_scalar_mul(u1, u2, q),
-            NamedCurve::K283 => k283().double_scalar_mul(u1, u2, q),
-            NamedCurve::K409 => k409().double_scalar_mul(u1, u2, q),
+            NamedCurve::B283 => binary(b283()),
+            NamedCurve::B409 => binary(b409()),
+            NamedCurve::K283 => binary(k283()),
+            NamedCurve::K409 => binary(k409()),
         }
     }
 
@@ -156,6 +166,20 @@ impl NamedCurve {
             NamedCurve::K283 => k283().is_on_curve(pt),
             NamedCurve::K409 => k409().is_on_curve(pt),
         }
+    }
+}
+
+/// `c` once `pt` is infinity or on it. The prime curves check their
+/// points inside each operation; `ec2m`'s operations take theirs as
+/// given, so the wrappers above check first.
+fn on_binary_curve<'c>(
+    c: &'c BinaryCurve,
+    pt: &AffinePoint,
+) -> Result<&'c BinaryCurve, CryptoError> {
+    if pt.infinity || c.is_on_curve(pt) {
+        Ok(c)
+    } else {
+        Err(CryptoError::InvalidPoint)
     }
 }
 
@@ -189,15 +213,17 @@ pub fn generate_keypair<R: EntropySource>(curve: NamedCurve, rng: &mut R) -> EcK
 /// `peer_public` is validated here even though [`decode_point`] already
 /// did: this function is public on a raw [`AffinePoint`], and on the
 /// prime curves the check is a limb compare and four field products.
+/// [`NamedCurve::scalar_mul`] makes it, once; only infinity, a group
+/// element it accepts, is turned away first.
 pub fn ecdh(
     curve: NamedCurve,
     private: &Bn,
     peer_public: &AffinePoint,
 ) -> Result<Vec<u8>, CryptoError> {
-    if !curve.is_on_curve(peer_public) {
+    if peer_public.infinity {
         return Err(CryptoError::InvalidPoint);
     }
-    let shared = curve.scalar_mul(peer_public, private);
+    let shared = curve.scalar_mul(peer_public, private)?;
     if shared.infinity {
         return Err(CryptoError::InvalidPoint);
     }
@@ -312,14 +338,15 @@ pub fn ecdsa_verify(
     if sig.r < one || &sig.r >= n || sig.s < one || &sig.s >= n {
         return Err(CryptoError::InvalidSignature);
     }
-    if !curve.is_on_curve(public) {
+    if public.infinity {
         return Err(CryptoError::InvalidPoint);
     }
     let z = digest_to_scalar(curve, &Sha256::digest(msg));
     let s_inv = sig.s.mod_inv(n).ok_or(CryptoError::InvalidSignature)?;
     let u1 = z.mul_mod(&s_inv, n);
     let u2 = sig.r.mul_mod(&s_inv, n);
-    let point = curve.double_scalar_mul(&u1, &u2, public);
+    // Checks `public` against the curve, once.
+    let point = curve.double_scalar_mul(&u1, &u2, public)?;
     if point.infinity {
         return Err(CryptoError::InvalidSignature);
     }
@@ -379,6 +406,41 @@ mod tests {
         assert_eq!(
             ecdh(NamedCurve::P256, &kp.private, &bogus),
             Err(CryptoError::InvalidPoint)
+        );
+    }
+
+    /// The named-curve wrappers answer `InvalidPoint` for a coordinate at
+    /// or above `p` — `(p, 1)`, and `G` with `x = gx + p` — where the
+    /// prime curves used to panic; the binary curves check theirs too.
+    #[test]
+    fn named_curve_operations_reject_unreduced_points() {
+        let k = Bn::from_u64(5);
+        let p = p256().field.modulus_bn();
+        let g = NamedCurve::P256.generator();
+        let shifted = AffinePoint::new(g.x.add(&p), g.y.clone());
+        for bad in [&AffinePoint::new(p.clone(), Bn::one()), &shifted] {
+            assert_eq!(
+                NamedCurve::P256.scalar_mul(bad, &k),
+                Err(CryptoError::InvalidPoint)
+            );
+            assert_eq!(
+                NamedCurve::P256.double_scalar_mul(&k, &k, bad),
+                Err(CryptoError::InvalidPoint)
+            );
+            assert_eq!(
+                ecdh(NamedCurve::P256, &k, bad),
+                Err(CryptoError::InvalidPoint)
+            );
+        }
+        let off_binary = AffinePoint::new(Bn::from_u64(2), Bn::from_u64(3));
+        assert_eq!(
+            NamedCurve::B283.scalar_mul(&off_binary, &k),
+            Err(CryptoError::InvalidPoint)
+        );
+        let b = NamedCurve::B283.generator();
+        assert_eq!(
+            NamedCurve::B283.scalar_mul(&b, &k),
+            Ok(NamedCurve::B283.scalar_mul_base(&k))
         );
     }
 

@@ -3,15 +3,56 @@
 //!
 //! Elements are `[u64; N]` in Montgomery form — no heap allocation in the
 //! point-arithmetic hot path, following the perf-book guidance to keep
-//! oft-instantiated types small and allocation-free. Multiplication is
-//! the row-interleaved (CIOS) form, whose `N`-limb accumulator lives in
-//! registers at these widths; squaring and reduction are
-//! [`crate::mont`]'s kernels, run at a width the compiler knows.
+//! oft-instantiated types small and allocation-free. The portable
+//! multiplication is the row-interleaved (CIOS) form, whose `N`-limb
+//! accumulator lives in registers at these widths; portable squaring and
+//! reduction are [`crate::mont`]'s kernels, run at a width the compiler
+//! knows.
+//!
+//! The P-256 field on a CPU with BMI2 and ADX multiplies and squares in
+//! `x86.rs`'s `mulx`/`adcx`/`adox` kernels instead (DESIGN.md §20):
+//! [`FpParams::new`] looks for the prime and the CPU once, so `mul`,
+//! `sqr` and the squaring runs of `pow` cost one predictable branch
+//! each. Every other field and CPU runs the portable code, which stays
+//! as the reference the kernels are tested against
+//! ([`FpParams::mul_portable`], [`FpParams::sqr_portable`]).
 
 #![allow(clippy::needless_range_loop)] // fixed-width limb kernels index in lockstep
 
 use crate::bn::Bn;
 use crate::mont::{ge, redc, sqr_wide, sub_assign};
+
+#[cfg(target_arch = "x86_64")]
+use crate::x86::{bmi2_adx, p256_mul_mont, p256_sqr_mont, Bmi2Adx};
+
+/// Where the target is not x86-64 there is no kernel and no proof.
+#[cfg(not(target_arch = "x86_64"))]
+mod no_bmi2_adx {
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Bmi2Adx {}
+
+    pub(super) fn bmi2_adx() -> Option<Bmi2Adx> {
+        None
+    }
+
+    pub(super) fn p256_mul_mont(cpu: Bmi2Adx, _: &[u64; 4], _: &[u64; 4]) -> [u64; 4] {
+        match cpu {}
+    }
+
+    pub(super) fn p256_sqr_mont(cpu: Bmi2Adx, _: &[u64; 4]) -> [u64; 4] {
+        match cpu {}
+    }
+}
+#[cfg(not(target_arch = "x86_64"))]
+use no_bmi2_adx::{bmi2_adx, p256_mul_mont, p256_sqr_mont, Bmi2Adx};
+
+/// The P-256 prime `2^256 - 2^224 + 2^192 + 2^96 - 1`, little-endian.
+const P256_PRIME: [u64; 4] = [
+    0xffff_ffff_ffff_ffff,
+    0x0000_0000_ffff_ffff,
+    0,
+    0xffff_ffff_0000_0001,
+];
 
 /// Parameters of a prime field with an `N`-limb odd modulus.
 #[derive(Clone, Debug)]
@@ -24,6 +65,9 @@ pub struct FpParams<const N: usize> {
     pub rr: [u64; N],
     /// `R mod p` — the Montgomery representation of 1.
     pub one: [u64; N],
+    /// The proof that the P-256 kernels may run, kept only where `p` is
+    /// the P-256 prime.
+    p256: Option<Bmi2Adx>,
 }
 
 impl<const N: usize> FpParams<N> {
@@ -43,6 +87,7 @@ impl<const N: usize> FpParams<N> {
             inv = inv.wrapping_mul(2u64.wrapping_sub(p[0].wrapping_mul(inv)));
         }
         FpParams {
+            p256: bmi2_adx().filter(|_| p[..] == P256_PRIME[..]),
             p,
             n0_inv: inv.wrapping_neg(),
             rr: limbs(&Bn::one().shl(128 * N).rem(p_bn)),
@@ -113,8 +158,41 @@ impl<const N: usize> FpParams<N> {
         out
     }
 
-    /// Montgomery multiplication (CIOS): `a * b * R^{-1} mod p`.
+    /// Montgomery multiplication: `a * b * R^{-1} mod p`.
+    #[inline]
     pub fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        self.p256_mul(a, b)
+            .unwrap_or_else(|| self.mul_portable(a, b))
+    }
+
+    /// The P-256 kernel's product, where [`Self::new`] kept its proof
+    /// (`N` is 4 there, so the conversions cannot fail).
+    #[inline(always)]
+    fn p256_mul(&self, a: &[u64; N], b: &[u64; N]) -> Option<[u64; N]> {
+        let r = p256_mul_mont(self.p256?, a.first_chunk()?, b.first_chunk()?);
+        r.as_slice().try_into().ok()
+    }
+
+    /// The P-256 kernel's square, as [`Self::p256_mul`].
+    #[inline(always)]
+    fn p256_sqr(&self, a: &[u64; N]) -> Option<[u64; N]> {
+        let r = p256_sqr_mont(self.p256?, a.first_chunk()?);
+        r.as_slice().try_into().ok()
+    }
+
+    /// Whether [`Self::mul`] and [`Self::sqr`] run the P-256 kernels
+    /// (for the test that a CPU with BMI2 and ADX never falls back
+    /// quietly).
+    #[doc(hidden)]
+    pub fn uses_p256_kernel(&self) -> bool {
+        self.p256.is_some()
+    }
+
+    /// The portable Montgomery product (CIOS) whatever the field and
+    /// CPU: the reference the P-256 kernel is tested and benchmarked
+    /// against (hence reachable from `tests/` and `crates/bench`).
+    #[doc(hidden)]
+    pub fn mul_portable(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let p = &self.p;
         let mut t = [0u64; N];
         let mut top = 0u64;
@@ -156,21 +234,64 @@ impl<const N: usize> FpParams<N> {
     fn sqr_times(&self, a: &[u64; N], n: usize) -> [u64; N] {
         let mut acc = *a;
         for _ in 0..n {
-            // Low half first; a `[u64; 2 * N]` cannot be named on stable.
-            let mut wide = [[0u64; N]; 2];
-            sqr_wide(&acc, wide.as_flattened_mut());
-            redc(&self.p, self.n0_inv, wide.as_flattened_mut(), &mut acc);
+            acc = self
+                .p256_sqr(&acc)
+                .unwrap_or_else(|| self.sqr_portable(&acc));
         }
         acc
     }
 
+    /// The portable Montgomery square, the reference for the P-256
+    /// kernel as [`Self::mul_portable`] is.
+    #[doc(hidden)]
+    #[inline]
+    pub fn sqr_portable(&self, a: &[u64; N]) -> [u64; N] {
+        // Low half first; a `[u64; 2 * N]` cannot be named on stable.
+        let mut wide = [[0u64; N]; 2];
+        sqr_wide(a, wide.as_flattened_mut());
+        let mut out = [0u64; N];
+        redc(&self.p, self.n0_inv, wide.as_flattened_mut(), &mut out);
+        out
+    }
+
     /// Field inversion via Fermat: `a^(p-2) mod p`.
     pub fn inv(&self, a: &[u64; N]) -> [u64; N] {
+        if self.p256.is_some() {
+            return self.p256_inv(a);
+        }
         let mut exp = self.p;
         let mut two = [0u64; N];
         two[0] = 2;
         sub_assign(&mut exp, &two);
         self.pow(a, &exp)
+    }
+
+    /// `a^(p-2)` for the P-256 prime by a fixed addition chain: 255
+    /// squarings and 13 products, where the 4-bit window of
+    /// [`Self::pow`] takes 263 and 41. `p - 2` is, from the top, 32 ones,
+    /// `0^31 1`, 128 zeros, 64 ones and `1^30 01`; `xk` below is
+    /// `a^(2^k - 1)`, a run of `k` ones.
+    fn p256_inv(&self, a: &[u64; N]) -> [u64; N] {
+        // `x * 2^k + y` in the exponent.
+        let shift_add = |x: &[u64; N], k: usize, y: &[u64; N]| self.mul(&self.sqr_times(x, k), y);
+        let x2 = shift_add(a, 1, a);
+        let x4 = shift_add(&x2, 2, &x2);
+        let x8 = shift_add(&x4, 4, &x4);
+        let x16 = shift_add(&x8, 8, &x8);
+        let x32 = shift_add(&x16, 16, &x16);
+        let mut acc = shift_add(&x32, 32, a);
+        for (k, y) in [
+            (128, &x32),
+            (32, &x32),
+            (16, &x16),
+            (8, &x8),
+            (4, &x4),
+            (2, &x2),
+            (2, a),
+        ] {
+            acc = shift_add(&acc, k, y);
+        }
+        acc
     }
 
     /// Exponentiation by little-endian exponent limbs (4-bit fixed

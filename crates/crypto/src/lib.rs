@@ -24,8 +24,10 @@
 //! CRT paths: the portable [`mont::MontCtx`] halves one after the other,
 //! and, where the CPU has AVX-512 IFMA, both halves in lockstep through
 //! a radix-2^52 kernel in `x86.rs` ([`mont::Mont52`]), chosen once per
-//! key. That file is the only one allowed `unsafe`; the rest of the
-//! crate is compiled under `deny(unsafe_code)`.
+//! key. The P-256 field multiplies and squares in `mulx`/`adcx`/`adox`
+//! kernels there where the CPU has BMI2 and ADX, chosen once when the
+//! field is built ([`fp::FpParams`]). That file is the only one allowed
+//! `unsafe`; the rest of the crate is compiled under `deny(unsafe_code)`.
 //!
 //! These are the operations the QAT accelerator offloads (RSA, ECC,
 //! symmetric chained cipher, PRF) and the CPU computes in the `SW`

@@ -1,34 +1,39 @@
 //! x86-64 hardware kernels: AES-NI AES-128-CBC, SHA-NI SHA-1 / SHA-256
 //! block compression, the two stitched into one pass for the AES128-SHA
 //! record seal, AVX-512 IFMA radix-2^52 Montgomery products for
-//! RSA-2048's CRT halves, and 16-lane AVX-512 SHA-1 and VAES CBC
-//! encryption for a batch of records (DESIGN.md §20).
+//! RSA-2048's CRT halves, 16-lane AVX-512 SHA-1 and VAES CBC encryption
+//! for a batch of records, and BMI2 + ADX Montgomery products and
+//! squares in the P-256 field (DESIGN.md §20).
 //!
 //! This is the only file in the crate that may contain `unsafe`. It
-//! holds eight kernels and nothing else; the dispatch sites
+//! holds ten kernels and nothing else; the dispatch sites
 //! (`aes::cbc_{en,de}crypt_in_place` with the single-block pair,
 //! `sha1::compress`, `sha256::compress`, `CbcHmacSha1::seal_in_place`,
-//! `mont::Mont52`, `cbc_hmac::{seal,open}_batch` and `sha1::digest_x16`)
-//! call the safe wrappers below, which run a kernel only right behind
-//! `is_x86_feature_detected!` (std caches the CPUID result in an atomic)
-//! and otherwise return `false`, sending the caller down its portable
-//! path — or, for the stitched seal, the radix-2^52 product and the
-//! 16-lane kernels, only with the [`AesSha`] / [`Ifma`] / [`Avx512Vaes`]
-//! proof that the same check made. Outputs are bit-identical to the
-//! portable kernels (for the radix-2^52 product: the exponentiations
-//! built on it return the same integers), which stay as the path on
-//! every other CPU and as the reference the tests compare against.
+//! `mont::Mont52`, `cbc_hmac::{seal,open}_batch`, `sha1::digest_x16`
+//! and `fp::FpParams`) call the safe wrappers below, which run a kernel
+//! only right behind `is_x86_feature_detected!` (std caches the CPUID
+//! result in an atomic) and otherwise return `false`, sending the caller
+//! down its portable path — or, for the stitched seal, the radix-2^52
+//! product, the 16-lane kernels and the P-256 field products, only with
+//! the [`AesSha`] / [`Ifma`] / [`Avx512Vaes`] / [`Bmi2Adx`] proof that
+//! the same check made. Outputs are bit-identical to the portable
+//! kernels (for the radix-2^52 product: the exponentiations built on it
+//! return the same integers), which stay as the path on every other CPU
+//! and as the reference the tests compare against.
 //!
-//! The kernels are safe `#[target_feature]` functions: inside them the
-//! register-only intrinsics need no `unsafe`. What remains `unsafe` is
-//! (a) each call from a wrapper, which has no target feature of its own,
-//! into a kernel, and (b) the unaligned 16- and 64-byte loads and
-//! stores, which take raw pointers.
+//! The intrinsic kernels are safe `#[target_feature]` functions: inside
+//! them the register-only intrinsics need no `unsafe`. What remains
+//! `unsafe` is (a) each call from a wrapper, which has no target feature
+//! of its own, into a kernel, (b) the unaligned 16- and 64-byte loads
+//! and stores, which take raw pointers, and (c) the two P-256 kernels,
+//! which are `asm!` blocks: LLVM does not emit `mulx` with the two
+//! carry chains of `adcx` / `adox` from Rust or from intrinsics.
 //!
 //! Every symmetric kernel takes a run of whole blocks so that round keys
 //! and hash state are loaded once and stay in registers across the run.
 
 use crate::mont::{Limbs52, MASK52};
+use std::arch::asm;
 use std::arch::x86_64::*;
 
 /// Unaligned 16-byte load (SSE2, the x86-64 baseline).
@@ -836,4 +841,281 @@ fn cbc_encrypt_x16_vaes(lanes: &mut [CbcLane<'_>; LANES]) {
             }
         }
     }
+}
+
+// ---- P-256 field products (BMI2 + ADX) ----
+
+/// Proof that the CPU has BMI2 (`mulx`) and ADX (`adcx`/`adox`), what
+/// the two P-256 kernels run on: only [`bmi2_adx`] makes one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Bmi2Adx(());
+
+/// `Some` when [`p256_mul_mont`] and [`p256_sqr_mont`] can run. The
+/// P-256 field keeps the proof (`fp::FpParams::new`), so the check is
+/// made once per process.
+pub(crate) fn bmi2_adx() -> Option<Bmi2Adx> {
+    (is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("adx")).then_some(Bmi2Adx(()))
+}
+
+/// The top limb of the P-256 prime `p = 2^256 - 2^224 + 2^192 + 2^96 -
+/// 1`, whose limbs are `[2^64 - 1, 2^32 - 1, 0, P256_TOP]`.
+const P256_TOP: u64 = 0xffff_ffff_0000_0001;
+
+// The kernels follow Gueron & Krasnov, "Fast prime field elliptic curve
+// cryptography with 256-bit primes" (J. Cryptogr. Eng. 2015). Since
+// `p ≡ -1 mod 2^64`, `-p^-1 mod 2^64` is 1: the multiple of `p` that
+// clears the low limb `m` of the accumulator is `m` itself, and
+// `m * p = -m + m * 2^96 + m * P256_TOP * 2^192`. So a reduction round
+// drops the low limb (it cancels `-m`), adds `m << 32` and `m >> 32` to
+// the next two limbs and one `mulx` by `P256_TOP` to the two above
+// them, and moves the accumulator down a limb. The templates name
+// their registers; a round's macro takes the names in accumulator
+// order, so moving down a limb is a renaming, not a move.
+
+/// One reduction round of the product's six-limb accumulator `x0..x5`
+/// (`x5` takes the carry): afterwards the value is `x1..x5`.
+#[rustfmt::skip]
+macro_rules! p256_reduce6 {
+    ($x0:literal, $x1:literal, $x2:literal, $x3:literal, $x4:literal, $x5:literal) => {
+        concat!(
+            "mov rdx, {", $x0, "}\n",
+            "mov {t0}, {", $x0, "}\n",
+            "shl {t0}, 32\n",
+            "shr {", $x0, "}, 32\n",
+            "add {", $x1, "}, {t0}\n",
+            "adc {", $x2, "}, {", $x0, "}\n",
+            "mulx {t1}, {t0}, {top}\n",
+            "adc {", $x3, "}, {t0}\n",
+            "adc {", $x4, "}, {t1}\n",
+            "adc {", $x5, "}, 0\n",
+        )
+    };
+}
+
+/// `a * b[i]` (at byte offset `off` of `b`) added into the five-limb
+/// accumulator `x0..x4`, and `x5` zeroed for the reduction round that
+/// follows: the low halves ride the `adcx` (CF) chain and the high
+/// halves, one limb up, the `adox` (OF) chain, so the two run side by
+/// side. Nothing carries out of `x4`: it holds at most 1 (the
+/// accumulator is below `2p`), and `a` below `p` has `a_3 <= P256_TOP`,
+/// so the high half it gets is at most `2^64 - 2^32` and the two carries
+/// in cannot reach `2^64`.
+#[rustfmt::skip]
+macro_rules! p256_mul_row {
+    ($off:literal, $x0:literal, $x1:literal, $x2:literal, $x3:literal, $x4:literal, $x5:literal) => {
+        concat!(
+            "mov rdx, qword ptr [{b} + ", $off, "]\n",
+            "xor {", $x5, ":e}, {", $x5, ":e}\n",
+            "mulx {t1}, {t0}, qword ptr [{a}]\n",
+            "adcx {", $x0, "}, {t0}\n",
+            "adox {", $x1, "}, {t1}\n",
+            "mulx {t1}, {t0}, qword ptr [{a} + 8]\n",
+            "adcx {", $x1, "}, {t0}\n",
+            "adox {", $x2, "}, {t1}\n",
+            "mulx {t1}, {t0}, qword ptr [{a} + 16]\n",
+            "adcx {", $x2, "}, {t0}\n",
+            "adox {", $x3, "}, {t1}\n",
+            "mulx {t1}, {t0}, qword ptr [{a} + 24]\n",
+            "adcx {", $x3, "}, {t0}\n",
+            "adox {", $x4, "}, {t1}\n",
+            "adcx {", $x4, "}, {", $x5, "}\n",
+        )
+    };
+}
+
+/// Montgomery product `a * b / 2^256 mod p` of two reduced P-256 field
+/// elements (little-endian limbs, each below `p`); the result is
+/// reduced too, and equals `fp::FpParams::<4>::mul_portable`'s.
+///
+/// Row-interleaved: four rows of `a * b[i]`, each followed by one
+/// reduction round, keep the accumulator below `2p` (five limbs), and a
+/// branch-free `sbb` / `cmovc` subtraction of `p` ends it.
+pub(crate) fn p256_mul_mont(_cpu: Bmi2Adx, a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let (r0, r1, r2, r3): (u64, u64, u64, u64);
+    // SAFETY: a `Bmi2Adx` exists only where `bmi2_adx()` confirmed `bmi2`
+    // (`mulx`) and `adx` (`adcx`, `adox`), the extensions the block
+    // uses. It reads the 32 bytes of `a` and of `b` through their
+    // pointers and writes only the registers it declares, and it
+    // touches no stack.
+    unsafe {
+        asm!(
+            // Row 0 into an empty accumulator: one carry chain.
+            "mov rdx, qword ptr [{b}]",
+            "mulx {acc1}, {acc0}, qword ptr [{a}]",
+            "mulx {acc2}, {t0}, qword ptr [{a} + 8]",
+            "add {acc1}, {t0}",
+            "mulx {acc3}, {t0}, qword ptr [{a} + 16]",
+            "adc {acc2}, {t0}",
+            "mulx {acc4}, {t0}, qword ptr [{a} + 24]",
+            "adc {acc3}, {t0}",
+            "adc {acc4}, 0",
+            "xor {acc5:e}, {acc5:e}",
+            p256_reduce6!("acc0", "acc1", "acc2", "acc3", "acc4", "acc5"),
+            p256_mul_row!("8", "acc1", "acc2", "acc3", "acc4", "acc5", "acc0"),
+            p256_reduce6!("acc1", "acc2", "acc3", "acc4", "acc5", "acc0"),
+            p256_mul_row!("16", "acc2", "acc3", "acc4", "acc5", "acc0", "acc1"),
+            p256_reduce6!("acc2", "acc3", "acc4", "acc5", "acc0", "acc1"),
+            p256_mul_row!("24", "acc3", "acc4", "acc5", "acc0", "acc1", "acc2"),
+            p256_reduce6!("acc3", "acc4", "acc5", "acc0", "acc1", "acc2"),
+            // The value, below 2p, is acc4, acc5, acc0, acc1 and the bit
+            // acc2. Subtract p; keep the value where that borrows.
+            "mov edx, 0xffffffff",
+            "mov {t0}, {acc4}",
+            "sub {t0}, -1",
+            "mov {t1}, {acc5}",
+            "sbb {t1}, rdx",
+            "mov {acc3}, {acc0}",
+            "sbb {acc3}, 0",
+            "mov {b}, {acc1}",
+            "sbb {b}, {top}",
+            "sbb {acc2}, 0",
+            "cmovc {t0}, {acc4}",
+            "cmovc {t1}, {acc5}",
+            "cmovc {acc3}, {acc0}",
+            "cmovc {b}, {acc1}",
+            a = in(reg) a.as_ptr(),
+            b = inout(reg) b.as_ptr() => r3,
+            top = in(reg) P256_TOP,
+            acc0 = out(reg) _,
+            acc1 = out(reg) _,
+            acc2 = out(reg) _,
+            acc3 = out(reg) r2,
+            acc4 = out(reg) _,
+            acc5 = out(reg) _,
+            t0 = out(reg) r0,
+            t1 = out(reg) r1,
+            out("rdx") _,
+            options(pure, readonly, nostack),
+        );
+    }
+    [r0, r1, r2, r3]
+}
+
+/// One reduction round of the square's low half `x0..x3`: afterwards
+/// the value is `x1, x2, x3, x0`. It needs no fifth limb, because
+/// `(x + m p) / 2^64 < 2^192 + p < 2^256` for any four-limb `x`.
+#[rustfmt::skip]
+macro_rules! p256_reduce4 {
+    ($x0:literal, $x1:literal, $x2:literal, $x3:literal) => {
+        concat!(
+            "mov rdx, {", $x0, "}\n",
+            "mov {t0}, {", $x0, "}\n",
+            "shl {t0}, 32\n",
+            "shr {", $x0, "}, 32\n",
+            "add {", $x1, "}, {t0}\n",
+            "adc {", $x2, "}, {", $x0, "}\n",
+            "mulx {", $x0, "}, {t0}, {t1}\n",
+            "adc {", $x3, "}, {t0}\n",
+            "adc {", $x0, "}, 0\n",
+        )
+    };
+}
+
+/// Montgomery square `a * a / 2^256 mod p` of a reduced P-256 field
+/// element; equals `p256_mul_mont(a, a)`.
+///
+/// The six cross products `a_i a_j` (`i < j`) once, doubled, plus the
+/// four squares `a_i^2`: 10 `mulx` where the product takes 16. Then the
+/// low half is reduced in four rounds, the high half added and `p`
+/// subtracted where that does not borrow.
+pub(crate) fn p256_sqr_mont(_cpu: Bmi2Adx, a: &[u64; 4]) -> [u64; 4] {
+    let (r0, r1, r2, r3): (u64, u64, u64, u64);
+    // SAFETY: a `Bmi2Adx` exists only where `bmi2_adx()` confirmed `bmi2`
+    // (`mulx`) and `adx` (`adcx`, `adox`), the extensions the block
+    // uses. It reads the 32 bytes of `a` through its pointer and writes
+    // only the registers it declares, and it touches no stack.
+    unsafe {
+        asm!(
+            // Cross products: a0 * (a1, a2, a3) ...
+            "mov rdx, qword ptr [{a}]",
+            "mulx {c2}, {c1}, qword ptr [{a} + 8]",
+            "mulx {c3}, {t0}, qword ptr [{a} + 16]",
+            "add {c2}, {t0}",
+            "mulx {c4}, {t0}, qword ptr [{a} + 24]",
+            "adc {c3}, {t0}",
+            "adc {c4}, 0",
+            // ... a1 * (a2, a3) ...
+            "mov rdx, qword ptr [{a} + 8]",
+            "xor {c5:e}, {c5:e}",
+            "mulx {t1}, {t0}, qword ptr [{a} + 16]",
+            "adcx {c3}, {t0}",
+            "adox {c4}, {t1}",
+            "mulx {t1}, {t0}, qword ptr [{a} + 24]",
+            "adcx {c4}, {t0}",
+            "adox {c5}, {t1}",
+            "adc {c5}, 0",
+            // ... and a2 * a3.
+            "mov rdx, qword ptr [{a} + 16]",
+            "mulx {c6}, {t0}, qword ptr [{a} + 24]",
+            "add {c5}, {t0}",
+            "adc {c6}, 0",
+            // Twice the cross products (CF chain) plus the squares (OF
+            // chain).
+            "mov rdx, qword ptr [{a}]",
+            "xor {c7:e}, {c7:e}",
+            "mulx {t1}, {c0}, rdx",
+            "adcx {c1}, {c1}",
+            "adox {c1}, {t1}",
+            "mov rdx, qword ptr [{a} + 8]",
+            "mulx {t1}, {t0}, rdx",
+            "adcx {c2}, {c2}",
+            "adox {c2}, {t0}",
+            "adcx {c3}, {c3}",
+            "adox {c3}, {t1}",
+            "mov rdx, qword ptr [{a} + 16]",
+            "mulx {t1}, {t0}, rdx",
+            "adcx {c4}, {c4}",
+            "adox {c4}, {t0}",
+            "adcx {c5}, {c5}",
+            "adox {c5}, {t1}",
+            "mov rdx, qword ptr [{a} + 24]",
+            "mulx {t1}, {t0}, rdx",
+            "adcx {c6}, {c6}",
+            "adox {c6}, {t0}",
+            "adcx {c7}, {c7}",
+            "adox {c7}, {t1}",
+            // Reduce the low half; `t1` holds P256_TOP from here on.
+            "mov {t1}, 0xffffffff00000001",
+            p256_reduce4!("c0", "c1", "c2", "c3"),
+            p256_reduce4!("c1", "c2", "c3", "c0"),
+            p256_reduce4!("c2", "c3", "c0", "c1"),
+            p256_reduce4!("c3", "c0", "c1", "c2"),
+            // Add the high half: the value, below 2p, is c0..c3 and the
+            // bit in `a`. Subtract p; keep the value where that borrows.
+            "xor {a:e}, {a:e}",
+            "add {c0}, {c4}",
+            "adc {c1}, {c5}",
+            "adc {c2}, {c6}",
+            "adc {c3}, {c7}",
+            "adc {a}, 0",
+            "mov edx, 0xffffffff",
+            "mov {c4}, {c0}",
+            "sub {c4}, -1",
+            "mov {c5}, {c1}",
+            "sbb {c5}, rdx",
+            "mov {c6}, {c2}",
+            "sbb {c6}, 0",
+            "mov {c7}, {c3}",
+            "sbb {c7}, {t1}",
+            "sbb {a}, 0",
+            "cmovc {c4}, {c0}",
+            "cmovc {c5}, {c1}",
+            "cmovc {c6}, {c2}",
+            "cmovc {c7}, {c3}",
+            a = inout(reg) a.as_ptr() => _,
+            c0 = out(reg) _,
+            c1 = out(reg) _,
+            c2 = out(reg) _,
+            c3 = out(reg) _,
+            c4 = out(reg) r0,
+            c5 = out(reg) r1,
+            c6 = out(reg) r2,
+            c7 = out(reg) r3,
+            t0 = out(reg) _,
+            t1 = out(reg) _,
+            out("rdx") _,
+            options(pure, readonly, nostack),
+        );
+    }
+    [r0, r1, r2, r3]
 }

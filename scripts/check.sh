@@ -93,6 +93,14 @@ required=(
   proptest_crypto::rsa2048_takes_the_ifma_path_wherever_the_cpu_has_it
   proptest_crypto::rsa_raw_matches_raw_portable
   proptest_crypto::mont52_mod_exp_pair_matches_mod_exp_at_every_exponent_length
+  # P-256 on mulx/adcx/adox: a CPU that has BMI2 and ADX takes the
+  # field kernels, which match the portable product, and key pairs and
+  # shared secrets match the double-and-add oracle; an unreduced point
+  # is InvalidPoint, not a panic (§19, §20)
+  proptest_crypto::p256_takes_the_adx_path_wherever_the_cpu_has_it
+  proptest_crypto::p256_kernels_match_portable_fpparams
+  proptest_crypto::p256_keygen_and_ecdh_match_the_oracle
+  qtls_crypto::ecc::tests::named_curve_operations_reject_unreduced_points
   # multi-buffer record crypto: a doorbell's records sealed and opened in
   # one 16-lane pass are the per-record records, and a CPU that has the
   # kernels takes them; the batched seal allocates nothing more (§13, §20)

@@ -12,9 +12,10 @@
 //! EXPERIMENTS.md "A connection is one task").
 //!
 //! A second case pins the asymmetric primitives the handshake leans on —
-//! one RSA-2048 signature, one P-256 key pair — so the allocator cannot
-//! creep back into the exponentiation loop or the comb walk
-//! (DESIGN.md §19).
+//! one RSA-2048 signature, one P-256 key pair, one P-256 ECDH — so the
+//! allocator cannot creep back into the exponentiation loop, the comb
+//! walk, the wNAF pass or the field kernels under them (DESIGN.md §19,
+//! §20).
 
 use qtls::core::OffloadProfile;
 use qtls::crypto::ecc::NamedCurve;
@@ -192,9 +193,16 @@ const SIGNED: &[u8] = b"server key exchange";
 /// and the field inversion allocate nothing.
 const ALLOCS_PER_P256_KEYGEN: u64 = 8;
 
+/// Allocations per `ecdh(P256, ..)` on a fresh peer: the scalar's wNAF
+/// digits, the shared point's two coordinates, and the secret's bytes
+/// (drawn, then padded to the field width). The peer's validation, the
+/// table of its odd multiples, the doubling chain and the inversion
+/// allocate nothing.
+const ALLOCS_PER_P256_ECDH: u64 = 5;
+
 #[test]
 fn asymmetric_primitive_allocations_are_pinned() {
-    use qtls::crypto::ecc::generate_keypair;
+    use qtls::crypto::ecc::{ecdh, generate_keypair};
     use qtls::crypto::test_keys::test_rsa_2048;
     use qtls::crypto::TestRng;
 
@@ -222,6 +230,19 @@ fn asymmetric_primitive_allocations_are_pinned() {
     assert!(
         keygens.iter().all(|&n| n == ALLOCS_PER_P256_KEYGEN),
         "allocations per P-256 key pair moved off {ALLOCS_PER_P256_KEYGEN}: {keygens:?}"
+    );
+    let ecdhs: Vec<u64> = (0..16)
+        .map(|_| {
+            let (ours, peer) = (
+                generate_keypair(NamedCurve::P256, &mut rng),
+                generate_keypair(NamedCurve::P256, &mut rng),
+            );
+            allocations_of(|| ecdh(NamedCurve::P256, &ours.private, &peer.public))
+        })
+        .collect();
+    assert!(
+        ecdhs.iter().all(|&n| n == ALLOCS_PER_P256_ECDH),
+        "allocations per P-256 ECDH moved off {ALLOCS_PER_P256_ECDH}: {ecdhs:?}"
     );
 }
 

@@ -9,6 +9,8 @@
 use qtls::crypto::bn::Bn;
 use qtls::crypto::cbc_hmac::{self, OpenRecord, SealRecord};
 use qtls::crypto::ec::{p256, p384, AffinePoint, PrimeCurve};
+use qtls::crypto::ecc::{self, NamedCurve};
+use qtls::crypto::fp::FpParams;
 use qtls::crypto::gf2m::Gf2m;
 use qtls::crypto::hmac::Hmac;
 use qtls::crypto::mont::{Mont52, MontCtx};
@@ -523,12 +525,16 @@ fn wnaf_scalar_mul_matches_oracle() {
         scalars.push(bn_from(&g.bytes(c.byte_len + 8)));
         for k in &scalars {
             assert_eq!(
-                to_oracle(&c.scalar_mul(&point, k)),
+                to_oracle(&c.scalar_mul(&point, k).unwrap()),
                 o.scalar_mul(&to_oracle(&point), k),
                 "k = {k:?}"
             );
         }
-        assert!(c.scalar_mul(&AffinePoint::infinity(), &scalars[3]).infinity);
+        assert!(
+            c.scalar_mul(&AffinePoint::infinity(), &scalars[3])
+                .unwrap()
+                .infinity
+        );
     }
     prop::check("wnaf_scalar_mul_matches_oracle", 16, |g| {
         on_prime_curves!(property, g)
@@ -541,9 +547,9 @@ fn prime_curve_group_order_identities() {
         let g = c.generator();
         let n_minus_1 = c.order.sub(&Bn::one());
         assert!(c.scalar_mul_base(&c.order).infinity);
-        assert!(c.scalar_mul(&g, &c.order).infinity);
+        assert!(c.scalar_mul(&g, &c.order).unwrap().infinity);
         assert_eq!(c.scalar_mul_base(&n_minus_1), negated(c, &g));
-        assert_eq!(c.scalar_mul(&g, &n_minus_1), negated(c, &g));
+        assert_eq!(c.scalar_mul(&g, &n_minus_1), Ok(negated(c, &g)));
     }
     on_prime_curves!(property);
 }
@@ -565,7 +571,7 @@ fn double_scalar_mul_matches_oracle() {
                 &o.scalar_mul(&to_oracle(q), u2),
             );
             assert_eq!(
-                to_oracle(&c.double_scalar_mul(u1, u2, q)),
+                to_oracle(&c.double_scalar_mul(u1, u2, q).unwrap()),
                 want,
                 "u1 = {u1:?}, u2 = {u2:?}, q = {q:?}"
             );
@@ -590,6 +596,146 @@ fn double_scalar_mul_matches_oracle() {
     prop::check("double_scalar_mul_matches_oracle", 16, |g| {
         on_prime_curves!(property, g)
     });
+}
+
+// ---- the P-256 field kernels against the portable product ----
+
+/// Whether this CPU runs the P-256 field kernels (BMI2 and ADX).
+fn cpu_has_bmi2_adx() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("bmi2")
+        && std::arch::is_x86_feature_detected!("adx");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// A P-256 field product never falls back to the portable CIOS quietly:
+/// wherever CPUID reports BMI2 and ADX the curve's field runs the
+/// `mulx`/`adcx`/`adox` kernels, and no other field ever does — not
+/// P-384, and not another four-limb prime.
+#[test]
+fn p256_takes_the_adx_path_wherever_the_cpu_has_it() {
+    assert_eq!(p256().field.uses_p256_kernel(), cpu_has_bmi2_adx());
+    assert!(!p384().field.uses_p256_kernel());
+    let secp256k1 =
+        Bn::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
+    assert!(!FpParams::<4>::new(&secp256k1.unwrap()).uses_p256_kernel());
+}
+
+/// A reduced P-256 element as limbs.
+fn p256_limbs(v: &Bn) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    out[..v.limbs().len()].copy_from_slice(v.limbs());
+    out
+}
+
+/// Limb values at the carry boundaries of the kernels' chains.
+const EDGE_LIMBS: [u64; 8] = [
+    0,
+    1,
+    u64::MAX,
+    u64::MAX - 1,
+    0xffff_ffff,
+    0x1_0000_0000,
+    0xffff_ffff_0000_0001,
+    1 << 63,
+];
+
+/// The kernels against `FpParams::{mul,sqr}_portable`: every pair of 0,
+/// 1, p − 1, p − 2, R mod p (the Montgomery 1) and 2²⁵⁵, then random
+/// elements — uniform, and built from carry-boundary limbs — each
+/// squared, inverted, multiplied by the others, and fed back through a
+/// chain of products. On a CPU without BMI2 and ADX both sides are the
+/// portable code, and the test says so on stderr.
+#[test]
+fn p256_kernels_match_portable_fpparams() {
+    if !cpu_has_bmi2_adx() {
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "p256_kernels_match_portable_fpparams: ADX half SKIPPED — no BMI2 / ADX \
+             on this CPU, FpParams::mul is the portable product"
+        );
+    }
+    let f = &p256().field;
+    let p = f.modulus_bn();
+    let mut two_255 = Bn::zero();
+    two_255.set_bit(255);
+    let edges: Vec<[u64; 4]> = [
+        Bn::zero(),
+        Bn::one(),
+        p.sub(&Bn::one()),
+        p.sub(&Bn::from_u64(2)),
+        f.from_mont(&f.one).mul_mod(&Bn::one().shl(256), &p),
+        two_255,
+    ]
+    .iter()
+    .map(p256_limbs)
+    .collect();
+    assert_eq!(edges[4], f.one, "R mod p");
+    let check = |x: &[u64; 4], y: &[u64; 4]| {
+        assert_eq!(f.mul(x, y), f.mul_portable(x, y), "{x:x?} * {y:x?}");
+        assert_eq!(f.sqr(x), f.sqr_portable(x), "{x:x?}^2");
+    };
+    // The kernel path's inversion is an addition chain, not `pow`.
+    let inverse_of = |x: &[u64; 4]| {
+        if *x != [0; 4] {
+            assert_eq!(f.mul_portable(&f.inv(x), x), f.one, "1 / {x:x?}");
+        }
+    };
+    for x in &edges {
+        inverse_of(x);
+        for y in &edges {
+            check(x, y);
+        }
+    }
+    prop::check("p256_kernels_match_portable_fpparams", 64, |g| {
+        let mut elements = edges.clone();
+        for _ in 0..64 {
+            let limbs: Vec<u64> = (0..4)
+                .map(|_| match g.usize_in(0, 2) {
+                    0 => EDGE_LIMBS[g.usize_in(0, EDGE_LIMBS.len() - 1)],
+                    _ => g.u64(),
+                })
+                .collect();
+            elements.push(p256_limbs(&Bn::from_limbs(limbs).rem(&p)));
+        }
+        for x in &elements {
+            inverse_of(x);
+            for y in &elements {
+                check(x, y);
+            }
+        }
+        let (mut kernel, mut portable) = (elements[6], elements[6]);
+        for y in elements.iter().cycle().take(1000) {
+            kernel = f.sqr(&f.mul(&kernel, y));
+            portable = f.sqr_portable(&f.mul_portable(&portable, y));
+            assert_eq!(kernel, portable);
+        }
+    });
+}
+
+/// What a handshake computes, end to end: 256 key pairs and 256 shared
+/// secrets on P-256 against the double-and-add oracle, which shares no
+/// field code with the curve.
+#[test]
+fn p256_keygen_and_ecdh_match_the_oracle() {
+    use qtls::crypto::TestRng;
+    let c = p256();
+    let (o, g) = (oracle_of(c), to_oracle(&c.generator()));
+    let mut rng = TestRng::new(0x9256);
+    for _ in 0..256 {
+        let ours = ecc::generate_keypair(NamedCurve::P256, &mut rng);
+        let peer = ecc::generate_keypair(NamedCurve::P256, &mut rng);
+        assert_eq!(to_oracle(&ours.public), o.scalar_mul(&g, &ours.private));
+        let (x, _) = o
+            .scalar_mul(&to_oracle(&peer.public), &ours.private)
+            .expect("a scalar below n times a point of order n is finite");
+        assert_eq!(
+            ecc::ecdh(NamedCurve::P256, &ours.private, &peer.public),
+            Ok(x.to_bytes_be_padded(32))
+        );
+    }
 }
 
 // ---- GF(2^m) ----
