@@ -14,7 +14,7 @@
 //! future, which closes the socket and publishes the span tree.
 
 use crate::admission::{self, FrameParse};
-use crate::http::{self, ContentStore, ParseOutcome};
+use crate::http::{self, Body, ContentStore, ParseOutcome};
 use crate::metrics::MetricsPlane;
 use crate::net::VSocket;
 use crate::worker::{WorkerConfig, WorkerStats};
@@ -118,19 +118,21 @@ async fn serve(
                 .insert(RecordCodec::new(secrets, leftover, ctx.record_batch))
         }
     };
-    let mut plain = Vec::new();
+    // Opened straight into the HTTP buffer, behind any partial request
+    // it still holds.
+    let buffered = ctx.http_buf.len();
     let open_span = ctx
         .trace
         .as_mut()
         .map(|t| t.begin(SpanKind::RecordOpen, obs::now_ns()));
     let records = codec
-        .open_into_async(&mut plain, &ctx.provider, &mut ctx.counters)
+        .open_into_async(&mut ctx.http_buf, &ctx.provider, &mut ctx.counters)
         .await?;
+    let opened = (ctx.http_buf.len() - buffered) as u64;
     if let (Some(trace), Some(id)) = (&mut ctx.trace, open_span) {
-        trace.end_annotated(id, obs::now_ns(), records as u64, plain.len() as u64);
+        trace.end_annotated(id, obs::now_ns(), records as u64, opened);
     }
-    report.bytes_received += plain.len() as u64;
-    ctx.http_buf.extend_from_slice(&plain);
+    report.bytes_received += opened;
     loop {
         match http::parse_request(&ctx.http_buf) {
             ParseOutcome::Complete(req, used) => {
@@ -142,21 +144,26 @@ async fn serve(
                     None => (req.path.as_str(), ""),
                 };
                 let (status, reason, body) = if req.method != "GET" {
-                    (405, "Method Not Allowed", Vec::new())
+                    (405, "Method Not Allowed", None)
                 } else if let Some((status, reason, text)) = plane.serve(path, query) {
-                    (status, reason, text.into_bytes())
+                    (status, reason, Some(Body::from(text.into_bytes())))
                 } else {
                     match content.get(path) {
-                        Some(body) => (200, "OK", body),
-                        None => (404, "Not Found", Vec::new()),
+                        Some(body) => (200, "OK", Some(body)),
+                        None => (404, "Not Found", None),
                     }
                 };
-                let resp = http::build_response(status, reason, &body, req.keep_alive);
-                report.bytes_sent += resp.len() as u64;
+                let body = body.as_deref().unwrap_or_default();
+                let head = http::response_head(status, reason, body.len(), req.keep_alive);
+                report.bytes_sent += (head.len() + body.len()) as u64;
                 report.requests += 1;
                 // Stage now, seal the whole pass as one scatter-gather
-                // batch below.
-                codec.stage(&resp);
+                // batch below. The body goes in behind the head from
+                // where the store keeps it; the codec fills each 16 KB
+                // fragment before it starts the next, so the records
+                // are those of the whole response staged at once.
+                codec.stage(&head);
+                codec.stage(body);
                 if !req.keep_alive {
                     report.close = true;
                     break;
@@ -317,9 +324,11 @@ impl Connection {
             if !out.is_empty() {
                 let _ = self.sock.write(&out);
             }
-            let wire = std::mem::take(&mut self.ctx.wire_out);
-            if !wire.is_empty() {
-                let _ = self.sock.write(&wire);
+            // Cleared, not taken: the buffer keeps its capacity, so the
+            // next pass frames into it without regrowing it.
+            if !self.ctx.wire_out.is_empty() {
+                let _ = self.sock.write(&self.ctx.wire_out);
+                self.ctx.wire_out.clear();
             }
             // Fold the pass's offload waits into the trace, then close
             // the spans this pass resolved.

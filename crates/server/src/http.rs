@@ -4,6 +4,8 @@
 
 use qtls_sync::RwLock;
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A parsed HTTP request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,26 +80,69 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Build a response with the given status and body.
+/// The status line and headers of a response whose body is
+/// `content_length` bytes: what goes on the wire before the body.
+pub fn response_head(
+    status: u16,
+    reason: &str,
+    content_length: usize,
+    keep_alive: bool,
+) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Length: {content_length}\r\nConnection: {}\r\n\r\n",
+        if keep_alive { "keep-alive" } else { "close" }
+    )
+    .into_bytes()
+}
+
+/// Build a response with the given status and body: [`response_head`]
+/// followed by the body.
 pub fn build_response(status: u16, reason: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-            body.len(),
-            if keep_alive { "keep-alive" } else { "close" }
-        )
-        .as_bytes(),
-    );
+    let mut out = response_head(status, reason, body.len(), keep_alive);
     out.extend_from_slice(body);
     out
 }
 
+/// A body the store serves: the first `len` bytes of a shared buffer.
+/// Cloning it, or handing it out, copies no body bytes.
+#[derive(Clone, Debug)]
+pub struct Body {
+    bytes: Arc<[u8]>,
+    len: usize,
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+impl From<Vec<u8>> for Body {
+    fn from(bytes: Vec<u8>) -> Self {
+        let len = bytes.len();
+        Body {
+            bytes: bytes.into(),
+            len,
+        }
+    }
+}
+
+/// The largest synthetic `/<N>kb` object the store serves.
+const MAX_SYNTHETIC: usize = 10 * 1024 * 1024;
+
 /// An in-memory content store. Besides explicit entries, paths of the
 /// form `/<N>kb` serve `N` kilobytes of synthetic data — the fixed-size
 /// objects of the paper's transfer experiments (4 KB–1024 KB).
+///
+/// Bodies are served by reference. Every synthetic object is a prefix
+/// of [`synthetic_body`]'s pattern, so they all share one buffer, as
+/// long as the largest object served so far: it grows by doubling on
+/// the first request that outgrows it, up to [`MAX_SYNTHETIC`].
 pub struct ContentStore {
-    entries: RwLock<HashMap<String, Vec<u8>>>,
+    entries: RwLock<HashMap<String, Arc<[u8]>>>,
+    synthetic: RwLock<Arc<[u8]>>,
 }
 
 impl Default for ContentStore {
@@ -113,30 +158,55 @@ impl ContentStore {
         // The "small-size page (less than 100 bytes)" of §5.5.
         entries.insert(
             "/".to_string(),
-            b"<html>QTLS reproduction index</html>".to_vec(),
+            Arc::from(&b"<html>QTLS reproduction index</html>"[..]),
         );
         ContentStore {
             entries: RwLock::new(entries),
+            synthetic: RwLock::new(Arc::from(&[][..])),
         }
     }
 
     /// Insert explicit content.
     pub fn insert(&self, path: &str, body: Vec<u8>) {
-        self.entries.write().insert(path.to_string(), body);
+        self.entries.write().insert(path.to_string(), body.into());
     }
 
     /// Resolve a path to content.
-    pub fn get(&self, path: &str) -> Option<Vec<u8>> {
-        if let Some(body) = self.entries.read().get(path) {
-            return Some(body.clone());
+    pub fn get(&self, path: &str) -> Option<Body> {
+        if let Some(bytes) = self.entries.read().get(path) {
+            return Some(Body {
+                bytes: Arc::clone(bytes),
+                len: bytes.len(),
+            });
         }
         // Synthetic sized objects: "/64kb" etc.
         let stripped = path.strip_prefix('/')?.strip_suffix("kb")?;
         let kb: usize = stripped.parse().ok()?;
-        if kb > 10 * 1024 {
+        if kb > MAX_SYNTHETIC / 1024 {
             return None;
         }
-        Some(synthetic_body(kb * 1024))
+        let len = kb * 1024;
+        Some(Body {
+            bytes: self.synthetic_prefix(len),
+            len,
+        })
+    }
+
+    /// The shared synthetic buffer, grown first if it is shorter than
+    /// `len`.
+    fn synthetic_prefix(&self, len: usize) -> Arc<[u8]> {
+        {
+            let shared = self.synthetic.read();
+            if shared.len() >= len {
+                return Arc::clone(&shared);
+            }
+        }
+        let mut shared = self.synthetic.write();
+        if shared.len() < len {
+            let grown = len.max(2 * shared.len()).min(MAX_SYNTHETIC);
+            *shared = synthetic_body(grown).into();
+        }
+        Arc::clone(&shared)
     }
 }
 
@@ -259,6 +329,34 @@ mod tests {
     fn content_store_explicit_entries() {
         let store = ContentStore::new();
         store.insert("/custom", b"abc".to_vec());
-        assert_eq!(store.get("/custom").unwrap(), b"abc");
+        assert_eq!(&store.get("/custom").unwrap()[..], b"abc");
+    }
+
+    /// Synthetic objects are prefixes of one shared buffer, as long as
+    /// the largest served so far and never longer than the cap; explicit
+    /// entries are handed out, not copied.
+    #[test]
+    fn synthetic_objects_share_one_bounded_buffer() {
+        let store = ContentStore::new();
+        let shared_len = |store: &ContentStore| store.synthetic.read().len();
+        assert_eq!(shared_len(&store), 0, "nothing is built before a request");
+        for kb in [1, 1024, 4] {
+            let body = store.get(&format!("/{kb}kb")).unwrap();
+            assert!(*body == synthetic_body(kb * 1024)[..], "/{kb}kb");
+        }
+        assert_eq!(shared_len(&store), 1 << 20);
+        let (a, b) = (store.get("/1024kb").unwrap(), store.get("/1024kb").unwrap());
+        assert_eq!(a.as_ptr(), b.as_ptr(), "two gets share one allocation");
+        assert_eq!(a.as_ptr(), store.get("/4kb").unwrap().as_ptr());
+        store.insert("/custom", b"abc".to_vec());
+        let (a, b) = (store.get("/custom").unwrap(), store.get("/custom").unwrap());
+        assert_eq!(a.as_ptr(), b.as_ptr());
+
+        let largest = store.get("/10240kb").unwrap();
+        assert!(*largest == synthetic_body(MAX_SYNTHETIC)[..]);
+        assert_eq!(shared_len(&store), MAX_SYNTHETIC);
+        assert!(store.get("/10241kb").is_none());
+        assert!(store.get(&format!("/{}kb", usize::MAX)).is_none());
+        assert_eq!(shared_len(&store), MAX_SYNTHETIC);
     }
 }

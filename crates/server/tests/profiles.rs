@@ -1127,6 +1127,64 @@ fn data_plane_codec_serves_bulk_objects() {
     );
 }
 
+/// What a worker serves is the oracle's response byte for byte, in the
+/// fewest 16 KB records: bodies come from the store's shared buffer by
+/// reference and the head is staged before them, yet the client opens
+/// exactly `build_response(200, "OK", &synthetic_body(n), ..)`, split
+/// only where a full fragment ends.
+#[test]
+fn served_responses_open_to_the_oracle_in_the_fewest_records() {
+    use qtls_server::http::{build_response, synthetic_body};
+    use qtls_server::ContentStore;
+
+    let explicit: Vec<u8> = (0..40_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+    let content = ContentStore::new();
+    content.insert("/explicit", explicit.clone());
+    let mut cfg = WorkerConfig::new(OffloadProfile::Qtls);
+    cfg.content = Arc::new(content);
+    let listener = Arc::new(VListener::new());
+    let device = QatDevice::new(QatConfig::functional_small());
+    let mut worker = Worker::new(Arc::clone(&listener), Some(&device), cfg);
+    let (sock, mut client) = hand_establish(&mut worker, &listener, 36);
+    let mut cases: Vec<(String, Vec<u8>)> = [0, 1, 15, 16, 17, 64, 1024]
+        .into_iter()
+        .map(|kb| (format!("/{kb}kb"), synthetic_body(kb * 1024)))
+        .collect();
+    cases.push(("/explicit".to_string(), explicit));
+    for (path, body) in cases {
+        let expected = build_response(200, "OK", &body, true);
+        let req = format!("GET {path} HTTP/1.1\r\nHost: qtls\r\nConnection: keep-alive\r\n\r\n");
+        client.write_app_data(req.as_bytes()).unwrap();
+        sock.write(&client.take_output()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let (mut got, mut records) = (Vec::new(), 0usize);
+        while got.len() < expected.len() {
+            worker.run_iteration();
+            if let Ok(bytes) = sock.read_all() {
+                client.feed(&bytes);
+                client.process().unwrap();
+                while let Some(record) = client.read_app_data() {
+                    got.extend_from_slice(&record);
+                    records += 1;
+                }
+            }
+            assert!(Instant::now() < deadline, "no response for {path}");
+        }
+        // Not assert_eq!: a mismatch would print megabytes.
+        assert!(
+            got == expected,
+            "{path}: the response differs from the oracle's"
+        );
+        assert_eq!(
+            records,
+            expected.len().div_ceil(16 * 1024),
+            "{path}: records"
+        );
+    }
+    assert_eq!(worker.stats.errors, 0);
+    assert_eq!(worker.stats.requests, 8);
+}
+
 /// `qat_record_batch_depth d` is the records per doorbell of a flush: a
 /// 1 MiB response (65 records) rings ceil(65 / d) doorbells, and the
 /// flush pauses its connection's pass exactly once whatever d is.

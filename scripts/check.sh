@@ -109,6 +109,16 @@ required=(
   proptest_crypto::sha1_x16_matches_sha1_in_every_lane_at_every_block_count
   proptest_crypto::sixteen_record_batches_take_the_multi_buffer_path_wherever_the_cpu_has_it
   alloc_budget::a_batched_seal_allocates_nothing_beyond_the_per_record_seals
+  # worker-thread allocations: a keep-alive request's count and the
+  # asymmetric primitives' counts are pinned (§21, §19); a 1 MiB
+  # response allocates only its socket buffer, its body is the store's
+  # shared buffer, and what is served is the oracle's response in the
+  # fewest records (§13)
+  alloc_budget::keepalive_request_allocations_are_pinned
+  alloc_budget::asymmetric_primitive_allocations_are_pinned
+  alloc_budget::a_mib_response_allocates_only_the_socket_buffer
+  qtls_server::http::tests::synthetic_objects_share_one_bounded_buffer
+  profiles::served_responses_open_to_the_oracle_in_the_fewest_records
   # the newest results/BENCH_e2e.json entry inside every BENCHMARK.json bound
   bench_gate::newest_trajectory_entry_is_inside_every_bound
 )

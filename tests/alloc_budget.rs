@@ -33,14 +33,18 @@ use std::time::{Duration, Instant};
 thread_local! {
     /// Allocations (fresh and grown) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for: a fresh block's size, a grown
+    /// block's new size.
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // A thread being torn down has no counter left; it is not the one
     // under test.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -49,7 +53,7 @@ fn count() {
 // nothing and cannot re-enter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on as they came.
         unsafe { System.alloc(layout) }
     }
@@ -60,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -74,20 +78,68 @@ static GLOBAL: Counting = Counting;
 /// context; 26 while every sweep that delivered a completion collected
 /// the async queue into a fresh `Vec` — one per offload wait, two per
 /// request; 24 while the request and the 1 KB response each went to the
-/// device as a batch of one descriptor). Under the default offload rule
+/// device as a batch of one descriptor; 11 while every request rebuilt its
+/// body, copied it behind the head into a fresh response, and opened the
+/// request into a fresh buffer). Under the default offload rule
 /// (DESIGN.md §21) both are opened and sealed in place in the codec's
-/// pooled buffers on the worker.
-const ALLOCS_PER_REQUEST: u64 = 11;
+/// pooled buffers on the worker; the body is the store's, by reference.
+const ALLOCS_PER_REQUEST: u64 = 5;
+
+/// Worker-thread bytes allocated per `GET /1024kb` beyond the wire
+/// bytes of its response. The response's one fresh buffer is the pipe's
+/// (`VSocket::write` into a pipe the client emptied, the kernel socket
+/// buffer's stand-in); the body is the store's shared buffer, staged into
+/// the codec's pooled fragments and framed into the connection's kept
+/// wire buffer, so what is left is the request's small allocations.
+const BULK_SLACK_BYTES: u64 = 64 * 1024;
 
 struct Rig {
     worker: Worker,
     client: ClientSession,
     sock: VSocket,
-    /// Allocations made inside `run_iteration` so far.
+    /// Allocations made inside `run_iteration` so far, and their bytes.
     worker_allocs: u64,
+    worker_bytes: u64,
+    /// Bytes the worker wrote to the socket so far.
+    wire_bytes: u64,
+}
+
+/// What the worker spent on one request.
+struct Spent {
+    allocs: u64,
+    bytes: u64,
+    wire_bytes: u64,
 }
 
 impl Rig {
+    /// A QTLS worker with one established keep-alive connection.
+    fn established(device: &QatDevice) -> Rig {
+        let listener = Arc::new(VListener::new());
+        let worker = Worker::new(
+            Arc::clone(&listener),
+            Some(device),
+            WorkerConfig::new(OffloadProfile::Qtls),
+        );
+        let mut client = ClientSession::new(
+            CryptoProvider::Software,
+            CipherSuite::EcdheRsa,
+            NamedCurve::P256,
+            None,
+            0xa110c,
+        );
+        client.start().expect("client hello");
+        let mut rig = Rig {
+            worker,
+            client,
+            sock: listener.connect(),
+            worker_allocs: 0,
+            worker_bytes: 0,
+            wire_bytes: 0,
+        };
+        rig.pump(|client, worker| client.is_established() && worker.stats.handshakes == 1);
+        rig
+    }
+
     /// Shuttle bytes between the client and the worker until `done`.
     fn pump(&mut self, mut done: impl FnMut(&mut ClientSession, &Worker) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -96,10 +148,12 @@ impl Rig {
             if !out.is_empty() {
                 self.sock.write(&out).expect("server end open");
             }
-            let before = ALLOCS.get();
+            let (allocs, bytes) = (ALLOCS.get(), ALLOC_BYTES.get());
             self.worker.run_iteration();
-            self.worker_allocs += ALLOCS.get() - before;
+            self.worker_allocs += ALLOCS.get() - allocs;
+            self.worker_bytes += ALLOC_BYTES.get() - bytes;
             if let Ok(bytes) = self.sock.read_all() {
+                self.wire_bytes += bytes.len() as u64;
                 self.client.feed(&bytes);
                 self.client.process().expect("client side of the exchange");
             }
@@ -111,59 +165,79 @@ impl Rig {
         }
     }
 
-    /// One keep-alive `GET /1kb`; returns what the worker allocated.
-    fn get(&mut self) -> u64 {
-        let request = b"GET /1kb HTTP/1.1\r\nHost: qtls\r\nConnection: keep-alive\r\n\r\n";
-        self.client.write_app_data(request).expect("request");
-        let before = self.worker_allocs;
+    /// One keep-alive `GET /<kb>kb`; returns what the worker spent on it.
+    fn get(&mut self, kb: usize) -> Spent {
+        let request =
+            format!("GET /{kb}kb HTTP/1.1\r\nHost: qtls\r\nConnection: keep-alive\r\n\r\n");
+        self.client
+            .write_app_data(request.as_bytes())
+            .expect("request");
+        let before = (self.worker_allocs, self.worker_bytes, self.wire_bytes);
+        let body = synthetic_body(kb * 1024);
         let mut response = Vec::new();
         self.pump(|client, _| {
             while let Some(chunk) = client.read_app_data() {
                 response.extend_from_slice(&chunk);
             }
-            response.ends_with(&synthetic_body(1024))
+            response.ends_with(&body)
         });
         assert!(response.starts_with(b"HTTP/1.1 200 OK\r\n"));
-        self.worker_allocs - before
+        Spent {
+            allocs: self.worker_allocs - before.0,
+            bytes: self.worker_bytes - before.1,
+            wire_bytes: self.wire_bytes - before.2,
+        }
     }
 }
 
 #[test]
 fn keepalive_request_allocations_are_pinned() {
     let device = QatDevice::new(QatConfig::functional_small());
-    let listener = Arc::new(VListener::new());
-    let worker = Worker::new(
-        Arc::clone(&listener),
-        Some(&device),
-        WorkerConfig::new(OffloadProfile::Qtls),
-    );
-    let mut client = ClientSession::new(
-        CryptoProvider::Software,
-        CipherSuite::EcdheRsa,
-        NamedCurve::P256,
-        None,
-        0xa110c,
-    );
-    client.start().expect("client hello");
-    let mut rig = Rig {
-        worker,
-        client,
-        sock: listener.connect(),
-        worker_allocs: 0,
-    };
-    rig.pump(|client, worker| client.is_established() && worker.stats.handshakes == 1);
+    let mut rig = Rig::established(&device);
     // The first requests grow the connection's buffers to their working
     // size; from then on every request costs the same.
     for _ in 0..8 {
-        rig.get();
+        rig.get(1);
     }
-    let counts: Vec<u64> = (0..200).map(|_| rig.get()).collect();
+    let counts: Vec<u64> = (0..200).map(|_| rig.get(1).allocs).collect();
     assert_eq!(rig.worker.stats.errors, 0);
     assert_eq!(rig.worker.stats.requests, 208);
     assert!(
         counts.iter().all(|&n| n == ALLOCS_PER_REQUEST),
         "worker-thread allocations per request moved off {ALLOCS_PER_REQUEST}: {counts:?}"
     );
+}
+
+#[test]
+fn a_mib_response_allocates_only_the_socket_buffer() {
+    let device = QatDevice::new(QatConfig::functional_small());
+    let mut rig = Rig::established(&device);
+    // Warm: the store's shared buffer, the codec's pool and the wire
+    // buffer reach their working size on the first requests.
+    for _ in 0..3 {
+        rig.get(1024);
+    }
+    for i in 0..8 {
+        let spent = rig.get(1024);
+        eprintln!(
+            "GET /1024kb: {} bytes in {} allocations for {} wire bytes",
+            spent.bytes, spent.allocs, spent.wire_bytes
+        );
+        assert!(
+            spent.wire_bytes > 1 << 20,
+            "request {i}: {} wire bytes",
+            spent.wire_bytes
+        );
+        assert!(
+            spent.bytes <= spent.wire_bytes + BULK_SLACK_BYTES,
+            "request {i}: the worker allocated {} bytes ({} times) for a {}-byte response",
+            spent.bytes,
+            spent.allocs,
+            spent.wire_bytes
+        );
+    }
+    assert_eq!(rig.worker.stats.errors, 0);
+    assert_eq!(rig.worker.stats.requests, 11);
 }
 
 /// Allocations of `f` on this thread.
