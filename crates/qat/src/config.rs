@@ -56,8 +56,6 @@ impl ServiceTable {
             | CryptoOp::EcKeygen { curve, .. }
             | CryptoOp::EcdhDerive { curve, .. } => self.ecc_ns(*curve),
             CryptoOp::Prf { .. } => self.prf_ns,
-            CryptoOp::CipherEncrypt { plaintext, .. } => self.cipher_ns(plaintext.len()),
-            CryptoOp::CipherDecrypt { ciphertext, .. } => self.cipher_ns(ciphertext.len()),
             CryptoOp::CipherSealInPlace { buf, .. } | CryptoOp::CipherOpenInPlace { buf, .. } => {
                 self.cipher_ns(buf.len())
             }

@@ -80,28 +80,6 @@ pub enum CryptoOp {
         /// Output length.
         out_len: usize,
     },
-    /// AES-128-CBC + HMAC-SHA1 record encryption (MAC-then-encrypt).
-    CipherEncrypt {
-        /// The direction's keyed cipher+hash session.
-        cipher: Arc<CbcHmacSha1>,
-        /// Explicit IV.
-        iv: [u8; 16],
-        /// Plaintext fragment (≤ 16 KB).
-        plaintext: Vec<u8>,
-        /// MAC additional data (seq num + record header).
-        aad: Vec<u8>,
-    },
-    /// AES-128-CBC + HMAC-SHA1 record decryption + MAC check.
-    CipherDecrypt {
-        /// The direction's keyed cipher+hash session.
-        cipher: Arc<CbcHmacSha1>,
-        /// Explicit IV.
-        iv: [u8; 16],
-        /// Ciphertext.
-        ciphertext: Vec<u8>,
-        /// MAC additional data.
-        aad: Vec<u8>,
-    },
     /// In-place record seal for the data plane: `buf` carries the
     /// plaintext fragment in a reusable buffer with capacity reserved
     /// for tag + padding; the response returns the same buffer holding
@@ -143,10 +121,9 @@ impl CryptoOp {
             | CryptoOp::EcKeygen { .. }
             | CryptoOp::EcdhDerive { .. } => OpClass::Asym,
             CryptoOp::Prf { .. } => OpClass::Prf,
-            CryptoOp::CipherEncrypt { .. }
-            | CryptoOp::CipherDecrypt { .. }
-            | CryptoOp::CipherSealInPlace { .. }
-            | CryptoOp::CipherOpenInPlace { .. } => OpClass::Cipher,
+            CryptoOp::CipherSealInPlace { .. } | CryptoOp::CipherOpenInPlace { .. } => {
+                OpClass::Cipher
+            }
         }
     }
 }
@@ -386,18 +363,6 @@ pub fn execute(op: &CryptoOp) -> CryptoResult {
         } => Ok(CryptoOutput::Bytes(kdf::prf_tls12(
             secret, label, seed, *out_len,
         ))),
-        CryptoOp::CipherEncrypt {
-            cipher,
-            iv,
-            plaintext,
-            aad,
-        } => cipher.seal(iv, plaintext, aad).map(CryptoOutput::Bytes),
-        CryptoOp::CipherDecrypt {
-            cipher,
-            iv,
-            ciphertext,
-            aad,
-        } => cipher.open(iv, ciphertext, aad).map(CryptoOutput::Bytes),
         // By-reference callers (benches, service-time probes) get a
         // copying fallback; the engine threads go through
         // [`execute_owned`] and stay allocation-free.
@@ -443,11 +408,11 @@ mod tests {
             OpClass::Prf
         );
         assert_eq!(
-            CryptoOp::CipherEncrypt {
+            CryptoOp::CipherSealInPlace {
                 cipher: Arc::new(CbcHmacSha1::new(&[0; 16], &[])),
                 iv: [0; 16],
-                plaintext: vec![],
-                aad: vec![]
+                buf: vec![],
+                aad: [0; 11]
             }
             .class(),
             OpClass::Cipher
@@ -481,37 +446,6 @@ mod tests {
             out,
             qtls_crypto::kdf::prf_tls12(b"sec", b"master secret", b"randoms", 48)
         );
-    }
-
-    #[test]
-    fn execute_cipher_roundtrip() {
-        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
-        let enc = CryptoOp::CipherEncrypt {
-            cipher: Arc::clone(&cipher),
-            iv: [3; 16],
-            plaintext: b"application data record".to_vec(),
-            aad: b"seq+hdr".to_vec(),
-        };
-        let ct = execute(&enc).unwrap().into_bytes();
-        assert_eq!(ct.len() % 16, 0);
-        let dec = CryptoOp::CipherDecrypt {
-            cipher: Arc::clone(&cipher),
-            iv: [3; 16],
-            ciphertext: ct.clone(),
-            aad: b"seq+hdr".to_vec(),
-        };
-        assert_eq!(
-            execute(&dec).unwrap().into_bytes(),
-            b"application data record"
-        );
-        // Wrong AAD -> MAC failure.
-        let bad = CryptoOp::CipherDecrypt {
-            cipher,
-            iv: [3; 16],
-            ciphertext: ct,
-            aad: b"tampered".to_vec(),
-        };
-        assert!(matches!(execute(&bad), Err(CryptoError::BadMac)));
     }
 
     #[test]
@@ -561,7 +495,7 @@ mod tests {
     }
 
     /// A run as an engine pops it: in-place seals and opens (one open
-    /// forged) around a PRF and a by-value seal. Each response is what
+    /// forged) around two PRFs. Each response is what
     /// the op alone gives, in run order, with the in-place buffers handed
     /// back.
     #[test]
@@ -605,11 +539,11 @@ mod tests {
                 aad: aad(i),
             });
         }
-        ops.push(CryptoOp::CipherEncrypt {
-            cipher: Arc::clone(&cipher),
-            iv: [9; 16],
-            plaintext: b"by value".to_vec(),
-            aad: b"aad".to_vec(),
+        ops.push(CryptoOp::Prf {
+            secret: b"sec".to_vec(),
+            label: b"master secret".to_vec(),
+            seed: b"seed".to_vec(),
+            out_len: 48,
         });
         let want: Vec<Result<Vec<u8>, CryptoError>> = ops
             .iter()

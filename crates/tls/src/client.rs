@@ -120,7 +120,9 @@ impl ClientSession {
 
     /// Kick off the handshake (queues the ClientHello).
     pub async fn start_async(&mut self) -> Result<(), TlsError> {
-        assert_eq!(self.state, State::Start, "start() called twice");
+        if self.state != State::Start {
+            return Err(TlsError::InvalidState("start() called twice"));
+        }
         self.rng.fill(&mut self.client_random);
         let (session_id, ticket) = match &self.resume {
             Some(r) => (r.session_id.clone(), r.ticket.clone()),
@@ -189,18 +191,16 @@ impl ClientSession {
         if self.state != State::Connected {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self
-            .records
-            .write_fragmented_async(
+        self.records
+            .write_record_async(
                 ContentType::ApplicationData,
                 data,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     /// Export the established record secrets plus leftover inbound bytes
@@ -221,18 +221,19 @@ impl ClientSession {
     }
 
     /// Process everything currently buffered. Once established, the
-    /// complete application-data records in the buffer are opened as one
-    /// batch ([`RecordLayer::open_app_data`]); every other record goes
-    /// through the record layer one at a time.
+    /// complete application-data records at the front of the buffer are
+    /// opened as one pass ([`RecordLayer::open_app_records_async`]); every
+    /// other record goes through the record layer one at a time.
     pub async fn process_async(&mut self) -> Result<(), TlsError> {
         loop {
             if self.state == State::Connected {
                 let app_in = &mut self.app_in;
-                let opened =
-                    self.records
-                        .open_app_data(&self.provider, &mut self.counters, |content| {
-                            app_in.push_back(content.to_vec())
-                        })?;
+                let opened = self
+                    .records
+                    .open_app_records_async(&self.provider, &mut self.counters, |content| {
+                        app_in.push_back(content.to_vec())
+                    })
+                    .await?;
                 if opened > 0 {
                     continue;
                 }
@@ -294,33 +295,29 @@ impl ClientSession {
     async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self
-            .records
+        self.records
             .write_record_async(
                 ContentType::Handshake,
                 &raw,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     async fn send_ccs(&mut self) -> Result<(), TlsError> {
-        let rec = self
-            .records
+        self.records
             .write_record_async(
                 ContentType::ChangeCipherSpec,
                 &[1],
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     fn transcript_hash(&self) -> Vec<u8> {

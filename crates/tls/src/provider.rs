@@ -22,7 +22,7 @@ use qtls_crypto::bn::Bn;
 use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::kdf;
 use qtls_crypto::rsa::RsaPrivateKey;
-use qtls_crypto::{CbcHmacSha1, CryptoError, TestRng};
+use qtls_crypto::{CryptoError, TestRng};
 use qtls_qat::{CryptoOp, CryptoOutput};
 use std::sync::Arc;
 
@@ -90,7 +90,7 @@ enum OpClass {
     Asym,
     /// A TLS 1.2 PRF producing this many bytes.
     Prf(usize),
-    /// Record crypto over this many bytes (one record, or a codec pass).
+    /// Record crypto over this many bytes (one pass of records).
     Cipher(usize),
 }
 
@@ -307,65 +307,7 @@ impl CryptoProvider {
         kdf::hkdf_expand_label(secret, label, context, out_len)
     }
 
-    /// Record protection: MAC-then-encrypt with AES-128-CBC + HMAC-SHA1
-    /// under the direction's keyed context.
-    pub async fn cipher_encrypt(
-        &self,
-        counters: &mut OpCounters,
-        cipher: &Arc<CbcHmacSha1>,
-        iv: [u8; 16],
-        plaintext: &[u8],
-        aad: &[u8],
-    ) -> Result<Vec<u8>, TlsError> {
-        counters.cipher += 1;
-        match self.engine_for(OpClass::Cipher(plaintext.len())) {
-            Some(engine) => Ok(Self::run(
-                engine,
-                CryptoOp::CipherEncrypt {
-                    cipher: Arc::clone(cipher),
-                    iv,
-                    plaintext: plaintext.to_vec(),
-                    aad: aad.to_vec(),
-                },
-            )
-            .await?
-            .into_bytes()),
-            None => cipher.seal(&iv, plaintext, aad).map_err(TlsError::Crypto),
-        }
-    }
-
-    /// Record decryption + MAC verification. Takes the ciphertext by
-    /// value: the software path opens it in place and hands the same
-    /// buffer back, the offload path moves it into the descriptor.
-    pub async fn cipher_decrypt(
-        &self,
-        counters: &mut OpCounters,
-        cipher: &Arc<CbcHmacSha1>,
-        iv: [u8; 16],
-        mut ciphertext: Vec<u8>,
-        aad: &[u8],
-    ) -> Result<Vec<u8>, TlsError> {
-        counters.cipher += 1;
-        match self.engine_for(OpClass::Cipher(ciphertext.len())) {
-            Some(engine) => Ok(Self::run(
-                engine,
-                CryptoOp::CipherDecrypt {
-                    cipher: Arc::clone(cipher),
-                    iv,
-                    ciphertext,
-                    aad: aad.to_vec(),
-                },
-            )
-            .await?
-            .into_bytes()),
-            None => {
-                cipher.open_in_place(&iv, &mut ciphertext, aad)?;
-                Ok(ciphertext)
-            }
-        }
-    }
-
-    /// The record codec's one decision per pass: the engine that a pass
+    /// The record layers' one decision per pass: the engine that a pass
     /// processing `bytes` of record crypto goes to, as one offload of one
     /// descriptor per record, a doorbell per chunk
     /// ([`OffloadEngine::offload_chunks_async`]), or `None` to seal or
@@ -400,17 +342,6 @@ pub(crate) mod tests {
                 cipher: 0
             }
         );
-    }
-
-    #[test]
-    fn software_cipher_roundtrip_via_provider() {
-        let p = CryptoProvider::Software;
-        let mut c = OpCounters::default();
-        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
-        let ct = run_sync(p.cipher_encrypt(&mut c, &cipher, [3; 16], b"data", b"aad")).unwrap();
-        let pt = run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], ct, b"aad")).unwrap();
-        assert_eq!(pt, b"data");
-        assert_eq!(c.cipher, 2);
     }
 
     #[test]
@@ -462,32 +393,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cipher_ops_reach_the_device_from_min_sym_bytes_up() {
-        let (p, dev) = blocking(OffloadSelection::default());
-        let completed = || dev.fw_counters().total_completed();
-        let mut c = OpCounters::default();
-        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
-        let seal = |c: &mut OpCounters, len: usize| {
-            run_sync(p.cipher_encrypt(c, &cipher, [3; 16], &vec![7; len], b"aad")).unwrap()
-        };
-        seal(&mut c, 2047);
-        assert_eq!(completed(), 0, "a 2047-byte seal stays inline");
-        seal(&mut c, 2048);
-        assert_eq!(completed(), 1, "a 2048-byte seal reaches the device");
-        // An open decides on the ciphertext it processes: 2000 bytes + tag
-        // pad to 2032 (seal and open inline), 2048 bytes + tag to 2080 (both
-        // on the device).
-        for (len, completed_after) in [(2000, 1), (2048, 3)] {
-            let ct = seal(&mut c, len);
-            let pt = run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], ct, b"aad")).unwrap();
-            assert_eq!(pt, vec![7; len]);
-            assert_eq!(completed(), completed_after, "{len}-byte record");
-        }
-        assert!(p.offloads_cipher(2047).is_none() && p.offloads_cipher(2048).is_some());
-        assert_eq!(c.cipher, 6);
-    }
-
-    #[test]
     fn prfs_stay_inline_while_asymmetric_ops_reach_the_device() {
         let (p, dev) = blocking(OffloadSelection::default());
         let mut c = OpCounters::default();
@@ -505,12 +410,9 @@ pub(crate) mod tests {
     fn min_sym_bytes_zero_sends_everything() {
         let (p, dev) = blocking(OffloadSelection::offload_everything());
         let mut c = OpCounters::default();
-        let cipher = Arc::new(CbcHmacSha1::new(&[1; 16], &[2; 20]));
         run_sync(p.prf(&mut c, b"s", b"l", b"x", 1)).unwrap();
-        let ct = run_sync(p.cipher_encrypt(&mut c, &cipher, [3; 16], b"", b"aad")).unwrap();
-        run_sync(p.cipher_decrypt(&mut c, &cipher, [3; 16], ct, b"aad")).unwrap();
         run_sync(p.ec_keygen(&mut c, NamedCurve::P256, 7)).unwrap();
-        assert_eq!(dev.fw_counters().total_completed(), 4);
+        assert_eq!(dev.fw_counters().total_completed(), 2);
         assert!(p.offloads_cipher(0).is_some());
     }
 }

@@ -1,24 +1,36 @@
 //! The TLS record layer: framing, sequence numbers, fragmentation at
 //! 16 KB (§2.1), and AES-128-CBC + HMAC-SHA1 record protection routed
 //! through the [`CryptoProvider`] (so record crypto is offloadable, as in
-//! the paper's secure-data-transfer evaluation; whether a record or a codec
-//! pass is big enough to be worth the round trip is the provider's call).
-//! Every entry point that can reach the accelerator is an `async fn`
-//! (`*_async`) with a synchronous facade of the historical name beside it.
+//! the paper's secure-data-transfer evaluation).
+//!
+//! Every protected record, of either layer here, is sealed by one sealer
+//! and opened by one opener (`Direction::seal` and `Direction::open`).
+//! A call to either is a *pass* of N records: it asks
+//! [`CryptoProvider::offloads_cipher`] once, on the pass's bytes, and then
+//! either runs the records in place on the CPU through
+//! [`cbc_hmac::seal_batch`] / [`cbc_hmac::open_batch`] (16 at a time in
+//! one multi-buffer pass where the CPU and the number of records allow,
+//! DESIGN.md §20), or makes one
+//! [`qtls_core::OffloadEngine::offload_chunks_async`] call with one
+//! in-place descriptor per record. [`RecordLayer`], the handshake's
+//! control plane, makes each record a pass of its own, except the run of
+//! complete ApplicationData records at the front of a client's input,
+//! which is one pass; [`RecordCodec`], the data plane, makes each flush
+//! and each read one pass. The entry points that can reach the
+//! accelerator are `async fn`s.
 //!
 //! Simplification vs RFC 5246: the MAC additional data covers
 //! `seq || type || version` (the plaintext length is protected implicitly
 //! by the MAC over the content plus the padding check).
 
-use crate::codec::Reader;
 use crate::error::TlsError;
 use crate::keys::{DirectionSecrets, ExtractedSecrets};
 use crate::provider::{CryptoProvider, OpCounters};
 use crate::suite::sizes;
 use qtls_core::run_sync;
-use qtls_crypto::cbc_hmac::{self, OpenRecord, LANES};
-use qtls_crypto::{CbcHmacSha1, CryptoError, EntropySource};
-use qtls_qat::CryptoOp;
+use qtls_crypto::cbc_hmac::{self, OpenRecord, SealRecord, LANES};
+use qtls_crypto::{CbcHmacSha1, EntropySource};
+use qtls_qat::{CryptoOp, CryptoResult};
 use std::sync::Arc;
 
 /// Record content types (RFC values).
@@ -56,27 +68,344 @@ pub struct DirectionKeys {
     pub enc_key: [u8; 16],
 }
 
-/// One direction's record protection state: the raw keys (kept for
-/// [`RecordLayer::extract_secrets`]), the cipher+hash context keyed from
-/// them once, here, and the next sequence number.
-struct CipherState {
-    keys: DirectionKeys,
-    cipher: Arc<CbcHmacSha1>,
-    seq: u64,
+/// Record header: type (1) + version (2) + length (2).
+const HEADER_LEN: usize = 5;
+
+/// Most record buffers a pool keeps: a 1 MiB response's fragments (64
+/// full ones and the one its header spills into).
+const POOL_MAX: usize = (1 << 20) / sizes::MAX_FRAGMENT + 1;
+
+/// Reusable record buffers: the fragments a codec stages, and the
+/// buffers a pass's records travel in to the device and back.
+struct Pool {
+    free: Vec<Vec<u8>>,
+    /// Most buffers kept: the most one pass has held at once, up to
+    /// `POOL_MAX`.
+    keep: usize,
+    /// Buffers allocated since construction.
+    allocs: u64,
 }
 
-impl CipherState {
-    fn new(keys: DirectionKeys, seq: u64) -> Self {
-        let cipher = Arc::new(CbcHmacSha1::new(&keys.enc_key, &keys.mac_key));
-        CipherState { keys, cipher, seq }
+impl Pool {
+    fn new() -> Self {
+        Pool {
+            free: Vec::new(),
+            keep: 1,
+            allocs: 0,
+        }
     }
+
+    /// An empty buffer with room for `len` bytes plus a record's tag and
+    /// padding, so a seal never regrows it. Sized to the record, not to
+    /// a full fragment: a 16 KB block per connection for a 16-byte
+    /// Finished made resumed handshakes measurably slower.
+    fn get(&mut self, len: usize) -> Vec<u8> {
+        let room = len + 64;
+        match self.free.pop() {
+            Some(mut buf) => {
+                buf.reserve(room);
+                buf
+            }
+            None => {
+                self.allocs += 1;
+                Vec::with_capacity(room)
+            }
+        }
+    }
+
+    fn put(&mut self, mut buf: Vec<u8>) {
+        if self.free.len() < self.keep {
+            buf.clear();
+            self.free.push(buf);
+        }
+    }
+
+    /// A pass is about to hold `buffers` buffers at once: keep that many
+    /// for the next one.
+    fn reserve(&mut self, buffers: usize) {
+        self.keep = self.keep.max(buffers.min(POOL_MAX));
+    }
+}
+
+/// One protected direction of a connection end: the raw keys (kept for
+/// [`RecordLayer::extract_secrets`]), the cipher+hash context keyed from
+/// them once, here, the next sequence number, and the buffers its passes
+/// borrow. Its `seal` and `open` are the only code that protects a
+/// record.
+struct Direction {
+    keys: DirectionKeys,
+    cipher: Arc<CbcHmacSha1>,
+    version: u16,
+    seq: u64,
+    /// Records per doorbell (one chunk of an offloaded pass).
+    chunk: usize,
+    pool: Pool,
+}
+
+impl Direction {
+    fn new(keys: DirectionKeys, version: u16, seq: u64, chunk: usize) -> Self {
+        let cipher = Arc::new(CbcHmacSha1::new(&keys.enc_key, &keys.mac_key));
+        Direction {
+            keys,
+            cipher,
+            version,
+            seq,
+            chunk: chunk.max(1),
+            pool: Pool::new(),
+        }
+    }
+
+    /// The next record's MAC additional data, `seq || type || version`;
+    /// the sequence number moves on.
+    fn next_aad(&mut self, typ: u8) -> [u8; 11] {
+        let mut aad = [0u8; 11];
+        aad[..8].copy_from_slice(&self.seq.to_be_bytes());
+        aad[8] = typ;
+        aad[9..].copy_from_slice(&self.version.to_be_bytes());
+        self.seq += 1;
+        aad
+    }
+
+    /// The sealer. Seals `records` — plaintext fragments of type `typ`,
+    /// each at most 16 KB — as one pass and appends them to `out` as
+    /// wire records, in order; every buffer goes back to the pool.
+    /// Sequence numbers and explicit IVs (drawn from `rng`) go to the
+    /// records in order. The provider decides once, on the pass's
+    /// plaintext bytes, where the pass runs: on the device every record
+    /// goes down as an in-place descriptor, `chunk` per doorbell, all
+    /// published before the future pends — once; otherwise they are
+    /// sealed in place on the CPU, [`LANES`] per [`cbc_hmac::seal_batch`].
+    /// Every record is counted. A CPU seal cannot fail (its one error is
+    /// a length the padding rules out); on a device failure the records
+    /// before it are appended and the error is returned.
+    async fn seal<R: EntropySource>(
+        &mut self,
+        typ: ContentType,
+        records: &mut [Vec<u8>],
+        out: &mut Vec<u8>,
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        rng: &mut R,
+    ) -> Result<(), TlsError> {
+        let engine = provider.offloads_cipher(records.iter().map(Vec::len).sum());
+        counters.cipher += records.len() as u32;
+        self.pool.reserve(records.len());
+        let Some(engine) = engine else {
+            for run in records.chunks_mut(LANES) {
+                let mut ivs = [[0u8; 16]; LANES];
+                let mut aads = [[0u8; 11]; LANES];
+                for (iv, aad) in ivs.iter_mut().zip(&mut aads).take(run.len()) {
+                    *aad = self.next_aad(typ as u8);
+                    rng.fill(iv);
+                }
+                let cipher = &self.cipher;
+                cbc_hmac::seal_batch(run.iter_mut().zip(ivs.iter().zip(&aads)).map(
+                    |(buf, (iv, aad))| SealRecord {
+                        cipher,
+                        iv,
+                        aad,
+                        buf,
+                    },
+                ))
+                .map_err(TlsError::Crypto)?;
+                for (buf, iv) in run.iter_mut().zip(&ivs) {
+                    frame(out, typ, self.version, iv, buf);
+                    self.pool.put(std::mem::take(buf));
+                }
+            }
+            return Ok(());
+        };
+        let mut ivs = Vec::with_capacity(records.len());
+        let ops = records
+            .iter_mut()
+            .map(|buf| {
+                let aad = self.next_aad(typ as u8);
+                let mut iv = [0u8; 16];
+                rng.fill(&mut iv);
+                ivs.push(iv);
+                CryptoOp::CipherSealInPlace {
+                    cipher: Arc::clone(&self.cipher),
+                    iv,
+                    buf: std::mem::take(buf),
+                    aad,
+                }
+            })
+            .collect();
+        let results = engine.offload_chunks_async(ops, self.chunk).await;
+        let version = self.version;
+        self.take_results(results, |i, sealed| {
+            frame(out, typ, version, &ivs[i], sealed)
+        })
+    }
+
+    /// The opener. Opens the records back to back in `wire` — complete,
+    /// and each at least an IV long, as the caller's framing checked — as
+    /// one pass, and hands each verified content to `deliver` in record
+    /// order. The provider decides once, on the pass's ciphertext bytes,
+    /// where the pass runs: on the CPU the records are decrypted in place
+    /// in `wire`, [`LANES`] per [`cbc_hmac::open_batch`]; on the device
+    /// each ciphertext travels in a pooled buffer as an in-place
+    /// descriptor, `chunk` per doorbell, under one pause.
+    ///
+    /// The checks and the error are [`CbcHmacSha1::open_in_place`]'s: at
+    /// the first record that fails, the records before it have been
+    /// delivered, none after it is, and the error is returned. Records
+    /// are counted up to and including the one that failed.
+    async fn open(
+        &mut self,
+        wire: &mut [u8],
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        mut deliver: impl FnMut(&[u8]),
+    ) -> Result<(), TlsError> {
+        let bytes = split_records(wire).map(|(_, _, ct)| ct.len()).sum();
+        let Some(engine) = provider.offloads_cipher(bytes) else {
+            let mut rest = wire;
+            loop {
+                // The next run: up to LANES records, opened in place, then
+                // walked again for their verdicts.
+                let mut aads = [[0u8; 11]; LANES];
+                let (mut n, mut run_bytes) = (0, 0);
+                for (typ, _, ciphertext) in split_records(rest).take(LANES) {
+                    aads[n] = self.next_aad(typ);
+                    run_bytes += HEADER_LEN + 16 + ciphertext.len();
+                    n += 1;
+                }
+                if n == 0 {
+                    return Ok(());
+                }
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(run_bytes);
+                let mut verdicts = [Ok(0); LANES];
+                let cipher = &self.cipher;
+                cbc_hmac::open_batch(
+                    split_records(run)
+                        .zip(&aads)
+                        .map(|((_, iv, buf), aad)| OpenRecord {
+                            cipher,
+                            iv,
+                            aad,
+                            buf,
+                        }),
+                    |j, verdict| verdicts[j] = verdict,
+                );
+                for ((_, _, buf), verdict) in split_records(run).zip(verdicts) {
+                    counters.cipher += 1;
+                    let content = verdict.map_err(TlsError::Crypto)?;
+                    deliver(&buf[..content]);
+                }
+                if n < LANES {
+                    return Ok(());
+                }
+                rest = tail;
+            }
+        };
+        let mut ops = Vec::new();
+        for (typ, iv, ciphertext) in split_records(wire) {
+            let mut buf = self.pool.get(ciphertext.len());
+            buf.extend_from_slice(ciphertext);
+            ops.push(CryptoOp::CipherOpenInPlace {
+                cipher: Arc::clone(&self.cipher),
+                iv: *iv,
+                buf,
+                aad: self.next_aad(typ),
+            });
+        }
+        self.pool.reserve(ops.len());
+        let results = engine.offload_chunks_async(ops, self.chunk).await;
+        let mut opened = 0;
+        let result = self.take_results(results, |_, content| {
+            opened += 1;
+            deliver(content)
+        });
+        counters.cipher += opened + result.is_err() as u32;
+        result
+    }
+
+    /// Hand each offloaded record's output to `emit` in record order up
+    /// to the first failure, whose error is returned; every buffer that
+    /// came back goes to the pool, emitted or not.
+    fn take_results(
+        &mut self,
+        results: Vec<CryptoResult>,
+        mut emit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), TlsError> {
+        let mut failure = None;
+        for (i, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(output) => {
+                    let buf = output.into_bytes();
+                    if failure.is_none() {
+                        emit(i, &buf);
+                    }
+                    self.pool.put(buf);
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        failure.map_or(Ok(()), |e| Err(TlsError::Crypto(e)))
+    }
+}
+
+/// Append one wire record: the header, then the explicit IV (empty for a
+/// plaintext record), then the body.
+fn frame(out: &mut Vec<u8>, typ: ContentType, version: u16, iv: &[u8], body: &[u8]) {
+    out.reserve(HEADER_LEN + iv.len() + body.len());
+    out.push(typ as u8);
+    out.extend_from_slice(&version.to_be_bytes());
+    out.extend_from_slice(&((iv.len() + body.len()) as u16).to_be_bytes());
+    out.extend_from_slice(iv);
+    out.extend_from_slice(body);
+}
+
+/// The complete records back to back in `wire`, each as its type byte,
+/// explicit IV and ciphertext.
+fn split_records(mut wire: &mut [u8]) -> impl Iterator<Item = (u8, &[u8; 16], &mut [u8])> {
+    std::iter::from_fn(move || {
+        let (hdr, rest) = std::mem::take(&mut wire).split_first_chunk_mut::<HEADER_LEN>()?;
+        let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
+        let (body, rest) = rest.split_at_mut_checked(len)?;
+        wire = rest;
+        let (iv, ciphertext) = body.split_first_chunk_mut::<16>()?;
+        Some((hdr[0], &*iv, ciphertext))
+    })
+}
+
+/// The run of complete, protected ApplicationData records of `version`
+/// at the front of `buf`: what one open pass of application data takes.
+/// Returns its bytes, its records and, when the scan stopped at a record
+/// header that is not such a record, why.
+fn app_data_run(buf: &[u8], version: u16) -> (usize, usize, Option<TlsError>) {
+    let (mut bytes, mut records) = (0, 0);
+    while let Some(hdr) = buf[bytes..].first_chunk::<HEADER_LEN>() {
+        let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
+        let refusal = if u16::from_be_bytes([hdr[1], hdr[2]]) != version {
+            Some("record version mismatch")
+        } else if hdr[0] != ContentType::ApplicationData as u8 {
+            Some("non-application record on data plane")
+        } else if len < 16 {
+            Some("protected record too short")
+        } else {
+            None
+        };
+        if let Some(why) = refusal {
+            return (bytes, records, Some(TlsError::Decode(why)));
+        }
+        if buf.len() - bytes < HEADER_LEN + len {
+            break;
+        }
+        bytes += HEADER_LEN + len;
+        records += 1;
+    }
+    (bytes, records, None)
 }
 
 /// The record layer of one connection end.
 pub struct RecordLayer {
     version: u16,
-    write: Option<CipherState>,
-    read: Option<CipherState>,
+    write: Option<Direction>,
+    read: Option<Direction>,
     /// Raw inbound bytes; those before `in_pos` are already consumed.
     /// Records are taken by advancing the cursor, and the consumed
     /// prefix is dropped once per [`Self::feed`] — not once per record,
@@ -88,9 +417,6 @@ pub struct RecordLayer {
     /// would otherwise silently emit plaintext).
     detached: bool,
 }
-
-/// Record header: type (1) + version (2) + length (2).
-const HEADER_LEN: usize = 5;
 
 impl RecordLayer {
     /// Fresh (plaintext) record layer.
@@ -105,14 +431,18 @@ impl RecordLayer {
         }
     }
 
+    fn direction(&self, keys: DirectionKeys) -> Direction {
+        Direction::new(keys, self.version, 0, RecordCodec::DEFAULT_BATCH)
+    }
+
     /// Activate write protection (our ChangeCipherSpec point).
     pub fn set_write_keys(&mut self, keys: DirectionKeys) {
-        self.write = Some(CipherState::new(keys, 0));
+        self.write = Some(self.direction(keys));
     }
 
     /// Activate read protection (peer's ChangeCipherSpec point).
     pub fn set_read_keys(&mut self, keys: DirectionKeys) {
-        self.read = Some(CipherState::new(keys, 0));
+        self.read = Some(self.direction(keys));
     }
 
     /// Is write protection active?
@@ -125,94 +455,47 @@ impl RecordLayer {
         self.read.is_some()
     }
 
-    /// Synchronous facade over [`Self::write_record_async`].
-    pub fn write_record<R: EntropySource>(
-        &mut self,
-        typ: ContentType,
-        payload: &[u8],
-        provider: &CryptoProvider,
-        counters: &mut OpCounters,
-        rng: &mut R,
-    ) -> Result<Vec<u8>, TlsError> {
-        run_sync(self.write_record_async(typ, payload, provider, counters, rng))
-    }
-
-    /// Frame (and protect, once keys are active) one record. `payload`
-    /// must fit one fragment.
-    pub async fn write_record_async<R: EntropySource>(
-        &mut self,
-        typ: ContentType,
-        payload: &[u8],
-        provider: &CryptoProvider,
-        counters: &mut OpCounters,
-        rng: &mut R,
-    ) -> Result<Vec<u8>, TlsError> {
-        assert!(payload.len() <= sizes::MAX_FRAGMENT, "fragment too large");
+    fn check_attached(&self) -> Result<(), TlsError> {
         if self.detached {
             return Err(TlsError::InvalidState("record layer handed off to codec"));
         }
-        let body = match &mut self.write {
-            None => payload.to_vec(),
-            Some(state) => {
-                let mut aad = Vec::with_capacity(11);
-                aad.extend_from_slice(&state.seq.to_be_bytes());
-                aad.push(typ as u8);
-                aad.extend_from_slice(&self.version.to_be_bytes());
-                let mut iv = [0u8; 16];
-                rng.fill(&mut iv);
-                let ct = provider
-                    .cipher_encrypt(counters, &state.cipher, iv, payload, &aad)
-                    .await?;
-                state.seq += 1;
-                let mut body = Vec::with_capacity(16 + ct.len());
-                body.extend_from_slice(&iv);
-                body.extend_from_slice(&ct);
-                body
+        Ok(())
+    }
+
+    /// Frame `data` as records of at most 16 KB each (§2.1: "the data
+    /// object is fragmented into units of 16KB"; empty data is one empty
+    /// record), protected once write keys are active, and append them to
+    /// `out`. Each record is a pass of its own, so each is offloaded or
+    /// not on its own bytes.
+    pub async fn write_record_async<R: EntropySource>(
+        &mut self,
+        typ: ContentType,
+        data: &[u8],
+        out: &mut Vec<u8>,
+        provider: &CryptoProvider,
+        counters: &mut OpCounters,
+        rng: &mut R,
+    ) -> Result<(), TlsError> {
+        self.check_attached()?;
+        let mut rest = data;
+        loop {
+            let (fragment, tail) = rest.split_at(rest.len().min(sizes::MAX_FRAGMENT));
+            match &mut self.write {
+                None => frame(out, typ, self.version, &[], fragment),
+                Some(write) => {
+                    let mut buf = write.pool.get(fragment.len());
+                    buf.extend_from_slice(fragment);
+                    let record = std::slice::from_mut(&mut buf);
+                    write
+                        .seal(typ, record, out, provider, counters, rng)
+                        .await?;
+                }
             }
-        };
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-        out.push(typ as u8);
-        out.extend_from_slice(&self.version.to_be_bytes());
-        out.extend_from_slice(&(body.len() as u16).to_be_bytes());
-        out.extend_from_slice(&body);
-        Ok(out)
-    }
-
-    /// Synchronous facade over [`Self::write_fragmented_async`].
-    pub fn write_fragmented<R: EntropySource>(
-        &mut self,
-        typ: ContentType,
-        data: &[u8],
-        provider: &CryptoProvider,
-        counters: &mut OpCounters,
-        rng: &mut R,
-    ) -> Result<Vec<u8>, TlsError> {
-        run_sync(self.write_fragmented_async(typ, data, provider, counters, rng))
-    }
-
-    /// Fragment `data` into records of at most 16 KB each (§2.1: "the
-    /// data object is fragmented into units of 16KB").
-    pub async fn write_fragmented_async<R: EntropySource>(
-        &mut self,
-        typ: ContentType,
-        data: &[u8],
-        provider: &CryptoProvider,
-        counters: &mut OpCounters,
-        rng: &mut R,
-    ) -> Result<Vec<u8>, TlsError> {
-        let mut out = Vec::with_capacity(data.len() + 64);
-        if data.is_empty() {
-            return self
-                .write_record_async(typ, data, provider, counters, rng)
-                .await;
+            rest = tail;
+            if rest.is_empty() {
+                return Ok(());
+            }
         }
-        for chunk in data.chunks(sizes::MAX_FRAGMENT) {
-            let record = self
-                .write_record_async(typ, chunk, provider, counters, rng)
-                .await?;
-            out.extend_from_slice(&record);
-        }
-        Ok(out)
     }
 
     /// Buffer incoming raw bytes.
@@ -227,153 +510,80 @@ impl RecordLayer {
         self.in_buf.len() - self.in_pos
     }
 
-    /// Synchronous facade over [`Self::next_record_async`].
-    pub fn next_record(
-        &mut self,
-        provider: &CryptoProvider,
-        counters: &mut OpCounters,
-    ) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
-        run_sync(self.next_record_async(provider, counters))
-    }
-
-    /// Extract and (if protected) decrypt the next complete record.
-    /// Returns `None` when more bytes are needed.
+    /// Extract and (if protected) open the next complete record, as a
+    /// pass of its own. Returns `None` when more bytes are needed.
     pub async fn next_record_async(
         &mut self,
         provider: &CryptoProvider,
         counters: &mut OpCounters,
     ) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
-        if self.detached {
-            return Err(TlsError::InvalidState("record layer handed off to codec"));
-        }
-        let unread = &self.in_buf[self.in_pos..];
-        if unread.len() < HEADER_LEN {
+        self.check_attached()?;
+        let start = self.in_pos;
+        let Some(hdr) = self.in_buf[start..].first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let mut r = Reader::new(unread);
-        let typ = ContentType::from_u8(r.u8()?)?;
-        let version = r.u16()?;
-        if version != self.version {
+        };
+        let typ = ContentType::from_u8(hdr[0])?;
+        if u16::from_be_bytes([hdr[1], hdr[2]]) != self.version {
             return Err(TlsError::Decode("record version mismatch"));
         }
-        let len = r.u16()? as usize;
-        if unread.len() < HEADER_LEN + len {
+        let end = start + HEADER_LEN + u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
+        if self.in_buf.len() < end {
             return Ok(None);
         }
-        let body = &unread[HEADER_LEN..HEADER_LEN + len];
         // The record is consumed whatever becomes of it below.
-        self.in_pos += HEADER_LEN + len;
-        let payload = match &mut self.read {
-            None => body.to_vec(),
-            Some(state) => {
-                let Some((iv, ciphertext)) = body.split_first_chunk::<16>() else {
-                    return Err(TlsError::Decode("protected record too short"));
-                };
-                let aad = aad_bytes(state.seq, typ, self.version);
-                // The one copy of the body: opened in place by the
-                // software path, moved into the descriptor by the engine.
-                let pt = provider
-                    .cipher_decrypt(counters, &state.cipher, *iv, ciphertext.to_vec(), &aad)
-                    .await?;
-                state.seq += 1;
-                pt
-            }
+        self.in_pos = end;
+        let Some(read) = &mut self.read else {
+            return Ok(Some((typ, self.in_buf[start + HEADER_LEN..end].to_vec())));
         };
+        if end - start < HEADER_LEN + 16 {
+            return Err(TlsError::Decode("protected record too short"));
+        }
+        let mut payload = Vec::new();
+        read.open(
+            &mut self.in_buf[start..end],
+            provider,
+            counters,
+            |content| payload = content.to_vec(),
+        )
+        .await?;
         Ok(Some((typ, payload)))
     }
 
     /// Open the run of complete, protected ApplicationData records at
-    /// the front of the buffered input that `provider` opens on the CPU,
-    /// [`LANES`] at a time as one batch ([`cbc_hmac::open_batch`]: each
-    /// record decrypted in place in the input buffer, then their MACs in
-    /// one multi-buffer pass where the CPU and the number of records
-    /// allow, DESIGN.md §20), and hand each verified content to `deliver`
-    /// in record order. Returns how many records were delivered; 0 when
-    /// the next record is anything else — not yet complete, another
-    /// content type, malformed, or one the provider would offload — which
-    /// [`Self::next_record_async`] then takes as before.
+    /// the front of the buffered input as one pass, and hand each
+    /// verified content to `deliver` in record order. Returns how many
+    /// records were delivered; 0 when the next record is anything else —
+    /// not yet complete, another content type, or malformed — which
+    /// [`Self::next_record_async`] then takes.
     ///
-    /// The checks and the error are [`CbcHmacSha1::open_in_place`]'s: at
-    /// the first record that fails, the records before it have been
-    /// delivered, none after it is, and the error is returned. A failed
-    /// run is consumed whole — its records were decrypted in place and
-    /// cannot be read again — and the connection is dead anyway.
-    pub fn open_app_data(
+    /// On a failure the records before it have been delivered and the
+    /// error is returned. A failed run is consumed whole — its records
+    /// were decrypted in place and cannot be read again — and the
+    /// connection is dead anyway.
+    pub async fn open_app_records_async(
         &mut self,
         provider: &CryptoProvider,
         counters: &mut OpCounters,
-        mut deliver: impl FnMut(&[u8]),
+        deliver: impl FnMut(&[u8]),
     ) -> Result<usize, TlsError> {
-        if self.detached {
-            return Err(TlsError::InvalidState("record layer handed off to codec"));
-        }
-        let Some(state) = &mut self.read else {
+        self.check_attached()?;
+        let Some(read) = &mut self.read else {
             return Ok(0);
         };
-        let mut delivered = 0;
-        loop {
-            // The run: each record's length, at most LANES of them.
-            let mut lens = [0usize; LANES];
-            let mut n = 0;
-            let mut at = self.in_pos;
-            while n < LANES {
-                let Some(hdr) = self.in_buf[at..].first_chunk::<HEADER_LEN>() else {
-                    break;
-                };
-                let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
-                if hdr[0] != ContentType::ApplicationData as u8
-                    || u16::from_be_bytes([hdr[1], hdr[2]]) != self.version
-                    || len < 16
-                    || self.in_buf.len() - at < HEADER_LEN + len
-                    || provider.offloads_cipher(len - 16).is_some()
-                {
-                    break;
-                }
-                lens[n] = len;
-                n += 1;
-                at += HEADER_LEN + len;
-            }
-            if n == 0 {
-                return Ok(delivered);
-            }
-            let aads: [[u8; 11]; LANES] = std::array::from_fn(|j| {
-                aad_bytes(
-                    state.seq + j as u64,
-                    ContentType::ApplicationData,
-                    self.version,
-                )
-            });
-            // A record the batch never saw (none: each is at least an IV
-            // long) would fail rather than deliver.
-            let mut verdicts = [Err(CryptoError::InvalidLength); LANES];
-            let mut rest = &mut self.in_buf[self.in_pos..at];
-            let cipher = &state.cipher;
-            cbc_hmac::open_batch(
-                lens[..n].iter().zip(&aads).map_while(|(&len, aad)| {
-                    let (record, tail) = std::mem::take(&mut rest).split_at_mut(HEADER_LEN + len);
-                    rest = tail;
-                    let (iv, ciphertext) = record[HEADER_LEN..].split_first_chunk_mut::<16>()?;
-                    Some(OpenRecord {
-                        cipher,
-                        iv,
-                        aad,
-                        buf: ciphertext,
-                    })
-                }),
-                |j, verdict| verdicts[j] = verdict,
-            );
-            let mut start = self.in_pos;
-            self.in_pos = at;
-            for (&len, verdict) in lens[..n].iter().zip(verdicts) {
-                counters.cipher += 1;
-                let content = verdict.map_err(TlsError::Crypto)?;
-                let body = start + HEADER_LEN + 16;
-                deliver(&self.in_buf[body..body + content]);
-                state.seq += 1;
-                delivered += 1;
-                start += HEADER_LEN + len;
-            }
+        let start = self.in_pos;
+        let (bytes, records, _) = app_data_run(&self.in_buf[start..], self.version);
+        if records == 0 {
+            return Ok(0);
         }
+        self.in_pos += bytes;
+        read.open(
+            &mut self.in_buf[start..start + bytes],
+            provider,
+            counters,
+            deliver,
+        )
+        .await?;
+        Ok(records)
     }
 
     /// Export the established record state plus any buffered-but-unparsed
@@ -414,81 +624,44 @@ impl RecordLayer {
     }
 }
 
-/// MAC additional data as a fixed array (the batched descriptors carry it
-/// inline; same bytes as the handshake path's `Vec` AAD).
-fn aad_bytes(seq: u64, typ: ContentType, version: u16) -> [u8; 11] {
-    let mut aad = [0u8; 11];
-    aad[..8].copy_from_slice(&seq.to_be_bytes());
-    aad[8] = typ as u8;
-    aad[9..].copy_from_slice(&version.to_be_bytes());
-    aad
-}
-
-/// Ciphertext bytes (bodies less their IVs) of the complete records at the
-/// front of `buf`: what one open pass of the codec would process. Headers
-/// are validated by the pass itself.
-fn complete_ciphertext_bytes(mut buf: &[u8]) -> usize {
-    let mut bytes = 0;
-    while let Some((hdr, rest)) = buf.split_first_chunk::<HEADER_LEN>() {
-        let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
-        let Some((body, rest)) = rest.split_at_checked(len) else {
-            break;
-        };
-        bytes += body.len().saturating_sub(16);
-        buf = rest;
-    }
-    bytes
-}
-
 /// The data-plane record codec: owns an established connection's record
 /// protection after the handshake control plane exports its secrets
 /// ([`RecordLayer::extract_secrets`]).
 ///
-/// Unlike [`RecordLayer`] it never consults handshake state, seals and
-/// opens **ApplicationData** only, and is built for bulk throughput:
+/// It is the sealer and the opener of the module docs plus staging and
+/// the buffer pool. Unlike [`RecordLayer`] it never consults handshake
+/// state, seals and opens **ApplicationData** only, and is built for bulk
+/// throughput:
 ///
 /// - writes are staged into pooled fragment buffers (tiny writes coalesce
 ///   into the tail fragment, so N small writes become one record, not N);
-/// - each flush (and each open pass) is offloaded or not as a whole, on
-///   its total bytes ([`CryptoProvider::offloads_cipher`]); an offloaded
-///   flush seals all staged fragments as one scatter-gather offload of
-///   [`CryptoOp::CipherSealInPlace`] descriptors
-///   ([`qtls_core::OffloadEngine::offload_chunks_async`]): chunks of
-///   `max_batch` records, each one ring publish + one doorbell on the
-///   next shard, all published before the flush pauses — once;
-/// - the cipher transforms run **in place** in the pooled buffers (the
-///   one memcpy splicing each sealed record into the contiguous wire
-///   buffer is the only copy), and buffers return to the pool, which
-///   keeps as many as the largest pass used (up to a 1 MiB response's
-///   65 fragments), so the steady-state hot path performs no per-record
-///   allocation
+/// - each flush, and each open of the complete records read so far, is
+///   one pass: offloaded or not as a whole, on its total bytes; an
+///   offloaded pass is one scatter-gather offload of
+///   [`CryptoOp::CipherSealInPlace`] / [`CryptoOp::CipherOpenInPlace`]
+///   descriptors: chunks of `max_batch` records, each one ring publish +
+///   one doorbell on the next shard, all published before the pass
+///   pauses — once;
+/// - the cipher transforms run **in place**: a seal in the pooled
+///   fragment (the one memcpy splicing each sealed record into the
+///   contiguous wire buffer is the only copy), a CPU open in the input
+///   buffer itself. Buffers return to the pool, which keeps as many as
+///   the largest pass used (up to a 1 MiB response's 65 fragments), so
+///   the steady-state hot path performs no per-record allocation
 ///   ([`Self::pool_allocs`] stays flat — see the buffer-reuse tests).
 ///
 /// The wire format is identical to [`RecordLayer`]'s, so a codec on one
 /// end interoperates with an unmodified record layer on the other.
 pub struct RecordCodec {
-    version: u16,
-    write: CipherState,
-    read: CipherState,
+    write: Direction,
+    read: Direction,
     /// Raw inbound bytes not yet opened.
     in_buf: Vec<u8>,
     /// Staged outbound plaintext fragments awaiting flush.
     staged: Vec<Vec<u8>>,
-    /// Reusable record buffers (both directions draw from one pool).
-    pool: Vec<Vec<u8>>,
-    /// Most buffers the pool keeps: the most one pass has held at once,
-    /// up to `POOL_MAX`.
-    pool_keep: usize,
-    /// Records per doorbell (one chunk of an offloaded pass).
-    max_batch: usize,
-    pool_allocs: u64,
     bytes_sealed: u64,
     bytes_opened: u64,
 }
-
-/// Most record buffers a codec's pool keeps: a 1 MiB response's
-/// fragments (64 full ones and the one its header spills into).
-const POOL_MAX: usize = (1 << 20) / sizes::MAX_FRAGMENT + 1;
 
 impl RecordCodec {
     /// Default records per doorbell (`qat_record_batch_depth`).
@@ -497,44 +670,16 @@ impl RecordCodec {
     /// Build a codec from extracted secrets plus any leftover raw bytes
     /// the handshake had buffered past `Finished`.
     pub fn new(secrets: ExtractedSecrets, leftover: Vec<u8>, max_batch: usize) -> Self {
+        let direction =
+            |s: DirectionSecrets| Direction::new(s.keys, secrets.version, s.seq, max_batch);
         RecordCodec {
-            version: secrets.version,
-            write: CipherState::new(secrets.write.keys, secrets.write.seq),
-            read: CipherState::new(secrets.read.keys, secrets.read.seq),
+            write: direction(secrets.write),
+            read: direction(secrets.read),
             in_buf: leftover,
             staged: Vec::new(),
-            pool: Vec::new(),
-            pool_keep: 1,
-            max_batch: max_batch.max(1),
-            pool_allocs: 0,
             bytes_sealed: 0,
             bytes_opened: 0,
         }
-    }
-
-    fn pool_get(&mut self) -> Vec<u8> {
-        match self.pool.pop() {
-            Some(buf) => buf,
-            None => {
-                self.pool_allocs += 1;
-                // Room for a full fragment plus tag and padding, so a
-                // seal never regrows the buffer.
-                Vec::with_capacity(sizes::MAX_FRAGMENT + 64)
-            }
-        }
-    }
-
-    fn pool_put(&mut self, mut buf: Vec<u8>) {
-        if self.pool.len() < self.pool_keep {
-            buf.clear();
-            self.pool.push(buf);
-        }
-    }
-
-    /// A pass is about to hold `buffers` pool buffers at once: let the
-    /// pool keep that many for the next one.
-    fn pool_reserve(&mut self, buffers: usize) {
-        self.pool_keep = self.pool_keep.max(buffers.min(POOL_MAX));
     }
 
     /// Stage outbound plaintext. Data is split at 16 KB fragment
@@ -551,7 +696,8 @@ impl RecordCodec {
         }
         while !rest.is_empty() {
             let take = rest.len().min(sizes::MAX_FRAGMENT);
-            let mut buf = self.pool_get();
+            // A full fragment's room: later writes coalesce into it.
+            let mut buf = self.write.pool.get(sizes::MAX_FRAGMENT);
             buf.extend_from_slice(&rest[..take]);
             self.staged.push(buf);
             rest = &rest[take..];
@@ -574,15 +720,9 @@ impl RecordCodec {
         run_sync(self.flush_into_async(out, provider, counters, rng))
     }
 
-    /// Seal every staged fragment, appending wire records to `out`.
-    /// Returns the number of records sealed. The provider decides once,
-    /// on the bytes staged, where the whole flush runs
-    /// ([`CryptoProvider::offloads_cipher`]): on the device every
-    /// fragment goes down as an in-place descriptor, `max_batch` per
-    /// doorbell, all published before the future pends — once — for the
-    /// lot; otherwise they are sealed in place on the CPU. Either way the
-    /// records are emitted in order; on a failed seal, those before it
-    /// are emitted and the error is returned.
+    /// Seal every staged fragment as one pass, appending wire records to
+    /// `out`. Returns the number of records sealed. On a failed seal,
+    /// the records before it are appended and the error is returned.
     pub async fn flush_into_async<R: EntropySource>(
         &mut self,
         out: &mut Vec<u8>,
@@ -590,73 +730,21 @@ impl RecordCodec {
         counters: &mut OpCounters,
         rng: &mut R,
     ) -> Result<usize, TlsError> {
-        if self.staged.is_empty() {
-            return Ok(0);
-        }
-        let staged = std::mem::take(&mut self.staged);
-        let n = staged.len();
-        self.pool_reserve(n);
-        let engine = provider.offloads_cipher(staged.iter().map(Vec::len).sum());
-        let batch = engine.map_or(0, |_| n);
-        let mut ops: Vec<CryptoOp> = Vec::with_capacity(batch);
-        let mut ivs: Vec<[u8; 16]> = Vec::with_capacity(batch);
-        counters.cipher += n as u32;
-        for mut buf in staged {
-            self.bytes_sealed += buf.len() as u64;
-            let aad = aad_bytes(self.write.seq, ContentType::ApplicationData, self.version);
-            self.write.seq += 1;
-            let mut iv = [0u8; 16];
-            rng.fill(&mut iv);
-            if engine.is_some() {
-                ops.push(CryptoOp::CipherSealInPlace {
-                    cipher: Arc::clone(&self.write.cipher),
-                    iv,
-                    buf,
-                    aad,
-                });
-                ivs.push(iv);
-                continue;
-            }
-            self.write
-                .cipher
-                .seal_in_place(&iv, &mut buf, &aad)
-                .map_err(TlsError::Crypto)?;
-            Self::emit_record(out, self.version, &iv, &buf);
-            self.pool_put(buf);
-        }
-        if let Some(engine) = engine {
-            let results = engine.offload_chunks_async(ops, self.max_batch).await;
-            self.take_results(results, |codec, i, sealed| {
-                Self::emit_record(out, codec.version, &ivs[i], sealed);
-            })?;
-        }
-        Ok(n)
-    }
-
-    /// Hand each offloaded record's output to `emit` in record order up
-    /// to the first failure, whose error is returned; every buffer that
-    /// came back goes to the pool, emitted or not.
-    fn take_results(
-        &mut self,
-        results: Vec<qtls_qat::CryptoResult>,
-        mut emit: impl FnMut(&mut Self, usize, &[u8]),
-    ) -> Result<(), TlsError> {
-        let mut failure = None;
-        for (i, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(output) => {
-                    let buf = output.into_bytes();
-                    if failure.is_none() {
-                        emit(self, i, &buf);
-                    }
-                    self.pool_put(buf);
-                }
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
-        failure.map_or(Ok(()), |e| Err(TlsError::Crypto(e)))
+        let records = self.staged.len();
+        self.bytes_sealed += self.staged_bytes() as u64;
+        let sealed = self
+            .write
+            .seal(
+                ContentType::ApplicationData,
+                &mut self.staged,
+                out,
+                provider,
+                counters,
+                rng,
+            )
+            .await;
+        self.staged.clear();
+        sealed.map(|()| records)
     }
 
     /// `stage` + `flush_into` in one call (synchronous).
@@ -670,14 +758,6 @@ impl RecordCodec {
     ) -> Result<usize, TlsError> {
         self.stage(data);
         self.flush_into(out, provider, counters, rng)
-    }
-
-    fn emit_record(out: &mut Vec<u8>, version: u16, iv: &[u8; 16], ct: &[u8]) {
-        out.push(ContentType::ApplicationData as u8);
-        out.extend_from_slice(&version.to_be_bytes());
-        out.extend_from_slice(&((16 + ct.len()) as u16).to_be_bytes());
-        out.extend_from_slice(iv);
-        out.extend_from_slice(ct);
     }
 
     /// Buffer raw inbound bytes.
@@ -700,82 +780,35 @@ impl RecordCodec {
         run_sync(self.open_into_async(out, provider, counters))
     }
 
-    /// Open every complete buffered record, appending plaintext to `out`
-    /// in record order. Returns the number of records opened; partial
-    /// trailing bytes stay buffered. Decided once, on the ciphertext bytes
-    /// of the complete records, and offloaded like the seal path: one
-    /// offload for the pass, `max_batch` records per doorbell, one pause.
+    /// Open every complete buffered record as one pass, appending
+    /// plaintext to `out` in record order. Returns the number of records
+    /// opened; partial trailing bytes stay buffered. A record that is not
+    /// protected ApplicationData of this connection's version is an
+    /// error, returned after the records before it are delivered.
     pub async fn open_into_async(
         &mut self,
         out: &mut Vec<u8>,
         provider: &CryptoProvider,
         counters: &mut OpCounters,
     ) -> Result<usize, TlsError> {
-        let in_buf = std::mem::take(&mut self.in_buf);
-        let engine = provider.offloads_cipher(complete_ciphertext_bytes(&in_buf));
-        let mut pos = 0usize;
-        let mut opened = 0usize;
-        let mut ops: Vec<CryptoOp> = Vec::new();
-        while in_buf.len() - pos >= HEADER_LEN {
-            let hdr = &in_buf[pos..pos + HEADER_LEN];
-            let version = u16::from_be_bytes([hdr[1], hdr[2]]);
-            let len = u16::from_be_bytes([hdr[3], hdr[4]]) as usize;
-            if version != self.version {
-                return Err(TlsError::Decode("record version mismatch"));
-            }
-            if hdr[0] != ContentType::ApplicationData as u8 {
-                return Err(TlsError::Decode("non-application record on data plane"));
-            }
-            if in_buf.len() - pos < HEADER_LEN + len {
-                break;
-            }
-            let body = &in_buf[pos + HEADER_LEN..pos + HEADER_LEN + len];
-            let Some((&iv, ciphertext)) = body.split_first_chunk::<16>() else {
-                return Err(TlsError::Decode("protected record too short"));
-            };
-            let aad = aad_bytes(self.read.seq, ContentType::ApplicationData, self.version);
-            self.read.seq += 1;
-            counters.cipher += 1;
-            let mut buf = self.pool_get();
-            buf.extend_from_slice(ciphertext);
-            pos += HEADER_LEN + len;
-            if engine.is_some() {
-                ops.push(CryptoOp::CipherOpenInPlace {
-                    cipher: Arc::clone(&self.read.cipher),
-                    iv,
-                    buf,
-                    aad,
-                });
-                continue;
-            }
-            self.read
-                .cipher
-                .open_in_place(&iv, &mut buf, &aad)
-                .map_err(TlsError::Crypto)?;
-            self.bytes_opened += buf.len() as u64;
-            out.extend_from_slice(&buf);
-            self.pool_put(buf);
-            opened += 1;
-        }
-        if let Some(engine) = engine {
-            self.pool_reserve(ops.len());
-            let results = engine.offload_chunks_async(ops, self.max_batch).await;
-            self.take_results(results, |codec, _, plaintext| {
-                codec.bytes_opened += plaintext.len() as u64;
-                out.extend_from_slice(plaintext);
-                opened += 1;
-            })?;
-        }
-        self.in_buf = in_buf;
-        self.in_buf.drain(..pos);
-        Ok(opened)
+        let (bytes, records, refusal) = app_data_run(&self.in_buf, self.read.version);
+        let opened = self
+            .read
+            .open(&mut self.in_buf[..bytes], provider, counters, |content| {
+                self.bytes_opened += content.len() as u64;
+                out.extend_from_slice(content);
+            })
+            .await;
+        self.in_buf.drain(..bytes);
+        opened?;
+        refusal.map_or(Ok(records), Err)
     }
 
     /// Buffers allocated by the pool since construction. Flat in steady
     /// state: the hot path reuses pooled buffers instead of allocating
     /// per record.
     pub fn pool_allocs(&self) -> u64 {
-        self.pool_allocs
+        self.write.pool.allocs + self.read.pool.allocs
     }
 
     /// Total plaintext bytes sealed (sent) through this codec.
@@ -795,7 +828,7 @@ mod tests {
     use crate::provider::tests::blocking as offloading;
     use crate::provider::OffloadSelection;
     use qtls_core::{poll_pass, EngineMode, OffloadEngine, SubmitQueue, WaitCtx};
-    use qtls_crypto::TestRng;
+    use qtls_crypto::{CryptoError, TestRng};
     use qtls_qat::{QatConfig, QatDevice};
     use std::future::Future;
     use std::sync::atomic::Ordering;
@@ -825,29 +858,79 @@ mod tests {
         )
     }
 
-    /// What a reader makes of `wire`, record by record through
-    /// `next_record` or in batches through `open_app_data` first: the
-    /// application data delivered, then the error (or the type of the
-    /// first record that is not application data), and the record
-    /// operations counted.
+    /// [`RecordLayer::write_record_async`] run to completion: the wire
+    /// records it appended.
+    fn write(
+        layer: &mut RecordLayer,
+        typ: ContentType,
+        data: &[u8],
+        p: &CryptoProvider,
+        c: &mut OpCounters,
+        rng: &mut TestRng,
+    ) -> Result<Vec<u8>, TlsError> {
+        let mut out = Vec::new();
+        run_sync(layer.write_record_async(typ, data, &mut out, p, c, rng)).map(|()| out)
+    }
+
+    /// [`RecordLayer::next_record_async`] run to completion.
+    fn next(
+        layer: &mut RecordLayer,
+        p: &CryptoProvider,
+        c: &mut OpCounters,
+    ) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
+        run_sync(layer.next_record_async(p, c))
+    }
+
+    /// The ways into the opener: a client's loop (its run of application
+    /// data as one pass, then the next record alone), a server's (one
+    /// record per pass) and a codec's read (all of it as one pass).
+    #[derive(Clone, Copy, Debug)]
+    enum Reader {
+        ClientLoop,
+        PerRecord,
+        Codec,
+    }
+
+    /// What `reader` under `p` makes of `wire`, sealed under `keys(7)`
+    /// from sequence number 0: the application data delivered, then the
+    /// error (or the type of the first record that is not application
+    /// data), and the records counted.
     fn read_all(
         wire: &[u8],
-        batched: bool,
-    ) -> (Vec<Vec<u8>>, Result<Option<ContentType>, TlsError>, u32) {
-        let (_, mut rx, p, mut c, _) = pipe();
+        reader: Reader,
+        p: &CryptoProvider,
+    ) -> (Vec<u8>, Result<Option<ContentType>, TlsError>, u32) {
+        let mut c = OpCounters::default();
+        let mut delivered = Vec::new();
+        if let Reader::Codec = reader {
+            let (_, client) = secrets_pair(0x0303);
+            let secrets = ExtractedSecrets {
+                read: DirectionSecrets {
+                    keys: keys(7),
+                    seq: 0,
+                },
+                ..client
+            };
+            let mut rx = RecordCodec::new(secrets, wire.to_vec(), RecordCodec::DEFAULT_BATCH);
+            let outcome = rx.open_into(&mut delivered, p, &mut c).map(|_| None);
+            return (delivered, outcome, c.cipher);
+        }
+        let mut rx = RecordLayer::new(0x0303);
         rx.set_read_keys(keys(7));
         rx.feed(wire);
-        let mut delivered = Vec::new();
         let outcome = loop {
-            if batched {
-                match rx.open_app_data(&p, &mut c, |content| delivered.push(content.to_vec())) {
+            if let Reader::ClientLoop = reader {
+                let run = rx.open_app_records_async(p, &mut c, |content| {
+                    delivered.extend_from_slice(content)
+                });
+                match run_sync(run) {
                     Ok(0) => {}
                     Ok(_) => continue,
                     Err(e) => break Err(e),
                 }
             }
-            match rx.next_record(&p, &mut c) {
-                Ok(Some((ContentType::ApplicationData, pt))) => delivered.push(pt),
+            match next(&mut rx, p, &mut c) {
+                Ok(Some((ContentType::ApplicationData, pt))) => delivered.extend_from_slice(&pt),
                 Ok(other) => break Ok(other.map(|(typ, _)| typ)),
                 Err(e) => break Err(e),
             }
@@ -855,49 +938,80 @@ mod tests {
         (delivered, outcome, c.cipher)
     }
 
-    /// The client's batched open delivers what the per-record path
-    /// delivers: every record up to a tampered one in order, then the
-    /// same `BadMac`, with the same records counted; and it stops at a
-    /// record of another type, which the per-record path then takes.
+    /// Every way into the opener, on the CPU and on the device, delivers
+    /// the same thing: each record in order up to a tampered one, then
+    /// `BadMac`, with the records up to and including the tampered one
+    /// counted. A client's run of application data stops at a record of
+    /// another type, which its loop then takes alone.
     #[test]
-    fn batched_app_data_open_matches_the_per_record_path() {
+    fn the_opener_delivers_exactly_the_records_before_a_tampered_one() {
         let (mut tx, _, p, mut c, mut rng) = pipe();
         tx.set_write_keys(keys(7));
-        let mut records = Vec::new();
-        for i in 0..40usize {
-            let len = [16 * 1024, 1, 700, 0, 5000][i % 5];
-            let (typ, data) = match i {
-                35 => (ContentType::Handshake, b"hs".to_vec()),
-                _ => (ContentType::ApplicationData, vec![i as u8; len]),
-            };
-            records.push(tx.write_record(typ, &data, &p, &mut c, &mut rng).unwrap());
+        let contents: Vec<Vec<u8>> = (0..35usize)
+            .map(|i| vec![i as u8; [16 * 1024, 1, 700, 0, 5000][i % 5]])
+            .collect();
+        let mut records: Vec<Vec<u8>> = contents
+            .iter()
+            .map(|data| {
+                write(
+                    &mut tx,
+                    ContentType::ApplicationData,
+                    data,
+                    &p,
+                    &mut c,
+                    &mut rng,
+                )
+            })
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let handshake = write(&mut tx, ContentType::Handshake, b"hs", &p, &mut c, &mut rng);
+        let (device, _dev) = offloading(OffloadSelection::offload_everything());
+        let readers = [Reader::ClientLoop, Reader::PerRecord, Reader::Codec];
+        for (reader, p) in readers.iter().flat_map(|&r| [(r, &p), (r, &device)]) {
+            let mut wire = records.concat();
+            let (mut end, mut counted) = (None, 35);
+            if !matches!(reader, Reader::Codec) {
+                wire.extend_from_slice(handshake.as_ref().unwrap());
+                (end, counted) = (Some(ContentType::Handshake), 36);
+            }
+            let clean = read_all(&wire, reader, p);
+            assert_eq!((clean.1, clean.2), (Ok(end), counted), "{reader:?}");
+            assert!(clean.0 == contents.concat(), "{reader:?}: content differs");
         }
-        let clean = records.concat();
-        let (want, want_end, want_count) = read_all(&clean, false);
-        assert_eq!(want.len(), 35);
-        assert_eq!(want_end, Ok(Some(ContentType::Handshake)));
-        assert_eq!(read_all(&clean, true), (want, want_end, want_count));
         for bad in [0, 7, 15, 16, 17, 34] {
-            let mut wire = records.clone();
             // A byte of the last ciphertext block: the MAC or the pad.
-            let last = wire[bad].len() - 1;
-            wire[bad][last] ^= 0x40;
-            let wire = wire.concat();
-            let per_record = read_all(&wire, false);
-            assert_eq!(per_record.0.len(), bad);
-            assert_eq!(per_record.1, Err(TlsError::Crypto(CryptoError::BadMac)));
-            assert_eq!(read_all(&wire, true), per_record, "tampered record {bad}");
+            let last = records[bad].len() - 1;
+            records[bad][last] ^= 0x40;
+            let wire = records.concat();
+            records[bad][last] ^= 0x40;
+            for (reader, p) in readers.iter().flat_map(|&r| [(r, &p), (r, &device)]) {
+                let (delivered, outcome, counted) = read_all(&wire, reader, p);
+                let what = format!("{reader:?}, tampered record {bad}");
+                assert!(delivered == contents[..bad].concat(), "{what}: content");
+                assert_eq!(
+                    outcome,
+                    Err(TlsError::Crypto(CryptoError::BadMac)),
+                    "{what}"
+                );
+                assert_eq!(counted, bad as u32 + 1, "{what}: counted");
+            }
         }
     }
 
     #[test]
     fn plaintext_roundtrip() {
         let (mut tx, mut rx, p, mut c, mut rng) = pipe();
-        let rec = tx
-            .write_record(ContentType::Handshake, b"hello", &p, &mut c, &mut rng)
-            .unwrap();
+        let rec = write(
+            &mut tx,
+            ContentType::Handshake,
+            b"hello",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         rx.feed(&rec);
-        let (typ, payload) = rx.next_record(&p, &mut c).unwrap().unwrap();
+        let (typ, payload) = next(&mut rx, &p, &mut c).unwrap().unwrap();
         assert_eq!(typ, ContentType::Handshake);
         assert_eq!(payload, b"hello");
         assert_eq!(c.cipher, 0, "no crypto before keys");
@@ -908,21 +1022,21 @@ mod tests {
         let (mut tx, mut rx, p, mut c, mut rng) = pipe();
         tx.set_write_keys(keys(5));
         rx.set_read_keys(keys(5));
-        let rec = tx
-            .write_record(
-                ContentType::ApplicationData,
-                b"secret data",
-                &p,
-                &mut c,
-                &mut rng,
-            )
-            .unwrap();
+        let rec = write(
+            &mut tx,
+            ContentType::ApplicationData,
+            b"secret data",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         assert!(
             !rec.windows(11).any(|w| w == b"secret data"),
             "must be encrypted"
         );
         rx.feed(&rec);
-        let (typ, payload) = rx.next_record(&p, &mut c).unwrap().unwrap();
+        let (typ, payload) = next(&mut rx, &p, &mut c).unwrap().unwrap();
         assert_eq!(typ, ContentType::ApplicationData);
         assert_eq!(payload, b"secret data");
         assert_eq!(c.cipher, 2);
@@ -933,29 +1047,41 @@ mod tests {
         let (mut tx, mut rx, p, mut c, mut rng) = pipe();
         tx.set_write_keys(keys(5));
         rx.set_read_keys(keys(5));
-        let rec = tx
-            .write_record(ContentType::ApplicationData, b"msg", &p, &mut c, &mut rng)
-            .unwrap();
+        let rec = write(
+            &mut tx,
+            ContentType::ApplicationData,
+            b"msg",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         rx.feed(&rec);
-        rx.next_record(&p, &mut c).unwrap().unwrap();
+        next(&mut rx, &p, &mut c).unwrap().unwrap();
         // Replaying the identical record must fail the MAC (seq advanced).
         rx.feed(&rec);
-        assert!(rx.next_record(&p, &mut c).is_err());
+        assert!(next(&mut rx, &p, &mut c).is_err());
     }
 
     #[test]
     fn partial_records_buffer() {
         let (mut tx, mut rx, p, mut c, mut rng) = pipe();
-        let rec = tx
-            .write_record(ContentType::Handshake, b"abcdef", &p, &mut c, &mut rng)
-            .unwrap();
+        let rec = write(
+            &mut tx,
+            ContentType::Handshake,
+            b"abcdef",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         for b in &rec[..rec.len() - 1] {
             rx.feed(&[*b]);
             // (may yield None repeatedly)
         }
-        assert!(rx.next_record(&p, &mut c).unwrap().is_none());
+        assert!(next(&mut rx, &p, &mut c).unwrap().is_none());
         rx.feed(&rec[rec.len() - 1..]);
-        assert!(rx.next_record(&p, &mut c).unwrap().is_some());
+        assert!(next(&mut rx, &p, &mut c).unwrap().is_some());
     }
 
     #[test]
@@ -964,16 +1090,87 @@ mod tests {
         tx.set_write_keys(keys(9));
         rx.set_read_keys(keys(9));
         let data = vec![0x5au8; 40 * 1024]; // 40 KB -> 3 records
-        let stream = tx
-            .write_fragmented(ContentType::ApplicationData, &data, &p, &mut c, &mut rng)
-            .unwrap();
+        let stream = write(
+            &mut tx,
+            ContentType::ApplicationData,
+            &data,
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(c.cipher, 3, "40KB must become 3 cipher ops (16+16+8)");
         rx.feed(&stream);
         let mut got = Vec::new();
-        while let Some((_, payload)) = rx.next_record(&p, &mut c).unwrap() {
+        while let Some((_, payload)) = next(&mut rx, &p, &mut c).unwrap() {
             got.extend_from_slice(&payload);
         }
         assert_eq!(got, data);
+    }
+
+    /// A handshake payload over 16 KB (a long certificate chain) is framed
+    /// as two records, plaintext or protected, and the peer reads both.
+    #[test]
+    fn a_handshake_payload_over_16kb_is_two_records() {
+        let payload: Vec<u8> = (0..20 * 1024).map(|i| i as u8).collect();
+        for protected in [false, true] {
+            let (mut tx, mut rx, p, mut c, mut rng) = pipe();
+            if protected {
+                tx.set_write_keys(keys(3));
+                rx.set_read_keys(keys(3));
+            }
+            let wire = write(
+                &mut tx,
+                ContentType::Handshake,
+                &payload,
+                &p,
+                &mut c,
+                &mut rng,
+            )
+            .unwrap();
+            rx.feed(&wire);
+            let (head, tail) = payload.split_at(sizes::MAX_FRAGMENT);
+            for fragment in [head, tail] {
+                let record = next(&mut rx, &p, &mut c).unwrap();
+                assert_eq!(record, Some((ContentType::Handshake, fragment.to_vec())));
+            }
+            assert_eq!(next(&mut rx, &p, &mut c), Ok(None));
+            assert_eq!(c.cipher, 4 * protected as u32);
+        }
+    }
+
+    /// A record pass reaches the device from `min_sym_bytes` up: a seal
+    /// decides on its plaintext, an open on its ciphertext (content, tag
+    /// and pad).
+    #[test]
+    fn a_record_reaches_the_device_from_min_sym_bytes_up() {
+        let (p, dev) = offloading(OffloadSelection::default());
+        let (mut tx, mut rx, _, mut c, mut rng) = pipe();
+        tx.set_write_keys(keys(1));
+        rx.set_read_keys(keys(1));
+        // 2000 bytes + tag pad to 2032 (seal and open inline), 2047 to
+        // 2080 (the open on the device), 2048 to 2080 (both on it).
+        for (len, completed) in [(2000, 0), (2047, 1), (2048, 3)] {
+            let data = vec![7; len];
+            let wire = write(
+                &mut tx,
+                ContentType::ApplicationData,
+                &data,
+                &p,
+                &mut c,
+                &mut rng,
+            )
+            .unwrap();
+            rx.feed(&wire);
+            let record = next(&mut rx, &p, &mut c).unwrap();
+            assert_eq!(record, Some((ContentType::ApplicationData, data)));
+            assert_eq!(
+                dev.fw_counters().total_completed(),
+                completed,
+                "{len}-byte record"
+            );
+        }
+        assert_eq!(c.cipher, 6);
     }
 
     #[test]
@@ -981,19 +1178,19 @@ mod tests {
         let (mut tx, mut rx, p, mut c, mut rng) = pipe();
         tx.set_write_keys(keys(5));
         rx.set_read_keys(keys(5));
-        let mut rec = tx
-            .write_record(
-                ContentType::ApplicationData,
-                b"payload!",
-                &p,
-                &mut c,
-                &mut rng,
-            )
-            .unwrap();
+        let mut rec = write(
+            &mut tx,
+            ContentType::ApplicationData,
+            b"payload!",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         let n = rec.len();
         rec[n - 1] ^= 0x01;
         rx.feed(&rec);
-        assert!(rx.next_record(&p, &mut c).is_err());
+        assert!(next(&mut rx, &p, &mut c).is_err());
     }
 
     #[test]
@@ -1001,11 +1198,17 @@ mod tests {
         let (mut tx, mut rx, p, mut c, mut rng) = pipe();
         tx.set_write_keys(keys(5));
         rx.set_read_keys(keys(6));
-        let rec = tx
-            .write_record(ContentType::ApplicationData, b"x", &p, &mut c, &mut rng)
-            .unwrap();
+        let rec = write(
+            &mut tx,
+            ContentType::ApplicationData,
+            b"x",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         rx.feed(&rec);
-        assert!(rx.next_record(&p, &mut c).is_err());
+        assert!(next(&mut rx, &p, &mut c).is_err());
     }
 
     /// Mirrored secrets for a codec pair (server writes 5/reads 6).
@@ -1049,13 +1252,19 @@ mod tests {
             )
             .unwrap();
         peer.feed(&wire);
-        let (typ, payload) = peer.next_record(&p, &mut c).unwrap().unwrap();
+        let (typ, payload) = next(&mut peer, &p, &mut c).unwrap().unwrap();
         assert_eq!(typ, ContentType::ApplicationData);
         assert_eq!(payload, b"hello from the data plane");
         // Reverse direction: handshake-layer peer writes, codec opens.
-        let rec = peer
-            .write_record(ContentType::ApplicationData, b"reply", &p, &mut c, &mut rng)
-            .unwrap();
+        let rec = write(
+            &mut peer,
+            ContentType::ApplicationData,
+            b"reply",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         codec.feed(&rec);
         let mut pt = Vec::new();
         assert_eq!(codec.open_into(&mut pt, &p, &mut c).unwrap(), 1);
@@ -1070,16 +1279,28 @@ mod tests {
         rx.set_write_keys(keys(6));
         tx.set_read_keys(keys(6));
         // Advance the read sequence space through the handshake layer.
-        let r1 = tx
-            .write_record(ContentType::Handshake, b"fin", &p, &mut c, &mut rng)
-            .unwrap();
+        let r1 = write(
+            &mut tx,
+            ContentType::Handshake,
+            b"fin",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         // Early data arrives before handoff, in the same read as the
         // last handshake record; only part of it has landed.
-        let early = tx
-            .write_record(ContentType::ApplicationData, b"early", &p, &mut c, &mut rng)
-            .unwrap();
+        let early = write(
+            &mut tx,
+            ContentType::ApplicationData,
+            b"early",
+            &p,
+            &mut c,
+            &mut rng,
+        )
+        .unwrap();
         rx.feed(&[&r1[..], &early[..3]].concat());
-        rx.next_record(&p, &mut c).unwrap().unwrap();
+        next(&mut rx, &p, &mut c).unwrap().unwrap();
         // The consumed record is behind the read cursor, not yet dropped:
         // neither the count nor the handoff may include it.
         assert_eq!(rx.buffered(), 3);
@@ -1152,9 +1373,9 @@ mod tests {
         assert_eq!(total.len(), 10 * data.len());
         // Warm after the first flush: the seal path stages two fragments
         // at once (two buffers, reused ever after); the open path opens
-        // records sequentially, so one buffer serves all 20 records.
+        // each record in place in the input and takes no buffer at all.
         assert_eq!(tx.pool_allocs(), 2, "seal path allocated per record");
-        assert_eq!(rx.pool_allocs(), 1, "open path allocated per record");
+        assert_eq!(rx.pool_allocs(), 0, "open path took a buffer");
         assert_eq!(tx.bytes_sealed(), (10 * data.len()) as u64);
         assert_eq!(rx.bytes_opened(), (10 * data.len()) as u64);
     }
@@ -1265,7 +1486,12 @@ mod tests {
         // Flushes of 1 to 70 records through a three-shard engine, every
         // chunk of 16 on the next shard and the shards retrieved
         // last-first: the wire bytes are the inline seal's, each flush
-        // pauses once and rings one doorbell per chunk.
+        // pauses once and rings one doorbell per chunk. A record layer
+        // with the same keys, sequence numbers and IV stream writes the
+        // same bytes on the CPU and on the device, one pass per record; a
+        // record layer reading the codec's bytes as a client does (one
+        // pass, on the device) and a codec reading the layer's (one pass,
+        // on the CPU) get the data back.
         let device = QatDevice::new(QatConfig {
             endpoints: 3,
             engines_per_endpoint: 1,
@@ -1273,36 +1499,105 @@ mod tests {
             ..QatConfig::functional_small()
         });
         let (p, engine) = sharded(&device);
-        let (server, _) = secrets_pair(0x0303);
+        let (server, client) = secrets_pair(0x0303);
         let mut on_device =
             RecordCodec::new(server.clone(), Vec::new(), RecordCodec::DEFAULT_BATCH);
         let mut inline = RecordCodec::new(server, Vec::new(), RecordCodec::DEFAULT_BATCH);
-        let (mut rng_device, mut rng_inline) = (TestRng::new(70), TestRng::new(70));
+        let mut codec_reader = RecordCodec::new(client, Vec::new(), RecordCodec::DEFAULT_BATCH);
+        let layer = |keys: Option<DirectionKeys>| {
+            let mut layer = RecordLayer::new(0x0303);
+            match keys {
+                Some(keys) => layer.set_write_keys(keys),
+                None => layer.set_read_keys(self::keys(5)),
+            }
+            layer
+        };
+        let (mut layer_inline, mut layer_device) = (layer(Some(keys(5))), layer(Some(keys(5))));
+        let mut layer_reader = layer(None);
+        let mut rngs = [70; 4].map(TestRng::new);
         let mut c = OpCounters::default();
         let doorbells = || device.fw_counters().doorbells.load(Ordering::Relaxed);
+        let completed = || device.fw_counters().total_completed();
         for records in 1..=70usize {
             let data = vec![records as u8; records * sizes::MAX_FRAGMENT - 7];
+            let [rng_inline, rng_device, rng_layer_inline, rng_layer_device] = &mut rngs;
             let mut want = Vec::new();
+            let software = CryptoProvider::Software;
             inline
-                .seal_into(
-                    &data,
-                    &mut want,
-                    &CryptoProvider::Software,
-                    &mut c,
-                    &mut rng_inline,
-                )
+                .seal_into(&data, &mut want, &software, &mut c, rng_inline)
                 .unwrap();
             on_device.stage(&data);
             let before = doorbells();
             let mut wire = Vec::new();
             let (sealed, pauses) = drive_reversed(
                 &engine,
-                on_device.flush_into_async(&mut wire, &p, &mut c, &mut rng_device),
+                on_device.flush_into_async(&mut wire, &p, &mut c, rng_device),
             );
             assert_eq!(sealed, Ok(records));
             assert!(wire == want, "{records} records: wire bytes differ");
             assert_eq!(pauses, 1, "{records} records: one pause per flush");
             assert_eq!(doorbells() - before, records.div_ceil(16) as u64);
+
+            let typ = ContentType::ApplicationData;
+            let layer_wire = write(
+                &mut layer_inline,
+                typ,
+                &data,
+                &software,
+                &mut c,
+                rng_layer_inline,
+            );
+            assert!(
+                layer_wire.unwrap() == want,
+                "{records} records: layer's inline bytes"
+            );
+            let mut layer_wire = Vec::new();
+            let before = completed();
+            let (written, _) = drive_reversed(
+                &engine,
+                layer_device.write_record_async(
+                    typ,
+                    &data,
+                    &mut layer_wire,
+                    &p,
+                    &mut c,
+                    rng_layer_device,
+                ),
+            );
+            assert_eq!(written, Ok(()));
+            assert_eq!(
+                completed() - before,
+                records as u64,
+                "one offload per record"
+            );
+            assert!(
+                layer_wire == want,
+                "{records} records: layer's device bytes"
+            );
+
+            layer_reader.feed(&want);
+            let mut opened = Vec::new();
+            let before = completed();
+            let (run, _) = drive_reversed(
+                &engine,
+                layer_reader.open_app_records_async(&p, &mut c, |content| {
+                    opened.extend_from_slice(content)
+                }),
+            );
+            assert_eq!(run, Ok(records));
+            assert_eq!(completed() - before, records as u64, "one offload per pass");
+            assert!(
+                opened == data,
+                "{records} records: the layer read the codec's"
+            );
+            codec_reader.feed(&layer_wire);
+            opened.clear();
+            let run = codec_reader.open_into(&mut opened, &software, &mut c);
+            assert_eq!(run, Ok(records));
+            assert!(
+                opened == data,
+                "{records} records: the codec read the layer's"
+            );
         }
         assert_eq!(engine.inflight().total(), 0);
     }

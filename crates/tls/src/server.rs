@@ -284,18 +284,16 @@ impl ServerSession {
         if self.state != State::Connected {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self
-            .records
-            .write_fragmented_async(
+        self.records
+            .write_record_async(
                 ContentType::ApplicationData,
                 data,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     /// Export the established record secrets (kTLS-style) plus any
@@ -369,33 +367,29 @@ impl ServerSession {
     async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self
-            .records
+        self.records
             .write_record_async(
                 ContentType::Handshake,
                 &raw,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     async fn send_ccs(&mut self) -> Result<(), TlsError> {
-        let rec = self
-            .records
+        self.records
             .write_record_async(
                 ContentType::ChangeCipherSpec,
                 &[1],
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     fn transcript_hash(&self) -> Vec<u8> {
@@ -439,13 +433,19 @@ impl ServerSession {
     fn handle_ccs(&mut self) -> Result<(), TlsError> {
         match self.state {
             State::ExpectCcs => {
-                let kb = self.key_block.as_ref().expect("keys derived before CCS");
+                let kb = self
+                    .key_block
+                    .as_ref()
+                    .ok_or(TlsError::InvalidState("client CCS before the key block"))?;
                 self.records.set_read_keys(kb.client.clone());
                 self.state = State::ExpectFinished;
                 Ok(())
             }
             State::AbbrExpectCcs => {
-                let kb = self.key_block.as_ref().expect("keys derived before CCS");
+                let kb = self
+                    .key_block
+                    .as_ref()
+                    .ok_or(TlsError::InvalidState("client CCS before the key block"))?;
                 self.records.set_read_keys(kb.client.clone());
                 self.state = State::AbbrExpectFinished;
                 Ok(())
@@ -612,7 +612,11 @@ impl ServerSession {
                         .await?
                 }
                 Auth::Ecdsa => {
-                    let key = self.config.ecdsa_keys.get(&self.curve).expect("checked");
+                    let key = self
+                        .config
+                        .ecdsa_keys
+                        .get(&self.curve)
+                        .ok_or(TlsError::InvalidState("no ECDSA key for the curve"))?;
                     let nonce_seed = self.rng.next_u64();
                     self.provider
                         .ecdsa_sign(
@@ -729,7 +733,9 @@ impl ServerSession {
         )
         .await?;
         self.send_ccs().await?;
-        let kb = self.key_block.as_ref().expect("derived");
+        let kb = self.key_block.as_ref().ok_or(TlsError::InvalidState(
+            "server Finished before the key block",
+        ))?;
         self.records.set_write_keys(kb.server.clone());
         self.send_handshake(&HandshakeMsg::Finished(Finished {
             verify_data: verify,

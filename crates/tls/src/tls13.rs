@@ -33,13 +33,15 @@ fn traffic_keys(
     provider: &CryptoProvider,
     counters: &mut OpCounters,
     secret: &[u8],
-) -> DirectionKeys {
+) -> Result<DirectionKeys, TlsError> {
     let key = provider.hkdf_expand_label(counters, secret, b"key", &[], 16);
     let mac = provider.hkdf_expand_label(counters, secret, b"mac", &[], 20);
-    DirectionKeys {
-        enc_key: key.try_into().expect("16 bytes"),
+    Ok(DirectionKeys {
+        enc_key: key
+            .try_into()
+            .map_err(|_| TlsError::InvalidState("traffic key is not 16 bytes"))?,
         mac_key: mac,
-    }
+    })
 }
 
 /// The TLS 1.3 key schedule up to the handshake-traffic stage.
@@ -241,18 +243,16 @@ impl Tls13ServerSession {
         if !self.is_established() {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self
-            .records
-            .write_fragmented_async(
+        self.records
+            .write_record_async(
                 ContentType::ApplicationData,
                 data,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     /// Export the established record secrets plus leftover inbound bytes
@@ -304,18 +304,16 @@ impl Tls13ServerSession {
     async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self
-            .records
+        self.records
             .write_record_async(
                 ContentType::Handshake,
                 &raw,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     fn transcript_hash(&self) -> Vec<u8> {
@@ -438,12 +436,12 @@ impl Tls13ServerSession {
             &self.provider,
             &mut self.counters,
             &schedule.server_hs_traffic,
-        );
+        )?;
         let client_keys = traffic_keys(
             &self.provider,
             &mut self.counters,
             &schedule.client_hs_traffic,
-        );
+        )?;
         self.records.set_write_keys(server_keys);
         self.records.set_read_keys(client_keys);
         // Encrypted flight: EE, [Certificate, CertificateVerify],
@@ -481,7 +479,11 @@ impl Tls13ServerSession {
                         .await?
                 }
                 Auth::Ecdsa => {
-                    let key = self.config.ecdsa_keys.get(&curve).expect("checked");
+                    let key = self
+                        .config
+                        .ecdsa_keys
+                        .get(&curve)
+                        .ok_or(TlsError::InvalidState("no ECDSA key for the curve"))?;
                     let nonce_seed = self.rng.next_u64();
                     self.provider
                         .ecdsa_sign(
@@ -517,7 +519,9 @@ impl Tls13ServerSession {
     }
 
     async fn on_client_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
-        let schedule = self.schedule.as_ref().expect("schedule exists");
+        let schedule = self.schedule.as_ref().ok_or(TlsError::InvalidState(
+            "client Finished before the key schedule",
+        ))?;
         let expect = finished_mac(
             &self.provider,
             &mut self.counters,
@@ -528,12 +532,9 @@ impl Tls13ServerSession {
             return Err(TlsError::BadFinished);
         }
         // Application keys (transcript through server Finished).
-        let (master, c_app, s_app) = {
-            let schedule = self.schedule.as_ref().unwrap();
-            schedule.application(&self.provider, &mut self.counters, &th)
-        };
-        let server_keys = traffic_keys(&self.provider, &mut self.counters, &s_app);
-        let client_keys = traffic_keys(&self.provider, &mut self.counters, &c_app);
+        let (master, c_app, s_app) = schedule.application(&self.provider, &mut self.counters, &th);
+        let server_keys = traffic_keys(&self.provider, &mut self.counters, &s_app)?;
+        let client_keys = traffic_keys(&self.provider, &mut self.counters, &c_app)?;
         self.records.set_write_keys(server_keys);
         self.records.set_read_keys(client_keys);
         self.state = ServerState::Connected;
@@ -651,7 +652,9 @@ impl Tls13ClientSession {
     /// Send the ClientHello with a key share (and a `pre_shared_key`
     /// offer when resumption data is loaded).
     pub async fn start_async(&mut self) -> Result<(), TlsError> {
-        assert_eq!(self.state, ClientState::Start);
+        if self.state != ClientState::Start {
+            return Err(TlsError::InvalidState("start() called twice"));
+        }
         let seed = self.rng.next_u64();
         let (private, public) = self
             .provider
@@ -686,7 +689,7 @@ impl Tls13ClientSession {
             let secret = self
                 .resume
                 .as_ref()
-                .expect("psk offer implies resume data")
+                .ok_or(TlsError::InvalidState("psk offer without resume data"))?
                 .secret
                 .clone();
             let binder = psk_binder(&self.provider, &mut self.counters, &secret, &zeroed);
@@ -748,18 +751,16 @@ impl Tls13ClientSession {
         if !self.is_established() {
             return Err(TlsError::InvalidState("write before handshake done"));
         }
-        let rec = self
-            .records
-            .write_fragmented_async(
+        self.records
+            .write_record_async(
                 ContentType::ApplicationData,
                 data,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     /// Export the established record secrets plus leftover inbound bytes
@@ -780,9 +781,24 @@ impl Tls13ClientSession {
         run_sync(self.process_async())
     }
 
-    /// Process buffered input.
+    /// Process buffered input. Once established, the complete
+    /// application-data records at the front of the buffer are opened as
+    /// one pass ([`RecordLayer::open_app_records_async`]); every other
+    /// record goes through the record layer one at a time.
     pub async fn process_async(&mut self) -> Result<(), TlsError> {
         loop {
+            if self.is_established() {
+                let app_in = &mut self.app_in;
+                let opened = self
+                    .records
+                    .open_app_records_async(&self.provider, &mut self.counters, |content| {
+                        app_in.push_back(content.to_vec())
+                    })
+                    .await?;
+                if opened > 0 {
+                    continue;
+                }
+            }
             let Some((typ, payload)) = self
                 .records
                 .next_record_async(&self.provider, &mut self.counters)
@@ -810,18 +826,16 @@ impl Tls13ClientSession {
     async fn send_handshake(&mut self, msg: &HandshakeMsg) -> Result<(), TlsError> {
         let raw = msg.encode();
         self.transcript.update(&raw);
-        let rec = self
-            .records
+        self.records
             .write_record_async(
                 ContentType::Handshake,
                 &raw,
+                &mut self.out,
                 &self.provider,
                 &mut self.counters,
                 &mut self.rng,
             )
-            .await?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .await
     }
 
     fn transcript_hash(&self) -> Vec<u8> {
@@ -910,7 +924,7 @@ impl Tls13ClientSession {
             Some(
                 self.resume
                     .as_ref()
-                    .expect("accepted psk implies resume data")
+                    .ok_or(TlsError::InvalidState("accepted psk without resume data"))?
                     .secret
                     .clone(),
             )
@@ -929,12 +943,12 @@ impl Tls13ClientSession {
             &self.provider,
             &mut self.counters,
             &schedule.server_hs_traffic,
-        );
+        )?;
         let client_keys = traffic_keys(
             &self.provider,
             &mut self.counters,
             &schedule.client_hs_traffic,
-        );
+        )?;
         self.records.set_read_keys(server_keys);
         self.records.set_write_keys(client_keys);
         self.schedule = Some(schedule);
@@ -961,7 +975,9 @@ impl Tls13ClientSession {
     }
 
     async fn on_server_finished(&mut self, fin: Finished, th: Vec<u8>) -> Result<(), TlsError> {
-        let schedule = self.schedule.take().expect("schedule");
+        let schedule = self.schedule.take().ok_or(TlsError::InvalidState(
+            "server Finished before the key schedule",
+        ))?;
         let expect = finished_mac(
             &self.provider,
             &mut self.counters,
@@ -988,8 +1004,8 @@ impl Tls13ClientSession {
         // as the hash before the client's Finished arrives).
         let (master, c_app, s_app) =
             schedule.application(&self.provider, &mut self.counters, &th_client);
-        let server_keys = traffic_keys(&self.provider, &mut self.counters, &s_app);
-        let client_keys = traffic_keys(&self.provider, &mut self.counters, &c_app);
+        let server_keys = traffic_keys(&self.provider, &mut self.counters, &s_app)?;
+        let client_keys = traffic_keys(&self.provider, &mut self.counters, &c_app)?;
         self.records.set_read_keys(server_keys);
         self.records.set_write_keys(client_keys);
         // Resumption master over the transcript including the client

@@ -2,6 +2,7 @@
 //! replays and tampered handshake content must be rejected with typed
 //! errors.
 
+use qtls_core::run_sync;
 use qtls_crypto::ecc::NamedCurve;
 use qtls_crypto::rsa::RsaPrivateKey;
 use qtls_crypto::test_keys::test_rsa_2048;
@@ -21,19 +22,52 @@ fn record_with(msg: &HandshakeMsg) -> Vec<u8> {
     let mut layer = RecordLayer::new(Version::Tls12.wire());
     let mut counters = OpCounters::default();
     let mut rng = TestRng::new(7);
-    layer
-        .write_record(
-            ContentType::Handshake,
-            &msg.encode(),
-            &CryptoProvider::Software,
-            &mut counters,
-            &mut rng,
-        )
-        .unwrap()
+    let mut record = Vec::new();
+    run_sync(layer.write_record_async(
+        ContentType::Handshake,
+        &msg.encode(),
+        &mut record,
+        &CryptoProvider::Software,
+        &mut counters,
+        &mut rng,
+    ))
+    .unwrap();
+    record
 }
 
 fn fresh_server(seed: u64) -> ServerSession {
     ServerSession::new(ServerConfig::test_default(), CryptoProvider::Software, seed)
+}
+
+/// A second `start()` is a typed error, not a panic, and sends nothing.
+#[test]
+fn client_start_twice_is_an_error() {
+    let mut client = ClientSession::new(
+        CryptoProvider::Software,
+        CipherSuite::EcdheRsa,
+        NamedCurve::P256,
+        None,
+        3,
+    );
+    client.start().unwrap();
+    let hello = client.take_output();
+    assert!(!hello.is_empty());
+    assert_eq!(
+        client.start(),
+        Err(TlsError::InvalidState("start() called twice"))
+    );
+    assert!(client.take_output().is_empty());
+    let mut tls13 = Tls13ClientSession::new(
+        CryptoProvider::Software,
+        CipherSuite::EcdheRsa,
+        NamedCurve::P256,
+        3,
+    );
+    tls13.start().unwrap();
+    assert_eq!(
+        tls13.start(),
+        Err(TlsError::InvalidState("start() called twice"))
+    );
 }
 
 #[test]
@@ -120,15 +154,16 @@ fn server_rejects_app_data_before_handshake() {
     let mut layer = RecordLayer::new(Version::Tls12.wire());
     let mut counters = OpCounters::default();
     let mut rng = TestRng::new(9);
-    let rec = layer
-        .write_record(
-            ContentType::ApplicationData,
-            b"premature",
-            &CryptoProvider::Software,
-            &mut counters,
-            &mut rng,
-        )
-        .unwrap();
+    let mut rec = Vec::new();
+    run_sync(layer.write_record_async(
+        ContentType::ApplicationData,
+        b"premature",
+        &mut rec,
+        &CryptoProvider::Software,
+        &mut counters,
+        &mut rng,
+    ))
+    .unwrap();
     server.feed(&rec);
     assert!(matches!(
         server.process(),

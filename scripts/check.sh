@@ -78,6 +78,15 @@ required=(
   qtls_qat::device::tests::a_doorbells_records_are_one_run_on_one_engine
   qtls_core::engine::tests::chunked_offload_publishes_every_chunk_before_its_one_pause
   qtls_tls::record::tests::the_offload_decision_never_changes_a_wire_byte
+  # one record-protection core (§13): every way into the opener delivers
+  # exactly the records before a tampered one; a payload over 16 KB is
+  # framed as records, not a panic; a software codec's 16-record flush
+  # and open are one multi-buffer pass each (§20)
+  qtls_tls::record::tests::the_opener_delivers_exactly_the_records_before_a_tampered_one
+  qtls_tls::record::tests::a_handshake_payload_over_16kb_is_two_records
+  qtls_tls::record::tests::a_record_reaches_the_device_from_min_sym_bytes_up
+  proptest_crypto::a_software_codec_seals_and_opens_sixteen_records_in_one_pass_each
+  protocol_violations::client_start_twice_is_an_error
   qtls_tls::record::tests::a_shutdown_drain_mid_flush_emits_exactly_the_records_before_it
   qtls_tls::record::tests::a_whole_mib_flush_stays_in_the_pool
   profiles::record_batch_depth_sets_the_doorbells_of_a_flush_that_pauses_once
@@ -115,6 +124,7 @@ required=(
   # shared buffer, and what is served is the oracle's response in the
   # fewest records (§13)
   alloc_budget::keepalive_request_allocations_are_pinned
+  alloc_budget::keepalive_client_allocations_are_pinned
   alloc_budget::asymmetric_primitive_allocations_are_pinned
   alloc_budget::a_mib_response_allocates_only_the_socket_buffer
   qtls_server::http::tests::synthetic_objects_share_one_bounded_buffer
@@ -231,6 +241,34 @@ if ! grep -q 'fn engine_for' crates/tls/src/provider.rs; then
   exit 1
 fi
 echo "ok: only CryptoProvider::engine_for reads the offload selection"
+
+echo "== one record-protection core: one sealer, one opener =="
+# DESIGN.md §13, §21: every protected record is sealed by Direction::seal
+# and opened by Direction::open in crates/tls/src/record.rs, each pass
+# deciding once with CryptoProvider::offloads_cipher. No other non-test
+# code under crates/tls/src may run the record cipher or offload records
+# itself.
+record_src=crates/tls/src/record.rs
+for f in 'async fn seal<' 'async fn open('; do
+  if [ "$(grep -c "^    $f" "$record_src")" != 1 ]; then
+    echo "could not find exactly one '$f' in $record_src to audit" >&2
+    exit 1
+  fi
+done
+core_calls=$(for f in crates/tls/src/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" | awk -v file="$f" '
+    /^    async fn (seal<|open\()/                                      { inside = 1 }
+    inside && /^    }$/                                                { inside = 0; next }
+    /^[[:space:]]*\/\//                                                { next }
+    !inside && /(seal_in_place|open_in_place|seal_batch|open_batch|offload_chunks_async)\(/ {
+      print file ":" FNR ": " $0 }'
+done)
+if [ -n "$core_calls" ]; then
+  echo "$core_calls" >&2
+  echo "record crypto outside the one sealer and opener of $record_src (see above)" >&2
+  exit 1
+fi
+echo "ok: crates/tls/src protects records only in Direction::seal and Direction::open"
 
 echo "== one wake per request: no timed idle waits =="
 # The device's engines and the idle worker wait untimed or on a stated

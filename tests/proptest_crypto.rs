@@ -1226,10 +1226,12 @@ fn record_protection_rejects_bitflips() {
 }
 
 /// One MAC-then-encrypt body: the keyed context, the one-shot wrappers
-/// the benchmark imports, both device descriptors and the handshake
-/// record layer produce the same bytes for the same key/iv/aad.
+/// the benchmark imports, the in-place device descriptor (owned and by
+/// reference) and the handshake record layer produce the same bytes for
+/// the same key/iv/aad.
 #[test]
 fn every_seal_path_produces_the_same_record() {
+    use qtls::core::run_sync;
     use qtls::crypto::{EntropySource, TestRng};
     use qtls::qat::request::{execute, execute_owned};
     use qtls::qat::{seal_in_place, CryptoOp};
@@ -1255,20 +1257,15 @@ fn every_seal_path_produces_the_same_record() {
         seal_in_place(&enc_key, &mac_key, &iv, &mut oneshot, &aad).unwrap();
         assert_eq!(oneshot, reference, "qtls_qat::seal_in_place");
 
-        let encrypt = execute(&CryptoOp::CipherEncrypt {
-            cipher: Arc::clone(&cipher),
-            iv,
-            plaintext: payload.clone(),
-            aad: aad.to_vec(),
-        });
-        assert_eq!(encrypt.unwrap().into_bytes(), reference, "CipherEncrypt");
-
-        let in_place = execute_owned(CryptoOp::CipherSealInPlace {
+        let descriptor = CryptoOp::CipherSealInPlace {
             cipher: Arc::clone(&cipher),
             iv,
             buf: payload.clone(),
             aad,
-        });
+        };
+        let by_reference = execute(&descriptor).unwrap().into_bytes();
+        assert_eq!(by_reference, reference, "CipherSealInPlace by reference");
+        let in_place = execute_owned(descriptor);
         assert_eq!(
             in_place.unwrap().into_bytes(),
             reference,
@@ -1277,17 +1274,22 @@ fn every_seal_path_produces_the_same_record() {
 
         let mut layer = RecordLayer::new(0x0303);
         layer.set_write_keys(DirectionKeys { mac_key, enc_key });
-        let record = layer
-            .write_record(
-                ContentType::ApplicationData,
-                &payload,
-                &CryptoProvider::Software,
-                &mut OpCounters::default(),
-                &mut TestRng::new(rng_seed),
-            )
-            .unwrap();
+        let mut record = Vec::new();
+        run_sync(layer.write_record_async(
+            ContentType::ApplicationData,
+            &payload,
+            &mut record,
+            &CryptoProvider::Software,
+            &mut OpCounters::default(),
+            &mut TestRng::new(rng_seed),
+        ))
+        .unwrap();
         assert_eq!(&record[5..21], &iv, "explicit IV");
-        assert_eq!(&record[21..], &reference[..], "RecordLayer::write_record");
+        assert_eq!(
+            &record[21..],
+            &reference[..],
+            "RecordLayer::write_record_async"
+        );
     });
 }
 
@@ -1584,4 +1586,50 @@ fn sixteen_record_batches_take_the_multi_buffer_path_wherever_the_cpu_has_it() {
     assert_eq!(run(16), (multi, multi), "a 16-record batch");
     let below = cbc_hmac::MULTI_BUFFER_MIN - 1;
     assert_eq!(run(below), (0, 0), "a batch of {below}");
+}
+
+/// A software codec's flush of 16 full records is one multi-buffer
+/// pass, and so is the peer codec's open of them: the worker's inline
+/// record passes run on the 16-lane kernels too, wherever the CPU has
+/// them (DESIGN.md §13, §20).
+#[test]
+fn a_software_codec_seals_and_opens_sixteen_records_in_one_pass_each() {
+    use qtls::crypto::TestRng;
+    use qtls::tls::keys::{DirectionSecrets, ExtractedSecrets};
+    use qtls::tls::provider::{CryptoProvider, OpCounters};
+    use qtls::tls::record::{DirectionKeys, RecordCodec};
+    note_if_multi_buffer_half_is_skipped(
+        "a_software_codec_seals_and_opens_sixteen_records_in_one_pass_each",
+    );
+    let direction = |seed: u8| DirectionSecrets {
+        keys: DirectionKeys {
+            mac_key: vec![seed; 20],
+            enc_key: [seed; 16],
+        },
+        seq: 0,
+    };
+    let codec = |write, read| {
+        let secrets = ExtractedSecrets {
+            version: 0x0303,
+            write: direction(write),
+            read: direction(read),
+        };
+        RecordCodec::new(secrets, Vec::new(), RecordCodec::DEFAULT_BATCH)
+    };
+    let (mut tx, mut rx) = (codec(5, 6), codec(6, 5));
+    let (p, mut c) = (CryptoProvider::Software, OpCounters::default());
+    let data: Vec<u8> = (0..16 * 16 * 1024).map(|i| (i % 251) as u8).collect();
+    let mut wire = Vec::new();
+    let before = cbc_hmac::multi_buffer_passes();
+    let sealed = tx.seal_into(&data, &mut wire, &p, &mut c, &mut TestRng::new(16));
+    let seal_passes = cbc_hmac::multi_buffer_passes() - before;
+    assert_eq!(sealed, Ok(16));
+    rx.feed(&wire);
+    let mut opened = Vec::new();
+    let before = cbc_hmac::multi_buffer_passes();
+    assert_eq!(rx.open_into(&mut opened, &p, &mut c), Ok(16));
+    let open_passes = cbc_hmac::multi_buffer_passes() - before;
+    assert!(opened == data, "the open returned other bytes");
+    let multi = cpu_has_avx512_vaes() as u64;
+    assert_eq!((seal_passes, open_passes), (multi, multi));
 }
