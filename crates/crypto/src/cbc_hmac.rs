@@ -308,11 +308,17 @@ pub fn multi_buffer_passes() -> u64 {
 /// SHA-1 run each, then every CBC chain in one 16-lane VAES run — where
 /// the CPU has AVX-512 and VAES and a run holds at least
 /// [`MULTI_BUFFER_MIN`] records; one at a time otherwise. The records
-/// may be under different keys. Allocation-free.
+/// may be under different keys. Allocation-free; a batch whose size
+/// hint bounds it below [`MULTI_BUFFER_MIN`] goes straight to the
+/// per-record path, without staging a run.
 pub fn seal_batch<'a>(
     records: impl IntoIterator<Item = SealRecord<'a>>,
 ) -> Result<(), CryptoError> {
-    let mut records = records.into_iter().fuse();
+    let mut records = records.into_iter();
+    if too_few_for_a_pass(records.size_hint()) {
+        return records.try_for_each(|r| r.cipher.seal_in_place(r.iv, r.buf, r.aad));
+    }
+    let mut records = records.fuse();
     loop {
         let mut run: [Option<SealRecord<'a>>; LANES] = std::array::from_fn(|_| records.next());
         let n = run.iter().flatten().count();
@@ -343,12 +349,20 @@ fn seal_each(run: &mut [Option<SealRecord<'_>>; LANES]) -> Result<(), CryptoErro
 /// the front of its buffer, [`CryptoError::BadMac`] or
 /// [`CryptoError::InvalidLength`]. Each record is decrypted on its own;
 /// the MACs of [`LANES`] at a time run as one multi-buffer pass under
-/// the same conditions as [`seal_batch`]'s. Allocation-free.
+/// the same conditions as [`seal_batch`]'s, and with the same
+/// per-record shortcut. Allocation-free.
 pub fn open_batch<'a>(
     records: impl IntoIterator<Item = OpenRecord<'a>>,
     mut verdict: impl FnMut(usize, Result<usize, CryptoError>),
 ) {
-    let mut records = records.into_iter().fuse();
+    let records = records.into_iter();
+    if too_few_for_a_pass(records.size_hint()) {
+        for (i, r) in records.enumerate() {
+            verdict(i, r.cipher.open_slice(r.iv, r.buf, r.aad));
+        }
+        return;
+    }
+    let mut records = records.fuse();
     let mut index = 0;
     loop {
         let mut run: [Option<OpenRecord<'a>>; LANES] = std::array::from_fn(|_| records.next());
@@ -379,6 +393,13 @@ fn open_each(
     for (r, verdict) in run.iter_mut().flatten().zip(verdicts) {
         *verdict = r.cipher.open_slice(r.iv, r.buf, r.aad);
     }
+}
+
+/// Whether a batch with this size hint is sure to hold fewer than
+/// [`MULTI_BUFFER_MIN`] records, so no run of it takes a multi-buffer
+/// pass.
+fn too_few_for_a_pass((_, upper): (usize, Option<usize>)) -> bool {
+    upper.is_some_and(|n| n < MULTI_BUFFER_MIN)
 }
 
 /// The kernels' proof when a run of `n` records with these AADs is worth
@@ -692,6 +713,92 @@ mod tests {
             for (i, buf) in bufs.iter().enumerate() {
                 assert_eq!(verdicts[i], Ok(plain[i].len()), "open, record {i}");
                 assert!(buf[..plain[i].len()] == plain[i][..], "open, record {i}");
+            }
+        }
+    }
+
+    /// `it` without a size hint: a batch that must stage its runs.
+    fn unhinted<T>(mut it: impl Iterator<Item = T>) -> impl Iterator<Item = T> {
+        std::iter::from_fn(move || it.next())
+    }
+
+    /// Every batch size 0–17 under two keys, each once through an
+    /// iterator with an exact size hint (below [`MULTI_BUFFER_MIN`], the
+    /// per-record shortcut) and once through one with none (staged runs):
+    /// the ciphertexts of per-record seals, and the verdicts and contents
+    /// of per-record opens, one tampered record included.
+    #[test]
+    fn every_batch_size_matches_the_per_record_calls_with_or_without_a_size_hint() {
+        for n in 0..=17usize {
+            let lens: Vec<usize> = (0..n).map(|i| i * 331 % 700).collect();
+            let BatchInputs {
+                ciphers,
+                plain,
+                ivs,
+                aads,
+            } = batch_inputs(&lens);
+            let mut sealed: Vec<Vec<u8>> = (0..n)
+                .map(|i| ciphers[i % 2].seal(&ivs[i], &plain[i], &aads[i]).unwrap())
+                .collect();
+            if let Some(record) = sealed.get_mut(n / 2) {
+                record[0] ^= 1;
+            }
+            let want: Vec<_> = sealed
+                .iter()
+                .enumerate()
+                .map(|(i, record)| {
+                    let mut buf = record.clone();
+                    ciphers[i % 2]
+                        .open_in_place(&ivs[i], &mut buf, &aads[i])
+                        .map(|()| buf)
+                })
+                .collect();
+            for hinted in [true, false] {
+                let mut bufs = plain.clone();
+                let records = bufs.iter_mut().enumerate().map(|(i, buf)| SealRecord {
+                    cipher: &ciphers[i % 2],
+                    iv: &ivs[i],
+                    aad: &aads[i],
+                    buf,
+                });
+                let passes = multi_buffer_passes();
+                if hinted {
+                    seal_batch(records)
+                } else {
+                    seal_batch(unhinted(records))
+                }
+                .unwrap();
+                if hinted && n < MULTI_BUFFER_MIN {
+                    assert_eq!(multi_buffer_passes(), passes, "{n} records");
+                }
+                if let Some(record) = bufs.get_mut(n / 2) {
+                    record[0] ^= 1;
+                }
+                assert!(bufs == sealed, "{n} records, hinted {hinted}: seal");
+                let mut got = vec![None; n];
+                let records = bufs.iter_mut().enumerate().map(|(i, buf)| OpenRecord {
+                    cipher: &ciphers[i % 2],
+                    iv: &ivs[i],
+                    aad: &aads[i],
+                    buf: &mut buf[..],
+                });
+                let verdict = |i: usize, v| got[i] = Some(v);
+                if hinted {
+                    open_batch(records, verdict)
+                } else {
+                    open_batch(unhinted(records), verdict)
+                }
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    let got = got.expect("every record gets a verdict");
+                    let at = format!("{n} records, hinted {hinted}: open {i}");
+                    match want {
+                        Ok(content) => {
+                            assert_eq!(got, Ok(content.len()), "{at}");
+                            assert!(bufs[i][..content.len()] == content[..], "{at}");
+                        }
+                        Err(e) => assert_eq!(got, Err(*e), "{at}"),
+                    }
+                }
             }
         }
     }

@@ -124,6 +124,7 @@ impl BinaryCurve {
 
     /// Scalar multiplication (MSB-first double-and-add).
     pub fn scalar_mul(&self, pt: &AffinePoint, k: &Bn) -> AffinePoint {
+        crate::ec::count_scalar_mul();
         if k.is_zero() || pt.infinity {
             return AffinePoint::infinity();
         }

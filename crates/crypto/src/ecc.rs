@@ -194,11 +194,16 @@ pub struct EcKeyPair {
     pub public: AffinePoint,
 }
 
+/// A uniform scalar in `[1, n - 1]` for `curve`'s group order `n`: a
+/// private key as [`generate_keypair`] draws it, and an ECDSA nonce.
+pub fn random_scalar<R: EntropySource>(curve: NamedCurve, rng: &mut R) -> Bn {
+    let bound = curve.order().sub(&Bn::one());
+    Bn::random_below(rng, &bound).add(&Bn::one())
+}
+
 /// Generate an ephemeral/static EC key pair on `curve`.
 pub fn generate_keypair<R: EntropySource>(curve: NamedCurve, rng: &mut R) -> EcKeyPair {
-    let n = curve.order();
-    let bound = n.sub(&Bn::one());
-    let private = Bn::random_below(rng, &bound).add(&Bn::one()); // [1, n-1]
+    let private = random_scalar(curve, rng);
     let public = curve.scalar_mul_base(&private);
     EcKeyPair {
         curve,
@@ -310,7 +315,7 @@ pub fn ecdsa_sign<R: EntropySource>(
     let n = curve.order();
     let z = digest_to_scalar(curve, &Sha256::digest(msg));
     loop {
-        let k = Bn::random_below(rng, &n.sub(&Bn::one())).add(&Bn::one());
+        let k = random_scalar(curve, rng);
         let point = curve.scalar_mul_base(&k);
         let r = point.x.rem(n);
         if r.is_zero() {

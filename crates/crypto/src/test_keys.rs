@@ -5,8 +5,15 @@
 //! pinned here and a process only assembles the key from them (a test
 //! re-runs the search and compares). Every test run and every machine
 //! gets the same key material.
+//!
+//! The test ECDSA keys are pinned the same way. Their private scalars are
+//! drawn from [`ECDSA_SEED`] at run time, which costs microseconds, but
+//! their public points are pinned: on the binary curves one `d · G`
+//! costs 8–17 ms, ≈ 50 ms for the six (a test recomputes them and
+//! compares).
 
 use crate::bn::Bn;
+use crate::ecc::NamedCurve;
 use crate::rsa::RsaPrivateKey;
 use std::sync::OnceLock;
 
@@ -33,6 +40,52 @@ const Q_1024: &str = concat!(
     "c19eac2083406edb403b52ae49f8526c19f8ce1acfad069ba93614b497e69837",
     "70b6c67700faf6aedde3b17129deefe09d0cafdc8bdb085811a04fd80b7a3901",
 );
+
+/// The seed of the test ECDSA keys: one private scalar per curve, drawn
+/// in [`NamedCurve::ALL`] order as [`crate::ecc::generate_keypair`]
+/// draws it ([`crate::ecc::random_scalar`]).
+pub const ECDSA_SEED: u64 = 0x5eed_c0f1;
+
+/// The public point of the test ECDSA key on `curve`: `d · G` for the
+/// scalar `d` drawn for it from [`ECDSA_SEED`], X9.62 uncompressed.
+pub fn test_ecdsa_public_point(curve: NamedCurve) -> Vec<u8> {
+    let hex = match curve {
+        NamedCurve::P256 => concat!(
+            "04678700fbd8f041ef468233ba35b3a95116decdcd9fa5d7b530c0f1307c996048",
+            "f087e66495d6a25f4d307d46e6375d9f3ebf3533462397447b9a3b7810dab3a3",
+        ),
+        NamedCurve::P384 => concat!(
+            "04218fead72a25bfa8891ad3194a57db0596a799302bcbeb3cb3068d3364ddef0b",
+            "5a2bb5d5165a5a00d3d36d9f38d02ea7b227ae935cd201d6a02ee7825f2a045437",
+            "c3795b367d82c7b031522874f3e8a5d70a0db135bec6b0438a5fda466c056d",
+        ),
+        NamedCurve::B283 => concat!(
+            "04055f79d90cb0fb485baf5767d0862f2ea68c79415adf4c330e19f8cb09626807",
+            "7620f3f903b8c24fae461e95c1ec611b57436abb85d1d51cc9016a8fe286cdc6b6",
+            "d33f39c5198500",
+        ),
+        NamedCurve::B409 => concat!(
+            "0401b5e8b29cfb840f055652d7baabb60c938f0aecfd2cde95d7c50f66df347168",
+            "4122e1e3d3141cfc081b2e04990a52a12ef716fd01dbeb96674d3ab376817b34a4",
+            "e934b9495f01edb4014913f39cbd37a03b14344ab3b0550991d5dbdcc0d2b8eaf0",
+            "35dd01ecedf4",
+        ),
+        NamedCurve::K283 => concat!(
+            "0404c8d59378d1e8ea06109e138edc945f0d2bc3f42a2b10caef4abffdffd17b5c",
+            "56d4190705b191e6189919442d6ed4e1e162a180d094742f9c6b5c3708134606845",
+            "fecf2e9d99893",
+        ),
+        NamedCurve::K409 => concat!(
+            "040151b5d813c6e3d2d09e94c78be66fff3302569b6cc5dfe8fe6af9dfa8bb7934",
+            "5d365f73a7d4f95517e2c233ffee75fc4c00e73001bad42923957f62518a487827",
+            "69c7520aa85fc3b4b3977e02b751da4e3f55d24f75bfeef0f77a61ed8c6a78b370",
+            "5eb676f8095a",
+        ),
+    };
+    Bn::from_hex(hex)
+        .expect("pinned hex")
+        .to_bytes_be_padded(hex.len() / 2)
+}
 
 /// The key with primes `p`, `q` and `e = 65537`, as `generate` builds it.
 fn from_primes(p: &str, q: &str) -> RsaPrivateKey {
@@ -61,6 +114,7 @@ pub fn test_rsa_1024() -> &'static RsaPrivateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecc;
     use crate::rng::TestRng;
 
     /// The seed whose [`RsaPrivateKey::generate`] yields [`test_rsa_2048`].
@@ -88,6 +142,19 @@ mod tests {
             assert_eq!(searched.public().modulus(), pinned.public().modulus());
             assert_eq!(searched.public().exponent(), pinned.public().exponent());
             assert_eq!(searched.d(), pinned.d(), "{bits}-bit private exponent");
+        }
+    }
+
+    /// The pinned points are exactly `d · G` for the scalars drawn from
+    /// the seed, so pinning them changed no key byte and cannot drift
+    /// from the seed.
+    #[test]
+    fn pinned_ecdsa_points_equal_the_seeded_draw() {
+        let mut rng = TestRng::new(ECDSA_SEED);
+        for curve in NamedCurve::ALL {
+            let d = ecc::random_scalar(curve, &mut rng);
+            let point = ecc::encode_point(curve, &curve.scalar_mul_base(&d));
+            assert_eq!(point, test_ecdsa_public_point(curve), "{curve:?}");
         }
     }
 }

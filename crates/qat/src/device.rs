@@ -337,13 +337,17 @@ impl CryptoInstance {
         total
     }
 
-    /// Number of responses currently waiting (racy; monitoring only).
+    /// Number of responses a poll could retrieve now: the published run
+    /// at the head of the response ring (racy under other consumers).
+    /// An engine's response is counted once it can be popped, not when
+    /// its slot is claimed, so a wait on this count never ends early.
     pub fn pending_responses(&self) -> usize {
         self.pair.resp.len()
     }
 
-    /// Number of submitted-but-not-yet-consumed requests on the request
-    /// ring (racy; monitoring only).
+    /// Number of submitted requests an engine could take now: the
+    /// published run at the head of the request ring (racy; monitoring
+    /// and tests).
     pub fn queued_requests(&self) -> usize {
         self.pair.req.len()
     }

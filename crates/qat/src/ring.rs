@@ -83,14 +83,22 @@ impl<T> Ring<T> {
         self.buf.len()
     }
 
-    /// Approximate number of occupied slots (racy; for monitoring only).
+    /// The number of published values at the head of the ring: the run
+    /// a consumer could take right now. A slot a producer has claimed but
+    /// not yet published is not counted, so when nothing else consumes,
+    /// that many pops succeed. Racy under concurrent consumers, and a
+    /// walk over the run; for waits and monitoring, not the hot path.
     pub fn len(&self) -> usize {
-        let enq = self.enqueue_pos.load(Ordering::Relaxed);
-        let deq = self.dequeue_pos.load(Ordering::Relaxed);
-        enq.saturating_sub(deq)
+        let pos = self.dequeue_pos.load(Ordering::Relaxed);
+        (0..self.buf.len())
+            .take_while(|&n| {
+                self.buf[(pos + n) & self.mask].seq.load(Ordering::Acquire) == pos + n + 1
+            })
+            .count()
     }
 
-    /// Whether the ring appears empty (racy; for monitoring only).
+    /// Whether no published value is at the head of the ring (racy; for
+    /// waits and monitoring).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -302,6 +310,51 @@ mod tests {
         assert_eq!(align_of::<CachePadded<AtomicUsize>>(), 64);
         assert_eq!(size_of::<CachePadded<AtomicUsize>>(), 64);
         assert!(size_of::<Ring<u64>>() >= 2 * 64, "cursors share a line");
+    }
+
+    /// A producer that has claimed a slot but not yet published its value
+    /// adds nothing to `len`: the count is what pops can take now, so a
+    /// wait on it never wakes for a value `pop` cannot return yet.
+    #[test]
+    fn len_counts_only_published_values() {
+        use std::sync::atomic::AtomicBool;
+        const HELD: u32 = 99;
+        static CLAIMED: AtomicBool = AtomicBool::new(false);
+        static RELEASE: AtomicBool = AtomicBool::new(false);
+        // Called between a push's claim and its publish: holds `HELD`'s
+        // producer there until the test releases it.
+        fn class_of(v: &u32) -> u8 {
+            if *v == HELD {
+                CLAIMED.store(true, Ordering::SeqCst);
+                while !RELEASE.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            1
+        }
+        let r = Arc::new(Ring::with_classes(8, class_of));
+        r.push(1).unwrap();
+        let producer = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || r.push(HELD).unwrap())
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !CLAIMED.load(Ordering::SeqCst) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "producer never claimed"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(r.len(), 1, "the claimed slot is not counted");
+        assert_eq!(r.pop(), Some(1));
+        assert_eq!((r.len(), r.pop()), (0, None));
+        assert!(r.is_empty());
+        RELEASE.store(true, Ordering::SeqCst);
+        producer.join().unwrap();
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.pop(), Some(HELD));
+        assert!(r.is_empty());
     }
 
     #[test]

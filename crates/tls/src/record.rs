@@ -279,7 +279,7 @@ impl Direction {
                 let cipher = &self.cipher;
                 cbc_hmac::open_batch(
                     split_records(run)
-                        .zip(&aads)
+                        .zip(&aads[..n])
                         .map(|((_, iv, buf), aad)| OpenRecord {
                             cipher,
                             iv,
@@ -1488,10 +1488,12 @@ mod tests {
         // last-first: the wire bytes are the inline seal's, each flush
         // pauses once and rings one doorbell per chunk. A record layer
         // with the same keys, sequence numbers and IV stream writes the
-        // same bytes on the CPU and on the device, one pass per record; a
-        // record layer reading the codec's bytes as a client does (one
-        // pass, on the device) and a codec reading the layer's (one pass,
-        // on the CPU) get the data back.
+        // same bytes on the CPU and on the device, one pass and one pause
+        // per record; a record layer reading the codec's bytes as a client
+        // does (one pass and one pause, on the device) and a codec reading
+        // the layer's (one pass, on the CPU) get the data back. Every
+        // pause count is exact: `drive_reversed` polls only once each
+        // published request's response can be popped.
         let device = QatDevice::new(QatConfig {
             endpoints: 3,
             engines_per_endpoint: 1,
@@ -1553,7 +1555,7 @@ mod tests {
             );
             let mut layer_wire = Vec::new();
             let before = completed();
-            let (written, _) = drive_reversed(
+            let (written, pauses) = drive_reversed(
                 &engine,
                 layer_device.write_record_async(
                     typ,
@@ -1570,6 +1572,7 @@ mod tests {
                 records as u64,
                 "one offload per record"
             );
+            assert_eq!(pauses, records as u32, "one pause per record");
             assert!(
                 layer_wire == want,
                 "{records} records: layer's device bytes"
@@ -1578,7 +1581,7 @@ mod tests {
             layer_reader.feed(&want);
             let mut opened = Vec::new();
             let before = completed();
-            let (run, _) = drive_reversed(
+            let (run, pauses) = drive_reversed(
                 &engine,
                 layer_reader.open_app_records_async(&p, &mut c, |content| {
                     opened.extend_from_slice(content)
@@ -1586,6 +1589,7 @@ mod tests {
             );
             assert_eq!(run, Ok(records));
             assert_eq!(completed() - before, records as u64, "one offload per pass");
+            assert_eq!(pauses, 1, "{records} records: one pause per read");
             assert!(
                 opened == data,
                 "{records} records: the layer read the codec's"

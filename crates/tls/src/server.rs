@@ -20,9 +20,10 @@ use crate::store::{SharedSessionStore, TicketKeyRing};
 use crate::suite::{sizes, Auth, CipherSuite, KeyExchange, Version};
 use qtls_core::run_sync;
 use qtls_crypto::bn::Bn;
-use qtls_crypto::ecc::NamedCurve;
+use qtls_crypto::ecc::{self, NamedCurve};
 use qtls_crypto::rsa::RsaPrivateKey;
 use qtls_crypto::sha256::Sha256;
+use qtls_crypto::test_keys;
 use qtls_crypto::{EntropySource, TestRng};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -100,7 +101,7 @@ impl ServerConfig {
         let (ecdsa_keys, rng) = test_ecdsa_keys();
         let mut rng = rng.clone();
         Arc::new(ServerConfig {
-            rsa_key: Arc::new(qtls_crypto::test_keys::test_rsa_2048().clone()),
+            rsa_key: Arc::new(test_keys::test_rsa_2048().clone()),
             ecdsa_keys: ecdsa_keys.clone(),
             suites: CipherSuite::ALL.to_vec(),
             curves: NamedCurve::ALL.to_vec(),
@@ -111,28 +112,25 @@ impl ServerConfig {
     }
 }
 
-/// The seed of the test ECDSA keys (and, after them, of the ticket ring).
-const TEST_KEY_SEED: u64 = 0x5eed_c0f1;
-
-/// ECDSA keys on every supported curve, drawn in [`NamedCurve::ALL`]
-/// order from [`TEST_KEY_SEED`], and the generator as the last key left
-/// it: one binary-curve key pair costs ~20 ms, so a process draws them
-/// once and every [`ServerConfig::test_default`] continues from there.
+/// ECDSA keys on every supported curve, their scalars drawn in
+/// [`NamedCurve::ALL`] order from [`test_keys::ECDSA_SEED`] and their
+/// public points the pinned `d · G`, and the generator as the last draw
+/// left it, so every [`ServerConfig::test_default`] continues from there.
+/// Building them runs no scalar multiplication.
 fn test_ecdsa_keys() -> &'static (HashMap<NamedCurve, EcdsaKey>, TestRng) {
     static KEYS: OnceLock<(HashMap<NamedCurve, EcdsaKey>, TestRng)> = OnceLock::new();
     KEYS.get_or_init(|| {
-        let mut rng = TestRng::new(TEST_KEY_SEED);
-        let mut keys = HashMap::new();
-        for curve in NamedCurve::ALL {
-            let kp = qtls_crypto::ecc::generate_keypair(curve, &mut rng);
-            keys.insert(
-                curve,
-                EcdsaKey {
-                    private: Arc::new(kp.private),
-                    public_point: qtls_crypto::ecc::encode_point(curve, &kp.public),
-                },
-            );
-        }
+        let mut rng = TestRng::new(test_keys::ECDSA_SEED);
+        let keys = NamedCurve::ALL
+            .into_iter()
+            .map(|curve| {
+                let key = EcdsaKey {
+                    private: Arc::new(ecc::random_scalar(curve, &mut rng)),
+                    public_point: test_keys::test_ecdsa_public_point(curve),
+                };
+                (curve, key)
+            })
+            .collect();
         (keys, rng)
     })
 }
@@ -771,20 +769,21 @@ impl ServerSession {
 mod tests {
     use super::*;
 
-    /// The process-wide keys are a fresh draw from the seed, so caching
-    /// them changed no key byte, and the generator `test_default` hands
+    /// The process-wide keys are what `generate_keypair` draws from the
+    /// seed, pinned points included, so caching them and pinning the
+    /// points changed no key byte, and the generator `test_default` hands
     /// to its ticket ring continues where the draw left off.
     #[test]
     fn cached_ecdsa_keys_equal_a_fresh_draw_from_the_seed() {
         let (cached, cached_rng) = test_ecdsa_keys();
-        let mut rng = TestRng::new(TEST_KEY_SEED);
+        let mut rng = TestRng::new(test_keys::ECDSA_SEED);
         for curve in NamedCurve::ALL {
-            let kp = qtls_crypto::ecc::generate_keypair(curve, &mut rng);
+            let kp = ecc::generate_keypair(curve, &mut rng);
             let key = &cached[&curve];
             assert_eq!(*key.private, kp.private, "{curve:?} private scalar");
             assert_eq!(
                 key.public_point,
-                qtls_crypto::ecc::encode_point(curve, &kp.public),
+                ecc::encode_point(curve, &kp.public),
                 "{curve:?} public point"
             );
         }
@@ -794,6 +793,37 @@ mod tests {
         assert_eq!(
             fresh, continued,
             "the ticket ring draws what it drew before"
+        );
+    }
+
+    /// `test_default`'s six private scalars and its ticket ring hash to
+    /// what they hashed to when every public point was still computed at
+    /// boot: the ring is read through a ticket sealed under a fixed IV
+    /// stream and a retry token for a fixed address and time.
+    #[test]
+    fn test_default_keys_match_their_pinned_digests() {
+        let hex = |digest: [u8; 32]| digest.map(|b| format!("{b:02x}")).concat();
+        let config = ServerConfig::test_default();
+        let mut scalars = Sha256::new();
+        for curve in NamedCurve::ALL {
+            let private = &config.ecdsa_keys[&curve].private;
+            scalars.update(&private.to_bytes_be_padded(curve.byte_len() + 1));
+        }
+        assert_eq!(
+            hex(scalars.finalize_fixed()),
+            "1047b5e2a53ce984cf74ee56f9ee7aedf925e33d433a74cf2f1db21f0de93350"
+        );
+        let entry = SessionEntry {
+            master: vec![7; 48],
+            suite: CipherSuite::EcdheRsa,
+        };
+        let mut ring = Sha256::new();
+        let ticket = config.ticket_keys.seal(&entry, &mut TestRng::new(1));
+        ring.update(&ticket.expect("a 48-byte master seals"));
+        ring.update(&config.ticket_keys.mint_retry_token(7, 1000));
+        assert_eq!(
+            hex(ring.finalize_fixed()),
+            "89c64bf3143e0054ff7271a92933b42f583a76084ed4b36a0dbf5a44dc9bd757"
         );
     }
 }

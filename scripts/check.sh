@@ -118,6 +118,15 @@ required=(
   proptest_crypto::sha1_x16_matches_sha1_in_every_lane_at_every_block_count
   proptest_crypto::sixteen_record_batches_take_the_multi_buffer_path_wherever_the_cpu_has_it
   alloc_budget::a_batched_seal_allocates_nothing_beyond_the_per_record_seals
+  # below MULTI_BUFFER_MIN a batch with a size hint goes record by
+  # record without staging a run; hinted or not, every batch size 0-17
+  # is the per-record calls' bytes and verdicts (§20)
+  qtls_crypto::cbc_hmac::tests::every_batch_size_matches_the_per_record_calls_with_or_without_a_size_hint
+  # a ring counts only published values, so a wait on
+  # pending_responses never wakes before a poll can take the response
+  # (the_offload_decision_never_changes_a_wire_byte, above, counts one
+  # pause per record-layer offload on a reversed drive) (§9)
+  qtls_qat::ring::tests::len_counts_only_published_values
   # worker-thread allocations: a keep-alive request's count and the
   # asymmetric primitives' counts are pinned (§21, §19); a 1 MiB
   # response allocates only its socket buffer, its body is the store's
@@ -129,6 +138,18 @@ required=(
   alloc_budget::a_mib_response_allocates_only_the_socket_buffer
   qtls_server::http::tests::synthetic_objects_share_one_bounded_buffer
   profiles::served_responses_open_to_the_oracle_in_the_fewest_records
+  # boot computes nothing the first connection does not need: the test
+  # keys' public points and RSA primes are pinned and re-derived by a
+  # test, the digests of test_default's scalars and ticket ring are the
+  # ones computed when the points were still derived at boot, and after
+  # test_default and a QTLS Worker::new no scalar multiplication has run
+  # and no comb table is built (§19)
+  qtls_crypto::test_keys::tests::pinned_keys_equal_the_seeded_search
+  qtls_crypto::test_keys::tests::pinned_ecdsa_points_equal_the_seeded_draw
+  qtls_tls::server::tests::cached_ecdsa_keys_equal_a_fresh_draw_from_the_seed
+  qtls_tls::server::tests::test_default_keys_match_their_pinned_digests
+  qtls_crypto::ec::tests::the_comb_is_built_on_first_use
+  boot::boot_runs_no_scalar_multiplication_and_builds_no_comb
   # the newest results/BENCH_e2e.json entry inside every BENCHMARK.json bound
   bench_gate::newest_trajectory_entry_is_inside_every_bound
 )
