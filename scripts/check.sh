@@ -63,6 +63,10 @@ required=(
   proptest_framework::trace_sampling_is_exact_and_off_costs_nothing
   profiles::every_kv_counter_has_a_registered_prometheus_family
   profiles::stub_status_kv_is_a_superset_of_the_human_page
+  # the three status pages are byte-identical to their goldens (§11)
+  metrics_golden::sw_pages_are_byte_identical_to_their_goldens
+  metrics_golden::sharded_qtls_pages_are_byte_identical_to_their_goldens
+  metrics_golden::traced_qtls_pages_are_byte_identical_to_their_goldens
   # the production pause/resume path (§17, §21)
   task_path::wait_counts_under_the_default_rule
   task_path::wait_counts_keep_their_meaning
