@@ -315,16 +315,17 @@ mod tests {
     fn wait_ctx_accessible_inside_and_outside() {
         let r = start_job(|| {
             let ctx = task::current_wait_ctx().expect("inside job");
-            ctx.set_ready_marker(7);
             pause_job();
+            ctx
         });
         let StartResult::Paused(job) = r else {
             panic!()
         };
-        assert_eq!(job.wait_ctx().ready_marker(), Some(7));
-        let StartResult::Finished(()) = job.resume() else {
+        let outside: *const WaitCtx = job.wait_ctx();
+        let StartResult::Finished(inside) = job.resume() else {
             panic!()
         };
+        assert!(std::ptr::eq(Arc::as_ptr(&inside), outside));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! The [`obs`] module measures all four phases in the real engine:
 //! per-shard log-linear latency histograms keyed by phase × op class, a
-//! flight recorder of recent pipeline events, and the metric registry
-//! behind the server's `/metrics` endpoint.
+//! flight recorder of recent pipeline events, and connection span
+//! traces; the server's `/metrics` endpoint exports them.
 //!
 //! Three pause/resume mechanisms exist, one of them in production:
 //! [`task`] — the polled, compiler-generated state machine every server

@@ -1,6 +1,6 @@
 //! The observability plane: phase-latency histograms, a flight recorder
-//! of recent pipeline events, and the metric registry backing the
-//! `/metrics` exposition endpoint.
+//! of recent pipeline events, connection span traces, and the
+//! Prometheus text format the server's `/metrics` endpoint writes.
 //!
 //! The paper's argument is entirely about *where time goes* in the four
 //! offload phases (§3.2: pre-processing, response retrieval, async
@@ -20,8 +20,6 @@
 //!   (ring-full deferrals, backpressure retries, poller misses, shard
 //!   placements), dumpable on demand or frozen on anomaly so post-hoc
 //!   debugging does not need a re-run.
-//! - [`registry`] — the single authoritative list of every exposed
-//!   metric name, enforced by `scripts/check.sh`.
 //! - [`promtext`] — a renderer + mini-parser for the Prometheus text
 //!   exposition format (std-only; used by the server and the CI smoke
 //!   check).
@@ -1443,98 +1441,15 @@ pub mod tracejson {
 }
 
 // ---------------------------------------------------------------------------
-// Metric registry
-// ---------------------------------------------------------------------------
-
-/// The single authoritative list of exposed metric family names.
-/// `scripts/check.sh` greps every `# TYPE` family scraped from
-/// `/metrics` against this constant — a metric absent here fails CI.
-pub mod registry {
-    /// Every metric family name the `/metrics` endpoint may expose.
-    pub const METRIC_NAMES: &[&str] = &[
-        "qtls_phase_latency_ns",
-        "qtls_phase_latency_hist_ns",
-        "qtls_phase_latency_max_ns",
-        "qtls_phase_overflow_total",
-        "qtls_submit_flushes_total",
-        "qtls_submit_flushed_requests_total",
-        "qtls_submit_deferred_total",
-        "qtls_submit_max_depth",
-        "qtls_shard_inflight",
-        "qtls_shard_asym_inflight",
-        "qtls_ring_full_retries_total",
-        "qtls_poll_fired_total",
-        "qtls_poll_wasted_total",
-        "qtls_poll_shards_swept_total",
-        "qtls_poll_responses_total",
-        "qtls_qat_submitted_total",
-        "qtls_qat_ring_full_total",
-        "qtls_qat_doorbells_total",
-        "qtls_qat_polled_total",
-        "qtls_qat_resp_stalls_total",
-        "qtls_qat_completed_total",
-        "qtls_flight_events_total",
-        "qtls_worker_connections_active",
-        "qtls_worker_connections_alive",
-        "qtls_worker_connections_idle",
-        "qtls_shard_count",
-        "qtls_worker_handshakes_total",
-        "qtls_worker_resumed_handshakes_total",
-        "qtls_worker_resume_miss_total",
-        "qtls_worker_requests_total",
-        "qtls_worker_bytes_sent_total",
-        "qtls_worker_bytes_received_total",
-        "qtls_worker_record_handoffs_total",
-        "qtls_worker_async_jobs_total",
-        "qtls_worker_resumptions_total",
-        "qtls_worker_errors_total",
-        "qtls_worker_kernel_switches_total",
-        "qtls_worker_accepts_total",
-        "qtls_admission_challenges_total",
-        "qtls_admission_tokens_verified_total",
-        "qtls_admission_tokens_rejected_total",
-        "qtls_admission_accept_sheds_total",
-        "qtls_admission_overloads_total",
-        "qtls_worker_load",
-        "qtls_worker_steals_total",
-        "qtls_dispatch_policy",
-        "qtls_metrics_enabled",
-        "qtls_worker_closed_total",
-        "qtls_worker_ring_retries_total",
-        "qtls_worker_cancelled_submits_total",
-        "qtls_trace_sample_rate",
-        "qtls_trace_sampled_total",
-        "qtls_trace_spans_total",
-        "qtls_trace_dropped_total",
-        "qtls_trace_wall_us_total",
-        "qtls_trace_covered_us_total",
-        "qtls_trace_stage_us",
-    ];
-
-    /// Is `name` a registered family, or a `_bucket`/`_sum`/`_count`
-    /// series of one?
-    pub fn is_registered(name: &str) -> bool {
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .unwrap_or(name);
-        METRIC_NAMES.contains(&base) || METRIC_NAMES.contains(&name)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Prometheus text exposition: renderer and mini-parser
 // ---------------------------------------------------------------------------
 
 /// Renderer and validator for the Prometheus text exposition format
 /// (std-only; the validator backs the CI smoke check).
 pub mod promtext {
-    use super::registry;
     use std::fmt::Write as _;
 
-    /// Incremental builder of a Prometheus text page. Debug-asserts that
-    /// every family it emits is in [`registry::METRIC_NAMES`].
+    /// Incremental builder of a Prometheus text page.
     #[derive(Default)]
     pub struct PromText {
         out: String,
@@ -1548,10 +1463,6 @@ pub mod promtext {
 
         /// Emit the `# HELP` / `# TYPE` header of a family.
         pub fn header(&mut self, name: &str, kind: &str, help: &str) {
-            debug_assert!(
-                registry::METRIC_NAMES.contains(&name),
-                "unregistered metric {name}"
-            );
             let _ = writeln!(self.out, "# HELP {name} {help}");
             let _ = writeln!(self.out, "# TYPE {name} {kind}");
         }
@@ -1718,46 +1629,6 @@ pub mod promtext {
     }
 }
 
-/// Append a merged phase histogram to a [`promtext::PromText`] page as a
-/// Prometheus `histogram` family plus companion max gauge and overflow
-/// counter samples (shared by the server endpoint and benches).
-pub fn render_phase_histogram(
-    page: &mut promtext::PromText,
-    phase: Phase,
-    class: OpClass,
-    snap: &HistSnapshot,
-) {
-    let labels = [("phase", phase.name()), ("class", class_name(class))];
-    let mut cumulative = 0u64;
-    for (i, &c) in snap.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        cumulative += c;
-        let le = bucket_upper_bound(i).to_string();
-        page.sample(
-            "qtls_phase_latency_hist_ns_bucket",
-            &[
-                ("phase", phase.name()),
-                ("class", class_name(class)),
-                ("le", &le),
-            ],
-            cumulative,
-        );
-    }
-    page.sample(
-        "qtls_phase_latency_hist_ns_bucket",
-        &[
-            ("phase", phase.name()),
-            ("class", class_name(class)),
-            ("le", "+Inf"),
-        ],
-        snap.count(),
-    );
-    page.sample("qtls_phase_latency_hist_ns_count", &labels, snap.count());
-    page.sample("qtls_phase_latency_hist_ns_sum", &labels, snap.sum);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1905,35 +1776,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_no_duplicates() {
-        let mut names: Vec<&str> = registry::METRIC_NAMES.to_vec();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), registry::METRIC_NAMES.len());
-        assert!(registry::is_registered("qtls_phase_latency_hist_ns_bucket"));
-        assert!(registry::is_registered("qtls_qat_polled_total"));
-        assert!(!registry::is_registered("qtls_rogue_metric"));
-    }
-
-    #[test]
     fn promtext_roundtrip_and_rejections() {
         let mut page = promtext::PromText::new();
-        page.header("qtls_metrics_enabled", "gauge", "Is the obs plane on");
-        page.sample("qtls_metrics_enabled", &[], 1);
-        page.header("qtls_phase_latency_hist_ns", "histogram", "Phase latency");
-        let h = Histogram::new();
-        h.record(500);
-        h.record(70_000);
-        render_phase_histogram(&mut page, Phase::Retrieve, OpClass::Asym, &h.snapshot());
+        page.header("demo_up", "gauge", "Is the demo up");
+        page.sample("demo_up", &[], 1);
+        page.header("demo_latency_ns", "histogram", "Demo latency");
+        let labels = [("phase", "retrieval"), ("le", "+Inf")];
+        page.sample("demo_latency_ns_bucket", &labels, 2);
+        page.sample("demo_latency_ns_count", &labels[..1], 2);
         let text = page.finish();
+        assert!(text.contains("demo_latency_ns_bucket{phase=\"retrieval\",le=\"+Inf\"} 2\n"));
         let families = promtext::parse(&text).unwrap();
-        assert_eq!(
-            families,
-            vec!["qtls_metrics_enabled", "qtls_phase_latency_hist_ns"]
-        );
-        for fam in &families {
-            assert!(registry::is_registered(fam));
-        }
+        assert_eq!(families, vec!["demo_up", "demo_latency_ns"]);
         // Rejections: sample without TYPE, bad value, bad labels.
         assert!(promtext::parse("loose_metric 1").is_err());
         assert!(promtext::parse("# TYPE x gauge\nx notanumber").is_err());

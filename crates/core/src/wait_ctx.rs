@@ -24,8 +24,6 @@ struct Inner {
     needs_retry: bool,
     /// Completion delivery: woken once a result is parked.
     waker: Option<Waker>,
-    /// Free-form user tag (diagnostics/tests).
-    tag: Option<u64>,
     /// Trace stamp: when the notification was fired for the currently
     /// parked result (obs plane; consumed at resume for the
     /// post-processing phase).
@@ -120,16 +118,6 @@ impl WaitCtx {
     /// Read the last submit annotation, if the engine recorded one.
     pub fn submit_info(&self) -> Option<(u32, u64)> {
         self.inner.lock().submit_info
-    }
-
-    /// Attach a diagnostic tag.
-    pub fn set_ready_marker(&self, tag: u64) {
-        self.inner.lock().tag = Some(tag);
-    }
-
-    /// Read the diagnostic tag.
-    pub fn ready_marker(&self) -> Option<u64> {
-        self.inner.lock().tag
     }
 }
 

@@ -2,14 +2,14 @@
 //! sharded QTLS worker with `qat_metrics on`, drive one real TLS
 //! connection, then fetch `/metrics`, `/stub_status?format=kv` and
 //! `/flight` in-band. The scraped Prometheus page is echoed to stdout
-//! (so the caller can grep its `# TYPE` lines against the
-//! `obs::registry` constant list) followed by a `metrics_smoke: OK`
+//! (so the caller can check its `# TYPE` lines against the schema
+//! table of `qtls_server::metrics`) followed by a `metrics_smoke: OK`
 //! verdict; any violation panics with a non-zero exit.
 
 use qtls_core::{obs, OffloadProfile};
 use qtls_crypto::ecc::NamedCurve;
 use qtls_qat::{QatConfig, QatDevice};
-use qtls_server::{VListener, VSocket, Worker, WorkerConfig};
+use qtls_server::{metrics, VListener, VSocket, Worker, WorkerConfig};
 use qtls_tls::client::ClientSession;
 use qtls_tls::provider::CryptoProvider;
 use qtls_tls::suite::CipherSuite;
@@ -102,8 +102,8 @@ fn main() {
     assert!(!families.is_empty(), "scrape produced no families");
     for family in &families {
         assert!(
-            obs::registry::is_registered(family),
-            "family {family} not in obs::registry::METRIC_NAMES"
+            metrics::is_registered(family),
+            "family {family} not in the metrics table"
         );
     }
     for must in [

@@ -4,6 +4,12 @@
 //! [`StatusSnapshot`] the worker refreshes at its sweep boundary plus
 //! the engine's live [`qtls_core::obs`] state.
 //!
+//! The three status pages walk one schema, declared once in `mod schema`
+//! below: every Prometheus family (`METRICS`, in page order) and every
+//! `stub_status` line (`STUB`, whose fields name their kv key and take
+//! their value from a family or a getter of their own). The registry,
+//! [`is_registered`], is that table.
+//!
 //! Rendering happens only when an endpoint is actually requested; the
 //! event loop's per-iteration cost is one snapshot copy. With
 //! `qat_metrics off` (the default) the engine's record paths stay
@@ -12,10 +18,11 @@
 use qtls_core::obs::{
     self, promtext::PromText, EventKind, Phase, TraceSink, CLASS_LIST, SPAN_KIND_LIST,
 };
-use qtls_core::{HeuristicStats, OffloadEngine};
+use qtls_core::{HeuristicStats, HistSnapshot, OffloadEngine, SubmitSnapshot};
+use qtls_qat::counters::FwCounters;
 use qtls_sync::Mutex;
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::worker::WorkerStats;
@@ -140,17 +147,8 @@ impl MetricsPlane {
     pub fn serve(&self, path: &str, query: &str) -> Option<(u16, &'static str, String)> {
         match path {
             "/stub_status" => {
-                let snap = self.snapshot();
                 let kv = query.split('&').any(|kv| kv == "format=kv");
-                let mut page = if kv {
-                    render_stub_status_kv(&snap, self.engine.as_deref())
-                } else {
-                    render_stub_status(&snap, self.engine.as_deref())
-                };
-                if self.sink.enabled() {
-                    page.push_str(&render_trace_attribution(&self.sink, kv));
-                }
-                Some((200, "OK", page))
+                Some((200, "OK", self.stub_status(&self.snapshot(), kv, true)))
             }
             "/metrics" => {
                 if self.cfg.enabled {
@@ -214,687 +212,720 @@ impl MetricsPlane {
         }
     }
 
-    /// Render the Prometheus text page: merged + per-shard phase
-    /// histograms and every worker/engine/device counter. Every family
-    /// name emitted here is in [`obs::registry::METRIC_NAMES`].
+    /// Render the Prometheus text page: every family of the schema
+    /// whose source this worker has.
     pub fn render_metrics(&self) -> String {
         let snap = self.snapshot();
+        let src = self.src(&snap, true);
         let mut page = PromText::new();
-
-        page.header(
-            "qtls_metrics_enabled",
-            "gauge",
-            "1 when the qat_metrics directive enabled the observability plane.",
-        );
-        page.sample("qtls_metrics_enabled", &[], self.cfg.enabled as u64);
-
-        render_worker_section(&mut page, &snap);
-        if let Some(heuristic) = &snap.heuristic {
-            render_poller_section(&mut page, heuristic);
-        }
-        if let Some(engine) = &self.engine {
-            render_engine_section(&mut page, engine);
-        }
-        if self.sink.enabled() {
-            render_trace_section(&mut page, &self.sink);
+        for run in METRICS {
+            match run {
+                Prom::One(scalar) => {
+                    if let Some(value) = src.get(scalar.get) {
+                        let Family { name, kind, help } = scalar.family;
+                        page.header(name, kind, help);
+                        page.sample(name, &[], value);
+                    }
+                }
+                Prom::Each(families, emit) => {
+                    let out = &mut Samples {
+                        page: &mut page,
+                        families,
+                    };
+                    match *emit {
+                        Emit::Poll(f) => snap.heuristic.iter().for_each(|h| f(h, out.head())),
+                        Emit::Engine(f) => src.engine.into_iter().for_each(|e| f(e, out.head())),
+                        Emit::Trace(f) => src.sink.into_iter().for_each(|t| f(t, out.head())),
+                    }
+                }
+            }
         }
         page.finish()
     }
-}
 
-fn render_trace_section(page: &mut PromText, sink: &TraceSink) {
-    page.header(
-        "qtls_trace_sample_rate",
-        "gauge",
-        "Connection tracing samples 1-in-N connections (0 = off).",
-    );
-    page.sample("qtls_trace_sample_rate", &[], sink.sample_rate());
-    let counters: [(&str, &str, u64); 5] = [
-        (
-            "qtls_trace_sampled_total",
-            "Connections sampled for end-to-end span tracing.",
-            sink.sampled(),
-        ),
-        (
-            "qtls_trace_spans_total",
-            "Spans published across sampled connections.",
-            sink.spans_published(),
-        ),
-        (
-            "qtls_trace_dropped_total",
-            "Traces evicted from the buffer to stay under trace_buffer_spans.",
-            sink.dropped(),
-        ),
-        (
-            "qtls_trace_wall_us_total",
-            "Sum of sampled-connection wall times, microseconds.",
-            sink.wall_ns_total() / 1_000,
-        ),
-        (
-            "qtls_trace_covered_us_total",
-            "Sum of stage durations attributed across sampled connections, microseconds.",
-            sink.covered_ns_total() / 1_000,
-        ),
-    ];
-    for (name, help, value) in counters {
-        page.header(name, "counter", help);
-        page.sample(name, &[], value);
+    /// Render the `stub_status` page (human, or `kv` for one `key value`
+    /// pair per line) of `snap`, with the latency-attribution lines when
+    /// `traced` and the plane samples connections.
+    pub(crate) fn stub_status(&self, snap: &StatusSnapshot, kv: bool, traced: bool) -> String {
+        let src = self.src(snap, traced);
+        let mut page = String::new();
+        for line in STUB {
+            for (label, at) in src.instances(line) {
+                let values: Option<Vec<u64>> = line
+                    .fields
+                    .iter()
+                    .map(|&(_, _, value)| src.value(value, &at))
+                    .collect();
+                let Some(values) = values else {
+                    continue;
+                };
+                if kv {
+                    for (&(_, key, _), value) in line.fields.iter().zip(values) {
+                        let _ = writeln!(page, "{} {value}", key.replace("{}", &label));
+                    }
+                } else if let Some(head) = line.human {
+                    page.push_str(&head.replace("{}", &label));
+                    for (&(name, _, _), value) in line.fields.iter().zip(values) {
+                        if name.is_empty() {
+                            let _ = write!(page, " {value}");
+                        } else {
+                            let _ = write!(page, " {name} {value}");
+                        }
+                    }
+                    page.push('\n');
+                }
+            }
+        }
+        page
     }
-    page.header(
-        "qtls_trace_stage_us",
-        "gauge",
-        "Per-stage latency attribution across sampled connections, microseconds.",
-    );
-    for kind in SPAN_KIND_LIST {
-        let snap = sink.stage_snapshot(kind);
-        let count = snap.count();
-        let mean_us = if count == 0 {
-            0
-        } else {
-            snap.sum / count / 1_000
-        };
-        let labels_mean = [("stage", kind.name()), ("stat", "mean")];
-        page.sample("qtls_trace_stage_us", &labels_mean, mean_us);
-        let labels_p99 = [("stage", kind.name()), ("stat", "p99")];
-        page.sample(
-            "qtls_trace_stage_us",
-            &labels_p99,
-            snap.quantile(0.99) / 1_000,
-        );
-    }
-}
 
-/// Render the latency-attribution table appended to `stub_status` when
-/// tracing is on: one row per stage (count / mean / p99, µs) plus a
-/// summary row whose covered-vs-wall ratio is the sum check — stage
-/// durations of every published trace must account for its root wall
-/// time (idle gaps are attributed explicitly, so the two match up to
-/// integer truncation).
-pub fn render_trace_attribution(sink: &TraceSink, kv: bool) -> String {
-    let mut page = String::new();
-    let wall_us = sink.wall_ns_total() / 1_000;
-    let covered_us = sink.covered_ns_total() / 1_000;
-    if kv {
-        let _ = writeln!(page, "trace_sample_rate {}", sink.sample_rate());
-        let _ = writeln!(page, "trace_sampled {}", sink.sampled());
-        let _ = writeln!(page, "trace_spans {}", sink.spans_published());
-        let _ = writeln!(page, "trace_dropped {}", sink.dropped());
-        let _ = writeln!(page, "trace_wall_us {wall_us}");
-        let _ = writeln!(page, "trace_covered_us {covered_us}");
-    } else {
-        let _ = writeln!(
-            page,
-            "trace: rate {} sampled {} spans {} dropped {} wall-us {} covered-us {}",
-            sink.sample_rate(),
-            sink.sampled(),
-            sink.spans_published(),
-            sink.dropped(),
-            wall_us,
-            covered_us,
-        );
-    }
-    for kind in SPAN_KIND_LIST {
-        let snap = sink.stage_snapshot(kind);
-        let count = snap.count();
-        let mean_us = if count == 0 {
-            0
-        } else {
-            snap.sum / count / 1_000
-        };
-        let p99_us = snap.quantile(0.99) / 1_000;
-        if kv {
-            let name = kind.name();
-            let _ = writeln!(page, "trace_stage_{name}_count {count}");
-            let _ = writeln!(page, "trace_stage_{name}_mean_us {mean_us}");
-            let _ = writeln!(page, "trace_stage_{name}_p99_us {p99_us}");
-        } else {
-            let _ = writeln!(
-                page,
-                "trace stage {}: count {} mean-us {} p99-us {}",
-                kind.name(),
-                count,
-                mean_us,
-                p99_us,
-            );
+    fn src<'a>(&'a self, snap: &'a StatusSnapshot, traced: bool) -> Src<'a> {
+        let engine = self.engine.as_deref();
+        Src {
+            cfg: &self.cfg,
+            snap,
+            engine,
+            sink: (traced && self.sink.enabled()).then_some(&*self.sink),
+            staging: engine.map_or_else(Vec::new, |e| {
+                (0..e.shard_count())
+                    .filter(|&i| e.shard_submit_queue(i).is_some())
+                    .collect()
+            }),
         }
     }
-    page
 }
 
-fn render_worker_section(page: &mut PromText, snap: &StatusSnapshot) {
-    let gauges: [(&str, &str, u64); 5] = [
-        (
-            "qtls_worker_connections_active",
-            "TC_active: connections with an offload pending or unread bytes.",
-            snap.tc_active,
-        ),
-        (
-            "qtls_worker_connections_alive",
-            "TC_alive: all live connections (idle + active).",
-            snap.tc_alive,
-        ),
-        (
-            "qtls_worker_connections_idle",
-            "TC_idle: connections waiting on the peer (nothing unread, nothing offloaded).",
-            snap.tc_idle,
-        ),
-        (
-            "qtls_worker_load",
-            "Scheduling load gauge: backlog + un-established connections + staged offload depth.",
-            snap.load,
-        ),
-        (
-            "qtls_dispatch_policy",
-            "Dispatch policy routing new sockets: 0 round_robin, 1 least_loaded.",
-            snap.dispatch_policy,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        page.header(name, "gauge", help);
-        page.sample(name, &[], value);
-    }
-    let counters: [(&str, &str, u64); 21] = [
-        (
-            "qtls_worker_steals_total",
-            "Queued sockets stolen from a more-loaded peer's accept backlog.",
-            snap.stats.steals,
-        ),
-        (
-            "qtls_worker_handshakes_total",
-            "Completed TLS handshakes.",
-            snap.stats.handshakes,
-        ),
-        (
-            "qtls_worker_resumed_handshakes_total",
-            "Of which abbreviated (session resumption).",
-            snap.stats.resumed,
-        ),
-        (
-            "qtls_worker_resume_miss_total",
-            "Handshakes where offered resumption state could not be honoured (fell back to full).",
-            snap.stats.resume_miss,
-        ),
-        (
-            "qtls_worker_requests_total",
-            "HTTP requests served.",
-            snap.stats.requests,
-        ),
-        (
-            "qtls_worker_bytes_sent_total",
-            "Application bytes sent (HTTP responses, pre-encryption).",
-            snap.stats.bytes_sent,
-        ),
-        (
-            "qtls_worker_bytes_received_total",
-            "Application bytes received (HTTP requests, post-decryption).",
-            snap.stats.bytes_received,
-        ),
-        (
-            "qtls_worker_record_handoffs_total",
-            "Connections handed from the handshake control plane to the batched record codec.",
-            snap.stats.record_handoffs,
-        ),
-        (
-            "qtls_worker_async_jobs_total",
-            "Service passes that paused on a crypto offload at least once.",
-            snap.stats.async_jobs,
-        ),
-        (
-            "qtls_worker_resumptions_total",
-            "Offload-job resumptions processed.",
-            snap.stats.resumptions,
-        ),
-        (
-            "qtls_worker_errors_total",
-            "TLS protocol errors.",
-            snap.stats.errors,
-        ),
-        (
-            "qtls_worker_kernel_switches_total",
-            "Simulated user/kernel switches spent on async notification.",
-            snap.kernel_switches,
-        ),
-        (
-            "qtls_worker_accepts_total",
-            "Connections accepted off the listener backlog.",
-            snap.stats.accepted,
-        ),
-        (
-            "qtls_admission_challenges_total",
-            "Retry-token challenges sent to token-less ClientHellos under overload.",
-            snap.stats.challenges_sent,
-        ),
-        (
-            "qtls_admission_tokens_verified_total",
-            "Retry tokens presented and verified (admitted past the gate).",
-            snap.stats.tokens_verified,
-        ),
-        (
-            "qtls_admission_tokens_rejected_total",
-            "Retry tokens rejected (stale, spoofed, or malformed frames).",
-            snap.stats.tokens_rejected,
-        ),
-        (
-            "qtls_admission_accept_sheds_total",
-            "Connections shed at the listener's full accept backlog.",
-            snap.stats.accept_sheds,
-        ),
-        (
-            "qtls_admission_overloads_total",
-            "Transitions into overload mode (inflight handshakes crossed the watermark).",
-            snap.stats.overload_entered,
-        ),
-        (
-            "qtls_worker_closed_total",
-            "Connections closed and reaped by the worker.",
-            snap.stats.closed,
-        ),
-        (
-            "qtls_worker_ring_retries_total",
-            "Jobs rescheduled after a full request ring (event-loop backpressure).",
-            snap.stats.retries,
-        ),
-        (
-            "qtls_worker_cancelled_submits_total",
-            "Staged submissions cancelled at shutdown before reaching a ring.",
-            snap.stats.cancelled_submits,
-        ),
-    ];
-    for (name, help, value) in counters {
-        page.header(name, "counter", help);
-        page.sample(name, &[], value);
+/// Is `name` a family of the schema, or a `_bucket`/`_sum`/`_count`
+/// series of one? The registry every scrape is checked against.
+pub fn is_registered(name: &str) -> bool {
+    let base = name
+        .strip_suffix("_bucket")
+        .or_else(|| name.strip_suffix("_sum"))
+        .or_else(|| name.strip_suffix("_count"))
+        .unwrap_or(name);
+    families().any(|family| family.name == base || family.name == name)
+}
+
+/// Every family of `METRICS`, in page order.
+fn families() -> impl Iterator<Item = &'static Family> {
+    METRICS.iter().flat_map(|run| match run {
+        Prom::One(scalar) => std::slice::from_ref(&scalar.family),
+        Prom::Each(families, _) => families,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The schema's types
+// ---------------------------------------------------------------------------
+
+/// Where a value is read from. The source decides whether a worker shows
+/// it: poller counters only under a profile that runs the heuristic
+/// poller, engine values only under an offloading one, trace counters
+/// only while connection tracing samples.
+#[derive(Clone, Copy)]
+enum Get {
+    Config(fn(&MetricsConfig) -> u64),
+    Snap(fn(&StatusSnapshot) -> u64),
+    Poll(fn(&HeuristicStats) -> u64),
+    Engine(fn(&OffloadEngine) -> u64),
+    Trace(fn(&TraceSink) -> u64),
+}
+
+/// The sample writer of a labelled run, by the source it reads (shown
+/// under the same rule as [`Get`]).
+#[derive(Clone, Copy)]
+enum Emit {
+    Poll(fn(&HeuristicStats, &mut Samples)),
+    Engine(fn(&OffloadEngine, &mut Samples)),
+    Trace(fn(&TraceSink, &mut Samples)),
+}
+
+/// A Prometheus family: its name, kind and help text.
+struct Family {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+}
+
+/// A family of one unlabelled sample, and where its value comes from.
+struct Scalar {
+    family: Family,
+    get: Get,
+}
+
+/// A run of the `/metrics` page.
+enum Prom {
+    /// One scalar family.
+    One(&'static Scalar),
+    /// Labelled families: their headers, then the samples [`Emit`]
+    /// writes.
+    Each(&'static [Family], Emit),
+}
+
+/// A line of the `stub_status` pages. The kv page prints each field as
+/// `key value`; the human page prints `human` then ` label value` per
+/// field (` value` for an empty label), and skips a kv-only line. In a
+/// line of [`Value::Shard`] or [`Value::Stage`] fields, printed once per
+/// staging shard or per trace stage, `{}` in `human` and the keys
+/// stands for the shard's index or the stage's name.
+struct Line {
+    human: Option<&'static str>,
+    fields: &'static [(&'static str, &'static str, Value)],
+}
+
+/// Where a `stub_status` field's value comes from.
+#[derive(Clone, Copy)]
+enum Value {
+    /// The value of a `/metrics` family.
+    Of(&'static Scalar),
+    /// A value no family exports.
+    Own(Get),
+    /// A value of the shards that stage submissions (and their count),
+    /// shown when there is one.
+    Staging(fn(&OffloadEngine, usize) -> u64),
+    /// The value of one staging shard.
+    Shard(fn(&OffloadEngine, usize) -> u64),
+    /// A value of one trace stage's histogram.
+    Stage(fn(&HistSnapshot) -> u64),
+}
+
+const fn counter(name: &'static str, get: Get, help: &'static str) -> Scalar {
+    Scalar {
+        family: family("counter", name, help),
+        get,
     }
 }
 
-fn render_poller_section(page: &mut PromText, stats: &HeuristicStats) {
-    page.header(
-        "qtls_poll_fired_total",
-        "counter",
-        "Heuristic polls fired, by trigger rule.",
-    );
+const fn gauge(name: &'static str, get: Get, help: &'static str) -> Scalar {
+    Scalar {
+        family: family("gauge", name, help),
+        get,
+    }
+}
+
+const fn family(kind: &'static str, name: &'static str, help: &'static str) -> Family {
+    Family { name, kind, help }
+}
+
+/// Where a labelled run writes: sample `i` goes to the run's family `i`.
+struct Samples<'a> {
+    page: &'a mut PromText,
+    families: &'static [Family],
+}
+
+impl Samples<'_> {
+    /// Write the run's headers, before its samples.
+    fn head(&mut self) -> &mut Self {
+        for family in self.families {
+            self.page.header(family.name, family.kind, family.help);
+        }
+        self
+    }
+
+    fn push(&mut self, family: usize, labels: &[(&str, &str)], value: u64) {
+        self.page.sample(self.families[family].name, labels, value);
+    }
+
+    /// A sample of the series `<family><suffix>` (a histogram's
+    /// `_bucket`, `_count` and `_sum`).
+    fn series(&mut self, family: usize, suffix: &str, labels: &[(&str, &str)], value: u64) {
+        let name = format!("{}{suffix}", self.families[family].name);
+        self.page.sample(&name, labels, value);
+    }
+}
+
+/// Which instance of a line is printed.
+enum At {
+    Once,
+    Shard(usize),
+    Stage(HistSnapshot),
+}
+
+/// What the pages read.
+struct Src<'a> {
+    cfg: &'a MetricsConfig,
+    snap: &'a StatusSnapshot,
+    engine: Option<&'a OffloadEngine>,
+    /// The trace sink, while connection tracing samples.
+    sink: Option<&'a TraceSink>,
+    /// The shards that stage submissions.
+    staging: Vec<usize>,
+}
+
+impl Src<'_> {
+    fn get(&self, get: Get) -> Option<u64> {
+        match get {
+            Get::Config(f) => Some(f(self.cfg)),
+            Get::Snap(f) => Some(f(self.snap)),
+            Get::Poll(f) => self.snap.heuristic.as_ref().map(f),
+            Get::Engine(f) => self.engine.map(f),
+            Get::Trace(f) => self.sink.map(f),
+        }
+    }
+
+    fn value(&self, value: Value, at: &At) -> Option<u64> {
+        match (value, at) {
+            (Value::Of(scalar), _) => self.get(scalar.get),
+            (Value::Own(get), _) => self.get(get),
+            (Value::Staging(f), _) if !self.staging.is_empty() => {
+                Some(f(self.engine?, self.staging.len()))
+            }
+            (Value::Shard(f), At::Shard(i)) => Some(f(self.engine?, *i)),
+            (Value::Stage(f), At::Stage(hist)) => Some(f(hist)),
+            _ => None,
+        }
+    }
+
+    /// The instances of `line` (its `{}` label and what it reads): one
+    /// per staging shard or per trace stage, else one.
+    fn instances(&self, line: &Line) -> Vec<(String, At)> {
+        match line.fields.first().map(|field| field.2) {
+            Some(Value::Shard(_)) => self
+                .staging
+                .iter()
+                .map(|&i| (i.to_string(), At::Shard(i)))
+                .collect(),
+            Some(Value::Stage(_)) => self.sink.map_or_else(Vec::new, |sink| {
+                SPAN_KIND_LIST
+                    .iter()
+                    .map(|&kind| (kind.name().into(), At::Stage(sink.stage_snapshot(kind))))
+                    .collect()
+            }),
+            _ => vec![(String::new(), At::Once)],
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The schema: every family and every kv key, declared once
+// ---------------------------------------------------------------------------
+
+/// The table, one row per line (kept by hand, not by rustfmt). A
+/// counter both pages show is a [`Scalar`] named once here, listed where
+/// `/metrics` shows it and read by its kv field through [`Value::Of`].
+#[rustfmt::skip]
+mod schema {
+    use super::Get::{Config, Engine, Poll, Snap, Trace};
+    use super::Prom::{Each, One};
+    use super::Value::{Of, Own, Shard, Stage, Staging};
+    use super::*;
+
+    static ENABLED: Scalar = gauge("qtls_metrics_enabled", Config(|c| c.enabled as u64),
+        "1 when the qat_metrics directive enabled the observability plane.");
+    static ACTIVE: Scalar = gauge("qtls_worker_connections_active", Snap(|s| s.tc_active),
+        "TC_active: connections with an offload pending or unread bytes.");
+    static ALIVE: Scalar = gauge("qtls_worker_connections_alive", Snap(|s| s.tc_alive),
+        "TC_alive: all live connections (idle + active).");
+    static IDLE: Scalar = gauge("qtls_worker_connections_idle", Snap(|s| s.tc_idle),
+        "TC_idle: connections waiting on the peer (nothing unread, nothing offloaded).");
+    static LOAD: Scalar = gauge("qtls_worker_load", Snap(|s| s.load),
+        "Scheduling load gauge: backlog + un-established connections + staged offload depth.");
+    static POLICY: Scalar = gauge("qtls_dispatch_policy", Snap(|s| s.dispatch_policy),
+        "Dispatch policy routing new sockets: 0 round_robin, 1 least_loaded.");
+    static STEALS: Scalar = counter("qtls_worker_steals_total", Snap(|s| s.stats.steals),
+        "Queued sockets stolen from a more-loaded peer's accept backlog.");
+    static HANDSHAKES: Scalar = counter("qtls_worker_handshakes_total", Snap(|s| s.stats.handshakes),
+        "Completed TLS handshakes.");
+    static RESUMED: Scalar = counter("qtls_worker_resumed_handshakes_total", Snap(|s| s.stats.resumed),
+        "Of which abbreviated (session resumption).");
+    static RESUME_MISS: Scalar = counter("qtls_worker_resume_miss_total", Snap(|s| s.stats.resume_miss),
+        "Handshakes where offered resumption state could not be honoured (fell back to full).");
+    static REQUESTS: Scalar = counter("qtls_worker_requests_total", Snap(|s| s.stats.requests),
+        "HTTP requests served.");
+    static SENT: Scalar = counter("qtls_worker_bytes_sent_total", Snap(|s| s.stats.bytes_sent),
+        "Application bytes sent (HTTP responses, pre-encryption).");
+    static RECEIVED: Scalar = counter("qtls_worker_bytes_received_total", Snap(|s| s.stats.bytes_received),
+        "Application bytes received (HTTP requests, post-decryption).");
+    static HANDOFFS: Scalar = counter("qtls_worker_record_handoffs_total", Snap(|s| s.stats.record_handoffs),
+        "Connections handed from the handshake control plane to the batched record codec.");
+    static ASYNC_JOBS: Scalar = counter("qtls_worker_async_jobs_total", Snap(|s| s.stats.async_jobs),
+        "Service passes that paused on a crypto offload at least once.");
+    static RESUMPTIONS: Scalar = counter("qtls_worker_resumptions_total", Snap(|s| s.stats.resumptions),
+        "Offload-job resumptions processed.");
+    static ERRORS: Scalar = counter("qtls_worker_errors_total", Snap(|s| s.stats.errors),
+        "TLS protocol errors.");
+    static SWITCHES: Scalar = counter("qtls_worker_kernel_switches_total", Snap(|s| s.kernel_switches),
+        "Simulated user/kernel switches spent on async notification.");
+    static ACCEPTS: Scalar = counter("qtls_worker_accepts_total", Snap(|s| s.stats.accepted),
+        "Connections accepted off the listener backlog.");
+    static CHALLENGES: Scalar = counter("qtls_admission_challenges_total", Snap(|s| s.stats.challenges_sent),
+        "Retry-token challenges sent to token-less ClientHellos under overload.");
+    static VERIFIED: Scalar = counter("qtls_admission_tokens_verified_total", Snap(|s| s.stats.tokens_verified),
+        "Retry tokens presented and verified (admitted past the gate).");
+    static REJECTED: Scalar = counter("qtls_admission_tokens_rejected_total", Snap(|s| s.stats.tokens_rejected),
+        "Retry tokens rejected (stale, spoofed, or malformed frames).");
+    static SHEDS: Scalar = counter("qtls_admission_accept_sheds_total", Snap(|s| s.stats.accept_sheds),
+        "Connections shed at the listener's full accept backlog.");
+    static OVERLOADS: Scalar = counter("qtls_admission_overloads_total", Snap(|s| s.stats.overload_entered),
+        "Transitions into overload mode (inflight handshakes crossed the watermark).");
+    static CLOSED: Scalar = counter("qtls_worker_closed_total", Snap(|s| s.stats.closed),
+        "Connections closed and reaped by the worker.");
+    static RETRIES: Scalar = counter("qtls_worker_ring_retries_total", Snap(|s| s.stats.retries),
+        "Jobs rescheduled after a full request ring (event-loop backpressure).");
+    static CANCELLED: Scalar = counter("qtls_worker_cancelled_submits_total", Snap(|s| s.stats.cancelled_submits),
+        "Staged submissions cancelled at shutdown before reaching a ring.");
+    static WASTED: Scalar = counter("qtls_poll_wasted_total", Poll(|h| h.empty_polls),
+        "Swept shards that retrieved nothing (per-shard wasted polls, paper section 5.6).");
+    static SWEPT: Scalar = counter("qtls_poll_shards_swept_total", Poll(|h| h.shards_swept),
+        "Shards swept across all fired polls.");
+    static RESPONSES: Scalar = counter("qtls_poll_responses_total", Poll(|h| h.responses),
+        "Responses retrieved by the heuristic poller.");
+    static RATE: Scalar = gauge("qtls_trace_sample_rate", Trace(|t| t.sample_rate()),
+        "Connection tracing samples 1-in-N connections (0 = off).");
+    static SAMPLED: Scalar = counter("qtls_trace_sampled_total", Trace(|t| t.sampled()),
+        "Connections sampled for end-to-end span tracing.");
+    static SPANS: Scalar = counter("qtls_trace_spans_total", Trace(|t| t.spans_published()),
+        "Spans published across sampled connections.");
+    static DROPPED: Scalar = counter("qtls_trace_dropped_total", Trace(|t| t.dropped()),
+        "Traces evicted from the buffer to stay under trace_buffer_spans.");
+    static WALL_US: Scalar = counter("qtls_trace_wall_us_total", Trace(|t| t.wall_ns_total() / 1_000),
+        "Sum of sampled-connection wall times, microseconds.");
+    static COVERED_US: Scalar = counter("qtls_trace_covered_us_total", Trace(|t| t.covered_ns_total() / 1_000),
+        "Sum of stage durations attributed across sampled connections, microseconds.");
+
+    /// The `/metrics` page, run by run.
+    pub(super) static METRICS: &[Prom] = &[
+        One(&ENABLED),
+        // The worker.
+        One(&ACTIVE), One(&ALIVE), One(&IDLE), One(&LOAD), One(&POLICY),
+        One(&STEALS), One(&HANDSHAKES), One(&RESUMED), One(&RESUME_MISS),
+        One(&REQUESTS), One(&SENT), One(&RECEIVED), One(&HANDOFFS),
+        One(&ASYNC_JOBS), One(&RESUMPTIONS), One(&ERRORS), One(&SWITCHES),
+        One(&ACCEPTS), One(&CHALLENGES), One(&VERIFIED), One(&REJECTED),
+        One(&SHEDS), One(&OVERLOADS), One(&CLOSED), One(&RETRIES),
+        One(&CANCELLED),
+        // The heuristic poller.
+        Each(&[family("counter", "qtls_poll_fired_total", "Heuristic polls fired, by trigger rule.")],
+            Emit::Poll(poll_fired)),
+        One(&WASTED), One(&SWEPT), One(&RESPONSES),
+        // The engine: phase latencies (quantiles per shard and merged,
+        // then the merged distributions), shard occupancy, the submit
+        // pipeline per shard, device counters per shard instance, and
+        // flight-recorder event counts (monotonic; they survive ring
+        // overwrite).
+        Each(&[family("gauge", "qtls_phase_latency_ns",
+            "Phase latency quantile in ns (log-linear buckets, <=3.125% relative error).")],
+            Emit::Engine(phase_quantiles)),
+        Each(&[family("histogram", "qtls_phase_latency_hist_ns", "Merged phase latency distribution in ns.")],
+            Emit::Engine(phase_histograms)),
+        Each(&[
+            family("gauge", "qtls_phase_latency_max_ns", "Largest phase latency recorded, ns."),
+            family("counter", "qtls_phase_overflow_total", "Samples beyond the largest histogram bucket (~68.7 s)."),
+        ], Emit::Engine(phase_max_and_overflow)),
+        One(&gauge("qtls_shard_count", Engine(|e| e.shard_count() as u64),
+            "Engine shards (QAT instance pairs) this worker submits to.")),
+        Each(&[
+            family("gauge", "qtls_shard_inflight", "Inflight requests on the shard's rings."),
+            family("gauge", "qtls_shard_asym_inflight", "Of which asymmetric operations."),
+        ], Emit::Engine(shard_inflight)),
+        One(&counter("qtls_ring_full_retries_total", Engine(|e| e.ring_full_retries()),
+            "Submissions retried after a full request ring, all shards.")),
+        Each(&[family("counter", "qtls_submit_flushes_total", "Flushes that published at least one request.")],
+            Emit::Engine(|e, out| per_submit_queue(e, out, |q| q.flushes))),
+        Each(&[family("counter", "qtls_submit_flushed_requests_total", "Requests published through batched flushes.")],
+            Emit::Engine(|e, out| per_submit_queue(e, out, |q| q.flushed_requests))),
+        Each(&[family("counter", "qtls_submit_deferred_total", "Requests a flush deferred to the next sweep (ring full).")],
+            Emit::Engine(|e, out| per_submit_queue(e, out, |q| q.deferred))),
+        Each(&[family("gauge", "qtls_submit_max_depth", "Deepest batch published by one flush.")],
+            Emit::Engine(|e, out| per_submit_queue(e, out, |q| q.max_depth))),
+        Each(&[family("counter", "qtls_qat_submitted_total", "Requests accepted onto request rings.")],
+            Emit::Engine(|e, out| per_instance(e, out, |fw| &fw.submitted))),
+        Each(&[family("counter", "qtls_qat_ring_full_total", "Submissions rejected by a full request ring.")],
+            Emit::Engine(|e, out| per_instance(e, out, |fw| &fw.ring_full))),
+        Each(&[family("counter", "qtls_qat_doorbells_total", "Ring-cursor publishes (doorbell writes).")],
+            Emit::Engine(|e, out| per_instance(e, out, |fw| &fw.doorbells))),
+        Each(&[family("counter", "qtls_qat_polled_total", "Responses retrieved by polling.")],
+            Emit::Engine(|e, out| per_instance(e, out, |fw| &fw.polled))),
+        Each(&[family("counter", "qtls_qat_resp_stalls_total", "Device stalls on a full response ring.")],
+            Emit::Engine(|e, out| per_instance(e, out, |fw| &fw.resp_stalls))),
+        Each(&[family("counter", "qtls_qat_completed_total", "Completed operations, by shard and op class.")],
+            Emit::Engine(completed_by_class)),
+        Each(&[family("counter", "qtls_flight_events_total", "Structured pipeline events recorded, by kind.")],
+            Emit::Engine(flight_events)),
+        // Connection tracing.
+        One(&RATE), One(&SAMPLED), One(&SPANS), One(&DROPPED),
+        One(&WALL_US), One(&COVERED_US),
+        Each(&[family("gauge", "qtls_trace_stage_us",
+            "Per-stage latency attribution across sampled connections, microseconds.")],
+            Emit::Trace(stage_us)),
+    ];
+
+    /// The `stub_status` pages, line by line. The human page keeps
+    /// nginx's first three lines, whose kv names are aliases:
+    /// `active_connections` is `TC_alive`, `handled` is handshakes, and
+    /// `accepts` is handshakes + errors (listener accepts are
+    /// `admission_accepted`). `submit` is the worker's fold of every
+    /// shard queue, which `/metrics` shows per shard. The trace lines
+    /// are the latency-attribution table: covered-us against wall-us is
+    /// its sum check (idle gaps are attributed, so the two match up to
+    /// integer truncation).
+    pub(super) static STUB: &[Line] = &[
+        Line { human: Some("Active connections:"), fields: &[("", "active_connections", Of(&ALIVE))] },
+        Line { human: Some("server accepts handled requests\n"), fields: &[
+            ("", "accepts", Own(Snap(|s| s.stats.handshakes + s.stats.errors))),
+            ("", "handled", Of(&HANDSHAKES)),
+            ("", "requests", Of(&REQUESTS)),
+        ] },
+        Line { human: Some("TLS:"), fields: &[
+            ("alive", "tls_alive", Of(&ALIVE)),
+            ("idle", "tls_idle", Of(&IDLE)),
+            ("active", "tls_active", Of(&ACTIVE)),
+            ("async-jobs", "async_jobs", Of(&ASYNC_JOBS)),
+            ("resumptions", "resumptions", Of(&RESUMPTIONS)),
+        ] },
+        Line { human: Some("bytes:"), fields: &[
+            ("sent", "bytes_sent", Of(&SENT)),
+            ("received", "bytes_received", Of(&RECEIVED)),
+            ("handoffs", "record_handoffs", Of(&HANDOFFS)),
+        ] },
+        Line { human: Some("submit:"), fields: &[
+            ("flushes", "submit_flushes", Own(Snap(|s| s.stats.flushes))),
+            ("flushed", "submit_flushed", Own(Snap(|s| s.stats.flushed_requests))),
+            ("max-depth", "submit_max_depth", Own(Snap(|s| s.stats.max_flush_depth))),
+            ("deferred", "submit_deferred", Own(Snap(|s| s.stats.deferred_submits))),
+        ] },
+        Line { human: Some("admission:"), fields: &[
+            ("accepted", "admission_accepted", Of(&ACCEPTS)),
+            ("challenges", "admission_challenges", Of(&CHALLENGES)),
+            ("verified", "admission_tokens_verified", Of(&VERIFIED)),
+            ("rejected", "admission_tokens_rejected", Of(&REJECTED)),
+            ("sheds", "admission_accept_sheds", Of(&SHEDS)),
+            ("overloads", "admission_overloads", Of(&OVERLOADS)),
+        ] },
+        Line { human: Some("sched:"), fields: &[
+            ("load", "sched_load", Of(&LOAD)),
+            ("steals", "sched_steals", Of(&STEALS)),
+            ("policy", "sched_policy", Of(&POLICY)),
+        ] },
+        Line { human: None, fields: &[
+            ("", "handshakes", Of(&HANDSHAKES)),
+            ("", "resumed_handshakes", Of(&RESUMED)),
+            ("", "resume_miss", Of(&RESUME_MISS)),
+            ("", "errors", Of(&ERRORS)),
+            ("", "closed", Of(&CLOSED)),
+            ("", "retries", Of(&RETRIES)),
+            ("", "cancelled_submits", Of(&CANCELLED)),
+            ("", "kernel_switches", Of(&SWITCHES)),
+        ] },
+        Line { human: None, fields: &[
+            ("", "poll_efficiency", Own(Poll(|h| h.efficiency_polls))),
+            ("", "poll_timeliness", Own(Poll(|h| h.timeliness_polls))),
+            ("", "poll_failover", Own(Poll(|h| h.failover_polls))),
+            ("", "poll_wasted", Of(&WASTED)),
+            ("", "poll_responses", Of(&RESPONSES)),
+            ("", "poll_shards_swept", Of(&SWEPT)),
+        ] },
+        Line { human: Some("shards:"), fields: &[
+            ("count", "shards_count", Staging(|_, n| n as u64)),
+            ("inflight", "shards_inflight", Staging(|e, _| e.inflight().total())),
+        ] },
+        Line { human: Some("shard {}:"), fields: &[
+            ("inflight", "shard{}_inflight", Shard(OffloadEngine::shard_inflight)),
+        ] },
+        Line { human: Some("trace:"), fields: &[
+            ("rate", "trace_sample_rate", Of(&RATE)),
+            ("sampled", "trace_sampled", Of(&SAMPLED)),
+            ("spans", "trace_spans", Of(&SPANS)),
+            ("dropped", "trace_dropped", Of(&DROPPED)),
+            ("wall-us", "trace_wall_us", Of(&WALL_US)),
+            ("covered-us", "trace_covered_us", Of(&COVERED_US)),
+        ] },
+        Line { human: Some("trace stage {}:"), fields: &[
+            ("count", "trace_stage_{}_count", Stage(HistSnapshot::count)),
+            ("mean-us", "trace_stage_{}_mean_us", Stage(stage_mean_us)),
+            ("p99-us", "trace_stage_{}_p99_us", Stage(stage_p99_us)),
+        ] },
+    ];
+}
+
+use schema::{METRICS, STUB};
+
+// ---------------------------------------------------------------------------
+// The labelled runs' sample writers
+// ---------------------------------------------------------------------------
+
+fn poll_fired(h: &HeuristicStats, out: &mut Samples) {
     for (trigger, count) in [
-        ("efficiency", stats.efficiency_polls),
-        ("timeliness", stats.timeliness_polls),
-        ("failover", stats.failover_polls),
+        ("efficiency", h.efficiency_polls),
+        ("timeliness", h.timeliness_polls),
+        ("failover", h.failover_polls),
     ] {
-        page.sample("qtls_poll_fired_total", &[("trigger", trigger)], count);
-    }
-    let counters: [(&str, &str, u64); 3] = [
-        (
-            "qtls_poll_wasted_total",
-            "Swept shards that retrieved nothing (per-shard wasted polls, paper section 5.6).",
-            stats.empty_polls,
-        ),
-        (
-            "qtls_poll_shards_swept_total",
-            "Shards swept across all fired polls.",
-            stats.shards_swept,
-        ),
-        (
-            "qtls_poll_responses_total",
-            "Responses retrieved by the heuristic poller.",
-            stats.responses,
-        ),
-    ];
-    for (name, help, value) in counters {
-        page.header(name, "counter", help);
-        page.sample(name, &[], value);
+        out.push(0, &[("trigger", trigger)], count);
     }
 }
 
-fn render_engine_section(page: &mut PromText, engine: &Arc<OffloadEngine>) {
-    let eobs = engine.obs();
-
-    // Phase latency quantiles: per shard and merged, as gauges (the
-    // full distribution follows as a histogram family).
-    page.header(
-        "qtls_phase_latency_ns",
-        "gauge",
-        "Phase latency quantile in ns (log-linear buckets, <=3.125% relative error).",
-    );
+fn phase_quantiles(engine: &OffloadEngine, out: &mut Samples) {
     const QUANTILES: [(&str, f64); 3] = [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)];
+    let eobs = engine.obs();
     for phase in Phase::ALL {
         for class in CLASS_LIST {
-            let merged = eobs.merged(phase, class);
-            for (q_label, q) in QUANTILES {
-                page.sample(
-                    "qtls_phase_latency_ns",
-                    &[
+            let shards = (0..eobs.shard_count())
+                .map(|i| (i.to_string(), eobs.shard(i).snapshot(phase, class)));
+            let merged = ("merged".to_string(), eobs.merged(phase, class));
+            for (shard, hist) in std::iter::once(merged).chain(shards) {
+                for (quantile, q) in QUANTILES {
+                    let labels = [
                         ("phase", phase.name()),
                         ("class", obs::class_name(class)),
-                        ("shard", "merged"),
-                        ("quantile", q_label),
-                    ],
-                    merged.quantile(q),
-                );
+                        ("shard", &shard),
+                        ("quantile", quantile),
+                    ];
+                    out.push(0, &labels, hist.quantile(q));
+                }
             }
-            for i in 0..eobs.shard_count() {
-                let shard_snap = eobs.shard(i).snapshot(phase, class);
-                let shard = i.to_string();
-                for (q_label, q) in QUANTILES {
-                    page.sample(
-                        "qtls_phase_latency_ns",
-                        &[
-                            ("phase", phase.name()),
-                            ("class", obs::class_name(class)),
-                            ("shard", &shard),
-                            ("quantile", q_label),
-                        ],
-                        shard_snap.quantile(q),
+        }
+    }
+}
+
+/// Every (phase, class) cell's merged histogram, with its label values.
+fn merged_phases(
+    engine: &OffloadEngine,
+) -> impl Iterator<Item = (&'static str, &'static str, HistSnapshot)> + '_ {
+    Phase::ALL.into_iter().flat_map(move |phase| {
+        CLASS_LIST.into_iter().map(move |class| {
+            let merged = engine.obs().merged(phase, class);
+            (phase.name(), obs::class_name(class), merged)
+        })
+    })
+}
+
+fn phase_histograms(engine: &OffloadEngine, out: &mut Samples) {
+    for (phase, class, hist) in merged_phases(engine) {
+        let mut cumulative = 0u64;
+        for (i, &count) in hist.buckets.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            cumulative += count;
+            let le = obs::bucket_upper_bound(i).to_string();
+            let labels = [("phase", phase), ("class", class), ("le", &le)];
+            out.series(0, "_bucket", &labels, cumulative);
+        }
+        let labels = [("phase", phase), ("class", class), ("le", "+Inf")];
+        out.series(0, "_bucket", &labels, hist.count());
+        let labels = [("phase", phase), ("class", class)];
+        out.series(0, "_count", &labels, hist.count());
+        out.series(0, "_sum", &labels, hist.sum);
+    }
+}
+
+fn phase_max_and_overflow(engine: &OffloadEngine, out: &mut Samples) {
+    for (phase, class, merged) in merged_phases(engine) {
+        let labels = [("phase", phase), ("class", class)];
+        out.push(0, &labels, merged.max);
+        out.push(1, &labels, merged.overflow);
+    }
+}
+
+fn shard_inflight(engine: &OffloadEngine, out: &mut Samples) {
+    for i in 0..engine.shard_count() {
+        let shard = i.to_string();
+        let labels = [("shard", shard.as_str())];
+        out.push(0, &labels, engine.shard_inflight(i));
+        out.push(1, &labels, engine.shard_asym_inflight(i));
+    }
+}
+
+fn per_submit_queue(engine: &OffloadEngine, out: &mut Samples, get: fn(&SubmitSnapshot) -> u64) {
+    for i in 0..engine.shard_count() {
+        if let Some(queue) = engine.shard_submit_queue(i) {
+            let shard = i.to_string();
+            out.push(0, &[("shard", &shard)], get(&queue.stats().snapshot()));
+        }
+    }
+}
+
+fn per_instance(engine: &OffloadEngine, out: &mut Samples, get: fn(&FwCounters) -> &AtomicU64) {
+    for i in 0..engine.shard_count() {
+        let count = get(engine.shard_instance(i).fw_counters());
+        let shard = i.to_string();
+        out.push(0, &[("shard", &shard)], count.load(Ordering::Relaxed));
+    }
+}
+
+fn completed_by_class(engine: &OffloadEngine, out: &mut Samples) {
+    for i in 0..engine.shard_count() {
+        let fw = engine.shard_instance(i).fw_counters();
+        let shard = i.to_string();
+        for (class, count) in [("asym", &fw.asym), ("cipher", &fw.cipher), ("prf", &fw.prf)] {
+            let labels = [("shard", shard.as_str()), ("class", class)];
+            out.push(0, &labels, count.load(Ordering::Relaxed));
+        }
+    }
+}
+
+fn flight_events(engine: &OffloadEngine, out: &mut Samples) {
+    for kind in EventKind::ALL {
+        let count = engine.obs().recorder().count(kind);
+        out.push(0, &[("kind", kind.name())], count);
+    }
+}
+
+fn stage_us(sink: &TraceSink, out: &mut Samples) {
+    for kind in SPAN_KIND_LIST {
+        let hist = sink.stage_snapshot(kind);
+        let mean = [("stage", kind.name()), ("stat", "mean")];
+        out.push(0, &mean, stage_mean_us(&hist));
+        let p99 = [("stage", kind.name()), ("stat", "p99")];
+        out.push(0, &p99, stage_p99_us(&hist));
+    }
+}
+
+fn stage_mean_us(hist: &HistSnapshot) -> u64 {
+    match hist.count() {
+        0 => 0,
+        count => hist.sum / count / 1_000,
+    }
+}
+
+fn stage_p99_us(hist: &HistSnapshot) -> u64 {
+    hist.quantile(0.99) / 1_000
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_family_and_kv_key_is_declared_once() {
+        let mut names: Vec<&str> = families().map(|family| family.name).collect();
+        let declared = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), declared, "a family is declared twice");
+        let mut keys: Vec<&str> = STUB
+            .iter()
+            .flat_map(|line| line.fields.iter().map(|&(_, key, _)| key))
+            .collect();
+        let declared = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), declared, "a kv key is declared twice");
+    }
+
+    #[test]
+    fn a_stub_field_that_reads_a_family_reads_one_on_the_metrics_page() {
+        for line in STUB {
+            for &(_, key, value) in line.fields {
+                if let Value::Of(scalar) = value {
+                    assert!(
+                        METRICS
+                            .iter()
+                            .any(|run| matches!(run, Prom::One(s) if std::ptr::eq(*s, scalar))),
+                        "kv key {key} reads {}, which /metrics does not render",
+                        scalar.family.name
                     );
                 }
             }
         }
     }
 
-    // Merged distributions as Prometheus histograms, plus max/overflow.
-    page.header(
-        "qtls_phase_latency_hist_ns",
-        "histogram",
-        "Merged phase latency distribution in ns.",
-    );
-    for phase in Phase::ALL {
-        for class in CLASS_LIST {
-            let merged = eobs.merged(phase, class);
-            obs::render_phase_histogram(page, phase, class, &merged);
-        }
+    #[test]
+    fn the_registry_is_the_table() {
+        assert!(is_registered("qtls_phase_latency_hist_ns_bucket"));
+        assert!(is_registered("qtls_qat_polled_total"));
+        assert!(is_registered("qtls_trace_stage_us"));
+        assert!(!is_registered("qtls_rogue_metric"));
+        assert_eq!(families().count(), 57);
     }
-    page.header(
-        "qtls_phase_latency_max_ns",
-        "gauge",
-        "Largest phase latency recorded, ns.",
-    );
-    page.header(
-        "qtls_phase_overflow_total",
-        "counter",
-        "Samples beyond the largest histogram bucket (~68.7 s).",
-    );
-    for phase in Phase::ALL {
-        for class in CLASS_LIST {
-            let merged = eobs.merged(phase, class);
-            let labels = [("phase", phase.name()), ("class", obs::class_name(class))];
-            page.sample("qtls_phase_latency_max_ns", &labels, merged.max);
-            page.sample("qtls_phase_overflow_total", &labels, merged.overflow);
-        }
-    }
-
-    // Shard occupancy.
-    page.header(
-        "qtls_shard_count",
-        "gauge",
-        "Engine shards (QAT instance pairs) this worker submits to.",
-    );
-    page.sample("qtls_shard_count", &[], engine.shard_count() as u64);
-    page.header(
-        "qtls_shard_inflight",
-        "gauge",
-        "Inflight requests on the shard's rings.",
-    );
-    page.header(
-        "qtls_shard_asym_inflight",
-        "gauge",
-        "Of which asymmetric operations.",
-    );
-    for i in 0..engine.shard_count() {
-        let shard = i.to_string();
-        let labels = [("shard", shard.as_str())];
-        page.sample("qtls_shard_inflight", &labels, engine.shard_inflight(i));
-        page.sample(
-            "qtls_shard_asym_inflight",
-            &labels,
-            engine.shard_asym_inflight(i),
-        );
-    }
-    page.header(
-        "qtls_ring_full_retries_total",
-        "counter",
-        "Submissions retried after a full request ring, all shards.",
-    );
-    page.sample(
-        "qtls_ring_full_retries_total",
-        &[],
-        engine.ring_full_retries(),
-    );
-
-    // Per-shard submit pipeline.
-    let submit_families: [(&str, &str, &str); 4] = [
-        (
-            "qtls_submit_flushes_total",
-            "counter",
-            "Flushes that published at least one request.",
-        ),
-        (
-            "qtls_submit_flushed_requests_total",
-            "counter",
-            "Requests published through batched flushes.",
-        ),
-        (
-            "qtls_submit_deferred_total",
-            "counter",
-            "Requests a flush deferred to the next sweep (ring full).",
-        ),
-        (
-            "qtls_submit_max_depth",
-            "gauge",
-            "Deepest batch published by one flush.",
-        ),
-    ];
-    for (name, kind, help) in submit_families {
-        page.header(name, kind, help);
-        for i in 0..engine.shard_count() {
-            let Some(queue) = engine.shard_submit_queue(i) else {
-                continue;
-            };
-            let qs = queue.stats().snapshot();
-            let shard = i.to_string();
-            let labels = [("shard", shard.as_str())];
-            let value = match name {
-                "qtls_submit_flushes_total" => qs.flushes,
-                "qtls_submit_flushed_requests_total" => qs.flushed_requests,
-                "qtls_submit_deferred_total" => qs.deferred,
-                _ => qs.max_depth,
-            };
-            page.sample(name, &labels, value);
-        }
-    }
-
-    // Device firmware counters, per shard instance.
-    let qat_counters: [(&str, &str); 5] = [
-        (
-            "qtls_qat_submitted_total",
-            "Requests accepted onto request rings.",
-        ),
-        (
-            "qtls_qat_ring_full_total",
-            "Submissions rejected by a full request ring.",
-        ),
-        (
-            "qtls_qat_doorbells_total",
-            "Ring-cursor publishes (doorbell writes).",
-        ),
-        ("qtls_qat_polled_total", "Responses retrieved by polling."),
-        (
-            "qtls_qat_resp_stalls_total",
-            "Device stalls on a full response ring.",
-        ),
-    ];
-    for (name, help) in qat_counters {
-        page.header(name, "counter", help);
-        for i in 0..engine.shard_count() {
-            let fw = engine.shard_instance(i).fw_counters();
-            let shard = i.to_string();
-            let labels = [("shard", shard.as_str())];
-            let value = match name {
-                "qtls_qat_submitted_total" => fw.submitted.load(Ordering::Relaxed),
-                "qtls_qat_ring_full_total" => fw.ring_full.load(Ordering::Relaxed),
-                "qtls_qat_doorbells_total" => fw.doorbells.load(Ordering::Relaxed),
-                "qtls_qat_polled_total" => fw.polled.load(Ordering::Relaxed),
-                _ => fw.resp_stalls.load(Ordering::Relaxed),
-            };
-            page.sample(name, &labels, value);
-        }
-    }
-    page.header(
-        "qtls_qat_completed_total",
-        "counter",
-        "Completed operations, by shard and op class.",
-    );
-    for i in 0..engine.shard_count() {
-        let fw = engine.shard_instance(i).fw_counters();
-        let shard = i.to_string();
-        for (class, value) in [
-            ("asym", fw.asym.load(Ordering::Relaxed)),
-            ("cipher", fw.cipher.load(Ordering::Relaxed)),
-            ("prf", fw.prf.load(Ordering::Relaxed)),
-        ] {
-            page.sample(
-                "qtls_qat_completed_total",
-                &[("shard", shard.as_str()), ("class", class)],
-                value,
-            );
-        }
-    }
-
-    // Flight-recorder event counts (monotonic; survive ring overwrite).
-    page.header(
-        "qtls_flight_events_total",
-        "counter",
-        "Structured pipeline events recorded, by kind.",
-    );
-    for kind in EventKind::ALL {
-        page.sample(
-            "qtls_flight_events_total",
-            &[("kind", kind.name())],
-            eobs.recorder().count(kind),
-        );
-    }
-}
-
-/// Render the human `stub_status` page. The original single-instance
-/// lines keep their exact historical shape; workers whose engine stages
-/// submissions per shard append one aggregate `shards:` line plus a row
-/// per shard.
-pub fn render_stub_status(snap: &StatusSnapshot, engine: Option<&OffloadEngine>) -> String {
-    let mut page = format!(
-        "Active connections: {}\n\
-         server accepts handled requests\n {} {} {}\n\
-         TLS: alive {} idle {} active {} async-jobs {} resumptions {}\n\
-         bytes: sent {} received {} handoffs {}\n\
-         submit: flushes {} flushed {} max-depth {} deferred {}\n",
-        snap.tc_alive,
-        snap.stats.handshakes + snap.stats.errors,
-        snap.stats.handshakes,
-        snap.stats.requests,
-        snap.tc_alive,
-        snap.tc_idle,
-        snap.tc_active,
-        snap.stats.async_jobs,
-        snap.stats.resumptions,
-        snap.stats.bytes_sent,
-        snap.stats.bytes_received,
-        snap.stats.record_handoffs,
-        snap.stats.flushes,
-        snap.stats.flushed_requests,
-        snap.stats.max_flush_depth,
-        snap.stats.deferred_submits,
-    );
-    let _ = writeln!(
-        page,
-        "admission: accepted {} challenges {} verified {} rejected {} \
-         sheds {} overloads {}",
-        snap.stats.accepted,
-        snap.stats.challenges_sent,
-        snap.stats.tokens_verified,
-        snap.stats.tokens_rejected,
-        snap.stats.accept_sheds,
-        snap.stats.overload_entered,
-    );
-    let _ = writeln!(
-        page,
-        "sched: load {} steals {} policy {}",
-        snap.load, snap.stats.steals, snap.dispatch_policy,
-    );
-    if let Some(engine) = engine {
-        let queued: Vec<usize> = (0..engine.shard_count())
-            .filter(|&i| engine.shard_submit_queue(i).is_some())
-            .collect();
-        if !queued.is_empty() {
-            let _ = writeln!(
-                page,
-                "shards: count {} inflight {}",
-                queued.len(),
-                engine.inflight().total(),
-            );
-            for i in queued {
-                let _ = writeln!(page, "shard {i}: inflight {}", engine.shard_inflight(i));
-            }
-        }
-    }
-    page
-}
-
-/// Render the machine-parseable `stub_status?format=kv` variant: one
-/// `key value` pair per line. The keys are a strict superset of the
-/// numeric fields of the human page (pinned by an invariant test), plus
-/// extra worker counters the human page omits.
-pub fn render_stub_status_kv(snap: &StatusSnapshot, engine: Option<&OffloadEngine>) -> String {
-    let mut page = String::new();
-    let mut kv = |k: &str, v: u64| {
-        let _ = writeln!(page, "{k} {v}");
-    };
-    kv("active_connections", snap.tc_alive);
-    kv("accepts", snap.stats.handshakes + snap.stats.errors);
-    kv("handled", snap.stats.handshakes);
-    kv("requests", snap.stats.requests);
-    kv("tls_alive", snap.tc_alive);
-    kv("tls_idle", snap.tc_idle);
-    kv("tls_active", snap.tc_active);
-    kv("async_jobs", snap.stats.async_jobs);
-    kv("resumptions", snap.stats.resumptions);
-    kv("bytes_sent", snap.stats.bytes_sent);
-    kv("bytes_received", snap.stats.bytes_received);
-    kv("record_handoffs", snap.stats.record_handoffs);
-    kv("submit_flushes", snap.stats.flushes);
-    kv("submit_flushed", snap.stats.flushed_requests);
-    kv("submit_max_depth", snap.stats.max_flush_depth);
-    kv("submit_deferred", snap.stats.deferred_submits);
-    kv("admission_accepted", snap.stats.accepted);
-    kv("admission_challenges", snap.stats.challenges_sent);
-    kv("admission_tokens_verified", snap.stats.tokens_verified);
-    kv("admission_tokens_rejected", snap.stats.tokens_rejected);
-    kv("admission_accept_sheds", snap.stats.accept_sheds);
-    kv("admission_overloads", snap.stats.overload_entered);
-    kv("sched_load", snap.load);
-    kv("sched_steals", snap.stats.steals);
-    kv("sched_policy", snap.dispatch_policy);
-    // Extras the human page does not carry.
-    kv("handshakes", snap.stats.handshakes);
-    kv("resumed_handshakes", snap.stats.resumed);
-    kv("resume_miss", snap.stats.resume_miss);
-    kv("errors", snap.stats.errors);
-    kv("closed", snap.stats.closed);
-    kv("retries", snap.stats.retries);
-    kv("cancelled_submits", snap.stats.cancelled_submits);
-    kv("kernel_switches", snap.kernel_switches);
-    if let Some(h) = &snap.heuristic {
-        kv("poll_efficiency", h.efficiency_polls);
-        kv("poll_timeliness", h.timeliness_polls);
-        kv("poll_failover", h.failover_polls);
-        kv("poll_wasted", h.empty_polls);
-        kv("poll_responses", h.responses);
-        kv("poll_shards_swept", h.shards_swept);
-    }
-    if let Some(engine) = engine {
-        let queued: Vec<usize> = (0..engine.shard_count())
-            .filter(|&i| engine.shard_submit_queue(i).is_some())
-            .collect();
-        if !queued.is_empty() {
-            let _ = writeln!(page, "shards_count {}", queued.len());
-            let _ = writeln!(page, "shards_inflight {}", engine.inflight().total());
-            for i in queued {
-                let _ = writeln!(page, "shard{i}_inflight {}", engine.shard_inflight(i));
-            }
-        }
-    }
-    page
 }

@@ -33,7 +33,7 @@
 use crate::admission::AdmissionConfig;
 use crate::conn::{ConnCtx, Connection, InputWake, Spans, TaskEnv};
 use crate::http::ContentStore;
-use crate::metrics::{self, MetricsConfig, MetricsPlane, StatusSnapshot};
+use crate::metrics::{MetricsConfig, MetricsPlane, StatusSnapshot};
 use crate::net::{VListener, VSocket};
 use crate::sched::SchedShared;
 use qtls_core::obs::{self, ConnTrace, SpanKind};
@@ -475,14 +475,18 @@ impl Worker {
     /// engine stages submissions per shard append one aggregate
     /// `shards:` line plus a row per shard.
     pub fn stub_status(&self) -> String {
-        metrics::render_stub_status(&self.status_snapshot(), self.engine.as_deref())
+        self.env
+            .plane
+            .stub_status(&self.status_snapshot(), false, false)
     }
 
     /// The machine-parseable `stub_status?format=kv` variant: one
     /// `key value` pair per line, keys a superset of the human page's
     /// numeric fields.
     pub fn stub_status_kv(&self) -> String {
-        metrics::render_stub_status_kv(&self.status_snapshot(), self.engine.as_deref())
+        self.env
+            .plane
+            .stub_status(&self.status_snapshot(), true, false)
     }
 
     /// The worker's metrics plane (shared with in-band HTTP endpoints).

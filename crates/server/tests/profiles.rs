@@ -955,10 +955,9 @@ fn prom_family_for_kv_key(key: &str) -> &'static str {
 #[test]
 fn every_kv_counter_has_a_registered_prometheus_family() {
     // Registry audit: every key the machine-readable stub page exposes
-    // maps to a family that is in obs::registry::METRIC_NAMES AND is
+    // maps to a family that is in qtls_server::metrics's table AND is
     // actually rendered by /metrics on the same worker — stub_status
     // and the Prometheus exposition must not drift apart.
-    use qtls_core::obs;
     let listener = Arc::new(VListener::new());
     let device = QatDevice::new(QatConfig {
         endpoints: 2,
@@ -982,8 +981,8 @@ fn every_kv_counter_has_a_registered_prometheus_family() {
         let key = line.split(' ').next().expect("kv key");
         let family = prom_family_for_kv_key(key);
         assert!(
-            obs::registry::is_registered(family),
-            "family {family} (for kv key {key}) not in obs::registry::METRIC_NAMES"
+            qtls_server::metrics::is_registered(family),
+            "family {family} (for kv key {key}) not in the metrics table"
         );
         assert!(
             metrics_page.contains(&format!("# TYPE {family} ")),
@@ -1019,8 +1018,8 @@ fn metrics_and_flight_endpoints_serve_in_band() {
     assert!(!families.is_empty());
     for family in &families {
         assert!(
-            obs::registry::is_registered(family),
-            "family {family} not in obs::registry::METRIC_NAMES"
+            qtls_server::metrics::is_registered(family),
+            "family {family} not in the metrics table"
         );
     }
     assert!(body.contains("qtls_metrics_enabled 1"), "{body}");

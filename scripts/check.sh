@@ -63,6 +63,8 @@ required=(
   proptest_framework::trace_sampling_is_exact_and_off_costs_nothing
   profiles::every_kv_counter_has_a_registered_prometheus_family
   profiles::stub_status_kv_is_a_superset_of_the_human_page
+  qtls_server::metrics::tests::each_family_and_kv_key_is_declared_once
+  qtls_server::metrics::tests::a_stub_field_that_reads_a_family_reads_one_on_the_metrics_page
   # the three status pages are byte-identical to their goldens (§11)
   metrics_golden::sw_pages_are_byte_identical_to_their_goldens
   metrics_golden::sharded_qtls_pages_are_byte_identical_to_their_goldens
@@ -200,27 +202,33 @@ echo "ok: every figure runs; every ablation series is emitted"
 echo "== metrics plane smoke =="
 # Boot a sharded QTLS worker with qat_metrics on, scrape /metrics over
 # a real in-band TLS connection, and validate the exposition with the
-# in-repo mini-parser (the bin panics on any violation). Every family
-# the scrape declares must appear in the single obs::registry constant
-# list — no drive-by metric names outside the registry.
+# in-repo mini-parser (the bin panics on any violation, and on a family
+# qtls_server::metrics::is_registered does not know). Every family the
+# scrape declares must also be declared in the schema table, `mod
+# schema` of crates/server/src/metrics.rs — no drive-by metric names
+# outside it.
 metrics_page=$(cargo run --release --offline -p qtls-server --bin metrics_smoke)
 if ! grep -q "metrics_smoke: OK" <<< "$metrics_page"; then
   echo "metrics_smoke did not reach its OK verdict" >&2
   exit 1
 fi
-obs_registry=crates/core/src/obs.rs
+schema_table=$(sed -n '/^mod schema {/,/^}/p' crates/server/src/metrics.rs)
+if [ -z "$schema_table" ]; then
+  echo "could not find mod schema in crates/server/src/metrics.rs to audit" >&2
+  exit 1
+fi
 scraped=$(grep '^# TYPE ' <<< "$metrics_page" | awk '{print $3}' | sort -u)
 if [ -z "$scraped" ]; then
   echo "metrics_smoke scraped no # TYPE families" >&2
   exit 1
 fi
 while read -r fam; do
-  if ! grep -qF "\"$fam\"" "$obs_registry"; then
-    echo "scraped family $fam missing from obs::registry::METRIC_NAMES" >&2
+  if ! grep -qF "\"$fam\"" <<< "$schema_table"; then
+    echo "scraped family $fam missing from the schema table in crates/server/src/metrics.rs" >&2
     exit 1
   fi
 done <<< "$scraped"
-echo "ok: metrics smoke scrape parses; $(wc -l <<< "$scraped") families all in obs::registry"
+echo "ok: metrics smoke scrape parses; $(wc -l <<< "$scraped") families all in the schema table"
 
 echo "== loadgen trace dump =="
 # A loaded run's trace artifact: the loadgen CLI drives a 2-worker
