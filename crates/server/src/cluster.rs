@@ -1,23 +1,25 @@
-//! A multi-worker server — the paper's deployment shape: one master
-//! (this struct), N worker event loops on dedicated cores, all accepting
-//! from a shared listener, each with its own QAT crypto instance
-//! "distributed evenly from the three QAT endpoints" (§5.1).
+//! A multi-worker server — the paper's deployment shape: N worker event
+//! loops on dedicated cores behind one listening address, each with its
+//! own QAT crypto instance "distributed evenly from the three QAT
+//! endpoints" (§5.1). There is no dispatcher thread: the `Router` runs
+//! inside each client's `connect` on the front listener and places the
+//! new connection on a worker's backlog before `connect` returns.
 
 use crate::config_file::EngineDirectives;
 use crate::http::ContentStore;
 use crate::metrics::MetricsPlane;
-use crate::net::VListener;
+use crate::net::{VListener, VSocket};
 use crate::sched::{least_loaded_pick, DispatchPolicy, SchedShared, DISPATCH_PROBE};
 use crate::worker::{Worker, WorkerConfig, WorkerStats};
 use qtls_crypto::TestRng;
 use qtls_qat::QatDevice;
 use qtls_tls::server::ServerConfig;
 use qtls_tls::store::{SharedSessionStore, TicketKeyRing};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Per-worker dispatch accounting kept by the master dispatcher.
+/// Per-worker dispatch accounting kept by the router.
 struct DispatchCounters {
     /// Sockets handed to each worker's accept queue.
     dispatched: Vec<AtomicU64>,
@@ -27,7 +29,7 @@ struct DispatchCounters {
     shed: AtomicU64,
 }
 
-/// Snapshot of the dispatcher's per-worker accounting.
+/// Snapshot of the router's per-worker accounting.
 #[derive(Clone, Debug, Default)]
 pub struct DispatchSnapshot {
     /// Sockets handed to each worker's accept queue.
@@ -73,6 +75,119 @@ impl DispatchCounters {
     }
 }
 
+/// The cluster's dispatch: which worker's backlog a new connection
+/// joins. It runs on the connecting thread, inside
+/// [`VListener::connect_from`] on the front listener, so a connection
+/// costs one worker wake and no hand-off between threads.
+pub(crate) struct Router {
+    targets: Vec<Arc<VListener>>,
+    sched: Arc<SchedShared>,
+    counters: DispatchCounters,
+    /// The rotation cursor: round-robin's next worker, least-loaded's
+    /// probe start.
+    next: AtomicUsize,
+    /// Set when shutdown begins; connects from then on are refused.
+    stop: Arc<AtomicBool>,
+    /// Connects inside [`Router::route`] right now. Shutdown waits for
+    /// zero before it drains the backlogs, so no socket lands on a
+    /// backlog after its drain.
+    routing: AtomicUsize,
+    /// Connects refused because shutdown had begun.
+    refused: AtomicU64,
+}
+
+impl Router {
+    /// Place `sock` on a worker's backlog, shed it, or refuse it at the
+    /// door if shutdown has begun — exactly one of the three.
+    pub(crate) fn route(&self, sock: VSocket) {
+        // With the stop store and the routing load in `quiesce`, both
+        // SeqCst: either this connect sees the stop, or shutdown sees
+        // this connect and waits for it.
+        self.routing.fetch_add(1, Ordering::SeqCst);
+        if self.stop.load(Ordering::SeqCst) {
+            self.refused.fetch_add(1, Ordering::Relaxed);
+            sock.close();
+        } else {
+            self.dispatch(sock);
+        }
+        self.routing.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn dispatch(&self, sock: VSocket) {
+        let n = self.targets.len();
+        // Claim a start worker — blind rotation, or the least-loaded
+        // gauge within a bounded probe — then walk past full backlogs:
+        // a worker that bounces the inject gets a reject mark and the
+        // socket moves to the next one.
+        let cursor = self.next.fetch_add(1, Ordering::Relaxed) % n;
+        let mut pending = Some(sock);
+        let mut drain_waits = 0u32;
+        loop {
+            let start = match self.sched.policy() {
+                DispatchPolicy::RoundRobin => cursor,
+                DispatchPolicy::LeastLoaded => {
+                    least_loaded_pick(&self.sched.loads(), cursor, DISPATCH_PROBE)
+                }
+            };
+            // Read the drain generation BEFORE the walk: a worker
+            // accepting mid-walk must not be missed by the park below.
+            let gen = self.sched.drain_generation();
+            for attempt in 0..n {
+                let i = (start + attempt) % n;
+                let mut sock = pending.take().expect("socket present");
+                // Annotate how many backlogs this socket was walked
+                // past; a sampled connection surfaces it on its
+                // accept-wait span.
+                sock.set_dispatch_probes(sock.dispatch_probes() + 1);
+                match self.targets[i].inject(sock) {
+                    Ok(()) => {
+                        self.counters.dispatched[i].fetch_add(1, Ordering::Relaxed);
+                        if i != cursor {
+                            self.next.store(i + 1, Ordering::Relaxed);
+                        }
+                        break;
+                    }
+                    Err(back) => {
+                        self.counters.rejected[i].fetch_add(1, Ordering::Relaxed);
+                        pending = Some(back);
+                    }
+                }
+            }
+            if pending.is_none() {
+                return;
+            }
+            // Every backlog full. Don't shed on a blind backoff timer:
+            // park until some worker signals a backlog drain, then retry
+            // the round — a drain means some backlog has room, so each
+            // retry makes progress. Shed only when a wait passes with no
+            // drain at all (workers genuinely stuck) — the connect's
+            // latency under overload is bounded by the workers' drain
+            // rate.
+            drain_waits += 1;
+            if self.stop.load(Ordering::Relaxed)
+                || drain_waits > 64
+                || !self.sched.wait_drain(gen, Duration::from_millis(10))
+            {
+                break;
+            }
+        }
+        if let Some(sock) = pending {
+            self.counters.shed.fetch_add(1, Ordering::Relaxed);
+            sock.close();
+        }
+    }
+
+    /// Refuse every later connect and wait out the ones already routing:
+    /// a connect parked on full backlogs sees the stop within one
+    /// 10 ms drain wait and sheds.
+    fn quiesce(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        while self.routing.load(Ordering::SeqCst) != 0 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+}
+
 /// What `Cluster::shutdown` returns: per-worker stats plus a full
 /// accounting of every socket that entered the cluster but was never
 /// served — nothing disappears silently at shutdown.
@@ -80,26 +195,24 @@ impl DispatchCounters {
 pub struct ShutdownReport {
     /// Per-worker `(stats, kernel_switches)`, worker order.
     pub workers: Vec<(WorkerStats, u64)>,
-    /// Sockets still queued on the shared listener when the dispatcher
-    /// stopped (never assigned to a worker); drained and closed.
+    /// Connects refused at the front listener because shutdown had
+    /// begun (never assigned to a worker); each was closed at once.
     pub undispatched: u64,
     /// Sockets per worker that were dispatched but never accepted
     /// (still in the worker's backlog at shutdown); drained and closed.
     pub dropped_accepts: Vec<u64>,
-    /// The dispatcher's per-worker dispatch/reject/shed accounting.
+    /// The router's per-worker dispatch/reject/shed accounting.
     pub dispatch: DispatchSnapshot,
 }
 
 /// A running multi-worker HTTPS server.
 pub struct Cluster {
     listener: Arc<VListener>,
-    stop: Arc<AtomicBool>,
+    router: Arc<Router>,
     handles: Vec<std::thread::JoinHandle<(WorkerStats, u64)>>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
     device: Option<Arc<QatDevice>>,
     session_store: Arc<SharedSessionStore>,
     worker_listeners: Vec<Arc<VListener>>,
-    dispatch: Arc<DispatchCounters>,
     sched: Arc<SchedShared>,
     /// Each worker's metrics plane, published by the worker thread as it
     /// boots (None until then) — lets in-process callers aggregate the
@@ -108,14 +221,14 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Start `directives.worker_processes` workers sharing one listener.
-    /// A QAT device is created automatically for offloading profiles.
+    /// Start `directives.worker_processes` workers behind one front
+    /// listener. A QAT device is created automatically for offloading
+    /// profiles.
     pub fn start(
         directives: &EngineDirectives,
         tls: Arc<ServerConfig>,
         content: Arc<ContentStore>,
     ) -> Self {
-        let listener = Arc::new(VListener::new());
         // Cluster-shared resumption plane: one sharded session/PSK store
         // and one ticket key ring handed to every worker, so a ticket or
         // session id minted on worker A resumes on worker B instead of
@@ -136,112 +249,37 @@ impl Cluster {
             .uses_qat()
             .then(|| Arc::new(QatDevice::with_defaults()));
         let stop = Arc::new(AtomicBool::new(false));
-        // Per-worker accept queues, fed round-robin by the master
-        // dispatcher ("handle incoming connections in a balanced
-        // manner", §2.2). Backlogs are bounded by the admission
-        // directive so a handshake flood cannot grow them without limit.
+        // Per-worker accept queues, fed round-robin by the router
+        // ("handle incoming connections in a balanced manner", §2.2).
+        // Backlogs are bounded by the admission directive so a handshake
+        // flood cannot grow them without limit.
         let worker_listeners: Vec<Arc<VListener>> = (0..directives.worker_processes)
             .map(|_| Arc::new(VListener::with_capacity(directives.admission.backlog_cap)))
             .collect();
-        // Queue-delay attribution: stamp sockets at arrival on the shared
-        // listener so a sampled connection's accept-wait span covers the
-        // whole dispatch path (shared backlog + worker backlog), not just
-        // the last hop.
+        let sched = Arc::new(SchedShared::new(
+            directives.worker_processes,
+            directives.dispatch_policy,
+            directives.dispatch_steal,
+        ));
+        let router = Arc::new(Router {
+            targets: worker_listeners.clone(),
+            sched: Arc::clone(&sched),
+            counters: DispatchCounters::new(directives.worker_processes),
+            next: AtomicUsize::new(0),
+            stop: Arc::clone(&stop),
+            routing: AtomicUsize::new(0),
+            refused: AtomicU64::new(0),
+        });
+        let listener = Arc::new(VListener::routed(Arc::clone(&router)));
+        // Queue-delay attribution: stamp sockets at connect so a sampled
+        // connection's accept-wait span covers its time on the worker
+        // backlog, including any park on all-full backlogs.
         if directives.metrics.trace_sample_rate > 0 {
             listener.set_queue_timestamps(true);
             for target in &worker_listeners {
                 target.set_queue_timestamps(true);
             }
         }
-        let dispatch = Arc::new(DispatchCounters::new(directives.worker_processes));
-        let sched = Arc::new(SchedShared::new(
-            directives.worker_processes,
-            directives.dispatch_policy,
-            directives.dispatch_steal,
-        ));
-        let dispatcher = {
-            let shared = Arc::clone(&listener);
-            let targets = worker_listeners.clone();
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&dispatch);
-            let sched = Arc::clone(&sched);
-            let policy = directives.dispatch_policy;
-            std::thread::Builder::new()
-                .name("qtls-master".into())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        let Some(sock) = shared.accept() else {
-                            // Idle: park on the listener's condvar
-                            // instead of busy-spinning on yield_now.
-                            shared.wait_pending(Duration::from_millis(1));
-                            continue;
-                        };
-                        // Pick a start worker — blind rotation, or the
-                        // least-loaded gauge within a bounded probe —
-                        // then walk past full backlogs: a worker that
-                        // bounces the inject gets a reject mark and the
-                        // socket moves to the next one.
-                        let mut pending = Some(sock);
-                        let mut drain_waits = 0u32;
-                        loop {
-                            let start = match policy {
-                                DispatchPolicy::RoundRobin => next,
-                                DispatchPolicy::LeastLoaded => {
-                                    least_loaded_pick(&sched.loads(), next, DISPATCH_PROBE)
-                                }
-                            };
-                            // Read the drain generation BEFORE the walk:
-                            // a worker accepting mid-walk must not be
-                            // missed by the park below.
-                            let gen = sched.drain_generation();
-                            for attempt in 0..targets.len() {
-                                let i = (start + attempt) % targets.len();
-                                let mut sock = pending.take().expect("socket present");
-                                // Annotate how many backlogs this socket
-                                // was walked past; a sampled connection
-                                // surfaces it on its accept-wait span.
-                                sock.set_dispatch_probes(sock.dispatch_probes() + 1);
-                                match targets[i].inject(sock) {
-                                    Ok(()) => {
-                                        counters.dispatched[i].fetch_add(1, Ordering::Relaxed);
-                                        next = i + 1;
-                                        break;
-                                    }
-                                    Err(back) => {
-                                        counters.rejected[i].fetch_add(1, Ordering::Relaxed);
-                                        pending = Some(back);
-                                    }
-                                }
-                            }
-                            if pending.is_none() {
-                                break;
-                            }
-                            // Every backlog full. Don't shed on a blind
-                            // backoff timer: park until some worker
-                            // signals a backlog drain, then retry the
-                            // round — a drain means some backlog has
-                            // room, so each retry makes progress. Shed
-                            // only when a wait passes with no drain at
-                            // all (workers genuinely stuck) — dispatch
-                            // latency under overload is bounded by the
-                            // workers' drain rate.
-                            drain_waits += 1;
-                            if stop.load(Ordering::Relaxed)
-                                || drain_waits > 64
-                                || !sched.wait_drain(gen, Duration::from_millis(10))
-                            {
-                                break;
-                            }
-                        }
-                        if let Some(sock) = pending {
-                            counters.shed.fetch_add(1, Ordering::Relaxed);
-                            sock.close();
-                        }
-                    }
-                })
-                .expect("spawn dispatcher")
-        };
         let planes: Arc<Mutex<Vec<Option<Arc<MetricsPlane>>>>> =
             Arc::new(Mutex::new(vec![None; directives.worker_processes]));
         let handles = (0..directives.worker_processes)
@@ -283,13 +321,11 @@ impl Cluster {
             .collect();
         Cluster {
             listener,
-            stop,
+            router,
             handles,
-            dispatcher: Some(dispatcher),
             device,
             session_store,
             worker_listeners,
-            dispatch,
             sched,
             planes,
         }
@@ -306,7 +342,8 @@ impl Cluster {
         &self.sched
     }
 
-    /// The shared listener clients connect through.
+    /// The front listener clients connect through; each connect is
+    /// routed to a worker's backlog before it returns.
     pub fn listener(&self) -> Arc<VListener> {
         Arc::clone(&self.listener)
     }
@@ -323,17 +360,16 @@ impl Cluster {
     }
 
     /// Stop all workers (draining in-flight connections) and account for
-    /// every socket the cluster never served: still-undispatched sockets
-    /// on the shared listener and dispatched-but-never-accepted sockets
-    /// in the per-worker backlogs are drained, closed, and counted —
-    /// shutdown drops nothing silently.
-    pub fn shutdown(mut self) -> ShutdownReport {
-        self.stop.store(true, Ordering::SeqCst);
+    /// every socket the cluster never served: connects refused at the
+    /// front listener once shutdown began, and dispatched-but-never-
+    /// accepted sockets in the per-worker backlogs, which are drained,
+    /// closed, and counted — shutdown drops nothing silently.
+    pub fn shutdown(self) -> ShutdownReport {
+        // Sets the stop the workers read, then waits out the connects
+        // still routing, so nothing lands on a backlog after its drain.
+        self.router.quiesce();
         // Sleeping workers have no event for the flag; ring them.
         self.sched.wake_workers();
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
         let workers: Vec<(WorkerStats, u64)> = self
             .handles
             .into_iter()
@@ -341,13 +377,12 @@ impl Cluster {
             .collect();
         // Workers paused accepts when they observed stop, so anything
         // still queued is exactly what would have been dropped silently.
-        let undispatched = self.listener.drain();
         let dropped_accepts: Vec<u64> = self.worker_listeners.iter().map(|l| l.drain()).collect();
-        let mut dispatch = self.dispatch.snapshot();
+        let mut dispatch = self.router.counters.snapshot();
         (dispatch.stolen_in, dispatch.stolen_out) = self.sched.steal_totals();
         ShutdownReport {
             workers,
-            undispatched,
+            undispatched: self.router.refused.load(Ordering::Relaxed),
             dropped_accepts,
             dispatch,
         }
@@ -445,7 +480,7 @@ ssl_engine {
     #[test]
     fn ticket_minted_on_worker_a_resumes_on_worker_b() {
         let _turn = serial();
-        // The round-robin dispatcher guarantees consecutive connections
+        // The round-robin router guarantees consecutive connections
         // land on different workers of a 2-worker cluster: the full
         // handshake (and its ticket) goes to worker 0, the reconnect to
         // worker 1. With the cluster-shared resumption plane the second
@@ -478,7 +513,7 @@ ssl_engine {
         // One handshake per worker; the resumed one happened on the
         // worker that did NOT mint the session.
         for (s, _) in &stats {
-            assert_eq!(s.handshakes, 1, "dispatcher alternates workers");
+            assert_eq!(s.handshakes, 1, "the router alternates workers");
         }
         assert_eq!(stats.iter().map(|(s, _)| s.resumed).sum::<u64>(), 1);
         let minted = stats.iter().filter(|(s, _)| s.resumed == 0).count();
@@ -559,7 +594,7 @@ dispatch_steal on;
     fn full_backlogs_park_on_drain_signal_not_backoff() {
         let _turn = serial();
         // One worker with a 2-deep backlog, 8 concurrent clients: the
-        // dispatcher keeps finding the lone backlog full. With the old
+        // router keeps finding the lone backlog full. With the old
         // fixed-backoff park it would shed; with the drain signal it
         // parks until the worker accepts and every socket lands.
         let directives = parse_ssl_engine_conf(

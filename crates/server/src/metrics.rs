@@ -306,6 +306,20 @@ pub fn is_registered(name: &str) -> bool {
     families().any(|family| family.name == base || family.name == name)
 }
 
+/// The schema's kv-to-family links: each `stub_status?format=kv` key
+/// whose value is a `/metrics` family's (a [`Value::Of`] field), with
+/// that family. An audit reads both pages and checks the two values
+/// match; no key outside this list claims a family.
+#[doc(hidden)]
+pub fn kv_family_links() -> impl Iterator<Item = (&'static str, &'static str)> {
+    STUB.iter()
+        .flat_map(|line| line.fields)
+        .filter_map(|&(_, key, value)| match value {
+            Value::Of(scalar) => Some((key, scalar.family.name)),
+            _ => None,
+        })
+}
+
 /// Every family of `METRICS`, in page order.
 fn families() -> impl Iterator<Item = &'static Family> {
     METRICS.iter().flat_map(|run| match run {

@@ -8,13 +8,18 @@
 //! next bytes or close take and wake once the event is visible. A
 //! listener announces arrivals to the accepting loop's [`Parker`], so a
 //! loop with nothing to do can sleep.
+//!
+//! A cluster's front listener is *routed*: it has no backlog of its
+//! own, and [`VListener::connect_from`] hands the new connection to a
+//! worker's backlog before it returns, the way a kernel picks a
+//! `SO_REUSEPORT` socket while it handles the SYN.
 
-use qtls_sync::{Condvar, Mutex, MutexGuard, Parker, WakeSlot};
+use crate::cluster::Router;
+use qtls_sync::{Mutex, MutexGuard, Parker, WakeSlot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
-use std::time::Duration;
 
 /// One direction's byte pipe.
 struct Pipe {
@@ -232,11 +237,8 @@ pub const DEFAULT_BACKLOG: usize = 4096;
 /// queue without bound.
 pub struct VListener {
     backlog: Mutex<VecDeque<VSocket>>,
-    /// Signalled whenever the backlog gains an entry, so an accepting
-    /// thread can park instead of spinning when idle.
-    arrived: Condvar,
-    /// The event loop accepting from this listener, if it sleeps on its
-    /// own handle rather than in [`VListener::wait_pending`].
+    /// The event loop accepting from this listener, woken whenever the
+    /// backlog gains an entry so it can sleep when idle.
     acceptor: WakeSlot,
     cap: usize,
     rejected: AtomicU64,
@@ -245,6 +247,9 @@ pub struct VListener {
     /// backlog wait time. Off by default: the accept path then performs
     /// one relaxed load and no clock reads.
     stamp: AtomicBool,
+    /// Routed mode: the cluster's dispatch, run by every connect in
+    /// place of queueing on this listener's (then unused) backlog.
+    router: Option<Arc<Router>>,
 }
 
 impl Default for VListener {
@@ -263,11 +268,20 @@ impl VListener {
     pub fn with_capacity(cap: usize) -> Self {
         VListener {
             backlog: Mutex::new(VecDeque::new()),
-            arrived: Condvar::new(),
             acceptor: WakeSlot::new(),
             cap: cap.max(1),
             rejected: AtomicU64::new(0),
             stamp: AtomicBool::new(false),
+            router: None,
+        }
+    }
+
+    /// A front listener whose connects `router` places on a worker's
+    /// backlog before they return; nothing ever queues here.
+    pub(crate) fn routed(router: Arc<Router>) -> Self {
+        VListener {
+            router: Some(router),
+            ..Self::new()
         }
     }
 
@@ -284,7 +298,6 @@ impl VListener {
 
     /// Announce a backlog entry that is already queued.
     fn announce_arrival(&self) {
-        self.arrived.notify_one();
         self.acceptor.wake();
     }
 
@@ -296,10 +309,17 @@ impl VListener {
     /// Connect declaring the client's address `addr` (what the server
     /// side will see as [`VSocket::peer_addr`]). At a full backlog the
     /// connection is shed: the returned client socket reads `Closed`.
+    /// On a routed listener the connecting thread runs the dispatch
+    /// itself, so the connection is on a worker's backlog, shed or
+    /// refused when this returns.
     pub fn connect_from(&self, addr: u64) -> VSocket {
         let (client, mut server) = VSocket::pair_from(addr);
         if self.stamp.load(Ordering::Relaxed) {
             server.queued_ns = qtls_core::obs::now_ns();
+        }
+        if let Some(router) = &self.router {
+            router.route(server);
+            return client;
         }
         let mut backlog = self.backlog.lock();
         if backlog.len() >= self.cap {
@@ -321,10 +341,9 @@ impl VListener {
     }
 
     /// Inject an already-established server-side socket (used by the
-    /// cluster's master dispatcher to balance connections to workers).
-    /// At a full backlog the socket is handed back so the dispatcher
-    /// can retry another worker or shed it knowingly — never a silent
-    /// drop.
+    /// cluster's router to balance connections to workers). At a full
+    /// backlog the socket is handed back so the router can retry
+    /// another worker or shed it knowingly — never a silent drop.
     pub fn inject(&self, mut sock: VSocket) -> Result<(), VSocket> {
         if sock.queued_ns == 0 && self.stamp.load(Ordering::Relaxed) {
             sock.queued_ns = qtls_core::obs::now_ns();
@@ -354,17 +373,6 @@ impl VListener {
     /// Connections shed because the backlog was full.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Park until the backlog is non-empty or `timeout` elapses;
-    /// returns whether anything is pending. Lets the dispatcher block
-    /// instead of busy-spinning on an idle listener.
-    pub fn wait_pending(&self, timeout: Duration) -> bool {
-        let mut backlog = self.backlog.lock();
-        if backlog.is_empty() {
-            let _ = self.arrived.wait_for(&mut backlog, timeout);
-        }
-        !backlog.is_empty()
     }
 
     /// Steal-half protocol: remove up to `max` sockets from the BACK of
@@ -588,26 +596,10 @@ mod tests {
         assert!(l.inject(s1).is_ok());
         let back = l.inject(s2).expect_err("backlog full");
         assert_eq!(l.rejected(), 1);
-        // The socket came back intact — the dispatcher can still place
+        // The socket came back intact — the router can still place
         // it elsewhere or close it with accounting.
         back.write(b"still usable").unwrap();
         assert_eq!(c2.read_all().unwrap(), b"still usable");
-    }
-
-    #[test]
-    fn wait_pending_parks_until_a_connection_arrives() {
-        let l = Arc::new(VListener::new());
-        // Idle: times out empty-handed.
-        assert!(!l.wait_pending(Duration::from_millis(1)));
-        let l2 = Arc::clone(&l);
-        let t = std::thread::spawn(move || {
-            let _c = l2.connect();
-            std::thread::sleep(Duration::from_millis(50));
-        });
-        // A connect notifies the parked waiter well before 5 s.
-        assert!(l.wait_pending(Duration::from_secs(5)));
-        assert!(l.accept().is_some());
-        t.join().unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The cluster scheduling plane (DESIGN.md §15): per-worker load gauges,
-//! load-aware dispatch, work stealing, and the dispatcher's drain
-//! signal.
+//! load-aware dispatch, work stealing, and the drain signal a connect
+//! facing all-full backlogs parks on.
 //!
 //! The sim ablation (`figures -- scheduling`) picked dFCFS with
 //! least-loaded dispatch plus work stealing: it matches the centralized
@@ -10,21 +10,22 @@
 //! - every worker publishes a cache-padded **load gauge** (accepted-but-
 //!   unserved backlog + inflight handshakes + staged offload depth) once
 //!   per event-loop sweep;
-//! - the master dispatcher routes new sockets to the least-loaded worker
-//!   found by a **bounded probe** (power-of-two-choices style), walking
-//!   past full backlogs;
+//! - the cluster's router, run by each connecting thread, sends a new
+//!   socket to the least-loaded worker found by a **bounded probe**
+//!   (power-of-two-choices style), walking past full backlogs;
 //! - an idle worker **steals half** of the most-loaded sibling's accept
 //!   backlog through [`crate::net::VListener::steal_half`];
 //! - workers ring the **drain signal** after every accept sweep, so a
-//!   dispatcher facing all-full backlogs parks until a drain instead of
-//!   sleeping a blind backoff.
+//!   connect facing all-full backlogs parks until a drain instead of
+//!   sleeping a blind backoff. The ring is a syscall only when some
+//!   connect is parked.
 
 use qtls_sync::{CachePadded, Condvar, Mutex, Parker};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the master dispatcher picks the worker for a new socket (the
+/// How the router picks the worker for a new socket (the
 /// `dispatch_policy` directive).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchPolicy {
@@ -35,7 +36,7 @@ pub enum DispatchPolicy {
     LeastLoaded,
 }
 
-/// How many gauges the dispatcher probes per decision under
+/// How many gauges the router probes per decision under
 /// [`DispatchPolicy::LeastLoaded`] — a power-of-two-choices-style
 /// bounded walk, not a full scan, so the decision stays O(1) as the
 /// worker count grows.
@@ -62,9 +63,9 @@ pub fn least_loaded_pick(gauges: &[u64], start: usize, probe: usize) -> usize {
     best
 }
 
-/// Shared state between the master dispatcher and the workers: the load
-/// gauges, the steal accounting, and the drain signal. One per cluster,
-/// handed to every worker.
+/// Shared state between the router and the workers: the load gauges,
+/// the steal accounting, and the drain signal. One per cluster, handed
+/// to every worker.
 pub struct SchedShared {
     /// Per-worker load gauges. Cache-padded: each worker stores its own
     /// gauge every sweep, and padding keeps those stores from false-
@@ -75,17 +76,24 @@ pub struct SchedShared {
     /// Sockets stolen OUT of each worker's backlog.
     stolen_out: Vec<CachePadded<AtomicU64>>,
     /// Bumped by a worker after every accept sweep that drained its
-    /// backlog; the dispatcher parks on this when every backlog is full.
-    drain_gen: Mutex<u64>,
+    /// backlog; a connect parks on this when every backlog is full.
+    drain: Mutex<DrainSignal>,
     drained: Condvar,
     /// `dispatch_steal` directive: whether idle workers steal.
     steal: bool,
     /// `dispatch_policy` directive, re-exposed to workers for the
     /// metrics plane.
     policy: DispatchPolicy,
-    /// Every worker's wake handle, so the master can rouse sleeping
-    /// workers for something they have no event for (shutdown).
+    /// Every worker's wake handle, so shutdown can rouse sleeping
+    /// workers, which have no event for it.
     wakers: Mutex<Vec<Arc<Parker>>>,
+}
+
+/// The drain generation and how many connects are parked waiting for it
+/// to move.
+struct DrainSignal {
+    gen: u64,
+    waiters: u32,
 }
 
 impl SchedShared {
@@ -101,7 +109,7 @@ impl SchedShared {
             stolen_out: (0..workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            drain_gen: Mutex::new(0),
+            drain: Mutex::new(DrainSignal { gen: 0, waiters: 0 }),
             drained: Condvar::new(),
             steal,
             policy,
@@ -201,26 +209,34 @@ impl SchedShared {
     /// Current drain generation; read BEFORE probing the backlogs so a
     /// drain between probe and park is never missed.
     pub fn drain_generation(&self) -> u64 {
-        *self.drain_gen.lock()
+        self.drain.lock().gen
     }
 
     /// A worker drained (accepted from) its backlog: wake any parked
-    /// dispatcher.
+    /// connect. With none parked — the common case — this is one
+    /// uncontended lock and no syscall.
     pub fn note_drain(&self) {
-        *self.drain_gen.lock() += 1;
-        self.drained.notify_all();
+        let mut drain = self.drain.lock();
+        drain.gen += 1;
+        let parked = drain.waiters > 0;
+        drop(drain);
+        if parked {
+            self.drained.notify_all();
+        }
     }
 
     /// Park until the drain generation advances past `seen` or `timeout`
     /// elapses; returns whether a drain was observed. This is what
-    /// bounds dispatch latency under overload by the workers' drain
+    /// bounds a connect's latency under overload by the workers' drain
     /// rate instead of a blind backoff timer.
     pub fn wait_drain(&self, seen: u64, timeout: Duration) -> bool {
-        let mut gen = self.drain_gen.lock();
-        if *gen == seen {
-            let _ = self.drained.wait_for(&mut gen, timeout);
+        let mut drain = self.drain.lock();
+        if drain.gen == seen {
+            drain.waiters += 1;
+            let _ = self.drained.wait_for(&mut drain, timeout);
+            drain.waiters -= 1;
         }
-        *gen != seen
+        drain.gen != seen
     }
 }
 
@@ -279,5 +295,26 @@ mod tests {
         // An up-to-date generation with no drain times out false.
         let now = s.drain_generation();
         assert!(!s.wait_drain(now, Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn the_drain_signal_counts_its_parked_connects() {
+        let s = Arc::new(SchedShared::new(1, DispatchPolicy::RoundRobin, false));
+        let waiters = |s: &SchedShared| s.drain.lock().waiters;
+        // Nobody parked: the ring moves the generation and skips the
+        // notify.
+        s.note_drain();
+        assert_eq!((s.drain_generation(), waiters(&s)), (1, 0));
+        let seen = s.drain_generation();
+        let s2 = Arc::clone(&s);
+        let t = std::thread::spawn(move || s2.wait_drain(seen, Duration::from_secs(30)));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while waiters(&s) == 0 {
+            assert!(Instant::now() < deadline, "the connect never parked");
+            std::thread::yield_now();
+        }
+        s.note_drain();
+        assert!(t.join().unwrap(), "the parked connect saw the drain");
+        assert_eq!(waiters(&s), 0, "an unparked connect is uncounted");
     }
 }

@@ -2,12 +2,15 @@
 //! handshakes and serves HTTP over the in-memory network, with genuine
 //! crypto both in software and through the QAT device model.
 
+mod golden_plane;
+
 use qtls_core::OffloadProfile;
 use qtls_crypto::ecc::NamedCurve;
 use qtls_qat::{QatConfig, QatDevice};
 use qtls_server::loadgen::{run_connection, ClientConfig};
 use qtls_server::{VListener, Worker, WorkerConfig};
 use qtls_tls::suite::CipherSuite;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -889,108 +892,66 @@ fn stub_status_kv_is_a_superset_of_the_human_page() {
     }
 }
 
-/// The Prometheus family responsible for a `stub_status?format=kv` key.
-/// Panics on an unmapped key — adding a kv counter without a registered
-/// family is exactly the regression this audit exists to catch.
-fn prom_family_for_kv_key(key: &str) -> &'static str {
-    if let Some(rest) = key.strip_prefix("shard") {
-        if rest.starts_with(|c: char| c.is_ascii_digit()) {
-            return if rest.ends_with("_inflight") {
-                "qtls_shard_inflight"
-            } else {
-                panic!("per-shard kv key {key} has no mapped Prometheus family")
-            };
-        }
-    }
-    if key.starts_with("trace_stage_") {
-        return "qtls_trace_stage_us";
-    }
-    match key {
-        "active_connections" | "tls_alive" => "qtls_worker_connections_alive",
-        "tls_idle" => "qtls_worker_connections_idle",
-        "tls_active" => "qtls_worker_connections_active",
-        "accepts" | "admission_accepted" => "qtls_worker_accepts_total",
-        "handled" | "handshakes" => "qtls_worker_handshakes_total",
-        "requests" => "qtls_worker_requests_total",
-        "async_jobs" => "qtls_worker_async_jobs_total",
-        "resumptions" => "qtls_worker_resumptions_total",
-        "bytes_sent" => "qtls_worker_bytes_sent_total",
-        "bytes_received" => "qtls_worker_bytes_received_total",
-        "record_handoffs" => "qtls_worker_record_handoffs_total",
-        "submit_flushes" => "qtls_submit_flushes_total",
-        "submit_flushed" => "qtls_submit_flushed_requests_total",
-        "submit_max_depth" => "qtls_submit_max_depth",
-        "submit_deferred" => "qtls_submit_deferred_total",
-        "admission_challenges" => "qtls_admission_challenges_total",
-        "admission_tokens_verified" => "qtls_admission_tokens_verified_total",
-        "admission_tokens_rejected" => "qtls_admission_tokens_rejected_total",
-        "admission_accept_sheds" => "qtls_admission_accept_sheds_total",
-        "admission_overloads" => "qtls_admission_overloads_total",
-        "sched_load" => "qtls_worker_load",
-        "sched_steals" => "qtls_worker_steals_total",
-        "sched_policy" => "qtls_dispatch_policy",
-        "resumed_handshakes" => "qtls_worker_resumed_handshakes_total",
-        "resume_miss" => "qtls_worker_resume_miss_total",
-        "errors" => "qtls_worker_errors_total",
-        "closed" => "qtls_worker_closed_total",
-        "retries" => "qtls_worker_ring_retries_total",
-        "cancelled_submits" => "qtls_worker_cancelled_submits_total",
-        "kernel_switches" => "qtls_worker_kernel_switches_total",
-        "poll_efficiency" | "poll_timeliness" | "poll_failover" => "qtls_poll_fired_total",
-        "poll_wasted" => "qtls_poll_wasted_total",
-        "poll_responses" => "qtls_poll_responses_total",
-        "poll_shards_swept" => "qtls_poll_shards_swept_total",
-        "shards_count" => "qtls_shard_count",
-        "shards_inflight" => "qtls_shard_inflight",
-        "trace_sample_rate" => "qtls_trace_sample_rate",
-        "trace_sampled" => "qtls_trace_sampled_total",
-        "trace_spans" => "qtls_trace_spans_total",
-        "trace_dropped" => "qtls_trace_dropped_total",
-        "trace_wall_us" => "qtls_trace_wall_us_total",
-        "trace_covered_us" => "qtls_trace_covered_us_total",
-        _ => panic!("kv key {key} has no mapped Prometheus family — register one"),
-    }
+/// The unlabelled samples of a page as `name -> value` (the kv page's
+/// lines have the same shape).
+fn unlabelled_samples(page: &str) -> HashMap<&str, &str> {
+    page.lines()
+        .filter(|line| !line.starts_with('#') && !line.contains('{'))
+        .filter_map(|line| line.split_once(' '))
+        .collect()
 }
 
 #[test]
 fn every_kv_counter_has_a_registered_prometheus_family() {
-    // Registry audit: every key the machine-readable stub page exposes
-    // maps to a family that is in qtls_server::metrics's table AND is
-    // actually rendered by /metrics on the same worker — stub_status
-    // and the Prometheus exposition must not drift apart.
-    let listener = Arc::new(VListener::new());
-    let device = QatDevice::new(QatConfig {
-        endpoints: 2,
-        engines_per_endpoint: 2,
-        ..QatConfig::functional_small()
-    });
-    let mut cfg = WorkerConfig::new(OffloadProfile::Qtls);
-    cfg.metrics.enabled = true;
-    cfg.metrics.trace_sample_rate = 1;
-    let mut worker = Worker::new(Arc::clone(&listener), Some(&device), cfg);
-    let (sock, _client) = hand_establish(&mut worker, &listener, 611);
-    sock.close();
-    for _ in 0..50 {
-        worker.run_iteration();
-    }
-    let plane = Arc::clone(worker.metrics_plane());
-    let (_, _, kv_page) = plane.serve("/stub_status", "format=kv").expect("kv page");
-    let (_, _, metrics_page) = plane.serve("/metrics", "").expect("metrics page");
-    let mut checked = 0usize;
-    for line in kv_page.lines() {
-        let key = line.split(' ').next().expect("kv key");
-        let family = prom_family_for_kv_key(key);
+    // Registry audit over the schema's own links: every kv key that
+    // claims a /metrics family shows, on the rendered pages, that
+    // family's value, and the family is registered and rendered. Keys
+    // that claim no family (the nginx `accepts` alias, the worker's
+    // submit fold, the staging-shard lines) are not audited against
+    // one. It runs on the goldens' pages, whose snapshot fields all
+    // differ: on the untraced page no two linked families read the same
+    // number, so a kv value taken from anywhere but its family shows.
+    // (The traced page adds the trace families, where `rate` and
+    // `sampled` both read 1 and `covered` equals `wall` by construction;
+    // there the audit checks equality only.)
+    let links: Vec<(&str, &str)> = qtls_server::metrics::kv_family_links().collect();
+    assert!(links.len() > 30, "suspiciously few links: {links:?}");
+    for traced in [0, 1] {
+        let [_, kv_page, metrics_page] = golden_plane::pages(OffloadProfile::Qtls, traced);
+        let kv = unlabelled_samples(&kv_page);
+        let prom = unlabelled_samples(&metrics_page);
+        let mut families_by_value: HashMap<&str, &str> = HashMap::new();
+        let mut checked = 0usize;
+        for &(key, family) in &links {
+            assert!(
+                qtls_server::metrics::is_registered(family),
+                "family {family} (for kv key {key}) not in the metrics table"
+            );
+            let Some(got) = kv.get(key) else {
+                assert!(
+                    key.starts_with("trace_") && traced == 0,
+                    "kv key {key} missing"
+                );
+                continue;
+            };
+            let want = prom
+                .get(family)
+                .unwrap_or_else(|| panic!("family {family} (for kv key {key}) not rendered"));
+            assert_eq!(got, want, "kv key {key} and family {family} disagree");
+            if traced == 0 {
+                let other = *families_by_value.entry(want).or_insert(family);
+                assert_eq!(
+                    other, family,
+                    "{other} and {family} both read {want}: a swapped link would not show"
+                );
+            }
+            checked += 1;
+        }
         assert!(
-            qtls_server::metrics::is_registered(family),
-            "family {family} (for kv key {key}) not in the metrics table"
+            checked > 30,
+            "trace {traced}: only {checked} links on the page"
         );
-        assert!(
-            metrics_page.contains(&format!("# TYPE {family} ")),
-            "family {family} (for kv key {key}) not rendered by /metrics"
-        );
-        checked += 1;
     }
-    assert!(checked > 40, "kv page suspiciously small: {kv_page}");
 }
 
 #[test]

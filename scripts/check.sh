@@ -50,6 +50,13 @@ required=(
   qtls_server::cluster::tests::least_loaded_cluster_with_stealing_conserves_sockets
   qtls_server::cluster::tests::full_backlogs_park_on_drain_signal_not_backoff
   proptest_framework::least_loaded_dispatch_is_argmin
+  # a connection reaches its worker inside connect(): no dispatcher
+  # thread, nothing in transit at shutdown, and the drain signal rings
+  # only for a parked connect (§15)
+  dispatch::no_dispatcher_thread_runs_beside_the_workers
+  dispatch::back_to_back_connects_then_shutdown_lose_nothing_in_transit
+  dispatch::connects_racing_shutdown_land_in_exactly_one_ledger_term
+  qtls_server::sched::tests::the_drain_signal_counts_its_parked_connects
   proptest_framework::steal_half_conserves_and_never_duplicates_sockets
   # eager flush: a deferred submit keeps the worker sweeping (§9); the
   # deleted flush, placement and rebalance directives fail by name
