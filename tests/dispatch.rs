@@ -135,7 +135,8 @@ fn connects_racing_shutdown_land_in_exactly_one_ledger_term() {
         open + 1,
         "the open connects and the held one were dispatched"
     );
+    // The closed one is a refusal, or a shed when it was parked on
+    // full backlogs as the workers stopped accepting.
     assert_eq!(d.shed + report.undispatched, closed, "closed at the door");
-    assert_eq!(report.undispatched, 1, "the last connect met the shutdown");
     assert_workers_conserve(&report);
 }
